@@ -88,11 +88,6 @@ def qp_coords(n_cells, h, origin):
     return corner[:, None, :] + h * REF_POINTS[None, :, :]
 
 
-def gather(nodal, conn):
-    """Nodal values restricted to elements: (nel, 4) or (nel, 4, c)."""
-    return nodal[conn]
-
-
 def qp_values(nodal, conn):
     """Interpolate nodal data to quadrature points.
 
@@ -314,11 +309,9 @@ def tensor_elastic_blocks(h, b_qp):
     return ke.reshape(ke.shape[0], 8, 8)
 
 
-def assemble_elasticity(conn, h, n_nodes, lam_qp=None, mu_qp=None, b_qp=None):
-    if b_qp is not None:
-        ke = tensor_elastic_blocks(h, b_qp)
-    else:
-        ke = isotropic_elastic_blocks(h, lam_qp, mu_qp)
+def assemble_elasticity(conn, h, n_nodes, lam_qp, mu_qp):
+    """Elastic stiffness for per-qp isotropic Lame coefficients."""
+    ke = isotropic_elastic_blocks(h, lam_qp, mu_qp)
     return _csr_from_blocks(conn, ke, 2 * n_nodes, dofs_per_node=2)
 
 

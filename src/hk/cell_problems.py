@@ -289,7 +289,9 @@ class BatchScalarCellSolver:
         self.grid = grid
         self.opts = opts or SolverOptions()
         self.chunk = int(chunk)
-        self.loc = spec.local_coefficients(grid.qp_coords())
+        # local coefficients with a leading batch axis
+        self.loc = {k: v[None, ...] for k, v in
+                    spec.local_coefficients(grid.qp_coords()).items()}
         conn = grid.conn
         nn = grid.n_nodes
         self._flat_idx = (conn[:, :, None] * nn + conn[:, None, :]).ravel()
@@ -298,34 +300,75 @@ class BatchScalarCellSolver:
 
     # -- batched kernels ---------------------------------------------------
 
+    def _total_gradient(self, loadings, etas):
+        """loading + grad eta at quadrature points for a batch, (k, nel, 4, 2)."""
+        grid = self.grid
+        grad = _contract("qad,kea->keqd", _fem.SHAPE_GRAD,
+                         etas[:, grid.conn]) / grid.h
+        grad += loadings[:, None, None, :]
+        return grad
+
+    def _scatter(self, per_elem):
+        """Per-element nodal data (k, nel, 4, ...) summed onto nodes, (k, nn, ...)."""
+        k = per_elem.shape[0]
+        tail = per_elem.shape[3:]
+        flat = np.moveaxis(per_elem, 0, 2).reshape(self.grid.conn.size, -1)
+        outT = np.zeros((self.grid.n_nodes, flat.shape[1]))
+        np.add.at(outT, self.grid.conn.ravel(), flat)
+        return np.swapaxes(outT.reshape((self.grid.n_nodes, k) + tail), 0, 1)
+
     def _residual(self, loadings, etas):
         """Assembled residual vectors for a batch, (k, nn)."""
-        grid = self.grid
-        grad = _contract("qad,kea->keqd", _fem.SHAPE_GRAD,
-                         etas[:, grid.conn]) / grid.h
-        grad += loadings[:, None, None, :]
-        flux = self.spec.flux_local(
-            {k: v[None, ...] for k, v in self.loc.items()}, grad)
-        per_elem = _contract("q,keqd,qad->kea", self._w, flux, self._g)
-        outT = np.zeros((grid.n_nodes, etas.shape[0]))
-        np.add.at(outT, grid.conn.ravel(),
-                  per_elem.reshape(etas.shape[0], -1).T)
-        return outT.T
+        flux = self.spec.flux_local(self.loc,
+                                    self._total_gradient(loadings, etas))
+        return self._scatter(
+            _contract("q,keqd,qad->kea", self._w, flux, self._g))
 
-    def _dense_matrices(self, loadings, etas):
-        grid = self.grid
-        grad = _contract("qad,kea->keqd", _fem.SHAPE_GRAD,
-                         etas[:, grid.conn]) / grid.h
-        grad += loadings[:, None, None, :]
-        jac = self.spec.jacobian_local(
-            {k: v[None, ...] for k, v in self.loc.items()}, grad,
+    def _local_jacobians(self, loadings, etas):
+        """Newton-matrix coefficients d a / d xi at quadrature points."""
+        return self.spec.jacobian_local(
+            self.loc, self._total_gradient(loadings, etas),
             delta_floor=self.opts.delta_jac)
+
+    def _dense_matrices(self, jac):
+        """Dense stiffness matrices (k, nn, nn) for coefficients (k, nel, 4, 2, 2)."""
         ke = _contract("q,qad,keqdc,qbc->keab", self._w, self._g, jac, self._g)
-        k = etas.shape[0]
-        nn = grid.n_nodes
+        k = jac.shape[0]
+        nn = self.grid.n_nodes
         dense = np.zeros((nn * nn, k))
         np.add.at(dense, self._flat_idx, ke.reshape(k, -1).T)
         return dense.T.reshape(k, nn, nn)
+
+    def _tangent_chunk(self, loadings, etas):
+        jac = self._local_jacobians(loadings, etas)
+        reduced = self._dense_matrices(jac)[:, 1:, 1:]
+        # rhs_j = -∫ A e_j . grad v, one column per direction j
+        rhs = -self._scatter(
+            _contract("q,keqdj,qad->keaj", self._w, jac, self._g))
+        w = np.zeros_like(rhs)
+        try:
+            w[:, 1:] = np.linalg.solve(reduced, rhs[:, 1:])
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(str(exc)) from exc
+        total = _contract("qad,keaj->keqdj", _fem.SHAPE_GRAD,
+                          w[:, self.grid.conn]) / self.grid.h + np.eye(2)
+        return _contract("q,keqid,keqdj->kij", self._w, jac, total)
+
+    def tangents(self, loadings, etas):
+        """Consistent tangents d a_hom / d xi at converged potentials, (K, 2, 2).
+
+        For each loading xi with cell solution eta, w_j solves the
+        linearized cell problem ∫ A (e_j + grad w_j) . grad v = 0 with
+        A = d a / d xi at xi + grad eta, i.e. the Newton matrix at the
+        converged solution with node 0 pinned; the tangent is
+        ∫ A (I + grad w).
+        """
+        loadings = np.asarray(loadings, dtype=float)
+        out = np.zeros((loadings.shape[0], 2, 2))
+        for start in range(0, out.shape[0], self.chunk):
+            sl = slice(start, min(start + self.chunk, out.shape[0]))
+            out[sl] = self._tangent_chunk(loadings[sl], etas[sl])
+        return out
 
     def _solve_chunk(self, loadings, warm):
         opts = self.opts
@@ -347,8 +390,8 @@ class BatchScalarCellSolver:
             if not active.any():
                 break
             ia = np.flatnonzero(active)
-            dense = self._dense_matrices(loadings[ia], etas[ia])
-            reduced = dense[:, 1:, 1:]
+            reduced = self._dense_matrices(
+                self._local_jacobians(loadings[ia], etas[ia]))[:, 1:, 1:]
             rhs = -res[ia][:, 1:, None]
             try:
                 step = np.linalg.solve(reduced, rhs)[..., 0]
@@ -421,29 +464,23 @@ class BatchScalarCellSolver:
 
     def flux_means(self, result):
         """Cell means of a(y, loading + grad eta) per sample, (K, 2)."""
-        grid = self.grid
         out = np.zeros((result.loadings.shape[0], 2))
         for start in range(0, out.shape[0], self.chunk):
             sl = slice(start, min(start + self.chunk, out.shape[0]))
-            grad = _contract("qad,kea->keqd", _fem.SHAPE_GRAD,
-                             result.values[sl][:, grid.conn]) / grid.h
-            grad += result.loadings[sl][:, None, None, :]
             flux = self.spec.flux_local(
-                {k: v[None, ...] for k, v in self.loc.items()}, grad)
+                self.loc,
+                self._total_gradient(result.loadings[sl], result.values[sl]))
             out[sl] = _contract("q,keqd->kd", self._w, flux)
         return out
 
     def identity_residuals(self, result):
         """Flux-identity defects | ∫a.p - ∫a.loading | per sample, (K,)."""
-        grid = self.grid
         out = np.zeros(result.loadings.shape[0])
         for start in range(0, out.shape[0], self.chunk):
             sl = slice(start, min(start + self.chunk, out.shape[0]))
-            grad = _contract("qad,kea->keqd", _fem.SHAPE_GRAD,
-                             result.values[sl][:, grid.conn]) / grid.h
-            p_qp = grad + result.loadings[sl][:, None, None, :]
-            flux = self.spec.flux_local(
-                {k: v[None, ...] for k, v in self.loc.items()}, p_qp)
+            p_qp = self._total_gradient(result.loadings[sl],
+                                        result.values[sl])
+            flux = self.spec.flux_local(self.loc, p_qp)
             lhs = _contract("q,keqd,keqd->k", self._w, flux, p_qp)
             rhs = _contract("q,keqd,kd->k", self._w, flux,
                             result.loadings[sl])

@@ -112,10 +112,12 @@ def _positive(value, pointer):
     return float(value)
 
 
-def validate_config(cfg):
+def validate_config(cfg, subcommand=None):
     """Validate a raw config dict; returns it with defaults filled in.
 
     Raises ConfigError with a JSON-pointer path on the first violation.
+    ``subcommand`` adds that pipeline's own rules (``corrector-study``
+    needs at least two rungs to compare).
     """
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object", "")
@@ -217,6 +219,15 @@ def validate_config(cfg):
                - round(out["grids"]["fine_m"] / eps)) > 1e-9:
             raise ConfigError("ladder incommensurate with fine_m",
                               f"/ladder/{idx}")
+    for eps in ladder:
+        # eps-cells must be unions of sample-grid elements
+        half_cells = out["grids"]["sample_n"] * eps / 2
+        if abs(half_cells - round(half_cells)) > 1e-9:
+            raise ConfigError(f"sample_n does not align with the eps={eps:g} "
+                              f"cells (sample_n * eps / 2 must be an "
+                              f"integer)", "/grids/sample_n")
+    if subcommand == "corrector-study" and len(ladder) < 2:
+        raise ConfigError("corrector-study needs at least 2 rungs", "/ladder")
     out["ladder"] = ladder
 
     tols = cfg.get("tolerances", {})
@@ -579,7 +590,7 @@ def load_config(path_or_preset):
 def run(subcommand, config_path, out_dir="out", threads=1):
     """Execute one subcommand pipeline; returns the process exit code."""
     try:
-        cfg = validate_config(load_config(config_path))
+        cfg = validate_config(load_config(config_path), subcommand)
     except ConfigError as exc:
         print(f"config error at {exc.pointer or '/'}: {exc}", file=sys.stderr)
         return 3

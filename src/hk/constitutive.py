@@ -422,8 +422,3 @@ class ElasticTensorField:
 def eval_elastic_tensor(tensor_field, y):
     """Fourth-order tensor at y (wrapped into the unit cell)."""
     return tensor_field.tensor_at(y)
-
-
-def apply_elastic_tensor(tensor_field, y, mat):
-    """(B(y) M)_{ij} contraction at y."""
-    return tensor_field.apply(y, mat)

@@ -233,20 +233,6 @@ def oscillatory_node_map(cell, eps, target):
     return (jy * n + jx).ravel()
 
 
-def oscillatory_elem_map(cell, eps, target):
-    """Domain element -> cell element map; quadrature indices correspond 1:1.
-
-    Domain quadrature points map onto cell quadrature points exactly (same
-    local position), so coefficient lookups need no interpolation.
-    """
-    _check_commensurate(cell, eps, target)
-    n = cell.n
-    ex, ey = np.meshgrid(np.arange(target.n), np.arange(target.n), indexing="xy")
-    jx = (ex % n + n // 2) % n
-    jy = (ey % n + n // 2) % n
-    return (jy * n + jx).ravel()
-
-
 def sample_oscillatory(g, eps, target):
     """Sample a periodic unit-cell field at y = x/eps on a domain grid.
 

@@ -31,18 +31,19 @@ def _cache_key(xi):
 class EffectiveLaw:
     """Evaluable effective flux map xi -> mean of a(y, xi + grad eta_xi).
 
-    Evaluations are cached on xi rounded to 12 digits.  Constant laws
+    Evaluations and cell solutions are cached on xi rounded to 12 digits;
+    each missing key is solved once, whichever of ``eval_batch``,
+    ``solutions_for`` or ``jacobian_batch`` asked first.  Constant laws
     shortcut to the pointwise flux; linear laws to a constant matrix
     (two cell solves).  Everything else runs cell solves: batched dense
     factorizations on small grids, the sparse single-loading path
     otherwise.  The cache takes a lock, so concurrent reads are safe.
     """
 
-    def __init__(self, spec, grid, opts=None, jac_step=1e-6, chunk=512):
+    def __init__(self, spec, grid, opts=None, chunk=512):
         self.spec = spec
         self.grid = grid
         self.opts = opts or SolverOptions()
-        self.jac_step = jac_step
         self._cache = {}
         self._solution_cache = {}
         self._lock = threading.Lock()
@@ -72,29 +73,10 @@ class EffectiveLaw:
         """
         loadings = np.asarray(loadings, dtype=float)
         if self.mode == "constant":
-            loc = self.spec.local_coefficients(
-                np.broadcast_to(_SAFE_POINT, loadings.shape))
-            return self.spec.flux_local(loc, loadings)
+            return self.spec.flux_local(self._constant_loc(loadings), loadings)
         if self.mode == "linear":
             return loadings @ self.matrix.T
-        out = np.zeros_like(loadings)
-        missing = []
-        keys = [_cache_key(xi) for xi in loadings]
-        with self._lock:
-            for idx, key in enumerate(keys):
-                if key in self._cache:
-                    out[idx] = self._cache[key]
-                else:
-                    missing.append(idx)
-        if missing:
-            todo = loadings[missing]
-            w = None if warm is None else warm[missing]
-            values, _ = self._solve_loadings(todo, warm=w)
-            with self._lock:
-                for row, idx in enumerate(missing):
-                    self._cache[keys[idx]] = values[row]
-                    out[idx] = values[row]
-        return out
+        return self._lookup(loadings, warm, self._cache)
 
     def solutions_for(self, loadings, warm=None):
         """Zero-mean cell potentials per loading, (K, n^2).
@@ -108,25 +90,35 @@ class EffectiveLaw:
         if self.mode == "linear":
             basis = self._linear_basis()
             return _contract("kd,dn->kn", loadings, basis)
-        out = np.zeros((loadings.shape[0], self.grid.n_nodes))
-        missing = []
+        return self._lookup(loadings, warm, self._solution_cache)
+
+    def _lookup(self, loadings, warm, cache):
+        """Rows of ``cache`` for each loading; misses are solved once per key."""
         keys = [_cache_key(xi) for xi in loadings]
+        missing = {}
         with self._lock:
-            for idx, key in enumerate(keys):
-                if key in self._solution_cache:
-                    out[idx] = self._solution_cache[key]
-                else:
-                    missing.append(idx)
+            found = {key: cache[key] for key in keys if key in cache}
+        for idx, key in enumerate(keys):
+            if key not in found:
+                missing.setdefault(key, idx)
         if missing:
-            todo = loadings[missing]
-            w = None if warm is None else warm[missing]
-            values, etas = self._solve_loadings(todo, warm=w)
+            rows = list(missing.values())
+            w = None if warm is None else warm[rows]
+            values, etas = self._solve_loadings(loadings[rows], warm=w)
             with self._lock:
-                for row, idx in enumerate(missing):
-                    self._cache[keys[idx]] = values[row]
-                    self._solution_cache[keys[idx]] = etas[row]
-                    out[idx] = etas[row]
+                for row, key in enumerate(missing):
+                    self._cache[key] = values[row]
+                    self._solution_cache[key] = etas[row]
+                    found[key] = cache[key]
+        width = 2 if cache is self._cache else self.grid.n_nodes
+        out = np.zeros((len(keys), width))
+        for idx, key in enumerate(keys):
+            out[idx] = found[key]
         return out
+
+    def _constant_loc(self, loadings):
+        return self.spec.local_coefficients(
+            np.broadcast_to(_SAFE_POINT, loadings.shape))
 
     def _linear_basis(self):
         with self._lock:
@@ -158,22 +150,44 @@ class EffectiveLaw:
     # -- derivatives -------------------------------------------------------
 
     def jacobian_batch(self, loadings, warm=None):
-        """Central-difference Jacobians, step jac_step * (1 + |xi|)."""
+        """Consistent tangents d a_hom / d xi, (K, 2, 2).
+
+        d a_hom / d xi = ∫ A(y, p) (I + grad w) with p = xi + grad eta_xi,
+        A = d a / d xi and w_j the linearized cell solution for the unit
+        loading e_j.  The cell solutions come from the cache (``warm``
+        seeds the ones that miss); each tangent costs two linear solves
+        with the Newton matrix at the converged solution.
+        """
         loadings = np.asarray(loadings, dtype=float)
-        k = loadings.shape[0]
-        h = self.jac_step * (1.0 + np.linalg.norm(loadings, axis=1))
-        probes = np.concatenate([
-            loadings + h[:, None] * np.array([1.0, 0.0]),
-            loadings - h[:, None] * np.array([1.0, 0.0]),
-            loadings + h[:, None] * np.array([0.0, 1.0]),
-            loadings - h[:, None] * np.array([0.0, 1.0]),
-        ])
-        w = None if warm is None else np.concatenate([warm] * 4)
-        vals = self.eval_batch(probes, warm=w)
-        jac = np.zeros((k, 2, 2))
-        jac[:, :, 0] = (vals[:k] - vals[k:2 * k]) / (2.0 * h[:, None])
-        jac[:, :, 1] = (vals[2 * k:3 * k] - vals[3 * k:]) / (2.0 * h[:, None])
-        return jac
+        if self.mode == "constant":
+            return self.spec.jacobian_local(
+                self._constant_loc(loadings), loadings,
+                delta_floor=self.opts.delta_jac)
+        if self.mode == "linear":
+            return np.broadcast_to(self.matrix,
+                                   (loadings.shape[0], 2, 2)).copy()
+        etas = self.solutions_for(loadings, warm=warm)
+        if self._batch is not None:
+            return self._batch.tangents(loadings, etas)
+        return np.stack([self._sparse_tangent(xi, eta)
+                         for xi, eta in zip(loadings, etas)])
+
+    def _sparse_tangent(self, xi, eta):
+        grid = self.grid
+        loc = self.spec.local_coefficients(grid.qp_coords())
+        p_qp = xi + _fem.qp_gradient(eta, grid.conn, grid.h)
+        jac = self.spec.jacobian_local(loc, p_qp,
+                                       delta_floor=self.opts.delta_jac)
+        matrix = _fem.assemble_diffusion(grid.conn, grid.h, grid.n_nodes, jac)
+        out = np.zeros((2, 2))
+        for j in range(2):
+            rhs = -_fem.divergence_residual(grid.n_nodes, grid.conn, grid.h,
+                                            jac[..., j])
+            w = _fem.solve_periodic_pinned(matrix, rhs)
+            total = np.eye(2)[j] + _fem.qp_gradient(w, grid.conn, grid.h)
+            out[:, j] = _fem.integrate_qp(
+                grid.h, _contract("eqdc,eqc->eqd", jac, total))
+        return out
 
     def jacobian(self, xi):
         return self.jacobian_batch(np.asarray(xi, dtype=float)[None, :])[0]
@@ -182,7 +196,7 @@ class EffectiveLaw:
         return {
             "grid_n": self.grid.n,
             "cell_tol": self.opts.tol,
-            "jacobian_step_rule": f"{self.jac_step:g}*(1+|xi|), central",
+            "jacobian": "consistent tangent",
             "mode": self.mode,
             "operator": self.spec.fingerprint(),
         }

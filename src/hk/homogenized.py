@@ -1,17 +1,17 @@
 """Effective-system solves and first-order corrector reconstruction.
 
 The macroscopic electrostatic problem is solved by Newton iteration on
-the effective flux law, whose Jacobian comes from central differences
-(the law has no closed-form derivative).  Every residual evaluation asks
-the law for effective fluxes at all quadrature points, which for general
-laws means one cell solve per quadrature point; warm starts and the
-law's exact-key cache keep that affordable on study-sized grids.
+the effective flux law with its consistent tangent, refreshed at every
+iteration.  Every residual evaluation asks the law for effective fluxes
+at all quadrature points, which for general laws means one cell solve
+per new quadrature-point loading; each solve is warm-started from the
+cell solutions of the current iterate, and the law's exact-key cache
+makes the tangent and the next iterate's lookups free.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import _fem
 from ._fem import contract as _contract
@@ -26,8 +26,6 @@ class MacroOptions:
     tol: float = 1e-9
     max_iter: int = 60
     max_linesearch: int = 20
-    jac_refresh: int = 4        # recompute the finite-difference Jacobian
-                                # every this many Newton iterations
 
 
 @dataclass
@@ -46,9 +44,11 @@ def solve_homogenized_electrostatic(law, f, domain, opts=None):
     """Solve ∫ a_hom(grad phi) . grad v = ∫ f v on the unit square.
 
     Linear laws reduce to a single sparse solve with the constant
-    effective matrix.  Otherwise: damped Newton with a periodically
-    refreshed finite-difference Jacobian (monotonicity makes the Newton
-    direction a descent direction for the residual).
+    effective matrix.  Otherwise: damped Newton on the consistent tangent
+    of the law (monotonicity makes the Newton direction a descent
+    direction for the residual).  Every cell loading is solved once:
+    line-search residuals warm-start from the current iterate's cell
+    solutions, and the tangent reads those solutions from the cache.
     """
     opts = opts or MacroOptions()
     f_qp = _source_at_qp(f, domain)
@@ -75,35 +75,34 @@ def solve_homogenized_electrostatic(law, f, domain, opts=None):
     eye = np.broadcast_to(np.eye(2), (nel, 4, 2, 2))
     matrix = _fem.assemble_diffusion(domain.conn, domain.h, domain.n_nodes, eye)
     phi = _fem.solve_dirichlet(matrix, rhs, free)
+    warm = None
     gamma = law.spec.homogeneity_degree
     if gamma is not None and gamma != 1.0:
-        flux0 = law.eval_batch(_grad_flat(phi, domain)).reshape(nel, 4, 2)
+        grads0 = _grad_flat(phi, domain)
+        flux0 = law.eval_batch(grads0).reshape(nel, 4, 2)
         rflux = _fem.divergence_residual(domain.n_nodes, domain.conn,
                                          domain.h, flux0)
         num = float(rflux[free] @ rhs[free])
         den = float(rflux[free] @ rflux[free])
         if num > 0.0 and den > 0.0:
-            phi = phi * (num / den) ** (1.0 / gamma)
+            scale = (num / den) ** (1.0 / gamma)
+            phi = phi * scale
+            # eta(s xi) = s eta(xi) for a homogeneous law: an exact start
+            warm = scale * law.solutions_for(grads0)
 
-    warm = None
-    res = residual(phi)
+    res = residual(phi, warm=warm)
     rnorm = float(np.linalg.norm(res[free]))
     history = [rnorm]
-    lu_matrix = None
     iterations = 0
-    for it in range(opts.max_iter):
+    for _ in range(opts.max_iter):
         if rnorm <= opts.tol:
             break
-        if lu_matrix is None or it % opts.jac_refresh == 0:
-            grads = _grad_flat(phi, domain)
-            if law.mode == "general" and law._batch is not None:
-                warm = law.solutions_for(grads, warm=warm)
-            jac = law.jacobian_batch(grads, warm=warm).reshape(nel, 4, 2, 2)
-            matrix = _fem.assemble_diffusion(domain.conn, domain.h,
-                                             domain.n_nodes, jac)
-            lu_matrix = spla.splu(matrix[free][:, free].tocsc())
-        step = np.zeros(domain.n_nodes)
-        step[free] = lu_matrix.solve(-res[free])
+        grads = _grad_flat(phi, domain)
+        warm = law.solutions_for(grads)
+        jac = law.jacobian_batch(grads).reshape(nel, 4, 2, 2)
+        matrix = _fem.assemble_diffusion(domain.conn, domain.h,
+                                         domain.n_nodes, jac)
+        step = _fem.solve_dirichlet(matrix, -res, free)
         t = 1.0
         for _ in range(opts.max_linesearch):
             cand = phi + t * step
@@ -145,17 +144,6 @@ class CorrectorData:
     cell_residuals: np.ndarray  # (K,)
     identity_residuals: np.ndarray  # (K,)
 
-    def grad_y(self, sample_idx, elem_idx, qp_idx):
-        """Corrector gradient values grad_y phi1 for index triples.
-
-        sample_idx selects the attached cell potential, (elem_idx, qp_idx)
-        the unit-cell quadrature point.  Vectorized over all inputs.
-        """
-        conn = self.cell_grid.conn[elem_idx]
-        vals = self.potentials[sample_idx[:, None], conn]
-        grad_ref = _fem.SHAPE_GRAD[qp_idx]
-        return _contract("mad,ma->md", grad_ref, vals) / self.cell_grid.h
-
     def grad_y_fields(self, sample_idx):
         """Full corrector gradient fields (len(idx), nel_c, 4, 2)."""
         conn = self.cell_grid.conn
@@ -196,13 +184,20 @@ def reconstruct_phi1(law, phi0, cell_grid, sample_grid=None,
     solve is attached to each.  ``gradient_field`` optionally replaces
     the raw Q1 gradient of phi0 (e.g. the recovered gradient).  Means
     over the unit cell vanish because the attached potentials are
-    periodic.
+    periodic.  Each sample solve warm-starts from the cell solution at the
+    nearest quadrature point of phi0's grid (cached by the macro solve).
     """
     sample_grid = sample_grid or phi0.grid
     pts = sample_grid.qp_coords().reshape(-1, 2)
     loadings = _gradient_at(phi0, gradient_field, pts)
-    potentials = law.solutions_for(loadings)
-    if law.mode == "general" and law._batch is not None:
+    batched = law.mode == "general" and law._batch is not None
+    warm = None
+    if batched:
+        g = phi0.grid
+        warm = law.solutions_for(_grad_flat(phi0.values, g))[
+            _nearest_qp(g, pts)]
+    potentials = law.solutions_for(loadings, warm=warm)
+    if batched:
         batch = law._batch
         from .cell_problems import BatchCellResult
         result = BatchCellResult(loadings, potentials,
@@ -216,6 +211,13 @@ def reconstruct_phi1(law, phi0, cell_grid, sample_grid=None,
         residuals = np.zeros(len(loadings))
     return CorrectorData(sample_grid, law.grid, loadings, potentials,
                          residuals, identity)
+
+
+def _nearest_qp(grid, pts):
+    """Flat index (4 * element + qp) of the quadrature point nearest each point."""
+    elem, local = _fem.locate_points(pts, grid.n, grid.h, grid.origin)
+    upper = (local >= 0.5).astype(int)
+    return 4 * elem + 2 * upper[:, 1] + upper[:, 0]
 
 
 def _batch_cell_residuals(law, result):

@@ -190,3 +190,24 @@ def test_main_entry_point(tmp_path):
     code = main(["verify", "--config", str(path),
                  "--out", str(tmp_path / "out")])
     assert code == 0
+
+
+def test_study_sample_grid_misaligned_exits_3(tmp_path, capsys):
+    cfg = json.loads(json.dumps(PRESETS["laminate-p3"]))
+    cfg["grids"] = {"cell_n": 8, "fine_m": 8, "solve_n": 8, "sample_n": 16}
+    cfg["ladder"] = [0.25, 0.125, 0.0625]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert run("corrector-study", str(path), str(tmp_path / "out")) == 3
+    assert "/grids/sample_n" in capsys.readouterr().err
+    with pytest.raises(ConfigError) as info:
+        validate_config(cfg)
+    assert info.value.pointer == "/grids/sample_n"
+
+
+def test_study_one_rung_ladder_exits_3(tmp_path, capsys):
+    path, _ = small_config(tmp_path, ladder=[0.25])
+    assert run("corrector-study", str(path), str(tmp_path / "out")) == 3
+    assert "/ladder" in capsys.readouterr().err
+    # one rung is enough for the per-rung fine solves
+    assert run("fine", str(path), str(tmp_path / "fine")) == 0

@@ -230,3 +230,51 @@ def test_c_hom_rejects_unknown_variant():
     cfield = ElasticTensorField.from_lame((0.5, 0.5), (1.5, 1.0), LAMINATE)
     with pytest.raises(ValueError, match="variant"):
         assemble_C_hom(cfield, linear_laminate(), make_cell_grid(8), "other")
+
+
+# -- consistent tangent ---------------------------------------------------------
+
+def variable_exponent_square():
+    return OperatorSpec(family="variable-exponent", p=2.0, alpha=1.0,
+                        geometry=Geometry("square", size=0.5),
+                        sigma=(1.0, 1.0), exponent=(3.0, 2.0))
+
+
+def central_difference(law, loadings):
+    h = 1e-6 * (1.0 + np.linalg.norm(loadings, axis=1))
+    fd = np.zeros((loadings.shape[0], 2, 2))
+    for j in range(2):
+        step = h[:, None] * np.eye(2)[j]
+        fd[:, :, j] = (law.eval_batch(loadings + step)
+                       - law.eval_batch(loadings - step)) / (2.0 * h[:, None])
+    return fd
+
+
+@pytest.mark.parametrize("cell_n", [8, 16])
+@pytest.mark.parametrize("make_spec", [p3_laminate, variable_exponent_square])
+def test_jacobian_is_consistent_tangent(cell_n, make_spec):
+    law = EffectiveLaw(make_spec(), make_cell_grid(cell_n))
+    loadings = np.random.default_rng(11).standard_normal((3, 2))
+    jac = law.jacobian_batch(loadings)
+    fd = central_difference(law, loadings)
+    assert jac.shape == (3, 2, 2)
+    assert np.abs(jac - fd).max() <= 1e-6 * np.abs(fd).max()
+
+
+def test_jacobian_sparse_path_matches_central_difference():
+    # cell_n > 32 leaves the batched solver for per-loading sparse solves
+    law = EffectiveLaw(p3_laminate(), make_cell_grid(64))
+    assert law._batch is None
+    loadings = np.array([[0.8, -0.3]])
+    fd = central_difference(law, loadings)
+    assert np.abs(law.jacobian_batch(loadings) - fd).max() \
+        <= 1e-6 * np.abs(fd).max()
+
+
+def test_jacobian_reuses_cached_solutions():
+    law = EffectiveLaw(p3_laminate(), make_cell_grid(8))
+    loadings = np.array([[0.5, 0.25], [-1.0, 0.5]])
+    law.eval_batch(loadings)
+    assert len(law._solution_cache) == 2
+    law.jacobian_batch(loadings)
+    assert len(law._cache) == len(law._solution_cache) == 2

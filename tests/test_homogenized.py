@@ -209,3 +209,24 @@ def test_reconstruct_u1_mean_zero_and_reduction():
     table_el = reconstruct_u1(b_eff.solutions, c_eff.solutions, u0, zero_phi)
     table_both = reconstruct_u1(b_eff.solutions, {}, u0, zero_phi)
     assert np.array_equal(table_el, table_both)
+
+
+def test_macro_newton_solves_each_loading_once(monkeypatch):
+    from hk.cell_problems import BatchScalarCellSolver
+    from hk.effective import _cache_key
+    solved = []
+    original = BatchScalarCellSolver.solve
+
+    def recording(self, loadings, warm=None):
+        solved.extend(_cache_key(xi) for xi in loadings)
+        return original(self, loadings, warm=warm)
+
+    monkeypatch.setattr(BatchScalarCellSolver, "solve", recording)
+    spec = OperatorSpec(family="power-law", p=3.0, alpha=1.0,
+                        geometry=LAMINATE, sigma=(1.0, 4.0))
+    law = EffectiveLaw(spec, make_cell_grid(8))
+    macro = solve_homogenized_electrostatic(law, 1.0, DomainGrid(8))
+    assert macro.iterations >= 2
+    assert solved
+    assert len(solved) == len(set(solved))
+    assert law.provenance()["jacobian"] == "consistent tangent"
