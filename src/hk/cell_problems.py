@@ -18,6 +18,8 @@ exact.
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.linalg.lapack import dpbsv as _dpbsv
 
 from . import _fem
 from ._fem import contract as _contract
@@ -260,8 +262,26 @@ def solve_electrostriction_cell(tensor_field, zeta_qp, grid, opts=None,
 
 
 # ---------------------------------------------------------------------------
-# Batched scalar cell solves (dense LAPACK over many loadings)
+# Batched scalar cell solves (banded Cholesky over many loadings)
 # ---------------------------------------------------------------------------
+
+# Work arrays of one chunk of loadings stay within this many bytes.
+CHUNK_BUDGET_BYTES = 128 * 2 ** 20
+MAX_CHUNK = 512
+
+
+def _folded_order(n):
+    """Folded ordering 0, n-1, 1, n-2, ... of one periodic axis.
+
+    Periodic neighbours i and i+1 (mod n) end up at most 2 places apart,
+    so a Q1 matrix on the torus numbered this way along both axes has
+    half-bandwidth 2n+2.
+    """
+    order = np.empty(n, dtype=int)
+    order[0::2] = np.arange((n + 1) // 2)
+    order[1::2] = np.arange(n - 1, (n - 1) // 2, -1)
+    return order
+
 
 @dataclass
 class BatchCellResult:
@@ -275,28 +295,52 @@ class BatchCellResult:
 class BatchScalarCellSolver:
     """Solve the scalar cell problem for many loadings at once.
 
-    The periodic grids used in sweep studies are small (n <= 32), so the
-    inner Newton systems are assembled densely per loading and solved
-    with batched LAPACK factorizations; loadings are processed in chunks
-    to bound memory.  Results are bitwise deterministic.
+    EffectiveLaw runs it for the power-law and variable-exponent
+    families, whose local Jacobians d a / d xi are symmetric positive
+    definite, so each Newton matrix with node 0 pinned is SPD.  Its
+    unknowns are numbered in the folded torus order (node 0 first), which
+    makes the matrix banded with half-bandwidth 2n+2; a batch of them is
+    assembled straight into LAPACK lower band storage by one sparse
+    product and factored by banded Cholesky (``dpbsv``).  Lower, not upper, storage: OpenBLAS threads
+    the strided ``dsyr`` of the upper variant, which makes these small
+    factorizations ~10x slower.  Loadings are processed in chunks sized
+    from ``CHUNK_BUDGET_BYTES``.  Results are bitwise deterministic.
     """
 
-    def __init__(self, spec, grid, opts=None, chunk=512):
-        if grid.n > 32:
-            raise ValueError(
-                "batched dense solver is intended for n <= 32 cell grids")
+    def __init__(self, spec, grid, opts=None):
         self.spec = spec
         self.grid = grid
         self.opts = opts or SolverOptions()
-        self.chunk = int(chunk)
         # local coefficients with a leading batch axis
         self.loc = {k: v[None, ...] for k, v in
                     spec.local_coefficients(grid.qp_coords()).items()}
-        conn = grid.conn
-        nn = grid.n_nodes
-        self._flat_idx = (conn[:, :, None] * nn + conn[:, None, :]).ravel()
         self._w = grid.h * grid.h * _fem.REF_WEIGHTS
         self._g = _fem.SHAPE_GRAD / grid.h
+        conn = grid.conn
+        nn = grid.n_nodes
+        order = _folded_order(grid.n)
+        # node ids of the pinned system's unknowns, in band order
+        self._unknowns = (order[:, None] * grid.n + order[None, :]).ravel()[1:]
+        rank = np.full(nn, -1)
+        rank[self._unknowns] = np.arange(nn - 1)
+        row = rank[conn][:, :, None]
+        col = rank[conn][:, None, :]
+        lower = (col >= 0) & (row >= col)
+        self.bandwidth = int((row - col)[lower].max())
+        ldab = self.bandwidth + 1
+        # element-block entry (e, a, b) -> lower band entry (row, col),
+        # stored column-major as LAPACK's ab[row - col, col]
+        band_idx = (col * ldab + row - col)[lower]
+        self._band_scatter = sp.csr_matrix(
+            (np.ones(band_idx.size), (band_idx, np.flatnonzero(lower))),
+            shape=(ldab * (nn - 1), conn.size * 4))
+        self._node_scatter = sp.csr_matrix(
+            (np.ones(conn.size), (conn.ravel(), np.arange(conn.size))),
+            shape=(nn, conn.size))
+        # band storage plus element blocks, Jacobians, gradients and fluxes
+        self.loading_bytes = 8 * (ldab * (nn - 1) + 48 * grid.n_elems)
+        self.chunk = max(1, min(MAX_CHUNK,
+                                CHUNK_BUDGET_BYTES // self.loading_bytes))
 
     # -- batched kernels ---------------------------------------------------
 
@@ -313,8 +357,7 @@ class BatchScalarCellSolver:
         k = per_elem.shape[0]
         tail = per_elem.shape[3:]
         flat = np.moveaxis(per_elem, 0, 2).reshape(self.grid.conn.size, -1)
-        outT = np.zeros((self.grid.n_nodes, flat.shape[1]))
-        np.add.at(outT, self.grid.conn.ravel(), flat)
+        outT = self._node_scatter @ flat
         return np.swapaxes(outT.reshape((self.grid.n_nodes, k) + tail), 0, 1)
 
     def _residual(self, loadings, etas):
@@ -330,26 +373,37 @@ class BatchScalarCellSolver:
             self.loc, self._total_gradient(loadings, etas),
             delta_floor=self.opts.delta_jac)
 
-    def _dense_matrices(self, jac):
-        """Dense stiffness matrices (k, nn, nn) for coefficients (k, nel, 4, 2, 2)."""
-        ke = _contract("q,qad,keqdc,qbc->keab", self._w, self._g, jac, self._g)
+    def _band_solve(self, jac, rhs):
+        """Solve the node-0-pinned systems with coefficients jac.
+
+        ``jac`` (k, nel, 4, 2, 2) holds the local Jacobians and ``rhs``
+        (k, nn, r) the assembled right-hand sides; returns (k, nn, r)
+        with node 0 at zero.  Raises SingularSystem when a matrix is not
+        positive definite.
+        """
         k = jac.shape[0]
-        nn = self.grid.n_nodes
-        dense = np.zeros((nn * nn, k))
-        np.add.at(dense, self._flat_idx, ke.reshape(k, -1).T)
-        return dense.T.reshape(k, nn, nn)
+        blocks = _contract("q,qad,keqdc,qbc->keab", self._w, self._g, jac,
+                           self._g)
+        band = self._band_scatter @ blocks.reshape(k, -1).T
+        m = self.grid.n_nodes - 1
+        b = rhs[:, self._unknowns]
+        out = np.zeros_like(rhs)
+        for j in range(k):
+            ab = band[:, j].reshape(m, self.bandwidth + 1).T
+            _, x, info = _dpbsv(ab, b[j], lower=1, overwrite_ab=1,
+                                overwrite_b=1)
+            if info != 0:
+                raise SingularSystem(
+                    f"cell Newton matrix is not positive definite "
+                    f"(dpbsv info {info})")
+            out[j, self._unknowns] = x
+        return out
 
     def _tangent_chunk(self, loadings, etas):
         jac = self._local_jacobians(loadings, etas)
-        reduced = self._dense_matrices(jac)[:, 1:, 1:]
         # rhs_j = -∫ A e_j . grad v, one column per direction j
-        rhs = -self._scatter(
-            _contract("q,keqdj,qad->keaj", self._w, jac, self._g))
-        w = np.zeros_like(rhs)
-        try:
-            w[:, 1:] = np.linalg.solve(reduced, rhs[:, 1:])
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(str(exc)) from exc
+        w = self._band_solve(jac, -self._scatter(
+            _contract("q,keqdj,qad->keaj", self._w, jac, self._g)))
         total = _contract("qad,keaj->keqdj", _fem.SHAPE_GRAD,
                           w[:, self.grid.conn]) / self.grid.h + np.eye(2)
         return _contract("q,keqid,keqdj->kij", self._w, jac, total)
@@ -390,15 +444,9 @@ class BatchScalarCellSolver:
             if not active.any():
                 break
             ia = np.flatnonzero(active)
-            reduced = self._dense_matrices(
-                self._local_jacobians(loadings[ia], etas[ia]))[:, 1:, 1:]
-            rhs = -res[ia][:, 1:, None]
-            try:
-                step = np.linalg.solve(reduced, rhs)[..., 0]
-            except np.linalg.LinAlgError as exc:
-                raise SingularSystem(str(exc)) from exc
-            full_step = np.zeros((ia.size, nn))
-            full_step[:, 1:] = step
+            full_step = self._band_solve(
+                self._local_jacobians(loadings[ia], etas[ia]),
+                -res[ia][:, :, None])[..., 0]
             t = np.ones(ia.size)
             best = etas[ia].copy()
             best_res = res[ia].copy()

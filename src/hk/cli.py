@@ -5,10 +5,11 @@ with subcommands ``cell``, ``effective``, ``fine``, ``homogenized``,
 ``corrector-study``, and ``verify``.  Configs are JSON documents with a
 versioned ``schema`` field; validation errors are reported with a
 JSON-pointer path and exit code 3, solver non-convergence with exit
-code 2.  Outputs are bitwise deterministic for a fixed config and seed.
+code 2, and a failed ``verify`` check with exit code 4.  Outputs are bitwise deterministic for a fixed config and seed.
 """
 
 import argparse
+import copy
 import hashlib
 import json
 import os
@@ -33,63 +34,40 @@ from .homogenized import (MacroOptions, solve_homogenized_elasticity,
 
 SCHEMA_VERSION = 1
 
+_BASE_PRESET = {
+    "schema": SCHEMA_VERSION,
+    "seed": 0,
+    "operator": {"family": "linear", "p": 2.0, "alpha": 1.0,
+                 "sigma": [1.0, 4.0]},
+    "geometry": {"kind": "laminate", "fraction": 0.5},
+    "elasticity": {"B": {"matrix": [1.0, 1.0], "inclusion": [3.0, 2.0]},
+                   "C": {"matrix": [0.5, 0.5], "inclusion": [1.5, 1.0]}},
+    "grids": {"cell_n": 8, "fine_m": 16, "solve_n": 32, "sample_n": 64},
+    "ladder": [0.25, 0.125, 0.0625, 0.03125],
+    "tolerances": {"cell": 1e-10, "macro": 1e-9},
+    "chom_variant": "C-applied",
+    "sources": {"f": "bump", "g": [0.0, -1.0]},
+}
+
+
+def _preset(**overrides):
+    """The base preset with whole top-level entries replaced."""
+    return {**copy.deepcopy(_BASE_PRESET), **overrides}
+
+
 PRESETS = {
-    "laminate-p2": {
-        "schema": SCHEMA_VERSION,
-        "seed": 0,
-        "operator": {"family": "linear", "p": 2.0, "alpha": 1.0,
-                     "sigma": [1.0, 4.0]},
-        "geometry": {"kind": "laminate", "fraction": 0.5},
-        "elasticity": {"B": {"matrix": [1.0, 1.0], "inclusion": [3.0, 2.0]},
-                       "C": {"matrix": [0.5, 0.5], "inclusion": [1.5, 1.0]}},
-        "grids": {"cell_n": 8, "fine_m": 16, "solve_n": 32, "sample_n": 64},
-        "ladder": [0.25, 0.125, 0.0625, 0.03125],
-        "tolerances": {"cell": 1e-10, "macro": 1e-9},
-        "chom_variant": "C-applied",
-        "sources": {"f": "bump", "g": [0.0, -1.0]},
-    },
-    "laminate-p3": {
-        "schema": SCHEMA_VERSION,
-        "seed": 0,
-        "operator": {"family": "power-law", "p": 3.0, "alpha": 1.0,
-                     "delta": 0.0, "sigma": [1.0, 4.0]},
-        "geometry": {"kind": "laminate", "fraction": 0.5},
-        "elasticity": {"B": {"matrix": [1.0, 1.0], "inclusion": [3.0, 2.0]},
-                       "C": {"matrix": [0.5, 0.5], "inclusion": [1.5, 1.0]}},
-        "grids": {"cell_n": 8, "fine_m": 16, "solve_n": 32, "sample_n": 64},
-        "ladder": [0.25, 0.125, 0.0625, 0.03125],
-        "tolerances": {"cell": 1e-10, "macro": 1e-9},
-        "chom_variant": "C-applied",
-        "sources": {"f": "bump", "g": [0.0, -1.0]},
-    },
-    "checkerboard-p2": {
-        "schema": SCHEMA_VERSION,
-        "seed": 0,
-        "operator": {"family": "linear", "p": 2.0, "alpha": 1.0,
-                     "sigma": [1.0, 4.0]},
-        "geometry": {"kind": "checkerboard"},
-        "elasticity": {"B": {"matrix": [1.0, 1.0], "inclusion": [3.0, 2.0]},
-                       "C": {"matrix": [0.5, 0.5], "inclusion": [1.5, 1.0]}},
-        "grids": {"cell_n": 16, "fine_m": 16, "solve_n": 32, "sample_n": 64},
-        "ladder": [0.25, 0.125, 0.0625, 0.03125],
-        "tolerances": {"cell": 1e-10, "macro": 1e-9},
-        "chom_variant": "C-applied",
-        "sources": {"f": "bump", "g": [0.0, -1.0]},
-    },
-    "variable-exponent": {
-        "schema": SCHEMA_VERSION,
-        "seed": 0,
-        "operator": {"family": "variable-exponent", "p": 2.0, "alpha": 1.0,
-                     "sigma": [1.0, 1.0], "exponent": [3.0, 2.0]},
-        "geometry": {"kind": "square", "size": 0.5},
-        "elasticity": {"B": {"matrix": [1.0, 1.0], "inclusion": [3.0, 2.0]},
-                       "C": {"matrix": [0.5, 0.5], "inclusion": [1.5, 1.0]}},
-        "grids": {"cell_n": 8, "fine_m": 16, "solve_n": 32, "sample_n": 64},
-        "ladder": [0.25, 0.125, 0.0625],
-        "tolerances": {"cell": 1e-10, "macro": 1e-9},
-        "chom_variant": "C-applied",
-        "sources": {"f": "bump", "g": [0.0, -1.0]},
-    },
+    "laminate-p2": _preset(),
+    "laminate-p3": _preset(
+        operator={"family": "power-law", "p": 3.0, "alpha": 1.0,
+                  "delta": 0.0, "sigma": [1.0, 4.0]}),
+    "checkerboard-p2": _preset(
+        geometry={"kind": "checkerboard"},
+        grids={"cell_n": 16, "fine_m": 16, "solve_n": 32, "sample_n": 64}),
+    "variable-exponent": _preset(
+        operator={"family": "variable-exponent", "p": 2.0, "alpha": 1.0,
+                  "sigma": [1.0, 1.0], "exponent": [3.0, 2.0]},
+        geometry={"kind": "square", "size": 0.5},
+        ladder=[0.25, 0.125, 0.0625]),
 }
 
 
@@ -560,7 +538,7 @@ def cmd_verify(cfg, out_dir, threads):
     checks["pass"] = bool(ok)
     payload = {"provenance": provenance_block(cfg), "checks": checks}
     write_json(payload, out_dir / "verify.json")
-    return 0 if ok else 2
+    return 0 if ok else 4
 
 
 COMMANDS = {

@@ -122,17 +122,6 @@ def eps_cell_table_average(table, sample_grid, eps, zero_boundary=False):
     return means, part
 
 
-def coarse_average_MM(table, sample_grid, eps):
-    """Coarse-scale averaging in the macroscopic variable only.
-
-    ``table[k]`` holds the unit-cell data attached to sample quadrature
-    point k; the output attaches to each eps-cell the mean of the rows
-    whose sample point falls in that cell (renormalized over the domain
-    part for boundary-layer cells).  Returns (cell_table, partition).
-    """
-    return eps_cell_table_average(table, sample_grid, eps, zero_boundary=False)
-
-
 # ---------------------------------------------------------------------------
 # Two-scale composition (unfolding)
 # ---------------------------------------------------------------------------
@@ -246,8 +235,9 @@ def corrector_error_explicit(phi_eps, phi0, corr, eps, p, grad0_field=None):
     domain, pts, grad_eps, grad0, sample_idx, y = _fine_qp_setup(
         phi_eps, phi0, corr, eps, grad0_field)
     grad_y = _table_grad_at(corr.potentials, sample_idx, corr.cell_grid, y)
-    avg_tables, part = coarse_average_MM(corr.potentials,
-                                         corr.sample_grid, eps)
+    avg_tables, part = eps_cell_table_average(corr.potentials,
+                                              corr.sample_grid, eps,
+                                              zero_boundary=False)
     cell_ids = part.cell_of(pts)
     grad_y_avg = _table_grad_at(avg_tables, cell_ids, corr.cell_grid, y)
     interior = part.interior[cell_ids].astype(float)

@@ -35,12 +35,12 @@ class EffectiveLaw:
     each missing key is solved once, whichever of ``eval_batch``,
     ``solutions_for`` or ``jacobian_batch`` asked first.  Constant laws
     shortcut to the pointwise flux; linear laws to a constant matrix
-    (two cell solves).  Everything else runs cell solves: batched dense
-    factorizations on small grids, the sparse single-loading path
-    otherwise.  The cache takes a lock, so concurrent reads are safe.
+    (two cell solves).  Everything else runs batched cell solves
+    (``BatchScalarCellSolver``).  The cache takes a lock, so concurrent
+    reads are safe.
     """
 
-    def __init__(self, spec, grid, opts=None, chunk=512):
+    def __init__(self, spec, grid, opts=None):
         self.spec = spec
         self.grid = grid
         self.opts = opts or SolverOptions()
@@ -56,8 +56,7 @@ class EffectiveLaw:
             self._batch = None
         else:
             self.mode = "general"
-            self._batch = (BatchScalarCellSolver(spec, grid, self.opts, chunk)
-                           if grid.n <= 32 else None)
+            self._batch = BatchScalarCellSolver(spec, grid, self.opts)
 
     # -- evaluation --------------------------------------------------------
 
@@ -132,20 +131,10 @@ class EffectiveLaw:
         return basis
 
     def _solve_loadings(self, loadings, warm=None):
-        if self._batch is not None:
-            result = self._batch.solve(loadings, warm=warm)
-            if not result.converged.all():
-                raise NonConvergence("batched cell solves did not converge")
-            return self._batch.flux_means(result), result.values
-        values = np.zeros_like(loadings)
-        etas = np.zeros((loadings.shape[0], self.grid.n_nodes))
-        loc = self.spec.local_coefficients(self.grid.qp_coords())
-        for k, xi in enumerate(loadings):
-            sol = solve_scalar_cell(self.spec, xi, self.grid, self.opts)
-            flux = self.spec.flux_local(loc, corrector_flux(self.spec, xi, sol))
-            values[k] = _fem.integrate_qp(self.grid.h, flux)
-            etas[k] = sol.values
-        return values, etas
+        result = self._batch.solve(loadings, warm=warm)
+        if not result.converged.all():
+            raise NonConvergence("batched cell solves did not converge")
+        return self._batch.flux_means(result), result.values
 
     # -- derivatives -------------------------------------------------------
 
@@ -167,27 +156,7 @@ class EffectiveLaw:
             return np.broadcast_to(self.matrix,
                                    (loadings.shape[0], 2, 2)).copy()
         etas = self.solutions_for(loadings, warm=warm)
-        if self._batch is not None:
-            return self._batch.tangents(loadings, etas)
-        return np.stack([self._sparse_tangent(xi, eta)
-                         for xi, eta in zip(loadings, etas)])
-
-    def _sparse_tangent(self, xi, eta):
-        grid = self.grid
-        loc = self.spec.local_coefficients(grid.qp_coords())
-        p_qp = xi + _fem.qp_gradient(eta, grid.conn, grid.h)
-        jac = self.spec.jacobian_local(loc, p_qp,
-                                       delta_floor=self.opts.delta_jac)
-        matrix = _fem.assemble_diffusion(grid.conn, grid.h, grid.n_nodes, jac)
-        out = np.zeros((2, 2))
-        for j in range(2):
-            rhs = -_fem.divergence_residual(grid.n_nodes, grid.conn, grid.h,
-                                            jac[..., j])
-            w = _fem.solve_periodic_pinned(matrix, rhs)
-            total = np.eye(2)[j] + _fem.qp_gradient(w, grid.conn, grid.h)
-            out[:, j] = _fem.integrate_qp(
-                grid.h, _contract("eqdc,eqc->eqd", jac, total))
-        return out
+        return self._batch.tangents(loadings, etas)
 
     def jacobian(self, xi):
         return self.jacobian_batch(np.asarray(xi, dtype=float)[None, :])[0]

@@ -190,7 +190,7 @@ def reconstruct_phi1(law, phi0, cell_grid, sample_grid=None,
     sample_grid = sample_grid or phi0.grid
     pts = sample_grid.qp_coords().reshape(-1, 2)
     loadings = _gradient_at(phi0, gradient_field, pts)
-    batched = law.mode == "general" and law._batch is not None
+    batched = law.mode == "general"
     warm = None
     if batched:
         g = phi0.grid

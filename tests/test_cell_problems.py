@@ -318,3 +318,48 @@ def test_batch_flux_means_match_quadrature():
     means = batch.flux_means(res)
     assert np.abs(means[0] - np.array([16.0 / 9.0, 0.0])).max() < 1e-9
     assert np.abs(means[1] - np.array([0.0, 2.5])).max() < 1e-9
+
+
+# -- banded Cholesky on the folded torus ordering ------------------------------
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32, 64, 128])
+def test_band_half_bandwidth(n):
+    # read off the sparsity pattern at construction; nothing is solved
+    batch = BatchScalarCellSolver(laminate_spec(3.0), make_cell_grid(n))
+    assert batch.bandwidth == 2 * n + 2
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_band_newton_step_matches_dense_solve(n):
+    grid = make_cell_grid(n)
+    batch = BatchScalarCellSolver(laminate_spec(3.0), grid)
+    rng = np.random.default_rng(n)
+    loadings = rng.uniform(-1.0, 1.0, size=(3, 2))
+    etas = 0.1 * rng.standard_normal((3, grid.n_nodes))
+    jac = batch._local_jacobians(loadings, etas)
+    rhs = -batch._residual(loadings, etas)
+    step = batch._band_solve(jac, rhs[:, :, None])[..., 0]
+    for k in range(3):
+        dense = _fem.assemble_diffusion(grid.conn, grid.h, grid.n_nodes,
+                                        jac[k]).toarray()
+        ref = np.zeros(grid.n_nodes)
+        ref[1:] = np.linalg.solve(dense[1:, 1:], rhs[k, 1:])
+        assert np.linalg.norm(step[k] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_band_zero_coefficients_raise_singular():
+    from hk.errors import SingularSystem
+    grid = make_cell_grid(8)
+    batch = BatchScalarCellSolver(laminate_spec(3.0), grid)
+    with pytest.raises(SingularSystem):
+        batch._band_solve(np.zeros((1, grid.n_elems, 4, 2, 2)),
+                          np.ones((1, grid.n_nodes, 1)))
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 128])
+def test_batch_chunk_within_budget(n):
+    from hk.cell_problems import CHUNK_BUDGET_BYTES
+    batch = BatchScalarCellSolver(laminate_spec(3.0), make_cell_grid(n))
+    assert batch.chunk * batch.loading_bytes <= CHUNK_BUDGET_BYTES
+    if n <= 16:
+        assert batch.chunk == 512

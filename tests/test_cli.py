@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from hk.cli import (PRESETS, load_config, main, run, validate_config)
+from hk.cli import (PRESETS, config_hash, load_config, main, run,
+                    validate_config)
 from hk.errors import ConfigError
 
 
@@ -130,6 +131,23 @@ def test_fine_command_dumps_fields(tmp_path):
         assert (out / f"fine_displacement_eps_1_{tag}.field").exists()
 
 
+def test_failed_verify_check_exits_4(tmp_path):
+    # a loose cell tolerance leaves the flux identity e1 near 8e-8, above
+    # the 1e-9 check; a failed check is not a solver failure (exit 2)
+    cfg = json.loads(json.dumps(PRESETS["laminate-p3"]))
+    cfg["elasticity"] = None
+    cfg["grids"] = {"cell_n": 8, "fine_m": 8, "solve_n": 8, "sample_n": 16}
+    cfg["ladder"] = [0.5, 0.25, 0.125]
+    cfg["tolerances"]["cell"] = 1e-4
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run("verify", str(path), str(out)) == 4
+    checks = json.loads((out / "verify.json").read_text())["checks"]
+    assert checks["pass"] is False
+    assert checks["flux_identities"]["e1"] > 1e-9
+
+
 def test_nonconvergence_exit_code(tmp_path, capsys):
     path, _ = small_config(tmp_path, tolerances={"cell": 1e-30,
                                                  "macro": 1e-9})
@@ -179,6 +197,18 @@ def test_preset_loading_by_name():
     assert cfg["operator"]["family"] == "power-law"
     with pytest.raises(ConfigError):
         load_config("not-a-preset")
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("laminate-p2", "76700bec84dc9b58"),
+    ("laminate-p3", "d22abc8e0b9205d9"),
+    ("checkerboard-p2", "4d4fa7c01cc5033c"),
+    ("variable-exponent", "411877b9f5c97cc1"),
+])
+def test_preset_config_hash_pinned(name, digest):
+    # reports carry config hashes; building the presets from a shared base
+    # must not change a single byte of any preset
+    assert config_hash(load_config(name)) == digest
 
 
 def test_main_entry_point(tmp_path):

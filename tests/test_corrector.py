@@ -6,7 +6,7 @@ from hk.constitutive import Geometry, OperatorSpec
 from hk.core_fields import (DomainGrid, ScalarField, make_cell_grid,
                             sample_oscillatory)
 from hk.corrector import (CellwiseConstant, EpsPartition, coarse_average_M,
-                          coarse_average_MM, corrector_error_explicit,
+                          corrector_error_explicit,
                           eps_cell_table_average, fit_rate, functional_pairing,
                           pairing_limit, run_corrector_study,
                           two_scale_compose_S, two_scale_pairing)
@@ -78,7 +78,8 @@ def test_mm_average_x_independent_is_identity():
     rng = np.random.default_rng(2)
     row = rng.standard_normal(10)
     table = np.tile(row, (4 * sample.n_elems, 1))
-    avg, part = coarse_average_MM(table, sample, 0.25)
+    avg, part = eps_cell_table_average(table, sample, 0.25,
+                                       zero_boundary=False)
     assert np.abs(avg - row).max() < 1e-14
 
 
@@ -87,7 +88,8 @@ def test_mm_average_linearity_in_x():
     pts = sample.qp_coords().reshape(-1, 2)
     w_y = np.array([1.0, -2.0, 3.0])
     table = pts[:, 0][:, None] * w_y[None, :]
-    avg, part = coarse_average_MM(table, sample, 0.25)
+    avg, part = eps_cell_table_average(table, sample, 0.25,
+                                       zero_boundary=False)
     centers = part.centers()
     inner = part.interior
     expect = centers[inner][:, 0][:, None] * w_y[None, :]
@@ -272,7 +274,8 @@ def test_averaged_error_triangle_inequality():
     from hk.corrector import _fine_qp_setup, _table_grad_at
     domain, pts, grad_eps, grad0, sample_idx, y = _fine_qp_setup(
         fine.potential, macro.potential, corr, eps)
-    avg_tables, part = coarse_average_MM(corr.potentials, sample, eps)
+    avg_tables, part = eps_cell_table_average(corr.potentials, sample, eps,
+                                              zero_boundary=False)
     g_exp = _table_grad_at(corr.potentials, sample_idx, cell, y)
     g_avg = _table_grad_at(avg_tables, part.cell_of(pts), cell, y)
     w = np.broadcast_to(dom.rule.weights, (dom.n_elems, 4)).reshape(-1)

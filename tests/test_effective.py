@@ -262,9 +262,9 @@ def test_jacobian_is_consistent_tangent(cell_n, make_spec):
 
 
 def test_jacobian_sparse_path_matches_central_difference():
-    # cell_n > 32 leaves the batched solver for per-loading sparse solves
+    # cell_n > 32 runs the same batched banded solver as the small grids
     law = EffectiveLaw(p3_laminate(), make_cell_grid(64))
-    assert law._batch is None
+    assert law._batch.bandwidth == 2 * 64 + 2
     loadings = np.array([[0.8, -0.3]])
     fd = central_difference(law, loadings)
     assert np.abs(law.jacobian_batch(loadings) - fd).max() \

@@ -3,7 +3,7 @@ import numpy as np
 from hk import _fem
 from hk.cell_problems import SolverOptions
 from hk.constitutive import ElasticTensorField, Geometry, OperatorSpec
-from hk.core_fields import DomainGrid, make_cell_grid
+from hk.core_fields import DomainGrid, ScalarField, make_cell_grid
 from hk.effective import EffectiveLaw, assemble_B_hom, assemble_C_hom
 from hk.fine_scale import solve_fine_elasticity, solve_fine_electrostatic
 from hk.homogenized import (MacroOptions, macroscopic_gradient_field,
@@ -107,6 +107,23 @@ def test_identity_residuals_at_every_sample_point():
     corr = reconstruct_phi1(law, macro.potential, law.grid)
     assert corr.identity_residuals.max() <= 1e-9
     assert corr.cell_residuals.max() <= 1e-9
+
+
+def test_reconstruct_phi1_residuals_on_fine_cell_grid():
+    # cell_n = 64 takes the same batched path as the small grids, so the
+    # attached solves report their actual residuals
+    spec = OperatorSpec(family="power-law", p=3.0, alpha=1.0,
+                        geometry=LAMINATE, sigma=(1.0, 4.0))
+    law = EffectiveLaw(spec, make_cell_grid(64))
+    dom = DomainGrid(4)
+    xy = dom.node_coords()
+    phi0 = ScalarField(dom, xy[:, 0] + 0.5 * xy[:, 1])  # one loading
+    corr = reconstruct_phi1(law, phi0, law.grid)
+    scale = SolverOptions().tol * max(1.0, np.linalg.norm([1.0, 0.5])) ** 2
+    for res in (corr.cell_residuals, corr.identity_residuals):
+        assert np.isfinite(res).all()
+    assert 0.0 < corr.cell_residuals.max() <= scale
+    assert corr.identity_residuals.max() <= 1e-9
 
 
 def test_recovered_gradient_superconvergence():
