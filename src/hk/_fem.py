@@ -350,17 +350,39 @@ def isotropic_elasticity_diagonal(conn, h, n_nodes, lam_qp, mu_qp):
 # Linear solvers
 # ---------------------------------------------------------------------------
 
+def _splu(reduced, permc_spec):
+    """SuperLU factors of an SPD matrix in symmetric mode.
+
+    SymmetricMode applies the column order to rows and columns alike, so
+    it is the elimination order, and prefers diagonal pivots; the default
+    pivot threshold stays, so a diagonal pivot smaller than the largest
+    entry of its column is still exchanged.
+    """
+    try:
+        return spla.splu(reduced.tocsc(), permc_spec=permc_spec,
+                         options={"SymmetricMode": True})
+    except RuntimeError as exc:  # SuperLU signals singularity this way
+        raise SingularSystem(str(exc)) from exc
+
+
+def factor_dirichlet(matrix, free):
+    """Factors of the free-free block, eliminating ``free`` in the order given.
+
+    Dirichlet grids list their interior nodes in nested-dissection order
+    (``DomainGrid.interior``), so the natural order of ``free`` is already
+    a low-fill elimination order.
+    """
+    return _splu(matrix[free][:, free], "NATURAL")
+
+
 def solve_dirichlet(matrix, rhs, free):
     """Direct solve with homogeneous Dirichlet dofs eliminated.
 
-    ``free`` indexes the unconstrained dofs; constrained dofs are zero.
+    ``free`` indexes the unconstrained dofs, in elimination order;
+    constrained dofs are zero.
     """
-    reduced = matrix[free][:, free].tocsc()
     x = np.zeros(matrix.shape[0])
-    try:
-        x[free] = spla.splu(reduced).solve(rhs[free])
-    except RuntimeError as exc:  # SuperLU signals singularity this way
-        raise SingularSystem(str(exc)) from exc
+    x[free] = factor_dirichlet(matrix, free).solve(rhs[free])
     return x
 
 
@@ -370,17 +392,13 @@ def solve_periodic_pinned(matrix, rhs, dofs_per_node=1):
     Pins the dofs of node 0, solves the reduced system, then removes the
     per-component mean so solutions are zero-mean.  Assumes the rhs is
     compatible (orthogonal to constants), which holds for divergence-form
-    loads.
+    loads.  Without a grid at hand, the elimination order is SuperLU's
+    minimum degree on A + A^T.
     """
     n = matrix.shape[0]
-    pinned = np.arange(dofs_per_node)
     keep = np.arange(dofs_per_node, n)
-    reduced = matrix[keep][:, keep].tocsc()
     x = np.zeros(n)
-    try:
-        x[keep] = spla.splu(reduced).solve(rhs[keep])
-    except RuntimeError as exc:
-        raise SingularSystem(str(exc)) from exc
+    x[keep] = _splu(matrix[keep][:, keep], "MMD_AT_PLUS_A").solve(rhs[keep])
     x = x.reshape(-1, dofs_per_node)
     x = x - x.mean(axis=0)
     return x.ravel() if dofs_per_node == 1 else x

@@ -521,6 +521,15 @@ class BatchScalarCellSolver:
             out[sl] = _contract("q,keqd->kd", self._w, flux)
         return out
 
+    def cell_residuals(self, result):
+        """Weak-form cell residual norms per sample, (K,)."""
+        out = np.zeros(result.loadings.shape[0])
+        for start in range(0, out.shape[0], self.chunk):
+            sl = slice(start, min(start + self.chunk, out.shape[0]))
+            res = self._residual(result.loadings[sl], result.values[sl])
+            out[sl] = np.linalg.norm(res, axis=1)
+        return out
+
     def identity_residuals(self, result):
         """Flux-identity defects | ∫a.p - ∫a.loading | per sample, (K,)."""
         out = np.zeros(result.loadings.shape[0])

@@ -6,6 +6,8 @@ boundary.  Bilinear (Q1) elements with 2x2 Gauss quadrature throughout.
 Fields are immutable after construction; all operations are pure.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from . import _fem
@@ -76,11 +78,53 @@ class CellGrid:
         return f"CellGrid(n={self.n})"
 
 
+# blocks of at most this many interior nodes end the recursion
+_ND_LEAF = 4
+
+
+@lru_cache(maxsize=None)
+def _nested_dissection(n_cells):
+    """Interior node ids of an N-cell Dirichlet grid in nested-dissection order.
+
+    The (N-1) x (N-1) block of interior nodes is split along its longer
+    side; both halves are ordered recursively and the separator line goes
+    last (George, SIAM J. Numer. Anal. 1973), down to blocks of at most
+    ``_ND_LEAF`` nodes, which keep row-major order.  Eliminating in this
+    order bounds the fill of a Q1 stiffness matrix by O(N^2 log N).
+    """
+    nn = n_cells + 1
+    ids = np.arange(nn * nn).reshape(nn, nn)[1:-1, 1:-1]
+    parts = []
+
+    def order(block):
+        rows, cols = block.shape
+        if rows * cols <= _ND_LEAF:
+            parts.append(block.ravel())
+        elif cols >= rows:
+            mid = cols // 2
+            order(block[:, :mid])
+            order(block[:, mid + 1:])
+            parts.append(block[:, mid])
+        else:
+            mid = rows // 2
+            order(block[:mid])
+            order(block[mid + 1:])
+            parts.append(block[mid])
+
+    order(ids)
+    out = np.concatenate(parts)
+    out.setflags(write=False)
+    return out
+
+
 class DomainGrid:
     """Structured grid on the unit square (0,1)^2 with N cells per side.
 
     (N+1)^2 nodes; the boundary mask marks the full topological boundary
-    (Dirichlet nodes), leaving (N-1)^2 interior nodes.
+    (Dirichlet nodes), leaving (N-1)^2 interior nodes.  ``interior`` lists
+    them in nested-dissection order, so Dirichlet solves that eliminate
+    the free dofs in the order given (``_fem.solve_dirichlet``) factor
+    with little fill; it is computed once per N, on first use.
     """
 
     periodic = False
@@ -102,8 +146,10 @@ class DomainGrid:
         boundary = (ix == 0) | (ix == self.n) | (iy == 0) | (iy == self.n)
         self.boundary_mask = boundary.ravel()
         self.boundary_mask.setflags(write=False)
-        self.interior = np.flatnonzero(~self.boundary_mask)
-        self.interior.setflags(write=False)
+
+    @property
+    def interior(self):
+        return _nested_dissection(self.n)
 
     def node_coords(self):
         nn = self.n + 1

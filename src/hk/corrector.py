@@ -222,7 +222,8 @@ def _lp_of(diff, domain, p, mask=None):
     return float((w @ (mag ** p)) ** (1.0 / p))
 
 
-def corrector_error_explicit(phi_eps, phi0, corr, eps, p, grad0_field=None):
+def corrector_error_explicit(phi_eps, phi0, corr, eps, p, grad0_field=None,
+                             setup=None):
     """Explicit and averaged corrector errors plus the no-corrector error.
 
     E_exp = || grad phi_eps - grad phi0 - grad_y phi1(x, x/eps) ||_Lp with
@@ -230,9 +231,10 @@ def corrector_error_explicit(phi_eps, phi0, corr, eps, p, grad0_field=None):
     point of x; E_avg first averages the corrector over each eps-cell in
     the macroscopic variable; E_nocorr drops the corrector entirely.
     Interior-only variants (over cells fully inside the domain) expose
-    the boundary-layer contribution.
+    the boundary-layer contribution.  ``setup`` passes in the result of
+    ``_fine_qp_setup`` for these arguments when the caller has it.
     """
-    domain, pts, grad_eps, grad0, sample_idx, y = _fine_qp_setup(
+    domain, pts, grad_eps, grad0, sample_idx, y = setup or _fine_qp_setup(
         phi_eps, phi0, corr, eps, grad0_field)
     grad_y = _table_grad_at(corr.potentials, sample_idx, corr.cell_grid, y)
     avg_tables, part = eps_cell_table_average(corr.potentials,
@@ -254,16 +256,17 @@ def corrector_error_explicit(phi_eps, phi0, corr, eps, p, grad0_field=None):
 
 
 def corrector_error_dalmaso(phi_eps, phi0, law, corr, eps, p,
-                            grad0_field=None):
+                            grad0_field=None, setup=None):
     """Cell-averaged-loading corrector error.
 
     The macroscopic gradient is averaged over each eps-cell (zero on
     boundary-layer cells), one cell solve is attached per cell at the
     averaged loading, and the flux map loading + grad_y eta replaces the
     fine gradient.  Loading averages are quadrature-exact when the cells
-    align with the sample grid's elements.
+    align with the sample grid's elements.  ``setup`` is as in
+    ``corrector_error_explicit``.
     """
-    domain, pts, grad_eps, grad0, sample_idx, y = _fine_qp_setup(
+    domain, pts, grad_eps, grad0, sample_idx, y = setup or _fine_qp_setup(
         phi_eps, phi0, corr, eps, grad0_field)
     cell_loadings, part = eps_cell_table_average(
         corr.loadings, corr.sample_grid, eps, zero_boundary=True)
@@ -309,21 +312,13 @@ def pairing_limit(g_field, psi_x, psi_y, resolution=256):
     return float(int_x * _fem.integrate_qp(cg.h, gy))
 
 
-def maxwell_two_scale_check(sigma_qp, domain, eps, corr, phi0, psi_x, psi_y,
-                            chunk=2048):
-    """Entrywise two-scale pairing gap for the electric stress.
+def two_scale_stress_pairing(corr, psi_x, psi_y, chunk=2048):
+    """Pairing of the reconstructed two-scale electric stress, (2, 2).
 
-    Compares ∫ Sigma_eps psi_x(x) psi_y(x/eps) dx against the pairing of
-    the reconstructed two-scale stress (grad phi0 + grad_y phi1) tensored
-    with itself, attached at sample quadrature points.  Returns the max
-    absolute entry of the difference.
+    ∫∫ (grad phi0 + grad_y phi1)(x, y) tensored with itself, against
+    psi_x(x) psi_y(y), with the corrector attached at sample quadrature
+    points.  It does not depend on eps, so a study computes it once.
     """
-    pts = domain.qp_coords()
-    y = wrap_to_cell(pts / eps)
-    weights = psi_x(pts[..., 0], pts[..., 1]) * psi_y(y[..., 0], y[..., 1])
-    lhs = _fem.integrate_qp(domain.h,
-                            weights[..., None, None] * sigma_qp)
-
     sample = corr.sample_grid
     spts = sample.qp_coords().reshape(-1, 2)
     wx = np.broadcast_to(sample.rule.weights,
@@ -333,15 +328,31 @@ def maxwell_two_scale_check(sigma_qp, domain, eps, corr, phi0, psi_x, psi_y,
     ypts = cg.qp_coords()
     wy = np.broadcast_to(cg.rule.weights, (cg.n_elems, 4))
     fy = psi_y(ypts[..., 0], ypts[..., 1]) * wy
-    rhs = np.zeros((2, 2))
+    out = np.zeros((2, 2))
     for start in range(0, spts.shape[0], chunk):
         sl = slice(start, min(start + chunk, spts.shape[0]))
         idx = np.arange(sl.start, sl.stop)
         grad_fields = corr.grad_y_fields(idx)          # (k, nel_c, 4, 2)
         total = grad_fields + corr.loadings[sl][:, None, None, :]
         outer = _contract("keqc,keqd->keqcd", total, total)
-        rhs += _contract("k,eq,keqcd->cd", fx[sl], fy, outer)
-    return float(np.abs(lhs - rhs).max())
+        out += _contract("k,eq,keqcd->cd", fx[sl], fy, outer)
+    return out
+
+
+def maxwell_two_scale_check(sigma_qp, domain, eps, two_scale, psi_x, psi_y):
+    """Entrywise two-scale pairing gap for the electric stress.
+
+    Compares ∫ Sigma_eps psi_x(x) psi_y(x/eps) dx against ``two_scale``,
+    the pairing of the reconstructed two-scale stress with the same test
+    factors (``two_scale_stress_pairing``).  Returns the max absolute
+    entry of the difference.
+    """
+    pts = domain.qp_coords()
+    y = wrap_to_cell(pts / eps)
+    weights = psi_x(pts[..., 0], pts[..., 1]) * psi_y(y[..., 0], y[..., 1])
+    lhs = _fem.integrate_qp(domain.h,
+                            weights[..., None, None] * sigma_qp)
+    return float(np.abs(lhs - two_scale).max())
 
 
 def functional_pairing(u, psi):
@@ -513,19 +524,21 @@ def run_corrector_study(spec, ladder, cell_n=8, fine_m=16, solve_n=32,
     g_pair = ScalarField(CellGrid(fine_m), np.sin(
         2.0 * np.pi * CellGrid(fine_m).node_coords()[:, 0]))
     limit = pairing_limit(g_pair, psi_x, psi_y_pairing)
+    two_scale_stress = two_scale_stress_pairing(corr, psi_x, psi_y_maxwell)
 
     def one_rung(eps):
         domain = DomainGrid(int(round(fine_m / eps)))
         fine = solve_fine_electrostatic(spec, eps, f, domain, cell_opts)
+        setup = _fine_qp_setup(fine.potential, phi0, corr, eps, grad_field)
         errs = corrector_error_explicit(fine.potential, phi0, corr, eps,
-                                        p_norm, grad0_field=grad_field)
+                                        p_norm, setup=setup)
         errs["E_dm"] = corrector_error_dalmaso(fine.potential, phi0, law,
-                                               corr, eps, p_norm,
-                                               grad0_field=grad_field)
+                                               corr, eps, p_norm, setup=setup)
         v_eps = sample_oscillatory(g_pair, eps, domain)
         pairing = two_scale_pairing(v_eps, psi_x, psi_y_pairing, eps)
-        mw_gap = maxwell_two_scale_check(fine.maxwell, domain, eps, corr,
-                                         phi0, psi_x, psi_y_maxwell)
+        mw_gap = maxwell_two_scale_check(fine.maxwell, domain, eps,
+                                         two_scale_stress, psi_x,
+                                         psi_y_maxwell)
         el_gap = None
         if with_elasticity:
             u_eps, _ = solve_fine_elasticity(tensor_b, tensor_c, eps, g_src,

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import _fem
 from ._fem import contract as _contract
-from .cell_problems import SolverOptions
+from .cell_problems import (BatchCellResult, BatchScalarCellSolver,
+                            SolverOptions)
 from .core_fields import CellGrid, DomainGrid, ScalarField, VectorField
 from .errors import NonConvergence
 from .fine_scale import _source_at_qp
@@ -190,27 +191,24 @@ def reconstruct_phi1(law, phi0, cell_grid, sample_grid=None,
     sample_grid = sample_grid or phi0.grid
     pts = sample_grid.qp_coords().reshape(-1, 2)
     loadings = _gradient_at(phi0, gradient_field, pts)
-    batched = law.mode == "general"
+    batch = law._batch
     warm = None
-    if batched:
+    if batch is not None:
         g = phi0.grid
         warm = law.solutions_for(_grad_flat(phi0.values, g))[
             _nearest_qp(g, pts)]
-    potentials = law.solutions_for(loadings, warm=warm)
-    if batched:
-        batch = law._batch
-        from .cell_problems import BatchCellResult
-        result = BatchCellResult(loadings, potentials,
-                                 np.zeros(len(loadings)),
-                                 np.zeros(len(loadings), dtype=int),
-                                 np.ones(len(loadings), dtype=bool))
-        identity = batch.identity_residuals(result)
-        residuals = _batch_cell_residuals(law, result)
     else:
-        identity = np.zeros(len(loadings))
-        residuals = np.zeros(len(loadings))
+        # constant and linear laws: the batched kernels still give the
+        # weak-form residuals of the attached solutions
+        batch = BatchScalarCellSolver(law.spec, law.grid, law.opts)
+    potentials = law.solutions_for(loadings, warm=warm)
+    result = BatchCellResult(loadings, potentials,
+                             np.zeros(len(loadings)),
+                             np.zeros(len(loadings), dtype=int),
+                             np.ones(len(loadings), dtype=bool))
     return CorrectorData(sample_grid, law.grid, loadings, potentials,
-                         residuals, identity)
+                         batch.cell_residuals(result),
+                         batch.identity_residuals(result))
 
 
 def _nearest_qp(grid, pts):
@@ -218,17 +216,6 @@ def _nearest_qp(grid, pts):
     elem, local = _fem.locate_points(pts, grid.n, grid.h, grid.origin)
     upper = (local >= 0.5).astype(int)
     return 4 * elem + 2 * upper[:, 1] + upper[:, 0]
-
-
-def _batch_cell_residuals(law, result):
-    """Weak-form cell residual norms for a batch of attached solutions."""
-    batch = law._batch
-    out = np.zeros(result.loadings.shape[0])
-    for start in range(0, out.shape[0], batch.chunk):
-        sl = slice(start, min(start + batch.chunk, out.shape[0]))
-        res = batch._residual(result.loadings[sl], result.values[sl])
-        out[sl] = np.linalg.norm(res, axis=1)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,20 @@ def test_outputs_bitwise_reproducible(tmp_path):
         == (out2 / "corrector_report.json").read_bytes()
 
 
+def test_linear_study_reports_attached_cell_residuals(tmp_path):
+    # the linear law's corrector solutions get the same weak-form
+    # residual check as the batched ones, not a row of zeros
+    path, _ = small_config(tmp_path, elasticity=None,
+                           grids={"cell_n": 8, "fine_m": 8, "solve_n": 8,
+                                  "sample_n": 16},
+                           ladder=[0.5, 0.25, 0.125])
+    out = tmp_path / "out"
+    assert run("corrector-study", str(path), str(out)) == 0
+    report = json.loads((out / "corrector_report.json").read_text())
+    assert 0.0 < report["cell_residual_max"] <= 1e-9
+    assert report["identity_residual_max"] <= 1e-9
+
+
 def test_cell_and_homogenized_commands(tmp_path):
     path, _ = small_config(tmp_path)
     out = tmp_path / "out"

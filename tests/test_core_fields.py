@@ -43,6 +43,22 @@ def test_domain_grid_interior_count():
     assert dom.interior.size == 7 * 7
 
 
+def test_domain_interior_is_a_permutation_of_the_interior_nodes():
+    for n in range(2, 257):
+        dom = DomainGrid(n)
+        assert np.array_equal(np.sort(dom.interior),
+                              np.flatnonzero(~dom.boundary_mask)), n
+
+
+def test_domain_interior_puts_the_top_separator_last():
+    # nested dissection: the middle interior column of an N = 16 grid
+    # splits the block first, so its 15 nodes are eliminated last
+    dom = DomainGrid(16)
+    tail = dom.interior[-15:]
+    assert np.array_equal(tail % 17, np.full(15, 8))
+    assert np.array_equal(np.sort(tail // 17), np.arange(1, 16))
+
+
 def test_quadrature_weights_sum_to_area():
     grid = make_cell_grid(8)
     assert np.isclose(grid.rule.weights.sum(), grid.h ** 2)
