@@ -1,4 +1,4 @@
-"""Vectorized Q1 element kernels and linear-solver plumbing.
+"""Vectorized Q1 element kernels, linear-solver plumbing and the Newton driver.
 
 Everything here works on structured square grids (periodic unit cell or
 Dirichlet unit square) with 2x2 Gauss quadrature per element.  Quadrature
@@ -7,13 +7,14 @@ data is laid out as arrays of shape (n_elements, 4, ...); nodal data as
 plain gathers, einsums and scatter-adds.
 """
 
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import NonConvergence, SingularSystem
+from .errors import SingularSystem
 
 # contraction with a precomputed (greedy) path: the multi-operand
 # assembly einsums are 10x slower without it
@@ -309,6 +310,15 @@ def tensor_elastic_blocks(h, b_qp):
     return ke.reshape(ke.shape[0], 8, 8)
 
 
+def isotropic_stress(lam_qp, mu_qp, strain):
+    """lam tr(E) I + 2 mu E for a symmetric strain E (..., 2, 2)."""
+    tr = strain[..., 0, 0] + strain[..., 1, 1]
+    stress = 2.0 * mu_qp[..., None, None] * strain
+    stress[..., 0, 0] += lam_qp * tr
+    stress[..., 1, 1] += lam_qp * tr
+    return stress
+
+
 def assemble_elasticity(conn, h, n_nodes, lam_qp, mu_qp):
     """Elastic stiffness for per-qp isotropic Lame coefficients."""
     ke = isotropic_elastic_blocks(h, lam_qp, mu_qp)
@@ -321,29 +331,6 @@ def assemble_elasticity_constant(conn, h, n_nodes, tensor):
     ke = tensor_elastic_blocks(h, b_qp)
     ke = np.broadcast_to(ke, (conn.shape[0], 8, 8))
     return _csr_from_blocks(conn, ke, 2 * n_nodes, dofs_per_node=2)
-
-
-def apply_isotropic_elasticity(conn, h, n_nodes, lam_qp, mu_qp, u):
-    """Matrix-free application of the isotropic elastic operator to u (nn, 2)."""
-    grad = qp_grad_vector(u, conn, h)
-    strain = 0.5 * (grad + np.swapaxes(grad, -1, -2))
-    tr = strain[..., 0, 0] + strain[..., 1, 1]
-    stress = 2.0 * mu_qp[..., None, None] * strain
-    stress[..., 0, 0] += lam_qp * tr
-    stress[..., 1, 1] += lam_qp * tr
-    return stress_residual(n_nodes, conn, h, stress)
-
-
-def isotropic_elasticity_diagonal(conn, h, n_nodes, lam_qp, mu_qp):
-    """Diagonal of the isotropic elastic stiffness (Jacobi preconditioner)."""
-    w = h * h * REF_WEIGHTS
-    g = SHAPE_GRAD / h
-    diag = (contract("q,eq,qai,qai->eai", w, lam_qp, g, g)
-            + contract("q,eq,qai,qai->eai", w, mu_qp, g, g)
-            + contract("q,eq,qak,qak,i->eai", w, mu_qp, g, g, np.ones(2)))
-    out = np.zeros((n_nodes, 2))
-    np.add.at(out, conn, diag)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -404,46 +391,69 @@ def solve_periodic_pinned(matrix, rhs, dofs_per_node=1):
     return x.ravel() if dofs_per_node == 1 else x
 
 
-def pcg(apply_op, rhs, diag, tol=1e-10, max_iter=None, project=None):
-    """Preconditioned conjugate gradients with optional nullspace projection.
+# ---------------------------------------------------------------------------
+# Damped Newton
+# ---------------------------------------------------------------------------
 
-    apply_op and rhs work on arrays of the rhs shape.  ``project`` removes
-    nullspace components (applied to rhs, iterates, and preconditioned
-    residuals) so singular periodic systems stay on the orthogonal
-    complement.  Returns (x, iterations, relative_residual).
+ARMIJO = 1e-4
+
+
+@dataclass
+class NewtonResult:
+    x: np.ndarray               # (k, n) final iterates
+    res: np.ndarray             # (k, m) their residual vectors
+    norm: np.ndarray            # (k,) their residual norms
+    iterations: np.ndarray      # (k,) Newton plus frozen-coefficient steps
+    converged: np.ndarray       # (k,) norm <= tol
+
+
+def damped_newton(x, residual, newton_step, tol, max_newton, max_linesearch,
+                  picard_step=None, max_picard=0):
+    """Damped Newton on a batch of k independent equations, one per row of x.
+
+    ``residual(rows, x)`` returns the residual vectors (len(rows), m) and
+    their norms (len(rows),) for the iterates x of the given rows;
+    ``newton_step(rows, x, res)`` the Newton directions, shaped like x.
+    Rows above ``tol`` (scalar or per row) take a step with Armijo
+    backtracking over t = 1, 1/2, ...; each trial re-evaluates only the
+    rows still pending.  A row whose ``max_linesearch`` trials all fail
+    keeps its last, smallest-t candidate and stays in Newton: for a
+    monotone operator the next Newton direction is again a descent
+    direction.  Rows still above ``tol`` after ``max_newton`` steps take up
+    to ``max_picard`` undamped ``picard_step(rows, x)`` iterates, the
+    frozen-coefficient iteration, when the caller supplies one.  Returns a
+    NewtonResult; the caller decides what an unconverged row means.
     """
-    b = rhs.copy()
-    if project is not None:
-        b = project(b)
-    bnorm = np.sqrt(np.vdot(b, b).real)
-    if bnorm == 0.0:
-        return np.zeros_like(b), 0, 0.0
-    if max_iter is None:
-        max_iter = 20 * b.size
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = r / diag
-    if project is not None:
-        z = project(z)
-    p = z.copy()
-    rz = np.vdot(r, z).real
-    for k in range(1, max_iter + 1):
-        ap = apply_op(p)
-        alpha = rz / np.vdot(p, ap).real
-        x += alpha * p
-        r -= alpha * ap
-        rnorm = np.sqrt(np.vdot(r, r).real)
-        if rnorm <= tol * bnorm:
-            if project is not None:
-                x = project(x)
-            return x, k, rnorm / bnorm
-        z = r / diag
-        if project is not None:
-            z = project(z)
-        rz_new = np.vdot(r, z).real
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise NonConvergence(
-        f"pcg: no convergence in {max_iter} iterations "
-        f"(relative residual {rnorm / bnorm:.3e})",
-        residual=rnorm / bnorm, iterations=max_iter)
+    x = np.array(x, dtype=float)
+    k = x.shape[0]
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), (k,))
+    res, norm = residual(np.arange(k), x)
+    iterations = np.zeros(k, dtype=int)
+    for _ in range(max_newton):
+        rows = np.flatnonzero(norm > tol)
+        if rows.size == 0:
+            break
+        step = newton_step(rows, x[rows], res[rows])
+        new_x, new_res, new_norm = x[rows], res[rows], norm[rows]
+        t = np.ones(rows.size)
+        pending = np.ones(rows.size, dtype=bool)
+        for _ in range(max_linesearch):
+            trial = np.flatnonzero(pending)
+            if trial.size == 0:
+                break
+            cand = x[rows[trial]] + t[trial, None] * step[trial]
+            res_c, norm_c = residual(rows[trial], cand)
+            new_x[trial], new_res[trial], new_norm[trial] = cand, res_c, norm_c
+            ok = norm_c <= (1.0 - ARMIJO * t[trial]) * norm[rows[trial]]
+            pending[trial[ok]] = False
+            t[trial[~ok]] *= 0.5
+        x[rows], res[rows], norm[rows] = new_x, new_res, new_norm
+        iterations[rows] += 1
+    for _ in range(max_picard if picard_step is not None else 0):
+        rows = np.flatnonzero(norm > tol)
+        if rows.size == 0:
+            break
+        x[rows] = picard_step(rows, x[rows])
+        res[rows], norm[rows] = residual(rows, x[rows])
+        iterations[rows] += 1
+    return NewtonResult(x, res, norm, iterations, norm <= tol)

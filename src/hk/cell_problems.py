@@ -3,16 +3,20 @@
 Three kinds of solves:
 
 * scalar monotone problem: find a zero-mean periodic potential eta with
-  ∫_Y a(y, xi + grad eta) . grad v = 0 for all periodic v (damped Newton
-  with a Picard fallback);
+  ∫_Y a(y, xi + grad eta) . grad v = 0 for all periodic v, one loading
+  at a time (``solve_scalar_cell``, sparse direct Newton matrices) or
+  many at once (``BatchScalarCellSolver``, banded Cholesky); both run
+  ``_fem.damped_newton``, with frozen-coefficient steps for nonlinear
+  families when Newton runs out of steps;
 * elastic problem: zero-mean periodic displacement balancing a unit
-  macroscopic strain (matrix-free Jacobi-preconditioned CG);
+  macroscopic strain;
 * electrostriction problem: displacement driven by the outer product of
   two corrector flux fields.
 
-All solutions are normalized to zero mean; on the uniform periodic grid
-the arithmetic nodal mean equals the integral, so the normalization is
-exact.
+The two elastic problems are linear: one sparse direct solve each, with
+the displacement of node 0 pinned (``_fem.solve_periodic_pinned``).  All
+solutions are normalized to zero mean; on the uniform periodic grid the
+arithmetic nodal mean equals the integral, so the normalization is exact.
 """
 
 from dataclasses import dataclass, field
@@ -34,8 +38,6 @@ class SolverOptions:
     max_newton: int = 50
     max_picard: int = 200
     max_linesearch: int = 25
-    cg_tol: float = 1e-10
-    cg_max_iter: int = None
     delta_jac: float = 1e-12
 
 
@@ -62,90 +64,65 @@ class ElasticCellSolution:
     grid: CellGrid = field(repr=False)
 
 
-def _resid_scale(spec, loading):
-    pmax = spec.p
-    if spec.family == "variable-exponent":
-        pmax = max(spec.exponent)
-    mag = float(np.linalg.norm(np.atleast_2d(loading), axis=-1).max())
-    return max(1.0, mag) ** (pmax - 1.0)
-
-
-def _scalar_residual(spec, loc, grid, loading, eta):
-    flux = spec.flux_local(
-        loc, loading + _fem.qp_gradient(eta, grid.conn, grid.h))
-    return _fem.divergence_residual(grid.n_nodes, grid.conn, grid.h, flux)
+def _tol_scale(spec, loadings):
+    """max(1, |xi|)^(p_max - 1) per loading, the cell problem's flux scale."""
+    pmax = max(spec.exponent) if spec.family == "variable-exponent" else spec.p
+    return np.maximum(1.0, np.linalg.norm(loadings, axis=-1)) ** (pmax - 1.0)
 
 
 def solve_scalar_cell(spec, loading, grid, opts=None):
     """Solve the scalar monotone cell problem for one loading vector.
 
-    Damped Newton (sparse direct inner solves, Armijo backtracking on the
-    residual norm) with a Picard fallback when Newton stalls.  The
-    stopping tolerance is opts.tol scaled by max(1, |loading|)^(p-1) so
-    it stays meaningful across loading magnitudes.  Raises NonConvergence
-    after the combined iteration budget.
+    ``_fem.damped_newton`` with sparse direct Newton matrices and, for
+    nonlinear families, frozen-coefficient steps after ``max_newton``.
+    The stopping tolerance is opts.tol scaled by max(1, |loading|)^(p-1)
+    so it stays meaningful across loading magnitudes.  Raises
+    NonConvergence after the combined iteration budget.
     """
     opts = opts or SolverOptions()
     loading = np.asarray(loading, dtype=float)
     if not np.all(np.isfinite(loading)):
         raise ValueError("loading must be finite")
-    points = grid.qp_coords()
-    loc = spec.local_coefficients(points)
-    tol = opts.tol * _resid_scale(spec, loading)
+    loc = spec.local_coefficients(grid.qp_coords())
+    tol = opts.tol * _tol_scale(spec, loading)
 
-    eta = np.zeros(grid.n_nodes)
-    if np.linalg.norm(loading) == 0.0 and spec.zero_at_origin:
-        return ScalarCellSolution(loading, eta, 0.0, 0, grid, spec)
+    def total_gradient(eta):
+        return loading + _fem.qp_gradient(eta, grid.conn, grid.h)
 
-    res = _scalar_residual(spec, loc, grid, loading, eta)
-    rnorm = np.linalg.norm(res)
-    iterations = 0
-    for _ in range(opts.max_newton):
-        if rnorm <= tol:
-            break
-        grad = loading + _fem.qp_gradient(eta, grid.conn, grid.h)
-        jac_qp = spec.jacobian_local(loc, grad, delta_floor=opts.delta_jac)
-        matrix = _fem.assemble_diffusion(grid.conn, grid.h, grid.n_nodes, jac_qp)
-        step = _fem.solve_periodic_pinned(matrix, -res)
-        t = 1.0
-        for _ in range(opts.max_linesearch):
-            cand = eta + t * step
-            res_c = _scalar_residual(spec, loc, grid, loading, cand)
-            rn_c = np.linalg.norm(res_c)
-            if rn_c <= (1.0 - 1e-4 * t) * rnorm:
-                break
-            t *= 0.5
-        else:
-            break  # line search failed; hand over to Picard
-        eta, res, rnorm = cand, res_c, rn_c
-        iterations += 1
+    def residual(rows, etas):
+        res = _fem.divergence_residual(
+            grid.n_nodes, grid.conn, grid.h,
+            spec.flux_local(loc, total_gradient(etas[0])))
+        return res[None], np.array([np.linalg.norm(res)])
 
-    if rnorm > tol and spec.family != "linear":
-        # Picard (frozen-coefficient) iteration: monotonicity guarantees
-        # convergence, if slowly.
-        for _ in range(opts.max_picard):
-            grad = loading + _fem.qp_gradient(eta, grid.conn, grid.h)
-            s = _contract("eqd,eqd->eq", grad, grad)
-            coef = loc["sigma"] * (max(spec.delta, opts.delta_jac) ** 2 + s) \
-                ** (0.5 * (loc["pexp"] - 2.0))
-            matrix = _fem.assemble_diffusion(grid.conn, grid.h, grid.n_nodes, coef)
-            rhs = -_fem.divergence_residual(
-                grid.n_nodes, grid.conn, grid.h,
-                coef[..., None] * np.broadcast_to(loading, grad.shape))
-            eta = _fem.solve_periodic_pinned(matrix, rhs)
-            res = _scalar_residual(spec, loc, grid, loading, eta)
-            rnorm = np.linalg.norm(res)
-            iterations += 1
-            if rnorm <= tol:
-                break
+    def solve_with(coef, rhs):
+        matrix = _fem.assemble_diffusion(grid.conn, grid.h, grid.n_nodes, coef)
+        return _fem.solve_periodic_pinned(matrix, rhs)[None]
 
-    if rnorm > tol:
+    def newton_step(rows, etas, res):
+        return solve_with(spec.jacobian_local(loc, total_gradient(etas[0]),
+                                              delta_floor=opts.delta_jac),
+                          -res[0])
+
+    def picard_step(rows, etas):
+        coef = spec.frozen_coefficient(loc, total_gradient(etas[0]),
+                                       opts.delta_jac)
+        return solve_with(coef, -_fem.divergence_residual(
+            grid.n_nodes, grid.conn, grid.h, coef[..., None] * loading))
+
+    out = _fem.damped_newton(
+        np.zeros((1, grid.n_nodes)), residual, newton_step, tol,
+        opts.max_newton, opts.max_linesearch,
+        None if spec.is_linear else picard_step, opts.max_picard)
+    rnorm = float(out.norm[0])
+    iterations = int(out.iterations[0])
+    if not out.converged[0]:
         raise NonConvergence(
             f"scalar cell problem: residual {rnorm:.3e} > {tol:.3e} after "
             f"{iterations} iterations (grid n={grid.n})",
             residual=rnorm, iterations=iterations)
-    eta = eta - eta.mean()
-    return ScalarCellSolution(loading, eta, float(rnorm), iterations, grid, spec)
+    eta = out.x[0] - out.x[0].mean()
+    return ScalarCellSolution(loading, eta, rnorm, iterations, grid, spec)
 
 
 def corrector_flux(spec, loading, solution):
@@ -174,7 +151,7 @@ def verify_flux_identity(spec, loading, solution):
 
 
 # ---------------------------------------------------------------------------
-# Elastic cell problems (matrix-free CG)
+# Elastic cell problems (sparse direct)
 # ---------------------------------------------------------------------------
 
 def unit_strain(i, j):
@@ -185,43 +162,36 @@ def unit_strain(i, j):
     return e
 
 
-def _project_componentwise(u):
-    return u - u.mean(axis=0)
+def _solve_elastic(tensor_field, grid, rhs):
+    """Zero-mean periodic displacement for an assembled load (nn, 2).
 
-
-def _elastic_cg(tensor_field, grid, rhs, opts):
-    points = grid.qp_coords()
-    lam, mu = tensor_field.lame_at(points)
-    diag = _fem.isotropic_elasticity_diagonal(
-        grid.conn, grid.h, grid.n_nodes, lam, mu)
-    if np.any(diag <= 0.0):
-        raise SingularSystem("elastic cell operator has a nonpositive diagonal")
-
-    def apply_op(u):
-        return _fem.apply_isotropic_elasticity(
-            grid.conn, grid.h, grid.n_nodes, lam, mu, u)
-
-    max_iter = opts.cg_max_iter or 40 * grid.n_nodes
-    x, iters, relres = _fem.pcg(apply_op, rhs, diag, tol=opts.cg_tol,
-                                max_iter=max_iter,
-                                project=_project_componentwise)
-    return _project_componentwise(x), iters, relres
+    Returns the displacement (nn, 2) and the relative residual of the
+    system with node 0 pinned.  A singular stiffness (zero Lame
+    coefficients, say) raises SingularSystem.
+    """
+    lam, mu = tensor_field.lame_at(grid.qp_coords())
+    matrix = _fem.assemble_elasticity(grid.conn, grid.h, grid.n_nodes, lam, mu)
+    b = rhs.ravel()
+    x = _fem.solve_periodic_pinned(matrix, b, dofs_per_node=2)
+    bnorm = np.linalg.norm(b[2:])
+    rnorm = np.linalg.norm((matrix @ x.ravel() - b)[2:])
+    return x, float(rnorm / bnorm) if bnorm > 0.0 else 0.0
 
 
 def solve_elastic_cell_U(tensor_field, grid, i, j, opts=None):
     """Periodic displacement balancing the unit macroscopic strain (i, j).
 
     Weak form: ∫ B D(U) : D(v) = ∫ B E^ij : D(v) with E^ij the constant
-    symmetrized unit strain, solved by Jacobi-preconditioned CG with the
-    two translation modes projected out.
+    symmetrized unit strain, solved directly with node 0 pinned; the two
+    translation modes are removed by the zero-mean normalization.
+    ``opts`` is unused: the solve is direct.
     """
-    opts = opts or SolverOptions()
     points = grid.qp_coords()
     strain = unit_strain(i, j)
     stress = tensor_field.apply(points, strain)
     rhs = _fem.stress_residual(grid.n_nodes, grid.conn, grid.h, stress)
-    x, iters, relres = _elastic_cg(tensor_field, grid, rhs, opts)
-    return ElasticCellSolution((i, j), x, float(relres), iters, grid)
+    x, relres = _solve_elastic(tensor_field, grid, rhs)
+    return ElasticCellSolution((i, j), x, relres, 1, grid)
 
 
 def assemble_zeta(i, j, sol_i, sol_j):
@@ -241,24 +211,19 @@ def solve_electrostriction_cell(tensor_field, zeta_qp, grid, opts=None,
 
     variant "as-written": flux C D(chi) + zeta; variant "C-applied"
     (default): flux C (D(chi) + zeta).  Tested against symmetrized
-    gradients, so only the symmetric part of the source enters.
+    gradients, so only the symmetric part of the source enters.  Solved
+    directly like ``solve_elastic_cell_U``; ``opts`` is unused.
     """
-    opts = opts or SolverOptions()
     if variant not in ("C-applied", "as-written"):
         raise ValueError(f"unknown electrostriction variant {variant!r}")
     points = grid.qp_coords()
     zeta_sym = 0.5 * (zeta_qp + np.swapaxes(zeta_qp, -1, -2))
+    stress = zeta_sym
     if variant == "C-applied":
-        lam, mu = tensor_field.lame_at(points)
-        tr = zeta_sym[..., 0, 0] + zeta_sym[..., 1, 1]
-        stress = 2.0 * mu[..., None, None] * zeta_sym
-        stress[..., 0, 0] += lam * tr
-        stress[..., 1, 1] += lam * tr
-    else:
-        stress = zeta_sym
+        stress = _fem.isotropic_stress(*tensor_field.lame_at(points), zeta_sym)
     rhs = -_fem.stress_residual(grid.n_nodes, grid.conn, grid.h, stress)
-    x, iters, relres = _elastic_cg(tensor_field, grid, rhs, opts)
-    return ElasticCellSolution(tuple(indices), x, float(relres), iters, grid)
+    x, relres = _solve_elastic(tensor_field, grid, rhs)
+    return ElasticCellSolution(tuple(indices), x, relres, 1, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +325,15 @@ class BatchScalarCellSolver:
         outT = self._node_scatter @ flat
         return np.swapaxes(outT.reshape((self.grid.n_nodes, k) + tail), 0, 1)
 
-    def _residual(self, loadings, etas):
-        """Assembled residual vectors for a batch, (k, nn)."""
-        flux = self.spec.flux_local(self.loc,
-                                    self._total_gradient(loadings, etas))
+    def _divergence(self, flux):
+        """Assembled ∫ flux . grad v for quadrature-point fluxes, (k, nn)."""
         return self._scatter(
             _contract("q,keqd,qad->kea", self._w, flux, self._g))
+
+    def _residual(self, loadings, etas):
+        """Assembled residual vectors for a batch, (k, nn)."""
+        return self._divergence(self.spec.flux_local(
+            self.loc, self._total_gradient(loadings, etas)))
 
     def _local_jacobians(self, loadings, etas):
         """Newton-matrix coefficients d a / d xi at quadrature points."""
@@ -426,89 +394,52 @@ class BatchScalarCellSolver:
 
     def _solve_chunk(self, loadings, warm):
         opts = self.opts
-        spec = self.spec
-        k = loadings.shape[0]
-        nn = self.grid.n_nodes
-        etas = np.zeros((k, nn)) if warm is None else warm.copy()
-        scales = np.maximum(1.0, np.linalg.norm(loadings, axis=1)) \
-            ** (_max_exponent(spec) - 1.0)
-        tols = opts.tol * scales
-        zero = (np.linalg.norm(loadings, axis=1) == 0.0) & spec.zero_at_origin
-        etas[zero] = 0.0
-        res = self._residual(loadings, etas)
-        rnorm = np.linalg.norm(res, axis=1)
-        rnorm[zero] = 0.0
-        iters = np.zeros(k, dtype=int)
-        for _ in range(opts.max_newton):
-            active = rnorm > tols
-            if not active.any():
-                break
-            ia = np.flatnonzero(active)
-            full_step = self._band_solve(
-                self._local_jacobians(loadings[ia], etas[ia]),
-                -res[ia][:, :, None])[..., 0]
-            t = np.ones(ia.size)
-            best = etas[ia].copy()
-            best_res = res[ia].copy()
-            best_rn = rnorm[ia].copy()
-            pending = np.ones(ia.size, dtype=bool)
-            for _ in range(opts.max_linesearch):
-                if not pending.any():
-                    break
-                cand = etas[ia] + t[:, None] * full_step
-                res_c = self._residual(loadings[ia], cand)
-                rn_c = np.linalg.norm(res_c, axis=1)
-                ok = pending & (rn_c <= (1.0 - 1e-4 * t) * rnorm[ia])
-                best[ok] = cand[ok]
-                best_res[ok] = res_c[ok]
-                best_rn[ok] = rn_c[ok]
-                pending &= ~ok
-                t[pending] *= 0.5
-            # samples whose line search failed keep the damped step anyway;
-            # monotone problems recover on subsequent iterations
-            still = np.flatnonzero(pending)
-            if still.size:
-                cand = etas[ia][still] + t[still, None] * full_step[still]
-                res_c = self._residual(loadings[ia][still], cand)
-                best[still] = cand
-                best_res[still] = res_c
-                best_rn[still] = np.linalg.norm(res_c, axis=1)
-            etas[ia] = best
-            res[ia] = best_res
-            rnorm[ia] = best_rn
-            iters[ia] += 1
-        converged = rnorm <= tols
-        etas -= etas.mean(axis=1, keepdims=True)
-        return etas, rnorm, iters, converged
+        etas = np.zeros((loadings.shape[0], self.grid.n_nodes)) \
+            if warm is None else warm.copy()
+        etas[(np.linalg.norm(loadings, axis=1) == 0.0)
+             & self.spec.zero_at_origin] = 0.0
+
+        def residual(rows, x):
+            res = self._residual(loadings[rows], x)
+            return res, np.linalg.norm(res, axis=1)
+
+        def newton_step(rows, x, res):
+            return self._band_solve(self._local_jacobians(loadings[rows], x),
+                                    -res[:, :, None])[..., 0]
+
+        def picard_step(rows, x):
+            coef = self.spec.frozen_coefficient(
+                self.loc, self._total_gradient(loadings[rows], x),
+                opts.delta_jac)
+            rhs = -self._divergence(
+                coef[..., None] * loadings[rows][:, None, None, :])
+            return self._band_solve(coef[..., None, None] * np.eye(2),
+                                    rhs[:, :, None])[..., 0]
+
+        out = _fem.damped_newton(
+            etas, residual, newton_step,
+            opts.tol * _tol_scale(self.spec, loadings),
+            opts.max_newton, opts.max_linesearch,
+            None if self.spec.is_linear else picard_step, opts.max_picard)
+        etas = out.x - out.x.mean(axis=1, keepdims=True)
+        return etas, out.norm, out.iterations, out.converged
 
     def solve(self, loadings, warm=None):
-        """Solve for loadings (K, 2); returns a BatchCellResult."""
+        """Solve for loadings (K, 2); returns a BatchCellResult.
+
+        Rows that do not converge are flagged in ``converged``.
+        """
         loadings = np.asarray(loadings, dtype=float)
-        k_total = loadings.shape[0]
-        values = np.zeros((k_total, self.grid.n_nodes))
-        residuals = np.zeros(k_total)
-        iterations = np.zeros(k_total, dtype=int)
-        converged = np.zeros(k_total, dtype=bool)
-        for start in range(0, k_total, self.chunk):
-            sl = slice(start, min(start + self.chunk, k_total))
-            w = None if warm is None else warm[sl]
-            v, r, it, cv = self._solve_chunk(loadings[sl], w)
-            values[sl] = v
-            residuals[sl] = r
-            iterations[sl] = it
-            converged[sl] = cv
-        if not converged.all():
-            bad = np.flatnonzero(~converged)
-            # fall back to the single-loading path for stragglers
-            for idx in bad:
-                sol = solve_scalar_cell(self.spec, loadings[idx], self.grid,
-                                        self.opts)
-                values[idx] = sol.values
-                residuals[idx] = sol.residual
-                iterations[idx] += sol.iterations
-                converged[idx] = True
-        return BatchCellResult(loadings, values, residuals, iterations,
-                               converged)
+        k = loadings.shape[0]
+        out = BatchCellResult(loadings, np.zeros((k, self.grid.n_nodes)),
+                              np.zeros(k), np.zeros(k, dtype=int),
+                              np.zeros(k, dtype=bool))
+        for start in range(0, k, self.chunk):
+            sl = slice(start, min(start + self.chunk, k))
+            (out.values[sl], out.residuals[sl], out.iterations[sl],
+             out.converged[sl]) = self._solve_chunk(
+                loadings[sl], None if warm is None else warm[sl])
+        return out
 
     def flux_means(self, result):
         """Cell means of a(y, loading + grad eta) per sample, (K, 2)."""
@@ -521,31 +452,21 @@ class BatchScalarCellSolver:
             out[sl] = _contract("q,keqd->kd", self._w, flux)
         return out
 
-    def cell_residuals(self, result):
-        """Weak-form cell residual norms per sample, (K,)."""
-        out = np.zeros(result.loadings.shape[0])
-        for start in range(0, out.shape[0], self.chunk):
-            sl = slice(start, min(start + self.chunk, out.shape[0]))
-            res = self._residual(result.loadings[sl], result.values[sl])
-            out[sl] = np.linalg.norm(res, axis=1)
-        return out
+    def attached_residuals(self, loadings, etas):
+        """Diagnostics of given cell potentials, two (K,) arrays.
 
-    def identity_residuals(self, result):
-        """Flux-identity defects | ∫a.p - ∫a.loading | per sample, (K,)."""
-        out = np.zeros(result.loadings.shape[0])
-        for start in range(0, out.shape[0], self.chunk):
-            sl = slice(start, min(start + self.chunk, out.shape[0]))
-            p_qp = self._total_gradient(result.loadings[sl],
-                                        result.values[sl])
+        The weak-form residual norms and the flux-identity defects
+        | ∫a.p - ∫a.loading | with p = loading + grad eta, from one
+        evaluation of the flux per chunk.
+        """
+        cell = np.zeros(loadings.shape[0])
+        identity = np.zeros(loadings.shape[0])
+        for start in range(0, cell.shape[0], self.chunk):
+            sl = slice(start, min(start + self.chunk, cell.shape[0]))
+            p_qp = self._total_gradient(loadings[sl], etas[sl])
             flux = self.spec.flux_local(self.loc, p_qp)
+            cell[sl] = np.linalg.norm(self._divergence(flux), axis=1)
             lhs = _contract("q,keqd,keqd->k", self._w, flux, p_qp)
-            rhs = _contract("q,keqd,kd->k", self._w, flux,
-                            result.loadings[sl])
-            out[sl] = np.abs(lhs - rhs)
-        return out
-
-
-def _max_exponent(spec):
-    if spec.family == "variable-exponent":
-        return max(spec.exponent)
-    return spec.p
+            rhs = _contract("q,keqd,kd->k", self._w, flux, loadings[sl])
+            identity[sl] = np.abs(lhs - rhs)
+        return cell, identity

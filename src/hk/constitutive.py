@@ -191,6 +191,17 @@ class OperatorSpec:
             * _contract("...i,...j->...ij", xi, xi)
         return jac
 
+    def frozen_coefficient(self, loc, xi, delta_floor=0.0):
+        """Secant coefficient c with a(y, xi) = c xi, (...).
+
+        c = sigma (max(delta, delta_floor)^2 + |xi|^2)^((p-2)/2), frozen at
+        the current xi, is the coefficient of a frozen-coefficient (Picard)
+        step.  Nonlinear families only.
+        """
+        d2 = max(self.delta, delta_floor) ** 2
+        s = _contract("...i,...i->...", xi, xi)
+        return loc["sigma"] * (d2 + s) ** (0.5 * (loc["pexp"] - 2.0))
+
     def flux(self, y, xi):
         return self.flux_local(self.local_coefficients(y), xi)
 

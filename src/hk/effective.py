@@ -133,7 +133,12 @@ class EffectiveLaw:
     def _solve_loadings(self, loadings, warm=None):
         result = self._batch.solve(loadings, warm=warm)
         if not result.converged.all():
-            raise NonConvergence("batched cell solves did not converge")
+            worst = float(result.residuals.max())
+            iterations = int(result.iterations.max())
+            raise NonConvergence(
+                f"batched cell solves: worst residual {worst:.3e} after "
+                f"{iterations} iterations (grid n={self.grid.n})",
+                residual=worst, iterations=iterations)
         return self._batch.flux_means(result), result.values
 
     # -- derivatives -------------------------------------------------------
@@ -233,7 +238,6 @@ def assemble_B_hom(tensor_field, grid, opts=None):
     B_hom[i,j,m,n] = ∫ B (E^ij - D(U^ij)) : (E^mn - D(U^mn)) dy over the
     three independent symmetric pairs, mirrored onto all sixteen entries.
     """
-    opts = opts or SolverOptions()
     solutions = {}
     strains = {}
     for (i, j) in _SYM_PAIRS:
@@ -245,11 +249,7 @@ def assemble_B_hom(tensor_field, grid, opts=None):
     lam, mu = tensor_field.lame_at(points)
     bhom = np.zeros((2, 2, 2, 2))
     for (i, j) in _SYM_PAIRS:
-        s = strains[(i, j)]
-        tr = s[..., 0, 0] + s[..., 1, 1]
-        stress = 2.0 * mu[..., None, None] * s
-        stress[..., 0, 0] += lam * tr
-        stress[..., 1, 1] += lam * tr
+        stress = _fem.isotropic_stress(lam, mu, strains[(i, j)])
         for (m, n) in _SYM_PAIRS:
             val = _fem.integrate_qp(
                 grid.h, _contract("eqcd,eqcd->eq", stress, strains[(m, n)]))
@@ -308,17 +308,10 @@ def assemble_C_hom(tensor_field, spec, grid, variant="C-applied", opts=None,
             strain = 0.5 * (grad + np.swapaxes(grad, -1, -2))
             if variant == "C-applied":
                 total = strain + zeta
-                tr = total[..., 0, 0] + total[..., 1, 1]
-                integrand = 2.0 * mu[..., None, None] * 0.5 * (
-                    total + np.swapaxes(total, -1, -2))
-                integrand[..., 0, 0] += lam * tr
-                integrand[..., 1, 1] += lam * tr
+                integrand = _fem.isotropic_stress(
+                    lam, mu, 0.5 * (total + np.swapaxes(total, -1, -2)))
             else:
-                tr = strain[..., 0, 0] + strain[..., 1, 1]
-                integrand = 2.0 * mu[..., None, None] * strain
-                integrand[..., 0, 0] += lam * tr
-                integrand[..., 1, 1] += lam * tr
-                integrand = integrand + zeta
+                integrand = _fem.isotropic_stress(lam, mu, strain) + zeta
             pair[i, j] = _fem.integrate_qp(grid.h, integrand)
     return EffectiveElectrostriction(pair, variant, solutions, grid.n)
 

@@ -96,8 +96,10 @@ def _scalar_fine_residual(spec, loc, domain, phi, rhs):
 def solve_fine_electrostatic(spec, eps, f, domain, opts=None):
     """Solve ∫ a(x/eps, grad phi) . grad v = ∫ f v, phi = 0 on the boundary.
 
-    Linear families reduce to one sparse solve; otherwise damped Newton
-    with sparse direct inner solves and a frozen-coefficient fallback.
+    Linear families reduce to one sparse solve; otherwise
+    ``_fem.damped_newton`` with sparse direct inner solves, started from
+    the frozen-coefficient surrogate with coefficient sigma, and
+    frozen-coefficient steps after ``max_newton``.
     Returns a FineSolution with potential, Maxwell stress, residual and
     energy bookkeeping.
     """
@@ -108,59 +110,38 @@ def solve_fine_electrostatic(spec, eps, f, domain, opts=None):
     rhs = _fem.load_vector_scalar(domain.n_nodes, domain.conn, domain.h, f_qp)
     free = domain.interior
 
-    phi = np.zeros(domain.n_nodes)
-    iterations = 0
+    def residual(rows, phis):
+        res = _scalar_fine_residual(spec, loc, domain, phis[0], rhs)
+        return res[None], np.array([np.linalg.norm(res[free])])
+
+    def solve_with(coef, load=rhs):
+        matrix = _fem.assemble_diffusion(domain.conn, domain.h,
+                                         domain.n_nodes, coef)
+        return _fem.solve_dirichlet(matrix, load, free)
+
     if spec.is_linear:
-        matrix = _fem.assemble_diffusion(domain.conn, domain.h,
-                                         domain.n_nodes, loc["bmat"])
-        phi = _fem.solve_dirichlet(matrix, rhs, free)
+        phi = solve_with(loc["bmat"])
         res = _scalar_fine_residual(spec, loc, domain, phi, rhs)
-        rnorm = np.linalg.norm(res[free])
-        iterations = 1
+        rnorm, iterations = float(np.linalg.norm(res[free])), 1
     else:
+        def newton_step(rows, phis, res):
+            grad = _fem.qp_gradient(phis[0], domain.conn, domain.h)
+            jac = spec.jacobian_local(loc, grad, delta_floor=opts.delta_jac)
+            return solve_with(jac, -res[0])[None]
+
+        def picard_step(rows, phis):
+            grad = _fem.qp_gradient(phis[0], domain.conn, domain.h)
+            coef = spec.frozen_coefficient(loc, grad, opts.delta_jac)
+            return solve_with(coef)[None]
+
         # initial iterate from the frozen-coefficient (quadratic) surrogate
-        matrix = _fem.assemble_diffusion(domain.conn, domain.h,
-                                         domain.n_nodes, loc["sigma"])
-        phi = _fem.solve_dirichlet(matrix, rhs, free)
-        res = _scalar_fine_residual(spec, loc, domain, phi, rhs)
-        rnorm = np.linalg.norm(res[free])
-        for _ in range(opts.max_newton):
-            if rnorm <= opts.tol:
-                break
-            grad = _fem.qp_gradient(phi, domain.conn, domain.h)
-            jac_qp = spec.jacobian_local(loc, grad, delta_floor=opts.delta_jac)
-            matrix = _fem.assemble_diffusion(domain.conn, domain.h,
-                                             domain.n_nodes, jac_qp)
-            step = np.zeros(domain.n_nodes)
-            neg = -res
-            step = _fem.solve_dirichlet(matrix, neg, free)
-            t = 1.0
-            for _ in range(opts.max_linesearch):
-                cand = phi + t * step
-                res_c = _scalar_fine_residual(spec, loc, domain, cand, rhs)
-                rn_c = np.linalg.norm(res_c[free])
-                if rn_c <= (1.0 - 1e-4 * t) * rnorm:
-                    break
-                t *= 0.5
-            phi, res, rnorm = cand, res_c, rn_c
-            iterations += 1
-        if rnorm > opts.tol:
-            # frozen-coefficient iteration as a safety net
-            for _ in range(opts.max_picard):
-                grad = _fem.qp_gradient(phi, domain.conn, domain.h)
-                s = _contract("eqd,eqd->eq", grad, grad)
-                coef = loc["sigma"] * (
-                    max(spec.delta, opts.delta_jac) ** 2 + s) \
-                    ** (0.5 * (loc["pexp"] - 2.0))
-                matrix = _fem.assemble_diffusion(domain.conn, domain.h,
-                                                 domain.n_nodes, coef)
-                phi = _fem.solve_dirichlet(matrix, rhs, free)
-                res = _scalar_fine_residual(spec, loc, domain, phi, rhs)
-                rnorm = np.linalg.norm(res[free])
-                iterations += 1
-                if rnorm <= opts.tol:
-                    break
-        if rnorm > opts.tol:
+        out = _fem.damped_newton(
+            solve_with(loc["sigma"])[None], residual, newton_step, opts.tol,
+            opts.max_newton, opts.max_linesearch, picard_step,
+            opts.max_picard)
+        phi, res = out.x[0], out.res[0]
+        rnorm, iterations = float(out.norm[0]), int(out.iterations[0])
+        if not out.converged[0]:
             raise NonConvergence(
                 f"fine electrostatic solve: residual {rnorm:.3e} after "
                 f"{iterations} iterations (N={domain.n}, eps={eps})",
@@ -198,18 +179,13 @@ def solve_fine_elasticity(tensor_b, tensor_c, eps, g, sigma_qp, domain,
     pipeline and a factorization is both faster and bitwise reproducible
     here).  Returns the displacement plus residual bookkeeping.
     """
-    opts = opts or SolverOptions()
     osc = OscillatoryMap(domain, eps, tensor_b.geometry)
     lam_b, mu_b = osc.lame(tensor_b)
-    lam_c, mu_c = osc.lame(tensor_c)
     g_qp = _source_at_qp(g, domain)
     rhs = _fem.load_vector_vec(domain.n_nodes, domain.conn, domain.h, g_qp)
 
     sig_sym = 0.5 * (sigma_qp + np.swapaxes(sigma_qp, -1, -2))
-    tr = sig_sym[..., 0, 0] + sig_sym[..., 1, 1]
-    stress = 2.0 * mu_c[..., None, None] * sig_sym
-    stress[..., 0, 0] += lam_c * tr
-    stress[..., 1, 1] += lam_c * tr
+    stress = _fem.isotropic_stress(*osc.lame(tensor_c), sig_sym)
     rhs = rhs - _fem.stress_residual(domain.n_nodes, domain.conn, domain.h,
                                      stress)
 

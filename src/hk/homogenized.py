@@ -15,8 +15,7 @@ import numpy as np
 
 from . import _fem
 from ._fem import contract as _contract
-from .cell_problems import (BatchCellResult, BatchScalarCellSolver,
-                            SolverOptions)
+from .cell_problems import BatchScalarCellSolver
 from .core_fields import CellGrid, DomainGrid, ScalarField, VectorField
 from .errors import NonConvergence
 from .fine_scale import _source_at_qp
@@ -45,9 +44,10 @@ def solve_homogenized_electrostatic(law, f, domain, opts=None):
     """Solve ∫ a_hom(grad phi) . grad v = ∫ f v on the unit square.
 
     Linear laws reduce to a single sparse solve with the constant
-    effective matrix.  Otherwise: damped Newton on the consistent tangent
-    of the law (monotonicity makes the Newton direction a descent
-    direction for the residual).  Every cell loading is solved once:
+    effective matrix.  Otherwise: ``_fem.damped_newton`` on the
+    consistent tangent of the law (monotonicity makes the Newton
+    direction a descent direction for the residual), with no
+    frozen-coefficient fallback.  Every cell loading is solved once:
     line-search residuals warm-start from the current iterate's cell
     solutions, and the tangent reads those solutions from the cache.
     """
@@ -57,18 +57,31 @@ def solve_homogenized_electrostatic(law, f, domain, opts=None):
     free = domain.interior
     nel = domain.n_elems
 
-    def residual(phi, warm=None):
-        flux = law.eval_batch(_grad_flat(phi, domain), warm=warm)
-        r = _fem.divergence_residual(domain.n_nodes, domain.conn, domain.h,
-                                     flux.reshape(nel, 4, 2)) - rhs
-        return r
+    warm = None     # cell iterates that residual evaluations start from
+    history = []    # residual norm before each Newton step, then the last
+
+    def residual(rows, phis):
+        flux = law.eval_batch(_grad_flat(phis[0], domain), warm=warm)
+        res = _fem.divergence_residual(domain.n_nodes, domain.conn, domain.h,
+                                       flux.reshape(nel, 4, 2)) - rhs
+        return res[None], np.array([np.linalg.norm(res[free])])
+
+    def newton_step(rows, phis, res):
+        nonlocal warm
+        history.append(float(np.linalg.norm(res[0, free])))
+        grads = _grad_flat(phis[0], domain)
+        warm = law.solutions_for(grads)
+        jac = law.jacobian_batch(grads).reshape(nel, 4, 2, 2)
+        matrix = _fem.assemble_diffusion(domain.conn, domain.h,
+                                         domain.n_nodes, jac)
+        return _fem.solve_dirichlet(matrix, -res[0], free)[None]
 
     if law.mode == "linear":
         coef = np.broadcast_to(law.matrix, (nel, 4, 2, 2))
         matrix = _fem.assemble_diffusion(domain.conn, domain.h,
                                          domain.n_nodes, coef)
         phi = _fem.solve_dirichlet(matrix, rhs, free)
-        rnorm = float(np.linalg.norm(residual(phi)[free]))
+        rnorm = float(residual(None, phi[None])[1][0])
         return HomogenizedSolution(ScalarField(domain, phi), rnorm, 1, [rnorm])
 
     # initial iterate: identity-coefficient surrogate, rescaled to match
@@ -76,7 +89,6 @@ def solve_homogenized_electrostatic(law, f, domain, opts=None):
     eye = np.broadcast_to(np.eye(2), (nel, 4, 2, 2))
     matrix = _fem.assemble_diffusion(domain.conn, domain.h, domain.n_nodes, eye)
     phi = _fem.solve_dirichlet(matrix, rhs, free)
-    warm = None
     gamma = law.spec.homogeneity_degree
     if gamma is not None and gamma != 1.0:
         grads0 = _grad_flat(phi, domain)
@@ -91,31 +103,13 @@ def solve_homogenized_electrostatic(law, f, domain, opts=None):
             # eta(s xi) = s eta(xi) for a homogeneous law: an exact start
             warm = scale * law.solutions_for(grads0)
 
-    res = residual(phi, warm=warm)
-    rnorm = float(np.linalg.norm(res[free]))
-    history = [rnorm]
-    iterations = 0
-    for _ in range(opts.max_iter):
-        if rnorm <= opts.tol:
-            break
-        grads = _grad_flat(phi, domain)
-        warm = law.solutions_for(grads)
-        jac = law.jacobian_batch(grads).reshape(nel, 4, 2, 2)
-        matrix = _fem.assemble_diffusion(domain.conn, domain.h,
-                                         domain.n_nodes, jac)
-        step = _fem.solve_dirichlet(matrix, -res, free)
-        t = 1.0
-        for _ in range(opts.max_linesearch):
-            cand = phi + t * step
-            res_c = residual(cand, warm=warm)
-            rn_c = float(np.linalg.norm(res_c[free]))
-            if rn_c <= (1.0 - 1e-4 * t) * rnorm:
-                break
-            t *= 0.5
-        phi, res, rnorm = cand, res_c, rn_c
-        history.append(rnorm)
-        iterations += 1
-    if rnorm > opts.tol:
+    out = _fem.damped_newton(phi[None], residual, newton_step, opts.tol,
+                             opts.max_iter, opts.max_linesearch)
+    phi = out.x[0]
+    rnorm = float(out.norm[0])
+    iterations = int(out.iterations[0])
+    history.append(rnorm)
+    if not out.converged[0]:
         raise NonConvergence(
             f"homogenized electrostatic solve: residual {rnorm:.3e} after "
             f"{iterations} iterations", residual=rnorm, iterations=iterations)
@@ -202,13 +196,8 @@ def reconstruct_phi1(law, phi0, cell_grid, sample_grid=None,
         # weak-form residuals of the attached solutions
         batch = BatchScalarCellSolver(law.spec, law.grid, law.opts)
     potentials = law.solutions_for(loadings, warm=warm)
-    result = BatchCellResult(loadings, potentials,
-                             np.zeros(len(loadings)),
-                             np.zeros(len(loadings), dtype=int),
-                             np.ones(len(loadings), dtype=bool))
     return CorrectorData(sample_grid, law.grid, loadings, potentials,
-                         batch.cell_residuals(result),
-                         batch.identity_residuals(result))
+                         *batch.attached_residuals(loadings, potentials))
 
 
 def _nearest_qp(grid, pts):
@@ -234,7 +223,6 @@ def solve_homogenized_elasticity(b_eff, c_eff, g, phi0, domain, opts=None,
     the effective electrostriction pair matrices against the rank-one
     macroscopic Maxwell stress at each quadrature point.
     """
-    opts = opts or SolverOptions()
     tensor = _as_tensor(b_eff)
     g_qp = _source_at_qp(g, domain)
     rhs = _fem.load_vector_vec(domain.n_nodes, domain.conn, domain.h, g_qp)

@@ -281,6 +281,20 @@ def test_electrostriction_constant_shift_invariance_needs_constant_C():
     assert np.abs(a.values - b.values).max() > 1e-4
 
 
+def test_elastic_cells_are_one_direct_solve():
+    field = ElasticTensorField.from_lame((1.0, 1.0), (3.0, 2.0),
+                                         Geometry("square", size=0.5))
+    grid = make_cell_grid(16)
+    sol = solve_elastic_cell_U(field, grid, 0, 1)
+    assert sol.iterations == 1
+    assert sol.residual <= 1e-12
+    eta = solve_scalar_cell(laminate_spec(2.0), np.eye(2)[0], grid)
+    chi = solve_electrostriction_cell(field, assemble_zeta(0, 0, eta, eta),
+                                      grid)
+    assert chi.iterations == 1
+    assert chi.residual <= 1e-12
+
+
 def test_degenerate_elastic_tensor_raises_singular():
     from hk.errors import SingularSystem
     field = ElasticTensorField.from_lame((0.0, 0.0),
@@ -308,6 +322,41 @@ def test_batch_matches_single_solves():
     for k, xi in enumerate(loadings):
         single = solve_scalar_cell(spec, xi, grid)
         assert np.abs(res.values[k] - single.values).max() < 1e-8
+
+
+def test_batch_picard_after_newton_budget_matches_single_solves(monkeypatch):
+    # one Newton step, then batched frozen-coefficient steps; the
+    # frozen-coefficient iteration contracts for p <= 2
+    import hk.cell_problems as cp
+
+    def no_single_solves(*args, **kwargs):
+        raise AssertionError("the batch must not fall back to single solves")
+
+    grid = make_cell_grid(8)
+    spec = OperatorSpec(family="power-law", p=1.5, alpha=0.5,
+                        geometry=Geometry("square", size=0.5),
+                        sigma=(1.0, 4.0))
+    loadings = np.random.default_rng(6).uniform(-1.0, 1.0, size=(6, 2))
+    batch = BatchScalarCellSolver(spec, grid, SolverOptions(max_newton=1))
+    monkeypatch.setattr(cp, "solve_scalar_cell", no_single_solves)
+    res = batch.solve(loadings)
+    monkeypatch.undo()
+    assert res.converged.all()
+    assert (res.iterations > 1).all()
+    for k, xi in enumerate(loadings):
+        single = solve_scalar_cell(spec, xi, grid)
+        assert np.abs(res.values[k] - single.values).max() < 1e-8
+
+
+def test_batch_flags_unconverged_rows():
+    grid = make_cell_grid(8)
+    batch = BatchScalarCellSolver(
+        laminate_spec(3.0), grid,
+        SolverOptions(tol=1e-14, max_newton=1, max_picard=0))
+    res = batch.solve(np.array([[1.0, 0.3], [0.0, 0.0]]))
+    assert res.converged.tolist() == [False, True]
+    assert res.iterations.tolist() == [1, 0]
+    assert res.residuals[0] > 1e-14
 
 
 def test_batch_flux_means_match_quadrature():

@@ -64,6 +64,23 @@ def test_nonlinear_laminate_converges():
     assert sol.residuals["electrostatic_max_nodal"] <= 1e-9
 
 
+def test_picard_steps_match_newton_solve():
+    # max_newton=0: frozen-coefficient steps only, which contract for
+    # p <= 2
+    from hk.cell_problems import SolverOptions
+    spec = OperatorSpec(family="power-law", p=1.5, alpha=0.5,
+                        geometry=LAMINATE, sigma=(1.0, 4.0))
+    dom = DomainGrid(32)
+    newton = solve_fine_electrostatic(spec, 0.25, 1.0, dom)
+    picard = solve_fine_electrostatic(spec, 0.25, 1.0, dom,
+                                      SolverOptions(max_newton=0))
+    assert picard.iterations["electrostatic"] \
+        > newton.iterations["electrostatic"]
+    assert picard.residuals["electrostatic"] <= 1e-10
+    assert np.abs(picard.potential.values
+                  - newton.potential.values).max() < 1e-9
+
+
 def test_weak_interface_balance_small_after_convergence():
     spec = OperatorSpec(family="linear", geometry=LAMINATE, sigma=(1.0, 4.0))
     dom = DomainGrid(64)

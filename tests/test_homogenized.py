@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from hk import _fem
 from hk.cell_problems import SolverOptions
@@ -61,6 +62,18 @@ def test_newton_quadratic_phase():
     hist = macro.residual_history
     assert hist[-1] / hist[-2] < 0.2
     assert hist[-2] / hist[-3] < 0.2
+
+
+def test_macro_newton_budget_raises_with_residual_and_count():
+    from hk.errors import NonConvergence
+    spec = OperatorSpec(family="power-law", p=3.0, alpha=1.0,
+                        geometry=LAMINATE, sigma=(1.0, 4.0))
+    law = EffectiveLaw(spec, make_cell_grid(8))
+    with pytest.raises(NonConvergence, match="after 1 iterations") as info:
+        solve_homogenized_electrostatic(law, 1.0, DomainGrid(16),
+                                        MacroOptions(max_iter=1))
+    assert info.value.iterations == 1
+    assert info.value.residual > MacroOptions().tol
 
 
 def test_reconstruct_phi1_constant_coefficients():
