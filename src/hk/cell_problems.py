@@ -3,11 +3,10 @@
 Three kinds of solves:
 
 * scalar monotone problem: find a zero-mean periodic potential eta with
-  ∫_Y a(y, xi + grad eta) . grad v = 0 for all periodic v, one loading
-  at a time (``solve_scalar_cell``, sparse direct Newton matrices) or
-  many at once (``BatchScalarCellSolver``, banded Cholesky); both run
-  ``_fem.damped_newton``, with frozen-coefficient steps for nonlinear
-  families when Newton runs out of steps;
+  ∫_Y a(y, xi + grad eta) . grad v = 0 for all periodic v: nonlinear
+  families by ``BatchScalarCellSolver`` (damped Newton on banded
+  Cholesky, relaxed frozen-coefficient fallback), a single loading as
+  one row; linear families by one pinned sparse direct solve;
 * elastic problem: zero-mean periodic displacement balancing a unit
   macroscopic strain;
 * electrostriction problem: displacement driven by the outer product of
@@ -66,62 +65,41 @@ class ElasticCellSolution:
 
 def _tol_scale(spec, loadings):
     """max(1, |xi|)^(p_max - 1) per loading, the cell problem's flux scale."""
-    pmax = max(spec.exponent) if spec.family == "variable-exponent" else spec.p
-    return np.maximum(1.0, np.linalg.norm(loadings, axis=-1)) ** (pmax - 1.0)
+    return np.maximum(1.0, np.linalg.norm(loadings, axis=-1)) \
+        ** (spec.max_exponent - 1.0)
 
 
 def solve_scalar_cell(spec, loading, grid, opts=None):
     """Solve the scalar monotone cell problem for one loading vector.
 
-    ``_fem.damped_newton`` with sparse direct Newton matrices and, for
-    nonlinear families, frozen-coefficient steps after ``max_newton``.
-    The stopping tolerance is opts.tol scaled by max(1, |loading|)^(p-1)
-    so it stays meaningful across loading magnitudes.  Raises
-    NonConvergence after the combined iteration budget.
+    Linear families: one pinned sparse direct solve (``iterations`` is 1,
+    ``residual`` the assembled residual).  Nonlinear families: one row of
+    ``BatchScalarCellSolver``.  The stopping tolerance is opts.tol scaled
+    by max(1, |loading|)^(p-1) so it stays meaningful across loading
+    magnitudes; a residual above it raises NonConvergence.
     """
     opts = opts or SolverOptions()
     loading = np.asarray(loading, dtype=float)
     if not np.all(np.isfinite(loading)):
         raise ValueError("loading must be finite")
-    loc = spec.local_coefficients(grid.qp_coords())
     tol = opts.tol * _tol_scale(spec, loading)
-
-    def total_gradient(eta):
-        return loading + _fem.qp_gradient(eta, grid.conn, grid.h)
-
-    def residual(rows, etas):
-        res = _fem.divergence_residual(
-            grid.n_nodes, grid.conn, grid.h,
-            spec.flux_local(loc, total_gradient(etas[0])))
-        return res[None], np.array([np.linalg.norm(res)])
-
-    def solve_with(coef, rhs):
-        matrix = _fem.assemble_diffusion(grid.conn, grid.h, grid.n_nodes, coef)
-        return _fem.solve_periodic_pinned(matrix, rhs)[None]
-
-    def newton_step(rows, etas, res):
-        return solve_with(spec.jacobian_local(loc, total_gradient(etas[0]),
-                                              delta_floor=opts.delta_jac),
-                          -res[0])
-
-    def picard_step(rows, etas):
-        coef = spec.frozen_coefficient(loc, total_gradient(etas[0]),
-                                       opts.delta_jac)
-        return solve_with(coef, -_fem.divergence_residual(
-            grid.n_nodes, grid.conn, grid.h, coef[..., None] * loading))
-
-    out = _fem.damped_newton(
-        np.zeros((1, grid.n_nodes)), residual, newton_step, tol,
-        opts.max_newton, opts.max_linesearch,
-        None if spec.is_linear else picard_step, opts.max_picard)
-    rnorm = float(out.norm[0])
-    iterations = int(out.iterations[0])
-    if not out.converged[0]:
+    if spec.is_linear:
+        loc = spec.local_coefficients(grid.qp_coords())
+        rhs = -_fem.divergence_residual(grid.n_nodes, grid.conn, grid.h,
+                                        spec.flux_local(loc, loading))
+        matrix = _fem.assemble_diffusion(grid.conn, grid.h, grid.n_nodes,
+                                         loc["bmat"])
+        eta = _fem.solve_periodic_pinned(matrix, rhs)
+        rnorm, iterations = float(np.linalg.norm(matrix @ eta - rhs)), 1
+    else:
+        out = BatchScalarCellSolver(spec, grid, opts).solve(loading[None])
+        eta = out.values[0]
+        rnorm, iterations = float(out.residuals[0]), int(out.iterations[0])
+    if rnorm > tol:
         raise NonConvergence(
             f"scalar cell problem: residual {rnorm:.3e} > {tol:.3e} after "
             f"{iterations} iterations (grid n={grid.n})",
             residual=rnorm, iterations=iterations)
-    eta = out.x[0] - out.x[0].mean()
     return ScalarCellSolution(loading, eta, rnorm, iterations, grid, spec)
 
 
@@ -141,13 +119,10 @@ def verify_flux_identity(spec, loading, solution):
     Exact in the continuum; the discrete residual tracks the solver
     tolerance.  Reported as a diagnostic, never raised.
     """
-    grid = solution.grid
-    p_qp = corrector_flux(spec, loading, solution)
-    a_qp = spec.flux_local(spec.local_coefficients(grid.qp_coords()), p_qp)
-    lhs = _fem.integrate_qp(grid.h, _contract("eqd,eqd->eq", a_qp, p_qp))
-    rhs = _fem.integrate_qp(
-        grid.h, _contract("eqd,d->eq", a_qp, np.asarray(loading, dtype=float)))
-    return float(abs(lhs - rhs))
+    batch = BatchScalarCellSolver(spec, solution.grid)
+    _, identity = batch.attached_residuals(
+        np.asarray(loading, dtype=float)[None], solution.values[None])
+    return float(identity[0])
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +235,18 @@ class BatchCellResult:
 class BatchScalarCellSolver:
     """Solve the scalar cell problem for many loadings at once.
 
-    EffectiveLaw runs it for the power-law and variable-exponent
-    families, whose local Jacobians d a / d xi are symmetric positive
-    definite, so each Newton matrix with node 0 pinned is SPD.  Its
-    unknowns are numbered in the folded torus order (node 0 first), which
-    makes the matrix banded with half-bandwidth 2n+2; a batch of them is
-    assembled straight into LAPACK lower band storage by one sparse
-    product and factored by banded Cholesky (``dpbsv``).  Lower, not upper, storage: OpenBLAS threads
-    the strided ``dsyr`` of the upper variant, which makes these small
-    factorizations ~10x slower.  Loadings are processed in chunks sized
-    from ``CHUNK_BUDGET_BYTES``.  Results are bitwise deterministic.
+    EffectiveLaw's sweeps and ``solve_scalar_cell`` (one row) run it for
+    the power-law and variable-exponent families, whose local Jacobians
+    d a / d xi are SPD, so each Newton matrix with node 0 pinned is SPD;
+    ``attached_residuals`` serves every family.  Its unknowns are
+    numbered in the folded torus order (node 0 first), which makes the
+    matrix banded with half-bandwidth 2n+2; a batch of them is assembled
+    straight into LAPACK lower band storage by one sparse product and
+    factored by banded Cholesky (``dpbsv``).  Lower, not upper, storage:
+    OpenBLAS threads the strided ``dsyr`` of the upper variant, which
+    makes these small factorizations ~10x slower.  Loadings are processed
+    in chunks sized from ``CHUNK_BUDGET_BYTES``.  Results are bitwise
+    deterministic.
     """
 
     def __init__(self, spec, grid, opts=None):
@@ -413,8 +390,9 @@ class BatchScalarCellSolver:
                 opts.delta_jac)
             rhs = -self._divergence(
                 coef[..., None] * loadings[rows][:, None, None, :])
-            return self._band_solve(coef[..., None, None] * np.eye(2),
-                                    rhs[:, :, None])[..., 0]
+            frozen = self._band_solve(coef[..., None, None] * np.eye(2),
+                                      rhs[:, :, None])[..., 0]
+            return x + self.spec.frozen_relaxation * (frozen - x)
 
         out = _fem.damped_newton(
             etas, residual, newton_step,

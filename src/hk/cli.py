@@ -26,7 +26,7 @@ from .constitutive import (ElasticTensorField, Geometry, OperatorSpec,
 from .core_fields import CellGrid, DomainGrid, ScalarField, dump_field
 from .corrector import run_corrector_study, study_source
 from .effective import (EffectiveLaw, assemble_B_hom, assemble_C_hom,
-                        check_a_hom_properties, linear_case_b_hom)
+                        check_a_hom_properties)
 from .errors import ConfigError, NonConvergence, SingularSystem
 from .fine_scale import solve_fine_elasticity, solve_fine_electrostatic
 from .homogenized import (MacroOptions, solve_homogenized_elasticity,
@@ -387,7 +387,7 @@ def cmd_effective(cfg, out_dir, threads):
     report["a_hom_unit_loadings"] = _tensor_nested(
         np.stack([law.eval(np.eye(2)[k]) for k in range(2)]))
     if spec.is_linear:
-        report["b_hom"] = _tensor_nested(linear_case_b_hom(spec, grid, opts))
+        report["b_hom"] = _tensor_nested(law.matrix)
     props = check_a_hom_properties(law, m=100, seed=cfg["seed"])
     report["a_hom_properties"] = {
         "theta": props.theta, "pairs": props.pairs,

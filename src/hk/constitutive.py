@@ -202,6 +202,21 @@ class OperatorSpec:
         s = _contract("...i,...i->...", xi, xi)
         return loc["sigma"] * (d2 + s) ** (0.5 * (loc["pexp"] - 2.0))
 
+    @property
+    def max_exponent(self):
+        """Largest growth exponent over both phases."""
+        return max(self.exponent) if self.family == "variable-exponent" \
+            else self.p
+
+    @property
+    def frozen_relaxation(self):
+        """w = min(1, 1/(p_max - 1)) of the step x + w (picard(x) - x).
+
+        It cancels the frozen-coefficient map's derivative -(p - 2) along
+        the amplitude mode, which stops the plain step contracting at p = 3.
+        """
+        return min(1.0, 1.0 / (self.max_exponent - 1.0))
+
     def flux(self, y, xi):
         return self.flux_local(self.local_coefficients(y), xi)
 

@@ -29,10 +29,6 @@ class QuadratureRule:
         self.weights = h * h * _fem.REF_WEIGHTS
         self.weights.setflags(write=False)
 
-    @property
-    def n_points(self):
-        return 4
-
 
 class CellGrid:
     """Periodic structured grid on the unit cell Y = [-1/2, 1/2]^2.

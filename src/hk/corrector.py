@@ -64,9 +64,6 @@ class CellwiseConstant:
     partition: EpsPartition
     values: np.ndarray          # (n_cells, ...) per flat cell id
 
-    def at_points(self, points):
-        return self.values[self.partition.cell_of(points)]
-
     def at_quadrature(self, domain):
         return self.values[self.partition.cell_of(domain.qp_coords())]
 

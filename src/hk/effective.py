@@ -34,10 +34,11 @@ class EffectiveLaw:
     Evaluations and cell solutions are cached on xi rounded to 12 digits;
     each missing key is solved once, whichever of ``eval_batch``,
     ``solutions_for`` or ``jacobian_batch`` asked first.  Constant laws
-    shortcut to the pointwise flux; linear laws to a constant matrix
-    (two cell solves).  Everything else runs batched cell solves
-    (``BatchScalarCellSolver``).  The cache takes a lock, so concurrent
-    reads are safe.
+    shortcut to the pointwise flux; linear laws to a constant matrix and
+    a potential basis from two unit-loading cell solves.  Everything else
+    runs batched cell solves on ``_batch``, which every mode has for the
+    attached residuals.  The cache takes a lock, so concurrent reads are
+    safe.
     """
 
     def __init__(self, spec, grid, opts=None):
@@ -47,16 +48,17 @@ class EffectiveLaw:
         self._cache = {}
         self._solution_cache = {}
         self._lock = threading.Lock()
+        self._batch = BatchScalarCellSolver(spec, grid, self.opts)
         if spec.is_constant:
             self.mode = "constant"
-            self._batch = None
         elif spec.is_linear:
             self.mode = "linear"
-            self.matrix = linear_case_b_hom(spec, grid, self.opts)
-            self._batch = None
+            sols = [solve_scalar_cell(spec, e, grid, self.opts)
+                    for e in np.eye(2)]
+            self._basis = np.stack([s.values for s in sols])
+            self.matrix = _b_hom(spec, grid, sols)
         else:
             self.mode = "general"
-            self._batch = BatchScalarCellSolver(spec, grid, self.opts)
 
     # -- evaluation --------------------------------------------------------
 
@@ -87,8 +89,7 @@ class EffectiveLaw:
         if self.mode == "constant":
             return np.zeros((loadings.shape[0], self.grid.n_nodes))
         if self.mode == "linear":
-            basis = self._linear_basis()
-            return _contract("kd,dn->kn", loadings, basis)
+            return _contract("kd,dn->kn", loadings, self._basis)
         return self._lookup(loadings, warm, self._solution_cache)
 
     def _lookup(self, loadings, warm, cache):
@@ -118,17 +119,6 @@ class EffectiveLaw:
     def _constant_loc(self, loadings):
         return self.spec.local_coefficients(
             np.broadcast_to(_SAFE_POINT, loadings.shape))
-
-    def _linear_basis(self):
-        with self._lock:
-            basis = getattr(self, "_basis", None)
-        if basis is None:
-            sols = [solve_scalar_cell(self.spec, np.eye(2)[k], self.grid,
-                                      self.opts) for k in range(2)]
-            basis = np.stack([s.values for s in sols])
-            with self._lock:
-                self._basis = basis
-        return basis
 
     def _solve_loadings(self, loadings, warm=None):
         result = self._batch.solve(loadings, warm=warm)
@@ -198,15 +188,16 @@ def eval_a_hom(spec, xi, grid, opts=None):
 
 
 def linear_case_b_hom(spec, grid, opts=None):
-    """Constant effective matrix for the linear family.
-
-    b_hom[j, k] = ∫ b(y)(e_k + grad w_k) . (e_j + grad w_j) dy with w_k
-    the scalar cell solutions at unit loadings.
-    """
+    """Constant effective matrix for the linear family (two cell solves)."""
     if not spec.is_linear:
         raise ValueError("linear_case_b_hom needs the linear family")
     opts = opts or SolverOptions()
-    sols = [solve_scalar_cell(spec, np.eye(2)[k], grid, opts) for k in range(2)]
+    return _b_hom(spec, grid, [solve_scalar_cell(spec, e, grid, opts)
+                               for e in np.eye(2)])
+
+
+def _b_hom(spec, grid, sols):
+    """b_hom[j, k] = ∫ b (e_k + grad w_k) . (e_j + grad w_j), w = sols."""
     loc = spec.local_coefficients(grid.qp_coords())
     fluxes = [corrector_flux(spec, np.eye(2)[k], sols[k]) for k in range(2)]
     bhom = np.zeros((2, 2))
@@ -277,13 +268,8 @@ class EffectiveElectrostriction:
         return _contract("ijkl,...ij->...kl", self.pair_matrices,
                          np.asarray(mat, dtype=float))
 
-    def as_tensor(self):
-        """Fourth-order tensor in flux orientation: T[k,l,i,j] M[i,j]."""
-        return np.transpose(self.pair_matrices, (2, 3, 0, 1))
 
-
-def assemble_C_hom(tensor_field, spec, grid, variant="C-applied", opts=None,
-                   scalar_solutions=None):
+def assemble_C_hom(tensor_field, spec, grid, variant="C-applied", opts=None):
     """Effective electrostriction from corrector-stress cell solves.
 
     variant "C-applied" (default): pair average ∫ C (D(chi) + zeta) dy,
@@ -291,9 +277,8 @@ def assemble_C_hom(tensor_field, spec, grid, variant="C-applied", opts=None,
     variant "as-written": ∫ C D(chi) + zeta dy.
     """
     opts = opts or SolverOptions()
-    if scalar_solutions is None:
-        scalar_solutions = [solve_scalar_cell(spec, np.eye(2)[k], grid, opts)
-                            for k in range(2)]
+    scalar_solutions = [solve_scalar_cell(spec, e, grid, opts)
+                        for e in np.eye(2)]
     points = grid.qp_coords()
     lam, mu = tensor_field.lame_at(points)
     pair = np.zeros((2, 2, 2, 2))

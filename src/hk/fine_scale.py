@@ -98,8 +98,9 @@ def solve_fine_electrostatic(spec, eps, f, domain, opts=None):
 
     Linear families reduce to one sparse solve; otherwise
     ``_fem.damped_newton`` with sparse direct inner solves, started from
-    the frozen-coefficient surrogate with coefficient sigma, and
-    frozen-coefficient steps after ``max_newton``.
+    the frozen-coefficient surrogate with coefficient sigma, and relaxed
+    frozen-coefficient steps (``OperatorSpec.frozen_relaxation``) after
+    ``max_newton``.
     Returns a FineSolution with potential, Maxwell stress, residual and
     energy bookkeeping.
     """
@@ -132,7 +133,7 @@ def solve_fine_electrostatic(spec, eps, f, domain, opts=None):
         def picard_step(rows, phis):
             grad = _fem.qp_gradient(phis[0], domain.conn, domain.h)
             coef = spec.frozen_coefficient(loc, grad, opts.delta_jac)
-            return solve_with(coef)[None]
+            return phis + spec.frozen_relaxation * (solve_with(coef) - phis)
 
         # initial iterate from the frozen-coefficient (quadratic) surrogate
         out = _fem.damped_newton(

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import _fem
 from ._fem import contract as _contract
-from .cell_problems import BatchScalarCellSolver
 from .core_fields import CellGrid, DomainGrid, ScalarField, VectorField
 from .errors import NonConvergence
 from .fine_scale import _source_at_qp
@@ -185,19 +184,14 @@ def reconstruct_phi1(law, phi0, cell_grid, sample_grid=None,
     sample_grid = sample_grid or phi0.grid
     pts = sample_grid.qp_coords().reshape(-1, 2)
     loadings = _gradient_at(phi0, gradient_field, pts)
-    batch = law._batch
     warm = None
-    if batch is not None:
+    if law.mode == "general":
         g = phi0.grid
         warm = law.solutions_for(_grad_flat(phi0.values, g))[
             _nearest_qp(g, pts)]
-    else:
-        # constant and linear laws: the batched kernels still give the
-        # weak-form residuals of the attached solutions
-        batch = BatchScalarCellSolver(law.spec, law.grid, law.opts)
     potentials = law.solutions_for(loadings, warm=warm)
     return CorrectorData(sample_grid, law.grid, loadings, potentials,
-                         *batch.attached_residuals(loadings, potentials))
+                         *law._batch.attached_residuals(loadings, potentials))
 
 
 def _nearest_qp(grid, pts):

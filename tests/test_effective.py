@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hk.cell_problems import solve_scalar_cell
 from hk.constitutive import (ElasticTensorField, Geometry, OperatorSpec,
                              isotropic_tensor)
 from hk.core_fields import make_cell_grid
@@ -84,6 +85,34 @@ def test_linear_consistency_two_paths():
         xi = rng.standard_normal(2)
         rel = np.abs(law.eval(xi) - bhom @ xi).max() / (np.abs(bhom @ xi).max())
         assert rel < 1e-8
+
+
+def test_linear_case_b_hom_nonsymmetric_laminate():
+    # flux balance across the layers: the normal flux and the tangential
+    # gradient are continuous, the normal gradient averages to the loading
+    spec = OperatorSpec(family="linear", geometry=LAMINATE,
+                        matrices=(((1.0, 0.5), (-0.5, 1.0)),
+                                  ((4.0, 1.0), (-1.0, 4.0))))
+    bhom = linear_case_b_hom(spec, make_cell_grid(16))
+    assert np.abs(bhom - np.array([[1.6, 0.6], [-0.6, 2.525]])).max() < 1e-10
+
+
+def test_linear_law_solves_unit_loadings_once(monkeypatch):
+    import hk.effective as effective
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return solve_scalar_cell(*args, **kwargs)
+
+    monkeypatch.setattr(effective, "solve_scalar_cell", counted)
+    grid = make_cell_grid(16)
+    law = EffectiveLaw(linear_laminate(), grid)
+    basis = law.solutions_for(np.eye(2))
+    assert len(calls) == 2
+    for k in range(2):
+        assert np.array_equal(
+            basis[k], solve_scalar_cell(law.spec, np.eye(2)[k], grid).values)
 
 
 def test_hill_bounds_linear():

@@ -64,11 +64,12 @@ def test_nonlinear_laminate_converges():
     assert sol.residuals["electrostatic_max_nodal"] <= 1e-9
 
 
-def test_picard_steps_match_newton_solve():
-    # max_newton=0: frozen-coefficient steps only, which contract for
-    # p <= 2
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+def test_picard_steps_match_newton_solve(p):
+    # max_newton=0: frozen-coefficient steps only; the plain step
+    # contracts for p <= 2, the relaxed step with weight 1/(p-1) above
     from hk.cell_problems import SolverOptions
-    spec = OperatorSpec(family="power-law", p=1.5, alpha=0.5,
+    spec = OperatorSpec(family="power-law", p=p, alpha=min(1.0, p - 1.0),
                         geometry=LAMINATE, sigma=(1.0, 4.0))
     dom = DomainGrid(32)
     newton = solve_fine_electrostatic(spec, 0.25, 1.0, dom)
