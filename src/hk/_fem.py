@@ -3,12 +3,17 @@
 Everything here works on structured square grids (periodic unit cell or
 Dirichlet unit square) with 2x2 Gauss quadrature per element.  Quadrature
 data is laid out as arrays of shape (n_elements, 4, ...); nodal data as
-(n_nodes, ...) with fixed row-major node numbering, so all operations are
-plain gathers, einsums and scatter-adds.
+(n_nodes, ...) with fixed row-major node numbering.  Each kernel takes
+scalar and vector data alike (the trailing ``...``).  Gathers are fancy
+indexing; every sum onto nodes or cells is one product with a one-hot CSR
+matrix (``scatter_matrix``), and each grid builds its node matrix once
+(``node_scatter``).
 """
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,28 +37,29 @@ REF_WEIGHTS = np.full(4, 0.25)
 _CORNERS = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
 
 
-def shape_values():
-    """Q1 shape functions at the reference quadrature points, (4 qp, 4 node)."""
-    gx = REF_POINTS[:, 0][:, None]
-    gy = REF_POINTS[:, 1][:, None]
-    cx = _CORNERS[:, 0][None, :]
-    cy = _CORNERS[:, 1][None, :]
+def shape_at(local):
+    """Q1 shape values at arbitrary local coordinates, (..., 4)."""
+    gx = local[..., 0][..., None]
+    gy = local[..., 1][..., None]
+    cx = _CORNERS[:, 0]
+    cy = _CORNERS[:, 1]
     return (cx * gx + (1 - cx) * (1 - gx)) * (cy * gy + (1 - cy) * (1 - gy))
 
 
-def shape_gradients():
-    """Reference gradients of the Q1 shape functions, (4 qp, 4 node, 2)."""
-    gx = REF_POINTS[:, 0][:, None]
-    gy = REF_POINTS[:, 1][:, None]
-    cx = _CORNERS[:, 0][None, :]
-    cy = _CORNERS[:, 1][None, :]
+def shape_grad_at(local):
+    """Reference Q1 gradients at arbitrary local coordinates, (..., 4, 2)."""
+    gx = local[..., 0][..., None]
+    gy = local[..., 1][..., None]
+    cx = _CORNERS[:, 0]
+    cy = _CORNERS[:, 1]
     dx = (2 * cx - 1) * (cy * gy + (1 - cy) * (1 - gy))
     dy = (2 * cy - 1) * (cx * gx + (1 - cx) * (1 - gx))
     return np.stack([dx, dy], axis=-1)
 
 
-SHAPE = shape_values()
-SHAPE_GRAD = shape_gradients()
+# shape values (4 qp, 4 node) and reference gradients (4 qp, 4 node, 2)
+SHAPE = shape_at(REF_POINTS)
+SHAPE_GRAD = shape_grad_at(REF_POINTS)
 SHAPE.setflags(write=False)
 SHAPE_GRAD.setflags(write=False)
 
@@ -90,65 +96,58 @@ def qp_coords(n_cells, h, origin):
 
 
 def qp_values(nodal, conn):
-    """Interpolate nodal data to quadrature points.
-
-    Scalar input (nn,) -> (nel, 4); vector input (nn, c) -> (nel, 4, c).
-    """
-    v = nodal[conn]
-    if v.ndim == 2:
-        return contract("qa,ea->eq", SHAPE, v)
-    return contract("qa,eac->eqc", SHAPE, v)
+    """Interpolate nodal data (nn, ...) to quadrature points, (nel, 4, ...)."""
+    return contract("qa,ea...->eq...", SHAPE, nodal[conn])
 
 
 def qp_gradient(nodal, conn, h):
-    """Gradient of a Q1 scalar field at quadrature points, (nel, 4, 2)."""
-    return contract("qad,ea->eqd", SHAPE_GRAD, nodal[conn]) / h
+    """Gradient of a Q1 field at quadrature points.
 
-
-def qp_grad_vector(nodal, conn, h):
-    """(grad u)_{cd} = d u_c / d x_d at quadrature points, (nel, 4, 2, 2)."""
-    return contract("qad,eac->eqcd", SHAPE_GRAD, nodal[conn]) / h
-
-
-def scatter(n_nodes, conn, per_elem):
-    """Accumulate per-element nodal contributions into a global vector.
-
-    per_elem has shape (nel, 4) or (nel, 4, c).
+    Scalar data (nn,) -> (nel, 4, 2); vector data (nn, c) ->
+    (nel, 4, c, 2) with [..., c, d] = d u_c / d x_d.
     """
-    if per_elem.ndim == 2:
-        out = np.zeros(n_nodes)
-    else:
-        out = np.zeros((n_nodes,) + per_elem.shape[2:])
-    np.add.at(out, conn, per_elem)
-    return out
+    return contract("qad,ea...->eq...d", SHAPE_GRAD, nodal[conn]) / h
 
 
-def divergence_residual(n_nodes, conn, h, flux):
-    """Assemble r_a = sum_e,q w * flux . grad(N_a) from qp flux (nel, 4, 2)."""
-    w = h * h * REF_WEIGHTS
-    per_elem = contract("q,eqd,qad->ea", w, flux, SHAPE_GRAD) / h
-    return scatter(n_nodes, conn, per_elem)
+def scatter_matrix(ids, size):
+    """One-hot CSR matrix (size x ids.size) summing entries onto ``ids``.
+
+    Column j stands for entry j of ``ids`` in array order, so each row
+    holds its entries in that order and ``scatter`` adds them in the order
+    numpy's unbuffered ``add.at`` does: the sums are bitwise the same.
+    """
+    ids = np.asarray(ids).ravel()
+    return sp.csr_matrix((np.ones(ids.size), (ids, np.arange(ids.size))),
+                         shape=(size, ids.size))
 
 
-def stress_residual(n_nodes, conn, h, stress):
-    """Assemble r_(a,c) = sum w * stress_{cd} d_d N_a from (nel, 4, 2, 2)."""
-    w = h * h * REF_WEIGHTS
-    per_elem = contract("q,eqcd,qad->eac", w, stress, SHAPE_GRAD) / h
-    return scatter(n_nodes, conn, per_elem)
+def scatter(matrix, values):
+    """Sum ``values`` (ids.shape + tail) onto the rows: (size,) + tail.
+
+    ``matrix`` comes from ``scatter_matrix(ids, size)``; the leading axes
+    of ``values`` whose sizes multiply to ids.size are the ids' axes.
+    """
+    n = matrix.shape[1]
+    tail = values.shape[list(accumulate(values.shape, mul)).index(n) + 1:]
+    return (matrix @ values.reshape(n, -1)).reshape(matrix.shape[:1] + tail)
 
 
-def load_vector_scalar(n_nodes, conn, h, f_qp):
-    """Assemble ∫ f N_a from source values at quadrature points (nel, 4)."""
-    w = h * h * REF_WEIGHTS
-    per_elem = contract("q,eq,qa->ea", w, f_qp, SHAPE)
-    return scatter(n_nodes, conn, per_elem)
+def divergence_residual(grid, flux):
+    """Assemble r_a = sum_e,q w flux . grad(N_a) onto the grid's nodes.
+
+    A flux (nel, 4, 2) gives (nn,); a stress (nel, 4, c, 2) gives
+    r_(a,c) = sum w stress_{cd} d_d N_a, (nn, c).
+    """
+    w = grid.h * grid.h * REF_WEIGHTS
+    per_elem = contract("q,eq...d,qad->ea...", w, flux, SHAPE_GRAD) / grid.h
+    return scatter(grid.node_scatter, per_elem)
 
 
-def load_vector_vec(n_nodes, conn, h, g_qp):
-    """Assemble ∫ g . (N_a e_c) from source values (nel, 4, 2)."""
-    w = h * h * REF_WEIGHTS
-    per_elem = contract("q,eqc,qa->eac", w, g_qp, SHAPE)
-    return scatter(n_nodes, conn, per_elem)
+def load_vector(grid, f_qp):
+    """Assemble ∫ f N_a from sources at quadrature points (nel, 4, ...)."""
+    w = grid.h * grid.h * REF_WEIGHTS
+    return scatter(grid.node_scatter,
+                   contract("q,eq...,qa->ea...", w, f_qp, SHAPE))
 
 
 def integrate_qp(h, values_qp):
@@ -180,53 +179,28 @@ def locate_points(points, n_cells, h, origin):
     return elem, local
 
 
-def shape_at(local):
-    """Q1 shape values at arbitrary local coordinates, (..., 4)."""
-    gx = local[..., 0][..., None]
-    gy = local[..., 1][..., None]
-    cx = _CORNERS[:, 0]
-    cy = _CORNERS[:, 1]
-    return (cx * gx + (1 - cx) * (1 - gx)) * (cy * gy + (1 - cy) * (1 - gy))
-
-
-def shape_grad_at(local):
-    """Reference Q1 gradients at arbitrary local coordinates, (..., 4, 2)."""
-    gx = local[..., 0][..., None]
-    gy = local[..., 1][..., None]
-    cx = _CORNERS[:, 0]
-    cy = _CORNERS[:, 1]
-    dx = (2 * cx - 1) * (cy * gy + (1 - cy) * (1 - gy))
-    dy = (2 * cy - 1) * (cx * gx + (1 - cx) * (1 - gx))
-    return np.stack([dx, dy], axis=-1)
-
-
 def point_eval(nodal, conn, h, n_cells, origin, points):
-    """Evaluate a Q1 field at arbitrary points; (...,) or (..., c)."""
-    elem, local = locate_points(points, n_cells, h, origin)
-    vals = nodal[conn[elem]]
-    sh = shape_at(local)
-    if vals.ndim == sh.ndim:
-        return contract("...a,...a->...", sh, vals)
-    return contract("...a,...ac->...c", sh, vals)
+    """Q1 field (nn, ...) at arbitrary points (..., 2); (...,) + tail."""
+    points = np.asarray(points, dtype=float)
+    elem, local = locate_points(points.reshape(-1, 2), n_cells, h, origin)
+    out = contract("pa,pa...->p...", shape_at(local), nodal[conn[elem]])
+    return out.reshape(points.shape[:-1] + out.shape[1:])
 
 
 def point_eval_gradient(nodal, conn, h, n_cells, origin, points):
-    """Gradient of a Q1 scalar field at arbitrary points, (..., 2)."""
-    elem, local = locate_points(points, n_cells, h, origin)
-    vals = nodal[conn[elem]]
+    """Gradient of a Q1 field at arbitrary points (..., 2).
+
+    Scalar data gives (..., 2); vector data (..., c, 2) with
+    [..., c, d] = d u_c / d x_d.
+    """
+    points = np.asarray(points, dtype=float)
+    elem, local = locate_points(points.reshape(-1, 2), n_cells, h, origin)
     grad = shape_grad_at(local) / h
-    return contract("...ad,...a->...d", grad, vals)
+    out = contract("pad,pa...->p...d", grad, nodal[conn[elem]])
+    return out.reshape(points.shape[:-1] + out.shape[1:])
 
 
-def point_eval_grad_vector(nodal, conn, h, n_cells, origin, points):
-    """(grad u)_{cd} of a Q1 vector field at arbitrary points."""
-    elem, local = locate_points(points, n_cells, h, origin)
-    vals = nodal[conn[elem]]
-    grad = shape_grad_at(local) / h
-    return contract("...ad,...ac->...cd", grad, vals)
-
-
-def recovered_gradient(nodal, conn, h, n_nodes):
+def recovered_gradient(grid, nodal):
     """Nodal-averaged gradient of a Q1 scalar field, (n_nodes, 2).
 
     Element gradients evaluated at the element corners are averaged over
@@ -234,13 +208,10 @@ def recovered_gradient(nodal, conn, h, n_nodes):
     central differences at interior nodes, which are second-order
     accurate (one order better than the raw Q1 gradient).
     """
-    corner_grad = shape_grad_at(_CORNERS) / h        # (corner, node, 2)
-    ge = contract("cad,ea->ecd", corner_grad, nodal[conn])
-    out = np.zeros((n_nodes, 2))
-    counts = np.zeros(n_nodes)
-    np.add.at(out, conn, ge)
-    np.add.at(counts, conn, 1.0)
-    return out / counts[:, None]
+    corner_grad = shape_grad_at(_CORNERS) / grid.h   # (corner, node, 2)
+    ge = contract("cad,ea->ecd", corner_grad, nodal[grid.conn])
+    counts = scatter(grid.node_scatter, np.ones(grid.conn.shape))
+    return scatter(grid.node_scatter, ge) / counts[:, None]
 
 
 # ---------------------------------------------------------------------------

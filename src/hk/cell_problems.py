@@ -85,8 +85,7 @@ def solve_scalar_cell(spec, loading, grid, opts=None):
     tol = opts.tol * _tol_scale(spec, loading)
     if spec.is_linear:
         loc = spec.local_coefficients(grid.qp_coords())
-        rhs = -_fem.divergence_residual(grid.n_nodes, grid.conn, grid.h,
-                                        spec.flux_local(loc, loading))
+        rhs = -_fem.divergence_residual(grid, spec.flux_local(loc, loading))
         matrix = _fem.assemble_diffusion(grid.conn, grid.h, grid.n_nodes,
                                          loc["bmat"])
         eta = _fem.solve_periodic_pinned(matrix, rhs)
@@ -153,18 +152,17 @@ def _solve_elastic(tensor_field, grid, rhs):
     return x, float(rnorm / bnorm) if bnorm > 0.0 else 0.0
 
 
-def solve_elastic_cell_U(tensor_field, grid, i, j, opts=None):
+def solve_elastic_cell_U(tensor_field, grid, i, j):
     """Periodic displacement balancing the unit macroscopic strain (i, j).
 
     Weak form: ∫ B D(U) : D(v) = ∫ B E^ij : D(v) with E^ij the constant
     symmetrized unit strain, solved directly with node 0 pinned; the two
     translation modes are removed by the zero-mean normalization.
-    ``opts`` is unused: the solve is direct.
     """
     points = grid.qp_coords()
     strain = unit_strain(i, j)
     stress = tensor_field.apply(points, strain)
-    rhs = _fem.stress_residual(grid.n_nodes, grid.conn, grid.h, stress)
+    rhs = _fem.divergence_residual(grid, stress)
     x, relres = _solve_elastic(tensor_field, grid, rhs)
     return ElasticCellSolution((i, j), x, relres, 1, grid)
 
@@ -180,14 +178,14 @@ def assemble_zeta(i, j, sol_i, sol_j):
     return _contract("eqc,eqd->eqcd", p_i, p_j)
 
 
-def solve_electrostriction_cell(tensor_field, zeta_qp, grid, opts=None,
+def solve_electrostriction_cell(tensor_field, zeta_qp, grid,
                                 variant="C-applied", indices=("chi",)):
     """Periodic displacement driven by an electric stress source.
 
     variant "as-written": flux C D(chi) + zeta; variant "C-applied"
     (default): flux C (D(chi) + zeta).  Tested against symmetrized
     gradients, so only the symmetric part of the source enters.  Solved
-    directly like ``solve_elastic_cell_U``; ``opts`` is unused.
+    directly like ``solve_elastic_cell_U``.
     """
     if variant not in ("C-applied", "as-written"):
         raise ValueError(f"unknown electrostriction variant {variant!r}")
@@ -196,7 +194,7 @@ def solve_electrostriction_cell(tensor_field, zeta_qp, grid, opts=None,
     stress = zeta_sym
     if variant == "C-applied":
         stress = _fem.isotropic_stress(*tensor_field.lame_at(points), zeta_sym)
-    rhs = -_fem.stress_residual(grid.n_nodes, grid.conn, grid.h, stress)
+    rhs = -_fem.divergence_residual(grid, stress)
     x, relres = _solve_elastic(tensor_field, grid, rhs)
     return ElasticCellSolution(tuple(indices), x, relres, 1, grid)
 
@@ -276,9 +274,6 @@ class BatchScalarCellSolver:
         self._band_scatter = sp.csr_matrix(
             (np.ones(band_idx.size), (band_idx, np.flatnonzero(lower))),
             shape=(ldab * (nn - 1), conn.size * 4))
-        self._node_scatter = sp.csr_matrix(
-            (np.ones(conn.size), (conn.ravel(), np.arange(conn.size))),
-            shape=(nn, conn.size))
         # band storage plus element blocks, Jacobians, gradients and fluxes
         self.loading_bytes = 8 * (ldab * (nn - 1) + 48 * grid.n_elems)
         self.chunk = max(1, min(MAX_CHUNK,
@@ -296,11 +291,8 @@ class BatchScalarCellSolver:
 
     def _scatter(self, per_elem):
         """Per-element nodal data (k, nel, 4, ...) summed onto nodes, (k, nn, ...)."""
-        k = per_elem.shape[0]
-        tail = per_elem.shape[3:]
-        flat = np.moveaxis(per_elem, 0, 2).reshape(self.grid.conn.size, -1)
-        outT = self._node_scatter @ flat
-        return np.swapaxes(outT.reshape((self.grid.n_nodes, k) + tail), 0, 1)
+        return np.swapaxes(_fem.scatter(self.grid.node_scatter,
+                                        np.moveaxis(per_elem, 0, 2)), 0, 1)
 
     def _divergence(self, flux):
         """Assembled ∫ flux . grad v for quadrature-point fluxes, (k, nn)."""
@@ -344,6 +336,11 @@ class BatchScalarCellSolver:
             out[j, self._unknowns] = x
         return out
 
+    def _chunks(self, k):
+        """Slices of at most ``chunk`` rows covering rows 0..k-1."""
+        for start in range(0, k, self.chunk):
+            yield slice(start, min(start + self.chunk, k))
+
     def _tangent_chunk(self, loadings, etas):
         jac = self._local_jacobians(loadings, etas)
         # rhs_j = -∫ A e_j . grad v, one column per direction j
@@ -364,8 +361,7 @@ class BatchScalarCellSolver:
         """
         loadings = np.asarray(loadings, dtype=float)
         out = np.zeros((loadings.shape[0], 2, 2))
-        for start in range(0, out.shape[0], self.chunk):
-            sl = slice(start, min(start + self.chunk, out.shape[0]))
+        for sl in self._chunks(out.shape[0]):
             out[sl] = self._tangent_chunk(loadings[sl], etas[sl])
         return out
 
@@ -412,8 +408,7 @@ class BatchScalarCellSolver:
         out = BatchCellResult(loadings, np.zeros((k, self.grid.n_nodes)),
                               np.zeros(k), np.zeros(k, dtype=int),
                               np.zeros(k, dtype=bool))
-        for start in range(0, k, self.chunk):
-            sl = slice(start, min(start + self.chunk, k))
+        for sl in self._chunks(k):
             (out.values[sl], out.residuals[sl], out.iterations[sl],
              out.converged[sl]) = self._solve_chunk(
                 loadings[sl], None if warm is None else warm[sl])
@@ -422,8 +417,7 @@ class BatchScalarCellSolver:
     def flux_means(self, result):
         """Cell means of a(y, loading + grad eta) per sample, (K, 2)."""
         out = np.zeros((result.loadings.shape[0], 2))
-        for start in range(0, out.shape[0], self.chunk):
-            sl = slice(start, min(start + self.chunk, out.shape[0]))
+        for sl in self._chunks(out.shape[0]):
             flux = self.spec.flux_local(
                 self.loc,
                 self._total_gradient(result.loadings[sl], result.values[sl]))
@@ -439,8 +433,7 @@ class BatchScalarCellSolver:
         """
         cell = np.zeros(loadings.shape[0])
         identity = np.zeros(loadings.shape[0])
-        for start in range(0, cell.shape[0], self.chunk):
-            sl = slice(start, min(start + self.chunk, cell.shape[0]))
+        for sl in self._chunks(cell.shape[0]):
             p_qp = self._total_gradient(loadings[sl], etas[sl])
             flux = self.spec.flux_local(self.loc, p_qp)
             cell[sl] = np.linalg.norm(self._divergence(flux), axis=1)

@@ -360,7 +360,7 @@ def cmd_cell(cfg, out_dir, threads):
     if tensor_b is not None:
         from .core_fields import VectorField
         for (i, j) in ((0, 0), (1, 1), (0, 1)):
-            sol = solve_elastic_cell_U(tensor_b, grid, i, j, opts)
+            sol = solve_elastic_cell_U(tensor_b, grid, i, j)
             name = f"cell_displacement_{i + 1}{j + 1}"
             dump_field(VectorField(grid, sol.values), name,
                        str(out_dir / f"{name}.field"))
@@ -370,7 +370,7 @@ def cmd_cell(cfg, out_dir, threads):
             for j in range(2):
                 zeta = assemble_zeta(i, j, sols[i], sols[j])
                 chi = solve_electrostriction_cell(
-                    tensor_c, zeta, grid, opts,
+                    tensor_c, zeta, grid,
                     variant=cfg["chom_variant"], indices=(i, j))
                 summary["electrostriction"][f"{i + 1}{j + 1}"] = {
                     "residual": chi.residual, "iterations": chi.iterations}
@@ -397,7 +397,7 @@ def cmd_effective(cfg, out_dir, threads):
     }
     tensor_b, tensor_c = build_tensors(cfg)
     if tensor_b is not None:
-        b_eff = assemble_B_hom(tensor_b, grid, opts)
+        b_eff = assemble_B_hom(tensor_b, grid)
         report["B_hom"] = _tensor_nested(b_eff.tensor)
         both = {}
         for variant in ("C-applied", "as-written"):
@@ -427,7 +427,7 @@ def cmd_fine(cfg, out_dir, threads):
                    str(out_dir / f"fine_potential_eps_1_{tag}.field"))
         if tensor_b is not None:
             u, resid = solve_fine_elasticity(tensor_b, tensor_c, eps, g,
-                                             fine.maxwell, domain, opts)
+                                             fine.maxwell, domain)
             entry["elastic_residual"] = resid
             dump_field(u, f"displacement_eps_1_{tag}",
                        str(out_dir / f"fine_displacement_eps_1_{tag}.field"))
@@ -454,11 +454,11 @@ def cmd_homogenized(cfg, out_dir, threads):
                str(out_dir / "effective_potential.field"))
     tensor_b, tensor_c = build_tensors(cfg)
     if tensor_b is not None:
-        b_eff = assemble_B_hom(tensor_b, grid, opts)
+        b_eff = assemble_B_hom(tensor_b, grid)
         c_eff = assemble_C_hom(tensor_c, spec, grid, cfg["chom_variant"], opts)
         u0, resid = solve_homogenized_elasticity(
             b_eff, c_eff, np.array(cfg["sources"]["g"]), macro.potential,
-            domain, opts)
+            domain)
         report["elastic_residual"] = resid
         dump_field(u0, "effective_displacement",
                    str(out_dir / "effective_displacement.field"))
@@ -522,7 +522,7 @@ def cmd_verify(cfg, out_dir, threads):
             "symmetries": tensor_b.has_elastic_symmetries(),
             "max_norm": max_norm, "min_ellipticity_ratio": min_ratio}
         ok &= tensor_b.has_elastic_symmetries() and min_ratio > 0
-        b_eff = assemble_B_hom(tensor_b, grid, opts)
+        b_eff = assemble_B_hom(tensor_b, grid)
         t = b_eff.tensor
         major = float(np.abs(t - np.transpose(t, (2, 3, 0, 1))).max())
         minor = float(np.abs(t - np.transpose(t, (1, 0, 2, 3))).max())

@@ -6,7 +6,7 @@ boundary.  Bilinear (Q1) elements with 2x2 Gauss quadrature throughout.
 Fields are immutable after construction; all operations are pure.
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -30,7 +30,23 @@ class QuadratureRule:
         self.weights.setflags(write=False)
 
 
-class CellGrid:
+class _Grid:
+    """What both structured grids share: quadrature points and node scatter."""
+
+    def qp_coords(self):
+        return _fem.qp_coords(self.n, self.h, self.origin)
+
+    @cached_property
+    def node_scatter(self):
+        """One-hot CSR map from element-node slots (nel, 4) to nodes.
+
+        Every sum of element contributions onto this grid's nodes is one
+        product with it (``_fem.scatter``); built on first use.
+        """
+        return _fem.scatter_matrix(self.conn, self.n_nodes)
+
+
+class CellGrid(_Grid):
     """Periodic structured grid on the unit cell Y = [-1/2, 1/2]^2.
 
     n cells per side (power of two, n >= 4), h = 1/n.  Node (ix, iy) sits
@@ -57,9 +73,6 @@ class CellGrid:
     def node_coords(self):
         ix, iy = np.meshgrid(np.arange(self.n), np.arange(self.n), indexing="xy")
         return np.stack([ix.ravel(), iy.ravel()], axis=-1) * self.h + self.origin
-
-    def qp_coords(self):
-        return _fem.qp_coords(self.n, self.h, self.origin)
 
     def wrap_node(self, ix, iy):
         return (np.asarray(iy) % self.n) * self.n + (np.asarray(ix) % self.n)
@@ -113,7 +126,7 @@ def _nested_dissection(n_cells):
     return out
 
 
-class DomainGrid:
+class DomainGrid(_Grid):
     """Structured grid on the unit square (0,1)^2 with N cells per side.
 
     (N+1)^2 nodes; the boundary mask marks the full topological boundary
@@ -152,9 +165,6 @@ class DomainGrid:
         ix, iy = np.meshgrid(np.arange(nn), np.arange(nn), indexing="xy")
         return np.stack([ix.ravel(), iy.ravel()], axis=-1) * self.h
 
-    def qp_coords(self):
-        return _fem.qp_coords(self.n, self.h, self.origin)
-
     def __eq__(self, other):
         return isinstance(other, DomainGrid) and other.n == self.n
 
@@ -187,11 +197,7 @@ class _Field:
 
     def at_quadrature(self):
         """Interpolated values at quadrature points."""
-        flat = self.values.reshape(self.grid.n_nodes, -1)
-        out = _fem.qp_values(flat, self.grid.conn)
-        if self.components == 1:
-            return out[..., 0]
-        return out.reshape(out.shape[:2] + self.component_shape)
+        return _fem.qp_values(self.values, self.grid.conn)
 
 
 class ScalarField(_Field):
@@ -209,17 +215,17 @@ class TensorField(_Field):
     component_shape = (2, 2)
 
 
-def gradient(f, rule=None):
+def gradient(f):
     """Bilinear-element gradient at quadrature points, (nel, 4, 2).
 
-    Exact for affine fields.  ``rule`` defaults to the grid's own rule.
+    Exact for affine fields.
     """
     return _fem.qp_gradient(f.values, f.grid.conn, f.grid.h)
 
 
-def sym_gradient(u, rule=None):
+def sym_gradient(u):
     """Symmetrized gradient (linearized strain) at quadrature points."""
-    g = _fem.qp_grad_vector(u.values, u.grid.conn, u.grid.h)
+    g = _fem.qp_gradient(u.values, u.grid.conn, u.grid.h)
     return 0.5 * (g + np.swapaxes(g, -1, -2))
 
 

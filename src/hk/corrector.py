@@ -82,14 +82,12 @@ def coarse_average_M(v, domain, eps):
         v = v.at_quadrature(domain)
     part = EpsPartition(eps)
     data = v if isinstance(v, np.ndarray) else v.at_quadrature()
-    ids = part.cell_of(domain.qp_coords())
-    w = np.broadcast_to(domain.rule.weights, ids.shape)
+    cells = _fem.scatter_matrix(part.cell_of(domain.qp_coords()),
+                                part.n_cells)
+    w = np.broadcast_to(domain.rule.weights, (domain.n_elems, 4))
     comp_shape = data.shape[2:]
-    sums = np.zeros((part.n_cells,) + comp_shape)
-    w_full = w[(...,) + (None,) * len(comp_shape)]
-    np.add.at(sums, ids.ravel(), (w_full * data).reshape((-1,) + comp_shape))
-    meas = np.zeros(part.n_cells)
-    np.add.at(meas, ids.ravel(), w.ravel())
+    sums = _fem.scatter(cells, w[(...,) + (None,) * len(comp_shape)] * data)
+    meas = _fem.scatter(cells, w)
     safe = np.where(meas > 0.0, meas, 1.0)
     means = sums / safe[(...,) + (None,) * len(comp_shape)]
     means[~part.interior] = 0.0
@@ -106,12 +104,11 @@ def eps_cell_table_average(table, sample_grid, eps, zero_boundary=False):
     Returns (cell_table (n_cells, ...), partition).
     """
     part = EpsPartition(eps)
-    pts = sample_grid.qp_coords().reshape(-1, 2)
-    ids = part.cell_of(pts)
-    counts = np.bincount(ids, minlength=part.n_cells).astype(float)
+    cells = _fem.scatter_matrix(
+        part.cell_of(sample_grid.qp_coords().reshape(-1, 2)), part.n_cells)
+    counts = _fem.scatter(cells, np.ones(cells.shape[1]))
     comp_shape = table.shape[1:]
-    sums = np.zeros((part.n_cells,) + comp_shape)
-    np.add.at(sums, ids, table)
+    sums = _fem.scatter(cells, table)
     safe = np.where(counts > 0.0, counts, 1.0)
     means = sums / safe[(...,) + (None,) * len(comp_shape)]
     if zero_boundary:
@@ -387,19 +384,19 @@ def study_source(x1, x2):
     return (1.0 - np.cos(2.0 * np.pi * x1)) * (1.0 - np.cos(2.0 * np.pi * x2))
 
 
-def _default_psi_x(x1, x2):
+def _psi_x(x1, x2):
     return 16.0 * x1 * (1.0 - x1) * x2 * (1.0 - x2)
 
 
-def _default_psi_y_pairing(y1, y2):
+def _psi_y_pairing(y1, y2):
     return np.sin(2.0 * np.pi * y1)
 
 
-def _default_psi_y_maxwell(y1, y2):
+def _psi_y_maxwell(y1, y2):
     return 1.0 + 0.5 * np.sin(2.0 * np.pi * y1)
 
 
-def _default_psi_vec(x1, x2):
+def _psi_vec(x1, x2):
     s = np.sin(np.pi * x1) * np.sin(np.pi * x2)
     return (s, s)
 
@@ -448,13 +445,9 @@ class CorrectorReport:
 
 def run_corrector_study(spec, ladder, cell_n=8, fine_m=16, solve_n=32,
                         sample_n=64, f=None, tensor_b=None, tensor_c=None,
-                        g_src=(0.0, -1.0), variant="C-applied", p_norm=None,
+                        g_src=(0.0, -1.0), variant="C-applied",
                         cell_opts=None, macro_opts=None, threads=1,
-                        recover_gradient=True,
-                        psi_x=_default_psi_x,
-                        psi_y_pairing=_default_psi_y_pairing,
-                        psi_y_maxwell=_default_psi_y_maxwell,
-                        psi_vec=_default_psi_vec):
+                        recover_gradient=True):
     """Run the eps-sweep corrector verification for one operator family.
 
     Grids: unit-cell solves on cell_n, fine meshes with fine_m elements
@@ -486,7 +479,6 @@ def run_corrector_study(spec, ladder, cell_n=8, fine_m=16, solve_n=32,
         raise ValueError("ladder must be strictly decreasing with >= 2 rungs")
     if fine_m < 4 or fine_m & (fine_m - 1):
         raise ValueError("fine_m must be a power of two >= 4")
-    p_norm = p_norm or spec.p
     cell_opts = cell_opts or SolverOptions()
     for eps in ladder:
         if abs(fine_m / eps - round(fine_m / eps)) > 1e-9:
@@ -511,36 +503,36 @@ def run_corrector_study(spec, ladder, cell_n=8, fine_m=16, solve_n=32,
     u0 = None
     u0_pairing = 0.0
     if with_elasticity:
-        b_eff = assemble_B_hom(tensor_b, cell_grid, cell_opts)
+        b_eff = assemble_B_hom(tensor_b, cell_grid)
         c_eff = assemble_C_hom(tensor_c, spec, cell_grid, variant, cell_opts)
         u0, _ = solve_homogenized_elasticity(b_eff, c_eff, g_src, phi0,
-                                             solve_grid, cell_opts,
+                                             solve_grid,
                                              gradient_field=grad_field)
-        u0_pairing = functional_pairing(u0, psi_vec)
+        u0_pairing = functional_pairing(u0, _psi_vec)
 
     g_pair = ScalarField(CellGrid(fine_m), np.sin(
         2.0 * np.pi * CellGrid(fine_m).node_coords()[:, 0]))
-    limit = pairing_limit(g_pair, psi_x, psi_y_pairing)
-    two_scale_stress = two_scale_stress_pairing(corr, psi_x, psi_y_maxwell)
+    limit = pairing_limit(g_pair, _psi_x, _psi_y_pairing)
+    two_scale_stress = two_scale_stress_pairing(corr, _psi_x, _psi_y_maxwell)
 
     def one_rung(eps):
         domain = DomainGrid(int(round(fine_m / eps)))
         fine = solve_fine_electrostatic(spec, eps, f, domain, cell_opts)
         setup = _fine_qp_setup(fine.potential, phi0, corr, eps, grad_field)
         errs = corrector_error_explicit(fine.potential, phi0, corr, eps,
-                                        p_norm, setup=setup)
+                                        spec.p, setup=setup)
         errs["E_dm"] = corrector_error_dalmaso(fine.potential, phi0, law,
-                                               corr, eps, p_norm, setup=setup)
+                                               corr, eps, spec.p, setup=setup)
         v_eps = sample_oscillatory(g_pair, eps, domain)
-        pairing = two_scale_pairing(v_eps, psi_x, psi_y_pairing, eps)
+        pairing = two_scale_pairing(v_eps, _psi_x, _psi_y_pairing, eps)
         mw_gap = maxwell_two_scale_check(fine.maxwell, domain, eps,
-                                         two_scale_stress, psi_x,
-                                         psi_y_maxwell)
+                                         two_scale_stress, _psi_x,
+                                         _psi_y_maxwell)
         el_gap = None
         if with_elasticity:
             u_eps, _ = solve_fine_elasticity(tensor_b, tensor_c, eps, g_src,
-                                             fine.maxwell, domain, cell_opts)
-            el_gap = abs(functional_pairing(u_eps, psi_vec) - u0_pairing)
+                                             fine.maxwell, domain)
+            el_gap = abs(functional_pairing(u_eps, _psi_vec) - u0_pairing)
         return {
             "errs": errs,
             "pairing": pairing,
@@ -581,7 +573,7 @@ def run_corrector_study(spec, ladder, cell_n=8, fine_m=16, solve_n=32,
         macro_history=list(macro.residual_history),
         provenance={
             "cell_n": cell_n, "fine_m": fine_m, "solve_n": solve_n,
-            "sample_n": sample_n, "p_norm": p_norm, "variant": variant,
+            "sample_n": sample_n, "p_norm": spec.p, "variant": variant,
             "operator": spec.fingerprint(),
             "law": law.provenance(),
         })

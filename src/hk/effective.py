@@ -223,7 +223,7 @@ class EffectiveElasticity:
     grid_n: int = 0
 
 
-def assemble_B_hom(tensor_field, grid, opts=None):
+def assemble_B_hom(tensor_field, grid):
     """Effective elasticity from unit-strain cell solves.
 
     B_hom[i,j,m,n] = ∫ B (E^ij - D(U^ij)) : (E^mn - D(U^mn)) dy over the
@@ -232,9 +232,9 @@ def assemble_B_hom(tensor_field, grid, opts=None):
     solutions = {}
     strains = {}
     for (i, j) in _SYM_PAIRS:
-        sol = solve_elastic_cell_U(tensor_field, grid, i, j, opts)
+        sol = solve_elastic_cell_U(tensor_field, grid, i, j)
         solutions[(i, j)] = sol
-        grad = _fem.qp_grad_vector(sol.values, grid.conn, grid.h)
+        grad = _fem.qp_gradient(sol.values, grid.conn, grid.h)
         strains[(i, j)] = unit_strain(i, j) - 0.5 * (grad + np.swapaxes(grad, -1, -2))
     points = grid.qp_coords()
     lam, mu = tensor_field.lame_at(points)
@@ -286,10 +286,10 @@ def assemble_C_hom(tensor_field, spec, grid, variant="C-applied", opts=None):
     for i in range(2):
         for j in range(2):
             zeta = assemble_zeta(i, j, scalar_solutions[i], scalar_solutions[j])
-            chi = solve_electrostriction_cell(tensor_field, zeta, grid, opts,
+            chi = solve_electrostriction_cell(tensor_field, zeta, grid,
                                               variant=variant, indices=(i, j))
             solutions[(i, j)] = chi
-            grad = _fem.qp_grad_vector(chi.values, grid.conn, grid.h)
+            grad = _fem.qp_gradient(chi.values, grid.conn, grid.h)
             strain = 0.5 * (grad + np.swapaxes(grad, -1, -2))
             if variant == "C-applied":
                 total = strain + zeta

@@ -89,8 +89,7 @@ def _source_at_qp(f, domain):
 def _scalar_fine_residual(spec, loc, domain, phi, rhs):
     grad = _fem.qp_gradient(phi, domain.conn, domain.h)
     flux = spec.flux_local(loc, grad)
-    return _fem.divergence_residual(domain.n_nodes, domain.conn, domain.h,
-                                    flux) - rhs
+    return _fem.divergence_residual(domain, flux) - rhs
 
 
 def solve_fine_electrostatic(spec, eps, f, domain, opts=None):
@@ -108,7 +107,7 @@ def solve_fine_electrostatic(spec, eps, f, domain, opts=None):
     osc = OscillatoryMap(domain, eps, spec.geometry)
     loc = osc.local_coefficients(spec)
     f_qp = _source_at_qp(f, domain)
-    rhs = _fem.load_vector_scalar(domain.n_nodes, domain.conn, domain.h, f_qp)
+    rhs = _fem.load_vector(domain, f_qp)
     free = domain.interior
 
     def residual(rows, phis):
@@ -172,8 +171,7 @@ def maxwell_stress(phi):
     return _contract("eqc,eqd->eqcd", grad, grad)
 
 
-def solve_fine_elasticity(tensor_b, tensor_c, eps, g, sigma_qp, domain,
-                          opts=None):
+def solve_fine_elasticity(tensor_b, tensor_c, eps, g, sigma_qp, domain):
     """Solve ∫ B(x/eps) D(u) : D(v) = ∫ g.v - ∫ C(x/eps) Sigma : D(v).
 
     Sparse direct solve (the fine elastic systems are the largest in the
@@ -183,12 +181,11 @@ def solve_fine_elasticity(tensor_b, tensor_c, eps, g, sigma_qp, domain,
     osc = OscillatoryMap(domain, eps, tensor_b.geometry)
     lam_b, mu_b = osc.lame(tensor_b)
     g_qp = _source_at_qp(g, domain)
-    rhs = _fem.load_vector_vec(domain.n_nodes, domain.conn, domain.h, g_qp)
+    rhs = _fem.load_vector(domain, g_qp)
 
     sig_sym = 0.5 * (sigma_qp + np.swapaxes(sigma_qp, -1, -2))
     stress = _fem.isotropic_stress(*osc.lame(tensor_c), sig_sym)
-    rhs = rhs - _fem.stress_residual(domain.n_nodes, domain.conn, domain.h,
-                                     stress)
+    rhs = rhs - _fem.divergence_residual(domain, stress)
 
     matrix = _fem.assemble_elasticity(domain.conn, domain.h, domain.n_nodes,
                                       lam_qp=lam_b, mu_qp=mu_b)
@@ -209,7 +206,6 @@ def weak_interface_balance(spec, eps, phi, f, domain):
     """
     osc = OscillatoryMap(domain, eps, spec.geometry)
     loc = osc.local_coefficients(spec)
-    f_qp = _source_at_qp(f, domain)
-    rhs = _fem.load_vector_scalar(domain.n_nodes, domain.conn, domain.h, f_qp)
+    rhs = _fem.load_vector(domain, _source_at_qp(f, domain))
     res = _scalar_fine_residual(spec, loc, domain, phi.values, rhs)
     return float(np.abs(res[domain.interior]).max())

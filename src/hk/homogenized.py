@@ -52,7 +52,7 @@ def solve_homogenized_electrostatic(law, f, domain, opts=None):
     """
     opts = opts or MacroOptions()
     f_qp = _source_at_qp(f, domain)
-    rhs = _fem.load_vector_scalar(domain.n_nodes, domain.conn, domain.h, f_qp)
+    rhs = _fem.load_vector(domain, f_qp)
     free = domain.interior
     nel = domain.n_elems
 
@@ -61,8 +61,7 @@ def solve_homogenized_electrostatic(law, f, domain, opts=None):
 
     def residual(rows, phis):
         flux = law.eval_batch(_grad_flat(phis[0], domain), warm=warm)
-        res = _fem.divergence_residual(domain.n_nodes, domain.conn, domain.h,
-                                       flux.reshape(nel, 4, 2)) - rhs
+        res = _fem.divergence_residual(domain, flux.reshape(nel, 4, 2)) - rhs
         return res[None], np.array([np.linalg.norm(res[free])])
 
     def newton_step(rows, phis, res):
@@ -92,8 +91,7 @@ def solve_homogenized_electrostatic(law, f, domain, opts=None):
     if gamma is not None and gamma != 1.0:
         grads0 = _grad_flat(phi, domain)
         flux0 = law.eval_batch(grads0).reshape(nel, 4, 2)
-        rflux = _fem.divergence_residual(domain.n_nodes, domain.conn,
-                                         domain.h, flux0)
+        rflux = _fem.divergence_residual(domain, flux0)
         num = float(rflux[free] @ rhs[free])
         den = float(rflux[free] @ rflux[free])
         if num > 0.0 and den > 0.0:
@@ -153,9 +151,8 @@ def macroscopic_gradient_field(phi0):
     the corrector error floor is not dominated by the raw Q1 gradient
     error of the effective solve.
     """
-    g = phi0.grid
-    vals = _fem.recovered_gradient(phi0.values, g.conn, g.h, g.n_nodes)
-    return VectorField(g, vals)
+    grid = phi0.grid
+    return VectorField(grid, _fem.recovered_gradient(grid, phi0.values))
 
 
 def _gradient_at(phi0, gradient_field, pts):
@@ -209,7 +206,7 @@ def _as_tensor(b_eff):
     return b_eff if isinstance(b_eff, np.ndarray) else b_eff.tensor
 
 
-def solve_homogenized_elasticity(b_eff, c_eff, g, phi0, domain, opts=None,
+def solve_homogenized_elasticity(b_eff, c_eff, g, phi0, domain,
                                  gradient_field=None):
     """Solve ∫ B_hom D(u) : D(v) = ∫ g.v - ∫ C_hom(grad phi0 (x) grad phi0) : D(v).
 
@@ -219,13 +216,12 @@ def solve_homogenized_elasticity(b_eff, c_eff, g, phi0, domain, opts=None,
     """
     tensor = _as_tensor(b_eff)
     g_qp = _source_at_qp(g, domain)
-    rhs = _fem.load_vector_vec(domain.n_nodes, domain.conn, domain.h, g_qp)
+    rhs = _fem.load_vector(domain, g_qp)
     if c_eff is not None and phi0 is not None:
         pts = domain.qp_coords()
         grads = _gradient_at(phi0, gradient_field, pts)
         stress = c_eff.apply(_contract("eqc,eqd->eqcd", grads, grads))
-        rhs = rhs - _fem.stress_residual(domain.n_nodes, domain.conn,
-                                         domain.h, stress)
+        rhs = rhs - _fem.divergence_residual(domain, stress)
     matrix = _fem.assemble_elasticity_constant(domain.conn, domain.h,
                                                domain.n_nodes, tensor)
     free = np.stack([2 * domain.interior, 2 * domain.interior + 1],
@@ -252,8 +248,8 @@ def reconstruct_u1(elastic_solutions, electrostriction_solutions, u0, phi0,
     table = np.zeros((pts.shape[0], n_nodes, 2))
     if u0 is not None:
         ug = u0.grid
-        grad = _fem.point_eval_grad_vector(u0.values, ug.conn, ug.h, ug.n,
-                                           ug.origin, pts)
+        grad = _fem.point_eval_gradient(u0.values, ug.conn, ug.h, ug.n,
+                                        ug.origin, pts)
         strain = 0.5 * (grad + np.swapaxes(grad, -1, -2))
         for (i, j), sol in elastic_solutions.items():
             weight = strain[:, i, j] * (1.0 if i == j else 2.0)

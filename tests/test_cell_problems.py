@@ -335,8 +335,7 @@ def reference_newton(spec, loading, grid):
 
     def residual(rows, etas):
         res = _fem.divergence_residual(
-            grid.n_nodes, grid.conn, grid.h,
-            spec.flux_local(loc, total_gradient(etas[0])))
+            grid, spec.flux_local(loc, total_gradient(etas[0])))
         return res[None], np.array([np.linalg.norm(res)])
 
     def newton_step(rows, etas, res):

@@ -34,8 +34,7 @@ def test_linear_law_matches_direct_solve():
     # direct path: assemble the constant-matrix diffusion problem by hand
     coef = np.broadcast_to(law.matrix, (dom.n_elems, 4, 2, 2))
     matrix = _fem.assemble_diffusion(dom.conn, dom.h, dom.n_nodes, coef)
-    rhs = _fem.load_vector_scalar(dom.n_nodes, dom.conn, dom.h,
-                                  np.ones((dom.n_elems, 4)))
+    rhs = _fem.load_vector(dom, np.ones((dom.n_elems, 4)))
     direct = _fem.solve_dirichlet(matrix, rhs, dom.interior)
     assert np.abs(macro.potential.values - direct).max() < 1e-10
 
