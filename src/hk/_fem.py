@@ -391,9 +391,10 @@ def damped_newton(x, residual, newton_step, tol, max_newton, max_linesearch,
     keeps its last, smallest-t candidate and stays in Newton: for a
     monotone operator the next Newton direction is again a descent
     direction.  Rows still above ``tol`` after ``max_newton`` steps take up
-    to ``max_picard`` undamped ``picard_step(rows, x)`` iterates, the
-    frozen-coefficient iteration, when the caller supplies one.  Returns a
-    NewtonResult; the caller decides what an unconverged row means.
+    to ``max_picard`` steps x <- ``picard_step(rows, x)``, applied as given
+    with no line search, when the caller supplies one (the cell and fine
+    solves pass relaxed frozen-coefficient steps).  Returns a NewtonResult;
+    the caller decides what an unconverged row means.
     """
     x = np.array(x, dtype=float)
     k = x.shape[0]

@@ -369,8 +369,8 @@ class BatchScalarCellSolver:
         opts = self.opts
         etas = np.zeros((loadings.shape[0], self.grid.n_nodes)) \
             if warm is None else warm.copy()
-        etas[(np.linalg.norm(loadings, axis=1) == 0.0)
-             & self.spec.zero_at_origin] = 0.0
+        # every family maps xi = 0 to flux 0, so a zero loading has eta = 0
+        etas[np.linalg.norm(loadings, axis=1) == 0.0] = 0.0
 
         def residual(rows, x):
             res = self._residual(loadings[rows], x)

@@ -12,6 +12,7 @@ import argparse
 import copy
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -84,94 +85,125 @@ def _require(cfg, key, pointer, types=None):
     return val
 
 
-def _positive(value, pointer):
-    if not isinstance(value, (int, float)) or value <= 0:
-        raise ConfigError("must be a positive number", pointer)
+def _object(value, pointer):
+    if not isinstance(value, dict):
+        raise ConfigError("must be a JSON object", pointer)
+    return value
+
+
+def _number(value, pointer):
+    """A finite JSON number as float; booleans are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ConfigError("must be a finite number", pointer)
     return float(value)
+
+
+def _positive(value, pointer):
+    value = _number(value, pointer)
+    if value <= 0:
+        raise ConfigError("must be a positive number", pointer)
+    return value
+
+
+def _integer(value, pointer):
+    value = _number(value, pointer)
+    if value != int(value):
+        raise ConfigError("must be an integer", pointer)
+    return int(value)
+
+
+def _pair(value, pointer, message):
+    """A list of two numbers, as floats."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ConfigError(message, pointer)
+    return [_number(v, f"{pointer}/{k}") for k, v in enumerate(value)]
+
+
+def _check_matrix(value, pointer):
+    """A 2x2 matrix written [[a, b], [c, d]] or [a, b, c, d]."""
+    flat = value if isinstance(value, list) else []
+    if all(isinstance(row, list) and len(row) == 2 for row in flat):
+        flat = [v for row in flat for v in row]
+    if len(flat) != 4:
+        raise ConfigError("matrix must be [[a, b], [c, d]] or [a, b, c, d]",
+                          pointer)
+    for v in flat:
+        _number(v, pointer)
 
 
 def validate_config(cfg, subcommand=None):
     """Validate a raw config dict; returns it with defaults filled in.
 
     Raises ConfigError with a JSON-pointer path on the first violation.
+    Every number is read through ``_number``.  The value rules of the
+    models (alpha and exponent ranges, positive sigma, a laminate
+    fraction in (0, 1), ...) are their constructors', which run on the
+    result; a ValueError from one becomes a ConfigError at its block.
     ``subcommand`` adds that pipeline's own rules (``corrector-study``
     needs at least two rungs to compare).
     """
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object", "")
-    if cfg.get("schema") != SCHEMA_VERSION:
+    schema = cfg.get("schema")
+    if isinstance(schema, bool) or schema != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema (expected {SCHEMA_VERSION})",
                           "/schema")
-    out = {"schema": SCHEMA_VERSION, "seed": int(cfg.get("seed", 0))}
+    out = {"schema": SCHEMA_VERSION,
+           "seed": _integer(cfg.get("seed", 0), "/seed")}
 
     op = _require(cfg, "operator", "", dict)
     family = _require(op, "family", "/operator", str)
     if family not in ("linear", "power-law", "variable-exponent"):
         raise ConfigError(f"unknown family {family!r}", "/operator/family")
     p = _positive(_require(op, "p", "/operator"), "/operator/p")
-    alpha = float(op.get("alpha", min(1.0, p - 1.0)))
-    if not 0.0 <= alpha <= min(1.0, p - 1.0):
-        raise ConfigError("alpha outside [0, min(1, p-1)]", "/operator/alpha")
-    sigma = op.get("sigma", [1.0, 1.0])
-    if not (isinstance(sigma, list) and len(sigma) == 2):
-        raise ConfigError("sigma must be a [matrix, inclusion] pair",
-                          "/operator/sigma")
     operator = {
-        "family": family, "p": p, "alpha": alpha,
-        "delta": float(op.get("delta", 0.0)),
-        "sigma": [float(sigma[0]), float(sigma[1])],
+        "family": family, "p": p,
+        "alpha": _number(op.get("alpha", min(1.0, p - 1.0)),
+                         "/operator/alpha"),
+        "delta": _number(op.get("delta", 0.0), "/operator/delta"),
+        "sigma": _pair(op.get("sigma", [1.0, 1.0]), "/operator/sigma",
+                       "sigma must be a [matrix, inclusion] pair"),
     }
     if family == "variable-exponent":
-        expo = _require(op, "exponent", "/operator", list)
-        if len(expo) != 2 or not 2.0 <= float(expo[1]) <= float(expo[0]):
-            raise ConfigError(
-                "exponent must be [matrix, inclusion] with "
-                "2 <= inclusion <= matrix", "/operator/exponent")
-        operator["exponent"] = [float(expo[0]), float(expo[1])]
-        if p != float(expo[1]):
-            raise ConfigError("p must equal the inclusion exponent",
-                              "/operator/p")
+        operator["exponent"] = _pair(
+            _require(op, "exponent", "/operator"), "/operator/exponent",
+            "exponent must be a [matrix, inclusion] pair")
     if family == "linear" and "matrix" in op:
+        _check_matrix(op["matrix"], "/operator/matrix")
         operator["matrix"] = op["matrix"]
-    structure = op.get("structure", {})
+    structure = _object(op.get("structure", {}), "/operator/structure")
     operator["structure"] = {
-        "lambda_o": _positive(structure.get("lambda_o", 1.0),
-                              "/operator/structure/lambda_o"),
-        "Lambda_o": _positive(structure.get("Lambda_o", 1.0),
-                              "/operator/structure/Lambda_o"),
-        "Lambda_star": _positive(structure.get("Lambda_star", 1.0),
-                                 "/operator/structure/Lambda_star"),
-    }
+        name: _positive(structure.get(name, 1.0),
+                        f"/operator/structure/{name}")
+        for name in ("lambda_o", "Lambda_o", "Lambda_star")}
     out["operator"] = operator
 
-    geom = cfg.get("geometry", {"kind": "uniform"})
+    geom = _object(cfg.get("geometry", {"kind": "uniform"}), "/geometry")
     kind = geom.get("kind", "uniform")
     if kind not in ("uniform", "laminate", "square", "checkerboard", "disc"):
         raise ConfigError(f"unknown geometry kind {kind!r}", "/geometry/kind")
-    out["geometry"] = {"kind": kind,
-                       "fraction": float(geom.get("fraction", 0.5)),
-                       "size": float(geom.get("size", 0.5))}
+    out["geometry"] = {
+        "kind": kind,
+        "fraction": _number(geom.get("fraction", 0.5), "/geometry/fraction"),
+        "size": _number(geom.get("size", 0.5), "/geometry/size")}
 
     elast = cfg.get("elasticity")
     if elast is not None:
+        _object(elast, "/elasticity")
         for name in ("B", "C"):
             block = _require(elast, name, "/elasticity", dict)
             for phase in ("matrix", "inclusion"):
-                pair = _require(block, phase, f"/elasticity/{name}", list)
-                if len(pair) != 2:
-                    raise ConfigError("expected a [lam, mu] pair",
-                                      f"/elasticity/{name}/{phase}")
-        out["elasticity"] = elast
-    else:
-        out["elasticity"] = None
+                _pair(_require(block, phase, f"/elasticity/{name}"),
+                      f"/elasticity/{name}/{phase}",
+                      "expected a [lam, mu] pair")
+    out["elasticity"] = elast
 
-    grids = cfg.get("grids", {})
+    grids = _object(cfg.get("grids", {}), "/grids")
     out["grids"] = {
-        "cell_n": int(grids.get("cell_n", 8)),
-        "fine_m": int(grids.get("fine_m", 16)),
-        "solve_n": int(grids.get("solve_n", 32)),
-        "sample_n": int(grids.get("sample_n", 64)),
-    }
+        key: _integer(grids.get(key, default), f"/grids/{key}")
+        for key, default in (("cell_n", 8), ("fine_m", 16), ("solve_n", 32),
+                             ("sample_n", 64))}
     for key, val in out["grids"].items():
         if val < 2:
             raise ConfigError("grid sizes must be >= 2", f"/grids/{key}")
@@ -186,7 +218,7 @@ def validate_config(cfg, subcommand=None):
     ladder = cfg.get("ladder", [0.25, 0.125, 0.0625, 0.03125])
     if not isinstance(ladder, list) or not ladder:
         raise ConfigError("ladder must be a non-empty list", "/ladder")
-    ladder = [float(e) for e in ladder]
+    ladder = [_number(e, f"/ladder/{idx}") for idx, e in enumerate(ladder)]
     if any(e2 >= e1 for e1, e2 in zip(ladder, ladder[1:])):
         raise ConfigError("ladder must be strictly decreasing", "/ladder")
     for idx, eps in enumerate(ladder):
@@ -208,7 +240,7 @@ def validate_config(cfg, subcommand=None):
         raise ConfigError("corrector-study needs at least 2 rungs", "/ladder")
     out["ladder"] = ladder
 
-    tols = cfg.get("tolerances", {})
+    tols = _object(cfg.get("tolerances", {}), "/tolerances")
     out["tolerances"] = {
         "cell": _positive(tols.get("cell", 1e-10), "/tolerances/cell"),
         "macro": _positive(tols.get("macro", 1e-9), "/tolerances/macro"),
@@ -218,16 +250,27 @@ def validate_config(cfg, subcommand=None):
         raise ConfigError("unknown electrostriction variant", "/chom_variant")
     out["chom_variant"] = variant
 
-    sources = cfg.get("sources", {})
+    sources = _object(cfg.get("sources", {}), "/sources")
     f_src = sources.get("f", "constant:1.0")
-    if isinstance(f_src, str) and f_src != "bump" \
-            and not f_src.startswith("constant:"):
-        raise ConfigError("f must be 'bump', 'constant:<v>', or a number",
-                          "/sources/f")
-    g_src = sources.get("g", [0.0, -1.0])
-    if not (isinstance(g_src, list) and len(g_src) == 2):
-        raise ConfigError("g must be a 2-vector", "/sources/g")
-    out["sources"] = {"f": f_src, "g": [float(g_src[0]), float(g_src[1])]}
+    if isinstance(f_src, str) and f_src.startswith("constant:"):
+        try:
+            _number(float(f_src.split(":", 1)[1]), "/sources/f")
+        except ValueError:
+            raise ConfigError("f must be 'bump', 'constant:<v>', or a number",
+                              "/sources/f") from None
+    elif f_src != "bump":
+        _number(f_src, "/sources/f")
+    out["sources"] = {"f": f_src,
+                      "g": _pair(sources.get("g", [0.0, -1.0]), "/sources/g",
+                                 "g must be a 2-vector")}
+
+    for pointer, build in (("/geometry", build_geometry),
+                           ("/operator", build_spec),
+                           ("/elasticity", build_tensors)):
+        try:
+            build(out)
+        except ValueError as exc:
+            raise ConfigError(str(exc), pointer) from None
     return out
 
 

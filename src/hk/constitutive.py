@@ -249,11 +249,6 @@ class OperatorSpec:
             return self.p - 1.0
         return None
 
-    @property
-    def zero_at_origin(self):
-        """All built-in families map xi = 0 to flux 0."""
-        return True
-
     def fingerprint(self):
         parts = [self.family, f"p={self.p:.12g}", f"a={self.alpha:.12g}",
                  f"d={self.delta:.12g}", self.geometry.kind,
@@ -408,11 +403,6 @@ class ElasticTensorField:
         lam = np.where(chi, self.lame[1][0], self.lame[0][0])
         mu = np.where(chi, self.lame[1][1], self.lame[0][1])
         return lam, mu
-
-    @property
-    def is_constant(self):
-        return (self.geometry.kind == "uniform"
-                or np.array_equal(self.tensors[0], self.tensors[1]))
 
     def has_elastic_symmetries(self, tol=1e-15):
         """Entrywise B_{ijkh} = B_{jikh} = B_{ijhk} for both phases."""

@@ -496,8 +496,9 @@ def run_corrector_study(spec, ladder, cell_n=8, fine_m=16, solve_n=32,
     phi0 = macro.potential
     grad_field = macroscopic_gradient_field(phi0) if recover_gradient else None
     sample_grid = DomainGrid(sample_n)
-    corr = reconstruct_phi1(law, phi0, cell_grid, sample_grid=sample_grid,
-                            gradient_field=grad_field)
+    corr = reconstruct_phi1(law, phi0, sample_grid=sample_grid,
+                            gradient_field=grad_field,
+                            cell_potentials=macro.cell_potentials)
 
     with_elasticity = tensor_b is not None and tensor_c is not None
     u0 = None

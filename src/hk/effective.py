@@ -1,14 +1,15 @@
 """Effective tensors assembled from cell solutions.
 
-The effective flux law is an evaluable map backed by on-demand cell
-solves with an exact-key cache; the effective elasticity and
-electrostriction tensors are constant fourth-order tensors.  Two
-variants of the electrostriction average are shipped (see
-``assemble_C_hom``); "C-applied" is the default because it reproduces
-the fine-scale law when the coefficients are constant.
+The effective flux law is an evaluable map backed by batched cell solves;
+it keeps no solutions between calls, so a caller that reads them back
+(the macro Newton's tangent, the corrector's warm start) keeps them
+itself.  The effective elasticity and electrostriction tensors are
+constant fourth-order tensors.  Two variants of the electrostriction
+average are shipped (see ``assemble_C_hom``); "C-applied" is the default
+because it reproduces the fine-scale law when the coefficients are
+constant.
 """
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,30 +25,22 @@ from .errors import NonConvergence
 _SAFE_POINT = np.array([-0.25, -0.25])  # off-interface for all geometries
 
 
-def _cache_key(xi):
-    return (round(float(xi[0]), 12), round(float(xi[1]), 12))
-
-
 class EffectiveLaw:
     """Evaluable effective flux map xi -> mean of a(y, xi + grad eta_xi).
 
-    Evaluations and cell solutions are cached on xi rounded to 12 digits;
-    each missing key is solved once, whichever of ``eval_batch``,
-    ``solutions_for`` or ``jacobian_batch`` asked first.  Constant laws
-    shortcut to the pointwise flux; linear laws to a constant matrix and
-    a potential basis from two unit-loading cell solves.  Everything else
-    runs batched cell solves on ``_batch``, which every mode has for the
-    attached residuals.  The cache takes a lock, so concurrent reads are
-    safe.
+    ``solve`` returns the fluxes and the cell potentials eta_xi of a batch
+    of loadings.  Constant laws shortcut to the pointwise flux and zero
+    potentials; linear laws to a constant matrix and a potential basis
+    from two unit-loading cell solves.  Everything else runs batched cell
+    solves on ``_batch``, which every mode has for the attached
+    residuals.  Nothing is stored between calls, so one law can serve
+    several threads.
     """
 
     def __init__(self, spec, grid, opts=None):
         self.spec = spec
         self.grid = grid
         self.opts = opts or SolverOptions()
-        self._cache = {}
-        self._solution_cache = {}
-        self._lock = threading.Lock()
         self._batch = BatchScalarCellSolver(spec, grid, self.opts)
         if spec.is_constant:
             self.mode = "constant"
@@ -62,59 +55,32 @@ class EffectiveLaw:
 
     # -- evaluation --------------------------------------------------------
 
+    def solve(self, loadings, warm=None):
+        """Effective fluxes (K, 2) and zero-mean cell potentials (K, n^2).
+
+        ``warm`` optionally provides initial cell iterates (K, n^2); only
+        general laws run cell solves, so the other modes ignore it.
+        """
+        loadings = np.asarray(loadings, dtype=float)
+        if self.mode == "constant":
+            return (self.spec.flux_local(self._constant_loc(loadings),
+                                         loadings),
+                    np.zeros((loadings.shape[0], self.grid.n_nodes)))
+        if self.mode == "linear":
+            return (loadings @ self.matrix.T,
+                    _contract("kd,dn->kn", loadings, self._basis))
+        return self._solve_loadings(loadings, warm=warm)
+
     def eval(self, xi):
         return self.eval_batch(np.asarray(xi, dtype=float)[None, :])[0]
 
-    def eval_batch(self, loadings, warm=None):
-        """Effective flux for loadings (K, 2); cached on 12-digit keys.
-
-        ``warm`` optionally provides initial cell iterates (K, n^2) for
-        the loadings that miss the cache (nearby loadings from a previous
-        outer iteration cut the inner Newton cost).
-        """
-        loadings = np.asarray(loadings, dtype=float)
-        if self.mode == "constant":
-            return self.spec.flux_local(self._constant_loc(loadings), loadings)
-        if self.mode == "linear":
-            return loadings @ self.matrix.T
-        return self._lookup(loadings, warm, self._cache)
+    def eval_batch(self, loadings):
+        """Effective flux for loadings (K, 2)."""
+        return self.solve(loadings)[0]
 
     def solutions_for(self, loadings, warm=None):
-        """Zero-mean cell potentials per loading, (K, n^2).
-
-        Solutions are cached on the same exact keys as the values; nearby
-        loadings are never merged.
-        """
-        loadings = np.asarray(loadings, dtype=float)
-        if self.mode == "constant":
-            return np.zeros((loadings.shape[0], self.grid.n_nodes))
-        if self.mode == "linear":
-            return _contract("kd,dn->kn", loadings, self._basis)
-        return self._lookup(loadings, warm, self._solution_cache)
-
-    def _lookup(self, loadings, warm, cache):
-        """Rows of ``cache`` for each loading; misses are solved once per key."""
-        keys = [_cache_key(xi) for xi in loadings]
-        missing = {}
-        with self._lock:
-            found = {key: cache[key] for key in keys if key in cache}
-        for idx, key in enumerate(keys):
-            if key not in found:
-                missing.setdefault(key, idx)
-        if missing:
-            rows = list(missing.values())
-            w = None if warm is None else warm[rows]
-            values, etas = self._solve_loadings(loadings[rows], warm=w)
-            with self._lock:
-                for row, key in enumerate(missing):
-                    self._cache[key] = values[row]
-                    self._solution_cache[key] = etas[row]
-                    found[key] = cache[key]
-        width = 2 if cache is self._cache else self.grid.n_nodes
-        out = np.zeros((len(keys), width))
-        for idx, key in enumerate(keys):
-            out[idx] = found[key]
-        return out
+        """Zero-mean cell potentials per loading, (K, n^2)."""
+        return self.solve(loadings, warm=warm)[1]
 
     def _constant_loc(self, loadings):
         return self.spec.local_coefficients(
@@ -133,14 +99,15 @@ class EffectiveLaw:
 
     # -- derivatives -------------------------------------------------------
 
-    def jacobian_batch(self, loadings, warm=None):
+    def jacobian_batch(self, loadings, etas=None):
         """Consistent tangents d a_hom / d xi, (K, 2, 2).
 
         d a_hom / d xi = ∫ A(y, p) (I + grad w) with p = xi + grad eta_xi,
         A = d a / d xi and w_j the linearized cell solution for the unit
-        loading e_j.  The cell solutions come from the cache (``warm``
-        seeds the ones that miss); each tangent costs two linear solves
-        with the Newton matrix at the converged solution.
+        loading e_j.  ``etas`` are the cell solutions at the loadings, as
+        ``solve`` returned them; when None they are solved first.  Each
+        tangent costs two linear solves with the Newton matrix at the
+        converged solution.
         """
         loadings = np.asarray(loadings, dtype=float)
         if self.mode == "constant":
@@ -150,7 +117,8 @@ class EffectiveLaw:
         if self.mode == "linear":
             return np.broadcast_to(self.matrix,
                                    (loadings.shape[0], 2, 2)).copy()
-        etas = self.solutions_for(loadings, warm=warm)
+        if etas is None:
+            etas = self.solutions_for(loadings)
         return self._batch.tangents(loadings, etas)
 
     def jacobian(self, xi):
@@ -166,25 +134,9 @@ class EffectiveLaw:
         }
 
 
-_LAW_REGISTRY = {}
-_LAW_LOCK = threading.Lock()
-
-
-def effective_law(spec, grid, opts=None):
-    """Shared EffectiveLaw instance per (spec, grid, tolerance)."""
-    opts = opts or SolverOptions()
-    key = (spec.fingerprint(), grid.n, opts.tol)
-    with _LAW_LOCK:
-        law = _LAW_REGISTRY.get(key)
-        if law is None:
-            law = EffectiveLaw(spec, grid, opts)
-            _LAW_REGISTRY[key] = law
-    return law
-
-
 def eval_a_hom(spec, xi, grid, opts=None):
-    """Effective flux at one loading; cached per loading."""
-    return effective_law(spec, grid, opts).eval(xi)
+    """Effective flux at one loading."""
+    return EffectiveLaw(spec, grid, opts).eval(xi)
 
 
 def linear_case_b_hom(spec, grid, opts=None):

@@ -4,9 +4,10 @@ The macroscopic electrostatic problem is solved by Newton iteration on
 the effective flux law with its consistent tangent, refreshed at every
 iteration.  Every residual evaluation asks the law for effective fluxes
 at all quadrature points, which for general laws means one cell solve
-per new quadrature-point loading; each solve is warm-started from the
-cell solutions of the current iterate, and the law's exact-key cache
-makes the tangent and the next iterate's lookups free.
+per quadrature-point loading.  The cell solutions travel with the
+iterate that produced them: the tangent is taken at them, the next line
+search warm-starts from them, and the final iterate's solutions warm-start
+the corrector reconstruction.
 """
 
 from dataclasses import dataclass, field
@@ -33,6 +34,8 @@ class HomogenizedSolution:
     residual: float
     iterations: int
     residual_history: list = field(default_factory=list)
+    # cell solutions at the final iterate, (4 nel, n^2); None if linear
+    cell_potentials: np.ndarray = None
 
 
 def _grad_flat(phi, domain):
@@ -47,8 +50,9 @@ def solve_homogenized_electrostatic(law, f, domain, opts=None):
     consistent tangent of the law (monotonicity makes the Newton
     direction a descent direction for the residual), with no
     frozen-coefficient fallback.  Every cell loading is solved once:
-    line-search residuals warm-start from the current iterate's cell
-    solutions, and the tangent reads those solutions from the cache.
+    each residual keeps the cell solutions of the iterate it evaluated,
+    the tangent is taken at those solutions, and the line-search
+    residuals warm-start from them.
     """
     opts = opts or MacroOptions()
     f_qp = _source_at_qp(f, domain)
@@ -57,21 +61,29 @@ def solve_homogenized_electrostatic(law, f, domain, opts=None):
     nel = domain.n_elems
 
     warm = None     # cell iterates that residual evaluations start from
+    etas = None     # cell solutions of the iterate last evaluated
     history = []    # residual norm before each Newton step, then the last
 
-    def residual(rows, phis):
-        flux = law.eval_batch(_grad_flat(phis[0], domain), warm=warm)
+    def flux_residual(flux):
         res = _fem.divergence_residual(domain, flux.reshape(nel, 4, 2)) - rhs
         return res[None], np.array([np.linalg.norm(res[free])])
 
+    def residual(rows, phis):
+        nonlocal etas
+        flux, etas = law.solve(_grad_flat(phis[0], domain), warm=warm)
+        return flux_residual(flux)
+
     def newton_step(rows, phis, res):
+        # with one row, damped_newton always evaluates the iterate it steps
+        # from last (the start, or the line-search trial it accepted), so
+        # ``etas`` are the cell solutions at phis[0]
         nonlocal warm
         history.append(float(np.linalg.norm(res[0, free])))
-        grads = _grad_flat(phis[0], domain)
-        warm = law.solutions_for(grads)
-        jac = law.jacobian_batch(grads).reshape(nel, 4, 2, 2)
+        warm = etas
+        jac = law.jacobian_batch(_grad_flat(phis[0], domain), etas)
         matrix = _fem.assemble_diffusion(domain.conn, domain.h,
-                                         domain.n_nodes, jac)
+                                         domain.n_nodes,
+                                         jac.reshape(nel, 4, 2, 2))
         return _fem.solve_dirichlet(matrix, -res[0], free)[None]
 
     if law.mode == "linear":
@@ -79,7 +91,8 @@ def solve_homogenized_electrostatic(law, f, domain, opts=None):
         matrix = _fem.assemble_diffusion(domain.conn, domain.h,
                                          domain.n_nodes, coef)
         phi = _fem.solve_dirichlet(matrix, rhs, free)
-        rnorm = float(residual(None, phi[None])[1][0])
+        flux = law.eval_batch(_grad_flat(phi, domain))
+        rnorm = float(flux_residual(flux)[1][0])
         return HomogenizedSolution(ScalarField(domain, phi), rnorm, 1, [rnorm])
 
     # initial iterate: identity-coefficient surrogate, rescaled to match
@@ -89,16 +102,15 @@ def solve_homogenized_electrostatic(law, f, domain, opts=None):
     phi = _fem.solve_dirichlet(matrix, rhs, free)
     gamma = law.spec.homogeneity_degree
     if gamma is not None and gamma != 1.0:
-        grads0 = _grad_flat(phi, domain)
-        flux0 = law.eval_batch(grads0).reshape(nel, 4, 2)
-        rflux = _fem.divergence_residual(domain, flux0)
+        flux0, etas0 = law.solve(_grad_flat(phi, domain))
+        rflux = _fem.divergence_residual(domain, flux0.reshape(nel, 4, 2))
         num = float(rflux[free] @ rhs[free])
         den = float(rflux[free] @ rflux[free])
         if num > 0.0 and den > 0.0:
             scale = (num / den) ** (1.0 / gamma)
             phi = phi * scale
             # eta(s xi) = s eta(xi) for a homogeneous law: an exact start
-            warm = scale * law.solutions_for(grads0)
+            warm = scale * etas0
 
     out = _fem.damped_newton(phi[None], residual, newton_step, opts.tol,
                              opts.max_iter, opts.max_linesearch)
@@ -111,7 +123,7 @@ def solve_homogenized_electrostatic(law, f, domain, opts=None):
             f"homogenized electrostatic solve: residual {rnorm:.3e} after "
             f"{iterations} iterations", residual=rnorm, iterations=iterations)
     return HomogenizedSolution(ScalarField(domain, phi), rnorm, iterations,
-                               history)
+                               history, etas)
 
 
 # ---------------------------------------------------------------------------
@@ -165,27 +177,27 @@ def _gradient_at(phi0, gradient_field, pts):
                                     g.origin, pts)
 
 
-def reconstruct_phi1(law, phi0, cell_grid, sample_grid=None,
-                     gradient_field=None):
-    """Per-quadrature-point corrector gradients from cached cell solves.
+def reconstruct_phi1(law, phi0, sample_grid=None, gradient_field=None,
+                     cell_potentials=None):
+    """Per-quadrature-point corrector gradients from attached cell solves.
 
     The corrector gradient at (x, y) is p(y, grad phi0(x)) - grad phi0(x);
     here the macroscopic gradient is sampled at the quadrature points of
     ``sample_grid`` (default: the grid phi0 was solved on) and one cell
-    solve is attached to each.  ``gradient_field`` optionally replaces
-    the raw Q1 gradient of phi0 (e.g. the recovered gradient).  Means
-    over the unit cell vanish because the attached potentials are
-    periodic.  Each sample solve warm-starts from the cell solution at the
-    nearest quadrature point of phi0's grid (cached by the macro solve).
+    solve on ``law.grid`` is attached to each.  ``gradient_field``
+    optionally replaces the raw Q1 gradient of phi0 (e.g. the recovered
+    gradient).  Means over the unit cell vanish because the attached
+    potentials are periodic.  ``cell_potentials`` are the cell solutions
+    at the quadrature points of phi0's grid, as the macro solve returns
+    them; when given, each sample solve warm-starts from the one at the
+    nearest quadrature point.
     """
     sample_grid = sample_grid or phi0.grid
     pts = sample_grid.qp_coords().reshape(-1, 2)
     loadings = _gradient_at(phi0, gradient_field, pts)
     warm = None
-    if law.mode == "general":
-        g = phi0.grid
-        warm = law.solutions_for(_grad_flat(phi0.values, g))[
-            _nearest_qp(g, pts)]
+    if cell_potentials is not None:
+        warm = cell_potentials[_nearest_qp(phi0.grid, pts)]
     potentials = law.solutions_for(loadings, warm=warm)
     return CorrectorData(sample_grid, law.grid, loadings, potentials,
                          *law._batch.attached_residuals(loadings, potentials))

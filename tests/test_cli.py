@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hk.cli import (PRESETS, config_hash, load_config, main, run,
-                    validate_config)
+from hk.cli import (PRESETS, build_source_f, build_spec, build_tensors,
+                    config_hash, load_config, main, run, validate_config)
 from hk.errors import ConfigError
 
 
@@ -255,3 +257,90 @@ def test_study_one_rung_ladder_exits_3(tmp_path, capsys):
     assert "/ladder" in capsys.readouterr().err
     # one rung is enough for the per-rung fine solves
     assert run("fine", str(path), str(tmp_path / "fine")) == 0
+
+
+def _set_leaf(cfg, pointer, value):
+    *parents, key = pointer.strip("/").split("/")
+    node = cfg
+    for part in parents:
+        node = node[int(part) if isinstance(node, list) else part]
+    node[int(key) if isinstance(node, list) else key] = value
+
+
+@pytest.mark.parametrize("preset, pointer, value, subcommand", [
+    ("laminate-p2", "/operator/matrix", "abc", "verify"),
+    ("laminate-p2", "/operator/matrix", [1, 2, 3], "verify"),
+    ("laminate-p2", "/operator/sigma", ["a", 1], "verify"),
+    ("laminate-p3", "/operator/sigma", [-1, 1], "verify"),
+    ("laminate-p3", "/operator/alpha", "z", "verify"),
+    ("laminate-p3", "/operator/delta", "z", "verify"),
+    ("laminate-p2", "/operator/structure", [1], "verify"),
+    ("laminate-p2", "/geometry", [1], "verify"),
+    ("laminate-p2", "/geometry/fraction", 1.5, "verify"),
+    ("laminate-p2", "/geometry/fraction", "a", "verify"),
+    ("laminate-p2", "/elasticity/B/matrix", ["a", 1], "verify"),
+    ("laminate-p2", "/grids/cell_n", "x", "verify"),
+    ("laminate-p2", "/seed", "x", "verify"),
+    ("laminate-p2", "/ladder", ["a"], "verify"),
+    ("laminate-p2", "/sources/f", [1], "fine"),
+    ("laminate-p2", "/sources/f", "constant:nan", "fine"),
+    ("laminate-p2", "/sources/f", "constant:x", "fine"),
+])
+def test_malformed_field_exits_3(tmp_path, capsys, preset, pointer, value,
+                                 subcommand):
+    cfg = load_config(preset)
+    _set_leaf(cfg, pointer, value)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert run(subcommand, str(path), str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error at /")
+    assert "Traceback" not in err
+    # the field, an entry of it, or the block whose model constructor
+    # rejected it
+    reported = err.split(":")[0].removeprefix("config error at ") + "/"
+    assert reported.startswith(pointer + "/") \
+        or (pointer + "/").startswith(reported)
+
+
+def _leaf_pointers(node, pointer=""):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [pointer]
+    return [leaf for key, child in items
+            for leaf in _leaf_pointers(child, f"{pointer}/{key}")]
+
+
+_MUTANT_LEAVES = sorted({(name, leaf) for name, cfg in PRESETS.items()
+                         for leaf in _leaf_pointers(cfg)})
+
+# a string, boolean, null, list, object, zero, a negative number or a
+# non-integer in place of the leaf
+_REPLACEMENTS = st.one_of(
+    st.text(max_size=8), st.booleans(), st.none(),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    st.just(0), st.just(0.0),
+    st.integers(-10**6, -1), st.floats(-1e6, -1e-6),
+    st.floats(0.01, 100.0).filter(lambda v: v != int(v)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.sampled_from(_MUTANT_LEAVES), _REPLACEMENTS)
+def test_validate_config_mutated_leaf_property(leaf, value):
+    # validation either names the field or returns a config whose models
+    # build; no grid is built and nothing is solved
+    name, pointer = leaf
+    cfg = load_config(name)
+    _set_leaf(cfg, pointer, value)
+    try:
+        out = validate_config(cfg)
+    except ConfigError as exc:
+        assert exc.pointer == "" or exc.pointer.startswith("/")
+        return
+    build_spec(out)
+    build_tensors(out)
+    build_source_f(out)

@@ -188,7 +188,7 @@ def test_explicit_error_constant_coefficients_floor():
     law = EffectiveLaw(spec, cell)
     dom = DomainGrid(32)
     macro = solve_homogenized_electrostatic(law, 1.0, dom)
-    corr = reconstruct_phi1(law, macro.potential, cell, sample_grid=dom)
+    corr = reconstruct_phi1(law, macro.potential, sample_grid=dom)
     from hk.fine_scale import solve_fine_electrostatic
     fine = solve_fine_electrostatic(spec, 0.25, 1.0, dom)
     errs = corrector_error_explicit(fine.potential, macro.potential, corr,
@@ -236,7 +236,7 @@ def test_study_constant_coefficients_small():
     law = EffectiveLaw(spec, cell)
     dom = DomainGrid(32)
     macro = solve_homogenized_electrostatic(law, 1.0, dom)
-    corr = reconstruct_phi1(law, macro.potential, cell, sample_grid=dom)
+    corr = reconstruct_phi1(law, macro.potential, sample_grid=dom)
     fine = solve_fine_electrostatic(spec, 0.25, 1.0, dom,
                                     SolverOptions(tol=1e-12))
     errs = corrector_error_explicit(fine.potential, macro.potential, corr,
@@ -263,7 +263,7 @@ def test_averaged_error_triangle_inequality():
     law = EffectiveLaw(spec, cell)
     macro = solve_homogenized_electrostatic(law, 1.0, DomainGrid(16))
     sample = DomainGrid(32)
-    corr = reconstruct_phi1(law, macro.potential, cell, sample_grid=sample)
+    corr = reconstruct_phi1(law, macro.potential, sample_grid=sample)
     from hk.fine_scale import solve_fine_electrostatic
     eps = 0.125
     dom = DomainGrid(int(16 / eps))
@@ -283,11 +283,19 @@ def test_averaged_error_triangle_inequality():
     assert errs["E_avg"] <= errs["E_exp"] + dist + 1e-12
 
 
-def test_study_threads_bitwise_deterministic():
-    spec = OperatorSpec(family="linear",
-                        geometry=Geometry(kind="laminate", fraction=0.5),
-                        sigma=(1.0, 4.0))
-    kw = dict(cell_n=8, fine_m=8, solve_n=16, sample_n=32)
+@pytest.mark.parametrize("spec, kw", [
+    (OperatorSpec(family="linear",
+                  geometry=Geometry(kind="laminate", fraction=0.5),
+                  sigma=(1.0, 4.0)),
+     dict(cell_n=8, fine_m=8, solve_n=16, sample_n=32)),
+    # a nonlinear law: the rungs run batched Dal Maso cell solves on one
+    # law from two threads
+    (OperatorSpec(family="power-law", p=3.0, alpha=1.0,
+                  geometry=Geometry(kind="laminate", fraction=0.5),
+                  sigma=(1.0, 4.0)),
+     dict(cell_n=8, fine_m=8, solve_n=8, sample_n=16)),
+], ids=["linear", "p3"])
+def test_study_threads_bitwise_deterministic(spec, kw):
     r1 = run_corrector_study(spec, [0.25, 0.125], threads=1, **kw)
     r2 = run_corrector_study(spec, [0.25, 0.125], threads=2, **kw)
     for key in r1.errors:

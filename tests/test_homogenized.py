@@ -37,6 +37,7 @@ def test_linear_law_matches_direct_solve():
     rhs = _fem.load_vector(dom, np.ones((dom.n_elems, 4)))
     direct = _fem.solve_dirichlet(matrix, rhs, dom.interior)
     assert np.abs(macro.potential.values - direct).max() < 1e-10
+    assert macro.cell_potentials is None
 
 
 def test_constant_law_equals_fine_solve():
@@ -79,7 +80,7 @@ def test_reconstruct_phi1_constant_coefficients():
     spec = OperatorSpec(family="linear", geometry=UNIFORM, sigma=(2.0, 2.0))
     law = EffectiveLaw(spec, make_cell_grid(8))
     macro = solve_homogenized_electrostatic(law, 1.0, DomainGrid(16))
-    corr = reconstruct_phi1(law, macro.potential, law.grid)
+    corr = reconstruct_phi1(law, macro.potential)
     assert np.abs(corr.potentials).max() == 0.0
 
 
@@ -88,7 +89,7 @@ def test_reconstruct_phi1_mean_zero():
                         geometry=LAMINATE, sigma=(1.0, 4.0))
     law = EffectiveLaw(spec, make_cell_grid(8))
     macro = solve_homogenized_electrostatic(law, 1.0, DomainGrid(8))
-    corr = reconstruct_phi1(law, macro.potential, law.grid)
+    corr = reconstruct_phi1(law, macro.potential)
     assert np.abs(corr.potentials.mean(axis=1)).max() < 1e-10
 
 
@@ -98,7 +99,7 @@ def test_reconstruct_phi1_linear_laminate_formula():
     cell = make_cell_grid(32)
     law = EffectiveLaw(spec, cell)
     macro = solve_homogenized_electrostatic(law, 1.0, DomainGrid(16))
-    corr = reconstruct_phi1(law, macro.potential, cell)
+    corr = reconstruct_phi1(law, macro.potential)
     q, _ = laminate_flux_balance([1.0, 4.0], [0.5, 0.5], 2.0)
     k = 7  # arbitrary sample quadrature point
     grads = corr.grad_y_fields([k])[0]
@@ -116,7 +117,8 @@ def test_identity_residuals_at_every_sample_point():
                         geometry=LAMINATE, sigma=(1.0, 4.0))
     law = EffectiveLaw(spec, make_cell_grid(8))
     macro = solve_homogenized_electrostatic(law, 1.0, DomainGrid(16))
-    corr = reconstruct_phi1(law, macro.potential, law.grid)
+    corr = reconstruct_phi1(law, macro.potential,
+                            cell_potentials=macro.cell_potentials)
     assert corr.identity_residuals.max() <= 1e-9
     assert corr.cell_residuals.max() <= 1e-9
 
@@ -130,7 +132,7 @@ def test_reconstruct_phi1_residuals_on_fine_cell_grid():
     dom = DomainGrid(4)
     xy = dom.node_coords()
     phi0 = ScalarField(dom, xy[:, 0] + 0.5 * xy[:, 1])  # one loading
-    corr = reconstruct_phi1(law, phi0, law.grid)
+    corr = reconstruct_phi1(law, phi0)
     scale = SolverOptions().tol * max(1.0, np.linalg.norm([1.0, 0.5])) ** 2
     for res in (corr.cell_residuals, corr.identity_residuals):
         assert np.isfinite(res).all()
@@ -242,12 +244,12 @@ def test_reconstruct_u1_mean_zero_and_reduction():
 
 def test_macro_newton_solves_each_loading_once(monkeypatch):
     from hk.cell_problems import BatchScalarCellSolver
-    from hk.effective import _cache_key
     solved = []
     original = BatchScalarCellSolver.solve
 
     def recording(self, loadings, warm=None):
-        solved.extend(_cache_key(xi) for xi in loadings)
+        solved.extend((round(float(xi[0]), 12), round(float(xi[1]), 12))
+                      for xi in loadings)
         return original(self, loadings, warm=warm)
 
     monkeypatch.setattr(BatchScalarCellSolver, "solve", recording)
@@ -259,3 +261,20 @@ def test_macro_newton_solves_each_loading_once(monkeypatch):
     assert solved
     assert len(solved) == len(set(solved))
     assert law.provenance()["jacobian"] == "consistent tangent"
+
+
+def test_macro_returns_cell_potentials_of_final_iterate():
+    # the potentials come from the residual of the final iterate, not from
+    # the iterate Newton stepped from or an earlier line-search trial
+    from hk.cell_problems import _tol_scale
+    spec = OperatorSpec(family="power-law", p=3.0, alpha=1.0,
+                        geometry=LAMINATE, sigma=(1.0, 4.0))
+    law = EffectiveLaw(spec, make_cell_grid(8))
+    dom = DomainGrid(8)
+    macro = solve_homogenized_electrostatic(law, 1.0, dom)
+    assert macro.iterations >= 2
+    assert macro.cell_potentials.shape == (4 * dom.n_elems, law.grid.n_nodes)
+    grads = _fem.qp_gradient(macro.potential.values, dom.conn,
+                             dom.h).reshape(-1, 2)
+    cell, _ = law._batch.attached_residuals(grads, macro.cell_potentials)
+    assert (cell <= law.opts.tol * _tol_scale(spec, grads)).all()
