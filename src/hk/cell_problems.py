@@ -255,7 +255,16 @@ class BatchScalarCellSolver:
         self.loc = {k: v[None, ...] for k, v in
                     spec.local_coefficients(grid.qp_coords()).items()}
         self._w = grid.h * grid.h * _fem.REF_WEIGHTS
-        self._g = _fem.SHAPE_GRAD / grid.h
+        g = _fem.SHAPE_GRAD / grid.h
+        # constant element operators, applied as 2-D matmuls over the
+        # (k * nel) elements of a batch: nodal values (a) -> gradients
+        # (q, d); fluxes (q, d) -> ∫ flux . grad v per node (a); Jacobians
+        # (q, d, c) -> element blocks ∫ grad v_a . A grad v_b (a, b)
+        self._grad_op = g.transpose(1, 0, 2).reshape(4, 8)
+        self._div_op = (self._w[:, None, None] * g).transpose(0, 2, 1) \
+            .reshape(8, 4)
+        self._block_op = _contract("q,qad,qbc->qdcab", self._w, g, g) \
+            .reshape(16, 16)
         conn = grid.conn
         nn = grid.n_nodes
         order = _folded_order(grid.n)
@@ -283,9 +292,9 @@ class BatchScalarCellSolver:
 
     def _total_gradient(self, loadings, etas):
         """loading + grad eta at quadrature points for a batch, (k, nel, 4, 2)."""
-        grid = self.grid
-        grad = _contract("qad,kea->keqd", _fem.SHAPE_GRAD,
-                         etas[:, grid.conn]) / grid.h
+        k = etas.shape[0]
+        grad = (etas[:, self.grid.conn].reshape(-1, 4) @ self._grad_op) \
+            .reshape(k, -1, 4, 2)
         grad += loadings[:, None, None, :]
         return grad
 
@@ -296,8 +305,9 @@ class BatchScalarCellSolver:
 
     def _divergence(self, flux):
         """Assembled ∫ flux . grad v for quadrature-point fluxes, (k, nn)."""
+        k = flux.shape[0]
         return self._scatter(
-            _contract("q,keqd,qad->kea", self._w, flux, self._g))
+            (flux.reshape(-1, 8) @ self._div_op).reshape(k, -1, 4))
 
     def _residual(self, loadings, etas):
         """Assembled residual vectors for a batch, (k, nn)."""
@@ -319,8 +329,7 @@ class BatchScalarCellSolver:
         positive definite.
         """
         k = jac.shape[0]
-        blocks = _contract("q,qad,keqdc,qbc->keab", self._w, self._g, jac,
-                           self._g)
+        blocks = jac.reshape(-1, 16) @ self._block_op
         band = self._band_scatter @ blocks.reshape(k, -1).T
         m = self.grid.n_nodes - 1
         b = rhs[:, self._unknowns]
@@ -342,28 +351,39 @@ class BatchScalarCellSolver:
             yield slice(start, min(start + self.chunk, k))
 
     def _tangent_chunk(self, loadings, etas):
+        k = loadings.shape[0]
         jac = self._local_jacobians(loadings, etas)
         # rhs_j = -∫ A e_j . grad v, one column per direction j
-        w = self._band_solve(jac, -self._scatter(
-            _contract("q,keqdj,qad->keaj", self._w, jac, self._g)))
-        total = _contract("qad,keaj->keqdj", _fem.SHAPE_GRAD,
-                          w[:, self.grid.conn]) / self.grid.h + np.eye(2)
-        return _contract("q,keqid,keqdj->kij", self._w, jac, total)
+        w = self._band_solve(jac, -np.stack(
+            [self._divergence(jac[..., j]) for j in range(2)], axis=-1))
+        w -= w.mean(axis=1, keepdims=True)
+        tangent = np.empty((k, 2, 2))
+        for j, unit in enumerate(np.eye(2)):
+            total = self._total_gradient(np.broadcast_to(unit, (k, 2)),
+                                         w[..., j])
+            tangent[..., j] = _contract("q,keqid,keqd->ki", self._w, jac,
+                                        total)
+        return tangent, w
 
     def tangents(self, loadings, etas):
-        """Consistent tangents d a_hom / d xi at converged potentials, (K, 2, 2).
+        """Consistent tangents and cell-solution derivatives at converged potentials.
 
         For each loading xi with cell solution eta, w_j solves the
         linearized cell problem ∫ A (e_j + grad w_j) . grad v = 0 with
         A = d a / d xi at xi + grad eta, i.e. the Newton matrix at the
-        converged solution with node 0 pinned; the tangent is
-        ∫ A (I + grad w).
+        converged solution with node 0 pinned.  Returns the tangents
+        d a_hom / d xi = ∫ A (I + grad w), (K, 2, 2), and the zero-mean
+        W = [w_1 w_2] = d eta / d xi, (K, n^2, 2): eta + W (xi' - xi) is
+        the first-order predictor of the cell solution at a nearby
+        loading xi'.
         """
         loadings = np.asarray(loadings, dtype=float)
-        out = np.zeros((loadings.shape[0], 2, 2))
-        for sl in self._chunks(out.shape[0]):
-            out[sl] = self._tangent_chunk(loadings[sl], etas[sl])
-        return out
+        k = loadings.shape[0]
+        tangent = np.zeros((k, 2, 2))
+        w = np.zeros((k, self.grid.n_nodes, 2))
+        for sl in self._chunks(k):
+            tangent[sl], w[sl] = self._tangent_chunk(loadings[sl], etas[sl])
+        return tangent, w
 
     def _solve_chunk(self, loadings, warm):
         opts = self.opts

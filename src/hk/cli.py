@@ -35,6 +35,18 @@ from .homogenized import (MacroOptions, solve_homogenized_elasticity,
 
 SCHEMA_VERSION = 1
 
+# Largest grids a config may ask for, so that memory stays bounded for
+# every config that validates.  The fine solves factor an N x N grid
+# directly, N = fine_m / eps per rung (the elastic factorization peaks
+# near 2.4 GiB at N = 512).  The cell layer keeps a few cell potentials,
+# cell_n^2 doubles each, per quadrature point of the sample grid, which
+# refines the solve grid; CELL_TABLE_COPIES bounds how many are alive at
+# once (solutions, warm starts and their two-column derivatives).
+MAX_GRID = {"cell_n": 64, "solve_n": 128, "sample_n": 256}
+MAX_FINE_N = 512
+MAX_CELL_TABLE_BYTES = 2 ** 30
+CELL_TABLE_COPIES = 6
+
 _BASE_PRESET = {
     "schema": SCHEMA_VERSION,
     "seed": 0,
@@ -207,6 +219,9 @@ def validate_config(cfg, subcommand=None):
     for key, val in out["grids"].items():
         if val < 2:
             raise ConfigError("grid sizes must be >= 2", f"/grids/{key}")
+        if key in MAX_GRID and val > MAX_GRID[key]:
+            raise ConfigError(f"must be at most {MAX_GRID[key]}",
+                              f"/grids/{key}")
     for key in ("cell_n", "fine_m"):
         val = out["grids"][key]
         if val < 4 or val & (val - 1):
@@ -214,6 +229,14 @@ def validate_config(cfg, subcommand=None):
     if out["grids"]["sample_n"] % out["grids"]["solve_n"] != 0:
         raise ConfigError("sample_n must be a multiple of solve_n",
                           "/grids/sample_n")
+    table_bytes = (CELL_TABLE_COPIES * 8 * out["grids"]["cell_n"] ** 2
+                   * 4 * out["grids"]["sample_n"] ** 2)
+    if table_bytes > MAX_CELL_TABLE_BYTES:
+        raise ConfigError(
+            f"cell_n and sample_n need about {table_bytes / 2**30:.1f} GiB "
+            f"of cell tables (at most {MAX_CELL_TABLE_BYTES / 2**30:g} GiB: "
+            f"{CELL_TABLE_COPIES} x 8 bytes x cell_n^2 x 4 sample_n^2)",
+            "/grids")
 
     ladder = cfg.get("ladder", [0.25, 0.125, 0.0625, 0.03125])
     if not isinstance(ladder, list) or not ladder:
@@ -229,6 +252,9 @@ def validate_config(cfg, subcommand=None):
                - round(out["grids"]["fine_m"] / eps)) > 1e-9:
             raise ConfigError("ladder incommensurate with fine_m",
                               f"/ladder/{idx}")
+        if out["grids"]["fine_m"] / eps > MAX_FINE_N:
+            raise ConfigError(f"fine grid fine_m / eps must be at most "
+                              f"{MAX_FINE_N} per side", f"/ladder/{idx}")
     for eps in ladder:
         # eps-cells must be unions of sample-grid elements
         half_cells = out["grids"]["sample_n"] * eps / 2

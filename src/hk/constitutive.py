@@ -82,6 +82,11 @@ def wrap_to_cell(points):
     return pts - np.floor(pts + 0.5)
 
 
+def _squared_norm(xi):
+    """|xi|^2 over the last axis of length 2, without einsum's batching."""
+    return xi[..., 0] * xi[..., 0] + xi[..., 1] * xi[..., 1]
+
+
 # ---------------------------------------------------------------------------
 # Operator specification
 # ---------------------------------------------------------------------------
@@ -153,20 +158,25 @@ class OperatorSpec:
         if self.family == "linear":
             b = np.where(chi[..., None, None], self.matrices[1], self.matrices[0])
             return {"bmat": b}
-        sig = np.where(chi, self.sigma[1], self.sigma[0])
+        loc = {"sigma": np.where(chi, self.sigma[1], self.sigma[0])}
         if self.family == "variable-exponent":
-            pexp = np.where(chi, self.exponent[1], self.exponent[0])
-        else:
-            pexp = np.full(chi.shape, self.p)
-        return {"sigma": sig, "pexp": pexp}
+            loc["pexp"] = np.where(chi, self.exponent[1], self.exponent[0])
+        return loc
+
+    def _exponent(self, loc):
+        """Per-point exponents of a variable-exponent law, else the scalar p.
+
+        A scalar exponent keeps numpy's power on its fast scalar path.
+        """
+        return loc["pexp"] if self.family == "variable-exponent" else self.p
 
     def flux_local(self, loc, xi):
         """Flux from precomputed local coefficients; xi broadcasts over loc."""
         xi = np.asarray(xi, dtype=float)
         if self.family == "linear":
             return _contract("...ij,...j->...i", loc["bmat"], xi)
-        s = _contract("...i,...i->...", xi, xi)
-        weight = (self.delta**2 + s) ** (0.5 * (loc["pexp"] - 2.0))
+        s = _squared_norm(xi)
+        weight = (self.delta**2 + s) ** (0.5 * (self._exponent(loc) - 2.0))
         return (loc["sigma"] * weight)[..., None] * xi
 
     def jacobian_local(self, loc, xi, delta_floor=0.0):
@@ -180,15 +190,17 @@ class OperatorSpec:
             return np.broadcast_to(loc["bmat"],
                                    xi.shape[:-1] + (2, 2)).copy()
         d2 = max(self.delta, delta_floor) ** 2
-        s = _contract("...i,...i->...", xi, xi)
+        s = _squared_norm(xi)
         base = d2 + s
-        weight = base ** (0.5 * (loc["pexp"] - 2.0))
+        pexp = self._exponent(loc)
+        weight = base ** (0.5 * (pexp - 2.0))
         safe = np.where(base > 0.0, base, 1.0)
-        coef = (loc["pexp"] - 2.0) * weight / safe
-        eye = np.eye(2)
-        jac = (loc["sigma"] * weight)[..., None, None] * eye
-        jac = jac + (loc["sigma"] * coef)[..., None, None] \
-            * _contract("...i,...j->...ij", xi, xi)
+        coef = (pexp - 2.0) * weight / safe
+        jac = (loc["sigma"] * coef)[..., None, None] \
+            * (xi[..., :, None] * xi[..., None, :])
+        diagonal = loc["sigma"] * weight
+        jac[..., 0, 0] += diagonal
+        jac[..., 1, 1] += diagonal
         return jac
 
     def frozen_coefficient(self, loc, xi, delta_floor=0.0):
@@ -199,8 +211,8 @@ class OperatorSpec:
         step.  Nonlinear families only.
         """
         d2 = max(self.delta, delta_floor) ** 2
-        s = _contract("...i,...i->...", xi, xi)
-        return loc["sigma"] * (d2 + s) ** (0.5 * (loc["pexp"] - 2.0))
+        s = _squared_norm(xi)
+        return loc["sigma"] * (d2 + s) ** (0.5 * (self._exponent(loc) - 2.0))
 
     @property
     def max_exponent(self):

@@ -29,12 +29,13 @@ class EffectiveLaw:
     """Evaluable effective flux map xi -> mean of a(y, xi + grad eta_xi).
 
     ``solve`` returns the fluxes and the cell potentials eta_xi of a batch
-    of loadings.  Constant laws shortcut to the pointwise flux and zero
-    potentials; linear laws to a constant matrix and a potential basis
-    from two unit-loading cell solves.  Everything else runs batched cell
-    solves on ``_batch``, which every mode has for the attached
-    residuals.  Nothing is stored between calls, so one law can serve
-    several threads.
+    of loadings.  Constant laws shortcut to the pointwise flux and have no
+    cell potentials (eta = 0); linear laws to a constant matrix and a
+    potential basis from two unit-loading cell solves.  Everything else
+    runs batched cell solves on ``_batch``, which every mode has for the
+    attached residuals.  ``eval_batch`` computes fluxes only, so the
+    constant and linear modes build no potentials there.  Nothing is
+    stored between calls, so one law can serve several threads.
     """
 
     def __init__(self, spec, grid, opts=None):
@@ -58,16 +59,15 @@ class EffectiveLaw:
     def solve(self, loadings, warm=None):
         """Effective fluxes (K, 2) and zero-mean cell potentials (K, n^2).
 
-        ``warm`` optionally provides initial cell iterates (K, n^2); only
-        general laws run cell solves, so the other modes ignore it.
+        The potentials of a constant law are None.  ``warm`` optionally
+        provides initial cell iterates (K, n^2); only general laws run
+        cell solves, so the other modes ignore it.
         """
         loadings = np.asarray(loadings, dtype=float)
         if self.mode == "constant":
-            return (self.spec.flux_local(self._constant_loc(loadings),
-                                         loadings),
-                    np.zeros((loadings.shape[0], self.grid.n_nodes)))
+            return self._closed_form_flux(loadings), None
         if self.mode == "linear":
-            return (loadings @ self.matrix.T,
+            return (self._closed_form_flux(loadings),
                     _contract("kd,dn->kn", loadings, self._basis))
         return self._solve_loadings(loadings, warm=warm)
 
@@ -76,11 +76,23 @@ class EffectiveLaw:
 
     def eval_batch(self, loadings):
         """Effective flux for loadings (K, 2)."""
-        return self.solve(loadings)[0]
+        loadings = np.asarray(loadings, dtype=float)
+        if self.mode == "general":
+            return self._solve_loadings(loadings)[0]
+        return self._closed_form_flux(loadings)
 
     def solutions_for(self, loadings, warm=None):
         """Zero-mean cell potentials per loading, (K, n^2)."""
-        return self.solve(loadings, warm=warm)[1]
+        etas = self.solve(loadings, warm=warm)[1]
+        return np.zeros((len(loadings), self.grid.n_nodes)) \
+            if etas is None else etas
+
+    def _closed_form_flux(self, loadings):
+        """Fluxes of a constant or linear law, (K, 2)."""
+        if self.mode == "constant":
+            return self.spec.flux_local(self._constant_loc(loadings),
+                                        loadings)
+        return loadings @ self.matrix.T
 
     def _constant_loc(self, loadings):
         return self.spec.local_coefficients(
@@ -99,7 +111,7 @@ class EffectiveLaw:
 
     # -- derivatives -------------------------------------------------------
 
-    def jacobian_batch(self, loadings, etas=None):
+    def jacobian_batch(self, loadings, etas=None, return_w=False):
         """Consistent tangents d a_hom / d xi, (K, 2, 2).
 
         d a_hom / d xi = ∫ A(y, p) (I + grad w) with p = xi + grad eta_xi,
@@ -107,19 +119,26 @@ class EffectiveLaw:
         loading e_j.  ``etas`` are the cell solutions at the loadings, as
         ``solve`` returned them; when None they are solved first.  Each
         tangent costs two linear solves with the Newton matrix at the
-        converged solution.
+        converged solution.  With ``return_w`` the zero-mean
+        W = [w_1 w_2] = d eta / d xi, (K, n^2, 2), comes back as well; it
+        predicts the cell solution at a nearby loading xi' as
+        eta + W (xi' - xi).  Constant and linear laws run no cell
+        iterations, so their W is None.
         """
         loadings = np.asarray(loadings, dtype=float)
+        w = None
         if self.mode == "constant":
-            return self.spec.jacobian_local(
+            jac = self.spec.jacobian_local(
                 self._constant_loc(loadings), loadings,
                 delta_floor=self.opts.delta_jac)
-        if self.mode == "linear":
-            return np.broadcast_to(self.matrix,
-                                   (loadings.shape[0], 2, 2)).copy()
-        if etas is None:
-            etas = self.solutions_for(loadings)
-        return self._batch.tangents(loadings, etas)
+        elif self.mode == "linear":
+            jac = np.broadcast_to(self.matrix,
+                                  (loadings.shape[0], 2, 2)).copy()
+        else:
+            if etas is None:
+                etas = self.solutions_for(loadings)
+            jac, w = self._batch.tangents(loadings, etas)
+        return (jac, w) if return_w else jac
 
     def jacobian(self, xi):
         return self.jacobian_batch(np.asarray(xi, dtype=float)[None, :])[0]

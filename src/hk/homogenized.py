@@ -5,9 +5,12 @@ the effective flux law with its consistent tangent, refreshed at every
 iteration.  Every residual evaluation asks the law for effective fluxes
 at all quadrature points, which for general laws means one cell solve
 per quadrature-point loading.  The cell solutions travel with the
-iterate that produced them: the tangent is taken at them, the next line
-search warm-starts from them, and the final iterate's solutions warm-start
-the corrector reconstruction.
+iterate that produced them, and so do their derivatives W = d eta / d xi,
+which the tangent solve yields: every warm cell solve starts from the
+first-order predictor eta + W (xi' - xi) at its new loading xi'.  The
+line-search trials start from the stepped-from iterate's predictor, and
+the corrector reconstruction from the final iterate's at the nearest
+quadrature point.
 """
 
 from dataclasses import dataclass, field
@@ -34,7 +37,8 @@ class HomogenizedSolution:
     residual: float
     iterations: int
     residual_history: list = field(default_factory=list)
-    # cell solutions at the final iterate, (4 nel, n^2); None if linear
+    # cell solutions at the final iterate, (4 nel, n^2); None for linear
+    # and constant laws
     cell_potentials: np.ndarray = None
 
 
@@ -51,8 +55,10 @@ def solve_homogenized_electrostatic(law, f, domain, opts=None):
     direction a descent direction for the residual), with no
     frozen-coefficient fallback.  Every cell loading is solved once:
     each residual keeps the cell solutions of the iterate it evaluated,
-    the tangent is taken at those solutions, and the line-search
-    residuals warm-start from them.
+    the tangent is taken at those solutions, and each line-search trial
+    phi + t d starts its cell solves from the predictor
+    eta + W (xi(phi + t d) - xi(phi)), with W = d eta / d xi from the
+    same tangent solve.
     """
     opts = opts or MacroOptions()
     f_qp = _source_at_qp(f, domain)
@@ -60,7 +66,8 @@ def solve_homogenized_electrostatic(law, f, domain, opts=None):
     free = domain.interior
     nel = domain.n_elems
 
-    warm = None     # cell iterates that residual evaluations start from
+    warm = None     # cell iterates the next residual evaluation starts from
+    predictor = None  # (loadings, etas, W) of the iterate stepped from
     etas = None     # cell solutions of the iterate last evaluated
     history = []    # residual norm before each Newton step, then the last
 
@@ -70,17 +77,23 @@ def solve_homogenized_electrostatic(law, f, domain, opts=None):
 
     def residual(rows, phis):
         nonlocal etas
-        flux, etas = law.solve(_grad_flat(phis[0], domain), warm=warm)
+        grads = _grad_flat(phis[0], domain)
+        start = warm
+        if predictor is not None:
+            start = _predict(*predictor, grads)
+        flux, etas = law.solve(grads, warm=start)
         return flux_residual(flux)
 
     def newton_step(rows, phis, res):
         # with one row, damped_newton always evaluates the iterate it steps
         # from last (the start, or the line-search trial it accepted), so
         # ``etas`` are the cell solutions at phis[0]
-        nonlocal warm
+        nonlocal predictor
         history.append(float(np.linalg.norm(res[0, free])))
-        warm = etas
-        jac = law.jacobian_batch(_grad_flat(phis[0], domain), etas)
+        grads = _grad_flat(phis[0], domain)
+        jac, w = law.jacobian_batch(grads, etas, return_w=True)
+        if etas is not None:
+            predictor = (grads, etas, w)
         matrix = _fem.assemble_diffusion(domain.conn, domain.h,
                                          domain.n_nodes,
                                          jac.reshape(nel, 4, 2, 2))
@@ -110,7 +123,7 @@ def solve_homogenized_electrostatic(law, f, domain, opts=None):
             scale = (num / den) ** (1.0 / gamma)
             phi = phi * scale
             # eta(s xi) = s eta(xi) for a homogeneous law: an exact start
-            warm = scale * etas0
+            warm = None if etas0 is None else scale * etas0
 
     out = _fem.damped_newton(phi[None], residual, newton_step, opts.tol,
                              opts.max_iter, opts.max_linesearch)
@@ -189,18 +202,30 @@ def reconstruct_phi1(law, phi0, sample_grid=None, gradient_field=None,
     gradient).  Means over the unit cell vanish because the attached
     potentials are periodic.  ``cell_potentials`` are the cell solutions
     at the quadrature points of phi0's grid, as the macro solve returns
-    them; when given, each sample solve warm-starts from the one at the
-    nearest quadrature point.
+    them; when given, each sample loading xi starts from the first-order
+    predictor eta + W (xi - xi0) of the nearest such point, whose loading
+    xi0 is phi0's Q1 gradient there and W = d eta / d xi comes from one
+    tangent solve per nearest point.
     """
     sample_grid = sample_grid or phi0.grid
     pts = sample_grid.qp_coords().reshape(-1, 2)
     loadings = _gradient_at(phi0, gradient_field, pts)
     warm = None
     if cell_potentials is not None:
-        warm = cell_potentials[_nearest_qp(phi0.grid, pts)]
+        keys, near = np.unique(_nearest_qp(phi0.grid, pts),
+                               return_inverse=True)
+        xi0 = _grad_flat(phi0.values, phi0.grid)[keys]
+        etas = cell_potentials[keys]
+        _, w = law.jacobian_batch(xi0, etas, return_w=True)
+        warm = _predict(xi0[near], etas[near], w[near], loadings)
     potentials = law.solutions_for(loadings, warm=warm)
     return CorrectorData(sample_grid, law.grid, loadings, potentials,
                          *law._batch.attached_residuals(loadings, potentials))
+
+
+def _predict(loadings, etas, w, new_loadings):
+    """First-order cell solutions eta + W (xi' - xi) at new loadings, (K, n^2)."""
+    return etas + _contract("knj,kj->kn", w, new_loadings - loadings)
 
 
 def _nearest_qp(grid, pts):

@@ -208,6 +208,30 @@ def test_validate_grid_power_of_two(tmp_path):
     assert info.value.pointer == "/grids/cell_n"
 
 
+@pytest.mark.parametrize("overrides, pointer", [
+    ({"grids": {"cell_n": 2 ** 20, "fine_m": 8, "solve_n": 16,
+                "sample_n": 32}}, "/grids/cell_n"),
+    # fine_m / eps = 1024 at the last rung
+    ({"grids": {"cell_n": 8, "fine_m": 16, "solve_n": 16, "sample_n": 128},
+      "ladder": [0.25, 0.125, 0.0625, 0.03125, 0.015625]}, "/ladder/4"),
+    ({"grids": {"cell_n": 64, "fine_m": 8, "solve_n": 16,
+                "sample_n": 64}}, "/grids"),
+])
+def test_oversized_grid_exits_3_before_building_grids(tmp_path, capsys,
+                                                      monkeypatch, overrides,
+                                                      pointer):
+    from hk.core_fields import CellGrid, DomainGrid
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(CellGrid, "__init__", refuse)
+    monkeypatch.setattr(DomainGrid, "__init__", refuse)
+    path, _ = small_config(tmp_path, **overrides)
+    assert run("corrector-study", str(path), str(tmp_path / "out")) == 3
+    assert capsys.readouterr().err.startswith(f"config error at {pointer}:")
+
+
 def test_preset_loading_by_name():
     cfg = load_config("laminate-p3")
     assert cfg["operator"]["family"] == "power-law"

@@ -311,3 +311,41 @@ def test_jacobian_reuses_cached_solutions(monkeypatch):
     monkeypatch.setattr(BatchScalarCellSolver, "solve", no_solve)
     given = law.jacobian_batch(loadings, etas)
     assert np.array_equal(given, solved)
+
+
+@pytest.mark.parametrize("make_spec", [p3_laminate, variable_exponent_square])
+def test_cell_solution_derivative_matches_central_difference(make_spec):
+    # W = d eta / d xi comes out of the tangent solve
+    law = EffectiveLaw(make_spec(), make_cell_grid(8))
+    loadings = np.random.default_rng(12).standard_normal((3, 2))
+    _, w = law.jacobian_batch(loadings, return_w=True)
+    h = 1e-6 * (1.0 + np.linalg.norm(loadings, axis=1))
+    fd = np.zeros_like(w)
+    for j in range(2):
+        step = h[:, None] * np.eye(2)[j]
+        fd[..., j] = (law.solutions_for(loadings + step)
+                      - law.solutions_for(loadings - step)) / (2.0 * h[:, None])
+    assert w.shape == (3, law.grid.n_nodes, 2)
+    assert np.abs(w.mean(axis=1)).max() < 1e-14
+    assert np.abs(w - fd).max() <= 1e-6 * np.abs(fd).max()
+
+
+@pytest.mark.parametrize("spec", [
+    OperatorSpec(family="power-law", p=3.0, alpha=1.0,
+                 geometry=Geometry("uniform"), sigma=(2.0, 2.0)),
+    OperatorSpec(family="linear", geometry=LAMINATE, sigma=(1.0, 4.0)),
+])
+def test_eval_batch_builds_no_potential_table(spec):
+    import tracemalloc
+    law = EffectiveLaw(spec, make_cell_grid(16))
+    loadings = np.random.default_rng(13).standard_normal((4096, 2))
+    expected = law.solve(loadings)[0]
+    table_bytes = 8 * loadings.shape[0] * law.grid.n_nodes
+    tracemalloc.start()
+    try:
+        flux = law.eval_batch(loadings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(flux, expected)
+    assert peak < table_bytes / 8

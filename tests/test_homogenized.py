@@ -278,3 +278,52 @@ def test_macro_returns_cell_potentials_of_final_iterate():
                              dom.h).reshape(-1, 2)
     cell, _ = law._batch.attached_residuals(grads, macro.cell_potentials)
     assert (cell <= law.opts.tol * _tol_scale(spec, grads)).all()
+
+
+def test_constant_law_macro_keeps_no_cell_potentials():
+    spec = OperatorSpec(family="power-law", p=3.0, alpha=1.0,
+                        geometry=UNIFORM, sigma=(2.0, 2.0))
+    law = EffectiveLaw(spec, make_cell_grid(8))
+    macro = solve_homogenized_electrostatic(law, 1.0, DomainGrid(8))
+    assert macro.iterations >= 2
+    assert macro.cell_potentials is None
+    corr = reconstruct_phi1(law, macro.potential, DomainGrid(16),
+                            cell_potentials=macro.cell_potentials)
+    assert corr.potentials.shape == (4 * 16 * 16, law.grid.n_nodes)
+    assert not corr.potentials.any()
+
+
+def test_reconstruct_phi1_predictor_takes_fewer_newton_steps(monkeypatch):
+    # each sample solve starts from eta + W (xi - xi0) at the nearest
+    # solve-grid point; it must land on the cold solution in fewer batched
+    # Newton row-steps than a start from eta alone
+    from hk.cell_problems import BatchScalarCellSolver, _tol_scale
+    from hk.homogenized import _nearest_qp
+    spec = OperatorSpec(family="power-law", p=3.0, alpha=1.0,
+                        geometry=LAMINATE, sigma=(1.0, 4.0))
+    law = EffectiveLaw(spec, make_cell_grid(8))
+    dom = DomainGrid(8)
+    macro = solve_homogenized_electrostatic(law, 1.0, dom)
+    sample = DomainGrid(16)
+    steps = []
+    original = BatchScalarCellSolver.solve
+
+    def counting(self, loadings, warm=None):
+        out = original(self, loadings, warm=warm)
+        steps.append(int(out.iterations.sum()))
+        return out
+
+    monkeypatch.setattr(BatchScalarCellSolver, "solve", counting)
+    corr = reconstruct_phi1(law, macro.potential, sample,
+                            macroscopic_gradient_field(macro.potential),
+                            macro.cell_potentials)
+    predicted = steps[-1]
+    near = _nearest_qp(dom, sample.qp_coords().reshape(-1, 2))
+    law.solutions_for(corr.loadings, warm=macro.cell_potentials[near])
+    nearest = steps[-1]
+    cold = law.solutions_for(corr.loadings)
+    assert predicted < nearest
+    # a residual within tol moves the potentials by a few tol: the pinned
+    # Newton matrix is weak at the small loadings of this source
+    scale = law.opts.tol * _tol_scale(spec, corr.loadings)
+    assert (np.abs(corr.potentials - cold).max(axis=1) <= 10 * scale).all()
