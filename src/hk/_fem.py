@@ -63,6 +63,41 @@ SHAPE_GRAD = shape_grad_at(REF_POINTS)
 SHAPE.setflags(write=False)
 SHAPE_GRAD.setflags(write=False)
 
+# Constant operators of the reference element (h = 1) that make each Q1
+# kernel one 2-D matmul over all elements: nodal values (a) -> gradients
+# (q, d); fluxes (q, d) -> ∫ flux . grad N_a (a); sources (q) -> ∫ f N_a
+# (a); scalar (q) or matrix (q, d, c) coefficients -> element blocks
+# ∫ grad N_a . D grad N_b (a, b).  Gradients scale by 1/h, fluxes by h,
+# sources by h^2; the blocks do not depend on h in two dimensions.
+_GT = SHAPE_GRAD.transpose(0, 2, 1)            # (q, d, a)
+GRAD_OP = SHAPE_GRAD.transpose(1, 0, 2).reshape(4, 8)
+DIV_OP = (REF_WEIGHTS[:, None, None] * _GT).reshape(8, 4)
+LOAD_OP = REF_WEIGHTS[:, None] * SHAPE
+SCALAR_BLOCK_OP = (REF_WEIGHTS[:, None, None]
+                   * (_GT[:, :, :, None] * _GT[:, :, None, :]).sum(axis=1)) \
+    .reshape(4, 16)
+BLOCK_OP = (REF_WEIGHTS[:, None, None, None, None]
+            * _GT[:, :, None, :, None] * _GT[:, None, :, None, :]) \
+    .reshape(16, 16)
+for _op in (GRAD_OP, DIV_OP, LOAD_OP, SCALAR_BLOCK_OP, BLOCK_OP):
+    _op.setflags(write=False)
+
+
+def _tail_op(op, tail, d_in, d_out):
+    """An element operator extended over ``tail`` axes.
+
+    ``op`` maps per-element data (4, d_in) to (4, d_out); the result maps
+    (4, *tail, d_in) to (4, *tail, d_out), the same map on every tail
+    entry, so data shaped (nel, 4, *tail, d_in) is one 2-D matmul away
+    from its image, with no transposed copies.
+    """
+    t = int(np.prod(tail, dtype=int))
+    if t == 1:
+        return op
+    eye = np.eye(t)[None, :, None, None, :, None]
+    return (op.reshape(4, 1, d_in, 4, 1, d_out) * eye) \
+        .reshape(4 * t * d_in, 4 * t * d_out)
+
 
 def structured_connectivity(n_cells, periodic):
     """Element-to-node map for an n x n structured grid, shape (n^2, 4).
@@ -106,7 +141,10 @@ def qp_gradient(nodal, conn, h):
     Scalar data (nn,) -> (nel, 4, 2); vector data (nn, c) ->
     (nel, 4, c, 2) with [..., c, d] = d u_c / d x_d.
     """
-    return contract("qad,ea...->eq...d", SHAPE_GRAD, nodal[conn]) / h
+    vals = nodal[conn]                                      # (nel, a, ...)
+    op = _tail_op(GRAD_OP, vals.shape[2:], 1, 2)
+    return (vals.reshape(vals.shape[0], -1) @ op / h) \
+        .reshape(vals.shape + (2,))
 
 
 def scatter_matrix(ids, size):
@@ -138,16 +176,16 @@ def divergence_residual(grid, flux):
     A flux (nel, 4, 2) gives (nn,); a stress (nel, 4, c, 2) gives
     r_(a,c) = sum w stress_{cd} d_d N_a, (nn, c).
     """
-    w = grid.h * grid.h * REF_WEIGHTS
-    per_elem = contract("q,eq...d,qad->ea...", w, flux, SHAPE_GRAD) / grid.h
-    return scatter(grid.node_scatter, per_elem)
+    op = _tail_op(DIV_OP, flux.shape[2:-1], 2, 1)
+    per_elem = (flux.reshape(flux.shape[0], -1) @ op) * grid.h
+    return scatter(grid.node_scatter, per_elem.reshape(flux.shape[:-1]))
 
 
 def load_vector(grid, f_qp):
     """Assemble ∫ f N_a from sources at quadrature points (nel, 4, ...)."""
-    w = grid.h * grid.h * REF_WEIGHTS
-    return scatter(grid.node_scatter,
-                   contract("q,eq...,qa->ea...", w, f_qp, SHAPE))
+    op = _tail_op(LOAD_OP, f_qp.shape[2:], 1, 1)
+    per_elem = (f_qp.reshape(f_qp.shape[0], -1) @ op) * (grid.h * grid.h)
+    return scatter(grid.node_scatter, per_elem.reshape(f_qp.shape))
 
 
 def integrate_qp(h, values_qp):
@@ -244,13 +282,9 @@ def assemble_diffusion(conn, h, n_nodes, coef_qp):
     coef_qp is (nel, 4) for an isotropic scalar coefficient or
     (nel, 4, 2, 2) for a matrix coefficient.
     """
-    w = h * h * REF_WEIGHTS
-    g = SHAPE_GRAD / h
-    if coef_qp.ndim == 2:
-        ke = contract("q,qad,eq,qbd->eab", w, g, coef_qp, g)
-    else:
-        ke = contract("q,qad,eqdc,qbc->eab", w, g, coef_qp, g)
-    return _csr_from_blocks(conn, ke, n_nodes)
+    coef = coef_qp.reshape(coef_qp.shape[0], -1)
+    op = SCALAR_BLOCK_OP if coef.shape[1] == 4 else BLOCK_OP
+    return _csr_from_blocks(conn, coef @ op, n_nodes)
 
 
 def isotropic_elastic_blocks(h, lam_qp, mu_qp):

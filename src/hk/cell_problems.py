@@ -21,7 +21,6 @@ arithmetic nodal mean equals the integral, so the normalization is exact.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dpbsv as _dpbsv
 
 from . import _fem
@@ -203,8 +202,11 @@ def solve_electrostriction_cell(tensor_field, zeta_qp, grid,
 # Batched scalar cell solves (banded Cholesky over many loadings)
 # ---------------------------------------------------------------------------
 
-# Work arrays of one chunk of loadings stay within this many bytes.
-CHUNK_BUDGET_BYTES = 128 * 2 ** 20
+# Work arrays of one chunk of loadings stay within this many bytes.  One
+# loading at cell_n 128 needs 38.9 MiB; budgets down to 12 MiB ran the
+# benchmark's n = 8 and n = 16 cell solves at most ~3% faster, within its
+# run-to-run noise.
+CHUNK_BUDGET_BYTES = 40 * 2 ** 20
 MAX_CHUNK = 512
 
 
@@ -238,13 +240,15 @@ class BatchScalarCellSolver:
     d a / d xi are SPD, so each Newton matrix with node 0 pinned is SPD;
     ``attached_residuals`` serves every family.  Its unknowns are
     numbered in the folded torus order (node 0 first), which makes the
-    matrix banded with half-bandwidth 2n+2; a batch of them is assembled
-    straight into LAPACK lower band storage by one sparse product and
-    factored by banded Cholesky (``dpbsv``).  Lower, not upper, storage:
-    OpenBLAS threads the strided ``dsyr`` of the upper variant, which
-    makes these small factorizations ~10x slower.  Loadings are processed
-    in chunks sized from ``CHUNK_BUDGET_BYTES``.  Results are bitwise
-    deterministic.
+    matrix banded with half-bandwidth 2n+2.  The matrices of a chunk of
+    loadings, stacked along the diagonal, form one band matrix of that
+    half-bandwidth: the distinct element-block entries are summed
+    straight into its LAPACK lower band storage (one ``bincount``) and
+    factored by one banded Cholesky call (``dpbsv``).  Lower, not upper,
+    storage: OpenBLAS threads the strided ``dsyr`` of the upper variant,
+    which makes these small factorizations ~10x slower.  Chunks are sized
+    from ``CHUNK_BUDGET_BYTES`` (40 MiB: 512 loadings at n = 8, 235 at
+    n = 16).  Results are bitwise deterministic.
     """
 
     def __init__(self, spec, grid, opts=None):
@@ -255,36 +259,37 @@ class BatchScalarCellSolver:
         self.loc = {k: v[None, ...] for k, v in
                     spec.local_coefficients(grid.qp_coords()).items()}
         self._w = grid.h * grid.h * _fem.REF_WEIGHTS
-        g = _fem.SHAPE_GRAD / grid.h
         # constant element operators, applied as 2-D matmuls over the
         # (k * nel) elements of a batch: nodal values (a) -> gradients
-        # (q, d); fluxes (q, d) -> ∫ flux . grad v per node (a); Jacobians
-        # (q, d, c) -> element blocks ∫ grad v_a . A grad v_b (a, b)
-        self._grad_op = g.transpose(1, 0, 2).reshape(4, 8)
-        self._div_op = (self._w[:, None, None] * g).transpose(0, 2, 1) \
-            .reshape(8, 4)
-        self._block_op = _contract("q,qad,qbc->qdcab", self._w, g, g) \
-            .reshape(16, 16)
-        conn = grid.conn
+        # (q, d); fluxes (q, d) -> ∫ flux . grad v per node (a); scalar
+        # (q) or matrix (q, d, c) coefficients -> the 10 distinct entries
+        # (a <= b) of the symmetric element blocks ∫ grad v_a . A grad v_b
+        self._grad_op = _fem.GRAD_OP / grid.h
+        self._div_op = _fem.DIV_OP * grid.h
+        a, b = np.triu_indices(4)
+        self._pair_ops = {op.shape[0]: op[:, 4 * a + b]
+                          for op in (_fem.SCALAR_BLOCK_OP, _fem.BLOCK_OP)}
         nn = grid.n_nodes
         order = _folded_order(grid.n)
-        # node ids of the pinned system's unknowns, in band order
-        self._unknowns = (order[:, None] * grid.n + order[None, :]).ravel()[1:]
-        rank = np.full(nn, -1)
-        rank[self._unknowns] = np.arange(nn - 1)
-        row = rank[conn][:, :, None]
-        col = rank[conn][:, None, :]
-        lower = (col >= 0) & (row >= col)
-        self.bandwidth = int((row - col)[lower].max())
+        # node ids in band order; node 0, the pinned node, comes first
+        self._band_nodes = (order[:, None] * grid.n + order[None, :]).ravel()
+        self._rank = np.empty(nn, dtype=np.intp)
+        self._rank[self._band_nodes] = np.arange(nn)
+        ranks = self._rank[grid.conn]
+        row = np.maximum(ranks[:, a], ranks[:, b])
+        col = np.minimum(ranks[:, a], ranks[:, b])
+        self.bandwidth = int((row - col).max())
         ldab = self.bandwidth + 1
-        # element-block entry (e, a, b) -> lower band entry (row, col),
-        # stored column-major as LAPACK's ab[row - col, col]
-        band_idx = (col * ldab + row - col)[lower]
-        self._band_scatter = sp.csr_matrix(
-            (np.ones(band_idx.size), (band_idx, np.flatnonzero(lower))),
-            shape=(ldab * (nn - 1), conn.size * 4))
-        # band storage plus element blocks, Jacobians, gradients and fluxes
-        self.loading_bytes = 8 * (ldab * (nn - 1) + 48 * grid.n_elems)
+        # element pair entry (e, a <= b) -> lower band entry (row, col),
+        # stored column-major as LAPACK's ab[row - col, col]; row j of
+        # the table is shifted to batch row j of a stacked band.  The
+        # table grows to the largest batch seen (at most ``chunk`` rows);
+        # each call uses the table it read, so concurrent callers can at
+        # worst rebuild it
+        self._band_slots = (col * ldab + row - col).reshape(1, -1)
+        # band storage plus element pairs and their slots, Jacobians,
+        # gradients and fluxes
+        self.loading_bytes = 8 * (ldab * nn + 52 * grid.n_elems)
         self.chunk = max(1, min(MAX_CHUNK,
                                 CHUNK_BUDGET_BYTES // self.loading_bytes))
 
@@ -320,50 +325,61 @@ class BatchScalarCellSolver:
             self.loc, self._total_gradient(loadings, etas),
             delta_floor=self.opts.delta_jac)
 
-    def _band_solve(self, jac, rhs):
-        """Solve the node-0-pinned systems with coefficients jac.
+    def _band_solve(self, coef, rhs):
+        """Solve the node-0-pinned systems with coefficients coef.
 
-        ``jac`` (k, nel, 4, 2, 2) holds the local Jacobians and ``rhs``
-        (k, nn, r) the assembled right-hand sides; returns (k, nn, r)
-        with node 0 at zero.  Raises SingularSystem when a matrix is not
-        positive definite.
+        ``coef`` holds scalar (k, nel, 4) or symmetric matrix
+        (k, nel, 4, 2, 2) coefficients and ``rhs`` (k, nn, r) the
+        assembled right-hand sides; returns (k, nn, r) with node 0 at
+        zero.  The k band matrices, stacked along the diagonal, form one
+        band matrix of the same half-bandwidth, factored by one ``dpbsv``
+        call; node 0 keeps a unit row and column.  Raises SingularSystem,
+        naming the batch row, when a matrix is not positive definite.
         """
-        k = jac.shape[0]
-        blocks = jac.reshape(-1, 16) @ self._block_op
-        band = self._band_scatter @ blocks.reshape(k, -1).T
-        m = self.grid.n_nodes - 1
-        b = rhs[:, self._unknowns]
-        out = np.zeros_like(rhs)
-        for j in range(k):
-            ab = band[:, j].reshape(m, self.bandwidth + 1).T
-            _, x, info = _dpbsv(ab, b[j], lower=1, overwrite_ab=1,
-                                overwrite_b=1)
-            if info != 0:
-                raise SingularSystem(
-                    f"cell Newton matrix is not positive definite "
-                    f"(dpbsv info {info})")
-            out[j, self._unknowns] = x
-        return out
+        k = coef.shape[0]
+        nn = self.grid.n_nodes
+        ldab = self.bandwidth + 1
+        pairs = coef.reshape(k * self.grid.n_elems, -1)
+        pairs = pairs @ self._pair_ops[pairs.shape[1]]
+        slots = self._band_slots
+        if slots.shape[0] < k:
+            slots = slots[0] + (ldab * nn) * np.arange(k)[:, None]
+            self._band_slots = slots
+        band = np.bincount(slots[:k].ravel(), weights=pairs.ravel(),
+                           minlength=k * ldab * nn).reshape(k * nn, ldab)
+        band[::nn] = 0.0
+        band[::nn, 0] = 1.0
+        b = rhs[:, self._band_nodes].reshape(k * nn, -1)
+        b[::nn] = 0.0
+        _, x, info = _dpbsv(band.T, b, lower=1, overwrite_ab=1,
+                            overwrite_b=1)
+        if info != 0:
+            raise SingularSystem(
+                f"cell Newton matrix of batch row {(info - 1) // nn} is not "
+                f"positive definite (dpbsv info {info})")
+        return x.reshape(k, nn, -1)[:, self._rank]
 
     def _chunks(self, k):
         """Slices of at most ``chunk`` rows covering rows 0..k-1."""
         for start in range(0, k, self.chunk):
             yield slice(start, min(start + self.chunk, k))
 
+    def _integrate(self, values):
+        """Quadrature sums over the cell of (k, nel, 4, ...) values: (k, ...)."""
+        k = values.shape[0]
+        per_qp = values.reshape(k, self.grid.n_elems, 4, -1).sum(axis=1)
+        return (self._w @ per_qp).reshape((k,) + values.shape[3:])
+
     def _tangent_chunk(self, loadings, etas):
-        k = loadings.shape[0]
         jac = self._local_jacobians(loadings, etas)
         # rhs_j = -∫ A e_j . grad v, one column per direction j
-        w = self._band_solve(jac, -np.stack(
-            [self._divergence(jac[..., j]) for j in range(2)], axis=-1))
+        rhs = -np.stack([self._divergence(jac[..., j]) for j in range(2)],
+                        axis=-1)
+        w = self._band_solve(jac, rhs)
         w -= w.mean(axis=1, keepdims=True)
-        tangent = np.empty((k, 2, 2))
-        for j, unit in enumerate(np.eye(2)):
-            total = self._total_gradient(np.broadcast_to(unit, (k, 2)),
-                                         w[..., j])
-            tangent[..., j] = _contract("q,keqid,keqd->ki", self._w, jac,
-                                        total)
-        return tangent, w
+        # A is symmetric, so ∫ (A e_i) . grad w_j = -rhs_i . w_j and
+        # ∫ A (I + grad w) = ∫ A - rhs^T w
+        return self._integrate(jac) - np.swapaxes(rhs, 1, 2) @ w, w
 
     def tangents(self, loadings, etas):
         """Consistent tangents and cell-solution derivatives at converged potentials.
@@ -406,8 +422,7 @@ class BatchScalarCellSolver:
                 opts.delta_jac)
             rhs = -self._divergence(
                 coef[..., None] * loadings[rows][:, None, None, :])
-            frozen = self._band_solve(coef[..., None, None] * np.eye(2),
-                                      rhs[:, :, None])[..., 0]
+            frozen = self._band_solve(coef, rhs[:, :, None])[..., 0]
             return x + self.spec.frozen_relaxation * (frozen - x)
 
         out = _fem.damped_newton(
@@ -441,7 +456,7 @@ class BatchScalarCellSolver:
             flux = self.spec.flux_local(
                 self.loc,
                 self._total_gradient(result.loadings[sl], result.values[sl]))
-            out[sl] = _contract("q,keqd->kd", self._w, flux)
+            out[sl] = self._integrate(flux)
         return out
 
     def attached_residuals(self, loadings, etas):
@@ -457,7 +472,9 @@ class BatchScalarCellSolver:
             p_qp = self._total_gradient(loadings[sl], etas[sl])
             flux = self.spec.flux_local(self.loc, p_qp)
             cell[sl] = np.linalg.norm(self._divergence(flux), axis=1)
-            lhs = _contract("q,keqd,keqd->k", self._w, flux, p_qp)
-            rhs = _contract("q,keqd,kd->k", self._w, flux, loadings[sl])
+            lhs = self._integrate(flux[..., 0] * p_qp[..., 0]
+                                  + flux[..., 1] * p_qp[..., 1])
+            mean = self._integrate(flux)
+            rhs = mean[:, 0] * loadings[sl, 0] + mean[:, 1] * loadings[sl, 1]
             identity[sl] = np.abs(lhs - rhs)
         return cell, identity

@@ -177,7 +177,11 @@ class OperatorSpec:
             return _contract("...ij,...j->...i", loc["bmat"], xi)
         s = _squared_norm(xi)
         weight = (self.delta**2 + s) ** (0.5 * (self._exponent(loc) - 2.0))
-        return (loc["sigma"] * weight)[..., None] * xi
+        scale = loc["sigma"] * weight
+        flux = np.empty(scale.shape + (2,))
+        np.multiply(scale, xi[..., 0], out=flux[..., 0])
+        np.multiply(scale, xi[..., 1], out=flux[..., 1])
+        return flux
 
     def jacobian_local(self, loc, xi, delta_floor=0.0):
         """d flux / d xi from local coefficients, (..., 2, 2).
@@ -195,12 +199,17 @@ class OperatorSpec:
         pexp = self._exponent(loc)
         weight = base ** (0.5 * (pexp - 2.0))
         safe = np.where(base > 0.0, base, 1.0)
-        coef = (pexp - 2.0) * weight / safe
-        jac = (loc["sigma"] * coef)[..., None, None] \
-            * (xi[..., :, None] * xi[..., None, :])
+        scale = loc["sigma"] * ((pexp - 2.0) * weight / safe)
         diagonal = loc["sigma"] * weight
-        jac[..., 0, 0] += diagonal
-        jac[..., 1, 1] += diagonal
+        # sigma coef xi xi^T + sigma weight I, one entry at a time; the
+        # Jacobian is symmetric, so entry (1, 0) is a copy of (0, 1)
+        x0 = xi[..., 0]
+        x1 = xi[..., 1]
+        jac = np.empty(scale.shape + (2, 2))
+        np.add(scale * (x0 * x0), diagonal, out=jac[..., 0, 0])
+        np.multiply(scale, x0 * x1, out=jac[..., 0, 1])
+        np.add(scale * (x1 * x1), diagonal, out=jac[..., 1, 1])
+        jac[..., 1, 0] = jac[..., 0, 1]
         return jac
 
     def frozen_coefficient(self, loc, xi, delta_floor=0.0):

@@ -34,7 +34,14 @@ class _Grid:
     """What both structured grids share: quadrature points and node scatter."""
 
     def qp_coords(self):
-        return _fem.qp_coords(self.n, self.h, self.origin)
+        """Quadrature-point coordinates (nel, 4, 2), read-only, built once."""
+        return self._qp_coords
+
+    @cached_property
+    def _qp_coords(self):
+        points = _fem.qp_coords(self.n, self.h, self.origin)
+        points.setflags(write=False)
+        return points
 
     @cached_property
     def node_scatter(self):

@@ -446,10 +446,64 @@ def test_band_zero_coefficients_raise_singular():
                           np.ones((1, grid.n_nodes, 1)))
 
 
+def _reference_band_solve(batch, jac, rhs):
+    """Per-loading pinned solves by scipy's solveh_banded, in band order."""
+    from scipy.linalg import solveh_banded
+    from hk.cell_problems import _folded_order
+    grid = batch.grid
+    order = _folded_order(grid.n)
+    unknowns = (order[:, None] * grid.n + order[None, :]).ravel()[1:]
+    bw = batch.bandwidth
+    out = np.zeros_like(rhs)
+    for k in range(jac.shape[0]):
+        dense = _fem.assemble_diffusion(grid.conn, grid.h, grid.n_nodes,
+                                        jac[k]).toarray()
+        pinned = dense[np.ix_(unknowns, unknowns)]
+        ab = np.zeros((bw + 1, unknowns.size))
+        for i in range(bw + 1):
+            ab[i, :unknowns.size - i] = np.diagonal(pinned, -i)
+        out[k, unknowns] = solveh_banded(ab, rhs[k, unknowns], lower=True)
+    return out
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("rows", ["one", "three", "chunk"])
+@pytest.mark.parametrize("r", [1, 2])
+def test_band_solve_matches_solveh_banded(n, rows, r):
+    grid = make_cell_grid(n)
+    batch = BatchScalarCellSolver(laminate_spec(3.0), grid)
+    k = {"one": 1, "three": 3, "chunk": batch.chunk}[rows]
+    rng = np.random.default_rng(10 * n + r)
+    loadings = rng.uniform(-1.0, 1.0, size=(k, 2))
+    etas = 0.1 * rng.standard_normal((k, grid.n_nodes))
+    jac = batch._local_jacobians(loadings, etas)
+    rhs = rng.standard_normal((k, grid.n_nodes, r))
+    got = batch._band_solve(jac, rhs)
+    ref = _reference_band_solve(batch, jac, rhs)
+    assert np.all(got[:, 0] == 0.0)
+    err = np.linalg.norm((got - ref).reshape(k, -1), axis=1)
+    assert np.all(err <= 1e-12 * np.linalg.norm(ref.reshape(k, -1), axis=1))
+
+
+def test_band_solve_names_the_indefinite_row():
+    from hk.errors import SingularSystem
+    grid = make_cell_grid(8)
+    batch = BatchScalarCellSolver(laminate_spec(3.0), grid)
+    rng = np.random.default_rng(3)
+    loadings = rng.uniform(-1.0, 1.0, size=(3, 2))
+    jac = batch._local_jacobians(loadings, np.zeros((3, grid.n_nodes)))
+    jac[1] *= -1.0
+    with pytest.raises(SingularSystem, match="batch row 1 "):
+        batch._band_solve(jac, np.ones((3, grid.n_nodes, 1)))
+
+
 @pytest.mark.parametrize("n", [8, 16, 32, 64, 128])
 def test_batch_chunk_within_budget(n):
-    from hk.cell_problems import CHUNK_BUDGET_BYTES
+    from hk.cell_problems import CHUNK_BUDGET_BYTES, MAX_CHUNK
     batch = BatchScalarCellSolver(laminate_spec(3.0), make_cell_grid(n))
     assert batch.chunk * batch.loading_bytes <= CHUNK_BUDGET_BYTES
-    if n <= 16:
-        assert batch.chunk == 512
+    # the largest chunk that fits, up to MAX_CHUNK
+    assert (batch.chunk == MAX_CHUNK
+            or (batch.chunk + 1) * batch.loading_bytes > CHUNK_BUDGET_BYTES)
+    if n <= 8:
+        assert batch.chunk == MAX_CHUNK

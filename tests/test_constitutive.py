@@ -174,3 +174,64 @@ def test_geometry_alignment():
     assert Geometry("square", size=0.5).aligned_with(1.0 / 8)
     assert not Geometry("square", size=0.3).aligned_with(1.0 / 8)
     assert not Geometry("disc", size=0.3).aligned_with(1.0 / 8)
+
+
+# -- component-wise kernels against the broadcasting formulas ---------------
+
+def _broadcast_flux(spec, loc, xi):
+    s = xi[..., 0] * xi[..., 0] + xi[..., 1] * xi[..., 1]
+    weight = (spec.delta**2 + s) ** (0.5 * (spec._exponent(loc) - 2.0))
+    return (loc["sigma"] * weight)[..., None] * xi
+
+
+def _broadcast_jacobian(spec, loc, xi, delta_floor):
+    d2 = max(spec.delta, delta_floor) ** 2
+    base = d2 + (xi[..., 0] * xi[..., 0] + xi[..., 1] * xi[..., 1])
+    pexp = spec._exponent(loc)
+    weight = base ** (0.5 * (pexp - 2.0))
+    coef = (pexp - 2.0) * weight / np.where(base > 0.0, base, 1.0)
+    jac = (loc["sigma"] * coef)[..., None, None] \
+        * (xi[..., :, None] * xi[..., None, :])
+    diagonal = loc["sigma"] * weight
+    jac[..., 0, 0] += diagonal
+    jac[..., 1, 1] += diagonal
+    return jac
+
+
+def _broadcast_frozen(spec, loc, xi, delta_floor):
+    d2 = max(spec.delta, delta_floor) ** 2
+    s = xi[..., 0] * xi[..., 0] + xi[..., 1] * xi[..., 1]
+    return loc["sigma"] * (d2 + s) ** (0.5 * (spec._exponent(loc) - 2.0))
+
+
+NONLINEAR_SPECS = (
+    OperatorSpec(family="power-law", p=1.5, alpha=0.5, delta=0.1,
+                 geometry=LAMINATE, sigma=(1.0, 4.0)),
+    OperatorSpec(family="power-law", p=3.0, alpha=1.0, geometry=LAMINATE,
+                 sigma=(1.0, 4.0)),
+    OperatorSpec(family="variable-exponent", p=2.0, alpha=1.0,
+                 geometry=Geometry("square", size=0.5), sigma=(1.0, 3.0),
+                 exponent=(3.0, 2.0)),
+)
+
+
+@pytest.mark.parametrize("spec", NONLINEAR_SPECS,
+                         ids=["p1.5-delta", "p3", "variable"])
+@pytest.mark.parametrize("delta_floor", [0.0, 1e-3])
+def test_kernels_bitwise_equal_broadcasting_formulas(spec, delta_floor):
+    rng = np.random.default_rng(7)
+    y = rng.uniform(-0.5, 0.5, size=(16, 4, 2))
+    xi = rng.standard_normal((3, 16, 4, 2))
+    xi[0, :3] = 0.0          # exact zeros reach the |xi| = 0 branch
+    # a batch over shared per-point coefficients, one point per xi, and
+    # one xi for all points
+    for loc, x in (({k: v[None] for k, v in
+                     spec.local_coefficients(y).items()}, xi),
+                   (spec.local_coefficients(y[0]), xi[1, 0]),
+                   (spec.local_coefficients(y), xi[1, 0, 0])):
+        assert np.array_equal(spec.flux_local(loc, x),
+                              _broadcast_flux(spec, loc, x))
+        assert np.array_equal(spec.jacobian_local(loc, x, delta_floor),
+                              _broadcast_jacobian(spec, loc, x, delta_floor))
+        assert np.array_equal(spec.frozen_coefficient(loc, x, delta_floor),
+                              _broadcast_frozen(spec, loc, x, delta_floor))

@@ -222,3 +222,12 @@ def test_fields_immutable():
     f = ScalarField(grid, np.zeros(grid.n_nodes))
     with pytest.raises(ValueError):
         f.values[0] = 1.0
+
+
+def test_qp_coords_built_once_and_read_only():
+    for grid in (make_cell_grid(8), DomainGrid(8)):
+        pts = grid.qp_coords()
+        assert grid.qp_coords() is pts
+        assert np.array_equal(pts, _fem.qp_coords(grid.n, grid.h, grid.origin))
+        with pytest.raises(ValueError):
+            pts[0, 0, 0] = 1.0
