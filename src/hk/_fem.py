@@ -4,14 +4,18 @@ Everything here works on structured square grids (periodic unit cell or
 Dirichlet unit square) with 2x2 Gauss quadrature per element.  Quadrature
 data is laid out as arrays of shape (n_elements, 4, ...); nodal data as
 (n_nodes, ...) with fixed row-major node numbering.  Each kernel takes
-scalar and vector data alike (the trailing ``...``).  Gathers are fancy
-indexing; every sum onto nodes or cells is one product with a one-hot CSR
-matrix (``scatter_matrix``), and each grid builds its node matrix once
-(``node_scatter``).
+scalar and vector data alike (the trailing ``...``).  Contractions take
+one form: an element or point map (values, gradients, loads, element
+blocks) is a constant reference-element operator applied to all elements
+by one 2-D matmul, an element tensor being a coefficient vector times a
+constant reference tensor (Kirby & Logg, ACM TOMS 2006); 2-vector and 2x2
+algebra is component-wise or a broadcast product summed over its axes.
+Gathers are fancy indexing; every sum onto nodes or cells is one product
+with a one-hot CSR matrix (``scatter_matrix``), and each grid builds its
+node matrix once (``node_scatter``).
 """
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate
 from operator import mul
 
@@ -20,10 +24,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import SingularSystem
-
-# contraction with a precomputed (greedy) path: the multi-operand
-# assembly einsums are 10x slower without it
-contract = partial(np.einsum, optimize=True)
 
 _G0 = 0.5 - 0.5 / np.sqrt(3.0)
 _G1 = 0.5 + 0.5 / np.sqrt(3.0)
@@ -35,6 +35,13 @@ REF_WEIGHTS = np.full(4, 0.25)
 
 # Local node order: counterclockwise from the lower-left corner.
 _CORNERS = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+# nodal values (a) -> coefficients (m) of 1, x, y, xy of the interpolant
+# v0 (1-x)(1-y) + v1 x(1-y) + v2 xy + v3 (1-x) y
+#   = v0 + (v1 - v0) x + (v3 - v0) y + (v0 - v1 + v2 - v3) xy
+BILINEAR_OP = np.array([[1.0, -1.0, -1.0, 1.0],
+                        [0.0, 1.0, 0.0, -1.0],
+                        [0.0, 0.0, 0.0, 1.0],
+                        [0.0, 0.0, 1.0, -1.0]])
 
 
 def shape_at(local):
@@ -48,29 +55,33 @@ def shape_at(local):
 
 def shape_grad_at(local):
     """Reference Q1 gradients at arbitrary local coordinates, (..., 4, 2)."""
-    gx = local[..., 0][..., None]
-    gy = local[..., 1][..., None]
-    cx = _CORNERS[:, 0]
-    cy = _CORNERS[:, 1]
-    dx = (2 * cx - 1) * (cy * gy + (1 - cy) * (1 - gy))
-    dy = (2 * cy - 1) * (cx * gx + (1 - cx) * (1 - gx))
-    return np.stack([dx, dy], axis=-1)
+    x, y = local[..., :1], local[..., 1:]
+    b = BILINEAR_OP
+    return np.stack([b[:, 1] + y * b[:, 3], b[:, 2] + x * b[:, 3]], axis=-1)
+
+
+def isotropic_tensor(lam, mu):
+    """B_{ijkh} = lam d_ij d_kh + mu (d_ik d_jh + d_ih d_jk)."""
+    d = np.eye(2)
+    return (lam * d[:, :, None, None] * d[None, None, :, :]
+            + mu * (d[:, None, :, None] * d[None, :, None, :]
+                    + d[:, None, None, :] * d[None, :, :, None]))
 
 
 # shape values (4 qp, 4 node) and reference gradients (4 qp, 4 node, 2)
 SHAPE = shape_at(REF_POINTS)
 SHAPE_GRAD = shape_grad_at(REF_POINTS)
-SHAPE.setflags(write=False)
-SHAPE_GRAD.setflags(write=False)
 
 # Constant operators of the reference element (h = 1) that make each Q1
-# kernel one 2-D matmul over all elements: nodal values (a) -> gradients
-# (q, d); fluxes (q, d) -> ∫ flux . grad N_a (a); sources (q) -> ∫ f N_a
-# (a); scalar (q) or matrix (q, d, c) coefficients -> element blocks
-# ∫ grad N_a . D grad N_b (a, b).  Gradients scale by 1/h, fluxes by h,
-# sources by h^2; the blocks do not depend on h in two dimensions.
+# kernel one 2-D matmul over all elements: nodal values (a) -> values (q),
+# gradients (q, d) or gradients at the corners (c, d); fluxes (q, d) ->
+# ∫ flux . grad N_a (a); sources (q) -> ∫ f N_a (a); scalar (q), matrix
+# (q, d, c) or fourth-order (q, i, k, j, l) coefficients -> element blocks.
+# Gradients scale by 1/h, fluxes by h, sources by h^2; the blocks do not
+# depend on h in two dimensions.
 _GT = SHAPE_GRAD.transpose(0, 2, 1)            # (q, d, a)
 GRAD_OP = SHAPE_GRAD.transpose(1, 0, 2).reshape(4, 8)
+CORNER_GRAD_OP = shape_grad_at(_CORNERS).transpose(1, 0, 2).reshape(4, 8)
 DIV_OP = (REF_WEIGHTS[:, None, None] * _GT).reshape(8, 4)
 LOAD_OP = REF_WEIGHTS[:, None] * SHAPE
 SCALAR_BLOCK_OP = (REF_WEIGHTS[:, None, None]
@@ -79,24 +90,37 @@ SCALAR_BLOCK_OP = (REF_WEIGHTS[:, None, None]
 BLOCK_OP = (REF_WEIGHTS[:, None, None, None, None]
             * _GT[:, :, None, :, None] * _GT[:, None, :, None, :]) \
     .reshape(16, 16)
-for _op in (GRAD_OP, DIV_OP, LOAD_OP, SCALAR_BLOCK_OP, BLOCK_OP):
+# elastic blocks K[(a,i),(b,j)] = sum_q w d_k N_a B_{ikjl} d_l N_b are the
+# matrix blocks (q, k, l) -> (a, b) on each component pair i, j, with rows
+# (q, i, k, j, l); the Lame rows apply them to the isotropic basis tensors
+ELASTIC_BLOCK_OP = (BLOCK_OP.reshape(4, 1, 2, 1, 2, 4, 1, 4, 1)
+                    * np.eye(2).reshape(1, 2, 1, 1, 1, 1, 2, 1, 1)
+                    * np.eye(2).reshape(1, 1, 1, 2, 1, 1, 1, 1, 2)) \
+    .reshape(64, 64)
+LAME_BLOCK_OP = (np.stack([isotropic_tensor(1.0, 0.0),
+                           isotropic_tensor(0.0, 1.0)]).reshape(2, 16)
+                 @ ELASTIC_BLOCK_OP.reshape(4, 16, 64)).reshape(8, 64)
+for _op in (SHAPE, SHAPE_GRAD, GRAD_OP, CORNER_GRAD_OP, BILINEAR_OP, DIV_OP,
+            LOAD_OP, SCALAR_BLOCK_OP, BLOCK_OP, ELASTIC_BLOCK_OP,
+            LAME_BLOCK_OP):
     _op.setflags(write=False)
 
 
-def _tail_op(op, tail, d_in, d_out):
-    """An element operator extended over ``tail`` axes.
+def element_map(op, data, d_in=1, d_out=1):
+    """Apply a reference-element operator to each element's (or point's) data.
 
-    ``op`` maps per-element data (4, d_in) to (4, d_out); the result maps
-    (4, *tail, d_in) to (4, *tail, d_out), the same map on every tail
-    entry, so data shaped (nel, 4, *tail, d_in) is one 2-D matmul away
-    from its image, with no transposed copies.
+    ``op`` maps (4, d_in) to (4, d_out); ``data`` (nel, 4, *tail, d_in)
+    maps to (nel, 4, *tail, d_out), with no last axis where d is 1.  The
+    same map acts on every tail entry, so ``op`` is extended over the tail
+    and the whole map is one 2-D matmul with no transposed copies.
     """
+    tail = data.shape[2:data.ndim - (d_in > 1)]
     t = int(np.prod(tail, dtype=int))
-    if t == 1:
-        return op
-    eye = np.eye(t)[None, :, None, None, :, None]
-    return (op.reshape(4, 1, d_in, 4, 1, d_out) * eye) \
+    op = (op.reshape(4, 1, d_in, 4, 1, d_out)
+          * np.eye(t)[None, :, None, None, :, None]) \
         .reshape(4 * t * d_in, 4 * t * d_out)
+    out = data.reshape(data.shape[0], -1) @ op
+    return out.reshape(data.shape[:2] + tail + (d_out,) * (d_out > 1))
 
 
 def structured_connectivity(n_cells, periodic):
@@ -132,7 +156,7 @@ def qp_coords(n_cells, h, origin):
 
 def qp_values(nodal, conn):
     """Interpolate nodal data (nn, ...) to quadrature points, (nel, 4, ...)."""
-    return contract("qa,ea...->eq...", SHAPE, nodal[conn])
+    return element_map(SHAPE.T, nodal[conn])
 
 
 def qp_gradient(nodal, conn, h):
@@ -141,10 +165,7 @@ def qp_gradient(nodal, conn, h):
     Scalar data (nn,) -> (nel, 4, 2); vector data (nn, c) ->
     (nel, 4, c, 2) with [..., c, d] = d u_c / d x_d.
     """
-    vals = nodal[conn]                                      # (nel, a, ...)
-    op = _tail_op(GRAD_OP, vals.shape[2:], 1, 2)
-    return (vals.reshape(vals.shape[0], -1) @ op / h) \
-        .reshape(vals.shape + (2,))
+    return element_map(GRAD_OP, nodal[conn], 1, 2) / h
 
 
 def scatter_matrix(ids, size):
@@ -176,32 +197,28 @@ def divergence_residual(grid, flux):
     A flux (nel, 4, 2) gives (nn,); a stress (nel, 4, c, 2) gives
     r_(a,c) = sum w stress_{cd} d_d N_a, (nn, c).
     """
-    op = _tail_op(DIV_OP, flux.shape[2:-1], 2, 1)
-    per_elem = (flux.reshape(flux.shape[0], -1) @ op) * grid.h
-    return scatter(grid.node_scatter, per_elem.reshape(flux.shape[:-1]))
+    return scatter(grid.node_scatter, element_map(DIV_OP, flux, 2) * grid.h)
 
 
 def load_vector(grid, f_qp):
     """Assemble ∫ f N_a from sources at quadrature points (nel, 4, ...)."""
-    op = _tail_op(LOAD_OP, f_qp.shape[2:], 1, 1)
-    per_elem = (f_qp.reshape(f_qp.shape[0], -1) @ op) * (grid.h * grid.h)
-    return scatter(grid.node_scatter, per_elem.reshape(f_qp.shape))
+    return scatter(grid.node_scatter,
+                   element_map(LOAD_OP, f_qp) * (grid.h * grid.h))
 
 
 def integrate_qp(h, values_qp):
     """Quadrature sum of values given at quadrature points (nel, 4, ...)."""
-    w = h * h * REF_WEIGHTS
-    return contract("q,eq...->...", w, values_qp)
+    per_qp = values_qp.reshape(values_qp.shape[0], 4, -1).sum(axis=0)
+    return (h * h * REF_WEIGHTS @ per_qp).reshape(values_qp.shape[2:])
 
 
 def lp_norm_qp(h, vec_qp, p):
-    """L^p norm of a quadrature-point vector/scalar field."""
-    if vec_qp.ndim == 2:
-        mag = np.abs(vec_qp)
-    else:
-        mag = np.sqrt(contract("eq...c,eq...c->eq...", vec_qp, vec_qp))
-    w = h * h * REF_WEIGHTS
-    return float(contract("q,eq->", w, mag**p) ** (1.0 / p))
+    """L^p norm of quadrature-point scalars (nel, 4) or vectors (nel, 4, c)."""
+    # sqrt(v * v) is |v| exactly in binary floating point (barring under-
+    # and overflow), so scalar data takes the vector path
+    mag = np.sqrt((vec_qp * vec_qp).reshape(vec_qp.shape[:2] + (-1,))
+                  .sum(axis=-1))
+    return float(integrate_qp(h, mag**p) ** (1.0 / p))
 
 
 def locate_points(points, n_cells, h, origin):
@@ -217,11 +234,29 @@ def locate_points(points, n_cells, h, origin):
     return elem, local
 
 
+def _bilinear(vals, local):
+    """Planes (4, p, ...) of 1, x, y, xy of element data (p, 4, ...); x, y."""
+    coef = np.moveaxis(element_map(BILINEAR_OP, vals), 1, 0)
+    xy = local.reshape((-1,) + (1,) * (vals.ndim - 2) + (2,))
+    return coef, xy[..., 0], xy[..., 1]
+
+
+def gradient_at_local(vals, local, h):
+    """Gradient (p, ..., 2) of Q1 element data at local coordinates (p, 2).
+
+    ``vals`` (p, 4, ...) holds each point's own element values, so they
+    may come from one field or from a different table row per point.
+    """
+    c, x, y = _bilinear(vals, local)
+    return np.stack([c[1] + y * c[3], c[2] + x * c[3]], axis=-1) / h
+
+
 def point_eval(nodal, conn, h, n_cells, origin, points):
     """Q1 field (nn, ...) at arbitrary points (..., 2); (...,) + tail."""
     points = np.asarray(points, dtype=float)
     elem, local = locate_points(points.reshape(-1, 2), n_cells, h, origin)
-    out = contract("pa,pa...->p...", shape_at(local), nodal[conn[elem]])
+    c, x, y = _bilinear(nodal[conn[elem]], local)
+    out = c[0] + x * c[1] + y * (c[2] + x * c[3])
     return out.reshape(points.shape[:-1] + out.shape[1:])
 
 
@@ -233,8 +268,7 @@ def point_eval_gradient(nodal, conn, h, n_cells, origin, points):
     """
     points = np.asarray(points, dtype=float)
     elem, local = locate_points(points.reshape(-1, 2), n_cells, h, origin)
-    grad = shape_grad_at(local) / h
-    out = contract("pad,pa...->p...d", grad, nodal[conn[elem]])
+    out = gradient_at_local(nodal[conn[elem]], local, h)
     return out.reshape(points.shape[:-1] + out.shape[1:])
 
 
@@ -246,8 +280,7 @@ def recovered_gradient(grid, nodal):
     central differences at interior nodes, which are second-order
     accurate (one order better than the raw Q1 gradient).
     """
-    corner_grad = shape_grad_at(_CORNERS) / grid.h   # (corner, node, 2)
-    ge = contract("cad,ea->ecd", corner_grad, nodal[grid.conn])
+    ge = element_map(CORNER_GRAD_OP, nodal[grid.conn], 1, 2) / grid.h
     counts = scatter(grid.node_scatter, np.ones(grid.conn.shape))
     return scatter(grid.node_scatter, ge) / counts[:, None]
 
@@ -259,15 +292,12 @@ def recovered_gradient(grid, nodal):
 def _csr_from_blocks(conn, ke, n_dofs, dofs_per_node=1):
     """Assemble a CSR matrix from per-element blocks.
 
-    ke: (nel, 4*dpn, 4*dpn) dense blocks in local dof order (node-major,
-    component-minor).
+    ke: dense blocks (nel, 4d, 4d) or flat (nel, 16d^2) for d dofs per
+    node, in local dof order (node-major, component-minor).
     """
     nel = conn.shape[0]
-    dpn = dofs_per_node
-    if dpn == 1:
-        dofs = conn
-    else:
-        dofs = (conn[:, :, None] * dpn + np.arange(dpn)[None, None, :]).reshape(nel, -1)
+    dofs = (conn[:, :, None] * dofs_per_node
+            + np.arange(dofs_per_node)).reshape(nel, -1)
     nc = dofs.shape[1]
     rows = np.repeat(dofs, nc, axis=1).ravel()
     cols = np.tile(dofs, (1, nc)).ravel()
@@ -287,34 +317,6 @@ def assemble_diffusion(conn, h, n_nodes, coef_qp):
     return _csr_from_blocks(conn, coef @ op, n_nodes)
 
 
-def isotropic_elastic_blocks(h, lam_qp, mu_qp):
-    """Per-element 8x8 stiffness blocks for isotropic elasticity.
-
-    K[(a,i),(b,j)] = sum_q w [ lam d_iN_a d_jN_b + mu (d_jN_a d_iN_b
-                               + delta_ij d_kN_a d_kN_b) ]
-    which is the bilinear form of B D(u) : D(v) for B isotropic.
-    """
-    w = h * h * REF_WEIGHTS
-    g = SHAPE_GRAD / h
-    eye = np.eye(2)
-    ke = (contract("q,eq,qai,qbj->eaibj", w, lam_qp, g, g)
-          + contract("q,eq,qaj,qbi->eaibj", w, mu_qp, g, g)
-          + contract("q,eq,ij,qak,qbk->eaibj", w, mu_qp, eye, g, g))
-    return ke.reshape(ke.shape[0], 8, 8)
-
-
-def tensor_elastic_blocks(h, b_qp):
-    """Per-element 8x8 blocks for a general fourth-order tensor coefficient.
-
-    b_qp: (nel, 4, 2, 2, 2, 2) with flux stress_{ik} = B_{ikjl} D(u)_{jl};
-    for B with the usual minor symmetries this equals B_{ikjl} d_l u_j.
-    """
-    w = h * h * REF_WEIGHTS
-    g = SHAPE_GRAD / h
-    ke = contract("q,qak,eqikjl,qbl->eaibj", w, g, b_qp, g)
-    return ke.reshape(ke.shape[0], 8, 8)
-
-
 def isotropic_stress(lam_qp, mu_qp, strain):
     """lam tr(E) I + 2 mu E for a symmetric strain E (..., 2, 2)."""
     tr = strain[..., 0, 0] + strain[..., 1, 1]
@@ -325,17 +327,20 @@ def isotropic_stress(lam_qp, mu_qp, strain):
 
 
 def assemble_elasticity(conn, h, n_nodes, lam_qp, mu_qp):
-    """Elastic stiffness for per-qp isotropic Lame coefficients."""
-    ke = isotropic_elastic_blocks(h, lam_qp, mu_qp)
-    return _csr_from_blocks(conn, ke, 2 * n_nodes, dofs_per_node=2)
+    """Elastic stiffness for per-qp isotropic Lame coefficients (nel, 4)."""
+    lame = np.stack([lam_qp, mu_qp], axis=-1).reshape(lam_qp.shape[0], 8)
+    return _csr_from_blocks(conn, lame @ LAME_BLOCK_OP, 2 * n_nodes,
+                            dofs_per_node=2)
 
 
 def assemble_elasticity_constant(conn, h, n_nodes, tensor):
-    """Elastic stiffness for one constant fourth-order tensor coefficient."""
-    b_qp = np.broadcast_to(tensor, (1, 4, 2, 2, 2, 2))
-    ke = tensor_elastic_blocks(h, b_qp)
-    ke = np.broadcast_to(ke, (conn.shape[0], 8, 8))
-    return _csr_from_blocks(conn, ke, 2 * n_nodes, dofs_per_node=2)
+    """Elastic stiffness for one constant fourth-order tensor coefficient.
+
+    Stress_{ik} = B_{ikjl} d_l u_j, which is B D(u) for the usual symmetries.
+    """
+    ke = np.tile(np.reshape(tensor, 16), 4) @ ELASTIC_BLOCK_OP
+    return _csr_from_blocks(conn, np.broadcast_to(ke, (conn.shape[0], 64)),
+                            2 * n_nodes, dofs_per_node=2)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ import numpy as np
 from scipy.linalg.lapack import dpbsv as _dpbsv
 
 from . import _fem
-from ._fem import contract as _contract
 from .constitutive import OperatorSpec
 from .core_fields import CellGrid
 from .errors import NonConvergence, SingularSystem
@@ -174,7 +173,7 @@ def assemble_zeta(i, j, sol_i, sol_j):
     e_j = np.eye(2)[j]
     p_i = corrector_flux(sol_i.spec, e_i, sol_i)
     p_j = corrector_flux(sol_j.spec, e_j, sol_j)
-    return _contract("eqc,eqd->eqcd", p_i, p_j)
+    return p_i[..., :, None] * p_j[..., None, :]
 
 
 def solve_electrostriction_cell(tensor_field, zeta_qp, grid,

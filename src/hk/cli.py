@@ -19,15 +19,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .cell_problems import (SolverOptions, assemble_zeta, solve_elastic_cell_U,
-                            solve_electrostriction_cell, solve_scalar_cell,
-                            verify_flux_identity)
+from .cell_problems import (SolverOptions, solve_elastic_cell_U,
+                            solve_scalar_cell, verify_flux_identity)
 from .constitutive import (ElasticTensorField, Geometry, OperatorSpec,
                            check_growth_conditions)
 from .core_fields import CellGrid, DomainGrid, ScalarField, dump_field
 from .corrector import run_corrector_study, study_source
 from .effective import (EffectiveLaw, assemble_B_hom, assemble_C_hom,
-                        check_a_hom_properties)
+                        c_hom_from_potentials, check_a_hom_properties)
 from .errors import ConfigError, NonConvergence, SingularSystem
 from .fine_scale import solve_fine_elasticity, solve_fine_electrostatic
 from .homogenized import (MacroOptions, solve_homogenized_elasticity,
@@ -435,14 +434,11 @@ def cmd_cell(cfg, out_dir, threads):
                        str(out_dir / f"{name}.field"))
             summary["elastic"][f"{i + 1}{j + 1}"] = {
                 "residual": sol.residual, "iterations": sol.iterations}
-        for i in range(2):
-            for j in range(2):
-                zeta = assemble_zeta(i, j, sols[i], sols[j])
-                chi = solve_electrostriction_cell(
-                    tensor_c, zeta, grid,
-                    variant=cfg["chom_variant"], indices=(i, j))
-                summary["electrostriction"][f"{i + 1}{j + 1}"] = {
-                    "residual": chi.residual, "iterations": chi.iterations}
+        c_eff = c_hom_from_potentials(tensor_c, [s.values for s in sols],
+                                      grid, cfg["chom_variant"])
+        for (i, j), chi in c_eff.solutions.items():
+            summary["electrostriction"][f"{i + 1}{j + 1}"] = {
+                "residual": chi.residual, "iterations": chi.iterations}
     write_json(summary, out_dir / "cell_report.json")
     return 0
 
@@ -453,10 +449,13 @@ def cmd_effective(cfg, out_dir, threads):
     opts = SolverOptions(tol=cfg["tolerances"]["cell"])
     law = EffectiveLaw(spec, grid, opts)
     report = {"provenance": provenance_block(cfg)}
-    report["a_hom_unit_loadings"] = _tensor_nested(
-        np.stack([law.eval(np.eye(2)[k]) for k in range(2)]))
+    # one solve of the unit loadings serves a_hom and both C_hom variants
+    a_unit, unit_etas = law.solve(np.eye(2))
+    if unit_etas is None:                 # a constant law has eta = 0
+        unit_etas = np.zeros((2, grid.n_nodes))
+    report["a_hom_unit_loadings"] = _tensor_nested(a_unit)
     if spec.is_linear:
-        report["b_hom"] = _tensor_nested(law.matrix)
+        report["b_hom"] = _tensor_nested(a_unit.T)
     props = check_a_hom_properties(law, m=100, seed=cfg["seed"])
     report["a_hom_properties"] = {
         "theta": props.theta, "pairs": props.pairs,
@@ -470,7 +469,7 @@ def cmd_effective(cfg, out_dir, threads):
         report["B_hom"] = _tensor_nested(b_eff.tensor)
         both = {}
         for variant in ("C-applied", "as-written"):
-            c_eff = assemble_C_hom(tensor_c, spec, grid, variant, opts)
+            c_eff = c_hom_from_potentials(tensor_c, unit_etas, grid, variant)
             both[variant] = _tensor_nested(c_eff.pair_matrices)
         report["C_hom"] = both
         report["C_hom_default_variant"] = cfg["chom_variant"]
@@ -661,7 +660,7 @@ def main(argv=None):
                              + ", ".join(sorted(PRESETS)))
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("HK_THREADS", "1")),
+                        default=os.environ.get("HK_THREADS", "1"),
                         help="parallel ladder workers (HK_THREADS fallback)")
     args = parser.parse_args(argv)
     return run(args.subcommand, args.config, args.out, args.threads)

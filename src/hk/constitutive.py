@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fem import contract as _contract
+from ._fem import isotropic_tensor
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +83,7 @@ def wrap_to_cell(points):
 
 
 def _squared_norm(xi):
-    """|xi|^2 over the last axis of length 2, without einsum's batching."""
+    """|xi|^2 over the last axis of length 2, component-wise."""
     return xi[..., 0] * xi[..., 0] + xi[..., 1] * xi[..., 1]
 
 
@@ -174,7 +174,10 @@ class OperatorSpec:
         """Flux from precomputed local coefficients; xi broadcasts over loc."""
         xi = np.asarray(xi, dtype=float)
         if self.family == "linear":
-            return _contract("...ij,...j->...i", loc["bmat"], xi)
+            b = loc["bmat"]
+            return np.stack([b[..., 0, 0] * xi[..., 0] + b[..., 0, 1] * xi[..., 1],
+                             b[..., 1, 0] * xi[..., 0] + b[..., 1, 1] * xi[..., 1]],
+                            axis=-1)
         s = _squared_norm(xi)
         weight = (self.delta**2 + s) ** (0.5 * (self._exponent(loc) - 2.0))
         scale = loc["sigma"] * weight
@@ -366,14 +369,6 @@ def check_growth_conditions(spec, m=1000, seed=0, radius=3.0, flux_fn=None):
 # Fourth-order tensor fields
 # ---------------------------------------------------------------------------
 
-def isotropic_tensor(lam, mu):
-    """B_{ijkh} = lam d_ij d_kh + mu (d_ik d_jh + d_ih d_jk)."""
-    eye = np.eye(2)
-    return (lam * _contract("ij,kh->ijkh", eye, eye)
-            + mu * (_contract("ik,jh->ijkh", eye, eye)
-                    + _contract("ih,jk->ijkh", eye, eye)))
-
-
 @dataclass(frozen=True)
 class ElasticTensorField:
     """Phase-wise constant fourth-order tensor on the unit cell.
@@ -413,8 +408,8 @@ class ElasticTensorField:
 
     def apply(self, points, mat):
         """(B(y) M)_{ij} = B_{ijkh} M_{kh}, phase-resolved at each point."""
-        return _contract("...ijkh,...kh->...ij", self.tensor_at(points),
-                         np.asarray(mat, dtype=float))
+        mat = np.asarray(mat, dtype=float)[..., None, None, :, :]
+        return (self.tensor_at(points) * mat).sum(axis=(-2, -1))
 
     def lame_at(self, points):
         """Per-point (lam, mu) arrays; only for isotropic two-phase fields."""
@@ -446,7 +441,7 @@ class ElasticTensorField:
         c = rng.standard_normal((n_samples, 2, 2))
         c = 0.5 * (c + np.swapaxes(c, -1, -2))
         bc = self.apply(y, c)
-        ratio = _contract("sij,sij->s", bc, c) / _contract("sij,sij->s", c, c)
+        ratio = (bc * c).sum(axis=(1, 2)) / (c * c).sum(axis=(1, 2))
         max_norm = max(float(np.abs(t).max()) for t in self.tensors)
         return max_norm, float(ratio.min())
 

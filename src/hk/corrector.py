@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _fem
-from ._fem import contract as _contract
 from .core_fields import CellGrid, DomainGrid, ScalarField, sample_oscillatory
 from .constitutive import wrap_to_cell
 
@@ -135,7 +134,7 @@ class UnfoldedField:
 
     def norm_lp(self, p):
         mag = np.abs(self.values) if self.values.ndim == 3 else np.sqrt(
-            _contract("cmq...i,cmq...i->cmq...", self.values, self.values))
+            (self.values * self.values).sum(axis=-1))
         return float((self.eps ** 2 * self.weight * (mag ** p).sum())
                      ** (1.0 / p))
 
@@ -182,17 +181,14 @@ def two_scale_compose_S(v, eps):
 # ---------------------------------------------------------------------------
 
 def _fine_qp_setup(phi_eps, phi0, corr, eps, grad0_field=None):
-    from .homogenized import _gradient_at
+    from .homogenized import _gradient_at, _nearest_qp
     domain = phi_eps.grid
     pts = domain.qp_coords().reshape(-1, 2)
     grad_eps = _fem.qp_gradient(phi_eps.values, domain.conn,
                                 domain.h).reshape(-1, 2)
     grad0 = _gradient_at(phi0, grad0_field, pts)
-    # sample quadrature point containing each fine point (quadrant lookup)
-    ns = corr.sample_grid.n
-    ix = np.clip((pts[:, 0] * 2 * ns).astype(int), 0, 2 * ns - 1)
-    iy = np.clip((pts[:, 1] * 2 * ns).astype(int), 0, 2 * ns - 1)
-    sample_idx = ((iy // 2) * ns + ix // 2) * 4 + (iy % 2) * 2 + (ix % 2)
+    # sample quadrature point whose element quadrant holds each fine point
+    sample_idx = _nearest_qp(corr.sample_grid, pts)
     y = wrap_to_cell(pts / eps)
     return domain, pts, grad_eps, grad0, sample_idx, y
 
@@ -201,19 +197,13 @@ def _table_grad_at(tables, row_idx, cell_grid, y):
     """Gradient of table rows (Q1 fields on the unit cell) at points y."""
     elem, local = _fem.locate_points(y, cell_grid.n, cell_grid.h,
                                      cell_grid.origin)
-    conn = cell_grid.conn[elem]
-    vals = tables[row_idx[:, None], conn]
-    grad = _fem.shape_grad_at(local) / cell_grid.h
-    return _contract("mad,ma->md", grad, vals)
+    return _fem.gradient_at_local(
+        tables[row_idx[:, None], cell_grid.conn[elem]], local, cell_grid.h)
 
 
-def _lp_of(diff, domain, p, mask=None):
-    w = np.broadcast_to(domain.rule.weights,
-                        (domain.n_elems, 4)).reshape(-1)
-    mag = np.sqrt(np.sum(diff * diff, axis=-1))
-    if mask is not None:
-        w = w * mask
-    return float((w @ (mag ** p)) ** (1.0 / p))
+def _lp_of(diff, domain, p):
+    """L^p norm of fine quadrature-point vectors listed flat, (4 nel, 2)."""
+    return _fem.lp_norm_qp(domain.h, diff.reshape(domain.n_elems, 4, 2), p)
 
 
 def corrector_error_explicit(phi_eps, phi0, corr, eps, p, grad0_field=None,
@@ -236,7 +226,8 @@ def corrector_error_explicit(phi_eps, phi0, corr, eps, p, grad0_field=None,
                                               zero_boundary=False)
     cell_ids = part.cell_of(pts)
     grad_y_avg = _table_grad_at(avg_tables, cell_ids, corr.cell_grid, y)
-    interior = part.interior[cell_ids].astype(float)
+    # 0/1 per point: zeroing a difference drops it from the integral
+    interior = part.interior[cell_ids].astype(float)[:, None]
     diff_exp = grad_eps - grad0 - grad_y
     diff_avg = grad_eps - grad0 - grad_y_avg
     diff_no = grad_eps - grad0
@@ -244,8 +235,8 @@ def corrector_error_explicit(phi_eps, phi0, corr, eps, p, grad0_field=None,
         "E_exp": _lp_of(diff_exp, domain, p),
         "E_avg": _lp_of(diff_avg, domain, p),
         "E_nocorr": _lp_of(diff_no, domain, p),
-        "E_exp_interior": _lp_of(diff_exp, domain, p, interior),
-        "E_avg_interior": _lp_of(diff_avg, domain, p, interior),
+        "E_exp_interior": _lp_of(diff_exp * interior, domain, p),
+        "E_avg_interior": _lp_of(diff_avg * interior, domain, p),
     }
 
 
@@ -274,6 +265,10 @@ def corrector_error_dalmaso(phi_eps, phi0, law, corr, eps, p,
 # ---------------------------------------------------------------------------
 # Two-scale pairings
 # ---------------------------------------------------------------------------
+
+# Work arrays of one chunk of sample rows in ``two_scale_stress_pairing``
+# stay within this many bytes, at every cell and sample grid size.
+PAIRING_BUDGET_BYTES = 16 * 2 ** 20
 
 def two_scale_pairing(v, psi_x, psi_y, eps, domain=None):
     """∫ v(x) psi_x(x) psi_y(x/eps) dx by fine-grid quadrature.
@@ -306,30 +301,32 @@ def pairing_limit(g_field, psi_x, psi_y, resolution=256):
     return float(int_x * _fem.integrate_qp(cg.h, gy))
 
 
-def two_scale_stress_pairing(corr, psi_x, psi_y, chunk=2048):
+def two_scale_stress_pairing(corr, psi_x, psi_y):
     """Pairing of the reconstructed two-scale electric stress, (2, 2).
 
     ∫∫ (grad phi0 + grad_y phi1)(x, y) tensored with itself, against
     psi_x(x) psi_y(y), with the corrector attached at sample quadrature
     points.  It does not depend on eps, so a study computes it once.
+    Each chunk of sample rows, its work arrays within
+    ``PAIRING_BUDGET_BYTES``, adds one (2, M) @ (M, 2) matrix product.
     """
     sample = corr.sample_grid
     spts = sample.qp_coords().reshape(-1, 2)
-    wx = np.broadcast_to(sample.rule.weights,
-                         (sample.n_elems, 4)).reshape(-1)
-    fx = psi_x(spts[:, 0], spts[:, 1]) * wx
+    fx = psi_x(spts[:, 0], spts[:, 1]) \
+        * np.tile(sample.rule.weights, sample.n_elems)
     cg = corr.cell_grid
     ypts = cg.qp_coords()
-    wy = np.broadcast_to(cg.rule.weights, (cg.n_elems, 4))
-    fy = psi_y(ypts[..., 0], ypts[..., 1]) * wy
+    fy = (psi_y(ypts[..., 0], ypts[..., 1]) * cg.rule.weights).reshape(-1)
+    # per sample row and cell element: 4 gathered potentials, 8 gradient
+    # components, 8 weighted ones and 4 weights
+    chunk = max(1, PAIRING_BUDGET_BYTES // (8 * 24 * cg.n_elems))
     out = np.zeros((2, 2))
     for start in range(0, spts.shape[0], chunk):
         sl = slice(start, min(start + chunk, spts.shape[0]))
-        idx = np.arange(sl.start, sl.stop)
-        grad_fields = corr.grad_y_fields(idx)          # (k, nel_c, 4, 2)
-        total = grad_fields + corr.loadings[sl][:, None, None, :]
-        outer = _contract("keqc,keqd->keqcd", total, total)
-        out += _contract("k,eq,keqcd->cd", fx[sl], fy, outer)
+        total = corr.grad_y_fields(np.arange(sl.start, sl.stop))
+        total += corr.loadings[sl][:, None, None, :]
+        weights = (fx[sl, None] * fy).reshape(-1, 1)
+        out += (weights * total.reshape(-1, 2)).T @ total.reshape(-1, 2)
     return out
 
 
@@ -355,8 +352,7 @@ def functional_pairing(u, psi):
     pts = domain.qp_coords()
     test = np.stack(psi(pts[..., 0], pts[..., 1]), axis=-1)
     vals = u.at_quadrature()
-    return float(_fem.integrate_qp(domain.h,
-                                   _contract("eqc,eqc->eq", vals, test)))
+    return float(_fem.integrate_qp(domain.h, (vals * test).sum(axis=-1)))
 
 
 def fit_rate(ladder, errors):

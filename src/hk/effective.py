@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _fem
-from ._fem import contract as _contract
 from .cell_problems import (BatchScalarCellSolver, SolverOptions,
-                            assemble_zeta, corrector_flux,
+                            corrector_flux,
                             solve_elastic_cell_U, solve_electrostriction_cell,
                             solve_scalar_cell, unit_strain)
 from .errors import NonConvergence
@@ -68,7 +67,7 @@ class EffectiveLaw:
             return self._closed_form_flux(loadings), None
         if self.mode == "linear":
             return (self._closed_form_flux(loadings),
-                    _contract("kd,dn->kn", loadings, self._basis))
+                    loadings @ self._basis)
         return self._solve_loadings(loadings, warm=warm)
 
     def eval(self, xi):
@@ -169,15 +168,13 @@ def linear_case_b_hom(spec, grid, opts=None):
 
 def _b_hom(spec, grid, sols):
     """b_hom[j, k] = ∫ b (e_k + grad w_k) . (e_j + grad w_j), w = sols."""
-    loc = spec.local_coefficients(grid.qp_coords())
-    fluxes = [corrector_flux(spec, np.eye(2)[k], sols[k]) for k in range(2)]
-    bhom = np.zeros((2, 2))
-    for k in range(2):
-        flux_k = spec.flux_local(loc, fluxes[k])
-        for j in range(2):
-            bhom[j, k] = _fem.integrate_qp(
-                grid.h, _contract("eqd,eqd->eq", flux_k, fluxes[j]))
-    return bhom
+    bmat = spec.local_coefficients(grid.qp_coords())["bmat"]
+    # p[:, :, k] = e_k + grad w_k and its flux b p_k, (nel, 4, k, 2)
+    p = np.stack([corrector_flux(spec, e, s) for e, s in zip(np.eye(2), sols)],
+                 axis=2)
+    flux = spec.flux_local({"bmat": bmat[:, :, None]}, p)
+    return _fem.integrate_qp(
+        grid.h, (p[:, :, :, None] * flux[:, :, None]).sum(axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +211,7 @@ def assemble_B_hom(tensor_field, grid):
         stress = _fem.isotropic_stress(lam, mu, strains[(i, j)])
         for (m, n) in _SYM_PAIRS:
             val = _fem.integrate_qp(
-                grid.h, _contract("eqcd,eqcd->eq", stress, strains[(m, n)]))
+                grid.h, (stress * strains[(m, n)]).sum(axis=(-2, -1)))
             for (a, b) in {(i, j), (j, i)}:
                 for (c, d) in {(m, n), (n, m)}:
                     bhom[a, b, c, d] = val
@@ -236,27 +233,37 @@ class EffectiveElectrostriction:
     grid_n: int = 0
 
     def apply(self, mat):
-        return _contract("ijkl,...ij->...kl", self.pair_matrices,
-                         np.asarray(mat, dtype=float))
+        mat = np.asarray(mat, dtype=float)
+        return (mat.reshape(-1, 4) @ self.pair_matrices.reshape(4, 4)) \
+            .reshape(mat.shape)
 
 
 def assemble_C_hom(tensor_field, spec, grid, variant="C-applied", opts=None):
+    """``c_hom_from_potentials`` of the scalar cell solutions at e_1, e_2."""
+    opts = opts or SolverOptions()
+    unit_etas = [solve_scalar_cell(spec, e, grid, opts).values
+                 for e in np.eye(2)]
+    return c_hom_from_potentials(tensor_field, unit_etas, grid, variant)
+
+
+def c_hom_from_potentials(tensor_field, unit_etas, grid, variant="C-applied"):
     """Effective electrostriction from corrector-stress cell solves.
 
+    ``unit_etas[k]`` is the scalar cell solution at e_k on ``grid``; zeta_ij
+    is the outer product of the corrector fluxes e_k + grad eta_k, k = i, j.
     variant "C-applied" (default): pair average ∫ C (D(chi) + zeta) dy,
     which reproduces the fine-scale response for constant coefficients;
     variant "as-written": ∫ C D(chi) + zeta dy.
     """
-    opts = opts or SolverOptions()
-    scalar_solutions = [solve_scalar_cell(spec, e, grid, opts)
-                        for e in np.eye(2)]
+    fluxes = [np.eye(2)[k] + _fem.qp_gradient(unit_etas[k], grid.conn, grid.h)
+              for k in range(2)]
     points = grid.qp_coords()
     lam, mu = tensor_field.lame_at(points)
     pair = np.zeros((2, 2, 2, 2))
     solutions = {}
     for i in range(2):
         for j in range(2):
-            zeta = assemble_zeta(i, j, scalar_solutions[i], scalar_solutions[j])
+            zeta = fluxes[i][..., :, None] * fluxes[j][..., None, :]
             chi = solve_electrostriction_cell(tensor_field, zeta, grid,
                                               variant=variant, indices=(i, j))
             solutions[(i, j)] = chi

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _fem
-from ._fem import contract as _contract
 from .cell_problems import SolverOptions
 from .core_fields import ScalarField, VectorField
 from .errors import NonConvergence
@@ -168,7 +167,7 @@ def solve_fine_electrostatic(spec, eps, f, domain, opts=None):
 def maxwell_stress(phi):
     """Rank-one electric stress grad(phi) (x) grad(phi) at quadrature points."""
     grad = _fem.qp_gradient(phi.values, phi.grid.conn, phi.grid.h)
-    return _contract("eqc,eqd->eqcd", grad, grad)
+    return grad[..., :, None] * grad[..., None, :]
 
 
 def solve_fine_elasticity(tensor_b, tensor_c, eps, g, sigma_qp, domain):

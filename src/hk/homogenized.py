@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _fem
-from ._fem import contract as _contract
 from .core_fields import CellGrid, DomainGrid, ScalarField, VectorField
 from .errors import NonConvergence
 from .fine_scale import _source_at_qp
@@ -163,10 +162,10 @@ class CorrectorData:
 
     def grad_y_fields(self, sample_idx):
         """Full corrector gradient fields (len(idx), nel_c, 4, 2)."""
-        conn = self.cell_grid.conn
-        vals = self.potentials[np.asarray(sample_idx)[:, None], conn.ravel()]
-        vals = vals.reshape(len(sample_idx), conn.shape[0], 4)
-        return _contract("qad,kea->keqd", _fem.SHAPE_GRAD, vals) / self.cell_grid.h
+        vals = self.potentials[np.asarray(sample_idx)[:, None, None],
+                               self.cell_grid.conn]             # (k, nel_c, 4)
+        grad = vals.reshape(-1, 4) @ (_fem.GRAD_OP / self.cell_grid.h)
+        return grad.reshape(vals.shape + (2,))
 
 
 def macroscopic_gradient_field(phi0):
@@ -225,7 +224,7 @@ def reconstruct_phi1(law, phi0, sample_grid=None, gradient_field=None,
 
 def _predict(loadings, etas, w, new_loadings):
     """First-order cell solutions eta + W (xi' - xi) at new loadings, (K, n^2)."""
-    return etas + _contract("knj,kj->kn", w, new_loadings - loadings)
+    return etas + (w @ (new_loadings - loadings)[:, :, None])[..., 0]
 
 
 def _nearest_qp(grid, pts):
@@ -257,7 +256,7 @@ def solve_homogenized_elasticity(b_eff, c_eff, g, phi0, domain,
     if c_eff is not None and phi0 is not None:
         pts = domain.qp_coords()
         grads = _gradient_at(phi0, gradient_field, pts)
-        stress = c_eff.apply(_contract("eqc,eqd->eqcd", grads, grads))
+        stress = c_eff.apply(grads[..., :, None] * grads[..., None, :])
         rhs = rhs - _fem.divergence_residual(domain, stress)
     matrix = _fem.assemble_elasticity_constant(domain.conn, domain.h,
                                                domain.n_nodes, tensor)

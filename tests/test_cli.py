@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hk.cell_problems import SolverOptions
 from hk.cli import (PRESETS, build_source_f, build_spec, build_tensors,
                     config_hash, load_config, main, run, validate_config)
+from hk.core_fields import CellGrid
 from hk.errors import ConfigError
 
 
@@ -87,6 +89,16 @@ def test_effective_report_contents(tmp_path):
     assert abs(bhom[1, 1] - 2.5) < 1e-3 * 2.5
     assert set(payload["C_hom"]) == {"C-applied", "as-written"}
     assert payload["provenance"]["config_hash"]
+
+
+def test_effective_report_of_a_constant_linear_law(tmp_path):
+    # uniform geometry: a constant law, whose b_hom is its matrix
+    path, _ = small_config(tmp_path, geometry={"kind": "uniform"})
+    out = tmp_path / "out"
+    assert run("effective", str(path), str(out)) == 0
+    payload = json.loads((out / "effective.json").read_text())
+    assert payload["b_hom"] == [[1.0, 0.0], [0.0, 1.0]]
+    assert payload["a_hom_unit_loadings"] == payload["b_hom"]
 
 
 def test_corrector_study_csv_rows(tmp_path):
@@ -260,6 +272,54 @@ def test_main_entry_point(tmp_path):
     code = main(["verify", "--config", str(path),
                  "--out", str(tmp_path / "out")])
     assert code == 0
+
+
+def test_bad_hk_threads_is_a_usage_error(monkeypatch, capsys):
+    # the environment fallback is parsed like the flag: a usage error
+    monkeypatch.setenv("HK_THREADS", "abc")
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--config", "laminate-p2"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--threads: invalid int value: 'abc'" in err
+    assert "Traceback" not in err
+
+
+def test_effective_solves_unit_loadings_once(tmp_path, monkeypatch):
+    # a_hom at e_1, e_2 and both C_hom variants share one two-row solve
+    from hk.cell_problems import BatchScalarCellSolver
+    from hk.effective import assemble_C_hom
+    built, rows = [], []
+    init, solve = BatchScalarCellSolver.__init__, BatchScalarCellSolver.solve
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    def counting_solve(self, loadings, warm=None):
+        rows.append(len(loadings))
+        return solve(self, loadings, warm)
+
+    monkeypatch.setattr(BatchScalarCellSolver, "__init__", counting_init)
+    monkeypatch.setattr(BatchScalarCellSolver, "solve", counting_solve)
+    path, cfg = small_config(tmp_path, operator=PRESETS["laminate-p3"][
+        "operator"])
+    out = tmp_path / "out"
+    assert run("effective", str(path), str(out)) == 0
+    # the law's solver: the unit loadings, then the audit's two batches
+    assert built == [1]
+    assert rows == [2, 100, 100]
+    payload = json.loads((out / "effective.json").read_text())
+    monkeypatch.undo()
+    cfg = validate_config(cfg)
+    spec = build_spec(cfg)
+    tensor_c = build_tensors(cfg)[1]
+    grid = CellGrid(8)
+    opts = SolverOptions(tol=cfg["tolerances"]["cell"])
+    for variant in ("C-applied", "as-written"):
+        ref = assemble_C_hom(tensor_c, spec, grid, variant, opts)
+        assert np.abs(np.array(payload["C_hom"][variant])
+                      - ref.pair_matrices).max() <= 1e-12
 
 
 def test_study_sample_grid_misaligned_exits_3(tmp_path, capsys):

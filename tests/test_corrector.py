@@ -301,3 +301,31 @@ def test_study_threads_bitwise_deterministic(spec, kw):
     for key in r1.errors:
         assert r1.errors[key] == r2.errors[key]
     assert r1.maxwell_gaps == r2.maxwell_gaps
+
+
+def test_stress_pairing_memory_within_budget():
+    # synthetic corrector tables at cell_n 32: the pairing's work arrays
+    # stay within its byte budget whatever the number of sample rows
+    import tracemalloc
+
+    from hk import corrector
+    from hk.homogenized import CorrectorData
+    rng = np.random.default_rng(0)
+    sample, cell = DomainGrid(8), make_cell_grid(32)
+    k = 4 * sample.n_elems
+    corr = CorrectorData(sample, cell, rng.standard_normal((k, 2)),
+                         rng.standard_normal((k, cell.n_nodes)),
+                         np.zeros(k), np.zeros(k))
+    # the grids cache their coordinates on first use, outside the count
+    sample.qp_coords(), cell.qp_coords()
+    inputs = corr.loadings.nbytes + corr.potentials.nbytes
+    tracemalloc.start()
+    try:
+        out = corrector.two_scale_stress_pairing(
+            corr, lambda x1, x2: 1.0 + x1 * x2,
+            lambda y1, y2: 1.0 + 0.5 * np.sin(2.0 * np.pi * y1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(out)) and out[0, 0] > 0.0
+    assert peak <= corrector.PAIRING_BUDGET_BYTES + inputs

@@ -1,10 +1,23 @@
-"""The Q1 kernels' constant-operator matmuls against their einsum forms."""
+"""Kernels in hk's one contraction idiom against their einsum forms.
+
+Element and point maps are 2-D matmuls against constant reference-element
+operators; 2-vector and 2x2 algebra is component-wise or a broadcast
+product with a sum.  Each is checked against the einsum it replaced.
+"""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hk import _fem
+from hk.constitutive import (ElasticTensorField, Geometry, OperatorSpec,
+                             isotropic_tensor)
 from hk.core_fields import DomainGrid, make_cell_grid
+from hk.corrector import two_scale_stress_pairing
+from hk.effective import EffectiveElectrostriction
+from hk.homogenized import CorrectorData
 
 GRIDS = {"cell-8": lambda: make_cell_grid(8), "domain-6": lambda: DomainGrid(6)}
 
@@ -60,3 +73,229 @@ def test_assemble_diffusion_matches_einsum(grid, tail):
     ref = _fem._csr_from_blocks(grid.conn, ke, grid.n_nodes).toarray()
     got = _fem.assemble_diffusion(grid.conn, grid.h, grid.n_nodes, coef)
     _close(got.toarray(), ref)
+
+
+@pytest.mark.parametrize("tail", [(), (2,)])
+def test_qp_values_matches_einsum(grid, tail):
+    nodal = np.random.default_rng(5).standard_normal((grid.n_nodes,) + tail)
+    ref = np.einsum("qa,ea...->eq...", _fem.SHAPE, nodal[grid.conn])
+    _close(_fem.qp_values(nodal, grid.conn), ref)
+
+
+@pytest.mark.parametrize("tail", [(), (2,), (2, 2)])
+def test_integrate_qp_matches_einsum(grid, tail):
+    vals = np.random.default_rng(6).standard_normal((grid.n_elems, 4) + tail)
+    ref = np.einsum("q,eq...->...", grid.h * grid.h * _fem.REF_WEIGHTS, vals)
+    _close(np.asarray(_fem.integrate_qp(grid.h, vals)), ref)
+
+
+@pytest.mark.parametrize("tail", [(), (2,)])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_lp_norm_qp_matches_einsum(grid, tail, p):
+    vals = np.random.default_rng(7).standard_normal((grid.n_elems, 4) + tail)
+    mag = np.abs(vals) if not tail else np.sqrt(
+        np.einsum("eq...c,eq...c->eq...", vals, vals))
+    w = grid.h * grid.h * _fem.REF_WEIGHTS
+    ref = np.einsum("q,eq->", w, mag ** p) ** (1.0 / p)
+    _close(np.array(_fem.lp_norm_qp(grid.h, vals, p)), ref)
+
+
+def test_lp_norm_of_masked_differences_matches_weighted_sum(grid):
+    # corrector errors drop points by zeroing their differences, where the
+    # weighted sum they replace masked the weights
+    rng = np.random.default_rng(8)
+    diff = rng.standard_normal((4 * grid.n_elems, 2))
+    mask = (rng.uniform(size=4 * grid.n_elems) < 0.5).astype(float)
+    w = np.broadcast_to(grid.rule.weights, (grid.n_elems, 4)).reshape(-1)
+    mag = np.sqrt(np.sum(diff * diff, axis=-1))
+    ref = ((w * mask) @ mag ** 3.0) ** (1.0 / 3.0)
+    got = _fem.lp_norm_qp(grid.h,
+                          (diff * mask[:, None]).reshape(-1, 4, 2), 3.0)
+    _close(np.array(got), ref)
+
+
+def _points(grid, rng, count=200):
+    """Random points over the grid's square, with its corners and edges."""
+    lo = np.asarray(grid.origin, dtype=float)
+    pts = lo + rng.uniform(0.0, grid.n * grid.h, (count, 2))
+    pts[:4] = lo + grid.n * grid.h * _fem._CORNERS
+    pts[4] = lo + grid.h * np.array([2.0, 3.0])           # a node
+    return pts
+
+
+@pytest.mark.parametrize("tail", [(), (2,)])
+def test_point_eval_matches_einsum(grid, tail):
+    rng = np.random.default_rng(9)
+    nodal = rng.standard_normal((grid.n_nodes,) + tail)
+    pts = _points(grid, rng)
+    elem, local = _fem.locate_points(pts, grid.n, grid.h, grid.origin)
+    ref = np.einsum("pa,pa...->p...", _fem.shape_at(local),
+                    nodal[grid.conn[elem]])
+    got = _fem.point_eval(nodal, grid.conn, grid.h, grid.n, grid.origin, pts)
+    _close(got, ref)
+    assert _fem.point_eval(nodal, grid.conn, grid.h, grid.n, grid.origin,
+                           pts.reshape(10, 20, 2)).shape == (10, 20) + tail
+
+
+@pytest.mark.parametrize("tail", [(), (2,)])
+def test_point_eval_gradient_matches_einsum(grid, tail):
+    rng = np.random.default_rng(10)
+    nodal = rng.standard_normal((grid.n_nodes,) + tail)
+    pts = _points(grid, rng)
+    elem, local = _fem.locate_points(pts, grid.n, grid.h, grid.origin)
+    ref = np.einsum("pad,pa...->p...d", _fem.shape_grad_at(local) / grid.h,
+                    nodal[grid.conn[elem]])
+    got = _fem.point_eval_gradient(nodal, grid.conn, grid.h, grid.n,
+                                   grid.origin, pts)
+    _close(got, ref)
+
+
+def test_table_row_gradient_matches_einsum():
+    from hk.corrector import _table_grad_at
+    cell = make_cell_grid(8)
+    rng = np.random.default_rng(11)
+    tables = rng.standard_normal((30, cell.n_nodes))
+    y = rng.uniform(-0.5, 0.5, (500, 2))
+    rows = rng.integers(0, 30, 500)
+    elem, local = _fem.locate_points(y, cell.n, cell.h, cell.origin)
+    ref = np.einsum("mad,ma->md", _fem.shape_grad_at(local) / cell.h,
+                    tables[rows[:, None], cell.conn[elem]])
+    _close(_table_grad_at(tables, rows, cell, y), ref)
+
+
+def test_recovered_gradient_matches_einsum(grid):
+    nodal = np.random.default_rng(12).standard_normal(grid.n_nodes)
+    corner_grad = _fem.shape_grad_at(_fem._CORNERS) / grid.h
+    ge = np.einsum("cad,ea->ecd", corner_grad, nodal[grid.conn])
+    counts = _fem.scatter(grid.node_scatter, np.ones(grid.conn.shape))
+    ref = _fem.scatter(grid.node_scatter, ge) / counts[:, None]
+    _close(_fem.recovered_gradient(grid, nodal), ref)
+
+
+def test_isotropic_elastic_blocks_match_einsum(grid):
+    rng = np.random.default_rng(13)
+    lam = rng.uniform(0.5, 2.0, (grid.n_elems, 4))
+    mu = rng.uniform(0.5, 2.0, (grid.n_elems, 4))
+    w = grid.h * grid.h * _fem.REF_WEIGHTS
+    g = _fem.SHAPE_GRAD / grid.h
+    ke = (np.einsum("q,eq,qai,qbj->eaibj", w, lam, g, g)
+          + np.einsum("q,eq,qaj,qbi->eaibj", w, mu, g, g)
+          + np.einsum("q,eq,ij,qak,qbk->eaibj", w, mu, np.eye(2), g, g))
+    ref = _fem._csr_from_blocks(grid.conn, ke.reshape(-1, 8, 8),
+                                2 * grid.n_nodes, dofs_per_node=2)
+    got = _fem.assemble_elasticity(grid.conn, grid.h, grid.n_nodes, lam, mu)
+    _close(got.toarray(), ref.toarray())
+
+
+def test_tensor_elastic_blocks_match_einsum(grid):
+    # a tensor without symmetries, so every entry of the operator counts
+    tensor = np.random.default_rng(14).standard_normal((2, 2, 2, 2))
+    w = grid.h * grid.h * _fem.REF_WEIGHTS
+    g = _fem.SHAPE_GRAD / grid.h
+    ke = np.einsum("q,qak,ikjl,qbl->aibj", w, g, tensor, g).reshape(8, 8)
+    ref = _fem._csr_from_blocks(
+        grid.conn, np.broadcast_to(ke, (grid.n_elems, 8, 8)),
+        2 * grid.n_nodes, dofs_per_node=2)
+    got = _fem.assemble_elasticity_constant(grid.conn, grid.h, grid.n_nodes,
+                                            tensor)
+    _close(got.toarray(), ref.toarray())
+
+
+def test_isotropic_tensor_matches_einsum():
+    eye = np.eye(2)
+    ref = (0.7 * np.einsum("ij,kh->ijkh", eye, eye)
+           + 1.3 * (np.einsum("ik,jh->ijkh", eye, eye)
+                    + np.einsum("ih,jk->ijkh", eye, eye)))
+    assert np.array_equal(isotropic_tensor(0.7, 1.3), ref)
+
+
+@pytest.mark.parametrize("xi_shape", [(5, 64, 4, 2), (64, 4, 2), (2,)])
+def test_linear_flux_local_matches_einsum(xi_shape):
+    spec = OperatorSpec(family="linear",
+                        geometry=Geometry(kind="laminate", fraction=0.5),
+                        matrices=([[2.0, 0.5], [0.3, 1.0]],
+                                  [[1.0, -0.2], [0.4, 3.0]]))
+    cell = make_cell_grid(8)
+    loc = spec.local_coefficients(cell.qp_coords())
+    loc = {k: v[None] for k, v in loc.items()} if len(xi_shape) == 4 else loc
+    xi = np.random.default_rng(15).standard_normal(xi_shape)
+    ref = np.einsum("...ij,...j->...i", loc["bmat"], xi)
+    _close(spec.flux_local(loc, xi), ref)
+
+
+@pytest.mark.parametrize("mat_shape", [(2, 2), (64, 4, 2, 2)])
+def test_tensor_field_apply_matches_einsum(mat_shape):
+    field = ElasticTensorField(
+        tensors=tuple(np.random.default_rng(s).standard_normal((2, 2, 2, 2))
+                      for s in (16, 17)),
+        geometry=Geometry(kind="laminate", fraction=0.5))
+    points = make_cell_grid(8).qp_coords()
+    mat = np.random.default_rng(18).standard_normal(mat_shape)
+    ref = np.einsum("...ijkh,...kh->...ij", field.tensor_at(points), mat)
+    _close(field.apply(points, mat), ref)
+
+
+@pytest.mark.parametrize("mat_shape", [(2, 2), (36, 4, 2, 2)])
+def test_electrostriction_apply_matches_einsum(mat_shape):
+    rng = np.random.default_rng(19)
+    eff = EffectiveElectrostriction(rng.standard_normal((2, 2, 2, 2)),
+                                    "C-applied", {})
+    mat = rng.standard_normal(mat_shape)
+    ref = np.einsum("ijkl,...ij->...kl", eff.pair_matrices, mat)
+    _close(eff.apply(mat), ref)
+
+
+def test_two_scale_stress_pairing_matches_einsum():
+    # 16,384 weighted products per entry, summed in another order
+    rng = np.random.default_rng(20)
+    sample, cell = DomainGrid(4), make_cell_grid(8)
+    k = 4 * sample.n_elems
+    corr = CorrectorData(sample, cell, rng.standard_normal((k, 2)),
+                         rng.standard_normal((k, cell.n_nodes)),
+                         np.zeros(k), np.zeros(k))
+
+    def psi_x(x1, x2):
+        return x1 * (1.0 - x2) + 0.5
+
+    def psi_y(y1, y2):
+        return 1.0 + 0.5 * np.sin(2.0 * np.pi * y1) * np.cos(np.pi * y2)
+
+    spts = sample.qp_coords().reshape(-1, 2)
+    fx = psi_x(spts[:, 0], spts[:, 1]) \
+        * np.broadcast_to(sample.rule.weights, (sample.n_elems, 4)).ravel()
+    ypts = cell.qp_coords()
+    fy = psi_y(ypts[..., 0], ypts[..., 1]) * cell.rule.weights
+    vals = corr.potentials[:, cell.conn]
+    total = np.einsum("qad,kea->keqd", _fem.SHAPE_GRAD, vals) / cell.h \
+        + corr.loadings[:, None, None, :]
+    outer = np.einsum("keqc,keqd->keqcd", total, total)
+    ref = np.einsum("k,eq,keqcd->cd", fx, fy, outer)
+    _close(two_scale_stress_pairing(corr, psi_x, psi_y), ref)
+
+
+_LIBRARY = Path(__file__).resolve().parents[1] / "src" / "hk"
+
+
+def _identifiers(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1]
+            yield node.asname
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.arg, ast.keyword)):
+            yield node.arg
+
+
+@pytest.mark.parametrize("path", sorted(_LIBRARY.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_library_has_one_kernel_idiom(path):
+    # contractions are constant-operator matmuls or component-wise
+    # algebra: no einsum call and no ``contract`` helper
+    names = set(_identifiers(ast.parse(path.read_text(), str(path))))
+    assert not {n for n in names if n and "einsum" in n}
+    assert not names & {"contract", "_contract"}
