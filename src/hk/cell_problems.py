@@ -24,7 +24,6 @@ import numpy as np
 from scipy.linalg.lapack import dpbsv as _dpbsv
 
 from . import _fem
-from .constitutive import OperatorSpec
 from .core_fields import CellGrid
 from .errors import NonConvergence, SingularSystem
 
@@ -47,7 +46,6 @@ class ScalarCellSolution:
     residual: float
     iterations: int
     grid: CellGrid = field(repr=False)
-    spec: OperatorSpec = field(repr=False)
 
 
 @dataclass
@@ -97,10 +95,10 @@ def solve_scalar_cell(spec, loading, grid, opts=None):
             f"scalar cell problem: residual {rnorm:.3e} > {tol:.3e} after "
             f"{iterations} iterations (grid n={grid.n})",
             residual=rnorm, iterations=iterations)
-    return ScalarCellSolution(loading, eta, rnorm, iterations, grid, spec)
+    return ScalarCellSolution(loading, eta, rnorm, iterations, grid)
 
 
-def corrector_flux(spec, loading, solution):
+def corrector_flux(loading, solution):
     """loading + grad(eta) at quadrature points, (nel, 4, 2).
 
     Its cell mean equals the loading (periodic gradients average to zero).
@@ -108,18 +106,6 @@ def corrector_flux(spec, loading, solution):
     grid = solution.grid
     return np.asarray(loading, dtype=float) \
         + _fem.qp_gradient(solution.values, grid.conn, grid.h)
-
-
-def verify_flux_identity(spec, loading, solution):
-    """| ∫ a(y,p).p - ∫ a(y,p).loading | for p the corrector flux.
-
-    Exact in the continuum; the discrete residual tracks the solver
-    tolerance.  Reported as a diagnostic, never raised.
-    """
-    batch = BatchScalarCellSolver(spec, solution.grid)
-    _, identity = batch.attached_residuals(
-        np.asarray(loading, dtype=float)[None], solution.values[None])
-    return float(identity[0])
 
 
 # ---------------------------------------------------------------------------
@@ -163,17 +149,6 @@ def solve_elastic_cell_U(tensor_field, grid, i, j):
     rhs = _fem.divergence_residual(grid, stress)
     x, relres = _solve_elastic(tensor_field, grid, rhs)
     return ElasticCellSolution((i, j), x, relres, 1, grid)
-
-
-def assemble_zeta(i, j, sol_i, sol_j):
-    """Outer product of the two corrector flux fields, (nel, 4, 2, 2)."""
-    if sol_i.grid is not sol_j.grid and sol_i.grid != sol_j.grid:
-        raise ValueError("corrector solutions live on different grids")
-    e_i = np.eye(2)[i]
-    e_j = np.eye(2)[j]
-    p_i = corrector_flux(sol_i.spec, e_i, sol_i)
-    p_j = corrector_flux(sol_j.spec, e_j, sol_j)
-    return p_i[..., :, None] * p_j[..., None, :]
 
 
 def solve_electrostriction_cell(tensor_field, zeta_qp, grid,

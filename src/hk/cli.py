@@ -4,8 +4,10 @@ Usage: ``hk <subcommand> --config <path-or-preset> [--out DIR] [--threads K]``
 with subcommands ``cell``, ``effective``, ``fine``, ``homogenized``,
 ``corrector-study``, and ``verify``.  Configs are JSON documents with a
 versioned ``schema`` field; validation errors are reported with a
-JSON-pointer path and exit code 3, solver non-convergence with exit
-code 2, and a failed ``verify`` check with exit code 4.  Outputs are bitwise deterministic for a fixed config and seed.
+JSON-pointer path and exit code 3, as are command-line usage errors;
+solver non-convergence exits with code 2, and a failed ``verify`` check
+with exit code 4.  Outputs are bitwise deterministic for a fixed config
+and seed.
 """
 
 import argparse
@@ -19,14 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .cell_problems import (SolverOptions, solve_elastic_cell_U,
-                            solve_scalar_cell, verify_flux_identity)
+from .cell_problems import (BatchScalarCellSolver, SolverOptions,
+                            solve_elastic_cell_U, solve_scalar_cell)
 from .constitutive import (ElasticTensorField, Geometry, OperatorSpec,
                            check_growth_conditions)
 from .core_fields import CellGrid, DomainGrid, ScalarField, dump_field
 from .corrector import run_corrector_study, study_source
 from .effective import (EffectiveLaw, assemble_B_hom, assemble_C_hom,
-                        c_hom_from_potentials, check_a_hom_properties)
+                        check_a_hom_properties)
 from .errors import ConfigError, NonConvergence, SingularSystem
 from .fine_scale import solve_fine_elasticity, solve_fine_electrostatic
 from .homogenized import (MacroOptions, solve_homogenized_elasticity,
@@ -370,25 +372,6 @@ def write_json(payload, path):
         fh.write("\n")
 
 
-def emit_report(results, out_dir):
-    """Write a report bundle: {relative path: dict (JSON) or str (text)}.
-
-    File contents are bitwise deterministic for identical inputs (sorted
-    keys, no timestamps).  Returns the written paths.
-    """
-    out_dir = Path(out_dir)
-    written = []
-    for rel, payload in sorted(results.items()):
-        path = out_dir / rel
-        if isinstance(payload, dict):
-            write_json(payload, path)
-        else:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(payload)
-        written.append(path)
-    return written
-
-
 def write_corrector_csv(report, path):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
@@ -413,16 +396,17 @@ def cmd_cell(cfg, out_dir, threads):
     opts = SolverOptions(tol=cfg["tolerances"]["cell"])
     summary = {"provenance": provenance_block(cfg), "scalar": {},
                "elastic": {}, "electrostriction": {}}
-    sols = []
-    for k in range(2):
-        sol = solve_scalar_cell(spec, np.eye(2)[k], grid, opts)
-        sols.append(sol)
+    sols = [solve_scalar_cell(spec, e, grid, opts) for e in np.eye(2)]
+    unit_etas = np.stack([sol.values for sol in sols])
+    _, idents = BatchScalarCellSolver(spec, grid, opts).attached_residuals(
+        np.eye(2), unit_etas)
+    for k, sol in enumerate(sols):
         name = f"cell_potential_e{k + 1}"
         dump_field(ScalarField(grid, sol.values), name,
                    str(out_dir / f"{name}.field"))
         summary["scalar"][f"e{k + 1}"] = {
             "residual": sol.residual, "iterations": sol.iterations,
-            "flux_identity": verify_flux_identity(spec, np.eye(2)[k], sol),
+            "flux_identity": float(idents[k]),
         }
     tensor_b, tensor_c = build_tensors(cfg)
     if tensor_b is not None:
@@ -434,8 +418,8 @@ def cmd_cell(cfg, out_dir, threads):
                        str(out_dir / f"{name}.field"))
             summary["elastic"][f"{i + 1}{j + 1}"] = {
                 "residual": sol.residual, "iterations": sol.iterations}
-        c_eff = c_hom_from_potentials(tensor_c, [s.values for s in sols],
-                                      grid, cfg["chom_variant"])
+        c_eff = assemble_C_hom(tensor_c, unit_etas, grid,
+                               cfg["chom_variant"])
         for (i, j), chi in c_eff.solutions.items():
             summary["electrostriction"][f"{i + 1}{j + 1}"] = {
                 "residual": chi.residual, "iterations": chi.iterations}
@@ -469,7 +453,7 @@ def cmd_effective(cfg, out_dir, threads):
         report["B_hom"] = _tensor_nested(b_eff.tensor)
         both = {}
         for variant in ("C-applied", "as-written"):
-            c_eff = c_hom_from_potentials(tensor_c, unit_etas, grid, variant)
+            c_eff = assemble_C_hom(tensor_c, unit_etas, grid, variant)
             both[variant] = _tensor_nested(c_eff.pair_matrices)
         report["C_hom"] = both
         report["C_hom_default_variant"] = cfg["chom_variant"]
@@ -523,7 +507,8 @@ def cmd_homogenized(cfg, out_dir, threads):
     tensor_b, tensor_c = build_tensors(cfg)
     if tensor_b is not None:
         b_eff = assemble_B_hom(tensor_b, grid)
-        c_eff = assemble_C_hom(tensor_c, spec, grid, cfg["chom_variant"], opts)
+        c_eff = assemble_C_hom(tensor_c, law.solutions_for(np.eye(2)), grid,
+                               cfg["chom_variant"])
         u0, resid = solve_homogenized_elasticity(
             b_eff, c_eff, np.array(cfg["sources"]["g"]), macro.potential,
             domain)
@@ -576,10 +561,9 @@ def cmd_verify(cfg, out_dir, threads):
         "max_continuity": props.max_continuity, "violation": props.violation}
     ok &= not props.violation
 
-    idents = {}
-    for k in range(2):
-        sol = solve_scalar_cell(spec, np.eye(2)[k], grid, opts)
-        idents[f"e{k + 1}"] = verify_flux_identity(spec, np.eye(2)[k], sol)
+    _, defects = law.batch.attached_residuals(
+        np.eye(2), law.solutions_for(np.eye(2)))
+    idents = {f"e{k + 1}": float(defects[k]) for k in range(2)}
     checks["flux_identities"] = idents
     ok &= all(v <= 1e-9 for v in idents.values())
 
@@ -649,8 +633,19 @@ def run(subcommand, config_path, out_dir="out", threads=1):
         return 2
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 3, the config-error code.
+
+    argparse's own code, 2, is the code of solver non-convergence.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="hk",
         description="Periodic homogenization experiments for coupled "
                     "electrostatic/elastic composites.")
@@ -663,6 +658,9 @@ def main(argv=None):
                         default=os.environ.get("HK_THREADS", "1"),
                         help="parallel ladder workers (HK_THREADS fallback)")
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"argument --threads: must be at least 1, got "
+                     f"{args.threads}")
     return run(args.subcommand, args.config, args.out, args.threads)
 
 

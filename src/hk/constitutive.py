@@ -288,11 +288,6 @@ class OperatorSpec:
         return "|".join(parts)
 
 
-def eval_operator(spec, y, xi):
-    """Flux a(y, xi); y is wrapped into the unit cell first."""
-    return spec.flux(y, xi)
-
-
 # ---------------------------------------------------------------------------
 # Structural-condition audit by sampling
 # ---------------------------------------------------------------------------
@@ -449,8 +444,3 @@ class ElasticTensorField:
         vals = ",".join(f"{v:.12g}" for t in self.tensors for v in t.ravel())
         return f"{self.geometry.kind}|{self.geometry.fraction:.12g}" \
                f"|{self.geometry.size:.12g}|{vals}"
-
-
-def eval_elastic_tensor(tensor_field, y):
-    """Fourth-order tensor at y (wrapped into the unit cell)."""
-    return tensor_field.tensor_at(y)

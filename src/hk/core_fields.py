@@ -182,11 +182,6 @@ class DomainGrid(_Grid):
         return f"DomainGrid(n={self.n})"
 
 
-def make_cell_grid(n):
-    """Periodic unit-cell grid with n cells per side (n >= 4, power of 2)."""
-    return CellGrid(n)
-
-
 class _Field:
     components = None
 

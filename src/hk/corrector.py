@@ -501,7 +501,8 @@ def run_corrector_study(spec, ladder, cell_n=8, fine_m=16, solve_n=32,
     u0_pairing = 0.0
     if with_elasticity:
         b_eff = assemble_B_hom(tensor_b, cell_grid)
-        c_eff = assemble_C_hom(tensor_c, spec, cell_grid, variant, cell_opts)
+        c_eff = assemble_C_hom(tensor_c, law.solutions_for(np.eye(2)),
+                               cell_grid, variant)
         u0, _ = solve_homogenized_elasticity(b_eff, c_eff, g_src, phi0,
                                              solve_grid,
                                              gradient_field=grad_field)

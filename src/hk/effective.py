@@ -31,17 +31,18 @@ class EffectiveLaw:
     of loadings.  Constant laws shortcut to the pointwise flux and have no
     cell potentials (eta = 0); linear laws to a constant matrix and a
     potential basis from two unit-loading cell solves.  Everything else
-    runs batched cell solves on ``_batch``, which every mode has for the
-    attached residuals.  ``eval_batch`` computes fluxes only, so the
-    constant and linear modes build no potentials there.  Nothing is
-    stored between calls, so one law can serve several threads.
+    runs batched cell solves on ``batch``, the one scalar cell solver of
+    the law, which every mode has for the attached residuals.
+    ``eval_batch`` computes fluxes only, so the constant and linear modes
+    build no potentials there.  Nothing is stored between calls, so one
+    law can serve several threads.
     """
 
     def __init__(self, spec, grid, opts=None):
         self.spec = spec
         self.grid = grid
         self.opts = opts or SolverOptions()
-        self._batch = BatchScalarCellSolver(spec, grid, self.opts)
+        self.batch = BatchScalarCellSolver(spec, grid, self.opts)
         if spec.is_constant:
             self.mode = "constant"
         elif spec.is_linear:
@@ -98,7 +99,7 @@ class EffectiveLaw:
             np.broadcast_to(_SAFE_POINT, loadings.shape))
 
     def _solve_loadings(self, loadings, warm=None):
-        result = self._batch.solve(loadings, warm=warm)
+        result = self.batch.solve(loadings, warm=warm)
         if not result.converged.all():
             worst = float(result.residuals.max())
             iterations = int(result.iterations.max())
@@ -106,20 +107,19 @@ class EffectiveLaw:
                 f"batched cell solves: worst residual {worst:.3e} after "
                 f"{iterations} iterations (grid n={self.grid.n})",
                 residual=worst, iterations=iterations)
-        return self._batch.flux_means(result), result.values
+        return self.batch.flux_means(result), result.values
 
     # -- derivatives -------------------------------------------------------
 
-    def jacobian_batch(self, loadings, etas=None, return_w=False):
-        """Consistent tangents d a_hom / d xi, (K, 2, 2).
+    def jacobian_batch(self, loadings, etas=None):
+        """Consistent tangents d a_hom / d xi, (K, 2, 2), and W = d eta / d xi.
 
         d a_hom / d xi = ∫ A(y, p) (I + grad w) with p = xi + grad eta_xi,
         A = d a / d xi and w_j the linearized cell solution for the unit
         loading e_j.  ``etas`` are the cell solutions at the loadings, as
         ``solve`` returned them; when None they are solved first.  Each
         tangent costs two linear solves with the Newton matrix at the
-        converged solution.  With ``return_w`` the zero-mean
-        W = [w_1 w_2] = d eta / d xi, (K, n^2, 2), comes back as well; it
+        converged solution.  The zero-mean W = [w_1 w_2], (K, n^2, 2),
         predicts the cell solution at a nearby loading xi' as
         eta + W (xi' - xi).  Constant and linear laws run no cell
         iterations, so their W is None.
@@ -136,11 +136,11 @@ class EffectiveLaw:
         else:
             if etas is None:
                 etas = self.solutions_for(loadings)
-            jac, w = self._batch.tangents(loadings, etas)
-        return (jac, w) if return_w else jac
+            jac, w = self.batch.tangents(loadings, etas)
+        return jac, w
 
     def jacobian(self, xi):
-        return self.jacobian_batch(np.asarray(xi, dtype=float)[None, :])[0]
+        return self.jacobian_batch(np.asarray(xi, dtype=float)[None, :])[0][0]
 
     def provenance(self):
         return {
@@ -152,25 +152,11 @@ class EffectiveLaw:
         }
 
 
-def eval_a_hom(spec, xi, grid, opts=None):
-    """Effective flux at one loading."""
-    return EffectiveLaw(spec, grid, opts).eval(xi)
-
-
-def linear_case_b_hom(spec, grid, opts=None):
-    """Constant effective matrix for the linear family (two cell solves)."""
-    if not spec.is_linear:
-        raise ValueError("linear_case_b_hom needs the linear family")
-    opts = opts or SolverOptions()
-    return _b_hom(spec, grid, [solve_scalar_cell(spec, e, grid, opts)
-                               for e in np.eye(2)])
-
-
 def _b_hom(spec, grid, sols):
     """b_hom[j, k] = ∫ b (e_k + grad w_k) . (e_j + grad w_j), w = sols."""
     bmat = spec.local_coefficients(grid.qp_coords())["bmat"]
     # p[:, :, k] = e_k + grad w_k and its flux b p_k, (nel, 4, k, 2)
-    p = np.stack([corrector_flux(spec, e, s) for e, s in zip(np.eye(2), sols)],
+    p = np.stack([corrector_flux(e, s) for e, s in zip(np.eye(2), sols)],
                  axis=2)
     flux = spec.flux_local({"bmat": bmat[:, :, None]}, p)
     return _fem.integrate_qp(
@@ -238,19 +224,13 @@ class EffectiveElectrostriction:
             .reshape(mat.shape)
 
 
-def assemble_C_hom(tensor_field, spec, grid, variant="C-applied", opts=None):
-    """``c_hom_from_potentials`` of the scalar cell solutions at e_1, e_2."""
-    opts = opts or SolverOptions()
-    unit_etas = [solve_scalar_cell(spec, e, grid, opts).values
-                 for e in np.eye(2)]
-    return c_hom_from_potentials(tensor_field, unit_etas, grid, variant)
-
-
-def c_hom_from_potentials(tensor_field, unit_etas, grid, variant="C-applied"):
+def assemble_C_hom(tensor_field, unit_etas, grid, variant="C-applied"):
     """Effective electrostriction from corrector-stress cell solves.
 
-    ``unit_etas[k]`` is the scalar cell solution at e_k on ``grid``; zeta_ij
-    is the outer product of the corrector fluxes e_k + grad eta_k, k = i, j.
+    ``unit_etas[k]`` is the scalar cell solution at e_k on ``grid``, as
+    ``EffectiveLaw.solutions_for(np.eye(2))`` returns them, so a_hom and
+    C_hom share one solve of the unit loadings.  zeta_ij is the outer
+    product of the corrector fluxes e_k + grad eta_k, k = i, j.
     variant "C-applied" (default): pair average ∫ C (D(chi) + zeta) dy,
     which reproduces the fine-scale response for constant coefficients;
     variant "as-written": ∫ C D(chi) + zeta dy.

@@ -194,17 +194,3 @@ def solve_fine_elasticity(tensor_b, tensor_c, eps, g, sigma_qp, domain):
     res = matrix @ u - rhs.ravel()
     rnorm = float(np.linalg.norm(res[free]))
     return VectorField(domain, u.reshape(-1, 2)), rnorm
-
-
-def weak_interface_balance(spec, eps, phi, f, domain):
-    """Largest interior nodal defect of the discrete flux balance.
-
-    Conforming elements satisfy the interface jump conditions weakly; the
-    per-node residual of the converged solve is the discrete version of
-    the integrated normal-flux jump, so this is the quantitative check.
-    """
-    osc = OscillatoryMap(domain, eps, spec.geometry)
-    loc = osc.local_coefficients(spec)
-    rhs = _fem.load_vector(domain, _source_at_qp(f, domain))
-    res = _scalar_fine_residual(spec, loc, domain, phi.values, rhs)
-    return float(np.abs(res[domain.interior]).max())

@@ -90,7 +90,7 @@ def solve_homogenized_electrostatic(law, f, domain, opts=None):
         nonlocal predictor
         history.append(float(np.linalg.norm(res[0, free])))
         grads = _grad_flat(phis[0], domain)
-        jac, w = law.jacobian_batch(grads, etas, return_w=True)
+        jac, w = law.jacobian_batch(grads, etas)
         if etas is not None:
             predictor = (grads, etas, w)
         matrix = _fem.assemble_diffusion(domain.conn, domain.h,
@@ -215,11 +215,11 @@ def reconstruct_phi1(law, phi0, sample_grid=None, gradient_field=None,
                                return_inverse=True)
         xi0 = _grad_flat(phi0.values, phi0.grid)[keys]
         etas = cell_potentials[keys]
-        _, w = law.jacobian_batch(xi0, etas, return_w=True)
+        _, w = law.jacobian_batch(xi0, etas)
         warm = _predict(xi0[near], etas[near], w[near], loadings)
     potentials = law.solutions_for(loadings, warm=warm)
     return CorrectorData(sample_grid, law.grid, loadings, potentials,
-                         *law._batch.attached_residuals(loadings, potentials))
+                         *law.batch.attached_residuals(loadings, potentials))
 
 
 def _predict(loadings, etas, w, new_loadings):

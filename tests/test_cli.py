@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hk.cell_problems import SolverOptions
+from hk.cell_problems import SolverOptions, solve_scalar_cell
 from hk.cli import (PRESETS, build_source_f, build_spec, build_tensors,
                     config_hash, load_config, main, run, validate_config)
 from hk.core_fields import CellGrid
@@ -201,17 +201,6 @@ def test_all_reports_carry_provenance(tmp_path):
         assert payload["provenance"]["tolerances"]
 
 
-def test_emit_report_deterministic(tmp_path):
-    from hk.cli import emit_report
-    bundle = {"a/report.json": {"z": 1, "a": [1.0, 2.0]},
-              "notes.txt": "hello\n"}
-    paths1 = emit_report(bundle, tmp_path / "one")
-    paths2 = emit_report(bundle, tmp_path / "two")
-    for p1, p2 in zip(paths1, paths2):
-        assert p1.read_bytes() == p2.read_bytes()
-    assert (tmp_path / "one" / "a" / "report.json").exists()
-
-
 def test_validate_grid_power_of_two(tmp_path):
     cfg = json.loads(json.dumps(PRESETS["laminate-p2"]))
     cfg["grids"]["cell_n"] = 12
@@ -279,9 +268,29 @@ def test_bad_hk_threads_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("HK_THREADS", "abc")
     with pytest.raises(SystemExit) as info:
         main(["verify", "--config", "laminate-p2"])
-    assert info.value.code == 2
+    assert info.value.code == 3
     err = capsys.readouterr().err
     assert "--threads: invalid int value: 'abc'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["--threads", "0"], None),
+    (["--threads", "-3"], None),
+    ([], "0"),
+    (["--nope"], None),
+])
+def test_usage_errors_exit_3(monkeypatch, capsys, argv, env):
+    # 2 is the code of solver non-convergence, so usage errors share the
+    # config-error code; nothing runs
+    if env is not None:
+        monkeypatch.setenv("HK_THREADS", env)
+    monkeypatch.setattr("hk.cli.run", lambda *args: pytest.fail("ran"))
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--config", "laminate-p2"] + argv)
+    assert info.value.code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hk")
     assert "Traceback" not in err
 
 
@@ -316,10 +325,47 @@ def test_effective_solves_unit_loadings_once(tmp_path, monkeypatch):
     tensor_c = build_tensors(cfg)[1]
     grid = CellGrid(8)
     opts = SolverOptions(tol=cfg["tolerances"]["cell"])
+    unit_etas = [solve_scalar_cell(spec, e, grid, opts).values
+                 for e in np.eye(2)]
     for variant in ("C-applied", "as-written"):
-        ref = assemble_C_hom(tensor_c, spec, grid, variant, opts)
+        ref = assemble_C_hom(tensor_c, unit_etas, grid, variant)
         assert np.abs(np.array(payload["C_hom"][variant])
                       - ref.pair_matrices).max() <= 1e-12
+
+
+@pytest.mark.parametrize("subcommand", ["verify", "homogenized",
+                                        "corrector-study"])
+def test_one_cell_solver_per_run(tmp_path, monkeypatch, subcommand):
+    # a_hom, C_hom and the flux identities all take the unit-loading cell
+    # solutions from the effective law and its one batched solver
+    import hk.cell_problems
+    import hk.cli
+    import hk.effective
+    from hk.cell_problems import BatchScalarCellSolver
+    built, single = [], []
+    init = BatchScalarCellSolver.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    def counting_solve(*args, **kwargs):
+        single.append(args[1])
+        return solve_scalar_cell(*args, **kwargs)
+
+    monkeypatch.setattr(BatchScalarCellSolver, "__init__", counting_init)
+    for module in (hk.cell_problems, hk.effective, hk.cli):
+        monkeypatch.setattr(module, "solve_scalar_cell", counting_solve)
+    overrides = {"operator": PRESETS["laminate-p3"]["operator"]}
+    if subcommand == "corrector-study":
+        # the benchmark's study-p3 grids and ladder, elasticity kept
+        overrides.update(grids={"cell_n": 8, "fine_m": 8, "solve_n": 8,
+                                "sample_n": 16}, ladder=[0.5, 0.25, 0.125])
+    path, cfg = small_config(tmp_path, **overrides)
+    assert cfg["grids"]["cell_n"] == 8 and cfg["elasticity"] is not None
+    assert run(subcommand, str(path), str(tmp_path / "out")) == 0
+    assert built == [1]
+    assert single == []
 
 
 def test_study_sample_grid_misaligned_exits_3(tmp_path, capsys):

@@ -4,29 +4,29 @@ import numpy as np
 import pytest
 
 from hk import _fem
-from hk.core_fields import (DomainGrid, ScalarField, VectorField,
+from hk.core_fields import (CellGrid, DomainGrid, ScalarField, VectorField,
                             cell_average, dump_field, gradient, load_field,
-                            make_cell_grid, sample_oscillatory, sym_gradient)
+                            sample_oscillatory, sym_gradient)
 
 
 def test_make_cell_grid_counts():
-    grid = make_cell_grid(4)
+    grid = CellGrid(4)
     assert grid.n_elems == 16
     assert grid.n_nodes == 16  # periodic nodes are identified
 
 
 def test_make_cell_grid_spacing():
-    assert make_cell_grid(64).h == 1.0 / 64
+    assert CellGrid(64).h == 1.0 / 64
 
 
 @pytest.mark.parametrize("n", [3, 2, 12, 0])
 def test_make_cell_grid_rejects_unsupported(n):
     with pytest.raises(ValueError, match="unsupported"):
-        make_cell_grid(n)
+        CellGrid(n)
 
 
 def test_periodic_wrap_bitwise():
-    grid = make_cell_grid(8)
+    grid = CellGrid(8)
     rng = np.random.default_rng(0)
     vals = rng.standard_normal(grid.n_nodes)
     f = ScalarField(grid, vals)
@@ -60,7 +60,7 @@ def test_domain_interior_puts_the_top_separator_last():
 
 
 def test_quadrature_weights_sum_to_area():
-    grid = make_cell_grid(8)
+    grid = CellGrid(8)
     assert np.isclose(grid.rule.weights.sum(), grid.h ** 2)
 
 
@@ -84,7 +84,7 @@ def test_gradient_affine_exact():
 
 
 def test_gradient_constant_zero():
-    grid = make_cell_grid(8)
+    grid = CellGrid(8)
     g = gradient(ScalarField(grid, np.full(grid.n_nodes, 3.5)))
     assert np.abs(g).max() < 1e-14
 
@@ -123,7 +123,7 @@ def test_sym_gradient_affine_cases():
 
 
 def test_sym_gradient_symmetry_pointwise():
-    grid = make_cell_grid(8)
+    grid = CellGrid(8)
     rng = np.random.default_rng(1)
     u = VectorField(grid, rng.standard_normal((grid.n_nodes, 2)))
     s = sym_gradient(u)
@@ -131,19 +131,19 @@ def test_sym_gradient_symmetry_pointwise():
 
 
 def test_cell_average_constant():
-    grid = make_cell_grid(8)
+    grid = CellGrid(8)
     assert np.isclose(cell_average(ScalarField(
         grid, np.full(grid.n_nodes, 5.0))), 5.0)
 
 
 def test_cell_average_sine():
-    grid = make_cell_grid(64)
+    grid = CellGrid(64)
     vals = np.sin(2 * np.pi * grid.node_coords()[:, 0])
     assert abs(cell_average(ScalarField(grid, vals))) <= 1e-3
 
 
 def test_cell_average_two_phase():
-    grid = make_cell_grid(16)
+    grid = CellGrid(16)
     vals = np.where(grid.node_coords()[:, 0] < 0, 1.0, 3.0)
     # evaluate at quadrature points of the piecewise interpolant: the
     # interface column mixes, so use the quadrature data directly
@@ -153,7 +153,7 @@ def test_cell_average_two_phase():
 
 
 def test_sample_oscillatory_constant():
-    grid = make_cell_grid(8)
+    grid = CellGrid(8)
     dom = DomainGrid(16)
     g = ScalarField(grid, np.full(grid.n_nodes, 2.5))
     out = sample_oscillatory(g, 0.5, dom)
@@ -161,7 +161,7 @@ def test_sample_oscillatory_constant():
 
 
 def test_sample_oscillatory_stripes():
-    grid = make_cell_grid(8)
+    grid = CellGrid(8)
     dom = DomainGrid(16)
     vals = (grid.node_coords()[:, 0] < 0).astype(float)
     out = sample_oscillatory(vals_field := ScalarField(grid, vals), 0.5, dom)
@@ -175,7 +175,7 @@ def test_sample_oscillatory_stripes():
 
 
 def test_sample_oscillatory_commensurability():
-    grid = make_cell_grid(16)
+    grid = CellGrid(16)
     ok = sample_oscillatory(ScalarField(grid, np.zeros(grid.n_nodes)),
                             0.25, DomainGrid(64))
     assert ok.grid.n == 64
@@ -191,7 +191,7 @@ def test_sample_oscillatory_commensurability():
 
 
 def test_sample_oscillatory_mean_on_full_cells():
-    grid = make_cell_grid(16)
+    grid = CellGrid(16)
     rng = np.random.default_rng(2)
     g = ScalarField(grid, rng.standard_normal(grid.n_nodes))
     dom = DomainGrid(32)
@@ -204,7 +204,7 @@ def test_sample_oscillatory_mean_on_full_cells():
 
 
 def test_dump_and_load_roundtrip():
-    grid = make_cell_grid(4)
+    grid = CellGrid(4)
     rng = np.random.default_rng(3)
     f = ScalarField(grid, rng.standard_normal(grid.n_nodes))
     buf = io.StringIO()
@@ -218,14 +218,14 @@ def test_dump_and_load_roundtrip():
 
 
 def test_fields_immutable():
-    grid = make_cell_grid(4)
+    grid = CellGrid(4)
     f = ScalarField(grid, np.zeros(grid.n_nodes))
     with pytest.raises(ValueError):
         f.values[0] = 1.0
 
 
 def test_qp_coords_built_once_and_read_only():
-    for grid in (make_cell_grid(8), DomainGrid(8)):
+    for grid in (CellGrid(8), DomainGrid(8)):
         pts = grid.qp_coords()
         assert grid.qp_coords() is pts
         assert np.array_equal(pts, _fem.qp_coords(grid.n, grid.h, grid.origin))

@@ -3,7 +3,7 @@ import pytest
 
 from hk import _fem
 from hk.constitutive import Geometry, OperatorSpec
-from hk.core_fields import (DomainGrid, ScalarField, make_cell_grid,
+from hk.core_fields import (CellGrid, DomainGrid, ScalarField,
                             sample_oscillatory)
 from hk.corrector import (CellwiseConstant, EpsPartition, coarse_average_M,
                           corrector_error_explicit,
@@ -97,7 +97,7 @@ def test_mm_average_linearity_in_x():
 
 
 def test_unfolding_norm_preservation():
-    grid = make_cell_grid(8)
+    grid = CellGrid(8)
     dom = DomainGrid(32)
     rng = np.random.default_rng(3)
     v = ScalarField(dom, rng.standard_normal(dom.n_nodes))
@@ -111,7 +111,7 @@ def test_unfolding_norm_preservation():
 
 
 def test_unfolding_periodic_field_x_independent():
-    grid = make_cell_grid(8)
+    grid = CellGrid(8)
     vals = np.cos(2 * np.pi * grid.node_coords()[:, 1])
     g = ScalarField(grid, vals)
     dom = DomainGrid(32)
@@ -156,7 +156,7 @@ def test_pairing_constant_sequence():
 
 
 def test_pairing_oscillatory_limit():
-    grid = make_cell_grid(16)
+    grid = CellGrid(16)
     g = ScalarField(grid, np.sin(2 * np.pi * grid.node_coords()[:, 0]))
     psi_x = lambda x1, x2: 16 * x1 * (1 - x1) * x2 * (1 - x2)
     psi_y = lambda y1, y2: np.sin(2 * np.pi * y1)
@@ -184,7 +184,7 @@ def test_fit_rate_needs_three_points():
 
 def test_explicit_error_constant_coefficients_floor():
     spec = OperatorSpec(family="linear", geometry=UNIFORM, sigma=(2.0, 2.0))
-    cell = make_cell_grid(8)
+    cell = CellGrid(8)
     law = EffectiveLaw(spec, cell)
     dom = DomainGrid(32)
     macro = solve_homogenized_electrostatic(law, 1.0, dom)
@@ -232,7 +232,7 @@ def test_study_constant_coefficients_small():
     # error hits the exact-degeneracy floor (same discrete solutions)
     from hk.fine_scale import solve_fine_electrostatic
     from hk.cell_problems import SolverOptions
-    cell = make_cell_grid(8)
+    cell = CellGrid(8)
     law = EffectiveLaw(spec, cell)
     dom = DomainGrid(32)
     macro = solve_homogenized_electrostatic(law, 1.0, dom)
@@ -259,7 +259,7 @@ def test_averaged_error_triangle_inequality():
     # corrector and its cell averages
     lam = Geometry(kind="laminate", fraction=0.5)
     spec = OperatorSpec(family="linear", geometry=lam, sigma=(1.0, 4.0))
-    cell = make_cell_grid(8)
+    cell = CellGrid(8)
     law = EffectiveLaw(spec, cell)
     macro = solve_homogenized_electrostatic(law, 1.0, DomainGrid(16))
     sample = DomainGrid(32)
@@ -311,7 +311,7 @@ def test_stress_pairing_memory_within_budget():
     from hk import corrector
     from hk.homogenized import CorrectorData
     rng = np.random.default_rng(0)
-    sample, cell = DomainGrid(8), make_cell_grid(32)
+    sample, cell = DomainGrid(8), CellGrid(32)
     k = 4 * sample.n_elems
     corr = CorrectorData(sample, cell, rng.standard_normal((k, 2)),
                          rng.standard_normal((k, cell.n_nodes)),

@@ -4,10 +4,9 @@ import pytest
 from hk.cell_problems import solve_scalar_cell
 from hk.constitutive import (ElasticTensorField, Geometry, OperatorSpec,
                              isotropic_tensor)
-from hk.core_fields import make_cell_grid
+from hk.core_fields import CellGrid
 from hk.effective import (EffectiveLaw, assemble_B_hom, assemble_C_hom,
-                          check_a_hom_properties, eval_a_hom,
-                          linear_case_b_hom)
+                          check_a_hom_properties)
 
 from oracles import (laminate_elastic_tensor, laminate_flux_balance,
                      laminate_transverse_mean)
@@ -24,11 +23,16 @@ def p3_laminate():
                         geometry=LAMINATE, sigma=(1.0, 4.0))
 
 
+def unit_potentials(spec, grid):
+    """Cell solutions at e_1 and e_2, (2, n^2)."""
+    return EffectiveLaw(spec, grid).solutions_for(np.eye(2))
+
+
 def test_a_hom_constant_matrix():
     b = np.array([[2.0, 0.5], [0.5, 1.0]])
     spec = OperatorSpec(family="linear", geometry=Geometry("uniform"),
                         matrices=(b, b))
-    law = EffectiveLaw(spec, make_cell_grid(8))
+    law = EffectiveLaw(spec, CellGrid(8))
     xi = np.array([0.3, -0.7])
     assert np.abs(law.eval(xi) - b @ xi).max() < 1e-12
 
@@ -38,7 +42,7 @@ def test_a_hom_laminate_p2_means():
     q, _ = laminate_flux_balance([1.0, 4.0], [0.5, 0.5], 2.0)
     mean_t = laminate_transverse_mean([1.0, 4.0], [0.5, 0.5], 2.0)
     assert (q, mean_t) == (1.6, 2.5)
-    law = EffectiveLaw(linear_laminate(), make_cell_grid(128))
+    law = EffectiveLaw(linear_laminate(), CellGrid(128))
     a1 = law.eval([1.0, 0.0])
     a2 = law.eval([0.0, 1.0])
     assert abs(a1[0] - 1.6) / 1.6 < 1e-3
@@ -48,12 +52,12 @@ def test_a_hom_laminate_p2_means():
 def test_a_hom_laminate_p3_flux_balance():
     q, _ = laminate_flux_balance([1.0, 4.0], [0.5, 0.5], 3.0)
     assert abs(q - 16.0 / 9.0) < 1e-15
-    val = eval_a_hom(p3_laminate(), [1.0, 0.0], make_cell_grid(128))
+    val = EffectiveLaw(p3_laminate(), CellGrid(128)).eval([1.0, 0.0])
     assert abs(val[0] - q) / q < 1e-3
 
 
 def test_a_hom_cache_hits():
-    law = EffectiveLaw(p3_laminate(), make_cell_grid(8))
+    law = EffectiveLaw(p3_laminate(), CellGrid(8))
     v1 = law.eval([0.5, 0.25])
     v2 = law.eval([0.5, 0.25])
     assert np.array_equal(v1, v2)
@@ -62,22 +66,24 @@ def test_a_hom_cache_hits():
 def test_linear_case_b_hom_identity():
     spec = OperatorSpec(family="linear", geometry=Geometry("uniform"),
                         sigma=(1.0, 1.0))
-    bhom = linear_case_b_hom(spec, make_cell_grid(8))
+    # a constant law has no cell matrix: b_hom's columns are a_hom(e_k),
+    # as ``hk effective`` reports them
+    bhom = EffectiveLaw(spec, CellGrid(8)).eval_batch(np.eye(2)).T
     assert np.abs(bhom - np.eye(2)).max() < 1e-12
 
 
 def test_linear_case_b_hom_laminate():
-    bhom = linear_case_b_hom(linear_laminate(), make_cell_grid(64))
+    bhom = EffectiveLaw(linear_laminate(), CellGrid(64)).matrix
     assert abs(bhom[0, 0] - 1.6) / 1.6 < 1e-3
     assert abs(bhom[1, 1] - 2.5) / 2.5 < 1e-3
     assert abs(bhom[0, 1]) < 1e-10
 
 
 def test_linear_consistency_two_paths():
-    grid = make_cell_grid(32)
+    grid = CellGrid(32)
     spec = linear_laminate()
-    bhom = linear_case_b_hom(spec, grid)
     law = EffectiveLaw(spec, grid)
+    bhom = law.matrix
     rng = np.random.default_rng(7)
     for _ in range(10):
         xi = rng.standard_normal(2)
@@ -91,7 +97,7 @@ def test_linear_case_b_hom_nonsymmetric_laminate():
     spec = OperatorSpec(family="linear", geometry=LAMINATE,
                         matrices=(((1.0, 0.5), (-0.5, 1.0)),
                                   ((4.0, 1.0), (-1.0, 4.0))))
-    bhom = linear_case_b_hom(spec, make_cell_grid(16))
+    bhom = EffectiveLaw(spec, CellGrid(16)).matrix
     assert np.abs(bhom - np.array([[1.6, 0.6], [-0.6, 2.525]])).max() < 1e-10
 
 
@@ -104,7 +110,7 @@ def test_linear_law_solves_unit_loadings_once(monkeypatch):
         return solve_scalar_cell(*args, **kwargs)
 
     monkeypatch.setattr(effective, "solve_scalar_cell", counted)
-    grid = make_cell_grid(16)
+    grid = CellGrid(16)
     law = EffectiveLaw(linear_laminate(), grid)
     basis = law.solutions_for(np.eye(2))
     assert len(calls) == 2
@@ -114,14 +120,14 @@ def test_linear_law_solves_unit_loadings_once(monkeypatch):
 
 
 def test_hill_bounds_linear():
-    bhom = linear_case_b_hom(linear_laminate(), make_cell_grid(64))
+    bhom = EffectiveLaw(linear_laminate(), CellGrid(64)).matrix
     eigs = np.linalg.eigvalsh(0.5 * (bhom + bhom.T))
     assert eigs.min() >= 1.6 - 1e-6      # harmonic mean
     assert eigs.max() <= 2.5 + 1e-6      # arithmetic mean
 
 
 def test_a_hom_power_law_homogeneity():
-    law = EffectiveLaw(p3_laminate(), make_cell_grid(16))
+    law = EffectiveLaw(p3_laminate(), CellGrid(16))
     xi = np.array([0.4, -0.9])
     base = law.eval(xi)
     for t in (0.5, 2.0):
@@ -133,7 +139,7 @@ def test_a_hom_power_law_homogeneity():
 def test_a_hom_checkerboard_rotation_equivariance():
     spec = OperatorSpec(family="linear", geometry=Geometry("checkerboard"),
                         sigma=(1.0, 4.0))
-    law = EffectiveLaw(spec, make_cell_grid(32))
+    law = EffectiveLaw(spec, CellGrid(32))
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
     rng = np.random.default_rng(8)
     for _ in range(5):
@@ -144,7 +150,7 @@ def test_a_hom_checkerboard_rotation_equivariance():
 
 
 def test_check_a_hom_properties_theta():
-    law = EffectiveLaw(linear_laminate(), make_cell_grid(16))
+    law = EffectiveLaw(linear_laminate(), CellGrid(16))
     rep = check_a_hom_properties(law, m=30, seed=0)
     assert rep.theta == 1.0  # alpha = 1, p = 2
     assert not rep.violation
@@ -153,7 +159,7 @@ def test_check_a_hom_properties_theta():
 def test_check_a_hom_properties_linear_constant_ratio():
     spec = OperatorSpec(family="linear", geometry=Geometry("uniform"),
                         sigma=(3.0, 3.0))
-    law = EffectiveLaw(spec, make_cell_grid(8))
+    law = EffectiveLaw(spec, CellGrid(8))
     rep = check_a_hom_properties(law, m=50, seed=1)
     # the monotonicity ratio is exactly the conductivity; the continuity
     # ratio carries the (1+|xi1|^2+|xi2|^2)^(theta/2) weight on top
@@ -162,7 +168,7 @@ def test_check_a_hom_properties_linear_constant_ratio():
 
 
 def test_check_a_hom_properties_p3_positive():
-    law = EffectiveLaw(p3_laminate(), make_cell_grid(8))
+    law = EffectiveLaw(p3_laminate(), CellGrid(8))
     for seed in range(3):
         rep = check_a_hom_properties(law, m=100, seed=seed)
         assert rep.min_monotonicity > 0.0
@@ -173,7 +179,7 @@ def test_check_a_hom_properties_p3_positive():
 def test_b_hom_constant_tensor():
     field = ElasticTensorField.from_lame((1.0, 1.0),
                                          geometry=Geometry("uniform"))
-    eff = assemble_B_hom(field, make_cell_grid(8))
+    eff = assemble_B_hom(field, CellGrid(8))
     # restricted to symmetric action the constant tensor is recovered
     sym_strains = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
                    np.array([[0.0, 0.5], [0.5, 0.0]])]
@@ -186,7 +192,7 @@ def test_b_hom_constant_tensor():
 
 def test_b_hom_major_minor_symmetry():
     field = ElasticTensorField.from_lame((1.0, 1.0), (3.0, 2.0), LAMINATE)
-    t = assemble_B_hom(field, make_cell_grid(32)).tensor
+    t = assemble_B_hom(field, CellGrid(32)).tensor
     assert np.abs(t - np.transpose(t, (2, 3, 0, 1))).max() < 1e-10
     assert np.abs(t - np.transpose(t, (1, 0, 2, 3))).max() < 1e-10
     assert np.abs(t - np.transpose(t, (0, 1, 3, 2))).max() < 1e-10
@@ -197,7 +203,7 @@ def test_b_hom_laminate_against_strip_oracle():
     # frozen oracle values: axial Reuss mean of (lam + 2 mu) is 4.2
     assert abs(response[0, 0] - 4.2) < 1e-12
     field = ElasticTensorField.from_lame((1.0, 1.0), (3.0, 2.0), LAMINATE)
-    t = assemble_B_hom(field, make_cell_grid(16)).tensor
+    t = assemble_B_hom(field, CellGrid(16)).tensor
     assert abs(t[0, 0, 0, 0] - response[0, 0]) / response[0, 0] < 1e-3
     assert abs(t[1, 1, 1, 1] - response[1, 1]) / response[1, 1] < 1e-3
     assert abs(t[0, 0, 1, 1] - response[1, 0]) / abs(response[1, 0]) < 1e-3
@@ -206,7 +212,7 @@ def test_b_hom_laminate_against_strip_oracle():
 
 def test_b_hom_positive_definite_on_symmetric():
     field = ElasticTensorField.from_lame((1.0, 1.0), (3.0, 2.0), LAMINATE)
-    t = assemble_B_hom(field, make_cell_grid(16)).tensor
+    t = assemble_B_hom(field, CellGrid(16)).tensor
     rng = np.random.default_rng(9)
     for _ in range(100):
         c = rng.standard_normal((2, 2))
@@ -222,7 +228,9 @@ def test_c_hom_constant_applied_recovers_fine_law():
                                           geometry=Geometry("uniform"))
     spec = OperatorSpec(family="linear", geometry=Geometry("uniform"),
                         sigma=(1.0, 1.0))
-    eff = assemble_C_hom(cfield, spec, make_cell_grid(8), "C-applied")
+    grid = CellGrid(8)
+    eff = assemble_C_hom(cfield, unit_potentials(spec, grid), grid,
+                         "C-applied")
     ref = isotropic_tensor(2.0, 0.5)
     rng = np.random.default_rng(10)
     for _ in range(5):
@@ -237,7 +245,9 @@ def test_c_hom_constant_as_written_loses_C():
                                           geometry=Geometry("uniform"))
     spec = OperatorSpec(family="linear", geometry=Geometry("uniform"),
                         sigma=(1.0, 1.0))
-    eff = assemble_C_hom(cfield, spec, make_cell_grid(8), "as-written")
+    grid = CellGrid(8)
+    eff = assemble_C_hom(cfield, unit_potentials(spec, grid), grid,
+                         "as-written")
     for i in range(2):
         for j in range(2):
             expect = np.outer(np.eye(2)[i], np.eye(2)[j])
@@ -247,16 +257,19 @@ def test_c_hom_constant_as_written_loses_C():
 def test_c_hom_variants_differ_when_heterogeneous():
     cfield = ElasticTensorField.from_lame((0.5, 0.5), (1.5, 1.0), LAMINATE)
     spec = linear_laminate()
-    grid = make_cell_grid(16)
-    applied = assemble_C_hom(cfield, spec, grid, "C-applied")
-    written = assemble_C_hom(cfield, spec, grid, "as-written")
+    grid = CellGrid(16)
+    etas = unit_potentials(spec, grid)
+    applied = assemble_C_hom(cfield, etas, grid, "C-applied")
+    written = assemble_C_hom(cfield, etas, grid, "as-written")
     assert np.abs(applied.pair_matrices - written.pair_matrices).max() > 1e-3
 
 
 def test_c_hom_rejects_unknown_variant():
     cfield = ElasticTensorField.from_lame((0.5, 0.5), (1.5, 1.0), LAMINATE)
     with pytest.raises(ValueError, match="variant"):
-        assemble_C_hom(cfield, linear_laminate(), make_cell_grid(8), "other")
+        grid = CellGrid(8)
+        assemble_C_hom(cfield, unit_potentials(linear_laminate(), grid), grid,
+                       "other")
 
 
 # -- consistent tangent ---------------------------------------------------------
@@ -280,9 +293,9 @@ def central_difference(law, loadings):
 @pytest.mark.parametrize("cell_n", [8, 16])
 @pytest.mark.parametrize("make_spec", [p3_laminate, variable_exponent_square])
 def test_jacobian_is_consistent_tangent(cell_n, make_spec):
-    law = EffectiveLaw(make_spec(), make_cell_grid(cell_n))
+    law = EffectiveLaw(make_spec(), CellGrid(cell_n))
     loadings = np.random.default_rng(11).standard_normal((3, 2))
-    jac = law.jacobian_batch(loadings)
+    jac, _ = law.jacobian_batch(loadings)
     fd = central_difference(law, loadings)
     assert jac.shape == (3, 2, 2)
     assert np.abs(jac - fd).max() <= 1e-6 * np.abs(fd).max()
@@ -290,35 +303,35 @@ def test_jacobian_is_consistent_tangent(cell_n, make_spec):
 
 def test_jacobian_sparse_path_matches_central_difference():
     # cell_n > 32 runs the same batched banded solver as the small grids
-    law = EffectiveLaw(p3_laminate(), make_cell_grid(64))
-    assert law._batch.bandwidth == 2 * 64 + 2
+    law = EffectiveLaw(p3_laminate(), CellGrid(64))
+    assert law.batch.bandwidth == 2 * 64 + 2
     loadings = np.array([[0.8, -0.3]])
     fd = central_difference(law, loadings)
-    assert np.abs(law.jacobian_batch(loadings) - fd).max() \
+    assert np.abs(law.jacobian_batch(loadings)[0] - fd).max() \
         <= 1e-6 * np.abs(fd).max()
 
 
 def test_jacobian_reuses_cached_solutions(monkeypatch):
     from hk.cell_problems import BatchScalarCellSolver
-    law = EffectiveLaw(p3_laminate(), make_cell_grid(8))
+    law = EffectiveLaw(p3_laminate(), CellGrid(8))
     loadings = np.array([[0.5, 0.25], [-1.0, 0.5]])
-    solved = law.jacobian_batch(loadings)
+    solved, _ = law.jacobian_batch(loadings)
     _, etas = law.solve(loadings)
 
     def no_solve(self, loadings, warm=None):
         raise AssertionError("cell solve with the solutions given")
 
     monkeypatch.setattr(BatchScalarCellSolver, "solve", no_solve)
-    given = law.jacobian_batch(loadings, etas)
+    given, _ = law.jacobian_batch(loadings, etas)
     assert np.array_equal(given, solved)
 
 
 @pytest.mark.parametrize("make_spec", [p3_laminate, variable_exponent_square])
 def test_cell_solution_derivative_matches_central_difference(make_spec):
     # W = d eta / d xi comes out of the tangent solve
-    law = EffectiveLaw(make_spec(), make_cell_grid(8))
+    law = EffectiveLaw(make_spec(), CellGrid(8))
     loadings = np.random.default_rng(12).standard_normal((3, 2))
-    _, w = law.jacobian_batch(loadings, return_w=True)
+    _, w = law.jacobian_batch(loadings)
     h = 1e-6 * (1.0 + np.linalg.norm(loadings, axis=1))
     fd = np.zeros_like(w)
     for j in range(2):
@@ -337,7 +350,7 @@ def test_cell_solution_derivative_matches_central_difference(make_spec):
 ])
 def test_eval_batch_builds_no_potential_table(spec):
     import tracemalloc
-    law = EffectiveLaw(spec, make_cell_grid(16))
+    law = EffectiveLaw(spec, CellGrid(16))
     loadings = np.random.default_rng(13).standard_normal((4096, 2))
     expected = law.solve(loadings)[0]
     table_bytes = 8 * loadings.shape[0] * law.grid.n_nodes

@@ -14,12 +14,12 @@ import pytest
 from hk import _fem
 from hk.constitutive import (ElasticTensorField, Geometry, OperatorSpec,
                              isotropic_tensor)
-from hk.core_fields import DomainGrid, make_cell_grid
+from hk.core_fields import CellGrid, DomainGrid
 from hk.corrector import two_scale_stress_pairing
 from hk.effective import EffectiveElectrostriction
 from hk.homogenized import CorrectorData
 
-GRIDS = {"cell-8": lambda: make_cell_grid(8), "domain-6": lambda: DomainGrid(6)}
+GRIDS = {"cell-8": lambda: CellGrid(8), "domain-6": lambda: DomainGrid(6)}
 
 
 def _close(got, ref):
@@ -152,7 +152,7 @@ def test_point_eval_gradient_matches_einsum(grid, tail):
 
 def test_table_row_gradient_matches_einsum():
     from hk.corrector import _table_grad_at
-    cell = make_cell_grid(8)
+    cell = CellGrid(8)
     rng = np.random.default_rng(11)
     tables = rng.standard_normal((30, cell.n_nodes))
     y = rng.uniform(-0.5, 0.5, (500, 2))
@@ -215,7 +215,7 @@ def test_linear_flux_local_matches_einsum(xi_shape):
                         geometry=Geometry(kind="laminate", fraction=0.5),
                         matrices=([[2.0, 0.5], [0.3, 1.0]],
                                   [[1.0, -0.2], [0.4, 3.0]]))
-    cell = make_cell_grid(8)
+    cell = CellGrid(8)
     loc = spec.local_coefficients(cell.qp_coords())
     loc = {k: v[None] for k, v in loc.items()} if len(xi_shape) == 4 else loc
     xi = np.random.default_rng(15).standard_normal(xi_shape)
@@ -229,7 +229,7 @@ def test_tensor_field_apply_matches_einsum(mat_shape):
         tensors=tuple(np.random.default_rng(s).standard_normal((2, 2, 2, 2))
                       for s in (16, 17)),
         geometry=Geometry(kind="laminate", fraction=0.5))
-    points = make_cell_grid(8).qp_coords()
+    points = CellGrid(8).qp_coords()
     mat = np.random.default_rng(18).standard_normal(mat_shape)
     ref = np.einsum("...ijkh,...kh->...ij", field.tensor_at(points), mat)
     _close(field.apply(points, mat), ref)
@@ -248,7 +248,7 @@ def test_electrostriction_apply_matches_einsum(mat_shape):
 def test_two_scale_stress_pairing_matches_einsum():
     # 16,384 weighted products per entry, summed in another order
     rng = np.random.default_rng(20)
-    sample, cell = DomainGrid(4), make_cell_grid(8)
+    sample, cell = DomainGrid(4), CellGrid(8)
     k = 4 * sample.n_elems
     corr = CorrectorData(sample, cell, rng.standard_normal((k, 2)),
                          rng.standard_normal((k, cell.n_nodes)),

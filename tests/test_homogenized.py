@@ -4,7 +4,7 @@ import pytest
 from hk import _fem
 from hk.cell_problems import SolverOptions
 from hk.constitutive import ElasticTensorField, Geometry, OperatorSpec
-from hk.core_fields import DomainGrid, ScalarField, make_cell_grid
+from hk.core_fields import CellGrid, DomainGrid, ScalarField
 from hk.effective import EffectiveLaw, assemble_B_hom, assemble_C_hom
 from hk.fine_scale import solve_fine_elasticity, solve_fine_electrostatic
 from hk.homogenized import (MacroOptions, macroscopic_gradient_field,
@@ -20,14 +20,14 @@ from oracles import laminate_flux_balance
 
 def test_zero_source_zero_potential():
     spec = OperatorSpec(family="linear", geometry=UNIFORM, sigma=(1.0, 1.0))
-    law = EffectiveLaw(spec, make_cell_grid(8))
+    law = EffectiveLaw(spec, CellGrid(8))
     sol = solve_homogenized_electrostatic(law, 0.0, DomainGrid(16))
     assert np.abs(sol.potential.values).max() < 1e-14
 
 
 def test_linear_law_matches_direct_solve():
     spec = OperatorSpec(family="linear", geometry=LAMINATE, sigma=(1.0, 4.0))
-    grid = make_cell_grid(32)
+    grid = CellGrid(32)
     law = EffectiveLaw(spec, grid)
     dom = DomainGrid(24)
     macro = solve_homogenized_electrostatic(law, 1.0, dom)
@@ -43,7 +43,7 @@ def test_linear_law_matches_direct_solve():
 def test_constant_law_equals_fine_solve():
     spec = OperatorSpec(family="power-law", p=3.0, alpha=1.0,
                         geometry=UNIFORM, sigma=(2.0, 2.0))
-    law = EffectiveLaw(spec, make_cell_grid(8))
+    law = EffectiveLaw(spec, CellGrid(8))
     dom = DomainGrid(32)
     opts = MacroOptions(tol=1e-12)
     macro = solve_homogenized_electrostatic(law, 1.0, dom, opts)
@@ -57,7 +57,7 @@ def test_constant_law_equals_fine_solve():
 def test_newton_quadratic_phase():
     spec = OperatorSpec(family="power-law", p=3.0, alpha=1.0,
                         geometry=LAMINATE, sigma=(1.0, 4.0))
-    law = EffectiveLaw(spec, make_cell_grid(8))
+    law = EffectiveLaw(spec, CellGrid(8))
     macro = solve_homogenized_electrostatic(law, 1.0, DomainGrid(16))
     hist = macro.residual_history
     assert hist[-1] / hist[-2] < 0.2
@@ -68,7 +68,7 @@ def test_macro_newton_budget_raises_with_residual_and_count():
     from hk.errors import NonConvergence
     spec = OperatorSpec(family="power-law", p=3.0, alpha=1.0,
                         geometry=LAMINATE, sigma=(1.0, 4.0))
-    law = EffectiveLaw(spec, make_cell_grid(8))
+    law = EffectiveLaw(spec, CellGrid(8))
     with pytest.raises(NonConvergence, match="after 1 iterations") as info:
         solve_homogenized_electrostatic(law, 1.0, DomainGrid(16),
                                         MacroOptions(max_iter=1))
@@ -78,7 +78,7 @@ def test_macro_newton_budget_raises_with_residual_and_count():
 
 def test_reconstruct_phi1_constant_coefficients():
     spec = OperatorSpec(family="linear", geometry=UNIFORM, sigma=(2.0, 2.0))
-    law = EffectiveLaw(spec, make_cell_grid(8))
+    law = EffectiveLaw(spec, CellGrid(8))
     macro = solve_homogenized_electrostatic(law, 1.0, DomainGrid(16))
     corr = reconstruct_phi1(law, macro.potential)
     assert np.abs(corr.potentials).max() == 0.0
@@ -87,7 +87,7 @@ def test_reconstruct_phi1_constant_coefficients():
 def test_reconstruct_phi1_mean_zero():
     spec = OperatorSpec(family="power-law", p=3.0, alpha=1.0,
                         geometry=LAMINATE, sigma=(1.0, 4.0))
-    law = EffectiveLaw(spec, make_cell_grid(8))
+    law = EffectiveLaw(spec, CellGrid(8))
     macro = solve_homogenized_electrostatic(law, 1.0, DomainGrid(8))
     corr = reconstruct_phi1(law, macro.potential)
     assert np.abs(corr.potentials.mean(axis=1)).max() < 1e-10
@@ -96,7 +96,7 @@ def test_reconstruct_phi1_mean_zero():
 def test_reconstruct_phi1_linear_laminate_formula():
     # gradient of the corrector equals (q/sigma - 1) * d1 phi0 axially
     spec = OperatorSpec(family="linear", geometry=LAMINATE, sigma=(1.0, 4.0))
-    cell = make_cell_grid(32)
+    cell = CellGrid(32)
     law = EffectiveLaw(spec, cell)
     macro = solve_homogenized_electrostatic(law, 1.0, DomainGrid(16))
     corr = reconstruct_phi1(law, macro.potential)
@@ -115,7 +115,7 @@ def test_reconstruct_phi1_linear_laminate_formula():
 def test_identity_residuals_at_every_sample_point():
     spec = OperatorSpec(family="power-law", p=3.0, alpha=1.0,
                         geometry=LAMINATE, sigma=(1.0, 4.0))
-    law = EffectiveLaw(spec, make_cell_grid(8))
+    law = EffectiveLaw(spec, CellGrid(8))
     macro = solve_homogenized_electrostatic(law, 1.0, DomainGrid(16))
     corr = reconstruct_phi1(law, macro.potential,
                             cell_potentials=macro.cell_potentials)
@@ -128,7 +128,7 @@ def test_reconstruct_phi1_residuals_on_fine_cell_grid():
     # attached solves report their actual residuals
     spec = OperatorSpec(family="power-law", p=3.0, alpha=1.0,
                         geometry=LAMINATE, sigma=(1.0, 4.0))
-    law = EffectiveLaw(spec, make_cell_grid(64))
+    law = EffectiveLaw(spec, CellGrid(64))
     dom = DomainGrid(4)
     xy = dom.node_coords()
     phi0 = ScalarField(dom, xy[:, 0] + 0.5 * xy[:, 1])  # one loading
@@ -176,7 +176,7 @@ def test_recovered_gradient_superconvergence():
 
 def test_elasticity_zero_loads_zero_displacement():
     b = ElasticTensorField.from_lame((1.0, 1.0), geometry=UNIFORM)
-    b_eff = assemble_B_hom(b, make_cell_grid(8))
+    b_eff = assemble_B_hom(b, CellGrid(8))
     dom = DomainGrid(16)
     u, _ = solve_homogenized_elasticity(b_eff, None, np.zeros(2), None, dom)
     assert np.abs(u.values).max() < 1e-14
@@ -184,7 +184,7 @@ def test_elasticity_zero_loads_zero_displacement():
 
 def test_constant_coefficients_fine_equals_homogenized():
     spec = OperatorSpec(family="linear", geometry=UNIFORM, sigma=(2.0, 2.0))
-    cell = make_cell_grid(8)
+    cell = CellGrid(8)
     law = EffectiveLaw(spec, cell)
     b = ElasticTensorField.from_lame((1.0, 1.0), geometry=UNIFORM)
     c = ElasticTensorField.from_lame((0.5, 0.25), geometry=UNIFORM)
@@ -192,7 +192,7 @@ def test_constant_coefficients_fine_equals_homogenized():
     macro = solve_homogenized_electrostatic(law, 1.0, dom,
                                             MacroOptions(tol=1e-12))
     b_eff = assemble_B_hom(b, cell)
-    c_eff = assemble_C_hom(c, spec, cell, "C-applied")
+    c_eff = assemble_C_hom(c, law.solutions_for(np.eye(2)), cell, "C-applied")
     g = np.array([0.0, -1.0])
     u0, _ = solve_homogenized_elasticity(b_eff, c_eff, g, macro.potential, dom)
     for eps in (0.5, 0.25):
@@ -205,11 +205,11 @@ def test_constant_coefficients_fine_equals_homogenized():
 def test_reconstruct_u1_zero_cases():
     b = ElasticTensorField.from_lame((1.0, 1.0), geometry=UNIFORM)
     c = ElasticTensorField.from_lame((0.5, 0.25), geometry=UNIFORM)
-    cell = make_cell_grid(8)
+    cell = CellGrid(8)
     b_eff = assemble_B_hom(b, cell)
     spec = OperatorSpec(family="linear", geometry=UNIFORM, sigma=(1.0, 1.0))
-    c_eff = assemble_C_hom(c, spec, cell, "C-applied")
     law = EffectiveLaw(spec, cell)
+    c_eff = assemble_C_hom(c, law.solutions_for(np.eye(2)), cell, "C-applied")
     dom = DomainGrid(16)
     macro = solve_homogenized_electrostatic(law, 1.0, dom)
     u0, _ = solve_homogenized_elasticity(b_eff, c_eff, np.array([0.0, -1.0]),
@@ -223,10 +223,10 @@ def test_reconstruct_u1_mean_zero_and_reduction():
     b = ElasticTensorField.from_lame((1.0, 1.0), (3.0, 2.0), LAMINATE)
     c = ElasticTensorField.from_lame((0.5, 0.5), (1.5, 1.0), LAMINATE)
     spec = OperatorSpec(family="linear", geometry=LAMINATE, sigma=(1.0, 4.0))
-    cell = make_cell_grid(16)
+    cell = CellGrid(16)
     b_eff = assemble_B_hom(b, cell)
-    c_eff = assemble_C_hom(c, spec, cell, "C-applied")
     law = EffectiveLaw(spec, cell)
+    c_eff = assemble_C_hom(c, law.solutions_for(np.eye(2)), cell, "C-applied")
     dom = DomainGrid(8)
     macro = solve_homogenized_electrostatic(law, 1.0, dom)
     u0, _ = solve_homogenized_elasticity(b_eff, c_eff, np.array([0.0, -1.0]),
@@ -255,7 +255,7 @@ def test_macro_newton_solves_each_loading_once(monkeypatch):
     monkeypatch.setattr(BatchScalarCellSolver, "solve", recording)
     spec = OperatorSpec(family="power-law", p=3.0, alpha=1.0,
                         geometry=LAMINATE, sigma=(1.0, 4.0))
-    law = EffectiveLaw(spec, make_cell_grid(8))
+    law = EffectiveLaw(spec, CellGrid(8))
     macro = solve_homogenized_electrostatic(law, 1.0, DomainGrid(8))
     assert macro.iterations >= 2
     assert solved
@@ -269,21 +269,21 @@ def test_macro_returns_cell_potentials_of_final_iterate():
     from hk.cell_problems import _tol_scale
     spec = OperatorSpec(family="power-law", p=3.0, alpha=1.0,
                         geometry=LAMINATE, sigma=(1.0, 4.0))
-    law = EffectiveLaw(spec, make_cell_grid(8))
+    law = EffectiveLaw(spec, CellGrid(8))
     dom = DomainGrid(8)
     macro = solve_homogenized_electrostatic(law, 1.0, dom)
     assert macro.iterations >= 2
     assert macro.cell_potentials.shape == (4 * dom.n_elems, law.grid.n_nodes)
     grads = _fem.qp_gradient(macro.potential.values, dom.conn,
                              dom.h).reshape(-1, 2)
-    cell, _ = law._batch.attached_residuals(grads, macro.cell_potentials)
+    cell, _ = law.batch.attached_residuals(grads, macro.cell_potentials)
     assert (cell <= law.opts.tol * _tol_scale(spec, grads)).all()
 
 
 def test_constant_law_macro_keeps_no_cell_potentials():
     spec = OperatorSpec(family="power-law", p=3.0, alpha=1.0,
                         geometry=UNIFORM, sigma=(2.0, 2.0))
-    law = EffectiveLaw(spec, make_cell_grid(8))
+    law = EffectiveLaw(spec, CellGrid(8))
     macro = solve_homogenized_electrostatic(law, 1.0, DomainGrid(8))
     assert macro.iterations >= 2
     assert macro.cell_potentials is None
@@ -301,7 +301,7 @@ def test_reconstruct_phi1_predictor_takes_fewer_newton_steps(monkeypatch):
     from hk.homogenized import _nearest_qp
     spec = OperatorSpec(family="power-law", p=3.0, alpha=1.0,
                         geometry=LAMINATE, sigma=(1.0, 4.0))
-    law = EffectiveLaw(spec, make_cell_grid(8))
+    law = EffectiveLaw(spec, CellGrid(8))
     dom = DomainGrid(8)
     macro = solve_homogenized_electrostatic(law, 1.0, dom)
     sample = DomainGrid(16)
