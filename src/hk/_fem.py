@@ -390,15 +390,24 @@ def solve_periodic_pinned(matrix, rhs, dofs_per_node=1):
     per-component mean so solutions are zero-mean.  Assumes the rhs is
     compatible (orthogonal to constants), which holds for divergence-form
     loads.  Without a grid at hand, the elimination order is SuperLU's
-    minimum degree on A + A^T.
+    minimum degree on A + A^T.  ``rhs`` (n,) gives (n,) or, with several
+    dofs per node, (n / d, d); ``rhs`` (n, r) solves r right-hand sides
+    with one factorization and stacks their solutions on a last axis.
     """
     n = matrix.shape[0]
     keep = np.arange(dofs_per_node, n)
-    x = np.zeros(n)
+    x = np.zeros(rhs.shape)
     x[keep] = _splu(matrix[keep][:, keep], "MMD_AT_PLUS_A").solve(rhs[keep])
-    x = x.reshape(-1, dofs_per_node)
-    x = x - x.mean(axis=0)
-    return x.ravel() if dofs_per_node == 1 else x
+    # each column as its own contiguous array, so its means are summed as
+    # a single right-hand side's are
+    cols = [np.ascontiguousarray(c).reshape(-1, dofs_per_node)
+            for c in x.reshape(n, -1).T]
+    cols = [c - c.mean(axis=0) for c in cols]
+    shape = (n // dofs_per_node,) + ((dofs_per_node,) if dofs_per_node > 1
+                                     else ())
+    if rhs.ndim == 1:
+        return cols[0].reshape(shape)
+    return np.stack([c.reshape(shape) for c in cols], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +433,10 @@ def damped_newton(x, residual, newton_step, tol, max_newton, max_linesearch,
     ``residual(rows, x)`` returns the residual vectors (len(rows), m) and
     their norms (len(rows),) for the iterates x of the given rows;
     ``newton_step(rows, x, res)`` the Newton directions, shaped like x.
+    The driver copies every residual it keeps, so ``residual`` may return
+    a buffer that its next call overwrites; the Newton directions must
+    outlive the line search's ``residual`` calls.  Each step starts from
+    the iterate of the row's last ``residual`` call.
     Rows above ``tol`` (scalar or per row) take a step with Armijo
     backtracking over t = 1, 1/2, ...; each trial re-evaluates only the
     rows still pending.  A row whose ``max_linesearch`` trials all fail
@@ -439,6 +452,7 @@ def damped_newton(x, residual, newton_step, tol, max_newton, max_linesearch,
     k = x.shape[0]
     tol = np.broadcast_to(np.asarray(tol, dtype=float), (k,))
     res, norm = residual(np.arange(k), x)
+    res = np.array(res)
     iterations = np.zeros(k, dtype=int)
     for _ in range(max_newton):
         rows = np.flatnonzero(norm > tol)

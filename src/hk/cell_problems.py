@@ -5,20 +5,24 @@ Three kinds of solves:
 * scalar monotone problem: find a zero-mean periodic potential eta with
   ∫_Y a(y, xi + grad eta) . grad v = 0 for all periodic v: nonlinear
   families by ``BatchScalarCellSolver`` (damped Newton on banded
-  Cholesky, relaxed frozen-coefficient fallback), a single loading as
-  one row; linear families by one pinned sparse direct solve;
+  Cholesky, relaxed frozen-coefficient fallback), a few loadings as
+  one batch; linear families by one pinned sparse direct solve, one
+  factorization for all loadings;
 * elastic problem: zero-mean periodic displacement balancing a unit
   macroscopic strain;
 * electrostriction problem: displacement driven by the outer product of
   two corrector flux fields.
 
-The two elastic problems are linear: one sparse direct solve each, with
-the displacement of node 0 pinned (``_fem.solve_periodic_pinned``).  All
-solutions are normalized to zero mean; on the uniform periodic grid the
-arithmetic nodal mean equals the integral, so the normalization is exact.
+The two elastic problems are linear: sparse direct solves with the
+displacement of node 0 pinned (``_fem.solve_periodic_pinned``), one
+factorization for all unit strains.  All solutions are normalized to
+zero mean; on the uniform periodic grid the arithmetic nodal mean equals
+the integral, so the normalization is exact.
 """
 
+import threading
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 from scipy.linalg.lapack import dpbsv as _dpbsv
@@ -65,37 +69,52 @@ def _tol_scale(spec, loadings):
         ** (spec.max_exponent - 1.0)
 
 
-def solve_scalar_cell(spec, loading, grid, opts=None):
-    """Solve the scalar monotone cell problem for one loading vector.
+def solve_scalar_cells(spec, loadings, grid, opts=None, solver=None):
+    """Solve the scalar monotone cell problem for loadings (K, 2).
 
-    Linear families: one pinned sparse direct solve (``iterations`` is 1,
-    ``residual`` the assembled residual).  Nonlinear families: one row of
-    ``BatchScalarCellSolver``.  The stopping tolerance is opts.tol scaled
-    by max(1, |loading|)^(p-1) so it stays meaningful across loading
-    magnitudes; a residual above it raises NonConvergence.
+    Linear families: one pinned sparse direct solve, one factorization for
+    all K loadings (``iterations`` is 1, ``residual`` the assembled
+    residual).  Nonlinear families: one batch on ``solver``, a
+    ``BatchScalarCellSolver`` for the same spec and grid (a new one when
+    None).  The stopping tolerance is opts.tol scaled by
+    max(1, |loading|)^(p-1) so it stays meaningful across loading
+    magnitudes; a residual above it raises NonConvergence.  Returns one
+    ScalarCellSolution per loading.
     """
     opts = opts or SolverOptions()
-    loading = np.asarray(loading, dtype=float)
-    if not np.all(np.isfinite(loading)):
+    loadings = np.asarray(loadings, dtype=float).reshape(-1, 2)
+    if not np.all(np.isfinite(loadings)):
         raise ValueError("loading must be finite")
-    tol = opts.tol * _tol_scale(spec, loading)
     if spec.is_linear:
         loc = spec.local_coefficients(grid.qp_coords())
-        rhs = -_fem.divergence_residual(grid, spec.flux_local(loc, loading))
+        rhs = np.stack([-_fem.divergence_residual(grid, spec.flux_local(loc, xi))
+                        for xi in loadings], axis=1)
         matrix = _fem.assemble_diffusion(grid.conn, grid.h, grid.n_nodes,
                                          loc["bmat"])
-        eta = _fem.solve_periodic_pinned(matrix, rhs)
-        rnorm, iterations = float(np.linalg.norm(matrix @ eta - rhs)), 1
+        etas = np.ascontiguousarray(_fem.solve_periodic_pinned(matrix, rhs).T)
+        residuals = [np.linalg.norm(matrix @ eta - b)
+                     for eta, b in zip(etas, np.ascontiguousarray(rhs.T))]
+        iterations = np.ones(len(loadings), dtype=int)
     else:
-        out = BatchScalarCellSolver(spec, grid, opts).solve(loading[None])
-        eta = out.values[0]
-        rnorm, iterations = float(out.residuals[0]), int(out.iterations[0])
-    if rnorm > tol:
-        raise NonConvergence(
-            f"scalar cell problem: residual {rnorm:.3e} > {tol:.3e} after "
-            f"{iterations} iterations (grid n={grid.n})",
-            residual=rnorm, iterations=iterations)
-    return ScalarCellSolution(loading, eta, rnorm, iterations, grid)
+        solver = solver or BatchScalarCellSolver(spec, grid, opts)
+        out = solver.solve(loadings)
+        etas, residuals, iterations = out.values, out.residuals, out.iterations
+    sols = []
+    for loading, eta, rnorm, its in zip(loadings, etas, residuals, iterations):
+        rnorm, its = float(rnorm), int(its)
+        tol = opts.tol * _tol_scale(spec, loading)
+        if rnorm > tol:
+            raise NonConvergence(
+                f"scalar cell problem: residual {rnorm:.3e} > {tol:.3e} "
+                f"after {its} iterations (grid n={grid.n})",
+                residual=rnorm, iterations=its)
+        sols.append(ScalarCellSolution(loading, eta, rnorm, its, grid))
+    return sols
+
+
+def solve_scalar_cell(spec, loading, grid, opts=None):
+    """The cell problem of one loading vector: ``solve_scalar_cells``'s."""
+    return solve_scalar_cells(spec, loading, grid, opts)[0]
 
 
 def corrector_flux(loading, solution):
@@ -120,35 +139,48 @@ def unit_strain(i, j):
     return e
 
 
-def _solve_elastic(tensor_field, grid, rhs):
-    """Zero-mean periodic displacement for an assembled load (nn, 2).
+def _solve_elastic(tensor_field, grid, loads):
+    """Zero-mean periodic displacements for assembled loads (r, nn, 2).
 
-    Returns the displacement (nn, 2) and the relative residual of the
-    system with node 0 pinned.  A singular stiffness (zero Lame
-    coefficients, say) raises SingularSystem.
+    One factorization serves all r loads.  Returns the displacements
+    (r, nn, 2) and the relative residual of each system with node 0
+    pinned.  A singular stiffness (zero Lame coefficients, say) raises
+    SingularSystem.
     """
     lam, mu = tensor_field.lame_at(grid.qp_coords())
     matrix = _fem.assemble_elasticity(grid.conn, grid.h, grid.n_nodes, lam, mu)
-    b = rhs.ravel()
-    x = _fem.solve_periodic_pinned(matrix, b, dofs_per_node=2)
-    bnorm = np.linalg.norm(b[2:])
-    rnorm = np.linalg.norm((matrix @ x.ravel() - b)[2:])
-    return x, float(rnorm / bnorm) if bnorm > 0.0 else 0.0
+    b = loads.reshape(len(loads), -1)
+    x = _fem.solve_periodic_pinned(matrix, b.T, dofs_per_node=2)
+    x = np.ascontiguousarray(np.moveaxis(x, -1, 0))
+    relres = []
+    for bc, xc in zip(b, x):
+        bnorm = np.linalg.norm(bc[2:])
+        rnorm = np.linalg.norm((matrix @ xc.ravel() - bc)[2:])
+        relres.append(float(rnorm / bnorm) if bnorm > 0.0 else 0.0)
+    return x, relres
+
+
+def solve_elastic_cells_U(tensor_field, grid, pairs):
+    """Periodic displacements balancing unit macroscopic strains (i, j).
+
+    Weak form: ∫ B D(U) : D(v) = ∫ B E^ij : D(v) with E^ij the constant
+    symmetrized unit strain, solved directly with node 0 pinned, one
+    factorization for all ``pairs``; the two translation modes are
+    removed by the zero-mean normalization.  Returns a dict
+    (i, j) -> ElasticCellSolution in the order of ``pairs``.
+    """
+    points = grid.qp_coords()
+    loads = np.stack([_fem.divergence_residual(
+        grid, tensor_field.apply(points, unit_strain(i, j)))
+        for (i, j) in pairs])
+    xs, relres = _solve_elastic(tensor_field, grid, loads)
+    return {tuple(pair): ElasticCellSolution(tuple(pair), x, r, 1, grid)
+            for pair, x, r in zip(pairs, xs, relres)}
 
 
 def solve_elastic_cell_U(tensor_field, grid, i, j):
-    """Periodic displacement balancing the unit macroscopic strain (i, j).
-
-    Weak form: ∫ B D(U) : D(v) = ∫ B E^ij : D(v) with E^ij the constant
-    symmetrized unit strain, solved directly with node 0 pinned; the two
-    translation modes are removed by the zero-mean normalization.
-    """
-    points = grid.qp_coords()
-    strain = unit_strain(i, j)
-    stress = tensor_field.apply(points, strain)
-    rhs = _fem.divergence_residual(grid, stress)
-    x, relres = _solve_elastic(tensor_field, grid, rhs)
-    return ElasticCellSolution((i, j), x, relres, 1, grid)
+    """The unit-strain cell problem of one pair: ``solve_elastic_cells_U``'s."""
+    return solve_elastic_cells_U(tensor_field, grid, [(i, j)])[(i, j)]
 
 
 def solve_electrostriction_cell(tensor_field, zeta_qp, grid,
@@ -158,7 +190,7 @@ def solve_electrostriction_cell(tensor_field, zeta_qp, grid,
     variant "as-written": flux C D(chi) + zeta; variant "C-applied"
     (default): flux C (D(chi) + zeta).  Tested against symmetrized
     gradients, so only the symmetric part of the source enters.  Solved
-    directly like ``solve_elastic_cell_U``.
+    directly like ``solve_elastic_cells_U``.
     """
     if variant not in ("C-applied", "as-written"):
         raise ValueError(f"unknown electrostriction variant {variant!r}")
@@ -168,16 +200,16 @@ def solve_electrostriction_cell(tensor_field, zeta_qp, grid,
     if variant == "C-applied":
         stress = _fem.isotropic_stress(*tensor_field.lame_at(points), zeta_sym)
     rhs = -_fem.divergence_residual(grid, stress)
-    x, relres = _solve_elastic(tensor_field, grid, rhs)
-    return ElasticCellSolution(tuple(indices), x, relres, 1, grid)
+    x, relres = _solve_elastic(tensor_field, grid, rhs[None])
+    return ElasticCellSolution(tuple(indices), x[0], relres[0], 1, grid)
 
 
 # ---------------------------------------------------------------------------
 # Batched scalar cell solves (banded Cholesky over many loadings)
 # ---------------------------------------------------------------------------
 
-# Work arrays of one chunk of loadings stay within this many bytes.  One
-# loading at cell_n 128 needs 38.9 MiB; budgets down to 12 MiB ran the
+# The work arrays of one chunk of loadings stay within this many bytes.
+# One loading at cell_n 128 needs 38.9 MiB; budgets down to 12 MiB ran the
 # benchmark's n = 8 and n = 16 cell solves at most ~3% faster, within its
 # run-to-run noise.
 CHUNK_BUDGET_BYTES = 40 * 2 ** 20
@@ -206,23 +238,55 @@ class BatchCellResult:
     converged: np.ndarray       # (K,) bool
 
 
+class _Workspace:
+    """Work arrays for up to ``rows`` loadings, reused chunk after chunk.
+
+    One allocation holds them all, a region per name.  ``get(name, k,
+    *shape, at=0)`` views k rows of a region as (k,) + shape, starting
+    ``at`` doubles per row into it, so the parts of a region stay apart
+    for every k.  Pages are touched once, on first use, rather than once
+    per kernel call as the temporaries of fresh allocations are.
+    """
+
+    def __init__(self, layout, rows):
+        self.rows = rows
+        arena = np.empty(rows * sum(layout.values()))
+        self._regions, start = {}, 0
+        for name, size in layout.items():
+            self._regions[name] = arena[start:start + rows * size]
+            start += rows * size
+
+    def get(self, name, k, *shape, at=0):
+        return self._regions[name][k * at:k * (at + prod(shape))] \
+            .reshape((k,) + shape)
+
+
 class BatchScalarCellSolver:
     """Solve the scalar cell problem for many loadings at once.
 
-    EffectiveLaw's sweeps and ``solve_scalar_cell`` (one row) run it for
-    the power-law and variable-exponent families, whose local Jacobians
+    EffectiveLaw's sweeps and ``solve_scalar_cells`` run it for the
+    power-law and variable-exponent families, whose local Jacobians
     d a / d xi are SPD, so each Newton matrix with node 0 pinned is SPD;
     ``attached_residuals`` serves every family.  Its unknowns are
     numbered in the folded torus order (node 0 first), which makes the
     matrix banded with half-bandwidth 2n+2.  The matrices of a chunk of
     loadings, stacked along the diagonal, form one band matrix of that
     half-bandwidth: the distinct element-block entries are summed
-    straight into its LAPACK lower band storage (one ``bincount``) and
-    factored by one banded Cholesky call (``dpbsv``).  Lower, not upper,
-    storage: OpenBLAS threads the strided ``dsyr`` of the upper variant,
-    which makes these small factorizations ~10x slower.  Chunks are sized
-    from ``CHUNK_BUDGET_BYTES`` (40 MiB: 512 loadings at n = 8, 235 at
-    n = 16).  Results are bitwise deterministic.
+    straight into its LAPACK lower band storage and factored by one
+    banded Cholesky call (``dpbsv``).  Lower, not upper, storage:
+    OpenBLAS threads the strided ``dsyr`` of the upper variant, which
+    makes these small factorizations ~10x slower.
+
+    Every per-chunk array (gradients, fluxes, Jacobians, element pairs,
+    band slot table, band, right-hand sides) lives in a workspace that
+    each thread keeps for this solver, grown to the largest chunk it has
+    seen; kernels fill it with ``out=`` and in-place ufuncs and return
+    views of it, so a caller copies what it keeps.  Chunks are sized so
+    that a workspace stays within ``CHUNK_BUDGET_BYTES`` (40 MiB: 512
+    loadings at n = 8, 235 at n = 16); the last row of a chunk is
+    factored at the end of the stacked band, so the chunk size is part
+    of the bitwise result.  Threads share only the constant tables built
+    here.  Results are bitwise deterministic.
     """
 
     def __init__(self, spec, grid, opts=None):
@@ -243,7 +307,11 @@ class BatchScalarCellSolver:
         a, b = np.triu_indices(4)
         self._pair_ops = {op.shape[0]: op[:, 4 * a + b]
                           for op in (_fem.SCALAR_BLOCK_OP, _fem.BLOCK_OP)}
-        nn = grid.n_nodes
+        nn, nel = grid.n_nodes, grid.n_elems
+        # the element-node slots (e, a) of each node in increasing order,
+        # the order in which the one-hot scatter adds them
+        self._node_slots = np.argsort(grid.conn.ravel(), kind="stable") \
+            .reshape(nn, -1)
         order = _folded_order(grid.n)
         # node ids in band order; node 0, the pinned node, comes first
         self._band_nodes = (order[:, None] * grid.n + order[None, :]).ravel()
@@ -254,84 +322,198 @@ class BatchScalarCellSolver:
         col = np.minimum(ranks[:, a], ranks[:, b])
         self.bandwidth = int((row - col).max())
         ldab = self.bandwidth + 1
-        # element pair entry (e, a <= b) -> lower band entry (row, col),
-        # stored column-major as LAPACK's ab[row - col, col]; row j of
-        # the table is shifted to batch row j of a stacked band.  The
-        # table grows to the largest batch seen (at most ``chunk`` rows);
-        # each call uses the table it read, so concurrent callers can at
-        # worst rebuild it
-        self._band_slots = (col * ldab + row - col).reshape(1, -1)
-        # band storage plus element pairs and their slots, Jacobians,
-        # gradients and fluxes
-        self.loading_bytes = 8 * (ldab * nn + 52 * grid.n_elems)
+        # element pair (e, a <= b) -> lower band entry (row, col), stored
+        # column-major as LAPACK's ab[row - col, col]; row j of a
+        # workspace's slot table is shifted to batch row j of a stacked
+        # band, so one unbuffered np.add.at sums every entry's pairs in
+        # increasing (e, pair) order, as a bincount over them would
+        self._pair_slots = (col * ldab + row - col).ravel()
+        # doubles per loading of each workspace array, and what else each
+        # holds while its own contents are not needed:
+        #   grad   total gradients; the right-hand sides of a band solve
+        #          in band order (at 0) and a Newton right-hand side (at
+        #          2 nn)
+        #   cache  the total gradients of the Newton iterates; in
+        #          ``tangents``, their right-hand sides
+        #   flux   fluxes; a Jacobian column; element pairs; with the
+        #          band, the Jacobian's temporaries
+        #   jac    Jacobians; a Newton step, once its band is assembled
+        #   slots  the band slot table (integers)
+        #   band   band storage; while no band is in flight, nodal values
+        #          per element or per-element divergences (at 0), the
+        #          scatter's terms or squares (at ``_at_terms``),
+        #          residuals (at ``_at_res``) and the scatter's sums (at
+        #          ``_at_sums``), and after a solve the solution in node
+        #          order (at 0)
+        self._layout = {"grad": 8 * nel, "cache": 8 * nel,
+                        "flux": 10 * nel, "jac": 16 * nel,
+                        "slots": self._pair_slots.size, "band": ldab * nn}
+        self._at_terms = 4 * nel
+        self._at_res = self._at_terms + 2 * nn
+        self._at_sums = self._at_res + nn
+        self.loading_bytes = 8 * sum(self._layout.values())
         self.chunk = max(1, min(MAX_CHUNK,
                                 CHUNK_BUDGET_BYTES // self.loading_bytes))
+        self._local = threading.local()
+
+    def _workspace(self, k):
+        """This thread's workspace, grown to hold k loadings."""
+        ws = getattr(self._local, "ws", None)
+        if ws is None or ws.rows < k:
+            ws = self._local.ws = _Workspace(self._layout, k)
+            band_size = (self.bandwidth + 1) * self.grid.n_nodes
+            np.add(self._pair_slots, band_size * np.arange(k)[:, None],
+                   out=self._slot_table(ws, k))
+        return ws
+
+    def _slot_table(self, ws, k):
+        """Band slots of the element pairs of k batch rows, (k, 10 nel)."""
+        return ws.get("slots", k, self._pair_slots.size).view(np.intp)
 
     # -- batched kernels ---------------------------------------------------
+    # Each returns a view of the calling thread's workspace, valid until
+    # the next kernel that writes the same array; k is at most ``chunk``.
 
     def _total_gradient(self, loadings, etas):
         """loading + grad eta at quadrature points for a batch, (k, nel, 4, 2)."""
-        k = etas.shape[0]
-        grad = (etas[:, self.grid.conn].reshape(-1, 4) @ self._grad_op) \
-            .reshape(k, -1, 4, 2)
+        k, nel = etas.shape[0], self.grid.n_elems
+        ws = self._workspace(k)
+        nodal = np.take(etas, self.grid.conn, axis=1, mode="clip",
+                        out=ws.get("band", k, nel, 4))
+        grad = ws.get("grad", k, nel, 4, 2)
+        np.matmul(nodal.reshape(-1, 4), self._grad_op,
+                  out=grad.reshape(-1, 8))
         grad += loadings[:, None, None, :]
         return grad
 
-    def _scatter(self, per_elem):
-        """Per-element nodal data (k, nel, 4, ...) summed onto nodes, (k, nn, ...)."""
-        return np.swapaxes(_fem.scatter(self.grid.node_scatter,
-                                        np.moveaxis(per_elem, 0, 2)), 0, 1)
+    def _flux_at(self, grad):
+        """Fluxes a(y, grad) of total gradients (k, nel, 4, 2)."""
+        return self.spec.flux_local(
+            self.loc, grad,
+            out=self._workspace(grad.shape[0]).get("flux", *grad.shape))
 
-    def _divergence(self, flux):
-        """Assembled ∫ flux . grad v for quadrature-point fluxes, (k, nn)."""
-        k = flux.shape[0]
-        return self._scatter(
-            (flux.reshape(-1, 8) @ self._div_op).reshape(k, -1, 4))
+    def _jacobian_at(self, grad):
+        """Newton-matrix coefficients d a / d xi at total gradients.
+
+        The constitutive temporaries take the dead fluxes and band.
+        """
+        k, nel = grad.shape[0], self.grid.n_elems
+        ws = self._workspace(k)
+        work = [ws.get(name, k, nel, 4, at=4 * nel * i)
+                for name in ("flux", "band") for i in range(2)]
+        return self.spec.jacobian_local(
+            self.loc, grad, delta_floor=self.opts.delta_jac,
+            out=ws.get("jac", *grad.shape, 2), work=work)
+
+    def _scatter(self, per_elem, out=None):
+        """Per-element nodal data (k, nel, 4, ...) summed onto nodes, (k, nn, ...).
+
+        The sums start from zero and add each node's element slots in
+        increasing order, as the one-hot scatter does, so they are bitwise
+        the same.  They run on contiguous scratch and are copied to
+        ``out`` at the end, which may be a strided view.
+        """
+        k, nn = per_elem.shape[0], self.grid.n_nodes
+        tail = per_elem.shape[3:]
+        ws = self._workspace(k)
+        flat = per_elem.reshape(k, -1, prod(tail))
+        part = ws.get("band", k, nn, prod(tail), at=self._at_terms)
+        sums = ws.get("band", k, nn, prod(tail), at=self._at_sums)
+        sums[...] = 0.0
+        for slots in self._node_slots.T:
+            np.take(flat, slots, axis=1, mode="clip", out=part)
+            sums += part
+        if out is None:
+            out = np.empty((k, nn) + tail)
+        out[...] = sums.reshape(out.shape)
+        return out
+
+    def _divergence(self, flux, out=None):
+        """Assembled ∫ flux . grad v for quadrature-point fluxes, (k, nn).
+
+        Written to ``out``, else to the workspace's residual array, whose
+        rows are strided: node-major, like a one-hot scatter's product.
+        """
+        k, nel, nn = flux.shape[0], self.grid.n_elems, self.grid.n_nodes
+        ws = self._workspace(k)
+        per_elem = ws.get("band", k, nel, 4)
+        np.matmul(flux.reshape(-1, 8), self._div_op,
+                  out=per_elem.reshape(-1, 4))
+        if out is None:
+            out = ws.get("band", k, nn, at=self._at_res).reshape(nn, k).T
+        return self._scatter(per_elem, out)
+
+    def _row_norms(self, res):
+        """Euclidean norms of the rows of a residual (k, nn).
+
+        The squares take the residual's node-major layout, so the sums run
+        in the order np.linalg.norm(res, axis=1) takes: bitwise its value.
+        """
+        k, nn = res.shape
+        squares = self._workspace(k).get(
+            "band", k, nn, at=self._at_terms).reshape(nn, k).T
+        np.multiply(res, res, out=squares)
+        return np.sqrt(np.add.reduce(squares, axis=1))
 
     def _residual(self, loadings, etas):
-        """Assembled residual vectors for a batch, (k, nn)."""
-        return self._divergence(self.spec.flux_local(
-            self.loc, self._total_gradient(loadings, etas)))
+        """Assembled residual vectors for a batch, (k, nn).
+
+        The total gradient stays in the workspace's ``grad`` array.
+        """
+        return self._divergence(self._flux_at(
+            self._total_gradient(loadings, etas)))
 
     def _local_jacobians(self, loadings, etas):
         """Newton-matrix coefficients d a / d xi at quadrature points."""
-        return self.spec.jacobian_local(
-            self.loc, self._total_gradient(loadings, etas),
-            delta_floor=self.opts.delta_jac)
+        return self._jacobian_at(self._total_gradient(loadings, etas))
 
-    def _band_solve(self, coef, rhs):
+    def _band_solve(self, coef, rhs, out=None):
         """Solve the node-0-pinned systems with coefficients coef.
 
         ``coef`` holds scalar (k, nel, 4) or symmetric matrix
-        (k, nel, 4, 2, 2) coefficients and ``rhs`` (k, nn, r) the
+        (k, nel, 4, 2, 2) coefficients and ``rhs`` (k, nn, r), r <= 2, the
         assembled right-hand sides; returns (k, nn, r) with node 0 at
-        zero.  The k band matrices, stacked along the diagonal, form one
-        band matrix of the same half-bandwidth, factored by one ``dpbsv``
-        call; node 0 keeps a unit row and column.  Raises SingularSystem,
-        naming the batch row, when a matrix is not positive definite.
+        zero, in ``out`` when given (it may be ``coef``'s memory, which is
+        read first).  The workspace's ``grad`` array is overwritten.  The
+        k band matrices, stacked along the diagonal, form one band matrix
+        of the same half-bandwidth, factored by one ``dpbsv`` call; node 0
+        keeps a unit row and column.  Raises SingularSystem, naming the
+        batch row, when a matrix is not positive definite.
         """
-        k = coef.shape[0]
-        nn = self.grid.n_nodes
+        k, nel, nn = coef.shape[0], self.grid.n_elems, self.grid.n_nodes
         ldab = self.bandwidth + 1
-        pairs = coef.reshape(k * self.grid.n_elems, -1)
-        pairs = pairs @ self._pair_ops[pairs.shape[1]]
-        slots = self._band_slots
-        if slots.shape[0] < k:
-            slots = slots[0] + (ldab * nn) * np.arange(k)[:, None]
-            self._band_slots = slots
-        band = np.bincount(slots[:k].ravel(), weights=pairs.ravel(),
-                           minlength=k * ldab * nn).reshape(k * nn, ldab)
+        r = rhs.shape[2]
+        ws = self._workspace(k)
+        # right-hand sides in band order, column-major for LAPACK
+        b = ws.get("grad", k, r * nn).reshape(r, k * nn)
+        rhs = rhs.reshape(k, nn * r)
+        for c in range(r):
+            np.take(rhs, self._band_nodes * r + c, axis=1, mode="clip",
+                    out=b[c].reshape(k, nn))
+        b[:, ::nn] = 0.0
+        pairs = ws.get("flux", k, 10 * nel)
+        np.matmul(coef.reshape(k * nel, -1),
+                  self._pair_ops[coef[0, 0].size], out=pairs.reshape(-1, 10))
+        band = ws.get("band", k * nn, ldab)
+        band[...] = 0.0
+        np.add.at(band.reshape(-1), self._slot_table(ws, k).reshape(-1),
+                  pairs.reshape(-1))
         band[::nn] = 0.0
         band[::nn, 0] = 1.0
-        b = rhs[:, self._band_nodes].reshape(k * nn, -1)
-        b[::nn] = 0.0
-        _, x, info = _dpbsv(band.T, b, lower=1, overwrite_ab=1,
+        _, x, info = _dpbsv(band.T, b.T, lower=1, overwrite_ab=1,
                             overwrite_b=1)
         if info != 0:
             raise SingularSystem(
                 f"cell Newton matrix of batch row {(info - 1) // nn} is not "
                 f"positive definite (dpbsv info {info})")
-        return x.reshape(k, nn, -1)[:, self._rank]
+        if out is None:
+            out = np.empty((k, nn, r))
+        node_order = ws.get("band", k, nn)
+        for c, xc in enumerate(x.T):
+            np.take(xc.reshape(k, nn), self._rank, axis=1, mode="clip",
+                    out=node_order)
+            out[..., c] = node_order
+        return out
 
     def _chunks(self, k):
         """Slices of at most ``chunk`` rows covering rows 0..k-1."""
@@ -344,16 +526,23 @@ class BatchScalarCellSolver:
         per_qp = values.reshape(k, self.grid.n_elems, 4, -1).sum(axis=1)
         return (self._w @ per_qp).reshape((k,) + values.shape[3:])
 
-    def _tangent_chunk(self, loadings, etas):
+    def _tangent_chunk(self, loadings, etas, w):
+        """Tangents of one chunk; W = d eta / d xi goes to ``w`` (k, nn, 2)."""
+        k = loadings.shape[0]
+        ws = self._workspace(k)
         jac = self._local_jacobians(loadings, etas)
         # rhs_j = -∫ A e_j . grad v, one column per direction j
-        rhs = -np.stack([self._divergence(jac[..., j]) for j in range(2)],
-                        axis=-1)
-        w = self._band_solve(jac, rhs)
+        rhs = ws.get("cache", k, self.grid.n_nodes, 2)
+        column = ws.get("flux", *jac.shape[:-1])
+        for j in range(2):
+            np.copyto(column, jac[..., j])
+            self._divergence(column, out=rhs[..., j])
+        np.negative(rhs, out=rhs)
+        self._band_solve(jac, rhs, out=w)
         w -= w.mean(axis=1, keepdims=True)
         # A is symmetric, so ∫ (A e_i) . grad w_j = -rhs_i . w_j and
         # ∫ A (I + grad w) = ∫ A - rhs^T w
-        return self._integrate(jac) - np.swapaxes(rhs, 1, 2) @ w, w
+        return self._integrate(jac) - np.swapaxes(rhs, 1, 2) @ w
 
     def tangents(self, loadings, etas):
         """Consistent tangents and cell-solution derivatives at converged potentials.
@@ -372,30 +561,44 @@ class BatchScalarCellSolver:
         tangent = np.zeros((k, 2, 2))
         w = np.zeros((k, self.grid.n_nodes, 2))
         for sl in self._chunks(k):
-            tangent[sl], w[sl] = self._tangent_chunk(loadings[sl], etas[sl])
+            tangent[sl] = self._tangent_chunk(loadings[sl], etas[sl], w[sl])
         return tangent, w
 
     def _solve_chunk(self, loadings, warm):
         opts = self.opts
-        etas = np.zeros((loadings.shape[0], self.grid.n_nodes)) \
-            if warm is None else warm.copy()
+        k, nel, nn = loadings.shape[0], self.grid.n_elems, self.grid.n_nodes
+        ws = self._workspace(k)
+        etas = np.zeros((k, nn)) if warm is None else warm.copy()
         # every family maps xi = 0 to flux 0, so a zero loading has eta = 0
         etas[np.linalg.norm(loadings, axis=1) == 0.0] = 0.0
+        # total gradients at each row's last evaluated iterate: damped
+        # Newton steps (Newton or frozen-coefficient) from that iterate,
+        # so a step reuses the gradient of its residual
+        grads = ws.get("cache", k, nel, 4, 2)
 
         def residual(rows, x):
             res = self._residual(loadings[rows], x)
-            return res, np.linalg.norm(res, axis=1)
+            grads[rows] = ws.get("grad", rows.size, nel, 4, 2)
+            return res, self._row_norms(res)
+
+        def gradients(rows):
+            return np.take(grads, rows, axis=0, mode="clip",
+                           out=ws.get("grad", rows.size, nel, 4, 2))
 
         def newton_step(rows, x, res):
-            return self._band_solve(self._local_jacobians(loadings[rows], x),
-                                    -res[:, :, None])[..., 0]
+            # the step goes to the Jacobian's memory, which no residual
+            # evaluation of the line search touches
+            jac = self._jacobian_at(gradients(rows))
+            rhs = ws.get("grad", rows.size, nn, 1, at=2 * nn)
+            np.negative(res, out=rhs[..., 0])
+            step = ws.get("jac", rows.size, nn, 1)
+            return self._band_solve(jac, rhs, out=step)[..., 0]
 
         def picard_step(rows, x):
-            coef = self.spec.frozen_coefficient(
-                self.loc, self._total_gradient(loadings[rows], x),
-                opts.delta_jac)
-            rhs = -self._divergence(
-                coef[..., None] * loadings[rows][:, None, None, :])
+            coef = self.spec.frozen_coefficient(self.loc, gradients(rows),
+                                                opts.delta_jac)
+            rhs = np.negative(self._divergence(
+                coef[..., None] * loadings[rows][:, None, None, :]))
             frozen = self._band_solve(coef, rhs[:, :, None])[..., 0]
             return x + self.spec.frozen_relaxation * (frozen - x)
 
@@ -427,10 +630,8 @@ class BatchScalarCellSolver:
         """Cell means of a(y, loading + grad eta) per sample, (K, 2)."""
         out = np.zeros((result.loadings.shape[0], 2))
         for sl in self._chunks(out.shape[0]):
-            flux = self.spec.flux_local(
-                self.loc,
-                self._total_gradient(result.loadings[sl], result.values[sl]))
-            out[sl] = self._integrate(flux)
+            out[sl] = self._integrate(self._flux_at(self._total_gradient(
+                result.loadings[sl], result.values[sl])))
         return out
 
     def attached_residuals(self, loadings, etas):
@@ -444,8 +645,8 @@ class BatchScalarCellSolver:
         identity = np.zeros(loadings.shape[0])
         for sl in self._chunks(cell.shape[0]):
             p_qp = self._total_gradient(loadings[sl], etas[sl])
-            flux = self.spec.flux_local(self.loc, p_qp)
-            cell[sl] = np.linalg.norm(self._divergence(flux), axis=1)
+            flux = self._flux_at(p_qp)
+            cell[sl] = self._row_norms(self._divergence(flux))
             lhs = self._integrate(flux[..., 0] * p_qp[..., 0]
                                   + flux[..., 1] * p_qp[..., 1])
             mean = self._integrate(flux)

@@ -21,8 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .cell_problems import (BatchScalarCellSolver, SolverOptions,
-                            solve_elastic_cell_U, solve_scalar_cell)
+# solve_scalar_cell is re-exported for perfbench/spans.py (see hk.effective)
+from .cell_problems import (BatchScalarCellSolver, SolverOptions,  # noqa: F401
+                            solve_scalar_cell, solve_scalar_cells)
 from .constitutive import (ElasticTensorField, Geometry, OperatorSpec,
                            check_growth_conditions)
 from .core_fields import CellGrid, DomainGrid, ScalarField, dump_field
@@ -396,10 +397,12 @@ def cmd_cell(cfg, out_dir, threads):
     opts = SolverOptions(tol=cfg["tolerances"]["cell"])
     summary = {"provenance": provenance_block(cfg), "scalar": {},
                "elastic": {}, "electrostriction": {}}
-    sols = [solve_scalar_cell(spec, e, grid, opts) for e in np.eye(2)]
+    # one solver: e_1, e_2 as one batch (nonlinear laws) and their flux
+    # identities
+    solver = BatchScalarCellSolver(spec, grid, opts)
+    sols = solve_scalar_cells(spec, np.eye(2), grid, opts, solver)
     unit_etas = np.stack([sol.values for sol in sols])
-    _, idents = BatchScalarCellSolver(spec, grid, opts).attached_residuals(
-        np.eye(2), unit_etas)
+    _, idents = solver.attached_residuals(np.eye(2), unit_etas)
     for k, sol in enumerate(sols):
         name = f"cell_potential_e{k + 1}"
         dump_field(ScalarField(grid, sol.values), name,
@@ -411,8 +414,7 @@ def cmd_cell(cfg, out_dir, threads):
     tensor_b, tensor_c = build_tensors(cfg)
     if tensor_b is not None:
         from .core_fields import VectorField
-        for (i, j) in ((0, 0), (1, 1), (0, 1)):
-            sol = solve_elastic_cell_U(tensor_b, grid, i, j)
+        for (i, j), sol in assemble_B_hom(tensor_b, grid).solutions.items():
             name = f"cell_displacement_{i + 1}{j + 1}"
             dump_field(VectorField(grid, sol.values), name,
                        str(out_dir / f"{name}.field"))

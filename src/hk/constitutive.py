@@ -170,49 +170,98 @@ class OperatorSpec:
         """
         return loc["pexp"] if self.family == "variable-exponent" else self.p
 
-    def flux_local(self, loc, xi):
-        """Flux from precomputed local coefficients; xi broadcasts over loc."""
+    def _out(self, loc, xi, tail, out):
+        """``out``, or a new array of the broadcast point shape plus ``tail``."""
+        if out is not None:
+            return out
+        return np.empty(np.broadcast_shapes(loc["sigma"].shape, xi.shape[:-1])
+                        + tail)
+
+    def flux_local(self, loc, xi, out=None):
+        """Flux from precomputed local coefficients; xi broadcasts over loc.
+
+        ``out`` (the broadcast point shape plus (2,), not overlapping xi)
+        receives the flux; the power laws then allocate nothing of that
+        size.
+        """
         xi = np.asarray(xi, dtype=float)
+        x0, x1 = xi[..., 0], xi[..., 1]
         if self.family == "linear":
             b = loc["bmat"]
-            return np.stack([b[..., 0, 0] * xi[..., 0] + b[..., 0, 1] * xi[..., 1],
-                             b[..., 1, 0] * xi[..., 0] + b[..., 1, 1] * xi[..., 1]],
-                            axis=-1)
-        s = _squared_norm(xi)
-        weight = (self.delta**2 + s) ** (0.5 * (self._exponent(loc) - 2.0))
-        scale = loc["sigma"] * weight
-        flux = np.empty(scale.shape + (2,))
-        np.multiply(scale, xi[..., 0], out=flux[..., 0])
-        np.multiply(scale, xi[..., 1], out=flux[..., 1])
+            flux = out if out is not None else np.empty(
+                np.broadcast_shapes(b.shape[:-2], xi.shape[:-1]) + (2,))
+            f0, f1 = flux[..., 0], flux[..., 1]
+            # b xi row by row, f1 standing in for the second product of f0
+            np.multiply(b[..., 0, 0], x0, out=f0)
+            np.multiply(b[..., 0, 1], x1, out=f1)
+            f0 += f1
+            np.multiply(b[..., 1, 0], x0, out=f1)
+            f1 += b[..., 1, 1] * x1
+            return flux
+        flux = self._out(loc, xi, (2,), out)
+        f0, f1 = flux[..., 0], flux[..., 1]
+        # sigma (delta^2 + |xi|^2)^((p-2)/2) xi, built in f0; the in-place
+        # power keeps numpy's scalar fast paths (sqrt at p = 3)
+        np.multiply(x0, x0, out=f0)
+        np.multiply(x1, x1, out=f1)
+        f0 += f1
+        f0 += self.delta**2
+        f0 **= 0.5 * (self._exponent(loc) - 2.0)
+        f0 *= loc["sigma"]
+        np.multiply(f0, x1, out=f1)
+        f0 *= x0
         return flux
 
-    def jacobian_local(self, loc, xi, delta_floor=0.0):
+    def jacobian_local(self, loc, xi, delta_floor=0.0, out=None, work=None):
         """d flux / d xi from local coefficients, (..., 2, 2).
 
         ``delta_floor`` adds an inner regularization used only for Newton /
         Picard matrices; the residual always uses the spec's own delta.
+        ``out`` (the broadcast point shape plus (2, 2), not overlapping xi)
+        receives the Jacobian, and ``work``, four arrays of the point
+        shape, holds the power laws' temporaries; given both, they
+        allocate nothing of that size.
         """
         xi = np.asarray(xi, dtype=float)
         if self.family == "linear":
-            return np.broadcast_to(loc["bmat"],
-                                   xi.shape[:-1] + (2, 2)).copy()
+            if out is None:
+                return np.broadcast_to(loc["bmat"],
+                                       xi.shape[:-1] + (2, 2)).copy()
+            np.copyto(out, loc["bmat"])
+            return out
+        jac = self._out(loc, xi, (2, 2), out)
+        base, weight, scale, term = \
+            np.empty((4,) + jac.shape[:-2]) if work is None else work
         d2 = max(self.delta, delta_floor) ** 2
-        s = _squared_norm(xi)
-        base = d2 + s
         pexp = self._exponent(loc)
-        weight = base ** (0.5 * (pexp - 2.0))
-        safe = np.where(base > 0.0, base, 1.0)
-        scale = loc["sigma"] * ((pexp - 2.0) * weight / safe)
-        diagonal = loc["sigma"] * weight
-        # sigma coef xi xi^T + sigma weight I, one entry at a time; the
+        sigma = loc["sigma"]
+        x0, x1 = xi[..., 0], xi[..., 1]
+        np.multiply(x0, x0, out=base)
+        np.multiply(x1, x1, out=term)
+        base += term
+        base += d2
+        # weight = base^((p-2)/2); the in-place power keeps numpy's scalar
+        # fast paths (sqrt at p = 3)
+        np.copyto(weight, base)
+        weight **= 0.5 * (pexp - 2.0)
+        if d2 == 0.0:                   # base is 0 only where xi is
+            np.copyto(base, 1.0, where=~(base > 0.0))
+        # sigma (p - 2) weight / base xi xi^T + sigma weight I; the
         # Jacobian is symmetric, so entry (1, 0) is a copy of (0, 1)
-        x0 = xi[..., 0]
-        x1 = xi[..., 1]
-        jac = np.empty(scale.shape + (2, 2))
-        np.add(scale * (x0 * x0), diagonal, out=jac[..., 0, 0])
-        np.multiply(scale, x0 * x1, out=jac[..., 0, 1])
-        np.add(scale * (x1 * x1), diagonal, out=jac[..., 1, 1])
-        jac[..., 1, 0] = jac[..., 0, 1]
+        np.multiply(pexp - 2.0, weight, out=scale)
+        scale /= base
+        scale *= sigma
+        weight *= sigma
+        np.multiply(x0, x0, out=term)
+        term *= scale
+        np.add(term, weight, out=jac[..., 0, 0])
+        np.multiply(x1, x1, out=term)
+        term *= scale
+        np.add(term, weight, out=jac[..., 1, 1])
+        np.multiply(x0, x1, out=term)
+        term *= scale
+        jac[..., 0, 1] = term
+        jac[..., 1, 0] = term
         return jac
 
     def frozen_coefficient(self, loc, xi, delta_floor=0.0):

@@ -15,10 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _fem
-from .cell_problems import (BatchScalarCellSolver, SolverOptions,
-                            corrector_flux,
-                            solve_elastic_cell_U, solve_electrostriction_cell,
-                            solve_scalar_cell, unit_strain)
+# solve_scalar_cell is re-exported, here and in hk.cli, for
+# perfbench/spans.py, whose tracer rebinds it in every hk namespace
+from .cell_problems import (BatchScalarCellSolver, SolverOptions,  # noqa: F401
+                            corrector_flux, solve_elastic_cells_U,
+                            solve_electrostriction_cell, solve_scalar_cell,
+                            solve_scalar_cells, unit_strain)
 from .errors import NonConvergence
 
 _SAFE_POINT = np.array([-0.25, -0.25])  # off-interface for all geometries
@@ -30,9 +32,10 @@ class EffectiveLaw:
     ``solve`` returns the fluxes and the cell potentials eta_xi of a batch
     of loadings.  Constant laws shortcut to the pointwise flux and have no
     cell potentials (eta = 0); linear laws to a constant matrix and a
-    potential basis from two unit-loading cell solves.  Everything else
-    runs batched cell solves on ``batch``, the one scalar cell solver of
-    the law, which every mode has for the attached residuals.
+    potential basis from the unit-loading cell solves, which share one
+    factorization.  Everything else runs batched cell solves on
+    ``batch``, the one scalar cell solver of the law, which every mode
+    has for the attached residuals.
     ``eval_batch`` computes fluxes only, so the constant and linear modes
     build no potentials there.  Nothing is stored between calls, so one
     law can serve several threads.
@@ -47,8 +50,7 @@ class EffectiveLaw:
             self.mode = "constant"
         elif spec.is_linear:
             self.mode = "linear"
-            sols = [solve_scalar_cell(spec, e, grid, self.opts)
-                    for e in np.eye(2)]
+            sols = solve_scalar_cells(spec, np.eye(2), grid, self.opts)
             self._basis = np.stack([s.values for s in sols])
             self.matrix = _b_hom(spec, grid, sols)
         else:
@@ -181,13 +183,12 @@ def assemble_B_hom(tensor_field, grid):
     """Effective elasticity from unit-strain cell solves.
 
     B_hom[i,j,m,n] = ∫ B (E^ij - D(U^ij)) : (E^mn - D(U^mn)) dy over the
-    three independent symmetric pairs, mirrored onto all sixteen entries.
+    three independent symmetric pairs, mirrored onto all sixteen entries;
+    one factorization serves the three unit-strain cell solves.
     """
-    solutions = {}
+    solutions = solve_elastic_cells_U(tensor_field, grid, _SYM_PAIRS)
     strains = {}
-    for (i, j) in _SYM_PAIRS:
-        sol = solve_elastic_cell_U(tensor_field, grid, i, j)
-        solutions[(i, j)] = sol
+    for (i, j), sol in solutions.items():
         grad = _fem.qp_gradient(sol.values, grid.conn, grid.h)
         strains[(i, j)] = unit_strain(i, j) - 0.5 * (grad + np.swapaxes(grad, -1, -2))
     points = grid.qp_coords()

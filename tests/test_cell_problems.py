@@ -1,3 +1,7 @@
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -499,6 +503,43 @@ def test_band_solve_matches_solveh_banded(n, rows, r):
     assert np.all(err <= 1e-12 * np.linalg.norm(ref.reshape(k, -1), axis=1))
 
 
+@pytest.mark.parametrize("coef", ["matrix", "scalar"])
+def test_band_solve_bitwise_equals_bincount_assembly(coef):
+    # each band entry sums its element pairs from zero in the order one
+    # bincount over the element pairs adds them: the same band, so the
+    # same dpbsv solution, bit for bit
+    from scipy.linalg.lapack import dpbsv
+    grid = CellGrid(16)
+    batch = BatchScalarCellSolver(laminate_spec(3.0), grid)
+    nn, nel, k = grid.n_nodes, grid.n_elems, 5
+    rng = np.random.default_rng(16)
+    loadings = rng.uniform(-1.0, 1.0, size=(k, 2))
+    etas = 0.1 * rng.standard_normal((k, nn))
+    jac = batch._local_jacobians(loadings, etas).copy()
+    if coef == "scalar":
+        jac = jac[..., 0, 0].copy()
+    rhs = rng.standard_normal((k, nn, 1))
+    got = batch._band_solve(jac, rhs)
+    a, b = np.triu_indices(4)
+    ldab = batch.bandwidth + 1
+    ranks = batch._rank[grid.conn]
+    row = np.maximum(ranks[:, a], ranks[:, b])
+    col = np.minimum(ranks[:, a], ranks[:, b])
+    slots = (col * ldab + row - col).reshape(1, -1) \
+        + (ldab * nn) * np.arange(k)[:, None]
+    op = _fem.BLOCK_OP if coef == "matrix" else _fem.SCALAR_BLOCK_OP
+    pairs = jac.reshape(k * nel, -1) @ op[:, 4 * a + b]
+    band = np.bincount(slots.ravel(), weights=pairs.ravel(),
+                       minlength=k * ldab * nn).reshape(k * nn, ldab)
+    band[::nn] = 0.0
+    band[::nn, 0] = 1.0
+    rhs_band = rhs[:, batch._band_nodes].reshape(k * nn, 1)
+    rhs_band[::nn] = 0.0
+    _, x, info = dpbsv(band.T, rhs_band, lower=1)
+    assert info == 0
+    assert np.array_equal(got, x.reshape(k, nn, 1)[:, batch._rank])
+
+
 def test_band_solve_names_the_indefinite_row():
     from hk.errors import SingularSystem
     grid = CellGrid(8)
@@ -521,3 +562,73 @@ def test_batch_chunk_within_budget(n):
             or (batch.chunk + 1) * batch.loading_bytes > CHUNK_BUDGET_BYTES)
     if n <= 8:
         assert batch.chunk == MAX_CHUNK
+
+
+# -- per-thread workspace -------------------------------------------------------
+
+def _solve_and_linearize(batch, loadings):
+    res = batch.solve(loadings)
+    tangent, w = batch.tangents(loadings, res.values)
+    return (res.values, res.residuals, res.iterations, batch.flux_means(res),
+            tangent, w)
+
+
+def test_concurrent_solves_match_serial_solves():
+    # each thread keeps its own workspace, so threads calling one solver
+    # with different batch sizes get the serial results bitwise; more
+    # threads than cores and a short switch interval make them interleave
+    grid = CellGrid(8)
+    rng = np.random.default_rng(14)
+    batches = [rng.uniform(-1.0, 1.0, size=(k, 2)) for k in (3, 100)]
+    serial = [_solve_and_linearize(BatchScalarCellSolver(laminate_spec(3.0),
+                                                         grid), loadings)
+              for loadings in batches]
+    batch = BatchScalarCellSolver(laminate_spec(3.0), grid)
+    n_threads = 4
+    start = threading.Barrier(n_threads)
+    results = [[] for _ in range(n_threads)]
+
+    def work(i):
+        try:
+            start.wait()
+            for _ in range(3):
+                results[i].append(_solve_and_linearize(batch, batches[i % 2]))
+        except Exception as exc:      # re-raised in the main thread
+            results[i].append(exc)
+
+    threads = [threading.Thread(target=work, args=(i,))
+               for i in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i in range(n_threads):
+        assert len(results[i]) == 3
+        for got in results[i]:
+            if isinstance(got, Exception):
+                raise got
+            for a, b in zip(got, serial[i % 2]):
+                assert np.array_equal(a, b)
+
+
+def test_repeated_solve_reuses_its_workspace():
+    # the work arrays persist across calls: a second solve of the same
+    # loadings allocates a small part of what the first one did
+    grid = CellGrid(16)
+    batch = BatchScalarCellSolver(laminate_spec(3.0), grid)
+    loadings = np.random.default_rng(15).uniform(-1.0, 1.0, size=(100, 2))
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            batch.solve(loadings)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] / 4

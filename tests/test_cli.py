@@ -333,15 +333,16 @@ def test_effective_solves_unit_loadings_once(tmp_path, monkeypatch):
                       - ref.pair_matrices).max() <= 1e-12
 
 
-@pytest.mark.parametrize("subcommand", ["verify", "homogenized",
+@pytest.mark.parametrize("subcommand", ["cell", "verify", "homogenized",
                                         "corrector-study"])
 def test_one_cell_solver_per_run(tmp_path, monkeypatch, subcommand):
     # a_hom, C_hom and the flux identities all take the unit-loading cell
-    # solutions from the effective law and its one batched solver
+    # solutions from the run's one batched solver: the effective law's,
+    # or in ``cell`` the one that also checks the flux identities
     import hk.cell_problems
     import hk.cli
     import hk.effective
-    from hk.cell_problems import BatchScalarCellSolver
+    from hk.cell_problems import BatchScalarCellSolver, solve_scalar_cells
     built, single = [], []
     init = BatchScalarCellSolver.__init__
 
@@ -350,12 +351,14 @@ def test_one_cell_solver_per_run(tmp_path, monkeypatch, subcommand):
         init(self, *args, **kwargs)
 
     def counting_solve(*args, **kwargs):
-        single.append(args[1])
-        return solve_scalar_cell(*args, **kwargs)
+        # a call without the run's solver would build one of its own
+        if len(args) < 5 and kwargs.get("solver") is None:
+            single.append(args[1])
+        return solve_scalar_cells(*args, **kwargs)
 
     monkeypatch.setattr(BatchScalarCellSolver, "__init__", counting_init)
     for module in (hk.cell_problems, hk.effective, hk.cli):
-        monkeypatch.setattr(module, "solve_scalar_cell", counting_solve)
+        monkeypatch.setattr(module, "solve_scalar_cells", counting_solve)
     overrides = {"operator": PRESETS["laminate-p3"]["operator"]}
     if subcommand == "corrector-study":
         # the benchmark's study-p3 grids and ladder, elasticity kept

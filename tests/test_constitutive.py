@@ -233,5 +233,14 @@ def test_kernels_bitwise_equal_broadcasting_formulas(spec, delta_floor):
                               _broadcast_flux(spec, loc, x))
         assert np.array_equal(spec.jacobian_local(loc, x, delta_floor),
                               _broadcast_jacobian(spec, loc, x, delta_floor))
+        # the same kernels writing into given arrays
+        flux = np.full(_broadcast_flux(spec, loc, x).shape, np.nan)
+        assert spec.flux_local(loc, x, out=flux) is flux
+        assert np.array_equal(flux, _broadcast_flux(spec, loc, x))
+        jac = np.full(_broadcast_jacobian(spec, loc, x, delta_floor).shape,
+                      np.nan)
+        assert spec.jacobian_local(loc, x, delta_floor, out=jac) is jac
+        assert np.array_equal(jac,
+                              _broadcast_jacobian(spec, loc, x, delta_floor))
         assert np.array_equal(spec.frozen_coefficient(loc, x, delta_floor),
                               _broadcast_frozen(spec, loc, x, delta_floor))

@@ -102,18 +102,21 @@ def test_linear_case_b_hom_nonsymmetric_laminate():
 
 
 def test_linear_law_solves_unit_loadings_once(monkeypatch):
-    import hk.effective as effective
+    # both unit loadings share one factorization of the cell stiffness
+    from hk import _fem
     calls = []
+    splu = _fem._splu
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
-        return solve_scalar_cell(*args, **kwargs)
+        calls.append(args[0].shape)
+        return splu(*args, **kwargs)
 
-    monkeypatch.setattr(effective, "solve_scalar_cell", counted)
+    monkeypatch.setattr(_fem, "_splu", counted)
     grid = CellGrid(16)
     law = EffectiveLaw(linear_laminate(), grid)
     basis = law.solutions_for(np.eye(2))
-    assert len(calls) == 2
+    monkeypatch.undo()
+    assert len(calls) == 1
     for k in range(2):
         assert np.array_equal(
             basis[k], solve_scalar_cell(law.spec, np.eye(2)[k], grid).values)

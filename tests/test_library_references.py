@@ -19,6 +19,10 @@ ALLOWED = {
     "gradient": "field calculus on ScalarField",
     "sym_gradient": "field calculus on VectorField",
     "cell_average": "field calculus: the unit-cell mean",
+    "solve_scalar_cell": "the one-loading form of solve_scalar_cells; "
+                         "perfbench/spans.py traces it by name",
+    "solve_elastic_cell_U": "the one-pair form of solve_elastic_cells_U; "
+                            "perfbench/spans.py traces it by name",
 }
 
 
