@@ -15,9 +15,9 @@ Three kinds of solves:
 
 The two elastic problems are linear: sparse direct solves with the
 displacement of node 0 pinned (``_fem.solve_periodic_pinned``), one
-factorization for all unit strains.  All solutions are normalized to
-zero mean; on the uniform periodic grid the arithmetic nodal mean equals
-the integral, so the normalization is exact.
+factorization for all unit strains or all sources.  All solutions are
+normalized to zero mean; on the uniform periodic grid the arithmetic
+nodal mean equals the integral, so the normalization is exact.
 """
 
 import threading
@@ -183,25 +183,29 @@ def solve_elastic_cell_U(tensor_field, grid, i, j):
     return solve_elastic_cells_U(tensor_field, grid, [(i, j)])[(i, j)]
 
 
-def solve_electrostriction_cell(tensor_field, zeta_qp, grid,
-                                variant="C-applied", indices=("chi",)):
-    """Periodic displacement driven by an electric stress source.
+def solve_electrostriction_cells(tensor_field, sources, grid):
+    """Periodic displacements driven by electric stress sources.
 
-    variant "as-written": flux C D(chi) + zeta; variant "C-applied"
-    (default): flux C (D(chi) + zeta).  Tested against symmetrized
-    gradients, so only the symmetric part of the source enters.  Solved
-    directly like ``solve_elastic_cells_U``.
+    ``sources`` maps a key to a source zeta at quadrature points,
+    (nel, 4, 2, 2).  Weak form: ∫ C (D(chi) + zeta) : D(v) = 0, tested
+    against symmetrized gradients, so only the symmetric part of zeta
+    enters.  Solved directly like ``solve_elastic_cells_U``, one
+    factorization for all sources.  Returns a dict key ->
+    ElasticCellSolution in the order of ``sources``.
     """
-    if variant not in ("C-applied", "as-written"):
-        raise ValueError(f"unknown electrostriction variant {variant!r}")
-    points = grid.qp_coords()
-    zeta_sym = 0.5 * (zeta_qp + np.swapaxes(zeta_qp, -1, -2))
-    stress = zeta_sym
-    if variant == "C-applied":
-        stress = _fem.isotropic_stress(*tensor_field.lame_at(points), zeta_sym)
-    rhs = -_fem.divergence_residual(grid, stress)
-    x, relres = _solve_elastic(tensor_field, grid, rhs[None])
-    return ElasticCellSolution(tuple(indices), x[0], relres[0], 1, grid)
+    lam, mu = tensor_field.lame_at(grid.qp_coords())
+    loads = np.stack([-_fem.divergence_residual(grid, _fem.isotropic_stress(
+        lam, mu, 0.5 * (zeta + np.swapaxes(zeta, -1, -2))))
+        for zeta in sources.values()])
+    xs, relres = _solve_elastic(tensor_field, grid, loads)
+    return {key: ElasticCellSolution(key, x, r, 1, grid)
+            for key, x, r in zip(sources, xs, relres)}
+
+
+def solve_electrostriction_cell(tensor_field, zeta_qp, grid, indices=("chi",)):
+    """The cell problem of one source: ``solve_electrostriction_cells``'s."""
+    return solve_electrostriction_cells(tensor_field, {indices: zeta_qp},
+                                        grid)[indices]
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +271,14 @@ class BatchScalarCellSolver:
     EffectiveLaw's sweeps and ``solve_scalar_cells`` run it for the
     power-law and variable-exponent families, whose local Jacobians
     d a / d xi are SPD, so each Newton matrix with node 0 pinned is SPD;
-    ``attached_residuals`` serves every family.  Its unknowns are
-    numbered in the folded torus order (node 0 first), which makes the
-    matrix banded with half-bandwidth 2n+2.  The matrices of a chunk of
-    loadings, stacked along the diagonal, form one band matrix of that
-    half-bandwidth: the distinct element-block entries are summed
+    ``attached_residuals`` serves every family.  ``solve`` and
+    ``tangents`` raise ValueError for a linear law, whose matrix need not
+    be symmetric (the band keeps the a <= b entries of each element
+    block); linear laws take ``solve_scalar_cells``' direct solve.  Its
+    unknowns are numbered in the folded torus order (node 0 first), which
+    makes the matrix banded with half-bandwidth 2n+2.  The matrices of a
+    chunk of loadings, stacked along the diagonal, form one band matrix
+    of that half-bandwidth: the distinct element-block entries are summed
     straight into its LAPACK lower band storage and factored by one
     banded Cholesky call (``dpbsv``).  Lower, not upper, storage:
     OpenBLAS threads the strided ``dsyr`` of the upper variant, which
@@ -365,6 +372,12 @@ class BatchScalarCellSolver:
             np.add(self._pair_slots, band_size * np.arange(k)[:, None],
                    out=self._slot_table(ws, k))
         return ws
+
+    def _require_nonlinear(self):
+        if self.spec.is_linear:
+            raise ValueError("the batched cell solver assumes symmetric "
+                             "Newton matrices; a linear law takes "
+                             "solve_scalar_cells' direct solve")
 
     def _slot_table(self, ws, k):
         """Band slots of the element pairs of k batch rows, (k, 10 nel)."""
@@ -556,6 +569,7 @@ class BatchScalarCellSolver:
         the first-order predictor of the cell solution at a nearby
         loading xi'.
         """
+        self._require_nonlinear()
         loadings = np.asarray(loadings, dtype=float)
         k = loadings.shape[0]
         tangent = np.zeros((k, 2, 2))
@@ -605,8 +619,8 @@ class BatchScalarCellSolver:
         out = _fem.damped_newton(
             etas, residual, newton_step,
             opts.tol * _tol_scale(self.spec, loadings),
-            opts.max_newton, opts.max_linesearch,
-            None if self.spec.is_linear else picard_step, opts.max_picard)
+            opts.max_newton, opts.max_linesearch, picard_step,
+            opts.max_picard)
         etas = out.x - out.x.mean(axis=1, keepdims=True)
         return etas, out.norm, out.iterations, out.converged
 
@@ -615,6 +629,7 @@ class BatchScalarCellSolver:
 
         Rows that do not converge are flagged in ``converged``.
         """
+        self._require_nonlinear()
         loadings = np.asarray(loadings, dtype=float)
         k = loadings.shape[0]
         out = BatchCellResult(loadings, np.zeros((k, self.grid.n_nodes)),

@@ -60,7 +60,6 @@ _BASE_PRESET = {
     "grids": {"cell_n": 8, "fine_m": 16, "solve_n": 32, "sample_n": 64},
     "ladder": [0.25, 0.125, 0.0625, 0.03125],
     "tolerances": {"cell": 1e-10, "macro": 1e-9},
-    "chom_variant": "C-applied",
     "sources": {"f": "bump", "g": [0.0, -1.0]},
 }
 
@@ -273,10 +272,11 @@ def validate_config(cfg, subcommand=None):
         "cell": _positive(tols.get("cell", 1e-10), "/tolerances/cell"),
         "macro": _positive(tols.get("macro", 1e-9), "/tolerances/macro"),
     }
-    variant = cfg.get("chom_variant", "C-applied")
-    if variant not in ("C-applied", "as-written"):
-        raise ConfigError("unknown electrostriction variant", "/chom_variant")
-    out["chom_variant"] = variant
+    # an old config that asks for the other average must not run this one
+    if cfg.get("chom_variant", "C-applied") != "C-applied":
+        raise ConfigError("the as-written electrostriction average was "
+                          "retired; C_hom is always C-applied",
+                          "/chom_variant")
 
     sources = _object(cfg.get("sources", {}), "/sources")
     f_src = sources.get("f", "constant:1.0")
@@ -358,8 +358,7 @@ def config_hash(cfg):
 
 def provenance_block(cfg):
     return {"config_hash": config_hash(cfg), "grids": cfg["grids"],
-            "tolerances": cfg["tolerances"], "seed": cfg["seed"],
-            "chom_variant": cfg["chom_variant"]}
+            "tolerances": cfg["tolerances"], "seed": cfg["seed"]}
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +419,7 @@ def cmd_cell(cfg, out_dir, threads):
                        str(out_dir / f"{name}.field"))
             summary["elastic"][f"{i + 1}{j + 1}"] = {
                 "residual": sol.residual, "iterations": sol.iterations}
-        c_eff = assemble_C_hom(tensor_c, unit_etas, grid,
-                               cfg["chom_variant"])
+        c_eff = assemble_C_hom(tensor_c, unit_etas, grid)
         for (i, j), chi in c_eff.solutions.items():
             summary["electrostriction"][f"{i + 1}{j + 1}"] = {
                 "residual": chi.residual, "iterations": chi.iterations}
@@ -435,7 +433,7 @@ def cmd_effective(cfg, out_dir, threads):
     opts = SolverOptions(tol=cfg["tolerances"]["cell"])
     law = EffectiveLaw(spec, grid, opts)
     report = {"provenance": provenance_block(cfg)}
-    # one solve of the unit loadings serves a_hom and both C_hom variants
+    # one solve of the unit loadings serves a_hom and C_hom
     a_unit, unit_etas = law.solve(np.eye(2))
     if unit_etas is None:                 # a constant law has eta = 0
         unit_etas = np.zeros((2, grid.n_nodes))
@@ -453,12 +451,8 @@ def cmd_effective(cfg, out_dir, threads):
     if tensor_b is not None:
         b_eff = assemble_B_hom(tensor_b, grid)
         report["B_hom"] = _tensor_nested(b_eff.tensor)
-        both = {}
-        for variant in ("C-applied", "as-written"):
-            c_eff = assemble_C_hom(tensor_c, unit_etas, grid, variant)
-            both[variant] = _tensor_nested(c_eff.pair_matrices)
-        report["C_hom"] = both
-        report["C_hom_default_variant"] = cfg["chom_variant"]
+        report["C_hom"] = _tensor_nested(
+            assemble_C_hom(tensor_c, unit_etas, grid).pair_matrices)
     write_json(report, out_dir / "effective.json")
     return 0
 
@@ -509,8 +503,7 @@ def cmd_homogenized(cfg, out_dir, threads):
     tensor_b, tensor_c = build_tensors(cfg)
     if tensor_b is not None:
         b_eff = assemble_B_hom(tensor_b, grid)
-        c_eff = assemble_C_hom(tensor_c, law.solutions_for(np.eye(2)), grid,
-                               cfg["chom_variant"])
+        c_eff = assemble_C_hom(tensor_c, law.solutions_for(np.eye(2)), grid)
         u0, resid = solve_homogenized_elasticity(
             b_eff, c_eff, np.array(cfg["sources"]["g"]), macro.potential,
             domain)
@@ -529,7 +522,7 @@ def cmd_corrector_study(cfg, out_dir, threads):
         cell_n=cfg["grids"]["cell_n"], fine_m=cfg["grids"]["fine_m"],
         solve_n=cfg["grids"]["solve_n"], sample_n=cfg["grids"]["sample_n"],
         f=build_source_f(cfg), tensor_b=tensor_b, tensor_c=tensor_c,
-        g_src=np.array(cfg["sources"]["g"]), variant=cfg["chom_variant"],
+        g_src=np.array(cfg["sources"]["g"]),
         cell_opts=SolverOptions(tol=cfg["tolerances"]["cell"]),
         macro_opts=MacroOptions(tol=cfg["tolerances"]["macro"]),
         threads=threads)

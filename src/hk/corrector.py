@@ -441,9 +441,8 @@ class CorrectorReport:
 
 def run_corrector_study(spec, ladder, cell_n=8, fine_m=16, solve_n=32,
                         sample_n=64, f=None, tensor_b=None, tensor_c=None,
-                        g_src=(0.0, -1.0), variant="C-applied",
-                        cell_opts=None, macro_opts=None, threads=1,
-                        recover_gradient=True):
+                        g_src=(0.0, -1.0), cell_opts=None, macro_opts=None,
+                        threads=1, recover_gradient=True):
     """Run the eps-sweep corrector verification for one operator family.
 
     Grids: unit-cell solves on cell_n, fine meshes with fine_m elements
@@ -502,7 +501,7 @@ def run_corrector_study(spec, ladder, cell_n=8, fine_m=16, solve_n=32,
     if with_elasticity:
         b_eff = assemble_B_hom(tensor_b, cell_grid)
         c_eff = assemble_C_hom(tensor_c, law.solutions_for(np.eye(2)),
-                               cell_grid, variant)
+                               cell_grid)
         u0, _ = solve_homogenized_elasticity(b_eff, c_eff, g_src, phi0,
                                              solve_grid,
                                              gradient_field=grad_field)
@@ -571,7 +570,7 @@ def run_corrector_study(spec, ladder, cell_n=8, fine_m=16, solve_n=32,
         macro_history=list(macro.residual_history),
         provenance={
             "cell_n": cell_n, "fine_m": fine_m, "solve_n": solve_n,
-            "sample_n": sample_n, "p_norm": spec.p, "variant": variant,
+            "sample_n": sample_n, "p_norm": spec.p,
             "operator": spec.fingerprint(),
             "law": law.provenance(),
         })

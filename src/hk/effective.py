@@ -4,22 +4,20 @@ The effective flux law is an evaluable map backed by batched cell solves;
 it keeps no solutions between calls, so a caller that reads them back
 (the macro Newton's tangent, the corrector's warm start) keeps them
 itself.  The effective elasticity and electrostriction tensors are
-constant fourth-order tensors.  Two variants of the electrostriction
-average are shipped (see ``assemble_C_hom``); "C-applied" is the default
-because it reproduces the fine-scale law when the coefficients are
-constant.
+constant fourth-order tensors.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import _fem
 # solve_scalar_cell is re-exported, here and in hk.cli, for
-# perfbench/spans.py, whose tracer rebinds it in every hk namespace
+# perfbench/spans.py, whose tracer rebinds it in every hk namespace; a
+# perfbench test reads it from both
 from .cell_problems import (BatchScalarCellSolver, SolverOptions,  # noqa: F401
                             corrector_flux, solve_elastic_cells_U,
-                            solve_electrostriction_cell, solve_scalar_cell,
+                            solve_electrostriction_cells, solve_scalar_cell,
                             solve_scalar_cells, unit_strain)
 from .errors import NonConvergence
 
@@ -141,9 +139,6 @@ class EffectiveLaw:
             jac, w = self.batch.tangents(loadings, etas)
         return jac, w
 
-    def jacobian(self, xi):
-        return self.jacobian_batch(np.asarray(xi, dtype=float)[None, :])[0][0]
-
     def provenance(self):
         return {
             "grid_n": self.grid.n,
@@ -210,12 +205,10 @@ class EffectiveElectrostriction:
     """Per-index-pair averaged electric stress response.
 
     ``pair_matrices[i, j]`` is the 2x2 matrix multiplying M[i, j] in the
-    effective load; ``apply`` contracts against a matrix M.  ``variant``
-    records which average produced it.
+    effective load; ``apply`` contracts against a matrix M.
     """
 
     pair_matrices: np.ndarray                # (2,2,2,2): [i,j] -> 2x2
-    variant: str
     solutions: dict = field(repr=False)
     grid_n: int = 0
 
@@ -225,39 +218,35 @@ class EffectiveElectrostriction:
             .reshape(mat.shape)
 
 
-def assemble_C_hom(tensor_field, unit_etas, grid, variant="C-applied"):
+def assemble_C_hom(tensor_field, unit_etas, grid):
     """Effective electrostriction from corrector-stress cell solves.
 
     ``unit_etas[k]`` is the scalar cell solution at e_k on ``grid``, as
     ``EffectiveLaw.solutions_for(np.eye(2))`` returns them, so a_hom and
     C_hom share one solve of the unit loadings.  zeta_ij is the outer
-    product of the corrector fluxes e_k + grad eta_k, k = i, j.
-    variant "C-applied" (default): pair average ∫ C (D(chi) + zeta) dy,
-    which reproduces the fine-scale response for constant coefficients;
-    variant "as-written": ∫ C D(chi) + zeta dy.
+    product of the corrector fluxes e_k + grad eta_k, k = i, j, and the
+    pair average is ∫ C (D(chi_ij) + zeta_ij) dy, which reproduces the
+    fine-scale response for constant coefficients.  zeta_10 is the
+    transpose of zeta_01, with the same symmetric part, so pair (1, 0)
+    takes (0, 1)'s displacement and value; one factorization serves the
+    three distinct sources.
     """
     fluxes = [np.eye(2)[k] + _fem.qp_gradient(unit_etas[k], grid.conn, grid.h)
               for k in range(2)]
-    points = grid.qp_coords()
-    lam, mu = tensor_field.lame_at(points)
+    zetas = {(i, j): fluxes[i][..., :, None] * fluxes[j][..., None, :]
+             for (i, j) in _SYM_PAIRS}
+    chis = solve_electrostriction_cells(tensor_field, zetas, grid)
+    lam, mu = tensor_field.lame_at(grid.qp_coords())
     pair = np.zeros((2, 2, 2, 2))
-    solutions = {}
-    for i in range(2):
-        for j in range(2):
-            zeta = fluxes[i][..., :, None] * fluxes[j][..., None, :]
-            chi = solve_electrostriction_cell(tensor_field, zeta, grid,
-                                              variant=variant, indices=(i, j))
-            solutions[(i, j)] = chi
-            grad = _fem.qp_gradient(chi.values, grid.conn, grid.h)
-            strain = 0.5 * (grad + np.swapaxes(grad, -1, -2))
-            if variant == "C-applied":
-                total = strain + zeta
-                integrand = _fem.isotropic_stress(
-                    lam, mu, 0.5 * (total + np.swapaxes(total, -1, -2)))
-            else:
-                integrand = _fem.isotropic_stress(lam, mu, strain) + zeta
-            pair[i, j] = _fem.integrate_qp(grid.h, integrand)
-    return EffectiveElectrostriction(pair, variant, solutions, grid.n)
+    for (i, j), chi in chis.items():
+        grad = _fem.qp_gradient(chi.values, grid.conn, grid.h)
+        total = 0.5 * (grad + np.swapaxes(grad, -1, -2)) + zetas[(i, j)]
+        integrand = _fem.isotropic_stress(
+            lam, mu, 0.5 * (total + np.swapaxes(total, -1, -2)))
+        pair[i, j] = pair[j, i] = _fem.integrate_qp(grid.h, integrand)
+    solutions = {(i, j): replace(chis[min((i, j), (j, i))], indices=(i, j))
+                 for i in range(2) for j in range(2)}
+    return EffectiveElectrostriction(pair, solutions, grid.n)
 
 
 # ---------------------------------------------------------------------------

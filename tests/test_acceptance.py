@@ -131,7 +131,7 @@ def test_criterion_3_constant_coefficient_degeneracies():
         worst = max(worst, np.abs(ups.values).max())
     law = EffectiveLaw(spec, cell, opts)
     b_eff = assemble_B_hom(b, cell)
-    c_eff = assemble_C_hom(c, law.solutions_for(np.eye(2)), cell, "C-applied")
+    c_eff = assemble_C_hom(c, law.solutions_for(np.eye(2)), cell)
     for sol in c_eff.solutions.values():
         worst = max(worst, np.abs(sol.values).max())
     worst = max(worst, np.abs(b_eff.tensor - isotropic_tensor(1.0, 1.0)).max())

@@ -258,29 +258,24 @@ def test_electrostriction_constant_everything_zero():
                                          geometry=Geometry("uniform"))
     zeta = np.broadcast_to(np.outer([1, 0], [1, 0]),
                            (grid.n_elems, 4, 2, 2)).copy()
-    for variant in ("C-applied", "as-written"):
-        sol = solve_electrostriction_cell(field, zeta, grid, variant=variant)
-        assert np.abs(sol.values).max() < 1e-12
+    sol = solve_electrostriction_cell(field, zeta, grid)
+    assert np.abs(sol.values).max() < 1e-12
 
 
 def test_electrostriction_heterogeneous_C_nonzero():
     # constant flux map (zeta = e1 x e1) but oscillating C drives a
-    # response under the C-applied variant
+    # response: the source is C zeta
     grid = CellGrid(16)
     field = ElasticTensorField.from_lame((0.5, 0.5), (1.5, 1.0), LAMINATE)
     zeta = np.broadcast_to(np.outer([1, 0], [1, 0]),
                            (grid.n_elems, 4, 2, 2)).copy()
-    sol = solve_electrostriction_cell(field, zeta, grid, variant="C-applied")
+    sol = solve_electrostriction_cell(field, zeta, grid)
     assert np.abs(sol.values).max() > 1e-4
-    # as written, a constant source is divergence-free and drives nothing
-    sol2 = solve_electrostriction_cell(field, zeta, grid, variant="as-written")
-    assert np.abs(sol2.values).max() < 1e-12
 
 
 def test_electrostriction_constant_shift_invariance_needs_constant_C():
     # shifting zeta by a constant matrix changes nothing when C is
-    # constant (under either variant); with heterogeneous C the C-applied
-    # load changes
+    # constant; with heterogeneous C the load changes
     grid = CellGrid(16)
     const_c = ElasticTensorField.from_lame((2.0, 0.5),
                                            geometry=Geometry("uniform"))
@@ -288,14 +283,11 @@ def test_electrostriction_constant_shift_invariance_needs_constant_C():
     rng = np.random.default_rng(5)
     zeta = rng.standard_normal((grid.n_elems, 4, 2, 2))
     shift = np.array([[0.3, 0.1], [0.1, -0.2]])
-    for variant in ("C-applied", "as-written"):
-        a = solve_electrostriction_cell(const_c, zeta, grid, variant=variant)
-        b = solve_electrostriction_cell(const_c, zeta + shift, grid,
-                                        variant=variant)
-        assert np.abs(a.values - b.values).max() < 1e-9
-    a = solve_electrostriction_cell(het_c, zeta, grid, variant="C-applied")
-    b = solve_electrostriction_cell(het_c, zeta + shift, grid,
-                                    variant="C-applied")
+    a = solve_electrostriction_cell(const_c, zeta, grid)
+    b = solve_electrostriction_cell(const_c, zeta + shift, grid)
+    assert np.abs(a.values - b.values).max() < 1e-9
+    a = solve_electrostriction_cell(het_c, zeta, grid)
+    b = solve_electrostriction_cell(het_c, zeta + shift, grid)
     assert np.abs(a.values - b.values).max() > 1e-4
 
 
@@ -339,6 +331,22 @@ def test_linear_cell_is_one_direct_solve():
         sol = solve_scalar_cell(nonsymmetric_laminate(), xi, grid)
         assert sol.iterations == 1
         assert sol.residual <= 1e-12
+
+
+def test_batch_solver_rejects_linear_laws():
+    # its band keeps the a <= b entries of each element block, so a
+    # non-symmetric matrix would be solved as another, symmetric one
+    batch = BatchScalarCellSolver(nonsymmetric_laminate(), CellGrid(16))
+    loadings = np.eye(2)
+    with pytest.raises(ValueError, match="linear law"):
+        batch.solve(loadings)
+    with pytest.raises(ValueError, match="linear law"):
+        batch.tangents(loadings, np.zeros((2, batch.grid.n_nodes)))
+    # the attached residuals serve every family
+    etas = np.stack([solve_scalar_cell(batch.spec, xi, batch.grid).values
+                     for xi in loadings])
+    cell, _ = batch.attached_residuals(loadings, etas)
+    assert cell.max() <= 1e-12
 
 
 # -- batched solver -----------------------------------------------------------

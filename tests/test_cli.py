@@ -87,7 +87,9 @@ def test_effective_report_contents(tmp_path):
     bhom = np.array(payload["b_hom"])
     assert abs(bhom[0, 0] - 1.6) < 1e-3 * 1.6
     assert abs(bhom[1, 1] - 2.5) < 1e-3 * 2.5
-    assert set(payload["C_hom"]) == {"C-applied", "as-written"}
+    assert np.array(payload["C_hom"]).shape == (2, 2, 2, 2)
+    assert "C_hom_default_variant" not in payload
+    assert "chom_variant" not in payload["provenance"]
     assert payload["provenance"]["config_hash"]
 
 
@@ -241,10 +243,10 @@ def test_preset_loading_by_name():
 
 
 @pytest.mark.parametrize("name, digest", [
-    ("laminate-p2", "76700bec84dc9b58"),
-    ("laminate-p3", "d22abc8e0b9205d9"),
-    ("checkerboard-p2", "4d4fa7c01cc5033c"),
-    ("variable-exponent", "411877b9f5c97cc1"),
+    ("laminate-p2", "d71e8598b648b72a"),
+    ("laminate-p3", "a037a6d456e49fc9"),
+    ("checkerboard-p2", "d74c7eea92f58c63"),
+    ("variable-exponent", "6b8b1585a5a92b32"),
 ])
 def test_preset_config_hash_pinned(name, digest):
     # reports carry config hashes; building the presets from a shared base
@@ -295,7 +297,7 @@ def test_usage_errors_exit_3(monkeypatch, capsys, argv, env):
 
 
 def test_effective_solves_unit_loadings_once(tmp_path, monkeypatch):
-    # a_hom at e_1, e_2 and both C_hom variants share one two-row solve
+    # a_hom at e_1, e_2 and C_hom share one two-row solve
     from hk.cell_problems import BatchScalarCellSolver
     from hk.effective import assemble_C_hom
     built, rows = [], []
@@ -327,10 +329,46 @@ def test_effective_solves_unit_loadings_once(tmp_path, monkeypatch):
     opts = SolverOptions(tol=cfg["tolerances"]["cell"])
     unit_etas = [solve_scalar_cell(spec, e, grid, opts).values
                  for e in np.eye(2)]
-    for variant in ("C-applied", "as-written"):
-        ref = assemble_C_hom(tensor_c, unit_etas, grid, variant)
-        assert np.abs(np.array(payload["C_hom"][variant])
-                      - ref.pair_matrices).max() <= 1e-12
+    ref = assemble_C_hom(tensor_c, unit_etas, grid)
+    assert np.abs(np.array(payload["C_hom"])
+                  - ref.pair_matrices).max() <= 1e-12
+
+
+def test_effective_factors_each_cell_stiffness_once(tmp_path, monkeypatch):
+    # the benchmark's effective-p3-n16 run: one factorization of the B
+    # stiffness for the unit strains, one of the C stiffness for the
+    # electrostriction sources; the p = 3 law factors nothing
+    from hk import _fem
+    calls = []
+    splu = _fem._splu
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(_fem, "_splu", counted)
+    cfg = load_config("laminate-p3")
+    cfg["grids"]["cell_n"] = 16
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert run("effective", str(path), str(tmp_path / "out")) == 0
+    assert calls == [(510, 510)] * 2
+
+
+@pytest.mark.parametrize("value", ["as-written", "other", None, 1])
+def test_retired_chom_variant_exits_3(tmp_path, capsys, value):
+    # an old config that asks for another electrostriction average fails
+    # rather than running this one; the one average may still be named
+    path, _ = small_config(tmp_path, chom_variant=value)
+    assert run("effective", str(path), str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error at /chom_variant:")
+    assert "retired" in err
+    with pytest.raises(ConfigError) as info:
+        validate_config(json.loads(path.read_text()))
+    assert info.value.pointer == "/chom_variant"
+    path, _ = small_config(tmp_path, chom_variant="C-applied")
+    assert "chom_variant" not in validate_config(json.loads(path.read_text()))
 
 
 @pytest.mark.parametrize("subcommand", ["cell", "verify", "homogenized",

@@ -232,8 +232,7 @@ def test_c_hom_constant_applied_recovers_fine_law():
     spec = OperatorSpec(family="linear", geometry=Geometry("uniform"),
                         sigma=(1.0, 1.0))
     grid = CellGrid(8)
-    eff = assemble_C_hom(cfield, unit_potentials(spec, grid), grid,
-                         "C-applied")
+    eff = assemble_C_hom(cfield, unit_potentials(spec, grid), grid)
     ref = isotropic_tensor(2.0, 0.5)
     rng = np.random.default_rng(10)
     for _ in range(5):
@@ -243,36 +242,40 @@ def test_c_hom_constant_applied_recovers_fine_law():
         assert np.abs(lhs - rhs).max() < 1e-12
 
 
-def test_c_hom_constant_as_written_loses_C():
-    cfield = ElasticTensorField.from_lame((2.0, 0.5),
-                                          geometry=Geometry("uniform"))
-    spec = OperatorSpec(family="linear", geometry=Geometry("uniform"),
-                        sigma=(1.0, 1.0))
-    grid = CellGrid(8)
-    eff = assemble_C_hom(cfield, unit_potentials(spec, grid), grid,
-                         "as-written")
+def test_c_hom_is_one_factorization_matching_per_pair_solves(monkeypatch):
+    # the three distinct sources share one factorization of the C
+    # stiffness; every pair, (1, 0) solved from its own source included,
+    # matches a solve of its own bit for bit
+    from hk import _fem
+    from hk.cell_problems import solve_electrostriction_cell
+    cfield = ElasticTensorField.from_lame((0.5, 0.5), (1.5, 1.0), LAMINATE)
+    grid = CellGrid(16)
+    etas = unit_potentials(p3_laminate(), grid)
+    calls = []
+    splu = _fem._splu
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(_fem, "_splu", counted)
+    eff = assemble_C_hom(cfield, etas, grid)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    lam, mu = cfield.lame_at(grid.qp_coords())
+    fluxes = [np.eye(2)[k] + _fem.qp_gradient(etas[k], grid.conn, grid.h)
+              for k in range(2)]
     for i in range(2):
         for j in range(2):
-            expect = np.outer(np.eye(2)[i], np.eye(2)[j])
-            assert np.abs(eff.pair_matrices[i, j] - expect).max() < 1e-12
-
-
-def test_c_hom_variants_differ_when_heterogeneous():
-    cfield = ElasticTensorField.from_lame((0.5, 0.5), (1.5, 1.0), LAMINATE)
-    spec = linear_laminate()
-    grid = CellGrid(16)
-    etas = unit_potentials(spec, grid)
-    applied = assemble_C_hom(cfield, etas, grid, "C-applied")
-    written = assemble_C_hom(cfield, etas, grid, "as-written")
-    assert np.abs(applied.pair_matrices - written.pair_matrices).max() > 1e-3
-
-
-def test_c_hom_rejects_unknown_variant():
-    cfield = ElasticTensorField.from_lame((0.5, 0.5), (1.5, 1.0), LAMINATE)
-    with pytest.raises(ValueError, match="variant"):
-        grid = CellGrid(8)
-        assemble_C_hom(cfield, unit_potentials(linear_laminate(), grid), grid,
-                       "other")
+            zeta = fluxes[i][..., :, None] * fluxes[j][..., None, :]
+            chi = solve_electrostriction_cell(cfield, zeta, grid, (i, j))
+            grad = _fem.qp_gradient(chi.values, grid.conn, grid.h)
+            total = 0.5 * (grad + np.swapaxes(grad, -1, -2)) + zeta
+            value = _fem.integrate_qp(grid.h, _fem.isotropic_stress(
+                lam, mu, 0.5 * (total + np.swapaxes(total, -1, -2))))
+            assert np.array_equal(eff.pair_matrices[i, j], value)
+            assert np.array_equal(eff.solutions[(i, j)].values, chi.values)
+            assert eff.solutions[(i, j)].indices == (i, j)
 
 
 # -- consistent tangent ---------------------------------------------------------

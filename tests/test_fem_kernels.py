@@ -238,8 +238,7 @@ def test_tensor_field_apply_matches_einsum(mat_shape):
 @pytest.mark.parametrize("mat_shape", [(2, 2), (36, 4, 2, 2)])
 def test_electrostriction_apply_matches_einsum(mat_shape):
     rng = np.random.default_rng(19)
-    eff = EffectiveElectrostriction(rng.standard_normal((2, 2, 2, 2)),
-                                    "C-applied", {})
+    eff = EffectiveElectrostriction(rng.standard_normal((2, 2, 2, 2)), {})
     mat = rng.standard_normal(mat_shape)
     ref = np.einsum("ijkl,...ij->...kl", eff.pair_matrices, mat)
     _close(eff.apply(mat), ref)

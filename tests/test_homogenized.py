@@ -192,7 +192,7 @@ def test_constant_coefficients_fine_equals_homogenized():
     macro = solve_homogenized_electrostatic(law, 1.0, dom,
                                             MacroOptions(tol=1e-12))
     b_eff = assemble_B_hom(b, cell)
-    c_eff = assemble_C_hom(c, law.solutions_for(np.eye(2)), cell, "C-applied")
+    c_eff = assemble_C_hom(c, law.solutions_for(np.eye(2)), cell)
     g = np.array([0.0, -1.0])
     u0, _ = solve_homogenized_elasticity(b_eff, c_eff, g, macro.potential, dom)
     for eps in (0.5, 0.25):
@@ -209,7 +209,7 @@ def test_reconstruct_u1_zero_cases():
     b_eff = assemble_B_hom(b, cell)
     spec = OperatorSpec(family="linear", geometry=UNIFORM, sigma=(1.0, 1.0))
     law = EffectiveLaw(spec, cell)
-    c_eff = assemble_C_hom(c, law.solutions_for(np.eye(2)), cell, "C-applied")
+    c_eff = assemble_C_hom(c, law.solutions_for(np.eye(2)), cell)
     dom = DomainGrid(16)
     macro = solve_homogenized_electrostatic(law, 1.0, dom)
     u0, _ = solve_homogenized_elasticity(b_eff, c_eff, np.array([0.0, -1.0]),
@@ -226,7 +226,7 @@ def test_reconstruct_u1_mean_zero_and_reduction():
     cell = CellGrid(16)
     b_eff = assemble_B_hom(b, cell)
     law = EffectiveLaw(spec, cell)
-    c_eff = assemble_C_hom(c, law.solutions_for(np.eye(2)), cell, "C-applied")
+    c_eff = assemble_C_hom(c, law.solutions_for(np.eye(2)), cell)
     dom = DomainGrid(8)
     macro = solve_homogenized_electrostatic(law, 1.0, dom)
     u0, _ = solve_homogenized_elasticity(b_eff, c_eff, np.array([0.0, -1.0]),
