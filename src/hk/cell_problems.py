@@ -22,7 +22,7 @@ nodal mean equals the integral, so the normalization is exact.
 
 import threading
 from dataclasses import dataclass, field
-from math import prod
+from math import ceil, prod, sqrt
 
 import numpy as np
 from scipy.linalg.lapack import dpbsv as _dpbsv
@@ -115,6 +115,11 @@ def solve_scalar_cells(spec, loadings, grid, opts=None, solver=None):
 def solve_scalar_cell(spec, loading, grid, opts=None):
     """The cell problem of one loading vector: ``solve_scalar_cells``'s."""
     return solve_scalar_cells(spec, loading, grid, opts)[0]
+
+
+def _predict(loadings, etas, w, new_loadings):
+    """First-order cell solutions eta + W (xi' - xi) at new loadings, (K, n^2)."""
+    return etas + (w @ (new_loadings - loadings)[:, :, None])[..., 0]
 
 
 def corrector_flux(loading, solution):
@@ -218,6 +223,12 @@ def solve_electrostriction_cell(tensor_field, zeta_qp, grid, indices=("chi",)):
 # run-to-run noise.
 CHUNK_BUDGET_BYTES = 40 * 2 ** 20
 MAX_CHUNK = 512
+# Cold batches solve by continuation from anchor rows
+# (``BatchScalarCellSolver.solve``) from this many rows and this many cell
+# nodes over all rows on: the break-even measured at cell_n 16 (16 rows)
+# and cell_n 8 (64 rows).
+CONTINUATION_ROWS = 16
+CONTINUATION_NODES = 4096
 
 
 def _folded_order(n):
@@ -627,7 +638,18 @@ class BatchScalarCellSolver:
     def solve(self, loadings, warm=None):
         """Solve for loadings (K, 2); returns a BatchCellResult.
 
-        Rows that do not converge are flagged in ``converged``.
+        ``warm`` optionally gives the initial iterates (K, n^2).  With
+        ``warm`` None, a batch of fewer than ``CONTINUATION_ROWS`` rows or
+        ``CONTINUATION_NODES`` nodes in all (64 rows at n = 8) starts
+        every row from eta = 0.  A larger one solves by continuation:
+        ceil(sqrt(K)) evenly spaced anchor rows from eta = 0 first, then
+        every other row from the first-order predictor
+        eta_a + W_a (xi - xi_a) of its nearest anchor a in loading space,
+        with W_a = d eta / d xi from the anchors' tangent solve (the other
+        rows start from eta = 0 if an anchor did not converge).  Every
+        row is solved once, and the predictions are formed chunk by
+        chunk, so no second (K, n^2) table is held.  Rows that do not
+        converge are flagged in ``converged``.
         """
         self._require_nonlinear()
         loadings = np.asarray(loadings, dtype=float)
@@ -635,11 +657,41 @@ class BatchScalarCellSolver:
         out = BatchCellResult(loadings, np.zeros((k, self.grid.n_nodes)),
                               np.zeros(k), np.zeros(k, dtype=int),
                               np.zeros(k, dtype=bool))
-        for sl in self._chunks(k):
-            (out.values[sl], out.residuals[sl], out.iterations[sl],
-             out.converged[sl]) = self._solve_chunk(
-                loadings[sl], None if warm is None else warm[sl])
+        if warm is not None or k < max(
+                CONTINUATION_ROWS, CONTINUATION_NODES / self.grid.n_nodes):
+            self._solve_rows(out, np.arange(k),
+                             None if warm is None else lambda r: warm[r])
+            return out
+        m = ceil(sqrt(k))
+        anchors = np.arange(m) * (k - 1) // (m - 1)
+        self._solve_rows(out, anchors)
+        rest = np.setdiff1d(np.arange(k), anchors)
+        if not out.converged[anchors].all():
+            self._solve_rows(out, rest)
+            return out
+        xi_a, eta_a = loadings[anchors], out.values[anchors]
+        w_a = self.tangents(xi_a, eta_a)[1]
+
+        def predicted(rows):
+            xi = loadings[rows]
+            dist = xi[:, None, :] - xi_a[None, :, :]
+            near = (dist * dist).sum(axis=-1).argmin(axis=1)
+            return _predict(xi_a[near], eta_a[near], w_a[near], xi)
+
+        self._solve_rows(out, rest, predicted)
         return out
+
+    def _solve_rows(self, out, rows, start=None):
+        """Solve ``rows`` of ``out`` in place, a chunk of ``rows`` at a time.
+
+        ``start(chunk_rows)`` gives a chunk's initial iterates; None
+        starts from eta = 0.
+        """
+        for sl in self._chunks(rows.size):
+            r = rows[sl]
+            (out.values[r], out.residuals[r], out.iterations[r],
+             out.converged[r]) = self._solve_chunk(
+                out.loadings[r], None if start is None else start(r))
 
     def flux_means(self, result):
         """Cell means of a(y, loading + grad eta) per sample, (K, 2)."""

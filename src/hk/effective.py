@@ -61,7 +61,9 @@ class EffectiveLaw:
 
         The potentials of a constant law are None.  ``warm`` optionally
         provides initial cell iterates (K, n^2); only general laws run
-        cell solves, so the other modes ignore it.
+        cell solves, so the other modes ignore it.  With ``warm`` None a
+        general law's batch starts from eta = 0, and a large one solves
+        by continuation from anchor rows (``BatchScalarCellSolver.solve``).
         """
         loadings = np.asarray(loadings, dtype=float)
         if self.mode == "constant":

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _fem
+from .cell_problems import _predict
 from .core_fields import CellGrid, DomainGrid, ScalarField, VectorField
 from .errors import NonConvergence
 from .fine_scale import _source_at_qp
@@ -220,11 +221,6 @@ def reconstruct_phi1(law, phi0, sample_grid=None, gradient_field=None,
     potentials = law.solutions_for(loadings, warm=warm)
     return CorrectorData(sample_grid, law.grid, loadings, potentials,
                          *law.batch.attached_residuals(loadings, potentials))
-
-
-def _predict(loadings, etas, w, new_loadings):
-    """First-order cell solutions eta + W (xi' - xi) at new loadings, (K, n^2)."""
-    return etas + (w @ (new_loadings - loadings)[:, :, None])[..., 0]
 
 
 def _nearest_qp(grid, pts):

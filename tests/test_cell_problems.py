@@ -640,3 +640,83 @@ def test_repeated_solve_reuses_its_workspace():
         finally:
             tracemalloc.stop()
     assert peaks[1] < peaks[0] / 4
+
+
+# -- cold batches by continuation ----------------------------------------------
+
+def variable_exponent_square_spec():
+    return OperatorSpec(family="variable-exponent", p=2.0, alpha=1.0,
+                        geometry=Geometry("square", size=0.5),
+                        sigma=(1.0, 1.0), exponent=(3.0, 2.0))
+
+
+def disc_loadings(k, radius, seed):
+    """k loadings drawn uniformly from the disc of the given radius."""
+    rng = np.random.default_rng(seed)
+    angle = rng.uniform(0.0, 2.0 * np.pi, size=k)
+    r = radius * np.sqrt(rng.uniform(0.0, 1.0, size=k))
+    return np.stack([r * np.cos(angle), r * np.sin(angle)], axis=-1)
+
+
+@pytest.mark.parametrize("spec", [laminate_spec(3.0),
+                                  variable_exponent_square_spec()],
+                         ids=["laminate-p3", "variable-exponent-square"])
+def test_cold_batch_continuation_matches_one_row_solves(spec):
+    # a cold batch of 100 solves 10 anchor rows from eta = 0 and starts
+    # the others from an anchor's tangent predictor; each row must land
+    # on the solution of its loading solved alone, in fewer row-steps.
+    # A solve may stop anywhere below its tolerance: at the default 1e-10
+    # the two sides differed by up to 4.6e-9 relative in a weak-contrast
+    # row of the variable-exponent cell, so both converge to 1e-12 here.
+    grid = CellGrid(8)
+    loadings = disc_loadings(100, 2.0, seed=16)
+    loadings[37] = 0.0
+    batch = BatchScalarCellSolver(spec, grid, SolverOptions(tol=1e-12))
+    res = batch.solve(loadings)
+    assert res.converged.all()
+    assert np.all(res.values[37] == 0.0)
+    alone = [batch.solve(xi[None]) for xi in loadings]
+    for eta, one in zip(res.values, alone):
+        assert one.converged[0]
+        assert np.linalg.norm(eta - one.values[0]) \
+            <= 1e-9 * np.linalg.norm(one.values[0])
+    assert res.iterations.sum() < sum(int(one.iterations[0]) for one in alone)
+    again = batch.solve(loadings)
+    for name in ("values", "residuals", "iterations", "converged"):
+        assert np.array_equal(getattr(again, name), getattr(res, name))
+
+
+def test_cold_batch_with_unconverged_anchors_starts_cold():
+    # anchors that stop above tolerance give no tangent predictor: every
+    # other row starts from eta = 0, as it does when solved alone, and the
+    # rows are flagged rather than raised
+    grid = CellGrid(8)
+    batch = BatchScalarCellSolver(
+        laminate_spec(3.0), grid,
+        SolverOptions(tol=1e-14, max_newton=1, max_picard=0))
+    loadings = disc_loadings(100, 2.0, seed=18)
+    res = batch.solve(loadings)
+    assert not res.converged.any()
+    assert (res.iterations == 1).all()
+    for xi, eta in zip(loadings, res.values):
+        alone = batch.solve(xi[None]).values[0]
+        assert np.linalg.norm(eta - alone) <= 1e-12 * np.linalg.norm(alone)
+
+
+def test_cold_batch_holds_one_table_of_potentials():
+    # the predictions are formed chunk by chunk: a repeated cold solve of
+    # 8,192 loadings (the workspace already grown) peaks under two result
+    # tables.  It peaks at 1.71 tables, and at 2.71 when the predictions
+    # are gathered into a table of their own first.
+    grid = CellGrid(8)
+    batch = BatchScalarCellSolver(laminate_spec(3.0), grid)
+    loadings = disc_loadings(8192, 2.0, seed=17)
+    batch.solve(loadings)
+    tracemalloc.start()
+    try:
+        res = batch.solve(loadings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.converged.all()
+    assert peak < 2 * res.values.nbytes

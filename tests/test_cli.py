@@ -355,6 +355,45 @@ def test_effective_factors_each_cell_stiffness_once(tmp_path, monkeypatch):
     assert calls == [(510, 510)] * 2
 
 
+def test_effective_cold_batches_solve_by_continuation(tmp_path,
+                                                      monkeypatch):
+    # the benchmark's effective-p3-n16 run: the audit's two cold batches of
+    # 100 start most rows from an anchor row's tangent predictor (743
+    # batched Newton row-steps when every row starts from eta = 0)
+    from hk.cell_problems import BatchScalarCellSolver
+    steps = []
+    solve = BatchScalarCellSolver.solve
+
+    def counting_solve(self, loadings, warm=None):
+        out = solve(self, loadings, warm)
+        steps.append(int(out.iterations.sum()))
+        return out
+
+    monkeypatch.setattr(BatchScalarCellSolver, "solve", counting_solve)
+    cfg = load_config("laminate-p3")
+    cfg["grids"]["cell_n"] = 16
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert run("effective", str(path), str(tmp_path / "out")) == 0
+    assert len(steps) == 3
+    assert sum(steps) <= 560
+
+
+def test_python_m_hk_runs_the_cli():
+    # ``python -m hk`` runs from a checkout, with src on the path
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    import hk
+    src = str(Path(hk.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-m", "hk", "--help"],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: hk ")
+
+
 @pytest.mark.parametrize("value", ["as-written", "other", None, 1])
 def test_retired_chom_variant_exits_3(tmp_path, capsys, value):
     # an old config that asks for another electrostriction average fails
