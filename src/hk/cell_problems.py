@@ -13,9 +13,10 @@ Three kinds of solves:
 * electrostriction problem: displacement driven by the outer product of
   two corrector flux fields.
 
-The two elastic problems are linear: sparse direct solves with the
-displacement of node 0 pinned (``_fem.solve_periodic_pinned``), one
-factorization for all unit strains or all sources.  All solutions are
+The two elastic problems are linear and share B's stiffness: one sparse
+direct solve with the displacement of node 0 pinned
+(``_fem.solve_periodic_pinned``), one factorization for all unit strains
+and sources together (``solve_elastic_cells``).  All solutions are
 normalized to zero mean; on the uniform periodic grid the arithmetic
 nodal mean equals the integral, so the normalization is exact.
 """
@@ -144,73 +145,53 @@ def unit_strain(i, j):
     return e
 
 
-def _solve_elastic(tensor_field, grid, loads):
-    """Zero-mean periodic displacements for assembled loads (r, nn, 2).
+def solve_elastic_cells(tensor_b, grid, stresses):
+    """Zero-mean periodic displacements balancing quadrature-point stresses.
 
-    One factorization serves all r loads.  Returns the displacements
-    (r, nn, 2) and the relative residual of each system with node 0
-    pinned.  A singular stiffness (zero Lame coefficients, say) raises
-    SingularSystem.
+    ``stresses`` maps a key to a stress tau at quadrature points,
+    (nel, 4, 2, 2).  Weak form: ∫ B D(w) : D(v) = ∫ tau : D(v) for every
+    periodic v, with B = ``tensor_b``: tau = B E^ij gives the unit-strain
+    response U^ij, tau = -C sym(zeta) the electrostriction response chi.
+    Solved directly with node 0 pinned, one factorization of B's
+    stiffness for all stresses; the two translation modes are removed by
+    the zero-mean normalization.  Returns a dict key ->
+    ElasticCellSolution in the order of ``stresses``, whose residual is
+    the relative residual of the pinned system.  A singular stiffness
+    (zero Lame coefficients, say) raises SingularSystem.
     """
-    lam, mu = tensor_field.lame_at(grid.qp_coords())
+    lam, mu = tensor_b.lame_at(grid.qp_coords())
     matrix = _fem.assemble_elasticity(grid.conn, grid.h, grid.n_nodes, lam, mu)
-    b = loads.reshape(len(loads), -1)
-    x = _fem.solve_periodic_pinned(matrix, b.T, dofs_per_node=2)
-    x = np.ascontiguousarray(np.moveaxis(x, -1, 0))
-    relres = []
-    for bc, xc in zip(b, x):
+    b = np.stack([_fem.divergence_residual(grid, tau).ravel()
+                  for tau in stresses.values()])
+    xs = np.ascontiguousarray(np.moveaxis(
+        _fem.solve_periodic_pinned(matrix, b.T, dofs_per_node=2), -1, 0))
+    sols = {}
+    for key, bc, xc in zip(stresses, b, xs):
         bnorm = np.linalg.norm(bc[2:])
         rnorm = np.linalg.norm((matrix @ xc.ravel() - bc)[2:])
-        relres.append(float(rnorm / bnorm) if bnorm > 0.0 else 0.0)
-    return x, relres
+        relres = float(rnorm / bnorm) if bnorm > 0.0 else 0.0
+        sols[key] = ElasticCellSolution(key, xc, relres, 1, grid)
+    return sols
 
 
-def solve_elastic_cells_U(tensor_field, grid, pairs):
-    """Periodic displacements balancing unit macroscopic strains (i, j).
-
-    Weak form: ∫ B D(U) : D(v) = ∫ B E^ij : D(v) with E^ij the constant
-    symmetrized unit strain, solved directly with node 0 pinned, one
-    factorization for all ``pairs``; the two translation modes are
-    removed by the zero-mean normalization.  Returns a dict
-    (i, j) -> ElasticCellSolution in the order of ``pairs``.
-    """
-    points = grid.qp_coords()
-    loads = np.stack([_fem.divergence_residual(
-        grid, tensor_field.apply(points, unit_strain(i, j)))
-        for (i, j) in pairs])
-    xs, relres = _solve_elastic(tensor_field, grid, loads)
-    return {tuple(pair): ElasticCellSolution(tuple(pair), x, r, 1, grid)
-            for pair, x, r in zip(pairs, xs, relres)}
+def electric_stress(tensor_c, grid, zeta):
+    """C sym(zeta) at quadrature points for a source zeta (nel, 4, 2, 2)."""
+    lam, mu = tensor_c.lame_at(grid.qp_coords())
+    return _fem.isotropic_stress(lam, mu,
+                                 0.5 * (zeta + np.swapaxes(zeta, -1, -2)))
 
 
 def solve_elastic_cell_U(tensor_field, grid, i, j):
-    """The unit-strain cell problem of one pair: ``solve_elastic_cells_U``'s."""
-    return solve_elastic_cells_U(tensor_field, grid, [(i, j)])[(i, j)]
+    """The unit-strain cell problem of one pair: ``solve_elastic_cells``'."""
+    return solve_elastic_cells(tensor_field, grid, {(i, j): tensor_field.apply(
+        grid.qp_coords(), unit_strain(i, j))})[(i, j)]
 
 
-def solve_electrostriction_cells(tensor_field, sources, grid):
-    """Periodic displacements driven by electric stress sources.
-
-    ``sources`` maps a key to a source zeta at quadrature points,
-    (nel, 4, 2, 2).  Weak form: ∫ C (D(chi) + zeta) : D(v) = 0, tested
-    against symmetrized gradients, so only the symmetric part of zeta
-    enters.  Solved directly like ``solve_elastic_cells_U``, one
-    factorization for all sources.  Returns a dict key ->
-    ElasticCellSolution in the order of ``sources``.
-    """
-    lam, mu = tensor_field.lame_at(grid.qp_coords())
-    loads = np.stack([-_fem.divergence_residual(grid, _fem.isotropic_stress(
-        lam, mu, 0.5 * (zeta + np.swapaxes(zeta, -1, -2))))
-        for zeta in sources.values()])
-    xs, relres = _solve_elastic(tensor_field, grid, loads)
-    return {key: ElasticCellSolution(key, x, r, 1, grid)
-            for key, x, r in zip(sources, xs, relres)}
-
-
-def solve_electrostriction_cell(tensor_field, zeta_qp, grid, indices=("chi",)):
-    """The cell problem of one source: ``solve_electrostriction_cells``'s."""
-    return solve_electrostriction_cells(tensor_field, {indices: zeta_qp},
-                                        grid)[indices]
+def solve_electrostriction_cell(tensor_b, tensor_c, zeta_qp, grid,
+                                indices=("chi",)):
+    """The cell problem of one source: ``solve_elastic_cells``'."""
+    return solve_elastic_cells(tensor_b, grid, {
+        indices: -electric_stress(tensor_c, grid, zeta_qp)})[indices]
 
 
 # ---------------------------------------------------------------------------

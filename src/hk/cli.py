@@ -28,7 +28,7 @@ from .constitutive import (ElasticTensorField, Geometry, OperatorSpec,
                            check_growth_conditions)
 from .core_fields import CellGrid, DomainGrid, ScalarField, dump_field
 from .corrector import run_corrector_study, study_source
-from .effective import (EffectiveLaw, assemble_B_hom, assemble_C_hom,
+from .effective import (EffectiveLaw, assemble_elastic_tensors,
                         check_a_hom_properties)
 from .errors import ConfigError, NonConvergence, SingularSystem
 from .fine_scale import solve_fine_elasticity, solve_fine_electrostatic
@@ -413,13 +413,14 @@ def cmd_cell(cfg, out_dir, threads):
     tensor_b, tensor_c = build_tensors(cfg)
     if tensor_b is not None:
         from .core_fields import VectorField
-        for (i, j), sol in assemble_B_hom(tensor_b, grid).solutions.items():
+        b_eff, c_eff = assemble_elastic_tensors(tensor_b, tensor_c,
+                                                unit_etas, grid)
+        for (i, j), sol in b_eff.solutions.items():
             name = f"cell_displacement_{i + 1}{j + 1}"
             dump_field(VectorField(grid, sol.values), name,
                        str(out_dir / f"{name}.field"))
             summary["elastic"][f"{i + 1}{j + 1}"] = {
                 "residual": sol.residual, "iterations": sol.iterations}
-        c_eff = assemble_C_hom(tensor_c, unit_etas, grid)
         for (i, j), chi in c_eff.solutions.items():
             summary["electrostriction"][f"{i + 1}{j + 1}"] = {
                 "residual": chi.residual, "iterations": chi.iterations}
@@ -449,10 +450,10 @@ def cmd_effective(cfg, out_dir, threads):
     }
     tensor_b, tensor_c = build_tensors(cfg)
     if tensor_b is not None:
-        b_eff = assemble_B_hom(tensor_b, grid)
+        b_eff, c_eff = assemble_elastic_tensors(tensor_b, tensor_c,
+                                                unit_etas, grid)
         report["B_hom"] = _tensor_nested(b_eff.tensor)
-        report["C_hom"] = _tensor_nested(
-            assemble_C_hom(tensor_c, unit_etas, grid).pair_matrices)
+        report["C_hom"] = _tensor_nested(c_eff.pair_matrices)
     write_json(report, out_dir / "effective.json")
     return 0
 
@@ -502,8 +503,8 @@ def cmd_homogenized(cfg, out_dir, threads):
                str(out_dir / "effective_potential.field"))
     tensor_b, tensor_c = build_tensors(cfg)
     if tensor_b is not None:
-        b_eff = assemble_B_hom(tensor_b, grid)
-        c_eff = assemble_C_hom(tensor_c, law.solutions_for(np.eye(2)), grid)
+        b_eff, c_eff = assemble_elastic_tensors(
+            tensor_b, tensor_c, law.solutions_for(np.eye(2)), grid)
         u0, resid = solve_homogenized_elasticity(
             b_eff, c_eff, np.array(cfg["sources"]["g"]), macro.potential,
             domain)
@@ -556,8 +557,8 @@ def cmd_verify(cfg, out_dir, threads):
         "max_continuity": props.max_continuity, "violation": props.violation}
     ok &= not props.violation
 
-    _, defects = law.batch.attached_residuals(
-        np.eye(2), law.solutions_for(np.eye(2)))
+    unit_etas = law.solutions_for(np.eye(2))
+    _, defects = law.batch.attached_residuals(np.eye(2), unit_etas)
     idents = {f"e{k + 1}": float(defects[k]) for k in range(2)}
     checks["flux_identities"] = idents
     ok &= all(v <= 1e-9 for v in idents.values())
@@ -569,8 +570,8 @@ def cmd_verify(cfg, out_dir, threads):
             "symmetries": tensor_b.has_elastic_symmetries(),
             "max_norm": max_norm, "min_ellipticity_ratio": min_ratio}
         ok &= tensor_b.has_elastic_symmetries() and min_ratio > 0
-        b_eff = assemble_B_hom(tensor_b, grid)
-        t = b_eff.tensor
+        t = assemble_elastic_tensors(tensor_b, tensor_c, unit_etas,
+                                     grid)[0].tensor
         major = float(np.abs(t - np.transpose(t, (2, 3, 0, 1))).max())
         minor = float(np.abs(t - np.transpose(t, (1, 0, 2, 3))).max())
         mat = t.reshape(4, 4)

@@ -460,7 +460,7 @@ def run_corrector_study(spec, ladder, cell_n=8, fine_m=16, solve_n=32,
     """
     # local imports keep module import cheap and avoid cycles
     from .cell_problems import SolverOptions
-    from .effective import EffectiveLaw, assemble_B_hom, assemble_C_hom
+    from .effective import EffectiveLaw, assemble_elastic_tensors
     from .fine_scale import solve_fine_electrostatic, solve_fine_elasticity
     from .homogenized import (macroscopic_gradient_field, reconstruct_phi1,
                               solve_homogenized_elasticity,
@@ -499,9 +499,8 @@ def run_corrector_study(spec, ladder, cell_n=8, fine_m=16, solve_n=32,
     u0 = None
     u0_pairing = 0.0
     if with_elasticity:
-        b_eff = assemble_B_hom(tensor_b, cell_grid)
-        c_eff = assemble_C_hom(tensor_c, law.solutions_for(np.eye(2)),
-                               cell_grid)
+        b_eff, c_eff = assemble_elastic_tensors(
+            tensor_b, tensor_c, law.solutions_for(np.eye(2)), cell_grid)
         u0, _ = solve_homogenized_elasticity(b_eff, c_eff, g_src, phi0,
                                              solve_grid,
                                              gradient_field=grad_field)

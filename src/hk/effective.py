@@ -16,8 +16,8 @@ from . import _fem
 # perfbench/spans.py, whose tracer rebinds it in every hk namespace; a
 # perfbench test reads it from both
 from .cell_problems import (BatchScalarCellSolver, SolverOptions,  # noqa: F401
-                            corrector_flux, solve_elastic_cells_U,
-                            solve_electrostriction_cells, solve_scalar_cell,
+                            corrector_flux, electric_stress,
+                            solve_elastic_cells, solve_scalar_cell,
                             solve_scalar_cells, unit_strain)
 from .errors import NonConvergence
 
@@ -163,7 +163,7 @@ def _b_hom(spec, grid, sols):
 
 
 # ---------------------------------------------------------------------------
-# Effective elasticity
+# Effective elasticity and electrostriction
 # ---------------------------------------------------------------------------
 
 _SYM_PAIRS = ((0, 0), (1, 1), (0, 1))
@@ -174,32 +174,6 @@ class EffectiveElasticity:
     tensor: np.ndarray                       # (2,2,2,2)
     solutions: dict = field(repr=False)      # (i,j) -> ElasticCellSolution
     grid_n: int = 0
-
-
-def assemble_B_hom(tensor_field, grid):
-    """Effective elasticity from unit-strain cell solves.
-
-    B_hom[i,j,m,n] = ∫ B (E^ij - D(U^ij)) : (E^mn - D(U^mn)) dy over the
-    three independent symmetric pairs, mirrored onto all sixteen entries;
-    one factorization serves the three unit-strain cell solves.
-    """
-    solutions = solve_elastic_cells_U(tensor_field, grid, _SYM_PAIRS)
-    strains = {}
-    for (i, j), sol in solutions.items():
-        grad = _fem.qp_gradient(sol.values, grid.conn, grid.h)
-        strains[(i, j)] = unit_strain(i, j) - 0.5 * (grad + np.swapaxes(grad, -1, -2))
-    points = grid.qp_coords()
-    lam, mu = tensor_field.lame_at(points)
-    bhom = np.zeros((2, 2, 2, 2))
-    for (i, j) in _SYM_PAIRS:
-        stress = _fem.isotropic_stress(lam, mu, strains[(i, j)])
-        for (m, n) in _SYM_PAIRS:
-            val = _fem.integrate_qp(
-                grid.h, (stress * strains[(m, n)]).sum(axis=(-2, -1)))
-            for (a, b) in {(i, j), (j, i)}:
-                for (c, d) in {(m, n), (n, m)}:
-                    bhom[a, b, c, d] = val
-    return EffectiveElasticity(bhom, solutions, grid.n)
 
 
 @dataclass
@@ -220,35 +194,68 @@ class EffectiveElectrostriction:
             .reshape(mat.shape)
 
 
-def assemble_C_hom(tensor_field, unit_etas, grid):
-    """Effective electrostriction from corrector-stress cell solves.
+def assemble_elastic_tensors(tensor_b, tensor_c, unit_etas, grid):
+    """Effective elasticity and electrostriction from one factorization of B.
 
     ``unit_etas[k]`` is the scalar cell solution at e_k on ``grid``, as
     ``EffectiveLaw.solutions_for(np.eye(2))`` returns them, so a_hom and
-    C_hom share one solve of the unit loadings.  zeta_ij is the outer
-    product of the corrector fluxes e_k + grad eta_k, k = i, j, and the
-    pair average is ∫ C (D(chi_ij) + zeta_ij) dy, which reproduces the
-    fine-scale response for constant coefficients.  zeta_10 is the
-    transpose of zeta_01, with the same symmetric part, so pair (1, 0)
-    takes (0, 1)'s displacement and value; one factorization serves the
-    three distinct sources.
+    C_hom share one solve of the unit loadings.  Six cell problems share
+    one factorization of B's stiffness (``solve_elastic_cells``): the
+    unit strains E^ij give U^ij, and the electrostriction sources give
+    chi_ij, with zeta_ij the outer product of the corrector fluxes
+    e_k + grad eta_k, k = i, j.  Then
+
+        B_hom[i,j,m,n] = ∫ B S^ij : S^mn,  S^ij = E^ij - D(U^ij),
+        C_hom[i,j] = ∫ (B D(chi_ij) + C zeta_ij) dy,
+
+    over the three independent symmetric pairs, mirrored onto all sixteen
+    entries.  This is the fine system's own cell problem, so it reproduces
+    the fine-scale response for constant coefficients, and
+    C_hom[i,j]_mn = ∫ C zeta_ij : S^mn.  zeta_10 is the transpose of
+    zeta_01, with the same symmetric part, so pair (1, 0) takes (0, 1)'s
+    displacement and value.  Returns (EffectiveElasticity,
+    EffectiveElectrostriction).
     """
+    points = grid.qp_coords()
     fluxes = [np.eye(2)[k] + _fem.qp_gradient(unit_etas[k], grid.conn, grid.h)
               for k in range(2)]
-    zetas = {(i, j): fluxes[i][..., :, None] * fluxes[j][..., None, :]
-             for (i, j) in _SYM_PAIRS}
-    chis = solve_electrostriction_cells(tensor_field, zetas, grid)
-    lam, mu = tensor_field.lame_at(grid.qp_coords())
+    electric = {(i, j): electric_stress(
+        tensor_c, grid, fluxes[i][..., :, None] * fluxes[j][..., None, :])
+        for (i, j) in _SYM_PAIRS}
+    stresses = {("U", i, j): tensor_b.apply(points, unit_strain(i, j))
+                for (i, j) in _SYM_PAIRS}
+    stresses.update({("chi", i, j): -tau for (i, j), tau in electric.items()})
+    sols = solve_elastic_cells(tensor_b, grid, stresses)
+
+    def strain(kind, i, j):
+        grad = _fem.qp_gradient(sols[(kind, i, j)].values, grid.conn, grid.h)
+        return 0.5 * (grad + np.swapaxes(grad, -1, -2))
+
+    strains = {(i, j): unit_strain(i, j) - strain("U", i, j)
+               for (i, j) in _SYM_PAIRS}
+    lam, mu = tensor_b.lame_at(points)
+    bhom = np.zeros((2, 2, 2, 2))
     pair = np.zeros((2, 2, 2, 2))
-    for (i, j), chi in chis.items():
-        grad = _fem.qp_gradient(chi.values, grid.conn, grid.h)
-        total = 0.5 * (grad + np.swapaxes(grad, -1, -2)) + zetas[(i, j)]
-        integrand = _fem.isotropic_stress(
-            lam, mu, 0.5 * (total + np.swapaxes(total, -1, -2)))
-        pair[i, j] = pair[j, i] = _fem.integrate_qp(grid.h, integrand)
-    solutions = {(i, j): replace(chis[min((i, j), (j, i))], indices=(i, j))
-                 for i in range(2) for j in range(2)}
-    return EffectiveElectrostriction(pair, solutions, grid.n)
+    for (i, j) in _SYM_PAIRS:
+        stress = _fem.isotropic_stress(lam, mu, strains[(i, j)])
+        for (m, n) in _SYM_PAIRS:
+            val = _fem.integrate_qp(
+                grid.h, (stress * strains[(m, n)]).sum(axis=(-2, -1)))
+            for (a, b) in {(i, j), (j, i)}:
+                for (c, d) in {(m, n), (n, m)}:
+                    bhom[a, b, c, d] = val
+        chi_stress = _fem.isotropic_stress(lam, mu, strain("chi", i, j))
+        pair[i, j] = pair[j, i] = _fem.integrate_qp(
+            grid.h, chi_stress + electric[(i, j)])
+
+    def solutions(kind, pairs):
+        return {(i, j): replace(sols[(kind, min(i, j), max(i, j))],
+                                indices=(i, j)) for (i, j) in pairs}
+
+    all_pairs = [(i, j) for i in range(2) for j in range(2)]
+    return (EffectiveElasticity(bhom, solutions("U", _SYM_PAIRS), grid.n),
+            EffectiveElectrostriction(pair, solutions("chi", all_pairs),
+                                      grid.n))
 
 
 # ---------------------------------------------------------------------------

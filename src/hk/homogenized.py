@@ -234,10 +234,6 @@ def _nearest_qp(grid, pts):
 # Homogenized elasticity and its corrector
 # ---------------------------------------------------------------------------
 
-def _as_tensor(b_eff):
-    return b_eff if isinstance(b_eff, np.ndarray) else b_eff.tensor
-
-
 def solve_homogenized_elasticity(b_eff, c_eff, g, phi0, domain,
                                  gradient_field=None):
     """Solve ∫ B_hom D(u) : D(v) = ∫ g.v - ∫ C_hom(grad phi0 (x) grad phi0) : D(v).
@@ -246,7 +242,6 @@ def solve_homogenized_elasticity(b_eff, c_eff, g, phi0, domain,
     the effective electrostriction pair matrices against the rank-one
     macroscopic Maxwell stress at each quadrature point.
     """
-    tensor = _as_tensor(b_eff)
     g_qp = _source_at_qp(g, domain)
     rhs = _fem.load_vector(domain, g_qp)
     if c_eff is not None and phi0 is not None:
@@ -255,7 +250,7 @@ def solve_homogenized_elasticity(b_eff, c_eff, g, phi0, domain,
         stress = c_eff.apply(grads[..., :, None] * grads[..., None, :])
         rhs = rhs - _fem.divergence_residual(domain, stress)
     matrix = _fem.assemble_elasticity_constant(domain.conn, domain.h,
-                                               domain.n_nodes, tensor)
+                                               domain.n_nodes, b_eff.tensor)
     free = np.stack([2 * domain.interior, 2 * domain.interior + 1],
                     axis=-1).ravel()
     u = _fem.solve_dirichlet(matrix, rhs.ravel(), free)

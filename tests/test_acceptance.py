@@ -17,7 +17,7 @@ from hk.cell_problems import (BatchScalarCellSolver, SolverOptions,
 from hk.constitutive import (ElasticTensorField, Geometry, OperatorSpec,
                              isotropic_tensor)
 from hk.core_fields import CellGrid, DomainGrid
-from hk.effective import (EffectiveLaw, assemble_B_hom, assemble_C_hom,
+from hk.effective import (EffectiveLaw, assemble_elastic_tensors,
                           check_a_hom_properties)
 from hk.fine_scale import (solve_fine_elasticity, solve_fine_electrostatic)
 from hk.homogenized import (MacroOptions, solve_homogenized_elasticity,
@@ -130,8 +130,8 @@ def test_criterion_3_constant_coefficient_degeneracies():
         ups = solve_elastic_cell_U(b, cell, i, j)
         worst = max(worst, np.abs(ups.values).max())
     law = EffectiveLaw(spec, cell, opts)
-    b_eff = assemble_B_hom(b, cell)
-    c_eff = assemble_C_hom(c, law.solutions_for(np.eye(2)), cell)
+    b_eff, c_eff = assemble_elastic_tensors(b, c, law.solutions_for(np.eye(2)),
+                                            cell)
     for sol in c_eff.solutions.values():
         worst = max(worst, np.abs(sol.values).max())
     worst = max(worst, np.abs(b_eff.tensor - isotropic_tensor(1.0, 1.0)).max())
@@ -158,7 +158,9 @@ def test_criterion_3_constant_coefficient_degeneracies():
 
 def test_criterion_4_structural_property_suite():
     b, _ = elastic_pair(LAMINATE)
-    t = assemble_B_hom(b, CellGrid(32)).tensor
+    cell = CellGrid(32)
+    t = assemble_elastic_tensors(b, b, np.zeros((2, cell.n_nodes)),
+                                 cell)[0].tensor
     major = np.abs(t - np.transpose(t, (2, 3, 0, 1))).max()
     minor = np.abs(t - np.transpose(t, (1, 0, 2, 3))).max()
     minor2 = np.abs(t - np.transpose(t, (0, 1, 3, 2))).max()

@@ -258,7 +258,7 @@ def test_electrostriction_constant_everything_zero():
                                          geometry=Geometry("uniform"))
     zeta = np.broadcast_to(np.outer([1, 0], [1, 0]),
                            (grid.n_elems, 4, 2, 2)).copy()
-    sol = solve_electrostriction_cell(field, zeta, grid)
+    sol = solve_electrostriction_cell(field, field, zeta, grid)
     assert np.abs(sol.values).max() < 1e-12
 
 
@@ -269,7 +269,7 @@ def test_electrostriction_heterogeneous_C_nonzero():
     field = ElasticTensorField.from_lame((0.5, 0.5), (1.5, 1.0), LAMINATE)
     zeta = np.broadcast_to(np.outer([1, 0], [1, 0]),
                            (grid.n_elems, 4, 2, 2)).copy()
-    sol = solve_electrostriction_cell(field, zeta, grid)
+    sol = solve_electrostriction_cell(field, field, zeta, grid)
     assert np.abs(sol.values).max() > 1e-4
 
 
@@ -283,11 +283,11 @@ def test_electrostriction_constant_shift_invariance_needs_constant_C():
     rng = np.random.default_rng(5)
     zeta = rng.standard_normal((grid.n_elems, 4, 2, 2))
     shift = np.array([[0.3, 0.1], [0.1, -0.2]])
-    a = solve_electrostriction_cell(const_c, zeta, grid)
-    b = solve_electrostriction_cell(const_c, zeta + shift, grid)
+    a = solve_electrostriction_cell(const_c, const_c, zeta, grid)
+    b = solve_electrostriction_cell(const_c, const_c, zeta + shift, grid)
     assert np.abs(a.values - b.values).max() < 1e-9
-    a = solve_electrostriction_cell(het_c, zeta, grid)
-    b = solve_electrostriction_cell(het_c, zeta + shift, grid)
+    a = solve_electrostriction_cell(het_c, het_c, zeta, grid)
+    b = solve_electrostriction_cell(het_c, het_c, zeta + shift, grid)
     assert np.abs(a.values - b.values).max() > 1e-4
 
 
@@ -299,8 +299,8 @@ def test_elastic_cells_are_one_direct_solve():
     assert sol.iterations == 1
     assert sol.residual <= 1e-12
     eta = solve_scalar_cell(laminate_spec(2.0), np.eye(2)[0], grid)
-    chi = solve_electrostriction_cell(field, corrector_outer(0, 0, eta, eta),
-                                      grid)
+    chi = solve_electrostriction_cell(field, field,
+                                      corrector_outer(0, 0, eta, eta), grid)
     assert chi.iterations == 1
     assert chi.residual <= 1e-12
 

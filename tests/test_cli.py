@@ -299,7 +299,7 @@ def test_usage_errors_exit_3(monkeypatch, capsys, argv, env):
 def test_effective_solves_unit_loadings_once(tmp_path, monkeypatch):
     # a_hom at e_1, e_2 and C_hom share one two-row solve
     from hk.cell_problems import BatchScalarCellSolver
-    from hk.effective import assemble_C_hom
+    from hk.effective import assemble_elastic_tensors
     built, rows = [], []
     init, solve = BatchScalarCellSolver.__init__, BatchScalarCellSolver.solve
 
@@ -324,20 +324,20 @@ def test_effective_solves_unit_loadings_once(tmp_path, monkeypatch):
     monkeypatch.undo()
     cfg = validate_config(cfg)
     spec = build_spec(cfg)
-    tensor_c = build_tensors(cfg)[1]
+    tensor_b, tensor_c = build_tensors(cfg)
     grid = CellGrid(8)
     opts = SolverOptions(tol=cfg["tolerances"]["cell"])
     unit_etas = [solve_scalar_cell(spec, e, grid, opts).values
                  for e in np.eye(2)]
-    ref = assemble_C_hom(tensor_c, unit_etas, grid)
+    ref = assemble_elastic_tensors(tensor_b, tensor_c, unit_etas, grid)[1]
     assert np.abs(np.array(payload["C_hom"])
                   - ref.pair_matrices).max() <= 1e-12
 
 
 def test_effective_factors_each_cell_stiffness_once(tmp_path, monkeypatch):
     # the benchmark's effective-p3-n16 run: one factorization of the B
-    # stiffness for the unit strains, one of the C stiffness for the
-    # electrostriction sources; the p = 3 law factors nothing
+    # stiffness serves the unit strains and the electrostriction sources;
+    # the p = 3 law factors nothing
     from hk import _fem
     calls = []
     splu = _fem._splu
@@ -352,7 +352,7 @@ def test_effective_factors_each_cell_stiffness_once(tmp_path, monkeypatch):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     assert run("effective", str(path), str(tmp_path / "out")) == 0
-    assert calls == [(510, 510)] * 2
+    assert calls == [(510, 510)]
 
 
 def test_effective_cold_batches_solve_by_continuation(tmp_path,

@@ -5,7 +5,7 @@ from hk.cell_problems import solve_scalar_cell
 from hk.constitutive import (ElasticTensorField, Geometry, OperatorSpec,
                              isotropic_tensor)
 from hk.core_fields import CellGrid
-from hk.effective import (EffectiveLaw, assemble_B_hom, assemble_C_hom,
+from hk.effective import (EffectiveLaw, assemble_elastic_tensors,
                           check_a_hom_properties)
 
 from oracles import (laminate_elastic_tensor, laminate_flux_balance,
@@ -26,6 +26,12 @@ def p3_laminate():
 def unit_potentials(spec, grid):
     """Cell solutions at e_1 and e_2, (2, n^2)."""
     return EffectiveLaw(spec, grid).solutions_for(np.eye(2))
+
+
+def b_hom(field, grid):
+    """B_hom alone: C = B and zero unit potentials."""
+    return assemble_elastic_tensors(field, field,
+                                    np.zeros((2, grid.n_nodes)), grid)[0]
 
 
 def test_a_hom_constant_matrix():
@@ -182,7 +188,7 @@ def test_check_a_hom_properties_p3_positive():
 def test_b_hom_constant_tensor():
     field = ElasticTensorField.from_lame((1.0, 1.0),
                                          geometry=Geometry("uniform"))
-    eff = assemble_B_hom(field, CellGrid(8))
+    eff = b_hom(field, CellGrid(8))
     # restricted to symmetric action the constant tensor is recovered
     sym_strains = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
                    np.array([[0.0, 0.5], [0.5, 0.0]])]
@@ -195,7 +201,7 @@ def test_b_hom_constant_tensor():
 
 def test_b_hom_major_minor_symmetry():
     field = ElasticTensorField.from_lame((1.0, 1.0), (3.0, 2.0), LAMINATE)
-    t = assemble_B_hom(field, CellGrid(32)).tensor
+    t = b_hom(field, CellGrid(32)).tensor
     assert np.abs(t - np.transpose(t, (2, 3, 0, 1))).max() < 1e-10
     assert np.abs(t - np.transpose(t, (1, 0, 2, 3))).max() < 1e-10
     assert np.abs(t - np.transpose(t, (0, 1, 3, 2))).max() < 1e-10
@@ -206,7 +212,7 @@ def test_b_hom_laminate_against_strip_oracle():
     # frozen oracle values: axial Reuss mean of (lam + 2 mu) is 4.2
     assert abs(response[0, 0] - 4.2) < 1e-12
     field = ElasticTensorField.from_lame((1.0, 1.0), (3.0, 2.0), LAMINATE)
-    t = assemble_B_hom(field, CellGrid(16)).tensor
+    t = b_hom(field, CellGrid(16)).tensor
     assert abs(t[0, 0, 0, 0] - response[0, 0]) / response[0, 0] < 1e-3
     assert abs(t[1, 1, 1, 1] - response[1, 1]) / response[1, 1] < 1e-3
     assert abs(t[0, 0, 1, 1] - response[1, 0]) / abs(response[1, 0]) < 1e-3
@@ -215,7 +221,7 @@ def test_b_hom_laminate_against_strip_oracle():
 
 def test_b_hom_positive_definite_on_symmetric():
     field = ElasticTensorField.from_lame((1.0, 1.0), (3.0, 2.0), LAMINATE)
-    t = assemble_B_hom(field, CellGrid(16)).tensor
+    t = b_hom(field, CellGrid(16)).tensor
     rng = np.random.default_rng(9)
     for _ in range(100):
         c = rng.standard_normal((2, 2))
@@ -232,7 +238,8 @@ def test_c_hom_constant_applied_recovers_fine_law():
     spec = OperatorSpec(family="linear", geometry=Geometry("uniform"),
                         sigma=(1.0, 1.0))
     grid = CellGrid(8)
-    eff = assemble_C_hom(cfield, unit_potentials(spec, grid), grid)
+    eff = assemble_elastic_tensors(cfield, cfield,
+                                   unit_potentials(spec, grid), grid)[1]
     ref = isotropic_tensor(2.0, 0.5)
     rng = np.random.default_rng(10)
     for _ in range(5):
@@ -243,39 +250,88 @@ def test_c_hom_constant_applied_recovers_fine_law():
 
 
 def test_c_hom_is_one_factorization_matching_per_pair_solves(monkeypatch):
-    # the three distinct sources share one factorization of the C
-    # stiffness; every pair, (1, 0) solved from its own source included,
-    # matches a solve of its own bit for bit
+    # the three unit strains and the three distinct sources share one
+    # factorization of the B stiffness, with B = C and with a B of its own;
+    # every pair, (1, 0) solved from its own source included, matches a
+    # solve of its own bit for bit
     from hk import _fem
-    from hk.cell_problems import solve_electrostriction_cell
+    from hk.cell_problems import (electric_stress, solve_elastic_cell_U,
+                                  solve_electrostriction_cell)
     cfield = ElasticTensorField.from_lame((0.5, 0.5), (1.5, 1.0), LAMINATE)
     grid = CellGrid(16)
     etas = unit_potentials(p3_laminate(), grid)
-    calls = []
-    splu = _fem._splu
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return splu(*args, **kwargs)
-
-    monkeypatch.setattr(_fem, "_splu", counted)
-    eff = assemble_C_hom(cfield, etas, grid)
-    monkeypatch.undo()
-    assert len(calls) == 1
-    lam, mu = cfield.lame_at(grid.qp_coords())
     fluxes = [np.eye(2)[k] + _fem.qp_gradient(etas[k], grid.conn, grid.h)
               for k in range(2)]
+    splu = _fem._splu
+    for bfield in (cfield, ElasticTensorField.from_lame((1.0, 1.0),
+                                                        (3.0, 2.0), LAMINATE)):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(_fem, "_splu", counted)
+        b_eff, eff = assemble_elastic_tensors(bfield, cfield, etas, grid)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        lam, mu = bfield.lame_at(grid.qp_coords())
+        for i in range(2):
+            for j in range(2):
+                zeta = fluxes[i][..., :, None] * fluxes[j][..., None, :]
+                chi = solve_electrostriction_cell(bfield, cfield, zeta, grid,
+                                                  (i, j))
+                grad = _fem.qp_gradient(chi.values, grid.conn, grid.h)
+                value = _fem.integrate_qp(grid.h, _fem.isotropic_stress(
+                    lam, mu, 0.5 * (grad + np.swapaxes(grad, -1, -2)))
+                    + electric_stress(cfield, grid, zeta))
+                assert np.array_equal(eff.pair_matrices[i, j], value)
+                assert np.array_equal(eff.solutions[(i, j)].values,
+                                      chi.values)
+                assert eff.solutions[(i, j)].indices == (i, j)
+        for (i, j), sol in b_eff.solutions.items():
+            assert np.array_equal(
+                sol.values, solve_elastic_cell_U(bfield, grid, i, j).values)
+
+
+@pytest.mark.parametrize("c_lame", [None, ((1.5, 1.0), (0.5, 0.5))],
+                         ids=["C=B/2", "swapped-C"])
+@pytest.mark.parametrize("preset", ["laminate-p2", "laminate-p3",
+                                    "checkerboard-p2", "variable-exponent"])
+def test_c_hom_equals_adjoint_average(preset, c_lame):
+    # testing the chi equation with U^mn and the U^mn equation with chi
+    # gives C_hom[i, j]_mn = ∫ C sym(zeta_ij) : S^mn, S^mn = E^mn - D(U^mn),
+    # exactly in the discrete space; a chi solved against C's stiffness
+    # misses it by up to 122% when C is not a multiple of B
+    from hk import _fem
+    from hk.cell_problems import electric_stress, unit_strain
+    from hk.cli import build_spec, build_tensors, load_config, validate_config
+    cfg = load_config(preset)
+    if c_lame is not None:
+        cfg["elasticity"]["C"] = {"matrix": list(c_lame[0]),
+                                  "inclusion": list(c_lame[1])}
+    cfg = validate_config(cfg)
+    tensor_b, tensor_c = build_tensors(cfg)
+    grid = CellGrid(16)
+    etas = unit_potentials(build_spec(cfg), grid)
+    b_eff, c_eff = assemble_elastic_tensors(tensor_b, tensor_c, etas, grid)
+    fluxes = [np.eye(2)[k] + _fem.qp_gradient(etas[k], grid.conn, grid.h)
+              for k in range(2)]
+    adjoint = np.zeros((2, 2, 2, 2))
     for i in range(2):
         for j in range(2):
             zeta = fluxes[i][..., :, None] * fluxes[j][..., None, :]
-            chi = solve_electrostriction_cell(cfield, zeta, grid, (i, j))
-            grad = _fem.qp_gradient(chi.values, grid.conn, grid.h)
-            total = 0.5 * (grad + np.swapaxes(grad, -1, -2)) + zeta
-            value = _fem.integrate_qp(grid.h, _fem.isotropic_stress(
-                lam, mu, 0.5 * (total + np.swapaxes(total, -1, -2))))
-            assert np.array_equal(eff.pair_matrices[i, j], value)
-            assert np.array_equal(eff.solutions[(i, j)].values, chi.values)
-            assert eff.solutions[(i, j)].indices == (i, j)
+            tau = electric_stress(tensor_c, grid, zeta)
+            for m in range(2):
+                for n in range(2):
+                    u = b_eff.solutions[(min(m, n), max(m, n))].values
+                    grad = _fem.qp_gradient(u, grid.conn, grid.h)
+                    s = unit_strain(m, n) \
+                        - 0.5 * (grad + np.swapaxes(grad, -1, -2))
+                    adjoint[i, j, m, n] = _fem.integrate_qp(
+                        grid.h, (tau * s).sum(axis=(-2, -1)))
+    scale = np.abs(c_eff.pair_matrices).max()
+    assert np.abs(c_eff.pair_matrices - adjoint).max() <= 1e-13 * scale
 
 
 # -- consistent tangent ---------------------------------------------------------

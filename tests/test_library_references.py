@@ -22,10 +22,11 @@ ALLOWED = {
     "cell_average": "field calculus: the unit-cell mean",
     "solve_scalar_cell": "the one-loading form of solve_scalar_cells; "
                          "perfbench/spans.py traces it by name",
-    "solve_elastic_cell_U": "the one-pair form of solve_elastic_cells_U; "
+    "solve_elastic_cell_U": "the one-pair unit-strain form of "
+                            "solve_elastic_cells; "
                             "perfbench/spans.py traces it by name",
-    "solve_electrostriction_cell": "the one-source form of "
-                                   "solve_electrostriction_cells; "
+    "solve_electrostriction_cell": "the one-source electrostriction form of "
+                                   "solve_elastic_cells; "
                                    "perfbench/spans.py traces it by name",
     "CellGrid.wrap_node": "periodic node index of a lattice position, which "
                           "the cell-periodicity tests read fields through",
