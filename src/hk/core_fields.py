@@ -6,7 +6,7 @@ boundary.  Bilinear (Q1) elements with 2x2 Gauss quadrature throughout.
 Fields are immutable after construction; all operations are pure.
 """
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -94,53 +94,15 @@ class CellGrid(_Grid):
         return f"CellGrid(n={self.n})"
 
 
-# blocks of at most this many interior nodes end the recursion
-_ND_LEAF = 4
-
-
-@lru_cache(maxsize=None)
-def _nested_dissection(n_cells):
-    """Interior node ids of an N-cell Dirichlet grid in nested-dissection order.
-
-    The (N-1) x (N-1) block of interior nodes is split along its longer
-    side; both halves are ordered recursively and the separator line goes
-    last (George, SIAM J. Numer. Anal. 1973), down to blocks of at most
-    ``_ND_LEAF`` nodes, which keep row-major order.  Eliminating in this
-    order bounds the fill of a Q1 stiffness matrix by O(N^2 log N).
-    """
-    nn = n_cells + 1
-    ids = np.arange(nn * nn).reshape(nn, nn)[1:-1, 1:-1]
-    parts = []
-
-    def order(block):
-        rows, cols = block.shape
-        if rows * cols <= _ND_LEAF:
-            parts.append(block.ravel())
-        elif cols >= rows:
-            mid = cols // 2
-            order(block[:, :mid])
-            order(block[:, mid + 1:])
-            parts.append(block[:, mid])
-        else:
-            mid = rows // 2
-            order(block[:mid])
-            order(block[mid + 1:])
-            parts.append(block[mid])
-
-    order(ids)
-    out = np.concatenate(parts)
-    out.setflags(write=False)
-    return out
-
-
 class DomainGrid(_Grid):
     """Structured grid on the unit square (0,1)^2 with N cells per side.
 
     (N+1)^2 nodes; the boundary mask marks the full topological boundary
     (Dirichlet nodes), leaving (N-1)^2 interior nodes.  ``interior`` lists
-    them in nested-dissection order, so Dirichlet solves that eliminate
-    the free dofs in the order given (``_fem.solve_dirichlet``) factor
-    with little fill; it is computed once per N, on first use.
+    them in nested-dissection order (``_fem.nested_dissection``, computed
+    once per N, on first use); ``_fem.solve_dirichlet`` takes its free
+    dofs from it, and factors the systems small enough to solve directly
+    in that order, with little fill.
     """
 
     periodic = False
@@ -165,7 +127,7 @@ class DomainGrid(_Grid):
 
     @property
     def interior(self):
-        return _nested_dissection(self.n)
+        return _fem.nested_dissection(self.n)
 
     def node_coords(self):
         nn = self.n + 1

@@ -95,7 +95,8 @@ def solve_fine_electrostatic(spec, eps, f, domain, opts=None):
     """Solve ∫ a(x/eps, grad phi) . grad v = ∫ f v, phi = 0 on the boundary.
 
     Linear families reduce to one sparse solve; otherwise
-    ``_fem.damped_newton`` with sparse direct inner solves, started from
+    ``_fem.damped_newton`` with ``_fem.solve_dirichlet`` inner solves
+    (direct or multigrid-preconditioned CG by size), started from
     the frozen-coefficient surrogate with coefficient sigma, and relaxed
     frozen-coefficient steps (``OperatorSpec.frozen_relaxation``) after
     ``max_newton``.
@@ -116,7 +117,7 @@ def solve_fine_electrostatic(spec, eps, f, domain, opts=None):
     def solve_with(coef, load=rhs):
         matrix = _fem.assemble_diffusion(domain.conn, domain.h,
                                          domain.n_nodes, coef)
-        return _fem.solve_dirichlet(matrix, load, free)
+        return _fem.solve_dirichlet(matrix, load, domain)
 
     if spec.is_linear:
         phi = solve_with(loc["bmat"])
@@ -173,9 +174,10 @@ def maxwell_stress(phi):
 def solve_fine_elasticity(tensor_b, tensor_c, eps, g, sigma_qp, domain):
     """Solve ∫ B(x/eps) D(u) : D(v) = ∫ g.v - ∫ C(x/eps) Sigma : D(v).
 
-    Sparse direct solve (the fine elastic systems are the largest in the
-    pipeline and a factorization is both faster and bitwise reproducible
-    here).  Returns the displacement plus residual bookkeeping.
+    One ``_fem.solve_dirichlet`` call: a factorization on small grids,
+    multigrid-preconditioned CG on large ones (the fine elastic systems
+    are the largest in the pipeline).  Returns the displacement and the
+    residual norm over the free dofs.
     """
     osc = OscillatoryMap(domain, eps, tensor_b.geometry)
     lam_b, mu_b = osc.lame(tensor_b)
@@ -188,9 +190,7 @@ def solve_fine_elasticity(tensor_b, tensor_c, eps, g, sigma_qp, domain):
 
     matrix = _fem.assemble_elasticity(domain.conn, domain.h, domain.n_nodes,
                                       lam_qp=lam_b, mu_qp=mu_b)
-    free = np.stack([2 * domain.interior, 2 * domain.interior + 1],
-                    axis=-1).ravel()
-    u = _fem.solve_dirichlet(matrix, rhs.ravel(), free)
-    res = matrix @ u - rhs.ravel()
-    rnorm = float(np.linalg.norm(res[free]))
+    u = _fem.solve_dirichlet(matrix, rhs.ravel(), domain, dofs_per_node=2)
+    res = (matrix @ u).reshape(-1, 2) - rhs
+    rnorm = float(np.linalg.norm(res[domain.interior]))
     return VectorField(domain, u.reshape(-1, 2)), rnorm

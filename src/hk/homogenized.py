@@ -97,13 +97,13 @@ def solve_homogenized_electrostatic(law, f, domain, opts=None):
         matrix = _fem.assemble_diffusion(domain.conn, domain.h,
                                          domain.n_nodes,
                                          jac.reshape(nel, 4, 2, 2))
-        return _fem.solve_dirichlet(matrix, -res[0], free)[None]
+        return _fem.solve_dirichlet(matrix, -res[0], domain)[None]
 
     if law.mode == "linear":
         coef = np.broadcast_to(law.matrix, (nel, 4, 2, 2))
         matrix = _fem.assemble_diffusion(domain.conn, domain.h,
                                          domain.n_nodes, coef)
-        phi = _fem.solve_dirichlet(matrix, rhs, free)
+        phi = _fem.solve_dirichlet(matrix, rhs, domain)
         flux = law.eval_batch(_grad_flat(phi, domain))
         rnorm = float(flux_residual(flux)[1][0])
         return HomogenizedSolution(ScalarField(domain, phi), rnorm, 1, [rnorm])
@@ -112,7 +112,7 @@ def solve_homogenized_electrostatic(law, f, domain, opts=None):
     # the flux magnitude when the law is homogeneous (a(s xi) = s^g a(xi))
     eye = np.broadcast_to(np.eye(2), (nel, 4, 2, 2))
     matrix = _fem.assemble_diffusion(domain.conn, domain.h, domain.n_nodes, eye)
-    phi = _fem.solve_dirichlet(matrix, rhs, free)
+    phi = _fem.solve_dirichlet(matrix, rhs, domain)
     gamma = law.spec.homogeneity_degree
     if gamma is not None and gamma != 1.0:
         flux0, etas0 = law.solve(_grad_flat(phi, domain))
@@ -238,9 +238,10 @@ def solve_homogenized_elasticity(b_eff, c_eff, g, phi0, domain,
                                  gradient_field=None):
     """Solve ∫ B_hom D(u) : D(v) = ∫ g.v - ∫ C_hom(grad phi0 (x) grad phi0) : D(v).
 
-    Constant-coefficient sparse direct solve; the electric load contracts
-    the effective electrostriction pair matrices against the rank-one
-    macroscopic Maxwell stress at each quadrature point.
+    Constant-coefficient Dirichlet solve (``_fem.solve_dirichlet``); the
+    electric load contracts the effective electrostriction pair matrices
+    against the rank-one macroscopic Maxwell stress at each quadrature
+    point.
     """
     g_qp = _source_at_qp(g, domain)
     rhs = _fem.load_vector(domain, g_qp)
@@ -251,11 +252,10 @@ def solve_homogenized_elasticity(b_eff, c_eff, g, phi0, domain,
         rhs = rhs - _fem.divergence_residual(domain, stress)
     matrix = _fem.assemble_elasticity_constant(domain.conn, domain.h,
                                                domain.n_nodes, b_eff.tensor)
-    free = np.stack([2 * domain.interior, 2 * domain.interior + 1],
-                    axis=-1).ravel()
-    u = _fem.solve_dirichlet(matrix, rhs.ravel(), free)
-    res = matrix @ u - rhs.ravel()
-    return VectorField(domain, u.reshape(-1, 2)), float(np.linalg.norm(res[free]))
+    u = _fem.solve_dirichlet(matrix, rhs.ravel(), domain, dofs_per_node=2)
+    res = (matrix @ u).reshape(-1, 2) - rhs
+    return (VectorField(domain, u.reshape(-1, 2)),
+            float(np.linalg.norm(res[domain.interior])))
 
 
 def reconstruct_u1(elastic_solutions, electrostriction_solutions, u0, phi0,

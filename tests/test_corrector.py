@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hk import _fem
-from hk.constitutive import Geometry, OperatorSpec
+from hk.constitutive import ElasticTensorField, Geometry, OperatorSpec
 from hk.core_fields import (CellGrid, DomainGrid, ScalarField,
                             sample_oscillatory)
 from hk.corrector import (CellwiseConstant, EpsPartition, coarse_average_M,
@@ -283,24 +283,39 @@ def test_averaged_error_triangle_inequality():
     assert errs["E_avg"] <= errs["E_exp"] + dist + 1e-12
 
 
-@pytest.mark.parametrize("spec, kw", [
+@pytest.mark.parametrize("spec, ladder, kw", [
     (OperatorSpec(family="linear",
                   geometry=Geometry(kind="laminate", fraction=0.5),
                   sigma=(1.0, 4.0)),
-     dict(cell_n=8, fine_m=8, solve_n=16, sample_n=32)),
+     [0.25, 0.125], dict(cell_n=8, fine_m=8, solve_n=16, sample_n=32)),
     # a nonlinear law: the rungs run batched Dal Maso cell solves on one
     # law from two threads
     (OperatorSpec(family="power-law", p=3.0, alpha=1.0,
                   geometry=Geometry(kind="laminate", fraction=0.5),
                   sigma=(1.0, 4.0)),
-     dict(cell_n=8, fine_m=8, solve_n=8, sample_n=16)),
-], ids=["linear", "p3"])
-def test_study_threads_bitwise_deterministic(spec, kw):
-    r1 = run_corrector_study(spec, [0.25, 0.125], threads=1, **kw)
-    r2 = run_corrector_study(spec, [0.25, 0.125], threads=2, **kw)
+     [0.25, 0.125], dict(cell_n=8, fine_m=8, solve_n=8, sample_n=16)),
+    # fine grids N = 64 and 128: the N = 128 rung's electrostatic and
+    # elastic systems are above the direct-solve cut and solve by
+    # multigrid PCG while the other thread runs the N = 64 rung
+    (OperatorSpec(family="linear",
+                  geometry=Geometry(kind="laminate", fraction=0.5),
+                  sigma=(1.0, 4.0)),
+     [0.125, 0.0625],
+     dict(cell_n=8, fine_m=8, solve_n=16, sample_n=32,
+          tensor_b=ElasticTensorField.from_lame(
+              (1.0, 1.0), (3.0, 2.0),
+              Geometry(kind="laminate", fraction=0.5)),
+          tensor_c=ElasticTensorField.from_lame(
+              (0.5, 0.5), (1.5, 1.0),
+              Geometry(kind="laminate", fraction=0.5)))),
+], ids=["linear", "p3", "linear-elastic-pcg"])
+def test_study_threads_bitwise_deterministic(spec, ladder, kw):
+    r1 = run_corrector_study(spec, ladder, threads=1, **kw)
+    r2 = run_corrector_study(spec, ladder, threads=2, **kw)
     for key in r1.errors:
         assert r1.errors[key] == r2.errors[key]
     assert r1.maxwell_gaps == r2.maxwell_gaps
+    assert r1.elasticity_gaps == r2.elasticity_gaps
 
 
 def test_stress_pairing_memory_within_budget():

@@ -201,11 +201,17 @@ def _laminate_dirichlet_system(n, eps, elastic):
     return matrix, rhs, free
 
 
+def _factor_solve(matrix, rhs, free):
+    x = np.zeros(matrix.shape[0])
+    x[free] = _fem.factor_dirichlet(matrix, free).solve(rhs[free])
+    return x
+
+
 @pytest.mark.parametrize("elastic", [False, True])
 def test_nested_dissection_solve_matches_sorted_order(elastic):
     matrix, rhs, free = _laminate_dirichlet_system(32, 0.25, elastic)
-    x_nd = _fem.solve_dirichlet(matrix, rhs, free)
-    x_sorted = _fem.solve_dirichlet(matrix, rhs, np.sort(free))
+    x_nd = _factor_solve(matrix, rhs, free)
+    x_sorted = _factor_solve(matrix, rhs, np.sort(free))
     assert not np.array_equal(free, np.sort(free))
     assert np.abs(x_nd - x_sorted).max() <= 1e-12 * np.abs(x_sorted).max()
 
@@ -217,3 +223,81 @@ def test_nested_dissection_fill_of_finest_elastic_matrix():
     lu = _fem.factor_dirichlet(matrix, free)
     assert np.array_equal(lu.perm_r, np.arange(free.size))
     assert lu.L.nnz + lu.U.nnz <= 5.0e6
+
+
+def _p3_jacobian_system(n, eps):
+    """A fine Newton Jacobian of the p = 3 laminate, a load and the free dofs.
+
+    The Jacobian is taken at the Newton start for f = 1, the
+    frozen-coefficient solve, whose gradient vanishes near the centre;
+    ``delta_jac`` keeps it definite there.
+    """
+    from hk.cell_problems import SolverOptions
+    dom = DomainGrid(n)
+    spec = OperatorSpec(family="power-law", p=3.0, alpha=1.0,
+                        geometry=LAMINATE, sigma=(1.0, 4.0))
+    loc = OscillatoryMap(dom, eps, LAMINATE).local_coefficients(spec)
+    load = _fem.load_vector(dom, np.ones((dom.n_elems, 4)))
+    start = _fem.assemble_diffusion(dom.conn, dom.h, dom.n_nodes,
+                                    loc["sigma"])
+    phi = _factor_solve(start, load, dom.interior)
+    jac = spec.jacobian_local(loc, _fem.qp_gradient(phi, dom.conn, dom.h),
+                              delta_floor=SolverOptions().delta_jac)
+    matrix = _fem.assemble_diffusion(dom.conn, dom.h, dom.n_nodes, jac)
+    return matrix, load, dom.interior
+
+
+def _factor_sizes(monkeypatch):
+    """The sizes of the factorizations ``_fem`` makes from now on."""
+    sizes = []
+    splu = _fem._splu
+
+    def recorded(reduced, *args, **kwargs):
+        sizes.append(reduced.shape[0])
+        return splu(reduced, *args, **kwargs)
+
+    monkeypatch.setattr(_fem, "_splu", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize("kind", ["scalar", "elastic", "p3-jacobian"])
+def test_multigrid_pcg_matches_direct_solve(kind, monkeypatch):
+    # N = 128 is above the direct-solve cut; with the iteration cap at 30,
+    # a PCG that needed more would fall back to a factorization of every
+    # free dof
+    if kind == "p3-jacobian":
+        matrix, rhs, free = _p3_jacobian_system(128, 0.0625)
+    else:
+        matrix, rhs, free = _laminate_dirichlet_system(128, 0.0625,
+                                                       kind == "elastic")
+    direct = _factor_solve(matrix, rhs, free)
+    assert free.size > _fem.DIRECT_MAX_DOFS
+    monkeypatch.setattr(_fem, "PCG_MAX_ITER", 30)
+    sizes = _factor_sizes(monkeypatch)
+    x = _fem.solve_dirichlet(matrix, rhs, DomainGrid(128),
+                             dofs_per_node=2 if kind == "elastic" else 1)
+    assert sizes and max(sizes) <= _fem.DIRECT_MAX_DOFS
+    assert np.abs(x - direct).max() <= 1e-9 * np.abs(direct).max()
+
+
+def test_fine_elasticity_factors_nothing_above_the_cut(monkeypatch):
+    dom = DomainGrid(128)
+    b = ElasticTensorField.from_lame((1.0, 1.0), (3.0, 2.0), LAMINATE)
+    c = ElasticTensorField.from_lame((0.5, 0.5), (1.5, 1.0), LAMINATE)
+    pts = dom.qp_coords()
+    grad = np.stack([np.cos(np.pi * pts[..., 0]), np.sin(pts[..., 1])],
+                    axis=-1)
+    sizes = _factor_sizes(monkeypatch)
+    solve_fine_elasticity(b, c, 0.0625, np.array([0.0, -1.0]),
+                          grad[..., :, None] * grad[..., None, :], dom)
+    assert sizes and max(sizes) <= _fem.DIRECT_MAX_DOFS
+
+
+def test_pcg_iteration_cap_falls_back_to_direct_solve(monkeypatch):
+    matrix, rhs, free = _laminate_dirichlet_system(128, 0.0625, False)
+    direct = _factor_solve(matrix, rhs, free)
+    monkeypatch.setattr(_fem, "PCG_MAX_ITER", 1)
+    sizes = _factor_sizes(monkeypatch)
+    x = _fem.solve_dirichlet(matrix, rhs, DomainGrid(128))
+    assert free.size in sizes
+    assert np.abs(x - direct).max() <= 1e-12 * np.abs(direct).max()

@@ -35,7 +35,7 @@ def test_linear_law_matches_direct_solve():
     coef = np.broadcast_to(law.matrix, (dom.n_elems, 4, 2, 2))
     matrix = _fem.assemble_diffusion(dom.conn, dom.h, dom.n_nodes, coef)
     rhs = _fem.load_vector(dom, np.ones((dom.n_elems, 4)))
-    direct = _fem.solve_dirichlet(matrix, rhs, dom.interior)
+    direct = _fem.solve_dirichlet(matrix, rhs, dom)
     assert np.abs(macro.potential.values - direct).max() < 1e-10
     assert macro.cell_potentials is None
 
