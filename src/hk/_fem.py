@@ -12,7 +12,10 @@ constant reference tensor (Kirby & Logg, ACM TOMS 2006); 2-vector and 2x2
 algebra is component-wise or a broadcast product summed over its axes.
 Gathers are fancy indexing; every sum onto nodes or cells is one product
 with a one-hot CSR matrix (``scatter_matrix``), and each grid builds its
-node matrix once (``node_scatter``).
+node matrix once (``node_scatter``).  Stiffness matrices are the one
+exception: their element blocks are summed per stencil direction by
+slice-adds, straight into the block of free dofs that the solves take
+(``_assemble``).
 """
 
 from dataclasses import dataclass
@@ -290,32 +293,134 @@ def recovered_gradient(grid, nodal):
 # Sparse assembly
 # ---------------------------------------------------------------------------
 
-def _csr_from_blocks(conn, ke, n_dofs, dofs_per_node=1):
-    """Assemble a CSR matrix from per-element blocks.
+# A Q1 node couples to the 3 x 3 block of nodes around it, the neighbour
+# dx, dy nodes away in direction s = 3 (dy + 1) + (dx + 1).  Local node a
+# sits at corner _CORNER_NODES[a] = (x, y) of its element, so it couples to
+# local node b in direction _CORNER_NODES[b] - _CORNER_NODES[a].
+_CORNER_NODES = _CORNERS.astype(int)
 
-    ke: dense blocks (nel, 4d, 4d) or flat (nel, 16d^2) for d dofs per
-    node, in local dof order (node-major, component-minor).
+
+@dataclass(frozen=True)
+class _Pattern:
+    free: np.ndarray        # grid dofs of the block's rows (and columns)
+    mask: np.ndarray        # (side, side, d, 9, d): entry is in the block
+    order: np.ndarray       # (side, side, 9): directions by column, or None
+    indptr: np.ndarray
+    indices: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _block_pattern(periodic, n_cells, dofs_per_node):
+    """Dofs and CSR pattern of the block that a grid's systems solve.
+
+    The block's rows and columns are the free dofs, node-major: every dof
+    but node 0's on a periodic grid, the interior dofs in row-major node
+    order on a Dirichlet one.  Its rows come from a side x side lattice of
+    nodes: all n^2 nodes of a periodic grid (node 0's row is dropped), the
+    (N-1)^2 interior ones of a Dirichlet grid, each with a record of
+    (dof, direction, dof) entries.  ``mask`` marks the entries whose
+    direction reaches a free node; ``order`` sorts each node's directions
+    by column where (dy, dx) order does not, which is on a periodic grid
+    only, where the stencil wraps.  Built from per-node arrays; indptr and
+    indices are int32, sorted, and all arrays are read-only.
     """
-    nel = conn.shape[0]
-    dofs = (conn[:, :, None] * dofs_per_node
-            + np.arange(dofs_per_node)).reshape(nel, -1)
-    nc = dofs.shape[1]
-    rows = np.repeat(dofs, nc, axis=1).ravel()
-    cols = np.tile(dofs, (1, nc)).ravel()
-    mat = sp.coo_matrix((ke.reshape(nel, -1).ravel(), (rows, cols)),
-                        shape=(n_dofs, n_dofs))
-    return mat.tocsr()
+    n, d = n_cells, dofs_per_node
+    side, lo = (n, 0) if periodic else (n - 1, 1)
+    iy, ix = np.divmod(np.arange(side * side, dtype=np.int32), side)
+    dy, dx = np.divmod(np.arange(9, dtype=np.int32), 3)
+    y = iy[:, None] + (lo - 1) + dy
+    x = ix[:, None] + (lo - 1) + dx
+    order = None
+    if periodic:
+        # node k is block node k - 1, so node 0 reads -1
+        nbr = (y % n) * n + x % n - 1
+        nbr[0] = -1
+        order = np.argsort(np.where(nbr < 0, side * side, nbr), axis=1,
+                           kind="stable")
+        nbr = np.take_along_axis(nbr, order, axis=1)
+        order = order.reshape(side, side, 9)
+        free = np.arange(d, n * n * d)
+    else:
+        inside = (x >= 1) & (x < n) & (y >= 1) & (y < n)
+        nbr = np.where(inside, (y - 1) * side + x - 1, -1)
+        free = _dirichlet_dofs((iy + 1) * (n + 1) + ix + 1, d)
+    nbr = nbr.reshape(side, side, 1, 9, 1)
+    mask = np.broadcast_to(nbr >= 0, (side, side, d, 9, d)).copy()
+    counts = mask.reshape(side * side * d, -1).sum(axis=1)
+    counts = counts[counts > 0]         # periodic node 0 has no rows
+    indptr = np.zeros(counts.size + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(counts)
+    cols = nbr * d + np.arange(d, dtype=np.int32)
+    indices = np.broadcast_to(cols, mask.shape)[mask]
+    for arr in (free, mask, order, indptr, indices):
+        if arr is not None:
+            arr.setflags(write=False)
+    return _Pattern(free, mask, order, indptr, indices)
 
 
-def assemble_diffusion(conn, h, n_nodes, coef_qp):
-    """Stiffness for ∫ (D grad u) . grad v with per-qp coefficient.
+def free_dofs(grid, dofs_per_node=1):
+    """The grid dofs of the solved block's rows and columns, in its order."""
+    return _block_pattern(grid.periodic, grid.n, dofs_per_node).free
+
+
+def _stencil_ops(op, dofs_per_node):
+    """Per local node a, ``op`` (k, 16 d^2) mapped to node records.
+
+    Returns (4, k, 9 d^2): a's rows of the element block, each entry moved
+    to the (dof, direction, dof) slot of a's record that it couples in;
+    the directions a does not couple in stay zero.
+    """
+    d = dofs_per_node
+    blocks = op.reshape(-1, 4, d, 4, d)
+    out = np.zeros((4, op.shape[0], d, 3, 3, d))
+    for a, (ax, ay) in enumerate(_CORNER_NODES):
+        for b, (bx, by) in enumerate(_CORNER_NODES):
+            out[a, :, :, by - ay + 1, bx - ax + 1] = blocks[:, a, :, b]
+    return out.reshape(4, op.shape[0], 9 * d * d)
+
+
+def _assemble(grid, coef, op, dofs_per_node=1):
+    """The solved block of a stiffness with element blocks ``coef @ op``.
+
+    ``coef`` (nel, k) holds each element's coefficients, or (1, k) one set
+    for all elements; ``op`` (k, 16 d^2) maps them to the element block in
+    local dof order (node-major, component-minor).  Each local node's rows
+    of the element blocks come out of one matmul as records of its
+    (dof, direction, dof) entries, and one slice-add per local node sums
+    them over the (N+1)^2 node lattice; a periodic grid then folds the
+    lattice's last row and column onto its first.  The block's entries are
+    picked from the records by ``_block_pattern``'s mask: no index array
+    per entry is built.
+    """
+    n, d = grid.n, dofs_per_node
+    pattern = _block_pattern(grid.periodic, n, d)
+    sums = np.zeros((n + 1, n + 1, 9 * d * d))
+    elements = (n, n) if coef.shape[0] > 1 else (1, 1)
+    for (ax, ay), node_op in zip(_CORNER_NODES, _stencil_ops(op, d)):
+        sums[ay:ay + n, ax:ax + n] += (coef @ node_op).reshape(elements + (-1,))
+    if grid.periodic:
+        sums[0] += sums[n]
+        sums[:, 0] += sums[:, n]
+        rows = sums[:n, :n]
+    else:
+        rows = sums[1:n, 1:n]
+    rows = rows.reshape(rows.shape[:2] + (d, 9, d))
+    if pattern.order is not None:
+        rows = np.take_along_axis(rows, pattern.order[:, :, None, :, None],
+                                  axis=3)
+    return sp.csr_matrix((rows[pattern.mask], pattern.indices, pattern.indptr),
+                         shape=(pattern.free.size, pattern.free.size))
+
+
+def assemble_diffusion(grid, coef_qp):
+    """Solved block of ∫ (D grad u) . grad v with per-qp coefficient.
 
     coef_qp is (nel, 4) for an isotropic scalar coefficient or
     (nel, 4, 2, 2) for a matrix coefficient.
     """
     coef = coef_qp.reshape(coef_qp.shape[0], -1)
     op = SCALAR_BLOCK_OP if coef.shape[1] == 4 else BLOCK_OP
-    return _csr_from_blocks(conn, coef @ op, n_nodes)
+    return _assemble(grid, coef, op)
 
 
 def isotropic_stress(lam_qp, mu_qp, strain):
@@ -327,29 +432,36 @@ def isotropic_stress(lam_qp, mu_qp, strain):
     return stress
 
 
-def assemble_elasticity(conn, h, n_nodes, lam_qp, mu_qp):
-    """Elastic stiffness for per-qp isotropic Lame coefficients (nel, 4)."""
+def assemble_elasticity(grid, lam_qp, mu_qp):
+    """Solved elastic block for per-qp isotropic Lame coefficients (nel, 4)."""
     lame = np.stack([lam_qp, mu_qp], axis=-1).reshape(lam_qp.shape[0], 8)
-    return _csr_from_blocks(conn, lame @ LAME_BLOCK_OP, 2 * n_nodes,
-                            dofs_per_node=2)
+    return _assemble(grid, lame, LAME_BLOCK_OP, 2)
 
 
-def assemble_elasticity_constant(conn, h, n_nodes, tensor):
-    """Elastic stiffness for one constant fourth-order tensor coefficient.
+def assemble_elasticity_constant(grid, tensor):
+    """Solved elastic block for one constant fourth-order tensor coefficient.
 
     Stress_{ik} = B_{ikjl} d_l u_j, which is B D(u) for the usual symmetries.
     """
-    ke = np.tile(np.reshape(tensor, 16), 4) @ ELASTIC_BLOCK_OP
-    return _csr_from_blocks(conn, np.broadcast_to(ke, (conn.shape[0], 64)),
-                            2 * n_nodes, dofs_per_node=2)
+    coef = np.tile(np.reshape(tensor, 16), 4)[None]
+    return _assemble(grid, coef, ELASTIC_BLOCK_OP, 2)
 
 
 # ---------------------------------------------------------------------------
 # Linear solvers
 # ---------------------------------------------------------------------------
 
-def _splu(reduced, permc_spec):
-    """SuperLU factors of an SPD matrix in symmetric mode.
+def vector_norm(vector):
+    """Euclidean norm of a 1-D vector, from numpy sums.
+
+    ``np.linalg.norm`` takes BLAS ``ddot``, whose partial sums, and so
+    whose last bits, depend on the number of BLAS threads.
+    """
+    return float(np.sqrt(np.sum(vector * vector)))
+
+
+def _splu(matrix, permc_spec):
+    """SuperLU factors of an SPD matrix, given as CSC, in symmetric mode.
 
     SymmetricMode applies the column order to rows and columns alike, so
     it is the elimination order, and prefers diagonal pivots; the default
@@ -357,7 +469,7 @@ def _splu(reduced, permc_spec):
     entry of its column is still exchanged.
     """
     try:
-        return spla.splu(reduced.tocsc(), permc_spec=permc_spec,
+        return spla.splu(matrix, permc_spec=permc_spec,
                          options={"SymmetricMode": True})
     except RuntimeError as exc:  # SuperLU signals singularity this way
         raise SingularSystem(str(exc)) from exc
@@ -384,6 +496,38 @@ def _dirichlet_dofs(interior, dofs_per_node):
     """Free dofs of the interior nodes, node-major, in the nodes' order."""
     return (interior[:, None] * dofs_per_node
             + np.arange(dofs_per_node)).ravel()
+
+
+@lru_cache(maxsize=None)
+def _nd_positions(n_cells, dofs_per_node):
+    """Block positions of an N-cell Dirichlet grid's free dofs in
+    nested-dissection order."""
+    iy, ix = np.divmod(nested_dissection(n_cells), n_cells + 1)
+    out = _dirichlet_dofs((iy - 1) * (n_cells - 1) + ix - 1, dofs_per_node)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _nd_gather(n_cells, dofs_per_node):
+    """The Dirichlet block in nested-dissection order, as CSC.
+
+    Returns the CSC indptr and indices and, for each CSC entry, where it
+    sits in the block's CSR data (all int32 and read-only).
+    """
+    pattern = _block_pattern(False, n_cells, dofs_per_node)
+    order = _nd_positions(n_cells, dofs_per_node)
+    rank = np.empty(order.size, dtype=np.int32)
+    rank[order] = np.arange(order.size)
+    rows = np.repeat(rank, np.diff(pattern.indptr))
+    cols = rank[pattern.indices]
+    gather = np.lexsort((rows, cols))
+    indptr = np.zeros(order.size + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(np.bincount(cols, minlength=order.size))
+    out = (indptr, rows[gather], gather.astype(np.int32))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
 # blocks of at most this many interior nodes end the recursion
@@ -448,14 +592,31 @@ def _prolongation(n_cells, dofs_per_node):
     return prolong, prolong.T.tocsr()
 
 
-def factor_dirichlet(matrix, free):
-    """Factors of the free-free block, eliminating ``free`` in the order given.
+def factor_dirichlet(block, n_cells, dofs_per_node=1):
+    """Factors of a Dirichlet grid's solved block in nested-dissection order.
 
-    Dirichlet grids list their interior nodes in nested-dissection order
-    (``DomainGrid.interior``), so the natural order of ``free`` is already
-    a low-fill elimination order.
+    ``block`` is an N-cell grid's free-dof block (``assemble_*``); its
+    nested-dissection CSC is one cached gather of its data, and the
+    factors act on the block's dofs taken in the order
+    ``_nd_positions(n_cells, dofs_per_node)``.  That order is a low-fill
+    elimination order, kept as the factorization's.
     """
-    return _splu(matrix[free][:, free], "NATURAL")
+    indptr, indices, gather = _nd_gather(n_cells, dofs_per_node)
+    return _splu(sp.csc_matrix((block.data[gather], indices, indptr),
+                               shape=block.shape), "NATURAL")
+
+
+def _on_block_pattern(matrix, n_cells, dofs_per_node):
+    """A Dirichlet grid operator on the pattern of that grid's block.
+
+    Sparse products drop entries that cancel to zero, so a Galerkin
+    product R A P has at most the block's entries, not always all of them.
+    """
+    pattern = _block_pattern(False, n_cells, dofs_per_node)
+    rows = np.repeat(np.arange(pattern.free.size), np.diff(pattern.indptr))
+    return sp.csr_matrix(
+        (np.asarray(matrix[rows, pattern.indices]).ravel(), pattern.indices,
+         pattern.indptr), shape=matrix.shape)
 
 
 def _v_cycle(matrix, n_cells, dofs_per_node):
@@ -473,11 +634,12 @@ def _v_cycle(matrix, n_cells, dofs_per_node):
         prolong, restrict = _prolongation(n_cells, dofs_per_node)
         levels.append((matrix, JACOBI_OMEGA / matrix.diagonal(), prolong,
                        restrict))
-        matrix = (restrict @ matrix @ prolong).tocsr()
+        matrix = restrict @ matrix @ prolong
         n_cells //= 2
-    nd = _dirichlet_dofs(nested_dissection(n_cells), dofs_per_node)
-    nd = np.searchsorted(np.sort(nd), nd)
-    coarsest = factor_dirichlet(matrix, nd)
+    nd = _nd_positions(n_cells, dofs_per_node)
+    coarsest = factor_dirichlet(
+        _on_block_pattern(matrix, n_cells, dofs_per_node), n_cells,
+        dofs_per_node)
 
     def cycle(res, level=0):
         if level == len(levels):
@@ -523,45 +685,51 @@ def _pcg(matrix, rhs, precondition):
     return None
 
 
-def solve_dirichlet(matrix, rhs, grid, dofs_per_node=1):
+def solve_dirichlet(block, rhs, grid, dofs_per_node=1):
     """Solve with the boundary dofs of a Dirichlet grid held at zero.
 
-    ``matrix`` and ``rhs`` cover all dofs of ``grid``, ``dofs_per_node``
-    per node, node-major; the free dofs are those of ``grid.interior``.
-    Up to ``DIRECT_MAX_DOFS`` free dofs, one factorization eliminates
-    them in the interior's nested-dissection order; larger systems solve
-    by CG preconditioned with one V-cycle (``_v_cycle``), and by the
-    factorization if CG stops at its iteration cap.
+    ``block`` is the grid's free-dof block (``assemble_*``); ``rhs``
+    covers all dofs of ``grid``, ``dofs_per_node`` per node, node-major,
+    and so does the solution.  Up to ``DIRECT_MAX_DOFS`` free dofs, one
+    factorization eliminates them in the interior's nested-dissection
+    order; larger systems solve by CG preconditioned with one V-cycle
+    (``_v_cycle``), and by the factorization if CG stops at its
+    iteration cap.
     """
-    free = _dirichlet_dofs(grid.interior, dofs_per_node)
-    x = np.zeros(matrix.shape[0])
+    free = free_dofs(grid, dofs_per_node)
+    x = np.zeros(grid.n_nodes * dofs_per_node)
     if free.size > DIRECT_MAX_DOFS:
-        rows = np.sort(free)
-        reduced = matrix[rows][:, rows]
-        sol = _pcg(reduced, rhs[rows],
-                   _v_cycle(reduced, grid.n, dofs_per_node))
+        sol = _pcg(block, rhs[free],
+                   _v_cycle(block, grid.n, dofs_per_node))
         if sol is not None:
-            x[rows] = sol
+            x[free] = sol
             return x
-    x[free] = factor_dirichlet(matrix, free).solve(rhs[free])
+    nd = free[_nd_positions(grid.n, dofs_per_node)]
+    x[nd] = factor_dirichlet(block, grid.n, dofs_per_node).solve(rhs[nd])
     return x
 
 
-def solve_periodic_pinned(matrix, rhs, dofs_per_node=1):
+def solve_periodic_pinned(block, rhs, dofs_per_node=1):
     """Direct solve of a periodic (constant-nullspace) system.
 
-    Pins the dofs of node 0, solves the reduced system, then removes the
-    per-component mean so solutions are zero-mean.  Assumes the rhs is
-    compatible (orthogonal to constants), which holds for divergence-form
-    loads.  Without a grid at hand, the elimination order is SuperLU's
-    minimum degree on A + A^T.  ``rhs`` (n,) gives (n,) or, with several
-    dofs per node, (n / d, d); ``rhs`` (n, r) solves r right-hand sides
-    with one factorization and stacks their solutions on a last axis.
+    ``block`` is the system with the dofs of node 0 pinned (``assemble_*``
+    on a periodic grid); ``rhs`` covers every dof.  Solves the pinned
+    system, then removes the per-component mean so solutions are
+    zero-mean.  Assumes the rhs is compatible (orthogonal to constants),
+    which holds for divergence-form loads.  Without a grid at hand, the
+    elimination order is SuperLU's minimum degree on A + A^T.  ``rhs``
+    (n,) gives (n,) or, with several dofs per node, (n / d, d); ``rhs``
+    (n, r) solves r right-hand sides with one factorization and stacks
+    their solutions on a last axis.
     """
-    n = matrix.shape[0]
-    keep = np.arange(dofs_per_node, n)
+    n = rhs.shape[0]
     x = np.zeros(rhs.shape)
-    x[keep] = _splu(matrix[keep][:, keep], "MMD_AT_PLUS_A").solve(rhs[keep])
+    # the block's CSR arrays are the CSC arrays of its transpose: factor
+    # that, and solve with it transposed
+    transposed = sp.csc_matrix((block.data, block.indices, block.indptr),
+                               shape=block.shape)
+    x[dofs_per_node:] = _splu(transposed, "MMD_AT_PLUS_A").solve(
+        rhs[dofs_per_node:], trans="T")
     # each column as its own contiguous array, so its means are summed as
     # a single right-hand side's are
     cols = [np.ascontiguousarray(c).reshape(-1, dofs_per_node)
@@ -572,6 +740,17 @@ def solve_periodic_pinned(matrix, rhs, dofs_per_node=1):
     if rhs.ndim == 1:
         return cols[0].reshape(shape)
     return np.stack([c.reshape(shape) for c in cols], axis=-1)
+
+
+def pinned_residual(block, x, rhs, dofs_per_node=1):
+    """Residual of a periodic solution ``x`` on the pinned block's rows.
+
+    ``x`` is (n,) or, with several dofs per node, (n / d, d); ``rhs`` (n,).
+    The periodic system annihilates constants, so ``x`` is first shifted
+    to vanish at node 0, whose dofs the block drops.
+    """
+    x = np.reshape(x, (-1, dofs_per_node))
+    return block @ (x[1:] - x[0]).ravel() - rhs[dofs_per_node:]
 
 
 # ---------------------------------------------------------------------------

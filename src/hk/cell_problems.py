@@ -90,10 +90,9 @@ def solve_scalar_cells(spec, loadings, grid, opts=None, solver=None):
         loc = spec.local_coefficients(grid.qp_coords())
         rhs = np.stack([-_fem.divergence_residual(grid, spec.flux_local(loc, xi))
                         for xi in loadings], axis=1)
-        matrix = _fem.assemble_diffusion(grid.conn, grid.h, grid.n_nodes,
-                                         loc["bmat"])
-        etas = np.ascontiguousarray(_fem.solve_periodic_pinned(matrix, rhs).T)
-        residuals = [np.linalg.norm(matrix @ eta - b)
+        block = _fem.assemble_diffusion(grid, loc["bmat"])
+        etas = np.ascontiguousarray(_fem.solve_periodic_pinned(block, rhs).T)
+        residuals = [_fem.vector_norm(_fem.pinned_residual(block, eta, b))
                      for eta, b in zip(etas, np.ascontiguousarray(rhs.T))]
         iterations = np.ones(len(loadings), dtype=int)
     else:
@@ -160,15 +159,15 @@ def solve_elastic_cells(tensor_b, grid, stresses):
     (zero Lame coefficients, say) raises SingularSystem.
     """
     lam, mu = tensor_b.lame_at(grid.qp_coords())
-    matrix = _fem.assemble_elasticity(grid.conn, grid.h, grid.n_nodes, lam, mu)
+    block = _fem.assemble_elasticity(grid, lam, mu)
     b = np.stack([_fem.divergence_residual(grid, tau).ravel()
                   for tau in stresses.values()])
     xs = np.ascontiguousarray(np.moveaxis(
-        _fem.solve_periodic_pinned(matrix, b.T, dofs_per_node=2), -1, 0))
+        _fem.solve_periodic_pinned(block, b.T, dofs_per_node=2), -1, 0))
     sols = {}
     for key, bc, xc in zip(stresses, b, xs):
-        bnorm = np.linalg.norm(bc[2:])
-        rnorm = np.linalg.norm((matrix @ xc.ravel() - bc)[2:])
+        bnorm = _fem.vector_norm(bc[2:])
+        rnorm = _fem.vector_norm(_fem.pinned_residual(block, xc, bc, 2))
         relres = float(rnorm / bnorm) if bnorm > 0.0 else 0.0
         sols[key] = ElasticCellSolution(key, xc, relres, 1, grid)
     return sols

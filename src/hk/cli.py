@@ -40,12 +40,12 @@ SCHEMA_VERSION = 1
 # Largest grids a config may ask for, so that memory stays bounded for
 # every config that validates.  The fine solves run on an N x N grid,
 # N = fine_m / eps per rung; above N = 64 they solve by multigrid PCG, and
-# one N = 512 laminate elastic solve peaks near 0.96 GiB of RSS, most of it
-# the assembly's element triplets (the laminate-p2 study peaks at 1.25
-# GiB).  The cell layer keeps a few cell potentials, cell_n^2 doubles
-# each, per quadrature point of the sample grid, which refines the solve
-# grid; CELL_TABLE_COPIES bounds how many are alive at once (solutions,
-# warm starts and their two-column derivatives).
+# one N = 512 laminate elastic solve peaks near 0.53 GiB of RSS (the
+# laminate-p2 study near 0.76 GiB).  The cell layer keeps a few cell
+# potentials, cell_n^2 doubles each, per quadrature point of the sample
+# grid, which refines the solve grid; CELL_TABLE_COPIES bounds how many
+# are alive at once (solutions, warm starts and their two-column
+# derivatives).
 MAX_GRID = {"cell_n": 64, "solve_n": 128, "sample_n": 256}
 MAX_FINE_N = 512
 MAX_CELL_TABLE_BYTES = 2 ** 30

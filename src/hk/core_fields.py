@@ -100,9 +100,9 @@ class DomainGrid(_Grid):
     (N+1)^2 nodes; the boundary mask marks the full topological boundary
     (Dirichlet nodes), leaving (N-1)^2 interior nodes.  ``interior`` lists
     them in nested-dissection order (``_fem.nested_dissection``, computed
-    once per N, on first use); ``_fem.solve_dirichlet`` takes its free
-    dofs from it, and factors the systems small enough to solve directly
-    in that order, with little fill.
+    once per N, on first use); ``_fem.solve_dirichlet`` factors the
+    systems small enough to solve directly in that order, with little
+    fill.
     """
 
     periodic = False

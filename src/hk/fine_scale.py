@@ -112,17 +112,16 @@ def solve_fine_electrostatic(spec, eps, f, domain, opts=None):
 
     def residual(rows, phis):
         res = _scalar_fine_residual(spec, loc, domain, phis[0], rhs)
-        return res[None], np.array([np.linalg.norm(res[free])])
+        return res[None], np.array([_fem.vector_norm(res[free])])
 
     def solve_with(coef, load=rhs):
-        matrix = _fem.assemble_diffusion(domain.conn, domain.h,
-                                         domain.n_nodes, coef)
-        return _fem.solve_dirichlet(matrix, load, domain)
+        return _fem.solve_dirichlet(_fem.assemble_diffusion(domain, coef),
+                                    load, domain)
 
     if spec.is_linear:
         phi = solve_with(loc["bmat"])
         res = _scalar_fine_residual(spec, loc, domain, phi, rhs)
-        rnorm, iterations = float(np.linalg.norm(res[free])), 1
+        rnorm, iterations = _fem.vector_norm(res[free]), 1
     else:
         def newton_step(rows, phis, res):
             grad = _fem.qp_gradient(phis[0], domain.conn, domain.h)
@@ -188,9 +187,9 @@ def solve_fine_elasticity(tensor_b, tensor_c, eps, g, sigma_qp, domain):
     stress = _fem.isotropic_stress(*osc.lame(tensor_c), sig_sym)
     rhs = rhs - _fem.divergence_residual(domain, stress)
 
-    matrix = _fem.assemble_elasticity(domain.conn, domain.h, domain.n_nodes,
-                                      lam_qp=lam_b, mu_qp=mu_b)
-    u = _fem.solve_dirichlet(matrix, rhs.ravel(), domain, dofs_per_node=2)
-    res = (matrix @ u).reshape(-1, 2) - rhs
-    rnorm = float(np.linalg.norm(res[domain.interior]))
+    block = _fem.assemble_elasticity(domain, lam_qp=lam_b, mu_qp=mu_b)
+    rhs = rhs.ravel()
+    u = _fem.solve_dirichlet(block, rhs, domain, dofs_per_node=2)
+    free = _fem.free_dofs(domain, 2)
+    rnorm = _fem.vector_norm(block @ u[free] - rhs[free])
     return VectorField(domain, u.reshape(-1, 2)), rnorm

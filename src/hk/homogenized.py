@@ -73,7 +73,7 @@ def solve_homogenized_electrostatic(law, f, domain, opts=None):
 
     def flux_residual(flux):
         res = _fem.divergence_residual(domain, flux.reshape(nel, 4, 2)) - rhs
-        return res[None], np.array([np.linalg.norm(res[free])])
+        return res[None], np.array([_fem.vector_norm(res[free])])
 
     def residual(rows, phis):
         nonlocal etas
@@ -89,21 +89,18 @@ def solve_homogenized_electrostatic(law, f, domain, opts=None):
         # from last (the start, or the line-search trial it accepted), so
         # ``etas`` are the cell solutions at phis[0]
         nonlocal predictor
-        history.append(float(np.linalg.norm(res[0, free])))
+        history.append(_fem.vector_norm(res[0, free]))
         grads = _grad_flat(phis[0], domain)
         jac, w = law.jacobian_batch(grads, etas)
         if etas is not None:
             predictor = (grads, etas, w)
-        matrix = _fem.assemble_diffusion(domain.conn, domain.h,
-                                         domain.n_nodes,
-                                         jac.reshape(nel, 4, 2, 2))
-        return _fem.solve_dirichlet(matrix, -res[0], domain)[None]
+        block = _fem.assemble_diffusion(domain, jac.reshape(nel, 4, 2, 2))
+        return _fem.solve_dirichlet(block, -res[0], domain)[None]
 
     if law.mode == "linear":
         coef = np.broadcast_to(law.matrix, (nel, 4, 2, 2))
-        matrix = _fem.assemble_diffusion(domain.conn, domain.h,
-                                         domain.n_nodes, coef)
-        phi = _fem.solve_dirichlet(matrix, rhs, domain)
+        phi = _fem.solve_dirichlet(_fem.assemble_diffusion(domain, coef),
+                                   rhs, domain)
         flux = law.eval_batch(_grad_flat(phi, domain))
         rnorm = float(flux_residual(flux)[1][0])
         return HomogenizedSolution(ScalarField(domain, phi), rnorm, 1, [rnorm])
@@ -111,8 +108,8 @@ def solve_homogenized_electrostatic(law, f, domain, opts=None):
     # initial iterate: identity-coefficient surrogate, rescaled to match
     # the flux magnitude when the law is homogeneous (a(s xi) = s^g a(xi))
     eye = np.broadcast_to(np.eye(2), (nel, 4, 2, 2))
-    matrix = _fem.assemble_diffusion(domain.conn, domain.h, domain.n_nodes, eye)
-    phi = _fem.solve_dirichlet(matrix, rhs, domain)
+    phi = _fem.solve_dirichlet(_fem.assemble_diffusion(domain, eye), rhs,
+                               domain)
     gamma = law.spec.homogeneity_degree
     if gamma is not None and gamma != 1.0:
         flux0, etas0 = law.solve(_grad_flat(phi, domain))
@@ -250,12 +247,12 @@ def solve_homogenized_elasticity(b_eff, c_eff, g, phi0, domain,
         grads = _gradient_at(phi0, gradient_field, pts)
         stress = c_eff.apply(grads[..., :, None] * grads[..., None, :])
         rhs = rhs - _fem.divergence_residual(domain, stress)
-    matrix = _fem.assemble_elasticity_constant(domain.conn, domain.h,
-                                               domain.n_nodes, b_eff.tensor)
-    u = _fem.solve_dirichlet(matrix, rhs.ravel(), domain, dofs_per_node=2)
-    res = (matrix @ u).reshape(-1, 2) - rhs
+    block = _fem.assemble_elasticity_constant(domain, b_eff.tensor)
+    rhs = rhs.ravel()
+    u = _fem.solve_dirichlet(block, rhs, domain, dofs_per_node=2)
+    free = _fem.free_dofs(domain, 2)
     return (VectorField(domain, u.reshape(-1, 2)),
-            float(np.linalg.norm(res[domain.interior])))
+            _fem.vector_norm(block @ u[free] - rhs[free]))
 
 
 def reconstruct_u1(elastic_solutions, electrostriction_solutions, u0, phi0,

@@ -6,6 +6,7 @@ and solver paths.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def laminate_flux_balance(sigmas, fractions, p, loading=1.0):
@@ -117,3 +118,37 @@ def manufactured_elasticity(lam, mu):
         return np.stack([g1, g2], axis=-1)
 
     return u, g
+
+
+def coo_stiffness(conn, ke, n_dofs, dofs_per_node=1):
+    """Sparse stiffness summed from per-element blocks as COO triplets.
+
+    ke: dense blocks (nel, 4d, 4d) or flat (nel, 16d^2) for d dofs per
+    node, in local dof order (node-major, component-minor).  Every element
+    entry gets its own (row, column) pair, and ``tocsr`` sums duplicates.
+    """
+    nel = conn.shape[0]
+    dofs = (conn[:, :, None] * dofs_per_node
+            + np.arange(dofs_per_node)).reshape(nel, -1)
+    nc = dofs.shape[1]
+    rows = np.repeat(dofs, nc, axis=1).ravel()
+    cols = np.tile(dofs, (1, nc)).ravel()
+    mat = sp.coo_matrix((ke.reshape(nel, -1).ravel(), (rows, cols)),
+                        shape=(n_dofs, n_dofs))
+    return mat.tocsr()
+
+
+def solved_block(grid, ke, dofs_per_node=1):
+    """``coo_stiffness`` on a grid, cut to the dofs that its solves keep.
+
+    A Dirichlet grid keeps the dofs of its interior nodes, a periodic one
+    every dof but node 0's; both in grid order.  Returns a dense array.
+    """
+    d = dofs_per_node
+    full = coo_stiffness(grid.conn, ke, d * grid.n_nodes, d).toarray()
+    if grid.periodic:
+        free = np.arange(d, d * grid.n_nodes)
+    else:
+        nodes = np.flatnonzero(~grid.boundary_mask)
+        free = (nodes[:, None] * d + np.arange(d)).ravel()
+    return full[np.ix_(free, free)]

@@ -367,8 +367,8 @@ def reference_newton(spec, loading, grid):
     def newton_step(rows, etas, res):
         jac = spec.jacobian_local(loc, total_gradient(etas[0]),
                                   delta_floor=opts.delta_jac)
-        matrix = _fem.assemble_diffusion(grid.conn, grid.h, grid.n_nodes, jac)
-        return _fem.solve_periodic_pinned(matrix, -res[0])[None]
+        block = _fem.assemble_diffusion(grid, jac)
+        return _fem.solve_periodic_pinned(block, -res[0])[None]
 
     out = _fem.damped_newton(np.zeros((1, grid.n_nodes)), residual,
                              newton_step, opts.tol, opts.max_newton,
@@ -456,10 +456,9 @@ def test_band_newton_step_matches_dense_solve(n):
     rhs = -batch._residual(loadings, etas)
     step = batch._band_solve(jac, rhs[:, :, None])[..., 0]
     for k in range(3):
-        dense = _fem.assemble_diffusion(grid.conn, grid.h, grid.n_nodes,
-                                        jac[k]).toarray()
+        pinned = _fem.assemble_diffusion(grid, jac[k]).toarray()
         ref = np.zeros(grid.n_nodes)
-        ref[1:] = np.linalg.solve(dense[1:, 1:], rhs[k, 1:])
+        ref[1:] = np.linalg.solve(pinned, rhs[k, 1:])
         assert np.linalg.norm(step[k] - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -482,9 +481,9 @@ def _reference_band_solve(batch, jac, rhs):
     bw = batch.bandwidth
     out = np.zeros_like(rhs)
     for k in range(jac.shape[0]):
-        dense = _fem.assemble_diffusion(grid.conn, grid.h, grid.n_nodes,
-                                        jac[k]).toarray()
-        pinned = dense[np.ix_(unknowns, unknowns)]
+        # the assembled block drops node 0: node i is its row i - 1
+        dense = _fem.assemble_diffusion(grid, jac[k]).toarray()
+        pinned = dense[np.ix_(unknowns - 1, unknowns - 1)]
         ab = np.zeros((bw + 1, unknowns.size))
         for i in range(bw + 1):
             ab[i, :unknowns.size - i] = np.diagonal(pinned, -i)

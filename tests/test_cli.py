@@ -394,6 +394,34 @@ def test_python_m_hk_runs_the_cli():
     assert done.stdout.startswith("usage: hk ")
 
 
+def test_study_report_does_not_depend_on_blas_threads(tmp_path):
+    # a linear laminate with elasticity whose finest rung is N = 128: its
+    # residual vectors are long enough for BLAS to split a dot product
+    # over threads, which moved their norms' last bits
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    import hk
+    path, _ = small_config(tmp_path, grids={"cell_n": 8, "fine_m": 16,
+                                            "solve_n": 16, "sample_n": 32})
+    src = str(Path(hk.__file__).resolve().parent.parent)
+    reports = []
+    for blas in ("1", "2"):
+        out = tmp_path / f"blas-{blas}"
+        done = subprocess.run(
+            [sys.executable, "-m", "hk", "corrector-study", "--config",
+             str(path), "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=blas),
+            capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        reports.append(json.loads((out / "corrector_report.json").read_text()))
+    one, two = reports
+    assert len(one["fine_residuals"]) == 2 and one["elasticity_gaps"]
+    assert one["fine_residuals"] == two["fine_residuals"]
+    assert one["macro_history"] == two["macro_history"]
+
+
 @pytest.mark.parametrize("value", ["as-written", "other", None, 1])
 def test_retired_chom_variant_exits_3(tmp_path, capsys, value):
     # an old config that asks for another electrostriction average fails

@@ -18,6 +18,7 @@ from hk.core_fields import CellGrid, DomainGrid
 from hk.corrector import two_scale_stress_pairing
 from hk.effective import EffectiveElectrostriction
 from hk.homogenized import CorrectorData
+from oracles import solved_block
 
 GRIDS = {"cell-8": lambda: CellGrid(8), "domain-6": lambda: DomainGrid(6)}
 
@@ -70,8 +71,8 @@ def test_assemble_diffusion_matches_einsum(grid, tail):
         ke = np.einsum("q,qad,eqdc,qbc->eab", w, g, coef, g)
     else:
         ke = np.einsum("q,qad,eq,qbd->eab", w, g, coef, g)
-    ref = _fem._csr_from_blocks(grid.conn, ke, grid.n_nodes).toarray()
-    got = _fem.assemble_diffusion(grid.conn, grid.h, grid.n_nodes, coef)
+    ref = solved_block(grid, ke)
+    got = _fem.assemble_diffusion(grid, coef)
     _close(got.toarray(), ref)
 
 
@@ -181,10 +182,9 @@ def test_isotropic_elastic_blocks_match_einsum(grid):
     ke = (np.einsum("q,eq,qai,qbj->eaibj", w, lam, g, g)
           + np.einsum("q,eq,qaj,qbi->eaibj", w, mu, g, g)
           + np.einsum("q,eq,ij,qak,qbk->eaibj", w, mu, np.eye(2), g, g))
-    ref = _fem._csr_from_blocks(grid.conn, ke.reshape(-1, 8, 8),
-                                2 * grid.n_nodes, dofs_per_node=2)
-    got = _fem.assemble_elasticity(grid.conn, grid.h, grid.n_nodes, lam, mu)
-    _close(got.toarray(), ref.toarray())
+    ref = solved_block(grid, ke.reshape(-1, 8, 8), dofs_per_node=2)
+    got = _fem.assemble_elasticity(grid, lam, mu)
+    _close(got.toarray(), ref)
 
 
 def test_tensor_elastic_blocks_match_einsum(grid):
@@ -193,12 +193,83 @@ def test_tensor_elastic_blocks_match_einsum(grid):
     w = grid.h * grid.h * _fem.REF_WEIGHTS
     g = _fem.SHAPE_GRAD / grid.h
     ke = np.einsum("q,qak,ikjl,qbl->aibj", w, g, tensor, g).reshape(8, 8)
-    ref = _fem._csr_from_blocks(
-        grid.conn, np.broadcast_to(ke, (grid.n_elems, 8, 8)),
-        2 * grid.n_nodes, dofs_per_node=2)
-    got = _fem.assemble_elasticity_constant(grid.conn, grid.h, grid.n_nodes,
-                                            tensor)
-    _close(got.toarray(), ref.toarray())
+    ref = solved_block(grid, np.broadcast_to(ke, (grid.n_elems, 8, 8)),
+                       dofs_per_node=2)
+    got = _fem.assemble_elasticity_constant(grid, tensor)
+    _close(got.toarray(), ref)
+
+
+STENCIL_GRIDS = {"domain-2": lambda: DomainGrid(2),
+                 "domain-3": lambda: DomainGrid(3),
+                 "domain-8": lambda: DomainGrid(8),
+                 "cell-4": lambda: CellGrid(4),
+                 "cell-8": lambda: CellGrid(8)}
+
+
+def _random_block(grid, kind, rng):
+    """An assembled block of a random coefficient, its element blocks and
+    its dofs per node.  The matrix and tensor coefficients have no
+    symmetry, so neither does their block."""
+    nel = grid.n_elems
+    if kind == "scalar":
+        coef = rng.uniform(0.5, 2.0, (nel, 4))
+        return (_fem.assemble_diffusion(grid, coef),
+                coef @ _fem.SCALAR_BLOCK_OP, 1)
+    if kind == "matrix":
+        coef = 2.0 * np.eye(2) + 0.5 * rng.standard_normal((nel, 4, 2, 2))
+        return (_fem.assemble_diffusion(grid, coef),
+                coef.reshape(nel, 16) @ _fem.BLOCK_OP, 1)
+    if kind == "lame":
+        lam, mu = rng.uniform(0.5, 2.0, (2, nel, 4))
+        lame = np.stack([lam, mu], axis=-1).reshape(nel, 8)
+        return (_fem.assemble_elasticity(grid, lam, mu),
+                lame @ _fem.LAME_BLOCK_OP, 2)
+    tensor = isotropic_tensor(1.0, 1.0) \
+        + 0.2 * rng.standard_normal((2, 2, 2, 2))
+    ke = np.tile(tensor.reshape(16), 4) @ _fem.ELASTIC_BLOCK_OP
+    return (_fem.assemble_elasticity_constant(grid, tensor),
+            np.broadcast_to(ke, (nel, 64)), 2)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "matrix", "lame", "tensor"])
+@pytest.mark.parametrize("name", sorted(STENCIL_GRIDS))
+def test_stencil_block_matches_coo_reference(name, kind):
+    # Dirichlet N = 2 has one interior node; the periodic grids wrap
+    grid = STENCIL_GRIDS[name]()
+    block, ke, d = _random_block(grid, kind, np.random.default_rng(21))
+    _close(block.toarray(), solved_block(grid, ke, d))
+    # sorted with no duplicates, so scipy never sorts the cached pattern
+    # in place, and it could not: its index arrays are read-only
+    assert block.has_canonical_format
+    assert block.indices.dtype == block.indptr.dtype == np.int32
+    assert not block.indices.flags.writeable
+    assert not block.indptr.flags.writeable
+
+
+@pytest.mark.parametrize("kind", ["scalar", "matrix", "lame", "tensor"])
+@pytest.mark.parametrize("name", sorted(STENCIL_GRIDS))
+def test_direct_solves_match_dense_reference(name, kind):
+    # the factorizations take the block as CSC (a nested-dissection gather
+    # on Dirichlet grids, the transpose's arrays on periodic ones): with no
+    # symmetry in the block, a wrong orientation solves the transpose
+    grid = STENCIL_GRIDS[name]()
+    rng = np.random.default_rng(22)
+    block, ke, d = _random_block(grid, kind, rng)
+    ref = solved_block(grid, ke, d)
+    rhs = rng.standard_normal(d * grid.n_nodes)
+    expected = np.zeros(rhs.size)
+    if grid.periodic:
+        # pinned at node 0, then shifted to zero mean per component
+        expected[d:] = np.linalg.solve(ref, rhs[d:])
+        expected = expected.reshape(-1, d)
+        expected -= expected.mean(axis=0)
+        got = _fem.solve_periodic_pinned(block, rhs, d)
+    else:
+        free = _fem.free_dofs(grid, d)
+        expected[free] = np.linalg.solve(ref, rhs[free])
+        got = _fem.solve_dirichlet(block, rhs, grid, d)
+    got = got.reshape(expected.shape)
+    assert np.abs(got - expected).max() <= 1e-11 * np.abs(expected).max()
 
 
 def test_isotropic_tensor_matches_einsum():
@@ -298,3 +369,6 @@ def test_library_has_one_kernel_idiom(path):
     names = set(_identifiers(ast.parse(path.read_text(), str(path))))
     assert not {n for n in names if n and "einsum" in n}
     assert not names & {"contract", "_contract"}
+    # one assembly path, stencil sums into the solved block: no COO
+    # triplets
+    assert not names & {"coo_matrix", "coo_array"}

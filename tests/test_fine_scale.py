@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hk import _fem
 from hk.constitutive import ElasticTensorField, Geometry, OperatorSpec
@@ -179,7 +180,7 @@ def test_elasticity_linear_in_load():
 
 
 def _laminate_dirichlet_system(n, eps, elastic):
-    """Fine-scale laminate stiffness, a smooth load and the free dofs."""
+    """Fine-scale laminate block, a smooth load and the dofs per node."""
     dom = DomainGrid(n)
     osc = OscillatoryMap(dom, eps, LAMINATE)
     pts = dom.node_coords()
@@ -187,31 +188,35 @@ def _laminate_dirichlet_system(n, eps, elastic):
     if elastic:
         b = ElasticTensorField.from_lame((1.0, 1.0), (3.0, 2.0), LAMINATE)
         lam, mu = osc.lame(b)
-        matrix = _fem.assemble_elasticity(dom.conn, dom.h, dom.n_nodes,
-                                          lam, mu)
+        block = _fem.assemble_elasticity(dom, lam, mu)
         rhs = np.stack([load, 1.0 - load], axis=-1).ravel()
-        free = np.stack([2 * dom.interior, 2 * dom.interior + 1],
-                        axis=-1).ravel()
+        return block, rhs, 2
+    spec = OperatorSpec(family="linear", geometry=LAMINATE, sigma=(1.0, 4.0))
+    block = _fem.assemble_diffusion(dom, osc.local_coefficients(spec)["bmat"])
+    return block, load, 1
+
+
+def _factor_solve(block, rhs, n, d, free=None):
+    """Solution over all dofs by one factorization that eliminates the
+    grid dofs ``free`` in the order given (nested dissection by default)."""
+    dofs = _fem.free_dofs(DomainGrid(n), d)
+    if free is None:
+        free = dofs[_fem._nd_positions(n, d)]
+        lu = _fem.factor_dirichlet(block, n, d)
     else:
-        spec = OperatorSpec(family="linear", geometry=LAMINATE,
-                            sigma=(1.0, 4.0))
-        matrix = _fem.assemble_diffusion(
-            dom.conn, dom.h, dom.n_nodes, osc.local_coefficients(spec)["bmat"])
-        rhs, free = load, dom.interior
-    return matrix, rhs, free
-
-
-def _factor_solve(matrix, rhs, free):
-    x = np.zeros(matrix.shape[0])
-    x[free] = _fem.factor_dirichlet(matrix, free).solve(rhs[free])
+        at = np.searchsorted(dofs, free)
+        lu = _fem._splu(sp.csc_matrix(block[at][:, at]), "NATURAL")
+    x = np.zeros(rhs.size)
+    x[free] = lu.solve(rhs[free])
     return x
 
 
 @pytest.mark.parametrize("elastic", [False, True])
 def test_nested_dissection_solve_matches_sorted_order(elastic):
-    matrix, rhs, free = _laminate_dirichlet_system(32, 0.25, elastic)
-    x_nd = _factor_solve(matrix, rhs, free)
-    x_sorted = _factor_solve(matrix, rhs, np.sort(free))
+    block, rhs, d = _laminate_dirichlet_system(32, 0.25, elastic)
+    x_nd = _factor_solve(block, rhs, 32, d)
+    free = _fem.free_dofs(DomainGrid(32), d)[_fem._nd_positions(32, d)]
+    x_sorted = _factor_solve(block, rhs, 32, d, np.sort(free))
     assert not np.array_equal(free, np.sort(free))
     assert np.abs(x_nd - x_sorted).max() <= 1e-12 * np.abs(x_sorted).max()
 
@@ -219,14 +224,34 @@ def test_nested_dissection_solve_matches_sorted_order(elastic):
 def test_nested_dissection_fill_of_finest_elastic_matrix():
     # the N = 128 elastic laminate system (32,258 dofs): L+U hold 8.6M
     # entries in SuperLU's default COLAMD order, ~4.1M in this one
-    matrix, _, free = _laminate_dirichlet_system(128, 0.0625, True)
-    lu = _fem.factor_dirichlet(matrix, free)
-    assert np.array_equal(lu.perm_r, np.arange(free.size))
+    block, _, _ = _laminate_dirichlet_system(128, 0.0625, True)
+    lu = _fem.factor_dirichlet(block, 128, 2)
+    assert np.array_equal(lu.perm_r, np.arange(block.shape[0]))
     assert lu.L.nnz + lu.U.nnz <= 5.0e6
 
 
+def test_elastic_assembly_memory_at_n128():
+    # the N = 128 laminate elastic block (32,258 dofs, 6.7 MiB): summing
+    # COO triplets of its element entries and converting them to CSR
+    # peaked at 46.1 MiB; stencil sums straight into the block stay under
+    # 25 MiB, the first build of its cached pattern included
+    import tracemalloc
+    dom = DomainGrid(128)
+    b = ElasticTensorField.from_lame((1.0, 1.0), (3.0, 2.0), LAMINATE)
+    lam, mu = OscillatoryMap(dom, 0.0625, LAMINATE).lame(b)
+    _fem._block_pattern.cache_clear()
+    tracemalloc.start()
+    try:
+        block = _fem.assemble_elasticity(dom, lam, mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block.shape == (2 * 127 ** 2,) * 2
+    assert peak <= 25 * 2 ** 20
+
+
 def _p3_jacobian_system(n, eps):
-    """A fine Newton Jacobian of the p = 3 laminate, a load and the free dofs.
+    """A fine Newton Jacobian block of the p = 3 laminate, a load and 1 dof.
 
     The Jacobian is taken at the Newton start for f = 1, the
     frozen-coefficient solve, whose gradient vanishes near the centre;
@@ -238,13 +263,11 @@ def _p3_jacobian_system(n, eps):
                         geometry=LAMINATE, sigma=(1.0, 4.0))
     loc = OscillatoryMap(dom, eps, LAMINATE).local_coefficients(spec)
     load = _fem.load_vector(dom, np.ones((dom.n_elems, 4)))
-    start = _fem.assemble_diffusion(dom.conn, dom.h, dom.n_nodes,
-                                    loc["sigma"])
-    phi = _factor_solve(start, load, dom.interior)
+    start = _fem.assemble_diffusion(dom, loc["sigma"])
+    phi = _factor_solve(start, load, n, 1)
     jac = spec.jacobian_local(loc, _fem.qp_gradient(phi, dom.conn, dom.h),
                               delta_floor=SolverOptions().delta_jac)
-    matrix = _fem.assemble_diffusion(dom.conn, dom.h, dom.n_nodes, jac)
-    return matrix, load, dom.interior
+    return _fem.assemble_diffusion(dom, jac), load, 1
 
 
 def _factor_sizes(monkeypatch):
@@ -266,16 +289,15 @@ def test_multigrid_pcg_matches_direct_solve(kind, monkeypatch):
     # a PCG that needed more would fall back to a factorization of every
     # free dof
     if kind == "p3-jacobian":
-        matrix, rhs, free = _p3_jacobian_system(128, 0.0625)
+        block, rhs, d = _p3_jacobian_system(128, 0.0625)
     else:
-        matrix, rhs, free = _laminate_dirichlet_system(128, 0.0625,
-                                                       kind == "elastic")
-    direct = _factor_solve(matrix, rhs, free)
-    assert free.size > _fem.DIRECT_MAX_DOFS
+        block, rhs, d = _laminate_dirichlet_system(128, 0.0625,
+                                                   kind == "elastic")
+    direct = _factor_solve(block, rhs, 128, d)
+    assert block.shape[0] > _fem.DIRECT_MAX_DOFS
     monkeypatch.setattr(_fem, "PCG_MAX_ITER", 30)
     sizes = _factor_sizes(monkeypatch)
-    x = _fem.solve_dirichlet(matrix, rhs, DomainGrid(128),
-                             dofs_per_node=2 if kind == "elastic" else 1)
+    x = _fem.solve_dirichlet(block, rhs, DomainGrid(128), dofs_per_node=d)
     assert sizes and max(sizes) <= _fem.DIRECT_MAX_DOFS
     assert np.abs(x - direct).max() <= 1e-9 * np.abs(direct).max()
 
@@ -294,10 +316,10 @@ def test_fine_elasticity_factors_nothing_above_the_cut(monkeypatch):
 
 
 def test_pcg_iteration_cap_falls_back_to_direct_solve(monkeypatch):
-    matrix, rhs, free = _laminate_dirichlet_system(128, 0.0625, False)
-    direct = _factor_solve(matrix, rhs, free)
+    block, rhs, _ = _laminate_dirichlet_system(128, 0.0625, False)
+    direct = _factor_solve(block, rhs, 128, 1)
     monkeypatch.setattr(_fem, "PCG_MAX_ITER", 1)
     sizes = _factor_sizes(monkeypatch)
-    x = _fem.solve_dirichlet(matrix, rhs, DomainGrid(128))
-    assert free.size in sizes
+    x = _fem.solve_dirichlet(block, rhs, DomainGrid(128))
+    assert block.shape[0] in sizes
     assert np.abs(x - direct).max() <= 1e-12 * np.abs(direct).max()

@@ -33,9 +33,9 @@ def test_linear_law_matches_direct_solve():
     macro = solve_homogenized_electrostatic(law, 1.0, dom)
     # direct path: assemble the constant-matrix diffusion problem by hand
     coef = np.broadcast_to(law.matrix, (dom.n_elems, 4, 2, 2))
-    matrix = _fem.assemble_diffusion(dom.conn, dom.h, dom.n_nodes, coef)
+    block = _fem.assemble_diffusion(dom, coef)
     rhs = _fem.load_vector(dom, np.ones((dom.n_elems, 4)))
-    direct = _fem.solve_dirichlet(matrix, rhs, dom)
+    direct = _fem.solve_dirichlet(block, rhs, dom)
     assert np.abs(macro.potential.values - direct).max() < 1e-10
     assert macro.cell_potentials is None
 
