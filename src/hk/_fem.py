@@ -37,6 +37,16 @@ _G1 = 0.5 + 0.5 / np.sqrt(3.0)
 REF_POINTS = np.array([(gx, gy) for gy in (_G0, _G1) for gx in (_G0, _G1)])
 REF_WEIGHTS = np.full(4, 0.25)
 
+# Work arrays that scale with a batch (the batched cell solver's chunk of
+# loadings, the stress pairing's chunk of sample rows, the pairing limit's
+# block of element rows) stay within this many bytes: the size class of
+# a 2 MiB-per-core L2 cache.  Cold batched p = 3 cell solves, one BLAS
+# thread, best of 15 at n = 8 (200 rows) / n = 16 (100) / n = 32 (40):
+# 2 MiB 17.7 / 48.2 / 109 ms, 4 MiB 17.2 / 47.5 / 104 ms, 8 MiB 15.6 /
+# 45.1 / 105 ms, 40 MiB 15.8 / 49.1 / 124 ms; 4 and 8 MiB are within the
+# host's noise of each other, and the smaller one is kept.
+WORK_BUDGET_BYTES = 4 * 2 ** 20
+
 # Local node order: counterclockwise from the lower-left corner.
 _CORNERS = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
 # nodal values (a) -> coefficients (m) of 1, x, y, xy of the interpolant
@@ -150,10 +160,14 @@ def structured_connectivity(n_cells, periodic):
     return np.ascontiguousarray(conn)
 
 
-def qp_coords(n_cells, h, origin):
-    """Physical quadrature-point coordinates, (n_elements, 4, 2)."""
+def qp_coords(n_cells, h, origin, rows=slice(None)):
+    """Physical quadrature-point coordinates, (n_elements, 4, 2).
+
+    ``rows`` picks a range of element rows; their elements come in the
+    same order and with the same coordinates as in the whole table.
+    """
     n = n_cells
-    ex, ey = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
+    ex, ey = np.meshgrid(np.arange(n), np.arange(n)[rows], indexing="xy")
     corner = np.stack([ex.ravel(), ey.ravel()], axis=-1) * h + np.asarray(origin)
     return corner[:, None, :] + h * REF_POINTS[None, :, :]
 
@@ -451,13 +465,18 @@ def assemble_elasticity_constant(grid, tensor):
 # Linear solvers
 # ---------------------------------------------------------------------------
 
-def vector_norm(vector):
-    """Euclidean norm of a 1-D vector, from numpy sums.
+def vector_dot(a, b):
+    """Inner product of two 1-D vectors, from a numpy sum.
 
-    ``np.linalg.norm`` takes BLAS ``ddot``, whose partial sums, and so
-    whose last bits, depend on the number of BLAS threads.
+    ``a @ b`` and ``np.linalg.norm`` take BLAS ``ddot``, whose partial
+    sums, and so whose last bits, depend on the number of BLAS threads.
     """
-    return float(np.sqrt(np.sum(vector * vector)))
+    return float(np.sum(a * b))
+
+
+def vector_norm(vector):
+    """Euclidean norm of a 1-D vector, from ``vector_dot``."""
+    return float(np.sqrt(vector_dot(vector, vector)))
 
 
 def _splu(matrix, permc_spec):
@@ -662,25 +681,24 @@ def _pcg(matrix, rhs, precondition):
     """Preconditioned CG to a relative residual of ``PCG_RTOL``.
 
     Returns None after ``PCG_MAX_ITER`` iterations.  Inner products are
-    numpy sums, not BLAS dot products, whose partial sums depend on the
-    number of BLAS threads.
+    ``vector_dot``'s numpy sums.
     """
     x = np.zeros_like(rhs)
-    stop = PCG_RTOL ** 2 * np.sum(rhs * rhs)
+    stop = PCG_RTOL ** 2 * vector_dot(rhs, rhs)
     if stop == 0.0:
         return x
     res = rhs.copy()
     direction = precondition(res)
-    rz = np.sum(res * direction)
+    rz = vector_dot(res, direction)
     for _ in range(PCG_MAX_ITER):
         image = matrix @ direction
-        alpha = rz / np.sum(direction * image)
+        alpha = rz / vector_dot(direction, image)
         x += alpha * direction
         res -= alpha * image
-        if np.sum(res * res) <= stop:
+        if vector_dot(res, res) <= stop:
             return x
         z = precondition(res)
-        rz, rz_old = np.sum(res * z), rz
+        rz, rz_old = vector_dot(res, z), rz
         direction = z + (rz / rz_old) * direction
     return None
 

@@ -197,12 +197,6 @@ def solve_electrostriction_cell(tensor_b, tensor_c, zeta_qp, grid,
 # Batched scalar cell solves (banded Cholesky over many loadings)
 # ---------------------------------------------------------------------------
 
-# The work arrays of one chunk of loadings stay within this many bytes.
-# One loading at cell_n 128 needs 38.9 MiB; budgets down to 12 MiB ran the
-# benchmark's n = 8 and n = 16 cell solves at most ~3% faster, within its
-# run-to-run noise.
-CHUNK_BUDGET_BYTES = 40 * 2 ** 20
-MAX_CHUNK = 512
 # Cold batches solve by continuation from anchor rows
 # (``BatchScalarCellSolver.solve``) from this many rows and this many cell
 # nodes over all rows on: the break-even measured at cell_n 16 (16 rows)
@@ -280,11 +274,12 @@ class BatchScalarCellSolver:
     each thread keeps for this solver, grown to the largest chunk it has
     seen; kernels fill it with ``out=`` and in-place ufuncs and return
     views of it, so a caller copies what it keeps.  Chunks are sized so
-    that a workspace stays within ``CHUNK_BUDGET_BYTES`` (40 MiB: 512
-    loadings at n = 8, 235 at n = 16); the last row of a chunk is
-    factored at the end of the stacked band, so the chunk size is part
-    of the bitwise result.  Threads share only the constant tables built
-    here.  Results are bitwise deterministic.
+    that a workspace stays within ``_fem.WORK_BUDGET_BYTES`` (4 MiB: 520
+    loadings at n = 4, 115 at n = 8, 23 at n = 16, 4 at n = 32, 1 from
+    n = 64 on); the last row of a chunk is factored at the end of the
+    stacked band, so the chunk size is part of the bitwise result.
+    Threads share only the constant tables built here.  Results are
+    bitwise deterministic.
     """
 
     def __init__(self, spec, grid, opts=None):
@@ -350,8 +345,7 @@ class BatchScalarCellSolver:
         self._at_res = self._at_terms + 2 * nn
         self._at_sums = self._at_res + nn
         self.loading_bytes = 8 * sum(self._layout.values())
-        self.chunk = max(1, min(MAX_CHUNK,
-                                CHUNK_BUDGET_BYTES // self.loading_bytes))
+        self.chunk = max(1, _fem.WORK_BUDGET_BYTES // self.loading_bytes)
         self._local = threading.local()
 
     def _workspace(self, k):

@@ -266,10 +266,6 @@ def corrector_error_dalmaso(phi_eps, phi0, law, corr, eps, p,
 # Two-scale pairings
 # ---------------------------------------------------------------------------
 
-# Work arrays of one chunk of sample rows in ``two_scale_stress_pairing``
-# stay within this many bytes, at every cell and sample grid size.
-PAIRING_BUDGET_BYTES = 16 * 2 ** 20
-
 def two_scale_pairing(v, psi_x, psi_y, eps, domain=None):
     """∫ v(x) psi_x(x) psi_y(x/eps) dx by fine-grid quadrature.
 
@@ -288,13 +284,24 @@ def two_scale_pairing(v, psi_x, psi_y, eps, domain=None):
 def pairing_limit(g_field, psi_x, psi_y, resolution=256):
     """(1/|Y|) ∫∫ g(y) psi_x(x) psi_y(y) dy dx for a separable limit.
 
-    The x-factor integral uses an independent high-resolution quadrature;
-    the y-factor integrates the interpolated unit-cell field against the
-    closed-form test factor.
+    The x-factor integral uses an independent high-resolution quadrature
+    on the unit square, evaluated over blocks of element rows whose work
+    arrays stay within ``_fem.WORK_BUDGET_BYTES``; the per-point sums run
+    in element order across the blocks, so the integral is bitwise the
+    one of the whole table.  The y-factor integrates the interpolated
+    unit-cell field against the closed-form test factor.
     """
-    ref = DomainGrid(resolution)
-    pts = ref.qp_coords()
-    int_x = _fem.integrate_qp(ref.h, psi_x(pts[..., 0], pts[..., 1]))
+    h = 1.0 / resolution
+    # per element: 8 coordinates, and the factor's values, a few
+    # temporaries of the same size and their stacked copy
+    block = max(1, _fem.WORK_BUDGET_BYTES // (8 * 28 * resolution))
+    per_qp = np.zeros((1, 4))
+    for start in range(0, resolution, block):
+        pts = _fem.qp_coords(resolution, h, DomainGrid.origin,
+                             slice(start, start + block))
+        values = psi_x(pts[..., 0], pts[..., 1])
+        per_qp = np.concatenate((per_qp, values)).sum(axis=0, keepdims=True)
+    int_x = _fem.integrate_qp(h, per_qp)
     cg = g_field.grid
     ypts = cg.qp_coords()
     gy = g_field.at_quadrature() * psi_y(ypts[..., 0], ypts[..., 1])
@@ -308,7 +315,7 @@ def two_scale_stress_pairing(corr, psi_x, psi_y):
     psi_x(x) psi_y(y), with the corrector attached at sample quadrature
     points.  It does not depend on eps, so a study computes it once.
     Each chunk of sample rows, its work arrays within
-    ``PAIRING_BUDGET_BYTES``, adds one (2, M) @ (M, 2) matrix product.
+    ``_fem.WORK_BUDGET_BYTES``, adds one (2, M) @ (M, 2) matrix product.
     """
     sample = corr.sample_grid
     spts = sample.qp_coords().reshape(-1, 2)
@@ -319,7 +326,7 @@ def two_scale_stress_pairing(corr, psi_x, psi_y):
     fy = (psi_y(ypts[..., 0], ypts[..., 1]) * cg.rule.weights).reshape(-1)
     # per sample row and cell element: 4 gathered potentials, 8 gradient
     # components, 8 weighted ones and 4 weights
-    chunk = max(1, PAIRING_BUDGET_BYTES // (8 * 24 * cg.n_elems))
+    chunk = max(1, _fem.WORK_BUDGET_BYTES // (8 * 24 * cg.n_elems))
     out = np.zeros((2, 2))
     for start in range(0, spts.shape[0], chunk):
         sl = slice(start, min(start + chunk, spts.shape[0]))

@@ -114,8 +114,8 @@ def solve_homogenized_electrostatic(law, f, domain, opts=None):
     if gamma is not None and gamma != 1.0:
         flux0, etas0 = law.solve(_grad_flat(phi, domain))
         rflux = _fem.divergence_residual(domain, flux0.reshape(nel, 4, 2))
-        num = float(rflux[free] @ rhs[free])
-        den = float(rflux[free] @ rflux[free])
+        num = _fem.vector_dot(rflux[free], rhs[free])
+        den = _fem.vector_dot(rflux[free], rflux[free])
         if num > 0.0 and den > 0.0:
             scale = (num / den) ** (1.0 / gamma)
             phi = phi * scale

@@ -559,16 +559,53 @@ def test_band_solve_names_the_indefinite_row():
         batch._band_solve(jac, np.ones((3, grid.n_nodes, 1)))
 
 
-@pytest.mark.parametrize("n", [8, 16, 32, 64, 128])
+@pytest.mark.parametrize("n", [4, 8, 16, 32, 64, 128])
 def test_batch_chunk_within_budget(n):
-    from hk.cell_problems import CHUNK_BUDGET_BYTES, MAX_CHUNK
+    # the largest chunk that fits the work budget, and at least one row
     batch = BatchScalarCellSolver(laminate_spec(3.0), CellGrid(n))
-    assert batch.chunk * batch.loading_bytes <= CHUNK_BUDGET_BYTES
-    # the largest chunk that fits, up to MAX_CHUNK
-    assert (batch.chunk == MAX_CHUNK
-            or (batch.chunk + 1) * batch.loading_bytes > CHUNK_BUDGET_BYTES)
-    if n <= 8:
-        assert batch.chunk == MAX_CHUNK
+    assert batch.chunk == max(1, _fem.WORK_BUDGET_BYTES
+                              // batch.loading_bytes)
+    # one loading's arrays alone outgrow the budget from n = 64 on
+    assert batch.chunk * batch.loading_bytes <= max(_fem.WORK_BUDGET_BYTES,
+                                                    batch.loading_bytes)
+    if n <= 32:
+        assert batch.chunk * batch.loading_bytes <= _fem.WORK_BUDGET_BYTES
+
+
+def test_chunk_size_leaves_cold_batch_solutions(monkeypatch):
+    # a 300-row cold batch at n = 8 in one chunk, at the default budget
+    # (its 282 non-anchor rows in 3 chunks) and in chunks of 50 rows: the
+    # chunk size moves the potentials by rounding only, and no row's
+    # Newton steps
+    grid = CellGrid(8)
+    loadings = disc_loadings(300, 2.0, seed=20)
+    loading_bytes = BatchScalarCellSolver(laminate_spec(3.0),
+                                          grid).loading_bytes
+    results = {}
+    for rows in (300, None, 50):
+        if rows is not None:
+            monkeypatch.setattr(_fem, "WORK_BUDGET_BYTES",
+                                rows * loading_bytes)
+        batch = BatchScalarCellSolver(laminate_spec(3.0), grid)
+        results[batch.chunk] = batch.solve(loadings)
+        monkeypatch.undo()
+    assert sorted(results) == [50, 115, 300]
+    one = results[300]
+    assert one.converged.all()
+    for res in results.values():
+        assert np.array_equal(res.iterations, one.iterations)
+        assert np.abs(res.values - one.values).max() \
+            <= 1e-12 * np.abs(one.values).max()
+
+
+def test_workspace_stays_within_budget():
+    # the per-thread work arrays grow to the largest chunk a solve used,
+    # however many rows the batch has
+    batch = BatchScalarCellSolver(laminate_spec(3.0), CellGrid(8))
+    loadings = np.random.default_rng(21).uniform(-1.0, 1.0, size=(1024, 2))
+    batch.tangents(loadings, batch.solve(loadings).values)
+    arena = next(iter(batch._local.ws._regions.values())).base
+    assert arena.nbytes <= _fem.WORK_BUDGET_BYTES
 
 
 # -- per-thread workspace -------------------------------------------------------

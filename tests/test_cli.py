@@ -394,32 +394,53 @@ def test_python_m_hk_runs_the_cli():
     assert done.stdout.startswith("usage: hk ")
 
 
-def test_study_report_does_not_depend_on_blas_threads(tmp_path):
-    # a linear laminate with elasticity whose finest rung is N = 128: its
-    # residual vectors are long enough for BLAS to split a dot product
-    # over threads, which moved their norms' last bits
+def _reports_on_blas_threads(tmp_path, command, path, report):
+    """``report`` of ``hk command`` run on one and on two BLAS threads."""
     import os
     import subprocess
     import sys
     from pathlib import Path
     import hk
-    path, _ = small_config(tmp_path, grids={"cell_n": 8, "fine_m": 16,
-                                            "solve_n": 16, "sample_n": 32})
     src = str(Path(hk.__file__).resolve().parent.parent)
     reports = []
     for blas in ("1", "2"):
         out = tmp_path / f"blas-{blas}"
         done = subprocess.run(
-            [sys.executable, "-m", "hk", "corrector-study", "--config",
-             str(path), "--out", str(out)],
+            [sys.executable, "-m", "hk", command, "--config", str(path),
+             "--out", str(out)],
             env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=blas),
             capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        reports.append(json.loads((out / "corrector_report.json").read_text()))
-    one, two = reports
+        reports.append(json.loads((out / report).read_text()))
+    return reports
+
+
+def test_study_report_does_not_depend_on_blas_threads(tmp_path):
+    # a linear laminate with elasticity whose finest rung is N = 128: its
+    # residual vectors are long enough for BLAS to split a dot product
+    # over threads, which moved their norms' last bits
+    path, _ = small_config(tmp_path, grids={"cell_n": 8, "fine_m": 16,
+                                            "solve_n": 16, "sample_n": 32})
+    one, two = _reports_on_blas_threads(tmp_path, "corrector-study", path,
+                                        "corrector_report.json")
     assert len(one["fine_residuals"]) == 2 and one["elasticity_gaps"]
     assert one["fine_residuals"] == two["fine_residuals"]
     assert one["macro_history"] == two["macro_history"]
+
+
+def test_macro_start_does_not_depend_on_blas_threads(tmp_path):
+    # a homogeneous p = 3 law, uniform so its cell solves are closed
+    # form, at solve_n 128: the start's rescale takes inner products over
+    # 16,129 interior nodes, long enough for BLAS to split a dot product
+    # over threads, which moved the start and every Newton residual after
+    path, _ = small_config(
+        tmp_path, operator=PRESETS["laminate-p3"]["operator"],
+        geometry={"kind": "uniform"}, elasticity=None,
+        grids={"cell_n": 4, "fine_m": 16, "solve_n": 128, "sample_n": 128})
+    one, two = _reports_on_blas_threads(tmp_path, "homogenized", path,
+                                        "homogenized_report.json")
+    assert len(one["residual_history"]) > 2
+    assert one["residual_history"] == two["residual_history"]
 
 
 @pytest.mark.parametrize("value", ["as-written", "other", None, 1])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -343,4 +345,56 @@ def test_stress_pairing_memory_within_budget():
     finally:
         tracemalloc.stop()
     assert np.all(np.isfinite(out)) and out[0, 0] > 0.0
-    assert peak <= corrector.PAIRING_BUDGET_BYTES + inputs
+    assert peak <= _fem.WORK_BUDGET_BYTES + inputs
+
+
+def _unit_cell_field(n=8):
+    return ScalarField(CellGrid(n), np.ones(n * n))
+
+
+def test_pairing_limit_x_integral_is_exact():
+    # with g = 1 and psi_y = 1 the limit is the x-integral alone; 2x2
+    # Gauss integrates the degree-2 factor 16 x1 (1 - x1) x2 (1 - x2)
+    # exactly, to 4/9, over every block of element rows
+    from hk.corrector import _psi_x
+    limit = pairing_limit(_unit_cell_field(), _psi_x,
+                          lambda y1, y2: np.ones_like(y1))
+    assert abs(limit - 4.0 / 9.0) <= 1e-14
+
+
+def test_pairing_limit_memory_within_budget():
+    import tracemalloc
+
+    from hk.corrector import _psi_x, _psi_y_pairing
+    g = _unit_cell_field()
+    # the cell grid caches its coordinates on first use, outside the count
+    g.grid.qp_coords(), g.at_quadrature()
+    tracemalloc.start()
+    try:
+        pairing_limit(g, _psi_x, _psi_y_pairing)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _fem.WORK_BUDGET_BYTES + 2 ** 20
+
+
+def test_study_memory_stays_bounded(tmp_path):
+    # the benchmark's p = 3 laminate study: batched cell chunks and the
+    # pairings' work arrays stay within the work budget, so the traced
+    # peak of the whole study, first-use caches included, is a few
+    # budgets
+    import tracemalloc
+
+    from hk.cli import PRESETS, cmd_corrector_study, validate_config
+    cfg = json.loads(json.dumps(PRESETS["laminate-p3"]))
+    cfg.update(elasticity=None, ladder=[0.5, 0.25, 0.125],
+               grids={"cell_n": 8, "fine_m": 8, "solve_n": 8,
+                      "sample_n": 16})
+    cfg = validate_config(cfg)
+    tracemalloc.start()
+    try:
+        assert cmd_corrector_study(cfg, tmp_path, 1) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2 ** 20

@@ -372,3 +372,22 @@ def test_library_has_one_kernel_idiom(path):
     # one assembly path, stencil sums into the solved block: no COO
     # triplets
     assert not names & {"coo_matrix", "coo_array"}
+
+
+def test_library_has_one_work_budget():
+    # every batch of work arrays is sized by one byte budget: one
+    # module-level ``*_BUDGET_BYTES`` constant in the library, and no cap
+    # on chunk rows beside it
+    budgets, names = [], set()
+    for path in sorted(_LIBRARY.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        names |= set(_identifiers(tree))
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            budgets += [f"{path.stem}.{t.id}" for t in targets
+                        if isinstance(t, ast.Name)
+                        and t.id.endswith("_BUDGET_BYTES")]
+    assert budgets == ["_fem.WORK_BUDGET_BYTES"]
+    assert "MAX_CHUNK" not in names
