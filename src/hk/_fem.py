@@ -15,7 +15,8 @@ with a one-hot CSR matrix (``scatter_matrix``), and each grid builds its
 node matrix once (``node_scatter``).  Stiffness matrices are the one
 exception: their element blocks are summed per stencil direction by
 slice-adds, straight into the block of free dofs that the solves take
-(``_assemble``).
+(``_assemble``).  Every sparse direct solve, periodic or Dirichlet, goes
+through one factorization (``factor``) in one elimination order.
 """
 
 from dataclasses import dataclass
@@ -357,7 +358,8 @@ def _block_pattern(periodic, n_cells, dofs_per_node):
     else:
         inside = (x >= 1) & (x < n) & (y >= 1) & (y < n)
         nbr = np.where(inside, (y - 1) * side + x - 1, -1)
-        free = _dirichlet_dofs((iy + 1) * (n + 1) + ix + 1, d)
+        nodes = (iy + 1) * (n + 1) + ix + 1
+        free = (nodes[:, None] * d + np.arange(d)).ravel()
     nbr = nbr.reshape(side, side, 1, 9, 1)
     mask = np.broadcast_to(nbr >= 0, (side, side, d, 9, d)).copy()
     counts = mask.reshape(side * side * d, -1).sum(axis=1)
@@ -479,28 +481,42 @@ def vector_norm(vector):
     return float(np.sqrt(vector_dot(vector, vector)))
 
 
-def _splu(matrix, permc_spec):
+def _splu(matrix):
     """SuperLU factors of an SPD matrix, given as CSC, in symmetric mode.
 
-    SymmetricMode applies the column order to rows and columns alike, so
-    it is the elimination order, and prefers diagonal pivots; the default
-    pivot threshold stays, so a diagonal pivot smaller than the largest
-    entry of its column is still exchanged.
+    The elimination order is SuperLU's minimum degree on A + A^T, which
+    needs no grid.  SymmetricMode applies it to rows and columns alike and
+    prefers diagonal pivots; the default pivot threshold stays, so a
+    diagonal pivot smaller than the largest entry of its column is still
+    exchanged.
     """
     try:
-        return spla.splu(matrix, permc_spec=permc_spec,
+        return spla.splu(matrix, permc_spec="MMD_AT_PLUS_A",
                          options={"SymmetricMode": True})
     except RuntimeError as exc:  # SuperLU signals singularity this way
         raise SingularSystem(str(exc)) from exc
 
 
+def factor(block):
+    """The solve function of one factorization of a solved block (CSR).
+
+    The block's CSR arrays are the CSC arrays of its transpose: that is
+    what SuperLU factors, with no copy, and the returned function solves
+    with the factors transposed.  It takes (n,) or (n, r) right-hand
+    sides.
+    """
+    lu = _splu(sp.csc_matrix((block.data, block.indices, block.indptr),
+                             shape=block.shape))
+    return lambda rhs: lu.solve(rhs, trans="T")
+
+
 # Dirichlet systems with more free dofs than this solve by CG preconditioned
 # with one geometric V-cycle, smaller ones (every grid of N <= 64) by one
 # factorization.  solve_dirichlet on the laminate systems, 2-core Xeon,
-# one BLAS thread, direct against PCG: N = 32 scalar 2.5 / 2.5 ms,
-# elastic 5.5 / 6.1 ms; N = 64 scalar 10.1 / 5.6 ms, elastic 36 / 31 ms;
-# N = 128 scalar 66 / 30 ms, elastic 267 / 99 ms.  The cut leaves N = 64,
-# where PCG saves at most a few ms per solve, on the direct path.
+# one BLAS thread, direct against PCG: N = 32 scalar 2.6 / 1.5 ms,
+# elastic 6.9 / 5.4 ms; N = 64 scalar 9.7 / 6.2 ms, elastic 37 / 23 ms.
+# The cut still leaves N = 64 on the direct path: moving it to PCG raised
+# the peak RSS of a p = 3 study with N = 64 rungs from 77 to 82-83 MiB.
 DIRECT_MAX_DOFS = 8192
 # V-cycles halve the grid down to at most this many cells per side (or to
 # an odd N) and solve there directly
@@ -509,83 +525,6 @@ JACOBI_OMEGA = 0.8
 JACOBI_SWEEPS = 2       # damped Jacobi sweeps before and after each correction
 PCG_RTOL = 1e-10        # relative residual at which PCG stops
 PCG_MAX_ITER = 100      # after which the direct factorization solves it
-
-
-def _dirichlet_dofs(interior, dofs_per_node):
-    """Free dofs of the interior nodes, node-major, in the nodes' order."""
-    return (interior[:, None] * dofs_per_node
-            + np.arange(dofs_per_node)).ravel()
-
-
-@lru_cache(maxsize=None)
-def _nd_positions(n_cells, dofs_per_node):
-    """Block positions of an N-cell Dirichlet grid's free dofs in
-    nested-dissection order."""
-    iy, ix = np.divmod(nested_dissection(n_cells), n_cells + 1)
-    out = _dirichlet_dofs((iy - 1) * (n_cells - 1) + ix - 1, dofs_per_node)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _nd_gather(n_cells, dofs_per_node):
-    """The Dirichlet block in nested-dissection order, as CSC.
-
-    Returns the CSC indptr and indices and, for each CSC entry, where it
-    sits in the block's CSR data (all int32 and read-only).
-    """
-    pattern = _block_pattern(False, n_cells, dofs_per_node)
-    order = _nd_positions(n_cells, dofs_per_node)
-    rank = np.empty(order.size, dtype=np.int32)
-    rank[order] = np.arange(order.size)
-    rows = np.repeat(rank, np.diff(pattern.indptr))
-    cols = rank[pattern.indices]
-    gather = np.lexsort((rows, cols))
-    indptr = np.zeros(order.size + 1, dtype=np.int32)
-    indptr[1:] = np.cumsum(np.bincount(cols, minlength=order.size))
-    out = (indptr, rows[gather], gather.astype(np.int32))
-    for arr in out:
-        arr.setflags(write=False)
-    return out
-
-
-# blocks of at most this many interior nodes end the recursion
-_ND_LEAF = 4
-
-
-@lru_cache(maxsize=None)
-def nested_dissection(n_cells):
-    """Interior node ids of an N-cell Dirichlet grid in nested-dissection order.
-
-    The (N-1) x (N-1) block of interior nodes is split along its longer
-    side; both halves are ordered recursively and the separator line goes
-    last (George, SIAM J. Numer. Anal. 1973), down to blocks of at most
-    ``_ND_LEAF`` nodes, which keep row-major order.  Eliminating in this
-    order bounds the fill of a Q1 stiffness matrix by O(N^2 log N).
-    """
-    nn = n_cells + 1
-    ids = np.arange(nn * nn).reshape(nn, nn)[1:-1, 1:-1]
-    parts = []
-
-    def order(block):
-        rows, cols = block.shape
-        if rows * cols <= _ND_LEAF:
-            parts.append(block.ravel())
-        elif cols >= rows:
-            mid = cols // 2
-            order(block[:, :mid])
-            order(block[:, mid + 1:])
-            parts.append(block[:, mid])
-        else:
-            mid = rows // 2
-            order(block[:mid])
-            order(block[mid + 1:])
-            parts.append(block[mid])
-
-    order(ids)
-    out = np.concatenate(parts)
-    out.setflags(write=False)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -611,33 +550,6 @@ def _prolongation(n_cells, dofs_per_node):
     return prolong, prolong.T.tocsr()
 
 
-def factor_dirichlet(block, n_cells, dofs_per_node=1):
-    """Factors of a Dirichlet grid's solved block in nested-dissection order.
-
-    ``block`` is an N-cell grid's free-dof block (``assemble_*``); its
-    nested-dissection CSC is one cached gather of its data, and the
-    factors act on the block's dofs taken in the order
-    ``_nd_positions(n_cells, dofs_per_node)``.  That order is a low-fill
-    elimination order, kept as the factorization's.
-    """
-    indptr, indices, gather = _nd_gather(n_cells, dofs_per_node)
-    return _splu(sp.csc_matrix((block.data[gather], indices, indptr),
-                               shape=block.shape), "NATURAL")
-
-
-def _on_block_pattern(matrix, n_cells, dofs_per_node):
-    """A Dirichlet grid operator on the pattern of that grid's block.
-
-    Sparse products drop entries that cancel to zero, so a Galerkin
-    product R A P has at most the block's entries, not always all of them.
-    """
-    pattern = _block_pattern(False, n_cells, dofs_per_node)
-    rows = np.repeat(np.arange(pattern.free.size), np.diff(pattern.indptr))
-    return sp.csr_matrix(
-        (np.asarray(matrix[rows, pattern.indices]).ravel(), pattern.indices,
-         pattern.indptr), shape=matrix.shape)
-
-
 def _v_cycle(matrix, n_cells, dofs_per_node):
     """One geometric V-cycle for ``matrix`` on an N-cell grid's free dofs.
 
@@ -645,8 +557,8 @@ def _v_cycle(matrix, n_cells, dofs_per_node):
     operators are Galerkin products R A P of the bilinear prolongation,
     each level smooths with damped Jacobi (``JACOBI_SWEEPS`` sweeps before
     and after its coarse correction, so the cycle is symmetric), and the
-    coarsest grid is factored in its nested-dissection order.  Returns
-    the cycle as a function of the residual, for ``_pcg``.
+    coarsest grid's operator is factored (``factor``).  Returns the cycle
+    as a function of the residual, for ``_pcg``.
     """
     levels = []
     while n_cells > MG_COARSEST_N and n_cells % 2 == 0:
@@ -655,16 +567,11 @@ def _v_cycle(matrix, n_cells, dofs_per_node):
                        restrict))
         matrix = restrict @ matrix @ prolong
         n_cells //= 2
-    nd = _nd_positions(n_cells, dofs_per_node)
-    coarsest = factor_dirichlet(
-        _on_block_pattern(matrix, n_cells, dofs_per_node), n_cells,
-        dofs_per_node)
+    coarsest = factor(matrix)
 
     def cycle(res, level=0):
         if level == len(levels):
-            out = np.empty_like(res)
-            out[nd] = coarsest.solve(res[nd])
-            return out
+            return coarsest(res)
         a, weight, prolong, restrict = levels[level]
         out = weight * res
         for _ in range(JACOBI_SWEEPS - 1):
@@ -709,10 +616,9 @@ def solve_dirichlet(block, rhs, grid, dofs_per_node=1):
     ``block`` is the grid's free-dof block (``assemble_*``); ``rhs``
     covers all dofs of ``grid``, ``dofs_per_node`` per node, node-major,
     and so does the solution.  Up to ``DIRECT_MAX_DOFS`` free dofs, one
-    factorization eliminates them in the interior's nested-dissection
-    order; larger systems solve by CG preconditioned with one V-cycle
-    (``_v_cycle``), and by the factorization if CG stops at its
-    iteration cap.
+    factorization (``factor``) solves the block; larger systems solve by
+    CG preconditioned with one V-cycle (``_v_cycle``), and by the
+    factorization if CG stops at its iteration cap.
     """
     free = free_dofs(grid, dofs_per_node)
     x = np.zeros(grid.n_nodes * dofs_per_node)
@@ -722,8 +628,7 @@ def solve_dirichlet(block, rhs, grid, dofs_per_node=1):
         if sol is not None:
             x[free] = sol
             return x
-    nd = free[_nd_positions(grid.n, dofs_per_node)]
-    x[nd] = factor_dirichlet(block, grid.n, dofs_per_node).solve(rhs[nd])
+    x[free] = factor(block)(rhs[free])
     return x
 
 
@@ -734,20 +639,14 @@ def solve_periodic_pinned(block, rhs, dofs_per_node=1):
     on a periodic grid); ``rhs`` covers every dof.  Solves the pinned
     system, then removes the per-component mean so solutions are
     zero-mean.  Assumes the rhs is compatible (orthogonal to constants),
-    which holds for divergence-form loads.  Without a grid at hand, the
-    elimination order is SuperLU's minimum degree on A + A^T.  ``rhs``
-    (n,) gives (n,) or, with several dofs per node, (n / d, d); ``rhs``
-    (n, r) solves r right-hand sides with one factorization and stacks
-    their solutions on a last axis.
+    which holds for divergence-form loads.  The block is factored once
+    (``factor``).  ``rhs`` (n,) gives (n,) or, with several dofs per node,
+    (n / d, d); ``rhs`` (n, r) solves r right-hand sides with that one
+    factorization and stacks their solutions on a last axis.
     """
     n = rhs.shape[0]
     x = np.zeros(rhs.shape)
-    # the block's CSR arrays are the CSC arrays of its transpose: factor
-    # that, and solve with it transposed
-    transposed = sp.csc_matrix((block.data, block.indices, block.indptr),
-                               shape=block.shape)
-    x[dofs_per_node:] = _splu(transposed, "MMD_AT_PLUS_A").solve(
-        rhs[dofs_per_node:], trans="T")
+    x[dofs_per_node:] = factor(block)(rhs[dofs_per_node:])
     # each column as its own contiguous array, so its means are summed as
     # a single right-hand side's are
     cols = [np.ascontiguousarray(c).reshape(-1, dofs_per_node)

@@ -98,11 +98,8 @@ class DomainGrid(_Grid):
     """Structured grid on the unit square (0,1)^2 with N cells per side.
 
     (N+1)^2 nodes; the boundary mask marks the full topological boundary
-    (Dirichlet nodes), leaving (N-1)^2 interior nodes.  ``interior`` lists
-    them in nested-dissection order (``_fem.nested_dissection``, computed
-    once per N, on first use); ``_fem.solve_dirichlet`` factors the
-    systems small enough to solve directly in that order, with little
-    fill.
+    (Dirichlet nodes), leaving (N-1)^2 interior nodes.  Their dofs, in
+    row-major node order, are the solved block's (``_fem.free_dofs``).
     """
 
     periodic = False
@@ -124,10 +121,6 @@ class DomainGrid(_Grid):
         boundary = (ix == 0) | (ix == self.n) | (iy == 0) | (iy == self.n)
         self.boundary_mask = boundary.ravel()
         self.boundary_mask.setflags(write=False)
-
-    @property
-    def interior(self):
-        return _fem.nested_dissection(self.n)
 
     def node_coords(self):
         nn = self.n + 1
@@ -177,20 +170,6 @@ class VectorField(_Field):
 class TensorField(_Field):
     components = 4
     component_shape = (2, 2)
-
-
-def gradient(f):
-    """Bilinear-element gradient at quadrature points, (nel, 4, 2).
-
-    Exact for affine fields.
-    """
-    return _fem.qp_gradient(f.values, f.grid.conn, f.grid.h)
-
-
-def sym_gradient(u):
-    """Symmetrized gradient (linearized strain) at quadrature points."""
-    g = _fem.qp_gradient(u.values, u.grid.conn, u.grid.h)
-    return 0.5 * (g + np.swapaxes(g, -1, -2))
 
 
 def cell_average(f):

@@ -67,13 +67,15 @@ class CellwiseConstant:
         return self.values[self.partition.cell_of(domain.qp_coords())]
 
 
-def coarse_average_M(v, domain, eps):
+def coarse_average_M(v, domain, eps, zero_boundary=True):
     """Average a field over each eps-cell; boundary-layer cells carry 0.
 
-    ``v`` is a field on ``domain`` or quadrature data (nel, 4, ...).
-    Averages use the quadrature measure of the part of each cell inside
-    the domain.  Applying the operator to its own output is the identity
-    (cellwise-constant inputs are fixed points, exactly).
+    ``v`` is a field on ``domain`` or quadrature data (nel, 4, ...), such
+    as a table of the corrector reconstruction with one row per sample
+    point.  Averages use the quadrature measure of the part of each cell
+    inside the domain; boundary-layer cells keep theirs when not
+    ``zero_boundary``.  Applying the operator to its own output is the
+    identity (cellwise-constant inputs are fixed points, exactly).
     """
     if isinstance(v, CellwiseConstant):
         if v.partition.eps == eps:
@@ -89,30 +91,9 @@ def coarse_average_M(v, domain, eps):
     meas = _fem.scatter(cells, w)
     safe = np.where(meas > 0.0, meas, 1.0)
     means = sums / safe[(...,) + (None,) * len(comp_shape)]
-    means[~part.interior] = 0.0
-    return CellwiseConstant(part, means)
-
-
-def eps_cell_table_average(table, sample_grid, eps, zero_boundary=False):
-    """Average rows of a per-sample-point table over eps-cells.
-
-    ``table`` has one row per quadrature point of ``sample_grid`` (the
-    layout produced by corrector reconstruction).  Boundary-layer cells
-    average over the sample points inside the domain (renormalized), or
-    carry zero rows when ``zero_boundary``.
-    Returns (cell_table (n_cells, ...), partition).
-    """
-    part = EpsPartition(eps)
-    cells = _fem.scatter_matrix(
-        part.cell_of(sample_grid.qp_coords().reshape(-1, 2)), part.n_cells)
-    counts = _fem.scatter(cells, np.ones(cells.shape[1]))
-    comp_shape = table.shape[1:]
-    sums = _fem.scatter(cells, table)
-    safe = np.where(counts > 0.0, counts, 1.0)
-    means = sums / safe[(...,) + (None,) * len(comp_shape)]
     if zero_boundary:
         means[~part.interior] = 0.0
-    return means, part
+    return CellwiseConstant(part, means)
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +202,12 @@ def corrector_error_explicit(phi_eps, phi0, corr, eps, p, grad0_field=None,
     domain, pts, grad_eps, grad0, sample_idx, y = setup or _fine_qp_setup(
         phi_eps, phi0, corr, eps, grad0_field)
     grad_y = _table_grad_at(corr.potentials, sample_idx, corr.cell_grid, y)
-    avg_tables, part = eps_cell_table_average(corr.potentials,
-                                              corr.sample_grid, eps,
-                                              zero_boundary=False)
+    sample = corr.sample_grid
+    avg = coarse_average_M(corr.potentials.reshape(sample.n_elems, 4, -1),
+                           sample, eps, zero_boundary=False)
+    part = avg.partition
     cell_ids = part.cell_of(pts)
-    grad_y_avg = _table_grad_at(avg_tables, cell_ids, corr.cell_grid, y)
+    grad_y_avg = _table_grad_at(avg.values, cell_ids, corr.cell_grid, y)
     # 0/1 per point: zeroing a difference drops it from the integral
     interior = part.interior[cell_ids].astype(float)[:, None]
     diff_exp = grad_eps - grad0 - grad_y
@@ -253,12 +235,13 @@ def corrector_error_dalmaso(phi_eps, phi0, law, corr, eps, p,
     """
     domain, pts, grad_eps, grad0, sample_idx, y = setup or _fine_qp_setup(
         phi_eps, phi0, corr, eps, grad0_field)
-    cell_loadings, part = eps_cell_table_average(
-        corr.loadings, corr.sample_grid, eps, zero_boundary=True)
-    tables = law.solutions_for(cell_loadings)
-    cell_ids = part.cell_of(pts)
-    grad_y = _table_grad_at(tables, cell_ids, corr.cell_grid, y)
-    flux_map = cell_loadings[cell_ids] + grad_y
+    sample = corr.sample_grid
+    avg = coarse_average_M(corr.loadings.reshape(sample.n_elems, 4, 2),
+                           sample, eps)
+    cell_ids = avg.partition.cell_of(pts)
+    grad_y = _table_grad_at(law.solutions_for(avg.values), cell_ids,
+                            corr.cell_grid, y)
+    flux_map = avg.values[cell_ids] + grad_y
     return _lp_of(grad_eps - flux_map, domain, p)
 
 

@@ -108,7 +108,7 @@ def solve_fine_electrostatic(spec, eps, f, domain, opts=None):
     loc = osc.local_coefficients(spec)
     f_qp = _source_at_qp(f, domain)
     rhs = _fem.load_vector(domain, f_qp)
-    free = domain.interior
+    free = _fem.free_dofs(domain)
 
     def residual(rows, phis):
         res = _scalar_fine_residual(spec, loc, domain, phis[0], rhs)

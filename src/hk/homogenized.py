@@ -63,7 +63,7 @@ def solve_homogenized_electrostatic(law, f, domain, opts=None):
     opts = opts or MacroOptions()
     f_qp = _source_at_qp(f, domain)
     rhs = _fem.load_vector(domain, f_qp)
-    free = domain.interior
+    free = _fem.free_dofs(domain)
     nel = domain.n_elems
 
     warm = None     # cell iterates the next residual evaluation starts from

@@ -8,8 +8,7 @@ from hk.constitutive import ElasticTensorField, Geometry, OperatorSpec
 from hk.core_fields import (CellGrid, DomainGrid, ScalarField,
                             sample_oscillatory)
 from hk.corrector import (CellwiseConstant, EpsPartition, coarse_average_M,
-                          corrector_error_explicit,
-                          eps_cell_table_average, fit_rate, functional_pairing,
+                          corrector_error_explicit, fit_rate, functional_pairing,
                           pairing_limit, run_corrector_study,
                           two_scale_compose_S, two_scale_pairing)
 from hk.effective import EffectiveLaw
@@ -79,19 +78,18 @@ def test_mm_average_x_independent_is_identity():
     sample = DomainGrid(16)
     rng = np.random.default_rng(2)
     row = rng.standard_normal(10)
-    table = np.tile(row, (4 * sample.n_elems, 1))
-    avg, part = eps_cell_table_average(table, sample, 0.25,
-                                       zero_boundary=False)
+    table = np.tile(row, (sample.n_elems, 4, 1))
+    avg = coarse_average_M(table, sample, 0.25, zero_boundary=False).values
     assert np.abs(avg - row).max() < 1e-14
 
 
 def test_mm_average_linearity_in_x():
     sample = DomainGrid(16)
-    pts = sample.qp_coords().reshape(-1, 2)
+    pts = sample.qp_coords()
     w_y = np.array([1.0, -2.0, 3.0])
-    table = pts[:, 0][:, None] * w_y[None, :]
-    avg, part = eps_cell_table_average(table, sample, 0.25,
-                                       zero_boundary=False)
+    table = pts[..., 0][..., None] * w_y
+    cc = coarse_average_M(table, sample, 0.25, zero_boundary=False)
+    avg, part = cc.values, cc.partition
     centers = part.centers()
     inner = part.interior
     expect = centers[inner][:, 0][:, None] * w_y[None, :]
@@ -276,10 +274,10 @@ def test_averaged_error_triangle_inequality():
     from hk.corrector import _fine_qp_setup, _table_grad_at
     domain, pts, grad_eps, grad0, sample_idx, y = _fine_qp_setup(
         fine.potential, macro.potential, corr, eps)
-    avg_tables, part = eps_cell_table_average(corr.potentials, sample, eps,
-                                              zero_boundary=False)
+    avg = coarse_average_M(corr.potentials.reshape(sample.n_elems, 4, -1),
+                           sample, eps, zero_boundary=False)
     g_exp = _table_grad_at(corr.potentials, sample_idx, cell, y)
-    g_avg = _table_grad_at(avg_tables, part.cell_of(pts), cell, y)
+    g_avg = _table_grad_at(avg.values, avg.partition.cell_of(pts), cell, y)
     w = np.broadcast_to(dom.rule.weights, (dom.n_elems, 4)).reshape(-1)
     dist = float((w @ np.sum((g_exp - g_avg) ** 2, axis=-1)) ** 0.5)
     assert errs["E_avg"] <= errs["E_exp"] + dist + 1e-12

@@ -249,9 +249,9 @@ def test_stencil_block_matches_coo_reference(name, kind):
 @pytest.mark.parametrize("kind", ["scalar", "matrix", "lame", "tensor"])
 @pytest.mark.parametrize("name", sorted(STENCIL_GRIDS))
 def test_direct_solves_match_dense_reference(name, kind):
-    # the factorizations take the block as CSC (a nested-dissection gather
-    # on Dirichlet grids, the transpose's arrays on periodic ones): with no
-    # symmetry in the block, a wrong orientation solves the transpose
+    # the factorization takes the block's arrays as the CSC arrays of its
+    # transpose: with no symmetry in the block, a wrong orientation solves
+    # the transpose
     grid = STENCIL_GRIDS[name]()
     rng = np.random.default_rng(22)
     block, ke, d = _random_block(grid, kind, rng)
@@ -391,3 +391,26 @@ def test_library_has_one_work_budget():
                         and t.id.endswith("_BUDGET_BYTES")]
     assert budgets == ["_fem.WORK_BUDGET_BYTES"]
     assert "MAX_CHUNK" not in names
+
+
+def test_library_has_one_factorization_policy():
+    # every sparse direct solve goes through one factorization helper: one
+    # SuperLU call, one elimination order named as a constant, and no
+    # grid-specific order beside it
+    calls, orders, names = [], set(), set()
+    for path in sorted(_LIBRARY.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        names |= set(_identifiers(tree))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "splu"):
+                calls.append(f"{path.stem}.{ast.unparse(node.func)}")
+                orders |= {ast.unparse(k.value) for k in node.keywords
+                           if k.arg == "permc_spec"}
+            elif isinstance(node, ast.Constant) and node.value in (
+                    "NATURAL", "MMD_ATA", "MMD_AT_PLUS_A", "COLAMD"):
+                orders.add(repr(node.value))
+    assert calls == ["_fem.spla.splu"]
+    assert orders == {"'MMD_AT_PLUS_A'"}
+    assert "nested_dissection" not in names

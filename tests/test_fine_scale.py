@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from hk import _fem
 from hk.constitutive import ElasticTensorField, Geometry, OperatorSpec
@@ -196,38 +195,31 @@ def _laminate_dirichlet_system(n, eps, elastic):
     return block, load, 1
 
 
-def _factor_solve(block, rhs, n, d, free=None):
-    """Solution over all dofs by one factorization that eliminates the
-    grid dofs ``free`` in the order given (nested dissection by default)."""
-    dofs = _fem.free_dofs(DomainGrid(n), d)
-    if free is None:
-        free = dofs[_fem._nd_positions(n, d)]
-        lu = _fem.factor_dirichlet(block, n, d)
-    else:
-        at = np.searchsorted(dofs, free)
-        lu = _fem._splu(sp.csc_matrix(block[at][:, at]), "NATURAL")
+def _factor_solve(block, rhs, n, d):
+    """Solution over all dofs by one factorization of the block."""
+    free = _fem.free_dofs(DomainGrid(n), d)
     x = np.zeros(rhs.size)
-    x[free] = lu.solve(rhs[free])
+    x[free] = _fem.factor(block)(rhs[free])
     return x
 
 
-@pytest.mark.parametrize("elastic", [False, True])
-def test_nested_dissection_solve_matches_sorted_order(elastic):
-    block, rhs, d = _laminate_dirichlet_system(32, 0.25, elastic)
-    x_nd = _factor_solve(block, rhs, 32, d)
-    free = _fem.free_dofs(DomainGrid(32), d)[_fem._nd_positions(32, d)]
-    x_sorted = _factor_solve(block, rhs, 32, d, np.sort(free))
-    assert not np.array_equal(free, np.sort(free))
-    assert np.abs(x_nd - x_sorted).max() <= 1e-12 * np.abs(x_sorted).max()
+def test_fill_of_largest_direct_elastic_system(monkeypatch):
+    # the N = 64 elastic laminate block (7,938 dofs) is the largest system
+    # the benchmark's studies factor; in minimum degree order on A + A^T
+    # L+U hold about 0.88M entries (0.80M in nested-dissection order)
+    block, _, _ = _laminate_dirichlet_system(64, 0.125, True)
+    assert block.shape[0] <= _fem.DIRECT_MAX_DOFS
+    factors = []
+    splu = _fem._splu
 
+    def kept(matrix):
+        factors.append(splu(matrix))
+        return factors[-1]
 
-def test_nested_dissection_fill_of_finest_elastic_matrix():
-    # the N = 128 elastic laminate system (32,258 dofs): L+U hold 8.6M
-    # entries in SuperLU's default COLAMD order, ~4.1M in this one
-    block, _, _ = _laminate_dirichlet_system(128, 0.0625, True)
-    lu = _fem.factor_dirichlet(block, 128, 2)
-    assert np.array_equal(lu.perm_r, np.arange(block.shape[0]))
-    assert lu.L.nnz + lu.U.nnz <= 5.0e6
+    monkeypatch.setattr(_fem, "_splu", kept)
+    _fem.factor(block)
+    (lu,) = factors
+    assert lu.L.nnz + lu.U.nnz <= 1.0e6
 
 
 def test_elastic_assembly_memory_at_n128():
@@ -315,11 +307,13 @@ def test_fine_elasticity_factors_nothing_above_the_cut(monkeypatch):
     assert sizes and max(sizes) <= _fem.DIRECT_MAX_DOFS
 
 
-def test_pcg_iteration_cap_falls_back_to_direct_solve(monkeypatch):
-    block, rhs, _ = _laminate_dirichlet_system(128, 0.0625, False)
-    direct = _factor_solve(block, rhs, 128, 1)
+@pytest.mark.parametrize("kind", ["scalar", "elastic"])
+def test_pcg_iteration_cap_falls_back_to_direct_solve(kind, monkeypatch):
+    block, rhs, d = _laminate_dirichlet_system(128, 0.0625,
+                                               kind == "elastic")
+    direct = _factor_solve(block, rhs, 128, d)
     monkeypatch.setattr(_fem, "PCG_MAX_ITER", 1)
     sizes = _factor_sizes(monkeypatch)
-    x = _fem.solve_dirichlet(block, rhs, DomainGrid(128))
+    x = _fem.solve_dirichlet(block, rhs, DomainGrid(128), dofs_per_node=d)
     assert block.shape[0] in sizes
     assert np.abs(x - direct).max() <= 1e-12 * np.abs(direct).max()

@@ -12,13 +12,10 @@ from pathlib import Path
 _LIBRARY = Path(__file__).resolve().parents[1] / "src" / "hk"
 
 ALLOWED = {
-    "coarse_average_M": "the paper's averaging operator M_eps",
     "two_scale_compose_S": "the paper's unfolding operator S_eps",
     "reconstruct_u1": "the displacement corrector u1, kept for an elastic "
                       "two-scale check of the displacement",
     "load_field": "reader of the field dump format that dump_field writes",
-    "gradient": "field calculus on ScalarField",
-    "sym_gradient": "field calculus on VectorField",
     "cell_average": "field calculus: the unit-cell mean",
     "solve_scalar_cell": "the one-loading form of solve_scalar_cells; "
                          "perfbench/spans.py traces it by name",
