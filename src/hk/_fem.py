@@ -12,11 +12,13 @@ constant reference tensor (Kirby & Logg, ACM TOMS 2006); 2-vector and 2x2
 algebra is component-wise or a broadcast product summed over its axes.
 Gathers are fancy indexing; every sum onto nodes or cells is one product
 with a one-hot CSR matrix (``scatter_matrix``), and each grid builds its
-node matrix once (``node_scatter``).  Stiffness matrices are the one
-exception: their element blocks are summed per stencil direction by
-slice-adds, straight into the block of free dofs that the solves take
-(``_assemble``).  Every sparse direct solve, periodic or Dirichlet, goes
-through one factorization (``factor``) in one elimination order.
+node matrix once (``node_scatter``).  Two sums are slice-adds instead:
+stiffness matrices, whose element blocks are summed per stencil
+direction straight into the block of free dofs that the solves take
+(``_assemble``), and nodal loads summed over blocks of element rows
+(``scatter_rows``), bitwise as the CSR product sums them.  Every sparse
+direct solve, periodic or Dirichlet, goes through one factorization
+(``factor``) in one elimination order.
 """
 
 from dataclasses import dataclass
@@ -39,8 +41,9 @@ REF_POINTS = np.array([(gx, gy) for gy in (_G0, _G1) for gx in (_G0, _G1)])
 REF_WEIGHTS = np.full(4, 0.25)
 
 # Work arrays that scale with a batch (the batched cell solver's chunk of
-# loadings, the stress pairing's chunk of sample rows, the pairing limit's
-# block of element rows) stay within this many bytes: the size class of
+# loadings, the stress pairing's chunk of sample rows, the blocks of
+# element rows of a rung's error norms, pairings and elastic load, and of
+# the pairing limit) stay within this many bytes: the size class of
 # a 2 MiB-per-core L2 cache.  Cold batched p = 3 cell solves, one BLAS
 # thread, best of 15 at n = 8 (200 rows) / n = 16 (100) / n = 32 (40):
 # 2 MiB 17.7 / 48.2 / 109 ms, 4 MiB 17.2 / 47.5 / 104 ms, 8 MiB 15.6 /
@@ -231,13 +234,77 @@ def integrate_qp(h, values_qp):
     return (h * h * REF_WEIGHTS @ per_qp).reshape(values_qp.shape[2:])
 
 
-def lp_norm_qp(h, vec_qp, p):
-    """L^p norm of quadrature-point scalars (nel, 4) or vectors (nel, 4, c)."""
+def qp_power(vec_qp, p):
+    """|v|^p of quadrature-point scalars (nel, 4) or vectors (nel, 4, c)."""
     # sqrt(v * v) is |v| exactly in binary floating point (barring under-
     # and overflow), so scalar data takes the vector path
     mag = np.sqrt((vec_qp * vec_qp).reshape(vec_qp.shape[:2] + (-1,))
                   .sum(axis=-1))
-    return float(integrate_qp(h, mag**p) ** (1.0 / p))
+    return mag ** p
+
+
+def lp_norm_qp(h, vec_qp, p):
+    """L^p norm of quadrature-point scalars (nel, 4) or vectors (nel, 4, c)."""
+    return float(integrate_qp(h, qp_power(vec_qp, p)) ** (1.0 / p))
+
+
+# ---------------------------------------------------------------------------
+# Blocks of element rows
+# ---------------------------------------------------------------------------
+
+def row_blocks(n_cells, bytes_per_element):
+    """Slices of element rows whose work arrays stay within the budget.
+
+    A block's arrays take ``bytes_per_element`` per element; every block
+    but the last has the same number of rows, at least one.
+    """
+    rows = max(1, WORK_BUDGET_BYTES // (bytes_per_element * n_cells))
+    return [slice(start, min(start + rows, n_cells))
+            for start in range(0, n_cells, rows)]
+
+
+def rows_of(table, n_cells, rows):
+    """The entries of element rows ``rows`` of a per-element table."""
+    tail = table.shape[1:]
+    return table.reshape((n_cells, n_cells) + tail)[rows].reshape((-1,) + tail)
+
+
+def row_sums(per_qp, values):
+    """Running per-point sums of a table given block by block, in row order.
+
+    ``values`` (nel_block, 4, ...) is the next block of element rows and
+    ``per_qp`` the previous call's result, or None before the first.  The
+    running sums go in front of the block, so numpy's sum over elements
+    runs through the whole table in element order, one row after the
+    other, as it does on the whole table: ``integrate_qp(h, per_qp)`` at
+    the end is bitwise the integral of the whole table.
+    """
+    if per_qp is not None:
+        values = np.concatenate((per_qp, values))
+    return values.sum(axis=0, keepdims=True)
+
+
+# A node meets its elements in element order at their local nodes 2, 3, 1, 0
+# (the elements below-left, below, left of it and its own)
+_ROW_SCATTER_ORDER = (2, 3, 1, 0)
+
+
+def scatter_rows(nodal, grid, rows, values):
+    """Add element-node data of element rows ``rows`` onto a Dirichlet grid.
+
+    ``nodal`` (n_nodes, ...) holds the running sums and ``values``
+    (elements of the rows, 4, ...) the rows' data per local node.  Each
+    local node is one slice-add over the node lattice, in the order in
+    which a node meets its elements.  Called on zeros, block after block
+    from the first row, every node sums its entries in element order, as
+    ``scatter`` with ``node_scatter`` does: the sums are bitwise the same.
+    """
+    n = grid.n
+    lattice = nodal.reshape((n + 1, n + 1) + nodal.shape[1:])
+    vals = values.reshape((-1, n) + values.shape[1:])
+    for a in _ROW_SCATTER_ORDER:
+        x, y = _CORNER_NODES[a]
+        lattice[rows.start + y:rows.stop + y, x:x + n] += vals[:, :, a]
 
 
 def locate_points(points, n_cells, h, origin):
@@ -324,8 +391,23 @@ class _Pattern:
     indices: np.ndarray
 
 
-@lru_cache(maxsize=None)
-def _block_pattern(periodic, n_cells, dofs_per_node):
+def _block_pattern(grid, dofs_per_node):
+    """The grid's ``_Pattern`` for ``dofs_per_node``, built on first use.
+
+    It is kept in the grid's ``block_patterns``, so it lives as long as
+    the grid: every solve on one grid shares it, and a dropped grid's
+    patterns go with it.  Threads that build it at once keep the first
+    one stored (``setdefault`` is atomic).
+    """
+    patterns = grid.block_patterns
+    pattern = patterns.get(dofs_per_node)
+    if pattern is None:
+        pattern = patterns.setdefault(dofs_per_node, _build_pattern(
+            grid.periodic, grid.n, dofs_per_node))
+    return pattern
+
+
+def _build_pattern(periodic, n_cells, dofs_per_node):
     """Dofs and CSR pattern of the block that a grid's systems solve.
 
     The block's rows and columns are the free dofs, node-major: every dof
@@ -376,7 +458,7 @@ def _block_pattern(periodic, n_cells, dofs_per_node):
 
 def free_dofs(grid, dofs_per_node=1):
     """The grid dofs of the solved block's rows and columns, in its order."""
-    return _block_pattern(grid.periodic, grid.n, dofs_per_node).free
+    return _block_pattern(grid, dofs_per_node).free
 
 
 def _stencil_ops(op, dofs_per_node):
@@ -409,7 +491,7 @@ def _assemble(grid, coef, op, dofs_per_node=1):
     per entry is built.
     """
     n, d = grid.n, dofs_per_node
-    pattern = _block_pattern(grid.periodic, n, d)
+    pattern = _block_pattern(grid, d)
     sums = np.zeros((n + 1, n + 1, 9 * d * d))
     elements = (n, n) if coef.shape[0] > 1 else (1, 1)
     for (ax, ay), node_op in zip(_CORNER_NODES, _stencil_ops(op, d)):

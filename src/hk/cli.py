@@ -40,9 +40,12 @@ SCHEMA_VERSION = 1
 # Largest grids a config may ask for, so that memory stays bounded for
 # every config that validates.  The fine solves run on an N x N grid,
 # N = fine_m / eps per rung; above N = 64 they solve by multigrid PCG, and
-# one N = 512 laminate elastic solve peaks near 0.53 GiB of RSS (the
-# laminate-p2 study near 0.76 GiB).  The cell layer keeps a few cell
-# potentials, cell_n^2 doubles each, per quadrature point of the sample
+# a rung's peak is its solves': one N = 512 laminate elastic solve peaks
+# near 0.45 GiB of RSS, and the laminate-p2 study with elasticity (eps
+# down to 1/32) near 0.51 GiB, as does the p = 3 one, whose N = 512 fine
+# Newton solve is its peak.  The post-processing streams over blocks of
+# element rows within _fem.WORK_BUDGET_BYTES.  The cell layer keeps a few
+# cell potentials, cell_n^2 doubles each, per quadrature point of the sample
 # grid, which refines the solve grid; CELL_TABLE_COPIES bounds how many
 # are alive at once (solutions, warm starts and their two-column
 # derivatives).
@@ -478,7 +481,7 @@ def cmd_fine(cfg, out_dir, threads):
                    str(out_dir / f"fine_potential_eps_1_{tag}.field"))
         if tensor_b is not None:
             u, resid = solve_fine_elasticity(tensor_b, tensor_c, eps, g,
-                                             fine.maxwell, domain)
+                                             fine.potential, domain)
             entry["elastic_residual"] = resid
             dump_field(u, f"displacement_eps_1_{tag}",
                        str(out_dir / f"fine_displacement_eps_1_{tag}.field"))

@@ -52,6 +52,14 @@ class _Grid:
         """
         return _fem.scatter_matrix(self.conn, self.n_nodes)
 
+    @cached_property
+    def block_patterns(self):
+        """Patterns of this grid's solved blocks, by dofs per node.
+
+        ``_fem`` adds each on first use; they live as long as the grid.
+        """
+        return {}
+
 
 class CellGrid(_Grid):
     """Periodic structured grid on the unit cell Y = [-1/2, 1/2]^2.
@@ -80,9 +88,6 @@ class CellGrid(_Grid):
     def node_coords(self):
         ix, iy = np.meshgrid(np.arange(self.n), np.arange(self.n), indexing="xy")
         return np.stack([ix.ravel(), iy.ravel()], axis=-1) * self.h + self.origin
-
-    def wrap_node(self, ix, iy):
-        return (np.asarray(iy) % self.n) * self.n + (np.asarray(ix) % self.n)
 
     def __eq__(self, other):
         return isinstance(other, CellGrid) and other.n == self.n

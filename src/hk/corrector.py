@@ -50,11 +50,6 @@ class EpsPartition:
                      0, self.per_axis - 1)
         return cy * self.per_axis + cx
 
-    def centers(self):
-        axis = np.arange(self.per_axis) * self.eps
-        cx, cy = np.meshgrid(axis, axis, indexing="xy")
-        return np.stack([cx.ravel(), cy.ravel()], axis=-1)
-
 
 @dataclass
 class CellwiseConstant:
@@ -161,17 +156,42 @@ def two_scale_compose_S(v, eps):
 # Corrector error norms
 # ---------------------------------------------------------------------------
 
-def _fine_qp_setup(phi_eps, phi0, corr, eps, grad0_field=None):
+# Per element (4 quadrature points) of a block of the error norms: the
+# points, their cell coordinates and gradients; each point's located
+# element, local coordinates and index temporaries (three lookups); the
+# gathered table values and their bilinear planes; the differences and
+# their powers.  Measured under tracemalloc at about 1,300 bytes.
+_ERROR_BYTES_PER_ELEMENT = 2048
+# per element of a pairing or Maxwell-check block: points, wrapped points,
+# test factors, field values or stresses and their products (about 300
+# bytes under tracemalloc)
+_PAIRING_BYTES_PER_ELEMENT = 512
+
+
+def _fine_qp_setup(phi_eps, phi0, corr, eps, grad0_field=None,
+                   rows=slice(None)):
+    """Fine quadrature-point data of element rows ``rows`` for the errors.
+
+    Flat over the rows' quadrature points, in element order: the points,
+    grad phi_eps, the macroscopic gradient, the sample quadrature point
+    whose element quadrant holds each point, and y = {x/eps}_Y.  Without
+    ``phi0`` (the Dal Maso error reads neither) the macroscopic gradient
+    and the sample points are None.  As with ``_fem.qp_coords``, the
+    arrays of consecutive row blocks concatenate to the whole grid's.
+    """
     from .homogenized import _gradient_at, _nearest_qp
     domain = phi_eps.grid
-    pts = domain.qp_coords().reshape(-1, 2)
-    grad_eps = _fem.qp_gradient(phi_eps.values, domain.conn,
-                                domain.h).reshape(-1, 2)
-    grad0 = _gradient_at(phi0, grad0_field, pts)
-    # sample quadrature point whose element quadrant holds each fine point
-    sample_idx = _nearest_qp(corr.sample_grid, pts)
+    pts = _fem.qp_coords(domain.n, domain.h, domain.origin,
+                         rows).reshape(-1, 2)
+    grad_eps = _fem.qp_gradient(
+        phi_eps.values, _fem.rows_of(domain.conn, domain.n, rows),
+        domain.h).reshape(-1, 2)
+    grad0 = sample_idx = None
+    if phi0 is not None:
+        grad0 = _gradient_at(phi0, grad0_field, pts)
+        sample_idx = _nearest_qp(corr.sample_grid, pts)
     y = wrap_to_cell(pts / eps)
-    return domain, pts, grad_eps, grad0, sample_idx, y
+    return pts, grad_eps, grad0, sample_idx, y
 
 
 def _table_grad_at(tables, row_idx, cell_grid, y):
@@ -182,13 +202,13 @@ def _table_grad_at(tables, row_idx, cell_grid, y):
         tables[row_idx[:, None], cell_grid.conn[elem]], local, cell_grid.h)
 
 
-def _lp_of(diff, domain, p):
-    """L^p norm of fine quadrature-point vectors listed flat, (4 nel, 2)."""
-    return _fem.lp_norm_qp(domain.h, diff.reshape(domain.n_elems, 4, 2), p)
+def _lp_roots(domain, per_qp, p):
+    """L^p norms from ``_fem.row_sums`` of p-th powers, one per last entry."""
+    return [float(_fem.integrate_qp(domain.h, per_qp[..., k]) ** (1.0 / p))
+            for k in range(per_qp.shape[-1])]
 
 
-def corrector_error_explicit(phi_eps, phi0, corr, eps, p, grad0_field=None,
-                             setup=None):
+def corrector_error_explicit(phi_eps, phi0, corr, eps, p, grad0_field=None):
     """Explicit and averaged corrector errors plus the no-corrector error.
 
     E_exp = || grad phi_eps - grad phi0 - grad_y phi1(x, x/eps) ||_Lp with
@@ -196,72 +216,97 @@ def corrector_error_explicit(phi_eps, phi0, corr, eps, p, grad0_field=None,
     point of x; E_avg first averages the corrector over each eps-cell in
     the macroscopic variable; E_nocorr drops the corrector entirely.
     Interior-only variants (over cells fully inside the domain) expose
-    the boundary-layer contribution.  ``setup`` passes in the result of
-    ``_fine_qp_setup`` for these arguments when the caller has it.
+    the boundary-layer contribution.  The eps-cell averages are built
+    once; the fine grid is walked in blocks of element rows within
+    ``_fem.WORK_BUDGET_BYTES``, summing p-th powers in element order, and
+    the roots are taken at the end.
     """
-    domain, pts, grad_eps, grad0, sample_idx, y = setup or _fine_qp_setup(
-        phi_eps, phi0, corr, eps, grad0_field)
-    grad_y = _table_grad_at(corr.potentials, sample_idx, corr.cell_grid, y)
-    sample = corr.sample_grid
+    domain = phi_eps.grid
+    sample, cell_grid = corr.sample_grid, corr.cell_grid
     avg = coarse_average_M(corr.potentials.reshape(sample.n_elems, 4, -1),
                            sample, eps, zero_boundary=False)
     part = avg.partition
-    cell_ids = part.cell_of(pts)
-    grad_y_avg = _table_grad_at(avg.values, cell_ids, corr.cell_grid, y)
-    # 0/1 per point: zeroing a difference drops it from the integral
-    interior = part.interior[cell_ids].astype(float)[:, None]
-    diff_exp = grad_eps - grad0 - grad_y
-    diff_avg = grad_eps - grad0 - grad_y_avg
-    diff_no = grad_eps - grad0
-    return {
-        "E_exp": _lp_of(diff_exp, domain, p),
-        "E_avg": _lp_of(diff_avg, domain, p),
-        "E_nocorr": _lp_of(diff_no, domain, p),
-        "E_exp_interior": _lp_of(diff_exp * interior, domain, p),
-        "E_avg_interior": _lp_of(diff_avg * interior, domain, p),
-    }
+    sums = None
+    for rows in _fem.row_blocks(domain.n, _ERROR_BYTES_PER_ELEMENT):
+        pts, grad_eps, grad0, sample_idx, y = _fine_qp_setup(
+            phi_eps, phi0, corr, eps, grad0_field, rows)
+        cell_ids = part.cell_of(pts)
+        # 0/1 per point: zeroing a difference drops it from the integral
+        interior = part.interior[cell_ids].astype(float)[:, None]
+        diff_no = grad_eps - grad0
+        diff_exp = diff_no - _table_grad_at(corr.potentials, sample_idx,
+                                            cell_grid, y)
+        diff_avg = diff_no - _table_grad_at(avg.values, cell_ids, cell_grid,
+                                            y)
+        powers = [_fem.qp_power(diff.reshape(-1, 4, 2), p)
+                  for diff in (diff_exp, diff_avg, diff_no,
+                               diff_exp * interior, diff_avg * interior)]
+        sums = _fem.row_sums(sums, np.stack(powers, axis=-1))
+    names = ("E_exp", "E_avg", "E_nocorr", "E_exp_interior",
+             "E_avg_interior")
+    return dict(zip(names, _lp_roots(domain, sums, p)))
 
 
 def corrector_error_dalmaso(phi_eps, phi0, law, corr, eps, p,
-                            grad0_field=None, setup=None):
+                            grad0_field=None):
     """Cell-averaged-loading corrector error.
 
     The macroscopic gradient is averaged over each eps-cell (zero on
     boundary-layer cells), one cell solve is attached per cell at the
     averaged loading, and the flux map loading + grad_y eta replaces the
     fine gradient.  Loading averages are quadrature-exact when the cells
-    align with the sample grid's elements.  ``setup`` is as in
+    align with the sample grid's elements.  The cell solves run once; the
+    norm is summed over blocks of element rows, as in
     ``corrector_error_explicit``.
     """
-    domain, pts, grad_eps, grad0, sample_idx, y = setup or _fine_qp_setup(
-        phi_eps, phi0, corr, eps, grad0_field)
+    domain = phi_eps.grid
     sample = corr.sample_grid
     avg = coarse_average_M(corr.loadings.reshape(sample.n_elems, 4, 2),
                            sample, eps)
-    cell_ids = avg.partition.cell_of(pts)
-    grad_y = _table_grad_at(law.solutions_for(avg.values), cell_ids,
-                            corr.cell_grid, y)
-    flux_map = avg.values[cell_ids] + grad_y
-    return _lp_of(grad_eps - flux_map, domain, p)
+    solutions = law.solutions_for(avg.values)
+    sums = None
+    for rows in _fem.row_blocks(domain.n, _ERROR_BYTES_PER_ELEMENT):
+        pts, grad_eps, _, _, y = _fine_qp_setup(phi_eps, None, corr, eps,
+                                                rows=rows)
+        cell_ids = avg.partition.cell_of(pts)
+        flux_map = avg.values[cell_ids] + _table_grad_at(
+            solutions, cell_ids, corr.cell_grid, y)
+        sums = _fem.row_sums(sums, _fem.qp_power(
+            (grad_eps - flux_map).reshape(-1, 4, 2), p)[..., None])
+    return _lp_roots(domain, sums, p)[0]
 
 
 # ---------------------------------------------------------------------------
 # Two-scale pairings
 # ---------------------------------------------------------------------------
 
+def _oscillating_weights(domain, rows, eps, psi_x, psi_y):
+    """psi_x(x) psi_y(x/eps) at the quadrature points of element rows."""
+    pts = _fem.qp_coords(domain.n, domain.h, domain.origin, rows)
+    y = wrap_to_cell(pts / eps)
+    return psi_x(pts[..., 0], pts[..., 1]) * psi_y(y[..., 0], y[..., 1])
+
+
 def two_scale_pairing(v, psi_x, psi_y, eps, domain=None):
     """∫ v(x) psi_x(x) psi_y(x/eps) dx by fine-grid quadrature.
 
     ``v`` is a field (or quadrature data with ``domain`` given); the test
     factors are smooth closed-form callables of (x1, x2) and (y1, y2).
+    The integral is summed over blocks of element rows within
+    ``_fem.WORK_BUDGET_BYTES``, in element order.
     """
     if domain is None:
         domain = v.grid
-    data = v if isinstance(v, np.ndarray) else v.at_quadrature()
-    pts = domain.qp_coords()
-    y = wrap_to_cell(pts / eps)
-    weights = psi_x(pts[..., 0], pts[..., 1]) * psi_y(y[..., 0], y[..., 1])
-    return float(_fem.integrate_qp(domain.h, data * weights))
+    sums = None
+    for rows in _fem.row_blocks(domain.n, _PAIRING_BYTES_PER_ELEMENT):
+        if isinstance(v, np.ndarray):
+            data = _fem.rows_of(v, domain.n, rows)
+        else:
+            data = _fem.qp_values(v.values,
+                                  _fem.rows_of(domain.conn, domain.n, rows))
+        sums = _fem.row_sums(sums, data * _oscillating_weights(
+            domain, rows, eps, psi_x, psi_y))
+    return float(_fem.integrate_qp(domain.h, sums))
 
 
 def pairing_limit(g_field, psi_x, psi_y, resolution=256):
@@ -275,16 +320,13 @@ def pairing_limit(g_field, psi_x, psi_y, resolution=256):
     unit-cell field against the closed-form test factor.
     """
     h = 1.0 / resolution
+    sums = None
     # per element: 8 coordinates, and the factor's values, a few
     # temporaries of the same size and their stacked copy
-    block = max(1, _fem.WORK_BUDGET_BYTES // (8 * 28 * resolution))
-    per_qp = np.zeros((1, 4))
-    for start in range(0, resolution, block):
-        pts = _fem.qp_coords(resolution, h, DomainGrid.origin,
-                             slice(start, start + block))
-        values = psi_x(pts[..., 0], pts[..., 1])
-        per_qp = np.concatenate((per_qp, values)).sum(axis=0, keepdims=True)
-    int_x = _fem.integrate_qp(h, per_qp)
+    for rows in _fem.row_blocks(resolution, 8 * 28):
+        pts = _fem.qp_coords(resolution, h, DomainGrid.origin, rows)
+        sums = _fem.row_sums(sums, psi_x(pts[..., 0], pts[..., 1]))
+    int_x = _fem.integrate_qp(h, sums)
     cg = g_field.grid
     ypts = cg.qp_coords()
     gy = g_field.at_quadrature() * psi_y(ypts[..., 0], ypts[..., 1])
@@ -320,29 +362,41 @@ def two_scale_stress_pairing(corr, psi_x, psi_y):
     return out
 
 
-def maxwell_two_scale_check(sigma_qp, domain, eps, two_scale, psi_x, psi_y):
+def maxwell_two_scale_check(phi_eps, eps, two_scale, psi_x, psi_y):
     """Entrywise two-scale pairing gap for the electric stress.
 
-    Compares ∫ Sigma_eps psi_x(x) psi_y(x/eps) dx against ``two_scale``,
-    the pairing of the reconstructed two-scale stress with the same test
-    factors (``two_scale_stress_pairing``).  Returns the max absolute
-    entry of the difference.
+    Compares ∫ Sigma_eps psi_x(x) psi_y(x/eps) dx, Sigma_eps the Maxwell
+    stress of the fine potential ``phi_eps``, against ``two_scale``, the
+    pairing of the reconstructed two-scale stress with the same test
+    factors (``two_scale_stress_pairing``).  The stress is formed per
+    block of element rows (``maxwell_stress``), never for the whole grid.
+    Returns the max absolute entry of the difference.
     """
-    pts = domain.qp_coords()
-    y = wrap_to_cell(pts / eps)
-    weights = psi_x(pts[..., 0], pts[..., 1]) * psi_y(y[..., 0], y[..., 1])
-    lhs = _fem.integrate_qp(domain.h,
-                            weights[..., None, None] * sigma_qp)
+    from .fine_scale import maxwell_stress
+    domain = phi_eps.grid
+    sums = None
+    for rows in _fem.row_blocks(domain.n, _PAIRING_BYTES_PER_ELEMENT):
+        weights = _oscillating_weights(domain, rows, eps, psi_x, psi_y)
+        sums = _fem.row_sums(sums, weights[..., None, None]
+                             * maxwell_stress(phi_eps, rows))
+    lhs = _fem.integrate_qp(domain.h, sums)
     return float(np.abs(lhs - two_scale).max())
 
 
 def functional_pairing(u, psi):
-    """∫ psi . u dx for a vector field and a closed-form vector test."""
+    """∫ psi . u dx for a vector field and a closed-form vector test.
+
+    Summed over blocks of element rows, as ``two_scale_pairing`` is.
+    """
     domain = u.grid
-    pts = domain.qp_coords()
-    test = np.stack(psi(pts[..., 0], pts[..., 1]), axis=-1)
-    vals = u.at_quadrature()
-    return float(_fem.integrate_qp(domain.h, (vals * test).sum(axis=-1)))
+    sums = None
+    for rows in _fem.row_blocks(domain.n, _PAIRING_BYTES_PER_ELEMENT):
+        pts = _fem.qp_coords(domain.n, domain.h, domain.origin, rows)
+        test = np.stack(psi(pts[..., 0], pts[..., 1]), axis=-1)
+        vals = _fem.qp_values(u.values,
+                              _fem.rows_of(domain.conn, domain.n, rows))
+        sums = _fem.row_sums(sums, (vals * test).sum(axis=-1))
+    return float(_fem.integrate_qp(domain.h, sums))
 
 
 def fit_rate(ladder, errors):
@@ -502,23 +556,25 @@ def run_corrector_study(spec, ladder, cell_n=8, fine_m=16, solve_n=32,
     two_scale_stress = two_scale_stress_pairing(corr, _psi_x, _psi_y_maxwell)
 
     def one_rung(eps):
+        # the solves first, then the post-processing; of each stage only
+        # the potential and the reported numbers outlive it
         domain = DomainGrid(int(round(fine_m / eps)))
         fine = solve_fine_electrostatic(spec, eps, f, domain, cell_opts)
-        setup = _fine_qp_setup(fine.potential, phi0, corr, eps, grad_field)
-        errs = corrector_error_explicit(fine.potential, phi0, corr, eps,
-                                        spec.p, setup=setup)
-        errs["E_dm"] = corrector_error_dalmaso(fine.potential, phi0, law,
-                                               corr, eps, spec.p, setup=setup)
-        v_eps = sample_oscillatory(g_pair, eps, domain)
-        pairing = two_scale_pairing(v_eps, _psi_x, _psi_y_pairing, eps)
-        mw_gap = maxwell_two_scale_check(fine.maxwell, domain, eps,
-                                         two_scale_stress, _psi_x,
-                                         _psi_y_maxwell)
         el_gap = None
         if with_elasticity:
             u_eps, _ = solve_fine_elasticity(tensor_b, tensor_c, eps, g_src,
-                                             fine.maxwell, domain)
+                                             fine.potential, domain)
             el_gap = abs(functional_pairing(u_eps, _psi_vec) - u0_pairing)
+            del u_eps
+        errs = corrector_error_explicit(fine.potential, phi0, corr, eps,
+                                        spec.p, grad_field)
+        errs["E_dm"] = corrector_error_dalmaso(fine.potential, phi0, law,
+                                               corr, eps, spec.p, grad_field)
+        pairing = two_scale_pairing(sample_oscillatory(g_pair, eps, domain),
+                                    _psi_x, _psi_y_pairing, eps)
+        mw_gap = maxwell_two_scale_check(fine.potential, eps,
+                                         two_scale_stress, _psi_x,
+                                         _psi_y_maxwell)
         return {
             "errs": errs,
             "pairing": pairing,

@@ -34,7 +34,9 @@ class OscillatoryMap:
     Domain quadrature points are wrapped into the unit cell and the
     coefficients evaluated there directly; with interfaces aligned to the
     element pitch (checked against the geometry), each quadrature point
-    lies strictly inside one phase so the evaluation is exact.
+    lies strictly inside one phase so the evaluation is exact.  The
+    wrapped points are computed per call, for the whole grid or for a
+    block of element rows, and not kept.
     """
 
     def __init__(self, domain, eps, geometry=None):
@@ -46,14 +48,19 @@ class OscillatoryMap:
             raise ValueError(
                 f"geometry interfaces are not resolved by {self.m} elements "
                 f"per period (aliasing)")
+
+    def points(self, rows=slice(None)):
+        """y = {x/eps}_Y at the quadrature points of element rows ``rows``."""
         from .constitutive import wrap_to_cell
-        self.points = wrap_to_cell(domain.qp_coords() / eps)
+        d = self.domain
+        return wrap_to_cell(_fem.qp_coords(d.n, d.h, d.origin, rows)
+                            / self.eps)
 
     def local_coefficients(self, spec):
-        return spec.local_coefficients(self.points)
+        return spec.local_coefficients(self.points())
 
-    def lame(self, tensor_field):
-        return tensor_field.lame_at(self.points)
+    def lame(self, tensor_field, rows=slice(None)):
+        return tensor_field.lame_at(self.points(rows))
 
 
 @dataclass
@@ -63,7 +70,6 @@ class FineSolution:
     eps: float
     potential: ScalarField
     displacement: VectorField = None
-    maxwell: np.ndarray = None          # (nel, 4, 2, 2) at quadrature points
     residuals: dict = field(default_factory=dict)
     iterations: dict = field(default_factory=dict)
     energy: dict = field(default_factory=dict)
@@ -75,7 +81,8 @@ def _source_at_qp(f, domain):
             raise ValueError("source field lives on a different grid")
         return f.at_quadrature()
     if callable(f):
-        pts = domain.qp_coords()
+        # not the grid's cached table: a fine grid keeps no coordinates
+        pts = _fem.qp_coords(domain.n, domain.h, domain.origin)
         return np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
     arr = np.asarray(f, dtype=float)
     if arr.ndim == 0:
@@ -100,8 +107,9 @@ def solve_fine_electrostatic(spec, eps, f, domain, opts=None):
     the frozen-coefficient surrogate with coefficient sigma, and relaxed
     frozen-coefficient steps (``OperatorSpec.frozen_relaxation``) after
     ``max_newton``.
-    Returns a FineSolution with potential, Maxwell stress, residual and
-    energy bookkeeping.
+    Returns a FineSolution with potential, residual and energy
+    bookkeeping; the Maxwell stress is formed from the potential where it
+    is needed (``maxwell_stress``).
     """
     opts = opts or SolverOptions()
     osc = OscillatoryMap(domain, eps, spec.geometry)
@@ -147,7 +155,6 @@ def solve_fine_electrostatic(spec, eps, f, domain, opts=None):
                 residual=rnorm, iterations=iterations)
 
     potential = ScalarField(domain, phi)
-    sigma_qp = maxwell_stress(potential)
     p = spec.p
     p_conj = p / (p - 1.0)
     grad = _fem.qp_gradient(phi, domain.conn, domain.h)
@@ -157,38 +164,66 @@ def solve_fine_electrostatic(spec, eps, f, domain, opts=None):
     }
     energy["ratio"] = energy["grad_phi_Lp^p"] / max(energy["f_Lq^q"], 1e-300)
     return FineSolution(
-        eps=eps, potential=potential, maxwell=sigma_qp,
+        eps=eps, potential=potential,
         residuals={"electrostatic": float(rnorm),
                    "electrostatic_max_nodal": float(np.abs(res[free]).max())},
         iterations={"electrostatic": iterations},
         energy=energy)
 
 
-def maxwell_stress(phi):
-    """Rank-one electric stress grad(phi) (x) grad(phi) at quadrature points."""
-    grad = _fem.qp_gradient(phi.values, phi.grid.conn, phi.grid.h)
+def maxwell_stress(phi, rows=slice(None)):
+    """Rank-one electric stress grad(phi) (x) grad(phi) at quadrature points.
+
+    Over the whole grid (nel, 4, 2, 2), or over element rows ``rows``.
+    """
+    grid = phi.grid
+    grad = _fem.qp_gradient(phi.values, _fem.rows_of(grid.conn, grid.n, rows),
+                            grid.h)
     return grad[..., :, None] * grad[..., None, :]
 
 
-def solve_fine_elasticity(tensor_b, tensor_c, eps, g, sigma_qp, domain):
+# per element of a block of the electric load: the gradient and stress
+# (128 bytes each), the wrapped points and their temporaries, the two Lame
+# coefficients and the element loads
+_LOAD_BYTES_PER_ELEMENT = 1024
+
+
+def _electric_load(tensor_c, osc, potential):
+    """Nodal ∫ C(x/eps) Sigma : D(v), (n_nodes, 2), built row block by block.
+
+    Sigma is the potential's Maxwell stress, which is symmetric exactly
+    (each entry is one product), formed per block of element rows within
+    ``_fem.WORK_BUDGET_BYTES`` and never for the whole grid.  The sums are
+    bitwise those of ``_fem.divergence_residual`` on the whole stress.
+    """
+    domain = potential.grid
+    load = np.zeros((domain.n_nodes, 2))
+    for rows in _fem.row_blocks(domain.n, _LOAD_BYTES_PER_ELEMENT):
+        stress = _fem.isotropic_stress(*osc.lame(tensor_c, rows),
+                                       maxwell_stress(potential, rows))
+        _fem.scatter_rows(load, domain, rows,
+                          _fem.element_map(_fem.DIV_OP, stress, 2) * domain.h)
+    return load
+
+
+def solve_fine_elasticity(tensor_b, tensor_c, eps, g, potential, domain):
     """Solve ∫ B(x/eps) D(u) : D(v) = ∫ g.v - ∫ C(x/eps) Sigma : D(v).
 
-    One ``_fem.solve_dirichlet`` call: a factorization on small grids,
-    multigrid-preconditioned CG on large ones (the fine elastic systems
-    are the largest in the pipeline).  Returns the displacement and the
-    residual norm over the free dofs.
+    Sigma is the Maxwell stress of the electric ``potential``, a field on
+    ``domain``; the electric load is summed over blocks of element rows
+    (``_electric_load``).  One ``_fem.solve_dirichlet`` call: a
+    factorization on small grids, multigrid-preconditioned CG on large
+    ones (the fine elastic systems are the largest in the pipeline).
+    While it runs, only the block, the right-hand side and the solver's
+    own arrays are alive.  Returns the displacement and the residual norm
+    over the free dofs.
     """
+    if potential.grid != domain:
+        raise ValueError("potential lives on a different grid")
     osc = OscillatoryMap(domain, eps, tensor_b.geometry)
-    lam_b, mu_b = osc.lame(tensor_b)
-    g_qp = _source_at_qp(g, domain)
-    rhs = _fem.load_vector(domain, g_qp)
-
-    sig_sym = 0.5 * (sigma_qp + np.swapaxes(sigma_qp, -1, -2))
-    stress = _fem.isotropic_stress(*osc.lame(tensor_c), sig_sym)
-    rhs = rhs - _fem.divergence_residual(domain, stress)
-
-    block = _fem.assemble_elasticity(domain, lam_qp=lam_b, mu_qp=mu_b)
-    rhs = rhs.ravel()
+    rhs = _fem.load_vector(domain, _source_at_qp(g, domain))
+    rhs = (rhs - _electric_load(tensor_c, osc, potential)).ravel()
+    block = _fem.assemble_elasticity(domain, *osc.lame(tensor_b))
     u = _fem.solve_dirichlet(block, rhs, domain, dofs_per_node=2)
     free = _fem.free_dofs(domain, 2)
     rnorm = _fem.vector_norm(block @ u[free] - rhs[free])

@@ -152,3 +152,15 @@ def solved_block(grid, ke, dofs_per_node=1):
         nodes = np.flatnonzero(~grid.boundary_mask)
         free = (nodes[:, None] * d + np.arange(d)).ravel()
     return full[np.ix_(free, free)]
+
+
+def wrap_node(grid, ix, iy):
+    """Periodic node index of lattice position (ix, iy) on a cell grid."""
+    return (np.asarray(iy) % grid.n) * grid.n + (np.asarray(ix) % grid.n)
+
+
+def partition_centers(part):
+    """The eps-cell lattice points eps * (cx, cy), by flat cell id."""
+    axis = np.arange(part.per_axis) * part.eps
+    cx, cy = np.meshgrid(axis, axis, indexing="xy")
+    return np.stack([cx.ravel(), cy.ravel()], axis=-1)

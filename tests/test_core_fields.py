@@ -8,6 +8,8 @@ from hk.core_fields import (CellGrid, DomainGrid, ScalarField,
                             cell_average, dump_field, load_field,
                             sample_oscillatory)
 
+from oracles import wrap_node
+
 
 def test_make_cell_grid_counts():
     grid = CellGrid(4)
@@ -32,8 +34,8 @@ def test_periodic_wrap_bitwise():
     f = ScalarField(grid, vals)
     ix = rng.integers(0, 8, size=50)
     iy = rng.integers(0, 8, size=50)
-    same = grid.wrap_node(ix + 8, iy)
-    assert np.array_equal(f.values[grid.wrap_node(ix, iy)], f.values[same])
+    same = wrap_node(grid, ix + 8, iy)
+    assert np.array_equal(f.values[wrap_node(grid, ix, iy)], f.values[same])
 
 
 def test_domain_grid_interior_count():
@@ -44,15 +46,11 @@ def test_domain_grid_interior_count():
 
 
 def test_domain_interior_is_a_permutation_of_the_interior_nodes():
-    try:
-        for n in range(2, 257):
-            dom = DomainGrid(n)
-            assert np.array_equal(np.sort(_fem.free_dofs(dom)),
-                                  np.flatnonzero(~dom.boundary_mask)), n
-    finally:
-        # the block patterns of these 255 grids are cached per N: about
-        # 370 MiB that no later test reads
-        _fem._block_pattern.cache_clear()
+    # each grid's block pattern goes with the grid
+    for n in range(2, 257):
+        dom = DomainGrid(n)
+        assert np.array_equal(np.sort(_fem.free_dofs(dom)),
+                              np.flatnonzero(~dom.boundary_mask)), n
 
 
 def test_quadrature_weights_sum_to_area():

@@ -8,11 +8,14 @@ from hk.constitutive import ElasticTensorField, Geometry, OperatorSpec
 from hk.core_fields import (CellGrid, DomainGrid, ScalarField,
                             sample_oscillatory)
 from hk.corrector import (CellwiseConstant, EpsPartition, coarse_average_M,
-                          corrector_error_explicit, fit_rate, functional_pairing,
+                          corrector_error_dalmaso, corrector_error_explicit,
+                          fit_rate, functional_pairing,
                           pairing_limit, run_corrector_study,
                           two_scale_compose_S, two_scale_pairing)
 from hk.effective import EffectiveLaw
 from hk.homogenized import reconstruct_phi1, solve_homogenized_electrostatic
+
+from oracles import partition_centers
 
 UNIFORM = Geometry("uniform")
 
@@ -20,7 +23,7 @@ UNIFORM = Geometry("uniform")
 def test_partition_interior_classification():
     part = EpsPartition(0.25)
     assert part.per_axis == 5
-    centers = part.centers()
+    centers = partition_centers(part)
     inside = part.interior
     # 3x3 interior cells out of 25
     assert inside.sum() == 9
@@ -42,7 +45,7 @@ def test_coarse_average_affine_centers():
     v = dom.qp_coords()[..., 0]
     cc = coarse_average_M(v, dom, 0.25)
     part = cc.partition
-    centers = part.centers()
+    centers = partition_centers(part)
     inner = part.interior
     assert np.abs(cc.values[inner] - centers[inner][:, 0]).max() < 1e-14
     assert np.abs(cc.values[~inner]).max() == 0.0
@@ -90,7 +93,7 @@ def test_mm_average_linearity_in_x():
     table = pts[..., 0][..., None] * w_y
     cc = coarse_average_M(table, sample, 0.25, zero_boundary=False)
     avg, part = cc.values, cc.partition
-    centers = part.centers()
+    centers = partition_centers(part)
     inner = part.interior
     expect = centers[inner][:, 0][:, None] * w_y[None, :]
     assert np.abs(avg[inner] - expect).max() < 1e-13
@@ -272,7 +275,7 @@ def test_averaged_error_triangle_inequality():
                                     eps, 2.0)
     # averaging distance via the same lookup machinery
     from hk.corrector import _fine_qp_setup, _table_grad_at
-    domain, pts, grad_eps, grad0, sample_idx, y = _fine_qp_setup(
+    pts, grad_eps, grad0, sample_idx, y = _fine_qp_setup(
         fine.potential, macro.potential, corr, eps)
     avg = coarse_average_M(corr.potentials.reshape(sample.n_elems, 4, -1),
                            sample, eps, zero_boundary=False)
@@ -396,3 +399,120 @@ def test_study_memory_stays_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 12 * 2 ** 20
+
+
+def _synthetic_rung(n, sample_n=8, cell_n=8, seed=0):
+    """A random fine potential, macro potential and corrector table."""
+    from hk.homogenized import CorrectorData
+    rng = np.random.default_rng(seed)
+    sample, cell, dom = DomainGrid(sample_n), CellGrid(cell_n), DomainGrid(n)
+    k = 4 * sample.n_elems
+    corr = CorrectorData(sample, cell, rng.standard_normal((k, 2)),
+                         rng.standard_normal((k, cell.n_nodes)),
+                         np.zeros(k), np.zeros(k))
+    phi_eps = ScalarField(dom, rng.standard_normal(dom.n_nodes))
+    phi0 = ScalarField(sample, rng.standard_normal(sample.n_nodes))
+    return phi_eps, phi0, corr
+
+
+class _TableLaw:
+    """Stands in for an EffectiveLaw: one fixed cell field per loading."""
+
+    def __init__(self, cell):
+        self.field = np.sin(2.0 * np.pi * cell.node_coords()[:, 0])
+
+    def solutions_for(self, loadings):
+        return loadings[:, :1] * self.field
+
+
+@pytest.mark.parametrize("rows", [1, 3, 5, 32])
+def test_fine_qp_setup_row_blocks_concatenate_bitwise(rows):
+    from hk.corrector import _fine_qp_setup
+    from hk.homogenized import macroscopic_gradient_field
+    phi_eps, phi0, corr = _synthetic_rung(32)
+    for field in (None, macroscopic_gradient_field(phi0)):
+        whole = _fine_qp_setup(phi_eps, phi0, corr, 0.25, field)
+        blocks = [_fine_qp_setup(phi_eps, phi0, corr, 0.25, field,
+                                 slice(start, start + rows))
+                  for start in range(0, 32, rows)]
+        for k, array in enumerate(whole):
+            assert np.array_equal(
+                np.concatenate([block[k] for block in blocks]), array)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_streamed_errors_match_whole_grid(p, monkeypatch):
+    from hk.corrector import (_ERROR_BYTES_PER_ELEMENT, _fine_qp_setup,
+                              _table_grad_at)
+    phi_eps, phi0, corr = _synthetic_rung(32)
+    dom, sample, cell = phi_eps.grid, corr.sample_grid, corr.cell_grid
+    law, eps = _TableLaw(cell), 0.25
+    # blocks of 3 element rows, the last of 2
+    monkeypatch.setattr(_fem, "WORK_BUDGET_BYTES",
+                        3 * 32 * _ERROR_BYTES_PER_ELEMENT)
+    errs = corrector_error_explicit(phi_eps, phi0, corr, eps, p)
+    errs["E_dm"] = corrector_error_dalmaso(phi_eps, phi0, law, corr, eps, p)
+    # the whole grid at once
+    pts, grad_eps, grad0, sample_idx, y = _fine_qp_setup(
+        phi_eps, phi0, corr, eps)
+    avg = coarse_average_M(corr.potentials.reshape(sample.n_elems, 4, -1),
+                           sample, eps, zero_boundary=False)
+    ids = avg.partition.cell_of(pts)
+    inside = avg.partition.interior[ids][:, None]
+    diff_no = grad_eps - grad0
+    diff_exp = diff_no - _table_grad_at(corr.potentials, sample_idx, cell, y)
+    diff_avg = diff_no - _table_grad_at(avg.values, ids, cell, y)
+    loads = coarse_average_M(corr.loadings.reshape(sample.n_elems, 4, 2),
+                             sample, eps)
+    ids = loads.partition.cell_of(pts)
+    diff_dm = grad_eps - loads.values[ids] - _table_grad_at(
+        law.solutions_for(loads.values), ids, cell, y)
+    expect = {"E_exp": diff_exp, "E_avg": diff_avg, "E_nocorr": diff_no,
+              "E_exp_interior": np.where(inside, diff_exp, 0.0),
+              "E_avg_interior": np.where(inside, diff_avg, 0.0),
+              "E_dm": diff_dm}
+    assert errs.keys() == expect.keys()
+    for name, diff in expect.items():
+        ref = _fem.lp_norm_qp(dom.h, diff.reshape(dom.n_elems, 4, 2), p)
+        assert abs(errs[name] - ref) <= 1e-12 * ref, name
+
+
+def test_rung_post_processing_memory_within_budget():
+    # one N = 256 rung's post-processing on synthetic inputs: the error
+    # norms, the Maxwell check and the pairing walk the fine grid in
+    # blocks of element rows, so the traced peak is the work budget plus
+    # the inputs and the eps-cell tables; whole-grid quadrature tables
+    # took about 42 MiB
+    import tracemalloc
+
+    from hk.corrector import (_psi_x, _psi_y_maxwell, _psi_y_pairing,
+                              maxwell_two_scale_check)
+    phi_eps, phi0, corr = _synthetic_rung(256)
+    law, eps = _TableLaw(corr.cell_grid), 0.25
+    dom = phi_eps.grid
+    g = ScalarField(CellGrid(64), np.sin(
+        2.0 * np.pi * CellGrid(64).node_coords()[:, 0]))
+    v_eps = sample_oscillatory(g, eps, dom)
+    # the grids cache their coordinates on first use, outside the count
+    corr.sample_grid.qp_coords(), corr.cell_grid.qp_coords()
+    inputs = sum(a.nbytes for a in (phi_eps.values, phi0.values,
+                                    v_eps.values, corr.loadings,
+                                    corr.potentials))
+    # the eps-cell averages of the corrector table and of the loadings,
+    # their weighted copies on the sample grid and the Dal Maso table
+    tables = 2 * corr.potentials.nbytes + 2 * corr.loadings.nbytes \
+        + 2 * EpsPartition(eps).n_cells * corr.cell_grid.n_nodes * 8
+    tracemalloc.start()
+    try:
+        errs = corrector_error_explicit(phi_eps, phi0, corr, eps, 3.0)
+        errs["E_dm"] = corrector_error_dalmaso(phi_eps, phi0, law, corr,
+                                               eps, 3.0)
+        gap = maxwell_two_scale_check(phi_eps, eps, np.zeros((2, 2)),
+                                      _psi_x, _psi_y_maxwell)
+        pairing = two_scale_pairing(v_eps, _psi_x, _psi_y_pairing, eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(np.isfinite(list(errs.values()))) and errs["E_exp"] > 0.0
+    assert np.isfinite(gap) and np.isfinite(pairing)
+    assert peak <= _fem.WORK_BUDGET_BYTES + inputs + tables

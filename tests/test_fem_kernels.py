@@ -414,3 +414,48 @@ def test_library_has_one_factorization_policy():
     assert calls == ["_fem.spla.splu"]
     assert orders == {"'MMD_AT_PLUS_A'"}
     assert "nested_dissection" not in names
+
+
+@pytest.mark.parametrize("periodic", [False, True], ids=["dirichlet",
+                                                         "periodic"])
+def test_block_pattern_lives_with_its_grid(periodic):
+    import weakref
+    make = (lambda: CellGrid(16)) if periodic else (lambda: DomainGrid(16))
+    rng = np.random.default_rng(31)
+    lam, mu = rng.uniform(1.0, 2.0, (2, 16 * 16, 4))
+    grid = make()
+    first = _fem.assemble_elasticity(grid, lam, mu)
+    pattern = _fem._block_pattern(grid, 2)
+    # every solve on one grid shares its pattern
+    assert _fem._block_pattern(grid, 2) is pattern
+    assert pattern is grid.block_patterns[2]
+    dead = weakref.ref(pattern)
+    del grid, pattern
+    assert dead() is None
+    # a new grid builds the same pattern, and the same block, bitwise
+    again = _fem.assemble_elasticity(make(), lam, mu)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(first, name), getattr(again, name))
+
+
+@pytest.mark.parametrize("tail", [(), (2,)], ids=["scalar", "vector"])
+@pytest.mark.parametrize("rows", [1, 3, 7, 16])
+def test_row_blocks_sum_bitwise_as_whole_tables(rows, tail, monkeypatch):
+    # 16 element rows in blocks of 1, 3, 7 (the last block shorter) or all
+    grid = DomainGrid(16)
+    monkeypatch.setattr(_fem, "WORK_BUDGET_BYTES", rows * 16)
+    blocks = _fem.row_blocks(grid.n, 1)
+    assert {b.stop - b.start for b in blocks[:-1]} <= {rows}
+    assert blocks[0].start == 0 and blocks[-1].stop == grid.n
+    rng = np.random.default_rng(32)
+    values = rng.standard_normal((grid.n_elems, 4) + tail) \
+        * 10.0 ** rng.integers(-6, 6, (grid.n_elems, 4) + tail)
+    nodal = np.zeros((grid.n_nodes,) + tail)
+    sums = None
+    for block in blocks:
+        part = _fem.rows_of(values, grid.n, block)
+        _fem.scatter_rows(nodal, grid, block, part)
+        sums = _fem.row_sums(sums, part)
+    assert np.array_equal(nodal, _fem.scatter(grid.node_scatter, values))
+    assert np.array_equal(_fem.integrate_qp(grid.h, sums),
+                          _fem.integrate_qp(grid.h, values))

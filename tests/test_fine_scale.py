@@ -140,9 +140,9 @@ def uniform_b(lam=1.0, mu=1.0):
 
 def test_elasticity_zero_loads():
     dom = DomainGrid(16)
-    sigma = np.zeros((dom.n_elems, 4, 2, 2))
+    phi = ScalarField(dom, np.zeros(dom.n_nodes))
     u, resid = solve_fine_elasticity(uniform_b(), uniform_b(), 0.25,
-                                     np.zeros(2), sigma, dom)
+                                     np.zeros(2), phi, dom)
     assert np.abs(u.values).max() < 1e-14
 
 
@@ -153,9 +153,9 @@ def test_elasticity_manufactured_second_order():
     errs = []
     for n in (16, 32, 64):
         dom = DomainGrid(n)
-        sigma = np.zeros((dom.n_elems, 4, 2, 2))
+        phi = ScalarField(dom, np.zeros(dom.n_nodes))
         u, _ = solve_fine_elasticity(uniform_b(lam, mu), zero_c, 0.25,
-                                     lambda x, y: g(x, y), sigma, dom)
+                                     lambda x, y: g(x, y), phi, dom)
         pts = dom.node_coords()
         err = u.values - u_exact(pts[:, 0], pts[:, 1])
         e_qp = _fem.qp_values(err, dom.conn)
@@ -169,12 +169,15 @@ def test_elasticity_manufactured_second_order():
 def test_elasticity_linear_in_load():
     dom = DomainGrid(16)
     rng = np.random.default_rng(12)
-    grad = rng.standard_normal((dom.n_elems, 4, 2))
-    sigma = np.einsum("eqc,eqd->eqcd", grad, grad)
+    # the Maxwell stress is quadratic in the potential: sqrt(2) phi
+    # doubles it
+    phi = rng.standard_normal(dom.n_nodes)
     b = ElasticTensorField.from_lame((1.0, 1.0), (3.0, 2.0), LAMINATE)
     c = ElasticTensorField.from_lame((0.5, 0.5), (1.5, 1.0), LAMINATE)
-    u1, _ = solve_fine_elasticity(b, c, 0.25, np.zeros(2), sigma, dom)
-    u2, _ = solve_fine_elasticity(b, c, 0.25, np.zeros(2), 2.0 * sigma, dom)
+    u1, _ = solve_fine_elasticity(b, c, 0.25, np.zeros(2),
+                                  ScalarField(dom, phi), dom)
+    u2, _ = solve_fine_elasticity(b, c, 0.25, np.zeros(2),
+                                  ScalarField(dom, np.sqrt(2.0) * phi), dom)
     assert np.abs(u2.values - 2.0 * u1.values).max() < 1e-12
 
 
@@ -231,7 +234,6 @@ def test_elastic_assembly_memory_at_n128():
     dom = DomainGrid(128)
     b = ElasticTensorField.from_lame((1.0, 1.0), (3.0, 2.0), LAMINATE)
     lam, mu = OscillatoryMap(dom, 0.0625, LAMINATE).lame(b)
-    _fem._block_pattern.cache_clear()
     tracemalloc.start()
     try:
         block = _fem.assemble_elasticity(dom, lam, mu)
@@ -298,12 +300,12 @@ def test_fine_elasticity_factors_nothing_above_the_cut(monkeypatch):
     dom = DomainGrid(128)
     b = ElasticTensorField.from_lame((1.0, 1.0), (3.0, 2.0), LAMINATE)
     c = ElasticTensorField.from_lame((0.5, 0.5), (1.5, 1.0), LAMINATE)
-    pts = dom.qp_coords()
-    grad = np.stack([np.cos(np.pi * pts[..., 0]), np.sin(pts[..., 1])],
-                    axis=-1)
+    pts = dom.node_coords()
+    # gradient (cos(pi x1), sin(x2))
+    phi = ScalarField(dom, np.sin(np.pi * pts[:, 0]) / np.pi
+                      - np.cos(pts[:, 1]))
     sizes = _factor_sizes(monkeypatch)
-    solve_fine_elasticity(b, c, 0.0625, np.array([0.0, -1.0]),
-                          grad[..., :, None] * grad[..., None, :], dom)
+    solve_fine_elasticity(b, c, 0.0625, np.array([0.0, -1.0]), phi, dom)
     assert sizes and max(sizes) <= _fem.DIRECT_MAX_DOFS
 
 
@@ -317,3 +319,28 @@ def test_pcg_iteration_cap_falls_back_to_direct_solve(kind, monkeypatch):
     x = _fem.solve_dirichlet(block, rhs, DomainGrid(128), dofs_per_node=d)
     assert block.shape[0] in sizes
     assert np.abs(x - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
+def test_elasticity_from_potential_matches_whole_grid_load(monkeypatch):
+    # the electric load, summed over blocks of 5 element rows (the last
+    # of 4), against the whole grid's Maxwell stress at once
+    from hk.fine_scale import _LOAD_BYTES_PER_ELEMENT
+    dom, eps = DomainGrid(64), 0.125
+    b = ElasticTensorField.from_lame((1.0, 1.0), (3.0, 2.0), LAMINATE)
+    c = ElasticTensorField.from_lame((0.5, 0.5), (1.5, 1.0), LAMINATE)
+    g = np.array([0.0, -1.0])
+    pts = dom.node_coords()
+    x1, x2 = pts[:, 0], pts[:, 1]
+    phi = ScalarField(dom, np.sin(np.pi * x1) * np.sin(np.pi * x2)
+                      * (1.0 + 0.1 * np.cos(2.0 * np.pi * x1 / eps)))
+    monkeypatch.setattr(_fem, "WORK_BUDGET_BYTES",
+                        5 * 64 * _LOAD_BYTES_PER_ELEMENT)
+    u, _ = solve_fine_elasticity(b, c, eps, g, phi, dom)
+    osc = OscillatoryMap(dom, eps, LAMINATE)
+    stress = _fem.isotropic_stress(*osc.lame(c), maxwell_stress(phi))
+    rhs = (_fem.load_vector(dom, np.broadcast_to(g, (dom.n_elems, 4, 2)))
+           - _fem.divergence_residual(dom, stress)).ravel()
+    ref = _fem.solve_dirichlet(_fem.assemble_elasticity(dom, *osc.lame(b)),
+                               rhs, dom, dofs_per_node=2)
+    scale = np.abs(ref).max()
+    assert np.abs(u.values.ravel() - ref).max() <= 1e-12 * scale

@@ -200,7 +200,7 @@ def test_constant_coefficients_fine_equals_homogenized():
     for eps in (0.5, 0.25):
         fine = solve_fine_electrostatic(spec, eps, 1.0, dom,
                                         SolverOptions(tol=1e-12))
-        u_eps, _ = solve_fine_elasticity(b, c, eps, g, fine.maxwell, dom)
+        u_eps, _ = solve_fine_elasticity(b, c, eps, g, fine.potential, dom)
         assert np.abs(u_eps.values - u0.values).max() < 1e-12
 
 
@@ -225,7 +225,8 @@ def test_displacement_converges_when_c_is_not_a_multiple_of_b():
     for eps in ladder:
         fine_dom = DomainGrid(int(round(8 / eps)))
         fine = solve_fine_electrostatic(spec, eps, study_source, fine_dom)
-        u_eps, _ = solve_fine_elasticity(b, c, eps, g, fine.maxwell, fine_dom)
+        u_eps, _ = solve_fine_elasticity(b, c, eps, g, fine.potential,
+                                         fine_dom)
         diff = _fem.qp_values(u_eps.values, fine_dom.conn) - _fem.point_eval(
             u0.values, dom.conn, dom.h, dom.n, dom.origin,
             fine_dom.qp_coords())

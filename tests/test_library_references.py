@@ -25,10 +25,6 @@ ALLOWED = {
     "solve_electrostriction_cell": "the one-source electrostriction form of "
                                    "solve_elastic_cells; "
                                    "perfbench/spans.py traces it by name",
-    "CellGrid.wrap_node": "periodic node index of a lattice position, which "
-                          "the cell-periodicity tests read fields through",
-    "EpsPartition.centers": "the eps-cell lattice points, from which the "
-                            "averaging-operator tests build their fields",
     "UnfoldedField.norm_lp": "the L^p norm of an unfolded field, the norm of "
                              "the paper's unfolding operator S_eps",
     "EffectiveLaw.eval": "the one-loading form of eval_batch",
