@@ -16,9 +16,12 @@ node matrix once (``node_scatter``).  Two sums are slice-adds instead:
 stiffness matrices, whose element blocks are summed per stencil
 direction straight into the block of free dofs that the solves take
 (``_assemble``), and nodal loads summed over blocks of element rows
-(``scatter_rows``), bitwise as the CSR product sums them.  Every sparse
-direct solve, periodic or Dirichlet, goes through one factorization
-(``factor``) in one elimination order.
+(``scatter_rows``), bitwise as the CSR product sums them.  Every batch of
+work arrays is sliced by one rule (``blocks``); every integral over a
+fine grid walks its blocks of element rows in one loop (``row_sums``),
+and every fine point maps to the unit cell by one function
+(``cell_points``).  Every sparse direct solve, periodic or Dirichlet,
+goes through one factorization (``factor``) in one elimination order.
 """
 
 from dataclasses import dataclass
@@ -40,11 +43,13 @@ _G1 = 0.5 + 0.5 / np.sqrt(3.0)
 REF_POINTS = np.array([(gx, gy) for gy in (_G0, _G1) for gx in (_G0, _G1)])
 REF_WEIGHTS = np.full(4, 0.25)
 
-# Work arrays that scale with a batch (the batched cell solver's chunk of
-# loadings, the stress pairing's chunk of sample rows, the blocks of
-# element rows of a rung's error norms, pairings and elastic load, and of
-# the pairing limit) stay within this many bytes: the size class of
-# a 2 MiB-per-core L2 cache.  Cold batched p = 3 cell solves, one BLAS
+# Work arrays that scale with a batch stay within this many bytes, the
+# size class of a 2 MiB-per-core L2 cache; ``blocks`` slices every batch
+# by it: the batched cell solver's chunks of loadings, the stress
+# pairing's chunks of sample rows, and the blocks of element rows that
+# the fine-grid integrals (``row_sums``: the errors, the pairings, the
+# Maxwell check and the pairing limit) and the elastic load
+# (``scatter_rows``) walk.  Cold batched p = 3 cell solves, one BLAS
 # thread, best of 15 at n = 8 (200 rows) / n = 16 (100) / n = 32 (40):
 # 2 MiB 17.7 / 48.2 / 109 ms, 4 MiB 17.2 / 47.5 / 104 ms, 8 MiB 15.6 /
 # 45.1 / 105 ms, 40 MiB 15.8 / 49.1 / 124 ms; 4 and 8 MiB are within the
@@ -168,12 +173,17 @@ def qp_coords(n_cells, h, origin, rows=slice(None)):
     """Physical quadrature-point coordinates, (n_elements, 4, 2).
 
     ``rows`` picks a range of element rows; their elements come in the
-    same order and with the same coordinates as in the whole table.
+    same order and with the same coordinates as in the whole table.  Each
+    coordinate is (corner + origin) + offset, built per axis as a (cells,
+    4) table and copied into place.
     """
-    n = n_cells
-    ex, ey = np.meshgrid(np.arange(n), np.arange(n)[rows], indexing="xy")
-    corner = np.stack([ex.ravel(), ey.ravel()], axis=-1) * h + np.asarray(origin)
-    return corner[:, None, :] + h * REF_POINTS[None, :, :]
+    offsets = h * REF_POINTS
+    x = (np.arange(n_cells) * h + origin[0])[:, None] + offsets[:, 0]
+    y = (np.arange(n_cells)[rows] * h + origin[1])[:, None] + offsets[:, 1]
+    out = np.empty((y.shape[0], n_cells, 4, 2))
+    out[..., 0] = x
+    out[..., 1] = y[:, None, :]
+    return out.reshape(-1, 4, 2)
 
 
 def qp_values(nodal, conn):
@@ -249,18 +259,32 @@ def lp_norm_qp(h, vec_qp, p):
 
 
 # ---------------------------------------------------------------------------
-# Blocks of element rows
+# Batches and blocks of element rows
 # ---------------------------------------------------------------------------
 
-def row_blocks(n_cells, bytes_per_element):
-    """Slices of element rows whose work arrays stay within the budget.
+# Per element of a block of element rows, the work arrays of the heaviest
+# walk over a fine grid, the corrector errors: the points, their cell
+# coordinates and gradients; each point's located element, local
+# coordinates and index temporaries (three lookups); the gathered table
+# values and their bilinear planes; the differences and their powers.
+# Measured under tracemalloc at about 1,300 bytes.
+ROW_BYTES_PER_ELEMENT = 2048
 
-    A block's arrays take ``bytes_per_element`` per element; every block
-    but the last has the same number of rows, at least one.
+
+def blocks(count, bytes_per_item):
+    """Slices covering items 0..count-1, each within the work budget.
+
+    An item's work arrays take ``bytes_per_item``; every slice but the
+    last has the same number of items, at least one.
     """
-    rows = max(1, WORK_BUDGET_BYTES // (bytes_per_element * n_cells))
-    return [slice(start, min(start + rows, n_cells))
-            for start in range(0, n_cells, rows)]
+    size = max(1, WORK_BUDGET_BYTES // bytes_per_item)
+    return [slice(start, min(start + size, count))
+            for start in range(0, count, size)]
+
+
+def row_blocks(n_cells):
+    """Blocks of element rows of an n_cells x n_cells grid (``blocks``)."""
+    return blocks(n_cells, ROW_BYTES_PER_ELEMENT * n_cells)
 
 
 def rows_of(table, n_cells, rows):
@@ -269,19 +293,38 @@ def rows_of(table, n_cells, rows):
     return table.reshape((n_cells, n_cells) + tail)[rows].reshape((-1,) + tail)
 
 
-def row_sums(per_qp, values):
-    """Running per-point sums of a table given block by block, in row order.
+def row_sums(n_cells, integrand):
+    """Per-point sums (1, 4, ...) of a table given block by block.
 
-    ``values`` (nel_block, 4, ...) is the next block of element rows and
-    ``per_qp`` the previous call's result, or None before the first.  The
-    running sums go in front of the block, so numpy's sum over elements
-    runs through the whole table in element order, one row after the
-    other, as it does on the whole table: ``integrate_qp(h, per_qp)`` at
-    the end is bitwise the integral of the whole table.
+    ``integrand(rows)`` is the table (elements of the rows, 4, ...) over
+    each of ``row_blocks(n_cells)`` in turn.  The running sums go in
+    front of each block, so numpy's sum over elements runs through the
+    whole table in element order, one row after the other, as it does on
+    the whole table: ``integrate_qp(h, sums)`` is bitwise the integral of
+    the whole table.
     """
-    if per_qp is not None:
-        values = np.concatenate((per_qp, values))
-    return values.sum(axis=0, keepdims=True)
+    sums = None
+    for rows in row_blocks(n_cells):
+        values = integrand(rows)
+        if sums is not None:
+            values = np.concatenate((sums, values))
+        sums = values.sum(axis=0, keepdims=True)
+    return sums
+
+
+def wrap_to_cell(points):
+    """Map arbitrary coordinates to Y = [-1/2, 1/2)^2 by periodicity."""
+    pts = np.asarray(points, dtype=float)
+    return pts - np.floor(pts + 0.5)
+
+
+def cell_points(grid, eps, rows=slice(None)):
+    """y = {x/eps}_Y at the quadrature points of element rows ``rows``.
+
+    (n_elements, 4, 2), as ``qp_coords``: the blocks of consecutive rows
+    concatenate to the whole grid's.
+    """
+    return wrap_to_cell(qp_coords(grid.n, grid.h, grid.origin, rows) / eps)
 
 
 # A node meets its elements in element order at their local nodes 2, 3, 1, 0

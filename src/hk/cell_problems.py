@@ -273,7 +273,8 @@ class BatchScalarCellSolver:
     band slot table, band, right-hand sides) lives in a workspace that
     each thread keeps for this solver, grown to the largest chunk it has
     seen; kernels fill it with ``out=`` and in-place ufuncs and return
-    views of it, so a caller copies what it keeps.  Chunks are sized so
+    views of it, so a caller copies what it keeps.  Chunks are
+    ``_fem.blocks`` of ``loading_bytes`` per row, of ``chunk`` rows, so
     that a workspace stays within ``_fem.WORK_BUDGET_BYTES`` (4 MiB: 520
     loadings at n = 4, 115 at n = 8, 23 at n = 16, 4 at n = 32, 1 from
     n = 64 on); the last row of a chunk is factored at the end of the
@@ -513,11 +514,6 @@ class BatchScalarCellSolver:
             out[..., c] = node_order
         return out
 
-    def _chunks(self, k):
-        """Slices of at most ``chunk`` rows covering rows 0..k-1."""
-        for start in range(0, k, self.chunk):
-            yield slice(start, min(start + self.chunk, k))
-
     def _integrate(self, values):
         """Quadrature sums over the cell of (k, nel, 4, ...) values: (k, ...)."""
         k = values.shape[0]
@@ -559,7 +555,7 @@ class BatchScalarCellSolver:
         k = loadings.shape[0]
         tangent = np.zeros((k, 2, 2))
         w = np.zeros((k, self.grid.n_nodes, 2))
-        for sl in self._chunks(k):
+        for sl in _fem.blocks(k, self.loading_bytes):
             tangent[sl] = self._tangent_chunk(loadings[sl], etas[sl], w[sl])
         return tangent, w
 
@@ -661,7 +657,7 @@ class BatchScalarCellSolver:
         ``start(chunk_rows)`` gives a chunk's initial iterates; None
         starts from eta = 0.
         """
-        for sl in self._chunks(rows.size):
+        for sl in _fem.blocks(rows.size, self.loading_bytes):
             r = rows[sl]
             (out.values[r], out.residuals[r], out.iterations[r],
              out.converged[r]) = self._solve_chunk(
@@ -670,7 +666,7 @@ class BatchScalarCellSolver:
     def flux_means(self, result):
         """Cell means of a(y, loading + grad eta) per sample, (K, 2)."""
         out = np.zeros((result.loadings.shape[0], 2))
-        for sl in self._chunks(out.shape[0]):
+        for sl in _fem.blocks(out.shape[0], self.loading_bytes):
             out[sl] = self._integrate(self._flux_at(self._total_gradient(
                 result.loadings[sl], result.values[sl])))
         return out
@@ -684,7 +680,7 @@ class BatchScalarCellSolver:
         """
         cell = np.zeros(loadings.shape[0])
         identity = np.zeros(loadings.shape[0])
-        for sl in self._chunks(cell.shape[0]):
+        for sl in _fem.blocks(cell.shape[0], self.loading_bytes):
             p_qp = self._total_gradient(loadings[sl], etas[sl])
             flux = self._flux_at(p_qp)
             cell[sl] = self._row_norms(self._divergence(flux))

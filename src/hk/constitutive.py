@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fem import isotropic_tensor
+from ._fem import isotropic_tensor, wrap_to_cell
 
 
 # ---------------------------------------------------------------------------
@@ -74,12 +74,6 @@ class Geometry:
         if self.kind == "square":
             return on_grid(0.5 * self.size)
         return False  # disc is never grid-aligned
-
-
-def wrap_to_cell(points):
-    """Map arbitrary coordinates to Y = [-1/2, 1/2)^2 by periodicity."""
-    pts = np.asarray(points, dtype=float)
-    return pts - np.floor(pts + 0.5)
 
 
 def _squared_norm(xi):
@@ -352,13 +346,6 @@ class GrowthReport:
     empirical_monotonicity: float  # min monotonicity ratio (empirical lambda_o)
     violation: bool
 
-    def __str__(self):
-        flag = "VIOLATION" if self.violation else "ok"
-        return (f"growth audit [{flag}] over {self.samples} samples: "
-                f"|a(.,0)| <= {self.max_flux_at_zero:.3e}, "
-                f"continuity <= {self.empirical_continuity:.6g}, "
-                f"monotonicity >= {self.empirical_monotonicity:.6g}")
-
 
 def _ball_samples(rng, m, radius):
     angle = rng.uniform(0.0, 2.0 * np.pi, size=m)
@@ -488,8 +475,3 @@ class ElasticTensorField:
         ratio = (bc * c).sum(axis=(1, 2)) / (c * c).sum(axis=(1, 2))
         max_norm = max(float(np.abs(t).max()) for t in self.tensors)
         return max_norm, float(ratio.min())
-
-    def fingerprint(self):
-        vals = ",".join(f"{v:.12g}" for t in self.tensors for v in t.ravel())
-        return f"{self.geometry.kind}|{self.geometry.fraction:.12g}" \
-               f"|{self.geometry.size:.12g}|{vals}"

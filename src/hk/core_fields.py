@@ -24,8 +24,6 @@ class QuadratureRule:
     """
 
     def __init__(self, h):
-        self.h = float(h)
-        self.points = _fem.REF_POINTS
         self.weights = h * h * _fem.REF_WEIGHTS
         self.weights.setflags(write=False)
 
@@ -70,7 +68,6 @@ class CellGrid(_Grid):
     """
 
     periodic = True
-    d = 2
     origin = (-0.5, -0.5)
 
     def __init__(self, n):
@@ -108,7 +105,6 @@ class DomainGrid(_Grid):
     """
 
     periodic = False
-    d = 2
     origin = (0.0, 0.0)
 
     def __init__(self, n_cells):
@@ -170,32 +166,6 @@ class ScalarField(_Field):
 class VectorField(_Field):
     components = 2
     component_shape = (2,)
-
-
-class TensorField(_Field):
-    components = 4
-    component_shape = (2, 2)
-
-
-def cell_average(f):
-    """Quadrature-weighted componentwise mean over the unit cell.
-
-    Accepts a field on a CellGrid or raw quadrature data (nel, 4, ...);
-    |Y| = 1, so the mean equals the integral.
-    """
-    if isinstance(f, _Field):
-        if not isinstance(f.grid, CellGrid):
-            raise ValueError("cell_average expects a field on a CellGrid")
-        data = f.at_quadrature()
-        h = f.grid.h
-    else:
-        data = np.asarray(f)
-        nel = data.shape[0]
-        n = int(round(np.sqrt(nel)))
-        if n * n != nel:
-            raise ValueError("quadrature data does not match a square grid")
-        h = 1.0 / n
-    return _fem.integrate_qp(h, data)
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +263,6 @@ def load_field(stream, grid):
     finally:
         if close:
             stream.close()
-    vals = vals if comps > 1 else vals[:, 0]
     if comps == 1:
-        return ScalarField(grid, vals)
-    if comps == 2:
-        return VectorField(grid, vals)
-    return TensorField(grid, vals.reshape(grid.n_nodes, 2, 2))
+        return ScalarField(grid, vals[:, 0])
+    return VectorField(grid, vals)

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import _fem
 from .core_fields import CellGrid, DomainGrid, ScalarField, sample_oscillatory
-from .constitutive import wrap_to_cell
 
 
 # ---------------------------------------------------------------------------
@@ -78,12 +77,16 @@ def coarse_average_M(v, domain, eps, zero_boundary=True):
         v = v.at_quadrature(domain)
     part = EpsPartition(eps)
     data = v if isinstance(v, np.ndarray) else v.at_quadrature()
+    # the one-hot matrix with each point's quadrature weight in place of
+    # its 1 (its entries are grouped by cell, so the weights go through
+    # its column indices): it sums the products w * v in the order the
+    # plain one adds them, with no weighted copy of the data
     cells = _fem.scatter_matrix(part.cell_of(domain.qp_coords()),
                                 part.n_cells)
-    w = np.broadcast_to(domain.rule.weights, (domain.n_elems, 4))
+    cells.data = np.tile(domain.rule.weights, domain.n_elems)[cells.indices]
     comp_shape = data.shape[2:]
-    sums = _fem.scatter(cells, w[(...,) + (None,) * len(comp_shape)] * data)
-    meas = _fem.scatter(cells, w)
+    sums = _fem.scatter(cells, data)
+    meas = _fem.scatter(cells, np.ones(cells.shape[1]))
     safe = np.where(meas > 0.0, meas, 1.0)
     means = sums / safe[(...,) + (None,) * len(comp_shape)]
     if zero_boundary:
@@ -156,18 +159,6 @@ def two_scale_compose_S(v, eps):
 # Corrector error norms
 # ---------------------------------------------------------------------------
 
-# Per element (4 quadrature points) of a block of the error norms: the
-# points, their cell coordinates and gradients; each point's located
-# element, local coordinates and index temporaries (three lookups); the
-# gathered table values and their bilinear planes; the differences and
-# their powers.  Measured under tracemalloc at about 1,300 bytes.
-_ERROR_BYTES_PER_ELEMENT = 2048
-# per element of a pairing or Maxwell-check block: points, wrapped points,
-# test factors, field values or stresses and their products (about 300
-# bytes under tracemalloc)
-_PAIRING_BYTES_PER_ELEMENT = 512
-
-
 def _fine_qp_setup(phi_eps, phi0, corr, eps, grad0_field=None,
                    rows=slice(None)):
     """Fine quadrature-point data of element rows ``rows`` for the errors.
@@ -190,7 +181,7 @@ def _fine_qp_setup(phi_eps, phi0, corr, eps, grad0_field=None,
     if phi0 is not None:
         grad0 = _gradient_at(phi0, grad0_field, pts)
         sample_idx = _nearest_qp(corr.sample_grid, pts)
-    y = wrap_to_cell(pts / eps)
+    y = _fem.cell_points(domain, eps, rows).reshape(-1, 2)
     return pts, grad_eps, grad0, sample_idx, y
 
 
@@ -203,7 +194,11 @@ def _table_grad_at(tables, row_idx, cell_grid, y):
 
 
 def _lp_roots(domain, per_qp, p):
-    """L^p norms from ``_fem.row_sums`` of p-th powers, one per last entry."""
+    """L^p norms from ``_fem.row_sums`` of p-th powers, one per last entry.
+
+    Each column is integrated on its own: ``integrate_qp`` on the stacked
+    sums is not bitwise the integral of each column.
+    """
     return [float(_fem.integrate_qp(domain.h, per_qp[..., k]) ** (1.0 / p))
             for k in range(per_qp.shape[-1])]
 
@@ -226,8 +221,8 @@ def corrector_error_explicit(phi_eps, phi0, corr, eps, p, grad0_field=None):
     avg = coarse_average_M(corr.potentials.reshape(sample.n_elems, 4, -1),
                            sample, eps, zero_boundary=False)
     part = avg.partition
-    sums = None
-    for rows in _fem.row_blocks(domain.n, _ERROR_BYTES_PER_ELEMENT):
+
+    def powers(rows):
         pts, grad_eps, grad0, sample_idx, y = _fine_qp_setup(
             phi_eps, phi0, corr, eps, grad0_field, rows)
         cell_ids = part.cell_of(pts)
@@ -238,13 +233,15 @@ def corrector_error_explicit(phi_eps, phi0, corr, eps, p, grad0_field=None):
                                             cell_grid, y)
         diff_avg = diff_no - _table_grad_at(avg.values, cell_ids, cell_grid,
                                             y)
-        powers = [_fem.qp_power(diff.reshape(-1, 4, 2), p)
-                  for diff in (diff_exp, diff_avg, diff_no,
-                               diff_exp * interior, diff_avg * interior)]
-        sums = _fem.row_sums(sums, np.stack(powers, axis=-1))
+        return np.stack([_fem.qp_power(diff.reshape(-1, 4, 2), p)
+                         for diff in (diff_exp, diff_avg, diff_no,
+                                      diff_exp * interior,
+                                      diff_avg * interior)], axis=-1)
+
     names = ("E_exp", "E_avg", "E_nocorr", "E_exp_interior",
              "E_avg_interior")
-    return dict(zip(names, _lp_roots(domain, sums, p)))
+    return dict(zip(names, _lp_roots(domain, _fem.row_sums(domain.n, powers),
+                                     p)))
 
 
 def corrector_error_dalmaso(phi_eps, phi0, law, corr, eps, p,
@@ -264,16 +261,17 @@ def corrector_error_dalmaso(phi_eps, phi0, law, corr, eps, p,
     avg = coarse_average_M(corr.loadings.reshape(sample.n_elems, 4, 2),
                            sample, eps)
     solutions = law.solutions_for(avg.values)
-    sums = None
-    for rows in _fem.row_blocks(domain.n, _ERROR_BYTES_PER_ELEMENT):
+
+    def powers(rows):
         pts, grad_eps, _, _, y = _fine_qp_setup(phi_eps, None, corr, eps,
                                                 rows=rows)
         cell_ids = avg.partition.cell_of(pts)
         flux_map = avg.values[cell_ids] + _table_grad_at(
             solutions, cell_ids, corr.cell_grid, y)
-        sums = _fem.row_sums(sums, _fem.qp_power(
-            (grad_eps - flux_map).reshape(-1, 4, 2), p)[..., None])
-    return _lp_roots(domain, sums, p)[0]
+        return _fem.qp_power((grad_eps - flux_map).reshape(-1, 4, 2),
+                             p)[..., None]
+
+    return _lp_roots(domain, _fem.row_sums(domain.n, powers), p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -283,50 +281,47 @@ def corrector_error_dalmaso(phi_eps, phi0, law, corr, eps, p,
 def _oscillating_weights(domain, rows, eps, psi_x, psi_y):
     """psi_x(x) psi_y(x/eps) at the quadrature points of element rows."""
     pts = _fem.qp_coords(domain.n, domain.h, domain.origin, rows)
-    y = wrap_to_cell(pts / eps)
+    y = _fem.cell_points(domain, eps, rows)
     return psi_x(pts[..., 0], pts[..., 1]) * psi_y(y[..., 0], y[..., 1])
 
 
-def two_scale_pairing(v, psi_x, psi_y, eps, domain=None):
+def two_scale_pairing(v, psi_x, psi_y, eps):
     """∫ v(x) psi_x(x) psi_y(x/eps) dx by fine-grid quadrature.
 
-    ``v`` is a field (or quadrature data with ``domain`` given); the test
-    factors are smooth closed-form callables of (x1, x2) and (y1, y2).
-    The integral is summed over blocks of element rows within
-    ``_fem.WORK_BUDGET_BYTES``, in element order.
+    ``v`` is a field; the test factors are smooth closed-form callables
+    of (x1, x2) and (y1, y2).  The integral is summed over blocks of
+    element rows (``_fem.row_sums``).
     """
-    if domain is None:
-        domain = v.grid
-    sums = None
-    for rows in _fem.row_blocks(domain.n, _PAIRING_BYTES_PER_ELEMENT):
-        if isinstance(v, np.ndarray):
-            data = _fem.rows_of(v, domain.n, rows)
-        else:
-            data = _fem.qp_values(v.values,
-                                  _fem.rows_of(domain.conn, domain.n, rows))
-        sums = _fem.row_sums(sums, data * _oscillating_weights(
-            domain, rows, eps, psi_x, psi_y))
-    return float(_fem.integrate_qp(domain.h, sums))
+    domain = v.grid
+
+    def integrand(rows):
+        values = _fem.qp_values(v.values,
+                                _fem.rows_of(domain.conn, domain.n, rows))
+        return values * _oscillating_weights(domain, rows, eps, psi_x, psi_y)
+
+    return float(_fem.integrate_qp(domain.h,
+                                   _fem.row_sums(domain.n, integrand)))
 
 
-def pairing_limit(g_field, psi_x, psi_y, resolution=256):
+# elements per side of the x-factor quadrature of ``pairing_limit``
+_LIMIT_N = 256
+
+
+def pairing_limit(g_field, psi_x, psi_y):
     """(1/|Y|) ∫∫ g(y) psi_x(x) psi_y(y) dy dx for a separable limit.
 
     The x-factor integral uses an independent high-resolution quadrature
-    on the unit square, evaluated over blocks of element rows whose work
-    arrays stay within ``_fem.WORK_BUDGET_BYTES``; the per-point sums run
-    in element order across the blocks, so the integral is bitwise the
-    one of the whole table.  The y-factor integrates the interpolated
-    unit-cell field against the closed-form test factor.
+    on the unit square (``_LIMIT_N`` elements per side), summed over
+    blocks of element rows (``_fem.row_sums``).  The y-factor integrates
+    the interpolated unit-cell field against the closed-form test factor.
     """
-    h = 1.0 / resolution
-    sums = None
-    # per element: 8 coordinates, and the factor's values, a few
-    # temporaries of the same size and their stacked copy
-    for rows in _fem.row_blocks(resolution, 8 * 28):
-        pts = _fem.qp_coords(resolution, h, DomainGrid.origin, rows)
-        sums = _fem.row_sums(sums, psi_x(pts[..., 0], pts[..., 1]))
-    int_x = _fem.integrate_qp(h, sums)
+    h = 1.0 / _LIMIT_N
+
+    def integrand(rows):
+        pts = _fem.qp_coords(_LIMIT_N, h, DomainGrid.origin, rows)
+        return psi_x(pts[..., 0], pts[..., 1])
+
+    int_x = _fem.integrate_qp(h, _fem.row_sums(_LIMIT_N, integrand))
     cg = g_field.grid
     ypts = cg.qp_coords()
     gy = g_field.at_quadrature() * psi_y(ypts[..., 0], ypts[..., 1])
@@ -339,8 +334,8 @@ def two_scale_stress_pairing(corr, psi_x, psi_y):
     ∫∫ (grad phi0 + grad_y phi1)(x, y) tensored with itself, against
     psi_x(x) psi_y(y), with the corrector attached at sample quadrature
     points.  It does not depend on eps, so a study computes it once.
-    Each chunk of sample rows, its work arrays within
-    ``_fem.WORK_BUDGET_BYTES``, adds one (2, M) @ (M, 2) matrix product.
+    Each chunk of sample rows (``_fem.blocks``) adds one (2, M) @ (M, 2)
+    matrix product; the chunks set the order of the sum.
     """
     sample = corr.sample_grid
     spts = sample.qp_coords().reshape(-1, 2)
@@ -349,12 +344,10 @@ def two_scale_stress_pairing(corr, psi_x, psi_y):
     cg = corr.cell_grid
     ypts = cg.qp_coords()
     fy = (psi_y(ypts[..., 0], ypts[..., 1]) * cg.rule.weights).reshape(-1)
+    out = np.zeros((2, 2))
     # per sample row and cell element: 4 gathered potentials, 8 gradient
     # components, 8 weighted ones and 4 weights
-    chunk = max(1, _fem.WORK_BUDGET_BYTES // (8 * 24 * cg.n_elems))
-    out = np.zeros((2, 2))
-    for start in range(0, spts.shape[0], chunk):
-        sl = slice(start, min(start + chunk, spts.shape[0]))
+    for sl in _fem.blocks(spts.shape[0], 8 * 24 * cg.n_elems):
         total = corr.grad_y_fields(np.arange(sl.start, sl.stop))
         total += corr.loadings[sl][:, None, None, :]
         weights = (fx[sl, None] * fy).reshape(-1, 1)
@@ -374,12 +367,12 @@ def maxwell_two_scale_check(phi_eps, eps, two_scale, psi_x, psi_y):
     """
     from .fine_scale import maxwell_stress
     domain = phi_eps.grid
-    sums = None
-    for rows in _fem.row_blocks(domain.n, _PAIRING_BYTES_PER_ELEMENT):
+
+    def integrand(rows):
         weights = _oscillating_weights(domain, rows, eps, psi_x, psi_y)
-        sums = _fem.row_sums(sums, weights[..., None, None]
-                             * maxwell_stress(phi_eps, rows))
-    lhs = _fem.integrate_qp(domain.h, sums)
+        return weights[..., None, None] * maxwell_stress(phi_eps, rows)
+
+    lhs = _fem.integrate_qp(domain.h, _fem.row_sums(domain.n, integrand))
     return float(np.abs(lhs - two_scale).max())
 
 
@@ -389,14 +382,16 @@ def functional_pairing(u, psi):
     Summed over blocks of element rows, as ``two_scale_pairing`` is.
     """
     domain = u.grid
-    sums = None
-    for rows in _fem.row_blocks(domain.n, _PAIRING_BYTES_PER_ELEMENT):
+
+    def integrand(rows):
         pts = _fem.qp_coords(domain.n, domain.h, domain.origin, rows)
         test = np.stack(psi(pts[..., 0], pts[..., 1]), axis=-1)
         vals = _fem.qp_values(u.values,
                               _fem.rows_of(domain.conn, domain.n, rows))
-        sums = _fem.row_sums(sums, (vals * test).sum(axis=-1))
-    return float(_fem.integrate_qp(domain.h, sums))
+        return (vals * test).sum(axis=-1)
+
+    return float(_fem.integrate_qp(domain.h,
+                                   _fem.row_sums(domain.n, integrand)))
 
 
 def fit_rate(ladder, errors):

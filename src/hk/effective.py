@@ -73,9 +73,6 @@ class EffectiveLaw:
                     loadings @ self._basis)
         return self._solve_loadings(loadings, warm=warm)
 
-    def eval(self, xi):
-        return self.eval_batch(np.asarray(xi, dtype=float)[None, :])[0]
-
     def eval_batch(self, loadings):
         """Effective flux for loadings (K, 2)."""
         loadings = np.asarray(loadings, dtype=float)
@@ -173,7 +170,6 @@ _SYM_PAIRS = ((0, 0), (1, 1), (0, 1))
 class EffectiveElasticity:
     tensor: np.ndarray                       # (2,2,2,2)
     solutions: dict = field(repr=False)      # (i,j) -> ElasticCellSolution
-    grid_n: int = 0
 
 
 @dataclass
@@ -186,7 +182,6 @@ class EffectiveElectrostriction:
 
     pair_matrices: np.ndarray                # (2,2,2,2): [i,j] -> 2x2
     solutions: dict = field(repr=False)
-    grid_n: int = 0
 
     def apply(self, mat):
         mat = np.asarray(mat, dtype=float)
@@ -253,9 +248,8 @@ def assemble_elastic_tensors(tensor_b, tensor_c, unit_etas, grid):
                                 indices=(i, j)) for (i, j) in pairs}
 
     all_pairs = [(i, j) for i in range(2) for j in range(2)]
-    return (EffectiveElasticity(bhom, solutions("U", _SYM_PAIRS), grid.n),
-            EffectiveElectrostriction(pair, solutions("chi", all_pairs),
-                                      grid.n))
+    return (EffectiveElasticity(bhom, solutions("U", _SYM_PAIRS)),
+            EffectiveElectrostriction(pair, solutions("chi", all_pairs)))
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +264,6 @@ class AHomPropertyReport:
     min_monotonicity: float
     max_continuity: float
     violation: bool
-
-    def __str__(self):
-        flag = "VIOLATION" if self.violation else "ok"
-        return (f"effective-law audit [{flag}] over {self.pairs} pairs: "
-                f"theta={self.theta:.6g}, monotonicity >= "
-                f"{self.min_monotonicity:.6g}, continuity <= "
-                f"{self.max_continuity:.6g}")
 
 
 def check_a_hom_properties(law, m=100, seed=0, radius=2.0):

@@ -17,50 +17,27 @@ from .core_fields import ScalarField, VectorField
 from .errors import NonConvergence
 
 
-def periods_per_side(domain, eps):
-    """Fine elements per microstructure period, m = N * eps (integer)."""
+def periods_per_side(domain, eps, geometry=None):
+    """Fine elements per microstructure period, m = N * eps (integer).
+
+    With ``geometry`` given, its phase interfaces must lie on the element
+    pitch 1/m of the period (a disc is exempt): each quadrature point
+    then lies strictly inside one phase, so coefficients read at its
+    cell point (``_fem.cell_points``) are exact.
+    """
     m = domain.n * eps
     if abs(m - round(m)) > 1e-9 or round(m) < 2:
         raise ValueError(
             f"incommensurate pairing: N={domain.n}, eps={eps}; the domain "
             "grid must resolve each eps-period by an integer number of "
             "elements")
-    return int(round(m))
-
-
-class OscillatoryMap:
-    """Unit-cell coefficient evaluation at y = {x/eps}_Y on a domain grid.
-
-    Domain quadrature points are wrapped into the unit cell and the
-    coefficients evaluated there directly; with interfaces aligned to the
-    element pitch (checked against the geometry), each quadrature point
-    lies strictly inside one phase so the evaluation is exact.  The
-    wrapped points are computed per call, for the whole grid or for a
-    block of element rows, and not kept.
-    """
-
-    def __init__(self, domain, eps, geometry=None):
-        self.domain = domain
-        self.eps = eps
-        self.m = periods_per_side(domain, eps)
-        if geometry is not None and not geometry.aligned_with(1.0 / self.m) \
-                and geometry.kind != "disc":
-            raise ValueError(
-                f"geometry interfaces are not resolved by {self.m} elements "
-                f"per period (aliasing)")
-
-    def points(self, rows=slice(None)):
-        """y = {x/eps}_Y at the quadrature points of element rows ``rows``."""
-        from .constitutive import wrap_to_cell
-        d = self.domain
-        return wrap_to_cell(_fem.qp_coords(d.n, d.h, d.origin, rows)
-                            / self.eps)
-
-    def local_coefficients(self, spec):
-        return spec.local_coefficients(self.points())
-
-    def lame(self, tensor_field, rows=slice(None)):
-        return tensor_field.lame_at(self.points(rows))
+    m = int(round(m))
+    if geometry is not None and not geometry.aligned_with(1.0 / m) \
+            and geometry.kind != "disc":
+        raise ValueError(
+            f"geometry interfaces are not resolved by {m} elements "
+            f"per period (aliasing)")
+    return m
 
 
 @dataclass
@@ -69,7 +46,6 @@ class FineSolution:
 
     eps: float
     potential: ScalarField
-    displacement: VectorField = None
     residuals: dict = field(default_factory=dict)
     iterations: dict = field(default_factory=dict)
     energy: dict = field(default_factory=dict)
@@ -112,8 +88,8 @@ def solve_fine_electrostatic(spec, eps, f, domain, opts=None):
     is needed (``maxwell_stress``).
     """
     opts = opts or SolverOptions()
-    osc = OscillatoryMap(domain, eps, spec.geometry)
-    loc = osc.local_coefficients(spec)
+    periods_per_side(domain, eps, spec.geometry)
+    loc = spec.local_coefficients(_fem.cell_points(domain, eps))
     f_qp = _source_at_qp(f, domain)
     rhs = _fem.load_vector(domain, f_qp)
     free = _fem.free_dofs(domain)
@@ -182,13 +158,7 @@ def maxwell_stress(phi, rows=slice(None)):
     return grad[..., :, None] * grad[..., None, :]
 
 
-# per element of a block of the electric load: the gradient and stress
-# (128 bytes each), the wrapped points and their temporaries, the two Lame
-# coefficients and the element loads
-_LOAD_BYTES_PER_ELEMENT = 1024
-
-
-def _electric_load(tensor_c, osc, potential):
+def _electric_load(tensor_c, eps, potential):
     """Nodal ∫ C(x/eps) Sigma : D(v), (n_nodes, 2), built row block by block.
 
     Sigma is the potential's Maxwell stress, which is symmetric exactly
@@ -198,9 +168,9 @@ def _electric_load(tensor_c, osc, potential):
     """
     domain = potential.grid
     load = np.zeros((domain.n_nodes, 2))
-    for rows in _fem.row_blocks(domain.n, _LOAD_BYTES_PER_ELEMENT):
-        stress = _fem.isotropic_stress(*osc.lame(tensor_c, rows),
-                                       maxwell_stress(potential, rows))
+    for rows in _fem.row_blocks(domain.n):
+        lame = tensor_c.lame_at(_fem.cell_points(domain, eps, rows))
+        stress = _fem.isotropic_stress(*lame, maxwell_stress(potential, rows))
         _fem.scatter_rows(load, domain, rows,
                           _fem.element_map(_fem.DIV_OP, stress, 2) * domain.h)
     return load
@@ -220,10 +190,11 @@ def solve_fine_elasticity(tensor_b, tensor_c, eps, g, potential, domain):
     """
     if potential.grid != domain:
         raise ValueError("potential lives on a different grid")
-    osc = OscillatoryMap(domain, eps, tensor_b.geometry)
+    periods_per_side(domain, eps, tensor_b.geometry)
     rhs = _fem.load_vector(domain, _source_at_qp(g, domain))
-    rhs = (rhs - _electric_load(tensor_c, osc, potential)).ravel()
-    block = _fem.assemble_elasticity(domain, *osc.lame(tensor_b))
+    rhs = (rhs - _electric_load(tensor_c, eps, potential)).ravel()
+    block = _fem.assemble_elasticity(
+        domain, *tensor_b.lame_at(_fem.cell_points(domain, eps)))
     u = _fem.solve_dirichlet(block, rhs, domain, dofs_per_node=2)
     free = _fem.free_dofs(domain, 2)
     rnorm = _fem.vector_norm(block @ u[free] - rhs[free])

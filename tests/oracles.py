@@ -164,3 +164,27 @@ def partition_centers(part):
     axis = np.arange(part.per_axis) * part.eps
     cx, cy = np.meshgrid(axis, axis, indexing="xy")
     return np.stack([cx.ravel(), cy.ravel()], axis=-1)
+
+
+def effective_eval(law, xi):
+    """An effective law's flux at one loading xi, from ``eval_batch``."""
+    return law.eval_batch(np.asarray(xi, dtype=float)[None, :])[0]
+
+
+def cell_average(f):
+    """Quadrature-weighted componentwise mean over the unit cell.
+
+    Takes a field on a periodic cell grid or raw quadrature data
+    (nel, 4, ...); |Y| = 1, so the mean is the integral, the 2x2 Gauss
+    sum with weight h^2 / 4 at every point.
+    """
+    if hasattr(f, "grid"):
+        if not f.grid.periodic:
+            raise ValueError("cell_average expects a field on a CellGrid")
+        data = f.at_quadrature()
+    else:
+        data = np.asarray(f)
+    n = int(round(np.sqrt(data.shape[0])))
+    if n * n != data.shape[0]:
+        raise ValueError("quadrature data does not match a square grid")
+    return data.sum(axis=(0, 1)) / (4.0 * n * n)

@@ -24,8 +24,8 @@ from hk.homogenized import (MacroOptions, solve_homogenized_elasticity,
                             solve_homogenized_electrostatic)
 from hk.corrector import run_corrector_study
 
-from oracles import (laminate_flux_balance, manufactured_elasticity,
-                     manufactured_laplace)
+from oracles import (effective_eval, laminate_flux_balance,
+                     manufactured_elasticity, manufactured_laplace)
 
 LAMINATE = Geometry(kind="laminate", fraction=0.5)
 UNIFORM = Geometry("uniform")
@@ -92,8 +92,8 @@ def test_criterion_1_linear_laminate_recovery():
     t0 = time.perf_counter()
     grid = CellGrid(128)
     law = EffectiveLaw(built_in_specs()["laminate-p2"], grid)
-    a1 = law.eval([1.0, 0.0])
-    a2 = law.eval([0.0, 1.0])
+    a1 = effective_eval(law, [1.0, 0.0])
+    a2 = effective_eval(law, [0.0, 1.0])
     elapsed = time.perf_counter() - t0
     err1 = abs(a1[0] - 1.6) / 1.6 + abs(a1[1])
     err2 = abs(a2[1] - 2.5) / 2.5 + abs(a2[0])
@@ -107,7 +107,8 @@ def test_criterion_2_nonlinear_laminate_oracle():
     assert abs(q - 16.0 / 9.0) < 1e-15  # oracle frozen value
     t0 = time.perf_counter()
     grid = CellGrid(128)
-    val = EffectiveLaw(built_in_specs()["laminate-p3"], grid).eval([1.0, 0.0])
+    val = effective_eval(EffectiveLaw(built_in_specs()["laminate-p3"], grid),
+                         [1.0, 0.0])
     elapsed = time.perf_counter() - t0
     rel = abs(val[0] - q) / q
     ok = rel < 1e-3 and abs(val[1]) < 1e-6 and elapsed < 120.0

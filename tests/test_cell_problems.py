@@ -11,11 +11,11 @@ from hk.cell_problems import (BatchScalarCellSolver, SolverOptions,
                               solve_electrostriction_cell, solve_scalar_cell,
                               unit_strain)
 from hk.constitutive import ElasticTensorField, Geometry, OperatorSpec
-from hk.core_fields import CellGrid, cell_average
+from hk.core_fields import CellGrid
 
 LAMINATE = Geometry(kind="laminate", fraction=0.5)
 
-from oracles import laminate_flux_balance
+from oracles import cell_average, laminate_flux_balance
 
 
 def laminate_spec(p):

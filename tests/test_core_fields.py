@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from hk import _fem
-from hk.core_fields import (CellGrid, DomainGrid, ScalarField,
-                            cell_average, dump_field, load_field,
-                            sample_oscillatory)
+from hk.core_fields import (CellGrid, DomainGrid, ScalarField, dump_field,
+                            load_field, sample_oscillatory)
 
-from oracles import wrap_node
+from oracles import cell_average, wrap_node
 
 
 def test_make_cell_grid_counts():

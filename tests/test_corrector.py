@@ -99,6 +99,26 @@ def test_mm_average_linearity_in_x():
     assert np.abs(avg[inner] - expect).max() < 1e-13
 
 
+def test_coarse_average_memory_above_table():
+    # a 32 MiB corrector table (sample_n 128, cell_n 8): the eps-cell
+    # averages weigh the points in the one-hot matrix, so no weighted copy
+    # of the table is made
+    import tracemalloc
+    sample, cell = DomainGrid(128), CellGrid(8)
+    table = np.random.default_rng(9).standard_normal(
+        (sample.n_elems, 4, cell.n_nodes))
+    # the grid caches its coordinates on first use, outside the count
+    sample.qp_coords()
+    tracemalloc.start()
+    try:
+        avg = coarse_average_M(table, sample, 0.125, zero_boundary=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert avg.values.shape == (81, cell.n_nodes)
+    assert peak <= 8 * 2 ** 20
+
+
 def test_unfolding_norm_preservation():
     grid = CellGrid(8)
     dom = DomainGrid(32)
@@ -442,14 +462,13 @@ def test_fine_qp_setup_row_blocks_concatenate_bitwise(rows):
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_streamed_errors_match_whole_grid(p, monkeypatch):
-    from hk.corrector import (_ERROR_BYTES_PER_ELEMENT, _fine_qp_setup,
-                              _table_grad_at)
+    from hk.corrector import _fine_qp_setup, _table_grad_at
     phi_eps, phi0, corr = _synthetic_rung(32)
     dom, sample, cell = phi_eps.grid, corr.sample_grid, corr.cell_grid
     law, eps = _TableLaw(cell), 0.25
     # blocks of 3 element rows, the last of 2
     monkeypatch.setattr(_fem, "WORK_BUDGET_BYTES",
-                        3 * 32 * _ERROR_BYTES_PER_ELEMENT)
+                        3 * 32 * _fem.ROW_BYTES_PER_ELEMENT)
     errs = corrector_error_explicit(phi_eps, phi0, corr, eps, p)
     errs["E_dm"] = corrector_error_dalmaso(phi_eps, phi0, law, corr, eps, p)
     # the whole grid at once

@@ -8,8 +8,8 @@ from hk.core_fields import CellGrid
 from hk.effective import (EffectiveLaw, assemble_elastic_tensors,
                           check_a_hom_properties)
 
-from oracles import (laminate_elastic_tensor, laminate_flux_balance,
-                     laminate_transverse_mean)
+from oracles import (effective_eval, laminate_elastic_tensor,
+                     laminate_flux_balance, laminate_transverse_mean)
 
 LAMINATE = Geometry(kind="laminate", fraction=0.5)
 
@@ -40,7 +40,7 @@ def test_a_hom_constant_matrix():
                         matrices=(b, b))
     law = EffectiveLaw(spec, CellGrid(8))
     xi = np.array([0.3, -0.7])
-    assert np.abs(law.eval(xi) - b @ xi).max() < 1e-12
+    assert np.abs(effective_eval(law, xi) - b @ xi).max() < 1e-12
 
 
 def test_a_hom_laminate_p2_means():
@@ -49,8 +49,8 @@ def test_a_hom_laminate_p2_means():
     mean_t = laminate_transverse_mean([1.0, 4.0], [0.5, 0.5], 2.0)
     assert (q, mean_t) == (1.6, 2.5)
     law = EffectiveLaw(linear_laminate(), CellGrid(128))
-    a1 = law.eval([1.0, 0.0])
-    a2 = law.eval([0.0, 1.0])
+    a1 = effective_eval(law, [1.0, 0.0])
+    a2 = effective_eval(law, [0.0, 1.0])
     assert abs(a1[0] - 1.6) / 1.6 < 1e-3
     assert abs(a2[1] - 2.5) / 2.5 < 1e-3
 
@@ -58,14 +58,15 @@ def test_a_hom_laminate_p2_means():
 def test_a_hom_laminate_p3_flux_balance():
     q, _ = laminate_flux_balance([1.0, 4.0], [0.5, 0.5], 3.0)
     assert abs(q - 16.0 / 9.0) < 1e-15
-    val = EffectiveLaw(p3_laminate(), CellGrid(128)).eval([1.0, 0.0])
+    val = effective_eval(EffectiveLaw(p3_laminate(), CellGrid(128)),
+                         [1.0, 0.0])
     assert abs(val[0] - q) / q < 1e-3
 
 
 def test_a_hom_cache_hits():
     law = EffectiveLaw(p3_laminate(), CellGrid(8))
-    v1 = law.eval([0.5, 0.25])
-    v2 = law.eval([0.5, 0.25])
+    v1 = effective_eval(law, [0.5, 0.25])
+    v2 = effective_eval(law, [0.5, 0.25])
     assert np.array_equal(v1, v2)
 
 
@@ -93,7 +94,8 @@ def test_linear_consistency_two_paths():
     rng = np.random.default_rng(7)
     for _ in range(10):
         xi = rng.standard_normal(2)
-        rel = np.abs(law.eval(xi) - bhom @ xi).max() / (np.abs(bhom @ xi).max())
+        rel = np.abs(effective_eval(law, xi) - bhom @ xi).max() \
+            / (np.abs(bhom @ xi).max())
         assert rel < 1e-8
 
 
@@ -138,9 +140,9 @@ def test_hill_bounds_linear():
 def test_a_hom_power_law_homogeneity():
     law = EffectiveLaw(p3_laminate(), CellGrid(16))
     xi = np.array([0.4, -0.9])
-    base = law.eval(xi)
+    base = effective_eval(law, xi)
     for t in (0.5, 2.0):
-        scaled = law.eval(t * xi)
+        scaled = effective_eval(law, t * xi)
         rel = np.abs(scaled - t ** 2 * base).max() / np.abs(scaled).max()
         assert rel < 1e-6
 
@@ -153,8 +155,8 @@ def test_a_hom_checkerboard_rotation_equivariance():
     rng = np.random.default_rng(8)
     for _ in range(5):
         xi = rng.standard_normal(2)
-        lhs = law.eval(rot @ xi)
-        rhs = rot @ law.eval(xi)
+        lhs = effective_eval(law, rot @ xi)
+        rhs = rot @ effective_eval(law, xi)
         assert np.abs(lhs - rhs).max() / np.abs(rhs).max() < 1e-6
 
 

@@ -393,6 +393,33 @@ def test_library_has_one_work_budget():
     assert "MAX_CHUNK" not in names
 
 
+def test_library_has_one_fine_grid_walk():
+    # one per-element figure sizes every block of element rows, fine
+    # points map to the cell by _fem.cell_points alone (no OscillatoryMap
+    # class), and only the elastic load, which scatters rather than sums,
+    # walks row_blocks outside _fem
+    figures, callers, names = [], set(), set()
+    for path in sorted(_LIBRARY.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        names |= set(_identifiers(tree))
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            figures += [f"{path.stem}.{t.id}" for t in targets
+                        if isinstance(t, ast.Name)
+                        and t.id.endswith("_BYTES_PER_ELEMENT")]
+            if path.stem == "_fem":
+                continue
+            owner = getattr(node, "name", "<module>")
+            callers |= {f"{path.stem}.{owner}" for sub in ast.walk(node)
+                        if isinstance(sub, ast.Call)
+                        and ast.unparse(sub.func).endswith("row_blocks")}
+    assert figures == ["_fem.ROW_BYTES_PER_ELEMENT"]
+    assert "OscillatoryMap" not in names
+    assert callers == {"fine_scale._electric_load"}
+
+
 def test_library_has_one_factorization_policy():
     # every sparse direct solve goes through one factorization helper: one
     # SuperLU call, one elimination order named as a constant, and no
@@ -443,19 +470,33 @@ def test_block_pattern_lives_with_its_grid(periodic):
 def test_row_blocks_sum_bitwise_as_whole_tables(rows, tail, monkeypatch):
     # 16 element rows in blocks of 1, 3, 7 (the last block shorter) or all
     grid = DomainGrid(16)
-    monkeypatch.setattr(_fem, "WORK_BUDGET_BYTES", rows * 16)
-    blocks = _fem.row_blocks(grid.n, 1)
+    monkeypatch.setattr(_fem, "WORK_BUDGET_BYTES",
+                        rows * 16 * _fem.ROW_BYTES_PER_ELEMENT)
+    blocks = _fem.row_blocks(grid.n)
     assert {b.stop - b.start for b in blocks[:-1]} <= {rows}
     assert blocks[0].start == 0 and blocks[-1].stop == grid.n
     rng = np.random.default_rng(32)
     values = rng.standard_normal((grid.n_elems, 4) + tail) \
         * 10.0 ** rng.integers(-6, 6, (grid.n_elems, 4) + tail)
     nodal = np.zeros((grid.n_nodes,) + tail)
-    sums = None
     for block in blocks:
-        part = _fem.rows_of(values, grid.n, block)
-        _fem.scatter_rows(nodal, grid, block, part)
-        sums = _fem.row_sums(sums, part)
+        _fem.scatter_rows(nodal, grid, block,
+                          _fem.rows_of(values, grid.n, block))
+    sums = _fem.row_sums(
+        grid.n, lambda block: _fem.rows_of(values, grid.n, block))
     assert np.array_equal(nodal, _fem.scatter(grid.node_scatter, values))
     assert np.array_equal(_fem.integrate_qp(grid.h, sums),
                           _fem.integrate_qp(grid.h, values))
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7])
+def test_cell_points_of_row_blocks_concatenate_bitwise(rows):
+    # blocks of 1, 3 and 7 element rows at N = 32 (3 and 7 leave a
+    # shorter last block) against the whole grid's y = {x/eps}_Y
+    grid, eps = DomainGrid(32), 0.125
+    whole = _fem.cell_points(grid, eps)
+    assert np.array_equal(whole, _fem.wrap_to_cell(
+        _fem.qp_coords(grid.n, grid.h, grid.origin) / eps))
+    parts = [_fem.cell_points(grid, eps, slice(start, start + rows))
+             for start in range(0, grid.n, rows)]
+    assert np.array_equal(np.concatenate(parts), whole)

@@ -4,7 +4,7 @@ import pytest
 from hk import _fem
 from hk.constitutive import ElasticTensorField, Geometry, OperatorSpec
 from hk.core_fields import DomainGrid, ScalarField
-from hk.fine_scale import (OscillatoryMap, maxwell_stress,
+from hk.fine_scale import (maxwell_stress, periods_per_side,
                            solve_fine_elasticity, solve_fine_electrostatic)
 
 from oracles import manufactured_elasticity, manufactured_laplace
@@ -102,11 +102,14 @@ def test_energy_bound_uniform_across_ladder():
     assert np.all(np.diff(ratios) < 0.05 * ratios[0])  # no growth
 
 
-def test_oscillatory_map_rejects_aliasing():
+def test_periods_per_side_rejects_aliasing():
     with pytest.raises(ValueError, match="incommensurate"):
-        OscillatoryMap(DomainGrid(30), 1.0 / 7.0)
+        periods_per_side(DomainGrid(30), 1.0 / 7.0)
     with pytest.raises(ValueError, match="aliasing"):
-        OscillatoryMap(DomainGrid(24), 0.25, Geometry("square", size=0.3))
+        periods_per_side(DomainGrid(24), 0.25, Geometry("square", size=0.3))
+    # a disc is never grid-aligned, and is read at its quadrature points
+    assert periods_per_side(DomainGrid(24), 0.25,
+                            Geometry("disc", size=0.3)) == 6
 
 
 def test_maxwell_stress_affine():
@@ -184,17 +187,18 @@ def test_elasticity_linear_in_load():
 def _laminate_dirichlet_system(n, eps, elastic):
     """Fine-scale laminate block, a smooth load and the dofs per node."""
     dom = DomainGrid(n)
-    osc = OscillatoryMap(dom, eps, LAMINATE)
+    points = _fem.cell_points(dom, eps)
     pts = dom.node_coords()
     load = np.sin(np.pi * pts[:, 0]) * np.cos(2.0 * pts[:, 1])
     if elastic:
         b = ElasticTensorField.from_lame((1.0, 1.0), (3.0, 2.0), LAMINATE)
-        lam, mu = osc.lame(b)
+        lam, mu = b.lame_at(points)
         block = _fem.assemble_elasticity(dom, lam, mu)
         rhs = np.stack([load, 1.0 - load], axis=-1).ravel()
         return block, rhs, 2
     spec = OperatorSpec(family="linear", geometry=LAMINATE, sigma=(1.0, 4.0))
-    block = _fem.assemble_diffusion(dom, osc.local_coefficients(spec)["bmat"])
+    block = _fem.assemble_diffusion(dom,
+                                    spec.local_coefficients(points)["bmat"])
     return block, load, 1
 
 
@@ -233,7 +237,7 @@ def test_elastic_assembly_memory_at_n128():
     import tracemalloc
     dom = DomainGrid(128)
     b = ElasticTensorField.from_lame((1.0, 1.0), (3.0, 2.0), LAMINATE)
-    lam, mu = OscillatoryMap(dom, 0.0625, LAMINATE).lame(b)
+    lam, mu = b.lame_at(_fem.cell_points(dom, 0.0625))
     tracemalloc.start()
     try:
         block = _fem.assemble_elasticity(dom, lam, mu)
@@ -255,7 +259,7 @@ def _p3_jacobian_system(n, eps):
     dom = DomainGrid(n)
     spec = OperatorSpec(family="power-law", p=3.0, alpha=1.0,
                         geometry=LAMINATE, sigma=(1.0, 4.0))
-    loc = OscillatoryMap(dom, eps, LAMINATE).local_coefficients(spec)
+    loc = spec.local_coefficients(_fem.cell_points(dom, eps))
     load = _fem.load_vector(dom, np.ones((dom.n_elems, 4)))
     start = _fem.assemble_diffusion(dom, loc["sigma"])
     phi = _factor_solve(start, load, n, 1)
@@ -324,7 +328,6 @@ def test_pcg_iteration_cap_falls_back_to_direct_solve(kind, monkeypatch):
 def test_elasticity_from_potential_matches_whole_grid_load(monkeypatch):
     # the electric load, summed over blocks of 5 element rows (the last
     # of 4), against the whole grid's Maxwell stress at once
-    from hk.fine_scale import _LOAD_BYTES_PER_ELEMENT
     dom, eps = DomainGrid(64), 0.125
     b = ElasticTensorField.from_lame((1.0, 1.0), (3.0, 2.0), LAMINATE)
     c = ElasticTensorField.from_lame((0.5, 0.5), (1.5, 1.0), LAMINATE)
@@ -334,13 +337,14 @@ def test_elasticity_from_potential_matches_whole_grid_load(monkeypatch):
     phi = ScalarField(dom, np.sin(np.pi * x1) * np.sin(np.pi * x2)
                       * (1.0 + 0.1 * np.cos(2.0 * np.pi * x1 / eps)))
     monkeypatch.setattr(_fem, "WORK_BUDGET_BYTES",
-                        5 * 64 * _LOAD_BYTES_PER_ELEMENT)
+                        5 * 64 * _fem.ROW_BYTES_PER_ELEMENT)
     u, _ = solve_fine_elasticity(b, c, eps, g, phi, dom)
-    osc = OscillatoryMap(dom, eps, LAMINATE)
-    stress = _fem.isotropic_stress(*osc.lame(c), maxwell_stress(phi))
+    points = _fem.cell_points(dom, eps)
+    stress = _fem.isotropic_stress(*c.lame_at(points), maxwell_stress(phi))
     rhs = (_fem.load_vector(dom, np.broadcast_to(g, (dom.n_elems, 4, 2)))
            - _fem.divergence_residual(dom, stress)).ravel()
-    ref = _fem.solve_dirichlet(_fem.assemble_elasticity(dom, *osc.lame(b)),
-                               rhs, dom, dofs_per_node=2)
+    ref = _fem.solve_dirichlet(
+        _fem.assemble_elasticity(dom, *b.lame_at(points)), rhs, dom,
+        dofs_per_node=2)
     scale = np.abs(ref).max()
     assert np.abs(u.values.ravel() - ref).max() <= 1e-12 * scale

@@ -16,7 +16,6 @@ ALLOWED = {
     "reconstruct_u1": "the displacement corrector u1, kept for an elastic "
                       "two-scale check of the displacement",
     "load_field": "reader of the field dump format that dump_field writes",
-    "cell_average": "field calculus: the unit-cell mean",
     "solve_scalar_cell": "the one-loading form of solve_scalar_cells; "
                          "perfbench/spans.py traces it by name",
     "solve_elastic_cell_U": "the one-pair unit-strain form of "
@@ -27,7 +26,6 @@ ALLOWED = {
                                    "perfbench/spans.py traces it by name",
     "UnfoldedField.norm_lp": "the L^p norm of an unfolded field, the norm of "
                              "the paper's unfolding operator S_eps",
-    "EffectiveLaw.eval": "the one-loading form of eval_batch",
 }
 
 
