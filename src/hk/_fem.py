@@ -20,8 +20,9 @@ direction straight into the block of free dofs that the solves take
 work arrays is sliced by one rule (``blocks``); every integral over a
 fine grid walks its blocks of element rows in one loop (``row_sums``),
 and every fine point maps to the unit cell by one function
-(``cell_points``).  Every sparse direct solve, periodic or Dirichlet,
-goes through one factorization (``factor``) in one elimination order.
+(``cell_points``).  Every direct solve goes through one factorization
+seam (``factor``): banded Cholesky for the symmetric Dirichlet blocks in
+their own row order, SuperLU for the rest.
 """
 
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ from operator import mul
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpbtrf as _dpbtrf, dpbtrs as _dpbtrs
 
 from .errors import SingularSystem
 
@@ -606,6 +608,68 @@ def vector_norm(vector):
     return float(np.sqrt(vector_dot(vector, vector)))
 
 
+# A block whose entries differ from their mirrors by at most this much,
+# relative to its largest entry, is symmetric to round-off; the blocks that
+# the workloads and presets factor stay within 5e-16, and the per-phase
+# non-symmetric linear laws differ at O(1)
+SYMMETRY_RTOL = 1e-13
+# Wider bands take SuperLU: ``dpbtrf``'s factors were bitwise the same on
+# one and two OpenBLAS threads up to half-bandwidth 133, and differed at
+# 193 and 257 (Dirichlet elastic blocks at N = 96 and 128).  Every direct
+# Dirichlet solve is within it (131 at most, elastic N = 65), but not every
+# V-cycle's coarsest grid: an odd N stops the halving, and an elastic
+# solve_n of 127 factors its whole grid, kd 255.
+BAND_MAX_KD = 133
+
+
+def _lower_band(block):
+    """LAPACK lower band storage of a symmetric CSR block, or None.
+
+    Returns (n, kd + 1), entry (r, c) with c <= r at [c, r - c], kd the
+    block's half-bandwidth in its own row order; its transpose is the
+    (kd + 1, n) Fortran array that ``dpbtrf`` factors.  Built from the CSR
+    arrays in O(nnz): an entry and its mirror share the slot
+    [min(r, c), |r - c|], so each entry above the diagonal is compared
+    against the one stored there.  None when one differs by more than
+    ``SYMMETRY_RTOL``, or when kd exceeds ``BAND_MAX_KD``.
+    """
+    n = block.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(block.indptr))
+    offset = rows - block.indices
+    distance = np.abs(offset)
+    width = int(distance.max(initial=0)) + 1
+    if width > BAND_MAX_KD + 1:
+        return None
+    slot = np.minimum(rows, block.indices) * width + distance
+    band = np.zeros((n, width))
+    lower = offset >= 0
+    band.ravel()[slot[lower]] = block.data[lower]
+    upper = ~lower
+    asymmetry = np.abs(block.data[upper] - band.ravel()[slot[upper]])
+    if asymmetry.max(initial=0.0) > \
+            SYMMETRY_RTOL * np.abs(block.data).max(initial=0.0):
+        return None
+    return band
+
+
+def _band_cholesky(band):
+    """Banded Cholesky factors (``dpbtrf``, lower) of ``_lower_band``'s band.
+
+    Returns the solve function, as ``factor`` does.  A block that is not
+    positive definite raises ``SingularSystem``.
+    """
+    chol, info = _dpbtrf(band.T, lower=1, overwrite_ab=1)
+    if info != 0:
+        raise SingularSystem(
+            f"block not positive definite (dpbtrf info {info})")
+
+    def solve(rhs):
+        x, _ = _dpbtrs(chol, rhs.reshape(rhs.shape[0], -1), lower=1)
+        return x.reshape(rhs.shape)
+
+    return solve
+
+
 def _splu(matrix):
     """SuperLU factors of an SPD matrix, given as CSC, in symmetric mode.
 
@@ -622,14 +686,27 @@ def _splu(matrix):
         raise SingularSystem(str(exc)) from exc
 
 
-def factor(block):
+def factor(block, banded=False):
     """The solve function of one factorization of a solved block (CSR).
 
-    The block's CSR arrays are the CSC arrays of its transpose: that is
-    what SuperLU factors, with no copy, and the returned function solves
-    with the factors transposed.  It takes (n,) or (n, r) right-hand
-    sides.
+    Every direct solve factors here.  A ``banded`` block is a Dirichlet
+    block that fits in band storage: a direct solve's, within
+    ``DIRECT_MAX_DOFS``, or a V-cycle's coarsest grid.  Its rows are the
+    row-major interior dofs, so its half-bandwidth is d (N + 1) - 1, and
+    it is factored by banded Cholesky (``_band_cholesky``) in that order
+    when ``_lower_band`` finds it symmetric to round-off and within
+    ``BAND_MAX_KD``.  SuperLU factors the rest: non-symmetric blocks;
+    periodic pinned blocks, whose wrapped stencil spans the block in its
+    row order (and whose folded order still reaches kd 261 at cell_n 64,
+    elastic); and the blocks above the cut that PCG gave up on, whose band
+    would not fit in memory (535 MB at N = 256, elastic).  SuperLU takes
+    the block's CSR arrays as the CSC arrays of its transpose, with no
+    copy, and the returned function solves with the factors transposed.
+    It takes (n,) or (n, r) right-hand sides.
     """
+    band = _lower_band(block) if banded else None
+    if band is not None:
+        return _band_cholesky(band)
     lu = _splu(sp.csc_matrix((block.data, block.indices, block.indptr),
                              shape=block.shape))
     return lambda rhs: lu.solve(rhs, trans="T")
@@ -637,10 +714,12 @@ def factor(block):
 
 # Dirichlet systems with more free dofs than this solve by CG preconditioned
 # with one geometric V-cycle, smaller ones (every grid of N <= 64) by one
-# factorization.  solve_dirichlet on the laminate systems, 2-core Xeon,
-# one BLAS thread, direct against PCG: N = 32 scalar 2.6 / 1.5 ms,
-# elastic 6.9 / 5.4 ms; N = 64 scalar 9.7 / 6.2 ms, elastic 37 / 23 ms.
-# The cut still leaves N = 64 on the direct path: moving it to PCG raised
+# banded Cholesky factorization.  solve_dirichlet on the laminate systems,
+# 2-core Xeon, one BLAS thread, best of 15, band against PCG (SuperLU):
+# N = 32 scalar 0.4 / 0.8 (1.8) ms, elastic 1.3-2.0 / 3.1-4.9 (5.0-7.6)
+# ms; N = 64 scalar 3.1 / 2.8 (7.8-12.6) ms, p = 3 Jacobian 3.1-3.2 /
+# 2.9-4.9 (6.6-9.8) ms, elastic 9.7-14.9 / 14.8-21.8 (32-34) ms.  With
+# the band, N = 64 is as fast direct as by PCG, and PCG's hierarchy raised
 # the peak RSS of a p = 3 study with N = 64 rungs from 77 to 82-83 MiB.
 DIRECT_MAX_DOFS = 8192
 # V-cycles halve the grid down to at most this many cells per side (or to
@@ -682,7 +761,7 @@ def _v_cycle(matrix, n_cells, dofs_per_node):
     operators are Galerkin products R A P of the bilinear prolongation,
     each level smooths with damped Jacobi (``JACOBI_SWEEPS`` sweeps before
     and after its coarse correction, so the cycle is symmetric), and the
-    coarsest grid's operator is factored (``factor``).  Returns the cycle
+    coarsest grid's operator is factored by the band (``factor``).  Returns the cycle
     as a function of the residual, for ``_pcg``.
     """
     levels = []
@@ -692,7 +771,7 @@ def _v_cycle(matrix, n_cells, dofs_per_node):
                        restrict))
         matrix = restrict @ matrix @ prolong
         n_cells //= 2
-    coarsest = factor(matrix)
+    coarsest = factor(matrix, banded=True)
 
     def cycle(res, level=0):
         if level == len(levels):
@@ -741,9 +820,9 @@ def solve_dirichlet(block, rhs, grid, dofs_per_node=1):
     ``block`` is the grid's free-dof block (``assemble_*``); ``rhs``
     covers all dofs of ``grid``, ``dofs_per_node`` per node, node-major,
     and so does the solution.  Up to ``DIRECT_MAX_DOFS`` free dofs, one
-    factorization (``factor``) solves the block; larger systems solve by
-    CG preconditioned with one V-cycle (``_v_cycle``), and by the
-    factorization if CG stops at its iteration cap.
+    banded Cholesky factorization (``factor``) solves the block; larger
+    systems solve by CG preconditioned with one V-cycle (``_v_cycle``),
+    and by a SuperLU factorization if CG stops at its iteration cap.
     """
     free = free_dofs(grid, dofs_per_node)
     x = np.zeros(grid.n_nodes * dofs_per_node)
@@ -753,7 +832,7 @@ def solve_dirichlet(block, rhs, grid, dofs_per_node=1):
         if sol is not None:
             x[free] = sol
             return x
-    x[free] = factor(block)(rhs[free])
+    x[free] = factor(block, banded=free.size <= DIRECT_MAX_DOFS)(rhs[free])
     return x
 
 
@@ -764,8 +843,8 @@ def solve_periodic_pinned(block, rhs, dofs_per_node=1):
     on a periodic grid); ``rhs`` covers every dof.  Solves the pinned
     system, then removes the per-component mean so solutions are
     zero-mean.  Assumes the rhs is compatible (orthogonal to constants),
-    which holds for divergence-form loads.  The block is factored once
-    (``factor``).  ``rhs`` (n,) gives (n,) or, with several dofs per node,
+    which holds for divergence-form loads.  The block is factored once,
+    by SuperLU (``factor``).  ``rhs`` (n,) gives (n,) or, with several dofs per node,
     (n / d, d); ``rhs`` (n, r) solves r right-hand sides with that one
     factorization and stacks their solutions on a last axis.
     """

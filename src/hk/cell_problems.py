@@ -274,8 +274,8 @@ class BatchScalarCellSolver:
     each thread keeps for this solver, grown to the largest chunk it has
     seen; kernels fill it with ``out=`` and in-place ufuncs and return
     views of it, so a caller copies what it keeps.  Chunks are
-    ``_fem.blocks`` of ``loading_bytes`` per row, of ``chunk`` rows, so
-    that a workspace stays within ``_fem.WORK_BUDGET_BYTES`` (4 MiB: 520
+    ``_fem.blocks`` of ``loading_bytes`` per row, so that a workspace
+    stays within ``_fem.WORK_BUDGET_BYTES`` (4 MiB: 520
     loadings at n = 4, 115 at n = 8, 23 at n = 16, 4 at n = 32, 1 from
     n = 64 on); the last row of a chunk is factored at the end of the
     stacked band, so the chunk size is part of the bitwise result.
@@ -346,7 +346,6 @@ class BatchScalarCellSolver:
         self._at_res = self._at_terms + 2 * nn
         self._at_sums = self._at_res + nn
         self.loading_bytes = 8 * sum(self._layout.values())
-        self.chunk = max(1, _fem.WORK_BUDGET_BYTES // self.loading_bytes)
         self._local = threading.local()
 
     def _workspace(self, k):

@@ -497,7 +497,8 @@ def _reference_band_solve(batch, jac, rhs):
 def test_band_solve_matches_solveh_banded(n, rows, r):
     grid = CellGrid(n)
     batch = BatchScalarCellSolver(laminate_spec(3.0), grid)
-    k = {"one": 1, "three": 3, "chunk": batch.chunk}[rows]
+    chunk = max(1, _fem.WORK_BUDGET_BYTES // batch.loading_bytes)
+    k = {"one": 1, "three": 3, "chunk": chunk}[rows]
     rng = np.random.default_rng(10 * n + r)
     loadings = rng.uniform(-1.0, 1.0, size=(k, 2))
     etas = 0.1 * rng.standard_normal((k, grid.n_nodes))
@@ -563,13 +564,15 @@ def test_band_solve_names_the_indefinite_row():
 def test_batch_chunk_within_budget(n):
     # the largest chunk that fits the work budget, and at least one row
     batch = BatchScalarCellSolver(laminate_spec(3.0), CellGrid(n))
-    assert batch.chunk == max(1, _fem.WORK_BUDGET_BYTES
-                              // batch.loading_bytes)
+    chunk = max(1, _fem.WORK_BUDGET_BYTES // batch.loading_bytes)
+    # the solver's chunks are the work rule's blocks of loadings
+    assert _fem.blocks(3 * chunk, batch.loading_bytes) == [
+        slice(0, chunk), slice(chunk, 2 * chunk), slice(2 * chunk, 3 * chunk)]
     # one loading's arrays alone outgrow the budget from n = 64 on
-    assert batch.chunk * batch.loading_bytes <= max(_fem.WORK_BUDGET_BYTES,
-                                                    batch.loading_bytes)
+    assert chunk * batch.loading_bytes <= max(_fem.WORK_BUDGET_BYTES,
+                                              batch.loading_bytes)
     if n <= 32:
-        assert batch.chunk * batch.loading_bytes <= _fem.WORK_BUDGET_BYTES
+        assert chunk * batch.loading_bytes <= _fem.WORK_BUDGET_BYTES
 
 
 def test_chunk_size_leaves_cold_batch_solutions(monkeypatch):
@@ -587,7 +590,8 @@ def test_chunk_size_leaves_cold_batch_solutions(monkeypatch):
             monkeypatch.setattr(_fem, "WORK_BUDGET_BYTES",
                                 rows * loading_bytes)
         batch = BatchScalarCellSolver(laminate_spec(3.0), grid)
-        results[batch.chunk] = batch.solve(loadings)
+        chunk = max(1, _fem.WORK_BUDGET_BYTES // batch.loading_bytes)
+        results[chunk] = batch.solve(loadings)
         monkeypatch.undo()
     assert sorted(results) == [50, 115, 300]
     one = results[300]

@@ -355,6 +355,34 @@ def test_effective_factors_each_cell_stiffness_once(tmp_path, monkeypatch):
     assert calls == [(510, 510)]
 
 
+@pytest.mark.parametrize("name, band, superlu", [
+    ("study-p3", 23, []),
+    ("study-p2-coupled", 8, [63, 126]),
+    ("effective-p3-n16", 0, [510]),
+])
+def test_workload_dirichlet_solves_factor_by_band(tmp_path, monkeypatch,
+                                                  name, band, superlu):
+    # every direct Dirichlet solve of the benchmark's workloads (the fine
+    # Newton and elastic steps, the macro steps, the V-cycles' coarsest
+    # grids) is a banded Cholesky factorization; SuperLU factors only the
+    # periodic pinned cell blocks, of n^2 d - d dofs
+    import importlib.util
+    from pathlib import Path
+    from test_fine_scale import _factorizations
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads",
+        Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workload = workloads.WORKLOADS[name]
+    banded, general = _factorizations(monkeypatch)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(workload.config(PRESETS, 0)))
+    assert run(workload.subcommand, str(path), str(tmp_path / "out")) == 0
+    assert len(banded) == band
+    assert general == superlu
+
+
 def test_effective_cold_batches_solve_by_continuation(tmp_path,
                                                       monkeypatch):
     # the benchmark's effective-p3-n16 run: the audit's two cold batches of

@@ -210,23 +210,131 @@ def _factor_solve(block, rhs, n, d):
     return x
 
 
-def test_fill_of_largest_direct_elastic_system(monkeypatch):
+def test_band_of_largest_direct_elastic_system(monkeypatch):
     # the N = 64 elastic laminate block (7,938 dofs) is the largest system
-    # the benchmark's studies factor; in minimum degree order on A + A^T
-    # L+U hold about 0.88M entries (0.80M in nested-dissection order)
+    # the benchmark's studies factor: its half-bandwidth is 2 (N + 1) - 1,
+    # so its band holds 130 x 7,938 doubles, 8.3 MB (SuperLU's L + U in
+    # minimum degree order on A + A^T held about 0.88M entries)
     block, _, _ = _laminate_dirichlet_system(64, 0.125, True)
     assert block.shape[0] <= _fem.DIRECT_MAX_DOFS
-    factors = []
-    splu = _fem._splu
+    bands = []
+    cholesky = _fem._band_cholesky
 
-    def kept(matrix):
-        factors.append(splu(matrix))
-        return factors[-1]
+    def kept(band):
+        bands.append(band)
+        return cholesky(band)
 
-    monkeypatch.setattr(_fem, "_splu", kept)
-    _fem.factor(block)
-    (lu,) = factors
-    assert lu.L.nnz + lu.U.nnz <= 1.0e6
+    monkeypatch.setattr(_fem, "_band_cholesky", kept)
+    _fem.solve_dirichlet(block, np.ones(2 * 65 ** 2), DomainGrid(64), 2)
+    (band,) = bands
+    assert band.shape == (7938, 130)
+    assert band.nbytes <= 8.3e6
+
+
+def _factorizations(monkeypatch):
+    """The sizes of the band and the SuperLU factorizations from now on."""
+    band, superlu = [], []
+    cholesky, splu = _fem._band_cholesky, _fem._splu
+
+    def banded(matrix):
+        band.append(matrix.shape[0])
+        return cholesky(matrix)
+
+    def general(matrix):
+        superlu.append(matrix.shape[0])
+        return splu(matrix)
+
+    monkeypatch.setattr(_fem, "_band_cholesky", banded)
+    monkeypatch.setattr(_fem, "_splu", general)
+    return band, superlu
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+@pytest.mark.parametrize("kind", ["scalar", "elastic", "p3-jacobian"])
+def test_band_cholesky_matches_superlu(kind, n, monkeypatch):
+    # every direct Dirichlet solve of the workloads is factored by the
+    # band, in the block's own row order
+    eps = 0.25 if n == 16 else 0.125
+    if kind == "p3-jacobian":
+        block, rhs, d = _p3_jacobian_system(n, eps)
+    else:
+        block, rhs, d = _laminate_dirichlet_system(n, eps, kind == "elastic")
+    ref = _factor_solve(block, rhs, n, d)
+    band, superlu = _factorizations(monkeypatch)
+    x = _fem.solve_dirichlet(block, rhs, DomainGrid(n), dofs_per_node=d)
+    assert band == [block.shape[0]] and superlu == []
+    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_nonsymmetric_block_takes_superlu(monkeypatch):
+    # the band reads only the lower triangle, so an asymmetric block would
+    # be solved as another, symmetric one
+    dom = DomainGrid(32)
+    spec = OperatorSpec(family="linear", geometry=LAMINATE,
+                        matrices=(((1.0, 0.5), (-0.5, 1.0)),
+                                  ((4.0, 1.0), (-1.0, 4.0))))
+    loc = spec.local_coefficients(_fem.cell_points(dom, 0.125))
+    block = _fem.assemble_diffusion(dom, loc["bmat"])
+    pts = dom.node_coords()
+    load = np.sin(np.pi * pts[:, 0]) * np.cos(2.0 * pts[:, 1])
+    assert np.abs(block - block.T).max() > 0.1
+    band, superlu = _factorizations(monkeypatch)
+    x = _fem.solve_dirichlet(block, load, dom)
+    assert band == [] and superlu == [block.shape[0]]
+    free = _fem.free_dofs(dom)
+    ref = np.linalg.solve(block.toarray(), load[free])
+    assert np.abs(x[free] - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.all(x[dom.boundary_mask] == 0.0)
+
+
+def test_indefinite_block_raises_singular_system():
+    from hk.errors import SingularSystem
+    block, rhs, d = _laminate_dirichlet_system(16, 0.25, False)
+    with pytest.raises(SingularSystem, match="dpbtrf"):
+        _fem.solve_dirichlet(-block, rhs, DomainGrid(16), dofs_per_node=d)
+
+
+def test_band_stops_at_its_thread_safe_width():
+    # elastic blocks at N = 66 (half-bandwidth 133) and 68 (137): wider
+    # bands factor with other bits on two BLAS threads, so they take SuperLU
+    narrow, _, _ = _laminate_dirichlet_system(66, 0.125, True)
+    wide, _, _ = _laminate_dirichlet_system(68, 0.125, True)
+    assert _fem.BAND_MAX_KD == 133
+    assert _fem._lower_band(narrow).shape == (narrow.shape[0], 134)
+    assert _fem._lower_band(wide) is None
+
+
+def test_band_solve_does_not_depend_on_blas_threads(tmp_path):
+    # the N = 64 elastic block has the widest band that the workloads'
+    # direct Dirichlet solves factor (half-bandwidth 129); wider bands (193
+    # and up) came out of dpbtrf with other bits on two BLAS threads
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    here = Path(__file__).resolve().parent
+    src = str(here.parent / "src")
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from hk import _fem\n"
+        "from hk.core_fields import DomainGrid\n"
+        "from test_fine_scale import _laminate_dirichlet_system\n"
+        "block, rhs, d = _laminate_dirichlet_system(64, 0.125, True)\n"
+        "x = _fem.solve_dirichlet(block, rhs, DomainGrid(64), d)\n"
+        "np.save(sys.argv[1], x)\n")
+    solutions = []
+    for blas in ("1", "2"):
+        out = tmp_path / f"blas-{blas}.npy"
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(out)],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=blas,
+                     PYTHONPATH=os.pathsep.join([src, str(here)])),
+            capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        solutions.append(np.load(out))
+    assert np.abs(solutions[0]).max() > 0.0
+    assert np.array_equal(solutions[0], solutions[1])
 
 
 def test_elastic_assembly_memory_at_n128():
@@ -271,13 +379,13 @@ def _p3_jacobian_system(n, eps):
 def _factor_sizes(monkeypatch):
     """The sizes of the factorizations ``_fem`` makes from now on."""
     sizes = []
-    splu = _fem._splu
+    factor = _fem.factor
 
     def recorded(reduced, *args, **kwargs):
         sizes.append(reduced.shape[0])
-        return splu(reduced, *args, **kwargs)
+        return factor(reduced, *args, **kwargs)
 
-    monkeypatch.setattr(_fem, "_splu", recorded)
+    monkeypatch.setattr(_fem, "factor", recorded)
     return sizes
 
 
