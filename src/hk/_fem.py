@@ -10,23 +10,30 @@ blocks) is a constant reference-element operator applied to all elements
 by one 2-D matmul, an element tensor being a coefficient vector times a
 constant reference tensor (Kirby & Logg, ACM TOMS 2006); 2-vector and 2x2
 algebra is component-wise or a broadcast product summed over its axes.
-Gathers are fancy indexing; every sum onto nodes or cells is one product
-with a one-hot CSR matrix (``scatter_matrix``), and each grid builds its
-node matrix once (``node_scatter``).  Two sums are slice-adds instead:
-stiffness matrices, whose element blocks are summed per stencil
-direction straight into the block of free dofs that the solves take
-(``_assemble``), and nodal loads summed over blocks of element rows
-(``scatter_rows``), bitwise as the CSR product sums them.  Every batch of
-work arrays is sliced by one rule (``blocks``); every integral over a
-fine grid walks its blocks of element rows in one loop (``row_sums``),
-and every fine point maps to the unit cell by one function
-(``cell_points``).  Every direct solve goes through one factorization
+Gathers are ``np.take``, bitwise the fancy indexing they replace and
+several times faster on multi-column data; a point's element data, from
+a field or from a table row per point, is one ``element_values``.  Every
+sum onto nodes or cells is one product with a one-hot CSR matrix
+(``scatter_matrix``), and each grid builds its node matrix once
+(``node_scatter``).  A pass over a table of cell fields that is linear or
+quadratic in each row runs at the nodes: ``gradient_form`` turns
+per-point coefficients into a 9-point nodal operator K = G^T C G and a
+load F (G the sparse ``gradient_matrix``), so a row costs a sparse
+product instead of an evaluation at every quadrature point.  Two sums
+are slice-adds instead: stiffness matrices, whose element blocks are
+summed per stencil direction straight into the block of free dofs that
+the solves take (``_assemble``), and nodal loads summed over blocks of
+element rows (``scatter_rows``), bitwise as the CSR product sums them.
+Every batch of work arrays is sliced by one rule (``blocks``); every
+integral over a fine grid walks its blocks of element rows in one loop
+(``row_sums``), and every fine point maps to the unit cell by one
+function (``cell_points``).  Every direct solve goes through one factorization
 seam (``factor``): banded Cholesky for the symmetric Dirichlet blocks in
 their own row order, SuperLU for the rest.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
 from operator import mul
 
@@ -47,15 +54,15 @@ REF_WEIGHTS = np.full(4, 0.25)
 
 # Work arrays that scale with a batch stay within this many bytes, the
 # size class of a 2 MiB-per-core L2 cache; ``blocks`` slices every batch
-# by it: the batched cell solver's chunks of loadings, the stress
-# pairing's chunks of sample rows, and the blocks of element rows that
-# the fine-grid integrals (``row_sums``: the errors, the pairings, the
-# Maxwell check and the pairing limit) and the elastic load
-# (``scatter_rows``) walk.  Cold batched p = 3 cell solves, one BLAS
-# thread, best of 15 at n = 8 (200 rows) / n = 16 (100) / n = 32 (40):
-# 2 MiB 17.7 / 48.2 / 109 ms, 4 MiB 17.2 / 47.5 / 104 ms, 8 MiB 15.6 /
-# 45.1 / 105 ms, 40 MiB 15.8 / 49.1 / 124 ms; 4 and 8 MiB are within the
-# host's noise of each other, and the smaller one is kept.
+# by it: the batched cell solver's chunks of loadings, the chunks of table
+# rows of a linear law's attached check and of the stress pairing, and
+# the blocks of element rows that the fine-grid integrals (``row_sums``:
+# the errors, the pairings, the Maxwell check and the pairing limit) and
+# the elastic load (``scatter_rows``) walk.  Cold batched p = 3 cell
+# solves, one BLAS thread, best of 15 at n = 8 (200 rows) / n = 16 (100)
+# / n = 32 (40): 2 MiB 17.7 / 48.2 / 109 ms, 4 MiB 17.2 / 47.5 / 104 ms,
+# 8 MiB 15.6 / 45.1 / 105 ms, 40 MiB 15.8 / 49.1 / 124 ms; 4 and 8 MiB
+# are within the host's noise of each other, and the smaller one is kept.
 WORK_BUDGET_BYTES = 4 * 2 ** 20
 
 # Local node order: counterclockwise from the lower-left corner.
@@ -190,7 +197,7 @@ def qp_coords(n_cells, h, origin, rows=slice(None)):
 
 def qp_values(nodal, conn):
     """Interpolate nodal data (nn, ...) to quadrature points, (nel, 4, ...)."""
-    return element_map(SHAPE.T, nodal[conn])
+    return element_map(SHAPE.T, np.take(nodal, conn, axis=0))
 
 
 def qp_gradient(nodal, conn, h):
@@ -199,7 +206,7 @@ def qp_gradient(nodal, conn, h):
     Scalar data (nn,) -> (nel, 4, 2); vector data (nn, c) ->
     (nel, 4, c, 2) with [..., c, d] = d u_c / d x_d.
     """
-    return element_map(GRAD_OP, nodal[conn], 1, 2) / h
+    return element_map(GRAD_OP, np.take(nodal, conn, axis=0), 1, 2) / h
 
 
 def scatter_matrix(ids, size):
@@ -365,6 +372,20 @@ def locate_points(points, n_cells, h, origin):
     return elem, local
 
 
+def element_values(nodal, conn, elem, rows=None):
+    """Each point's element data, (p, 4, ...), for elements ``elem`` (p,).
+
+    ``nodal`` is a field (nn, ...), or with ``rows`` (p,) a table (K, nn)
+    of fields of which point i reads row rows[i].  Gathers by ``np.take``,
+    bitwise the fancy-indexed ``nodal[conn[elem]]`` and
+    ``nodal[rows[:, None], conn[elem]]``.
+    """
+    nodes = np.take(conn, elem, axis=0)
+    if rows is None:
+        return np.take(nodal, nodes, axis=0)
+    return np.take(nodal, rows[:, None] * nodal.shape[1] + nodes)
+
+
 def _bilinear(vals, local):
     """Planes (4, p, ...) of 1, x, y, xy of element data (p, 4, ...); x, y."""
     coef = np.moveaxis(element_map(BILINEAR_OP, vals), 1, 0)
@@ -386,7 +407,7 @@ def point_eval(nodal, conn, h, n_cells, origin, points):
     """Q1 field (nn, ...) at arbitrary points (..., 2); (...,) + tail."""
     points = np.asarray(points, dtype=float)
     elem, local = locate_points(points.reshape(-1, 2), n_cells, h, origin)
-    c, x, y = _bilinear(nodal[conn[elem]], local)
+    c, x, y = _bilinear(element_values(nodal, conn, elem), local)
     out = c[0] + x * c[1] + y * (c[2] + x * c[3])
     return out.reshape(points.shape[:-1] + out.shape[1:])
 
@@ -399,7 +420,7 @@ def point_eval_gradient(nodal, conn, h, n_cells, origin, points):
     """
     points = np.asarray(points, dtype=float)
     elem, local = locate_points(points.reshape(-1, 2), n_cells, h, origin)
-    out = gradient_at_local(nodal[conn[elem]], local, h)
+    out = gradient_at_local(element_values(nodal, conn, elem), local, h)
     return out.reshape(points.shape[:-1] + out.shape[1:])
 
 
@@ -411,7 +432,8 @@ def recovered_gradient(grid, nodal):
     central differences at interior nodes, which are second-order
     accurate (one order better than the raw Q1 gradient).
     """
-    ge = element_map(CORNER_GRAD_OP, nodal[grid.conn], 1, 2) / grid.h
+    ge = element_map(CORNER_GRAD_OP, np.take(nodal, grid.conn, axis=0),
+                     1, 2) / grid.h
     counts = scatter(grid.node_scatter, np.ones(grid.conn.shape))
     return scatter(grid.node_scatter, ge) / counts[:, None]
 
@@ -590,6 +612,44 @@ def assemble_elasticity_constant(grid, tensor):
     return _assemble(grid, coef, ELASTIC_BLOCK_OP, 2)
 
 
+def gradient_matrix(grid):
+    """The gradient of Q1 fields as a sparse map, CSR (8 n_elems, n_nodes).
+
+    Its rows are (element, point, direction) in ``qp_gradient``'s order:
+    G @ u is ``qp_gradient(u, grid.conn, grid.h)`` flattened.
+    """
+    nel = grid.n_elems
+    data = np.broadcast_to(GRAD_OP.T / grid.h, (nel, 8, 4))
+    cols = np.broadcast_to(grid.conn[:, None, :], (nel, 8, 4))
+    return sp.csr_matrix((data.ravel(), cols.ravel(),
+                          np.arange(0, 32 * nel + 1, 4)),
+                         shape=(8 * nel, grid.n_nodes))
+
+
+def gradient_form(gradient, coef):
+    """Nodal operators of per-point 2x2 coefficients ``coef`` (nel, 4, 2, 2).
+
+    ``coef`` carries the quadrature weights; ``gradient`` is the grid's
+    ``gradient_matrix`` G and C the block diagonal of ``coef``.  Returns
+    K = G^T C G, CSR (nn, nn) with the 9-point stencil, and F = G^T C
+    applied to the two unit vectors, dense (nn, 2).  For a Q1 field u and
+    a constant vector xi, K u + F xi is the assembled
+    sum_e,q coef (xi + grad u) . grad N_a, and u . K u the quadrature sum
+    of grad u . coef grad u: a field's passes cost its nodes, not its
+    quadrature points.  C G keeps G's pattern, since a point's two
+    gradient rows share their columns: its entries are each point's
+    coefficient applied to its two rows of G's entries.
+    """
+    rows = coef.size // 4
+    coef = coef.reshape(rows, 2, 2, 1)
+    entries = gradient.data.reshape(rows, 1, 2, 4)
+    flux = gradient.copy()
+    flux.data = (coef[:, :, 0] * entries[:, :, 0]
+                 + coef[:, :, 1] * entries[:, :, 1]).ravel()
+    transpose = gradient.T.tocsr()
+    return transpose @ flux, transpose @ coef.reshape(-1, 2)
+
+
 # ---------------------------------------------------------------------------
 # Linear solvers
 # ---------------------------------------------------------------------------
@@ -761,8 +821,10 @@ def _v_cycle(matrix, n_cells, dofs_per_node):
     operators are Galerkin products R A P of the bilinear prolongation,
     each level smooths with damped Jacobi (``JACOBI_SWEEPS`` sweeps before
     and after its coarse correction, so the cycle is symmetric), and the
-    coarsest grid's operator is factored by the band (``factor``).  Returns the cycle
-    as a function of the residual, for ``_pcg``.
+    coarsest grid's operator is factored by the band (``factor``).
+    Returns the cycle as a function of the residual, for ``_pcg``: a
+    ``partial`` of ``_cycle`` over the levels, which holds no reference
+    to itself, so the hierarchy goes when the solve drops the cycle.
     """
     levels = []
     while n_cells > MG_COARSEST_N and n_cells % 2 == 0:
@@ -771,21 +833,21 @@ def _v_cycle(matrix, n_cells, dofs_per_node):
                        restrict))
         matrix = restrict @ matrix @ prolong
         n_cells //= 2
-    coarsest = factor(matrix, banded=True)
+    return partial(_cycle, tuple(levels), factor(matrix, banded=True))
 
-    def cycle(res, level=0):
-        if level == len(levels):
-            return coarsest(res)
-        a, weight, prolong, restrict = levels[level]
-        out = weight * res
-        for _ in range(JACOBI_SWEEPS - 1):
-            out += weight * (res - a @ out)
-        out += prolong @ cycle(restrict @ (res - a @ out), level + 1)
-        for _ in range(JACOBI_SWEEPS):
-            out += weight * (res - a @ out)
-        return out
 
-    return cycle
+def _cycle(levels, coarsest, res):
+    """The V-cycle from the first of ``levels`` down to ``coarsest``."""
+    if not levels:
+        return coarsest(res)
+    a, weight, prolong, restrict = levels[0]
+    out = weight * res
+    for _ in range(JACOBI_SWEEPS - 1):
+        out += weight * (res - a @ out)
+    out += prolong @ _cycle(levels[1:], coarsest, restrict @ (res - a @ out))
+    for _ in range(JACOBI_SWEEPS):
+        out += weight * (res - a @ out)
+    return out
 
 
 def _pcg(matrix, rhs, precondition):

@@ -185,12 +185,15 @@ def _fine_qp_setup(phi_eps, phi0, corr, eps, grad0_field=None,
     return pts, grad_eps, grad0, sample_idx, y
 
 
-def _table_grad_at(tables, row_idx, cell_grid, y):
-    """Gradient of table rows (Q1 fields on the unit cell) at points y."""
-    elem, local = _fem.locate_points(y, cell_grid.n, cell_grid.h,
-                                     cell_grid.origin)
+def _table_grad_at(tables, row_idx, cell_grid, elem, local):
+    """Gradient of table rows (Q1 fields on the unit cell) at cell points.
+
+    The points are given located on ``cell_grid`` (``_fem.locate_points``),
+    so several tables read at the same points locate them once.
+    """
     return _fem.gradient_at_local(
-        tables[row_idx[:, None], cell_grid.conn[elem]], local, cell_grid.h)
+        _fem.element_values(tables, cell_grid.conn, elem, row_idx), local,
+        cell_grid.h)
 
 
 def _lp_roots(domain, per_qp, p):
@@ -225,14 +228,16 @@ def corrector_error_explicit(phi_eps, phi0, corr, eps, p, grad0_field=None):
     def powers(rows):
         pts, grad_eps, grad0, sample_idx, y = _fine_qp_setup(
             phi_eps, phi0, corr, eps, grad0_field, rows)
+        located = _fem.locate_points(y, cell_grid.n, cell_grid.h,
+                                     cell_grid.origin)
         cell_ids = part.cell_of(pts)
         # 0/1 per point: zeroing a difference drops it from the integral
         interior = part.interior[cell_ids].astype(float)[:, None]
         diff_no = grad_eps - grad0
         diff_exp = diff_no - _table_grad_at(corr.potentials, sample_idx,
-                                            cell_grid, y)
+                                            cell_grid, *located)
         diff_avg = diff_no - _table_grad_at(avg.values, cell_ids, cell_grid,
-                                            y)
+                                            *located)
         return np.stack([_fem.qp_power(diff.reshape(-1, 4, 2), p)
                          for diff in (diff_exp, diff_avg, diff_no,
                                       diff_exp * interior,
@@ -257,7 +262,7 @@ def corrector_error_dalmaso(phi_eps, phi0, law, corr, eps, p,
     ``corrector_error_explicit``.
     """
     domain = phi_eps.grid
-    sample = corr.sample_grid
+    sample, cell_grid = corr.sample_grid, corr.cell_grid
     avg = coarse_average_M(corr.loadings.reshape(sample.n_elems, 4, 2),
                            sample, eps)
     solutions = law.solutions_for(avg.values)
@@ -267,7 +272,9 @@ def corrector_error_dalmaso(phi_eps, phi0, law, corr, eps, p,
                                                 rows=rows)
         cell_ids = avg.partition.cell_of(pts)
         flux_map = avg.values[cell_ids] + _table_grad_at(
-            solutions, cell_ids, corr.cell_grid, y)
+            solutions, cell_ids, cell_grid,
+            *_fem.locate_points(y, cell_grid.n, cell_grid.h,
+                                cell_grid.origin))
         return _fem.qp_power((grad_eps - flux_map).reshape(-1, 4, 2),
                              p)[..., None]
 
@@ -334,8 +341,13 @@ def two_scale_stress_pairing(corr, psi_x, psi_y):
     ∫∫ (grad phi0 + grad_y phi1)(x, y) tensored with itself, against
     psi_x(x) psi_y(y), with the corrector attached at sample quadrature
     points.  It does not depend on eps, so a study computes it once.
-    Each chunk of sample rows (``_fem.blocks``) adds one (2, M) @ (M, 2)
-    matrix product; the chunks set the order of the sum.
+    With p = xi + grad eta for a row's loading xi and potential eta, the
+    cell integral of psi_y p_a p_b is the quadratic form
+    eta . Q_ab eta + xi_a g_b . eta + xi_b g_a . eta + xi_a xi_b s, with
+    Q_ab = sum_y w psi_y d_a N d_b N (``_fem.gradient_form``, 9-point),
+    g_a = sum_y w psi_y d_a N and s = sum_y w psi_y: the table is read at
+    its nodes, and no row's gradient field is built.  Chunks of sample
+    rows (``_fem.blocks``) add the forms weighted by psi_x, in numpy sums.
     """
     sample = corr.sample_grid
     spts = sample.qp_coords().reshape(-1, 2)
@@ -343,15 +355,27 @@ def two_scale_stress_pairing(corr, psi_x, psi_y):
         * np.tile(sample.rule.weights, sample.n_elems)
     cg = corr.cell_grid
     ypts = cg.qp_coords()
-    fy = (psi_y(ypts[..., 0], ypts[..., 1]) * cg.rule.weights).reshape(-1)
+    fy = psi_y(ypts[..., 0], ypts[..., 1]) * cg.rule.weights
+    gradient = _fem.gradient_matrix(cg)
+    pairs = ((0, 0), (1, 1), (0, 1))
+    forms = [_fem.gradient_form(gradient, fy[..., None, None]
+                                * np.outer(np.eye(2)[a], np.eye(2)[b]))[0]
+             for a, b in pairs]
+    g = _fem.gradient_form(gradient, fy[..., None, None] * np.eye(2))[1]
+    s = fy.sum()
     out = np.zeros((2, 2))
-    # per sample row and cell element: 4 gathered potentials, 8 gradient
-    # components, 8 weighted ones and 4 weights
-    for sl in _fem.blocks(spts.shape[0], 8 * 24 * cg.n_elems):
-        total = corr.grad_y_fields(np.arange(sl.start, sl.stop))
-        total += corr.loadings[sl][:, None, None, :]
-        weights = (fx[sl, None] * fy).reshape(-1, 1)
-        out += (weights * total.reshape(-1, 2)).T @ total.reshape(-1, 2)
+    # per sample row and cell node: the transposed potential, a form's
+    # image and their product
+    for sl in _fem.blocks(spts.shape[0], 24 * cg.n_nodes):
+        rows = np.ascontiguousarray(corr.potentials[sl].T)
+        xi, weights = corr.loadings[sl], fx[sl]
+        linear = [(rows * g[:, a, None]).sum(axis=0) for a in range(2)]
+        for (a, b), form in zip(pairs, forms):
+            quad = (rows * (form @ rows)).sum(axis=0)
+            quad += xi[:, a] * linear[b] + xi[:, b] * linear[a] \
+                + xi[:, a] * xi[:, b] * s
+            out[a, b] += (weights * quad).sum()
+    out[1, 0] = out[0, 1]
     return out
 
 

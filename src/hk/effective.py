@@ -81,7 +81,13 @@ class EffectiveLaw:
         return self._closed_form_flux(loadings)
 
     def solutions_for(self, loadings, warm=None):
-        """Zero-mean cell potentials per loading, (K, n^2)."""
+        """Zero-mean cell potentials per loading, (K, n^2).
+
+        A general law runs the batch solve alone: no flux means.
+        """
+        if self.mode == "general":
+            return self._batch_solve(np.asarray(loadings, dtype=float),
+                                     warm).values
         etas = self.solve(loadings, warm=warm)[1]
         return np.zeros((len(loadings), self.grid.n_nodes)) \
             if etas is None else etas
@@ -97,7 +103,8 @@ class EffectiveLaw:
         return self.spec.local_coefficients(
             np.broadcast_to(_SAFE_POINT, loadings.shape))
 
-    def _solve_loadings(self, loadings, warm=None):
+    def _batch_solve(self, loadings, warm=None):
+        """The batch's converged result; NonConvergence if a row is not."""
         result = self.batch.solve(loadings, warm=warm)
         if not result.converged.all():
             worst = float(result.residuals.max())
@@ -106,6 +113,10 @@ class EffectiveLaw:
                 f"batched cell solves: worst residual {worst:.3e} after "
                 f"{iterations} iterations (grid n={self.grid.n})",
                 residual=worst, iterations=iterations)
+        return result
+
+    def _solve_loadings(self, loadings, warm=None):
+        result = self._batch_solve(loadings, warm)
         return self.batch.flux_means(result), result.values
 
     # -- derivatives -------------------------------------------------------

@@ -158,13 +158,6 @@ class CorrectorData:
     cell_residuals: np.ndarray  # (K,)
     identity_residuals: np.ndarray  # (K,)
 
-    def grad_y_fields(self, sample_idx):
-        """Full corrector gradient fields (len(idx), nel_c, 4, 2)."""
-        vals = self.potentials[np.asarray(sample_idx)[:, None, None],
-                               self.cell_grid.conn]             # (k, nel_c, 4)
-        grad = vals.reshape(-1, 4) @ (_fem.GRAD_OP / self.cell_grid.h)
-        return grad.reshape(vals.shape + (2,))
-
 
 def macroscopic_gradient_field(phi0):
     """Nodal-averaged (recovered) gradient of the effective potential.

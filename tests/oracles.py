@@ -188,3 +188,25 @@ def cell_average(f):
     if n * n != data.shape[0]:
         raise ValueError("quadrature data does not match a square grid")
     return data.sum(axis=(0, 1)) / (4.0 * n * n)
+
+
+def grad_y_fields(corr, sample_idx):
+    """Corrector gradient fields of table rows at every cell point.
+
+    ``corr`` is a ``CorrectorData``; returns (len(sample_idx), nel_c, 4, 2),
+    the Q1 gradient of each row's cell potential at the 2x2 Gauss points
+    (point q = 2 iy + ix, local nodes counterclockwise from the lower
+    left).
+    """
+    cell = corr.cell_grid
+    gauss = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
+    corners = ((0, 0), (1, 0), (1, 1), (0, 1))
+
+    def hat(c, t):
+        return t if c else 1.0 - t
+
+    grad = np.array([[[(2 * cx - 1) * hat(cy, y), hat(cx, x) * (2 * cy - 1)]
+                      for cx, cy in corners]
+                     for y in gauss for x in gauss])          # (q, a, d)
+    vals = corr.potentials[np.asarray(sample_idx)[:, None, None], cell.conn]
+    return np.einsum("kea,qad->keqd", vals, grad) / cell.h

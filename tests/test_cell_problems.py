@@ -760,3 +760,32 @@ def test_cold_batch_holds_one_table_of_potentials():
         tracemalloc.stop()
     assert res.converged.all()
     assert peak < 2 * res.values.nbytes
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("spec", [laminate_spec(2.0), nonsymmetric_laminate()],
+                         ids=["laminate-p2", "nonsymmetric"])
+def test_linear_attached_residuals_match_element_kernels(spec, n):
+    # random rows, none a cell solution: the sparse operators evaluate the
+    # rows as given, as the element kernels do
+    grid = CellGrid(n)
+    rng = np.random.default_rng(n)
+    loadings = rng.standard_normal((300, 2))
+    etas = rng.standard_normal((300, grid.n_nodes))
+    batch = BatchScalarCellSolver(spec, grid)
+    cell, identity = batch.attached_residuals(loadings, etas)
+    loc = spec.local_coefficients(grid.qp_coords())
+    ref_cell, ref_identity = [], []
+    for xi, eta in zip(loadings, etas):
+        p = xi + _fem.qp_gradient(eta, grid.conn, grid.h)
+        flux = spec.flux_local(loc, p)
+        ref_cell.append(np.linalg.norm(_fem.divergence_residual(grid, flux)))
+        ref_identity.append(abs(
+            _fem.integrate_qp(grid.h, (flux * p).sum(axis=-1))
+            - _fem.integrate_qp(grid.h, flux) @ xi))
+    ref_cell, ref_identity = np.array(ref_cell), np.array(ref_identity)
+    assert np.abs(cell - ref_cell).max() <= 1e-12 * ref_cell.max()
+    assert np.abs(identity - ref_identity).max() \
+        <= 1e-12 * ref_identity.max()
+    # a linear law's check allocates no batch workspace
+    assert getattr(batch._local, "ws", None) is None

@@ -454,6 +454,11 @@ def test_study_report_does_not_depend_on_blas_threads(tmp_path):
     assert len(one["fine_residuals"]) == 2 and one["elasticity_gaps"]
     assert one["fine_residuals"] == two["fine_residuals"]
     assert one["macro_history"] == two["macro_history"]
+    # the linear law's attached check and the two-scale stress pairing
+    # are sparse products and numpy sums
+    assert one["maxwell_gaps"] == two["maxwell_gaps"]
+    assert one["cell_residual_max"] == two["cell_residual_max"]
+    assert one["identity_residual_max"] == two["identity_residual_max"]
 
 
 def test_macro_start_does_not_depend_on_blas_threads(tmp_path):

@@ -299,8 +299,10 @@ def test_averaged_error_triangle_inequality():
         fine.potential, macro.potential, corr, eps)
     avg = coarse_average_M(corr.potentials.reshape(sample.n_elems, 4, -1),
                            sample, eps, zero_boundary=False)
-    g_exp = _table_grad_at(corr.potentials, sample_idx, cell, y)
-    g_avg = _table_grad_at(avg.values, avg.partition.cell_of(pts), cell, y)
+    located = _fem.locate_points(y, cell.n, cell.h, cell.origin)
+    g_exp = _table_grad_at(corr.potentials, sample_idx, cell, *located)
+    g_avg = _table_grad_at(avg.values, avg.partition.cell_of(pts), cell,
+                           *located)
     w = np.broadcast_to(dom.rule.weights, (dom.n_elems, 4)).reshape(-1)
     dist = float((w @ np.sum((g_exp - g_avg) ** 2, axis=-1)) ** 0.5)
     assert errs["E_avg"] <= errs["E_exp"] + dist + 1e-12
@@ -478,14 +480,16 @@ def test_streamed_errors_match_whole_grid(p, monkeypatch):
                            sample, eps, zero_boundary=False)
     ids = avg.partition.cell_of(pts)
     inside = avg.partition.interior[ids][:, None]
+    located = _fem.locate_points(y, cell.n, cell.h, cell.origin)
     diff_no = grad_eps - grad0
-    diff_exp = diff_no - _table_grad_at(corr.potentials, sample_idx, cell, y)
-    diff_avg = diff_no - _table_grad_at(avg.values, ids, cell, y)
+    diff_exp = diff_no - _table_grad_at(corr.potentials, sample_idx, cell,
+                                        *located)
+    diff_avg = diff_no - _table_grad_at(avg.values, ids, cell, *located)
     loads = coarse_average_M(corr.loadings.reshape(sample.n_elems, 4, 2),
                              sample, eps)
     ids = loads.partition.cell_of(pts)
     diff_dm = grad_eps - loads.values[ids] - _table_grad_at(
-        law.solutions_for(loads.values), ids, cell, y)
+        law.solutions_for(loads.values), ids, cell, *located)
     expect = {"E_exp": diff_exp, "E_avg": diff_avg, "E_nocorr": diff_no,
               "E_exp_interior": np.where(inside, diff_exp, 0.0),
               "E_avg_interior": np.where(inside, diff_avg, 0.0),

@@ -426,3 +426,27 @@ def test_eval_batch_builds_no_potential_table(spec):
         tracemalloc.stop()
     assert np.array_equal(flux, expected)
     assert peak < table_bytes / 8
+
+
+def test_solutions_for_takes_no_flux_means(monkeypatch):
+    # the cell potentials alone: no flux means are computed and dropped
+    law = EffectiveLaw(p3_laminate(), CellGrid(8))
+    calls = []
+    flux_means = type(law.batch).flux_means
+    monkeypatch.setattr(type(law.batch), "flux_means",
+                        lambda self, result: calls.append(1)
+                        or flux_means(self, result))
+    loadings = np.array([[1.0, 0.0], [0.3, -0.5]])
+    etas = law.solutions_for(loadings)
+    assert calls == []
+    assert np.array_equal(etas, law.solve(loadings)[1])
+    assert len(calls) == 1
+
+
+def test_solutions_for_raises_nonconvergence():
+    from hk.cell_problems import SolverOptions
+    from hk.errors import NonConvergence
+    law = EffectiveLaw(p3_laminate(), CellGrid(8),
+                       SolverOptions(max_newton=1, max_picard=0))
+    with pytest.raises(NonConvergence, match="batched cell solves"):
+        law.solutions_for(np.array([[2.0, 1.0]]))

@@ -161,7 +161,7 @@ def test_table_row_gradient_matches_einsum():
     elem, local = _fem.locate_points(y, cell.n, cell.h, cell.origin)
     ref = np.einsum("mad,ma->md", _fem.shape_grad_at(local) / cell.h,
                     tables[rows[:, None], cell.conn[elem]])
-    _close(_table_grad_at(tables, rows, cell, y), ref)
+    _close(_table_grad_at(tables, rows, cell, elem, local), ref)
 
 
 def test_recovered_gradient_matches_einsum(grid):
@@ -341,6 +341,94 @@ def test_two_scale_stress_pairing_matches_einsum():
     outer = np.einsum("keqc,keqd->keqcd", total, total)
     ref = np.einsum("k,eq,keqcd->cd", fx, fy, outer)
     _close(two_scale_stress_pairing(corr, psi_x, psi_y), ref)
+
+
+
+@pytest.mark.parametrize("tail", [(), (2,), (2, 2)])
+def test_take_gathers_equal_fancy_indexing(grid, tail):
+    # np.take picks the same entries as fancy indexing, so every kernel
+    # fed by a gather is bitwise what it was
+    rng = np.random.default_rng(21)
+    nodal = rng.standard_normal((grid.n_nodes,) + tail)
+    pts = _points(grid, rng)
+    elem, local = _fem.locate_points(pts, grid.n, grid.h, grid.origin)
+    assert np.array_equal(_fem.element_values(nodal, grid.conn, elem),
+                          nodal[grid.conn[elem]])
+    c, x, y = _fem._bilinear(nodal[grid.conn[elem]], local)
+    value = c[0] + x * c[1] + y * (c[2] + x * c[3])
+    assert np.array_equal(_fem.point_eval(nodal, grid.conn, grid.h, grid.n,
+                                          grid.origin, pts), value)
+    assert np.array_equal(
+        _fem.point_eval_gradient(nodal, grid.conn, grid.h, grid.n,
+                                 grid.origin, pts),
+        _fem.gradient_at_local(nodal[grid.conn[elem]], local, grid.h))
+    assert np.array_equal(_fem.qp_values(nodal, grid.conn),
+                          _fem.element_map(_fem.SHAPE.T, nodal[grid.conn]))
+    if tail != (2, 2):
+        assert np.array_equal(
+            _fem.qp_gradient(nodal, grid.conn, grid.h),
+            _fem.element_map(_fem.GRAD_OP, nodal[grid.conn], 1, 2) / grid.h)
+    if tail == ():
+        ge = _fem.element_map(_fem.CORNER_GRAD_OP, nodal[grid.conn], 1, 2) \
+            / grid.h
+        counts = _fem.scatter(grid.node_scatter, np.ones(grid.conn.shape))
+        assert np.array_equal(
+            _fem.recovered_gradient(grid, nodal),
+            _fem.scatter(grid.node_scatter, ge) / counts[:, None])
+    # a table read at a different row per point
+    tables = rng.standard_normal((7, grid.n_nodes))
+    rows = rng.integers(0, 7, elem.size)
+    assert np.array_equal(
+        _fem.element_values(tables, grid.conn, elem, rows),
+        tables[rows[:, None], grid.conn[elem]])
+
+
+def test_gradient_form_matches_element_kernels():
+    # K u + F xi is the assembled flux of xi + grad u, and u . K u its
+    # quadrature sum against grad u, for a non-symmetric coefficient
+    cell = CellGrid(8)
+    rng = np.random.default_rng(22)
+    coef = rng.standard_normal((cell.n_elems, 4, 2, 2))
+    u = rng.standard_normal(cell.n_nodes)
+    xi = rng.standard_normal(2)
+    gradient = _fem.gradient_matrix(cell)
+    _close(gradient @ u, _fem.qp_gradient(u, cell.conn, cell.h).ravel())
+    stiffness, load = _fem.gradient_form(gradient, coef)
+    grad = _fem.qp_gradient(u, cell.conn, cell.h)
+    flux = np.einsum("eqcd,eqd->eqc", coef, xi + grad)
+    ref = _fem.divergence_residual(cell, flux / (cell.h ** 2 / 4.0))
+    _close(stiffness @ u + load @ xi, ref)
+    quad = np.einsum("eqc,eqcd,eqd->", grad, coef, grad)
+    assert abs(u @ (stiffness @ u) - quad) <= 1e-13 * abs(quad)
+    assert stiffness.nnz == 9 * cell.n_nodes
+
+
+def test_two_scale_stress_pairing_memory_within_budget():
+    # 16,384 sample rows of a cell_n 8 table: one (rows x nodes) temporary
+    # would take 8 MiB, twice the work budget; the chunks keep each to it
+    import tracemalloc
+    rng = np.random.default_rng(23)
+    sample, cell = DomainGrid(64), CellGrid(8)
+    k = 4 * sample.n_elems
+    corr = CorrectorData(sample, cell, rng.standard_normal((k, 2)),
+                         rng.standard_normal((k, cell.n_nodes)),
+                         np.zeros(k), np.zeros(k))
+    assert k * cell.n_nodes * 8 > _fem.WORK_BUDGET_BYTES
+    # the grids cache their coordinates on first use, outside the count
+    sample.qp_coords(), cell.qp_coords()
+
+    def psi(a, b):
+        return 1.0 + a * b
+
+    tracemalloc.start()
+    try:
+        out = two_scale_stress_pairing(corr, psi, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(out).all()
+    # the budget, plus per-row weights and the sample points
+    assert peak <= _fem.WORK_BUDGET_BYTES + 64 * k
 
 
 _LIBRARY = Path(__file__).resolve().parents[1] / "src" / "hk"

@@ -456,3 +456,31 @@ def test_elasticity_from_potential_matches_whole_grid_load(monkeypatch):
         dofs_per_node=2)
     scale = np.abs(ref).max()
     assert np.abs(u.values.ravel() - ref).max() <= 1e-12 * scale
+
+
+def test_v_cycle_is_freed_when_the_solve_returns(monkeypatch):
+    # the cycle holds its levels and coarsest factor but not itself, so
+    # reference counting frees the hierarchy with no cyclic collection
+    import gc
+    import weakref
+    refs = []
+    v_cycle = _fem._v_cycle
+
+    def tracked(*args):
+        cycle = v_cycle(*args)
+        refs.append(weakref.ref(cycle))
+        return cycle
+
+    monkeypatch.setattr(_fem, "_v_cycle", tracked)
+    dom = DomainGrid(128)
+    block = _fem.assemble_diffusion(dom, np.ones((dom.n_elems, 4)))
+    rhs = _fem.load_vector(dom, np.ones((dom.n_elems, 4)))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        x = _fem.solve_dirichlet(block, rhs, dom)
+        assert len(refs) == 1 and refs[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert np.isfinite(x).all() and np.abs(x).max() > 0.0
