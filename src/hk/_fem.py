@@ -463,15 +463,13 @@ def _block_pattern(grid, dofs_per_node):
 
     It is kept in the grid's ``block_patterns``, so it lives as long as
     the grid: every solve on one grid shares it, and a dropped grid's
-    patterns go with it.  Threads that build it at once keep the first
-    one stored (``setdefault`` is atomic).
+    patterns go with it.
     """
     patterns = grid.block_patterns
-    pattern = patterns.get(dofs_per_node)
-    if pattern is None:
-        pattern = patterns.setdefault(dofs_per_node, _build_pattern(
-            grid.periodic, grid.n, dofs_per_node))
-    return pattern
+    if dofs_per_node not in patterns:
+        patterns[dofs_per_node] = _build_pattern(grid.periodic, grid.n,
+                                                 dofs_per_node)
+    return patterns[dofs_per_node]
 
 
 def _build_pattern(periodic, n_cells, dofs_per_node):

@@ -21,7 +21,6 @@ normalized to zero mean; on the uniform periodic grid the arithmetic
 nodal mean equals the integral, so the normalization is exact.
 """
 
-import threading
 from dataclasses import dataclass, field
 from math import ceil, prod, sqrt
 
@@ -46,7 +45,6 @@ class SolverOptions:
 class ScalarCellSolution:
     """Zero-mean periodic potential responding to a constant loading."""
 
-    loading: np.ndarray
     values: np.ndarray          # nodal, (n^2,)
     residual: float
     iterations: int
@@ -108,7 +106,7 @@ def solve_scalar_cells(spec, loadings, grid, opts=None, solver=None):
                 f"scalar cell problem: residual {rnorm:.3e} > {tol:.3e} "
                 f"after {its} iterations (grid n={grid.n})",
                 residual=rnorm, iterations=its)
-        sols.append(ScalarCellSolution(loading, eta, rnorm, its, grid))
+        sols.append(ScalarCellSolution(eta, rnorm, its, grid))
     return sols
 
 
@@ -270,17 +268,16 @@ class BatchScalarCellSolver:
     makes these small factorizations ~10x slower.
 
     Every per-chunk array (gradients, fluxes, Jacobians, element pairs,
-    band slot table, band, right-hand sides) lives in a workspace that
-    each thread keeps for this solver, grown to the largest chunk it has
-    seen; kernels fill it with ``out=`` and in-place ufuncs and return
-    views of it, so a caller copies what it keeps.  Chunks are
+    band slot table, band, right-hand sides) lives in the solver's one
+    workspace, grown to the largest chunk it has seen; kernels fill it
+    with ``out=`` and in-place ufuncs and return views of it, so a caller
+    copies what it keeps.  Chunks are
     ``_fem.blocks`` of ``loading_bytes`` per row, so that a workspace
     stays within ``_fem.WORK_BUDGET_BYTES`` (4 MiB: 520
     loadings at n = 4, 115 at n = 8, 23 at n = 16, 4 at n = 32, 1 from
     n = 64 on); the last row of a chunk is factored at the end of the
     stacked band, so the chunk size is part of the bitwise result.
-    Threads share only the constant tables built here.  Results are
-    bitwise deterministic.
+    Results are bitwise deterministic.
     """
 
     def __init__(self, spec, grid, opts=None):
@@ -346,13 +343,13 @@ class BatchScalarCellSolver:
         self._at_res = self._at_terms + 2 * nn
         self._at_sums = self._at_res + nn
         self.loading_bytes = 8 * sum(self._layout.values())
-        self._local = threading.local()
+        self._ws = None
 
     def _workspace(self, k):
-        """This thread's workspace, grown to hold k loadings."""
-        ws = getattr(self._local, "ws", None)
+        """The solver's workspace, grown to hold k loadings."""
+        ws = self._ws
         if ws is None or ws.rows < k:
-            ws = self._local.ws = _Workspace(self._layout, k)
+            ws = self._ws = _Workspace(self._layout, k)
             band_size = (self.bandwidth + 1) * self.grid.n_nodes
             np.add(self._pair_slots, band_size * np.arange(k)[:, None],
                    out=self._slot_table(ws, k))
@@ -369,7 +366,7 @@ class BatchScalarCellSolver:
         return ws.get("slots", k, self._pair_slots.size).view(np.intp)
 
     # -- batched kernels ---------------------------------------------------
-    # Each returns a view of the calling thread's workspace, valid until
+    # Each returns a view of the solver's workspace, valid until
     # the next kernel that writes the same array; k is at most ``chunk``.
 
     def _total_gradient(self, loadings, etas):

@@ -1,7 +1,7 @@
 """Configuration, experiment orchestration, and reporting.
 
-Usage: ``hk <subcommand> --config <path-or-preset> [--out DIR] [--threads K]``
-with subcommands ``cell``, ``effective``, ``fine``, ``homogenized``,
+Usage: ``hk <subcommand> --config <path-or-preset> [--out DIR]`` with
+subcommands ``cell``, ``effective``, ``fine``, ``homogenized``,
 ``corrector-study``, and ``verify``.  Configs are JSON documents with a
 versioned ``schema`` field; validation errors are reported with a
 JSON-pointer path and exit code 3, as are command-line usage errors;
@@ -38,17 +38,18 @@ from .homogenized import (MacroOptions, solve_homogenized_elasticity,
 SCHEMA_VERSION = 1
 
 # Largest grids a config may ask for, so that memory stays bounded for
-# every config that validates.  The fine solves run on an N x N grid,
+# every config that validates.  The rungs run one after another, so a
+# run's peak is its largest rung's.  The fine solves run on an N x N grid,
 # N = fine_m / eps per rung; above N = 64 they solve by multigrid PCG, and
 # a rung's peak is its solves': one N = 512 laminate elastic solve peaks
-# near 0.45 GiB of RSS, and the laminate-p2 study with elasticity (eps
-# down to 1/32) near 0.51 GiB, as does the p = 3 one, whose N = 512 fine
-# Newton solve is its peak.  The post-processing streams over blocks of
-# element rows within _fem.WORK_BUDGET_BYTES.  The cell layer keeps a few
-# cell potentials, cell_n^2 doubles each, per quadrature point of the sample
-# grid, which refines the solve grid; CELL_TABLE_COPIES bounds how many
-# are alive at once (solutions, warm starts and their two-column
-# derivatives).
+# near 0.45 GiB of RSS, the laminate-p2 study with elasticity (eps down
+# to 1/32) at 437-461 MiB, and the p = 3 one, whose N = 512 fine Newton
+# solve is its peak, at 296-305 MiB.  The post-processing streams over
+# blocks of element rows within _fem.WORK_BUDGET_BYTES.  The cell layer
+# keeps a few cell potentials, cell_n^2 doubles each, per quadrature point
+# of the sample grid, which refines the solve grid; CELL_TABLE_COPIES
+# bounds how many are alive at once (solutions, warm starts and their
+# two-column derivatives).
 MAX_GRID = {"cell_n": 64, "solve_n": 128, "sample_n": 256}
 MAX_FINE_N = 512
 MAX_CELL_TABLE_BYTES = 2 ** 30
@@ -395,7 +396,7 @@ def _tensor_nested(arr):
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_cell(cfg, out_dir, threads):
+def cmd_cell(cfg, out_dir, _unused=1):
     spec = build_spec(cfg)
     grid = CellGrid(cfg["grids"]["cell_n"])
     opts = SolverOptions(tol=cfg["tolerances"]["cell"])
@@ -433,7 +434,7 @@ def cmd_cell(cfg, out_dir, threads):
     return 0
 
 
-def cmd_effective(cfg, out_dir, threads):
+def cmd_effective(cfg, out_dir, _unused=1):
     spec = build_spec(cfg)
     grid = CellGrid(cfg["grids"]["cell_n"])
     opts = SolverOptions(tol=cfg["tolerances"]["cell"])
@@ -463,7 +464,7 @@ def cmd_effective(cfg, out_dir, threads):
     return 0
 
 
-def cmd_fine(cfg, out_dir, threads):
+def cmd_fine(cfg, out_dir, _unused=1):
     spec = build_spec(cfg)
     tensor_b, tensor_c = build_tensors(cfg)
     opts = SolverOptions(tol=cfg["tolerances"]["cell"])
@@ -490,7 +491,7 @@ def cmd_fine(cfg, out_dir, threads):
     return 0
 
 
-def cmd_homogenized(cfg, out_dir, threads):
+def cmd_homogenized(cfg, out_dir, _unused=1):
     spec = build_spec(cfg)
     grid = CellGrid(cfg["grids"]["cell_n"])
     opts = SolverOptions(tol=cfg["tolerances"]["cell"])
@@ -520,7 +521,7 @@ def cmd_homogenized(cfg, out_dir, threads):
     return 0
 
 
-def cmd_corrector_study(cfg, out_dir, threads):
+def cmd_corrector_study(cfg, out_dir, _unused=1):
     spec = build_spec(cfg)
     tensor_b, tensor_c = build_tensors(cfg)
     report = run_corrector_study(
@@ -530,8 +531,7 @@ def cmd_corrector_study(cfg, out_dir, threads):
         f=build_source_f(cfg), tensor_b=tensor_b, tensor_c=tensor_c,
         g_src=np.array(cfg["sources"]["g"]),
         cell_opts=SolverOptions(tol=cfg["tolerances"]["cell"]),
-        macro_opts=MacroOptions(tol=cfg["tolerances"]["macro"]),
-        threads=threads)
+        macro_opts=MacroOptions(tol=cfg["tolerances"]["macro"]))
     write_corrector_csv(report, out_dir / "corrector_study.csv")
     payload = report.to_dict()
     payload["provenance"].update(provenance_block(cfg))
@@ -539,7 +539,7 @@ def cmd_corrector_study(cfg, out_dir, threads):
     return 0
 
 
-def cmd_verify(cfg, out_dir, threads):
+def cmd_verify(cfg, out_dir, _unused=1):
     spec = build_spec(cfg)
     grid = CellGrid(cfg["grids"]["cell_n"])
     opts = SolverOptions(tol=cfg["tolerances"]["cell"])
@@ -594,6 +594,9 @@ def cmd_verify(cfg, out_dir, threads):
     return 0 if ok else 4
 
 
+# Each command takes a third positional argument that it ignores:
+# perfbench/child.py calls ``COMMANDS[name](cfg, out, 1)``.  It goes when
+# perfbench stops calling hk by name (ROADMAP item 6).
 COMMANDS = {
     "cell": cmd_cell,
     "effective": cmd_effective,
@@ -618,7 +621,7 @@ def load_config(path_or_preset):
         raise ConfigError(f"invalid JSON: {exc}", "")
 
 
-def run(subcommand, config_path, out_dir="out", threads=1):
+def run(subcommand, config_path, out_dir="out"):
     """Execute one subcommand pipeline; returns the process exit code."""
     try:
         cfg = validate_config(load_config(config_path), subcommand)
@@ -628,25 +631,14 @@ def run(subcommand, config_path, out_dir="out", threads=1):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        return COMMANDS[subcommand](cfg, out, threads)
+        return COMMANDS[subcommand](cfg, out)
     except (NonConvergence, SingularSystem) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """argparse with usage errors on exit code 3, the config-error code.
-
-    argparse's own code, 2, is the code of solver non-convergence.
-    """
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(3, f"{self.prog}: error: {message}\n")
-
-
 def main(argv=None):
-    parser = _ArgumentParser(
+    parser = argparse.ArgumentParser(
         prog="hk",
         description="Periodic homogenization experiments for coupled "
                     "electrostatic/elastic composites.")
@@ -655,14 +647,15 @@ def main(argv=None):
                         help="path to a JSON config, or a preset name: "
                              + ", ".join(sorted(PRESETS)))
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--threads", type=int,
-                        default=os.environ.get("HK_THREADS", "1"),
-                        help="parallel ladder workers (HK_THREADS fallback)")
-    args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error(f"argument --threads: must be at least 1, got "
-                     f"{args.threads}")
-    return run(args.subcommand, args.config, args.out, args.threads)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code of solver
+        # non-convergence; usage errors share the config-error code
+        if exc.code == 2:
+            raise SystemExit(3) from None
+        raise
+    return run(args.subcommand, args.config, args.out)
 
 
 if __name__ == "__main__":

@@ -339,7 +339,6 @@ class OperatorSpec:
 class GrowthReport:
     """Empirical structure constants from random (y, xi_1, xi_2) triples."""
 
-    samples: int
     seed: int
     max_flux_at_zero: float
     empirical_continuity: float   # max continuity ratio (empirical Lambda_o)
@@ -387,7 +386,6 @@ def check_growth_conditions(spec, m=1000, seed=0, radius=3.0, flux_fn=None):
             / (weight[keep] ** (0.5 * (p - 2.0)) * norm_dxi[keep] ** 2))
     lam_emp = float(mono.min())
     return GrowthReport(
-        samples=int(keep.sum()),
         seed=seed,
         max_flux_at_zero=float(np.linalg.norm(a0, axis=-1).max()),
         empirical_continuity=float(cont.max()),

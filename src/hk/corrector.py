@@ -102,12 +102,12 @@ def coarse_average_M(v, domain, eps, zero_boundary=True):
 class UnfoldedField:
     """v(eps*[x/eps] + eps*y) sampled on the fine quadrature layout.
 
-    ``values[c]`` is the unit-cell trace of v over interior cell c,
-    arranged as (elements-per-cell, 4, ...) in unit-cell element order.
+    ``values[c]`` is the unit-cell trace of v over the c-th interior cell
+    in flat cell id order, arranged as (elements-per-cell, 4, ...) in
+    unit-cell element order.
     """
 
     eps: float
-    cells: np.ndarray           # interior flat cell ids
     values: np.ndarray          # (n_interior_cells, m*m, 4, ...)
     weight: float               # quadrature weight per point in y-units
 
@@ -152,7 +152,7 @@ def two_scale_compose_S(v, eps):
     values[cell_pos[cid[keep]], off[keep]] = data.reshape(
         (n * n, 4) + comp_shape)[keep]
     weight = (1.0 / m) ** 2 / 4.0
-    return UnfoldedField(eps, cells, values, weight)
+    return UnfoldedField(eps, values, weight)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +505,7 @@ class CorrectorReport:
 def run_corrector_study(spec, ladder, cell_n=8, fine_m=16, solve_n=32,
                         sample_n=64, f=None, tensor_b=None, tensor_c=None,
                         g_src=(0.0, -1.0), cell_opts=None, macro_opts=None,
-                        threads=1, recover_gradient=True):
+                        recover_gradient=True):
     """Run the eps-sweep corrector verification for one operator family.
 
     Grids: unit-cell solves on cell_n, fine meshes with fine_m elements
@@ -603,12 +603,7 @@ def run_corrector_study(spec, ladder, cell_n=8, fine_m=16, solve_n=32,
             "residual": fine.residuals["electrostatic"],
         }
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rungs = list(pool.map(one_rung, ladder))
-    else:
-        rungs = [one_rung(eps) for eps in ladder]
+    rungs = [one_rung(eps) for eps in ladder]
 
     names = ("E_exp", "E_avg", "E_dm", "E_nocorr", "E_exp_interior",
              "E_avg_interior")

@@ -35,8 +35,7 @@ class EffectiveLaw:
     ``batch``, the one scalar cell solver of the law, which every mode
     has for the attached residuals.
     ``eval_batch`` computes fluxes only, so the constant and linear modes
-    build no potentials there.  Nothing is stored between calls, so one
-    law can serve several threads.
+    build no potentials there.  Nothing is stored between calls.
     """
 
     def __init__(self, spec, grid, opts=None):

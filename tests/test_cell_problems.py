@@ -1,5 +1,3 @@
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -603,16 +601,16 @@ def test_chunk_size_leaves_cold_batch_solutions(monkeypatch):
 
 
 def test_workspace_stays_within_budget():
-    # the per-thread work arrays grow to the largest chunk a solve used,
+    # the solver's work arrays grow to the largest chunk a solve used,
     # however many rows the batch has
     batch = BatchScalarCellSolver(laminate_spec(3.0), CellGrid(8))
     loadings = np.random.default_rng(21).uniform(-1.0, 1.0, size=(1024, 2))
     batch.tangents(loadings, batch.solve(loadings).values)
-    arena = next(iter(batch._local.ws._regions.values())).base
+    arena = next(iter(batch._ws._regions.values())).base
     assert arena.nbytes <= _fem.WORK_BUDGET_BYTES
 
 
-# -- per-thread workspace -------------------------------------------------------
+# -- one workspace per solver -------------------------------------------------
 
 def _solve_and_linearize(batch, loadings):
     res = batch.solve(loadings)
@@ -621,48 +619,25 @@ def _solve_and_linearize(batch, loadings):
             tangent, w)
 
 
-def test_concurrent_solves_match_serial_solves():
-    # each thread keeps its own workspace, so threads calling one solver
-    # with different batch sizes get the serial results bitwise; more
-    # threads than cores and a short switch interval make them interleave
+def test_reused_workspace_matches_fresh_solvers():
+    # one solver runs batches of 3, 100, 3, 100, 3 rows in turn: its
+    # workspace grows to the 100-row batch and serves the later ones, and
+    # every result is bitwise that of a fresh solver
     grid = CellGrid(8)
     rng = np.random.default_rng(14)
     batches = [rng.uniform(-1.0, 1.0, size=(k, 2)) for k in (3, 100)]
-    serial = [_solve_and_linearize(BatchScalarCellSolver(laminate_spec(3.0),
-                                                         grid), loadings)
-              for loadings in batches]
+    fresh = [_solve_and_linearize(BatchScalarCellSolver(laminate_spec(3.0),
+                                                        grid), loadings)
+             for loadings in batches]
     batch = BatchScalarCellSolver(laminate_spec(3.0), grid)
-    n_threads = 4
-    start = threading.Barrier(n_threads)
-    results = [[] for _ in range(n_threads)]
-
-    def work(i):
-        try:
-            start.wait()
-            for _ in range(3):
-                results[i].append(_solve_and_linearize(batch, batches[i % 2]))
-        except Exception as exc:      # re-raised in the main thread
-            results[i].append(exc)
-
-    threads = [threading.Thread(target=work, args=(i,))
-               for i in range(n_threads)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120.0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    for i in range(n_threads):
-        assert len(results[i]) == 3
-        for got in results[i]:
-            if isinstance(got, Exception):
-                raise got
-            for a, b in zip(got, serial[i % 2]):
-                assert np.array_equal(a, b)
+    workspaces = []
+    for i in (0, 1, 0, 1, 0):
+        got = _solve_and_linearize(batch, batches[i])
+        workspaces.append(batch._ws)
+        for a, b in zip(got, fresh[i]):
+            assert np.array_equal(a, b)
+    assert [ws.rows for ws in workspaces] == [3, 100, 100, 100, 100]
+    assert all(ws is workspaces[1] for ws in workspaces[1:])
 
 
 def test_repeated_solve_reuses_its_workspace():
@@ -788,4 +763,4 @@ def test_linear_attached_residuals_match_element_kernels(spec, n):
     assert np.abs(identity - ref_identity).max() \
         <= 1e-12 * ref_identity.max()
     # a linear law's check allocates no batch workspace
-    assert getattr(batch._local, "ws", None) is None
+    assert batch._ws is None

@@ -265,26 +265,17 @@ def test_main_entry_point(tmp_path):
     assert code == 0
 
 
-def test_bad_hk_threads_is_a_usage_error(monkeypatch, capsys):
-    # the environment fallback is parsed like the flag: a usage error
-    monkeypatch.setenv("HK_THREADS", "abc")
-    with pytest.raises(SystemExit) as info:
-        main(["verify", "--config", "laminate-p2"])
-    assert info.value.code == 3
-    err = capsys.readouterr().err
-    assert "--threads: invalid int value: 'abc'" in err
-    assert "Traceback" not in err
-
-
 @pytest.mark.parametrize("argv, env", [
     (["--threads", "0"], None),
     (["--threads", "-3"], None),
-    ([], "0"),
+    (["--threads", "2"], "2"),
     (["--nope"], None),
 ])
 def test_usage_errors_exit_3(monkeypatch, capsys, argv, env):
     # 2 is the code of solver non-convergence, so usage errors share the
-    # config-error code; nothing runs
+    # config-error code; nothing runs.  --threads is retired: it is an
+    # unknown flag, never silently ignored, and the HK_THREADS variable
+    # it once fell back to does not bring it back
     if env is not None:
         monkeypatch.setenv("HK_THREADS", env)
     monkeypatch.setattr("hk.cli.run", lambda *args: pytest.fail("ran"))
@@ -420,6 +411,7 @@ def test_python_m_hk_runs_the_cli():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0
     assert done.stdout.startswith("usage: hk ")
+    assert "--threads" not in done.stdout
 
 
 def _reports_on_blas_threads(tmp_path, command, path, report):

@@ -2,8 +2,10 @@
 
 A public module-level definition in ``src/hk``, or a public method of one
 of its classes, that nothing in ``src/hk`` names outside its own body is
-code kept alive by tests alone.  The allowlist names the exceptions, one
-reason each; a method goes by ``Class.method``.
+code kept alive by tests alone.  So is a public attribute, a dataclass
+field or an attribute a method sets on ``self``, that nothing in ``src/hk``
+reads.  The allowlist names the exceptions, one reason each; a method goes
+by ``Class.method`` and an attribute by ``Class.attribute``.
 """
 
 import ast
@@ -61,13 +63,40 @@ def _visit(body, owner, own, public, referenced):
             referenced.update(set(_names(stmt)) - own)
 
 
+def _attributes(cls):
+    """Attributes of class ``cls``: dataclass fields and ``self.`` stores."""
+    if any("dataclass" in set(_names(node)) for node in cls.decorator_list):
+        for stmt in cls.body:
+            if isinstance(stmt, ast.AnnAssign) \
+                    and isinstance(stmt.target, ast.Name):
+                yield stmt.target.id
+    for stmt in cls.body:
+        if isinstance(stmt, ast.FunctionDef):
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Attribute) \
+                        and isinstance(node.ctx, ast.Store) \
+                        and isinstance(node.value, ast.Name) \
+                        and node.value.id == "self":
+                    yield node.attr
+
+
 def _unreferenced():
-    public, referenced = [], set()
+    public, referenced, attributes, read = [], set(), set(), set()
     for path in sorted(_LIBRARY.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         _visit(tree.body, "", set(), public, referenced)
-    return sorted(name for name in set(public)
-                  if name.rpartition(".")[2] not in referenced)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                attributes.update(f"{node.name}.{name}"
+                                  for name in _attributes(node)
+                                  if not name.startswith("_"))
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted({name for name in public
+                   if name.rpartition(".")[2] not in referenced}
+                  | {name for name in attributes
+                     if name.rpartition(".")[2] not in read})
 
 
 def test_every_public_definition_has_a_library_reference():
