@@ -12,29 +12,35 @@ constant reference tensor (Kirby & Logg, ACM TOMS 2006); 2-vector and 2x2
 algebra is component-wise or a broadcast product summed over its axes.
 Gathers are ``np.take``, bitwise the fancy indexing they replace and
 several times faster on multi-column data; a point's element data, from
-a field or from a table row per point, is one ``element_values``.  Every
-sum onto nodes or cells is one product with a one-hot CSR matrix
-(``scatter_matrix``), and each grid builds its node matrix once
-(``node_scatter``).  A pass over a table of cell fields that is linear or
-quadratic in each row runs at the nodes: ``gradient_form`` turns
-per-point coefficients into a 9-point nodal operator K = G^T C G and a
-load F (G the sparse ``gradient_matrix``), so a row costs a sparse
-product instead of an evaluation at every quadrature point.  Two sums
-are slice-adds instead: stiffness matrices, whose element blocks are
-summed per stencil direction straight into the block of free dofs that
-the solves take (``_assemble``), and nodal loads summed over blocks of
-element rows (``scatter_rows``), bitwise as the CSR product sums them.
-Every batch of work arrays is sliced by one rule (``blocks``); every
-integral over a fine grid walks its blocks of element rows in one loop
-(``row_sums``), and every fine point maps to the unit cell by one
-function (``cell_points``).  Every direct solve goes through one factorization
-seam (``factor``): banded Cholesky for the symmetric Dirichlet blocks in
-their own row order, SuperLU for the rest.
+a field or from a table row per point, is one ``element_values``.  Sums
+onto nodes keep no per-grid matrix: ``node_sum`` adds each node's
+element entries in element order, bitwise as ``np.add.at`` does, by one
+slice-add per local node on a Dirichlet grid (``scatter_rows``, which
+also sums blocks of element rows) and by one gather per element slot of
+each node on a periodic grid, whose stencil wraps (``slot_sums``, shared
+with the batched cell solver).  Stiffness matrices are summed per
+stencil direction straight into the block of free dofs that the solves
+take (``_assemble``).  Only the sums onto eps-cells are a product with a
+one-hot CSR matrix (``scatter_matrix``, ``scatter``).  A pass over a
+table of cell fields that is linear or quadratic in each row runs at
+the nodes: ``gradient_form`` turns per-point coefficients into a
+9-point nodal operator K = G^T C G and a load F (G the sparse
+``gradient_matrix``), so a row costs a sparse product instead of an
+evaluation at every quadrature point.  Every batch of work arrays is
+sliced by one rule (``blocks``); every integral over a fine grid walks
+its blocks of element rows in one loop (``row_sums``), and every fine
+point maps to the unit cell by one function (``cell_points``).  Every
+direct solve goes through one factorization seam (``factor``): banded
+Cholesky for the symmetric Dirichlet blocks in their own row order,
+SuperLU for the rest.  Nothing is kept for the process: a grid's block
+patterns go with the grid, and a V-cycle's transfers with its solve or
+with the ``transfers`` dict that a caller shares across its solves.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from itertools import accumulate
+from math import prod
 from operator import mul
 
 import numpy as np
@@ -215,6 +221,7 @@ def scatter_matrix(ids, size):
     Column j stands for entry j of ``ids`` in array order, so each row
     holds its entries in that order and ``scatter`` adds them in the order
     numpy's unbuffered ``add.at`` does: the sums are bitwise the same.
+    It serves the sums onto eps-cells; sums onto nodes are ``node_sum``.
     """
     ids = np.asarray(ids).ravel()
     return sp.csr_matrix((np.ones(ids.size), (ids, np.arange(ids.size))),
@@ -232,19 +239,61 @@ def scatter(matrix, values):
     return (matrix @ values.reshape(n, -1)).reshape(matrix.shape[:1] + tail)
 
 
+def node_slots(conn):
+    """The element-node slots (e, a) of each node of a periodic grid.
+
+    (n_nodes, 4) indices into ``conn.ravel()``, each node's four in
+    increasing order, the order in which ``np.add.at`` adds them.
+    """
+    return np.argsort(conn.ravel(), kind="stable").reshape(-1, 4)
+
+
+def slot_sums(entries, slots, sums, part):
+    """Sum element-node entries onto nodes by their ``node_slots``.
+
+    ``entries`` (k, 4 nel, t) holds k batch rows of entries in slot
+    order; ``sums`` (k, nn, t) receives the node sums and ``part``, of the
+    same shape, is scratch.  The sums start from zero and add one slot
+    per node at a time, in increasing order, so they are bitwise
+    ``np.add.at``'s.  Returns ``sums``.
+    """
+    sums[...] = 0.0
+    for column in slots.T:
+        np.take(entries, column, axis=1, mode="clip", out=part)
+        sums += part
+    return sums
+
+
+def node_sum(grid, values):
+    """Sum element-node data (nel, 4, ...) onto the grid's nodes, (nn, ...).
+
+    Bitwise ``np.add.at`` over ``grid.conn``: a Dirichlet grid sums by
+    ``scatter_rows`` over all its element rows, a periodic one by
+    ``slot_sums``.  Builds no per-grid matrix.
+    """
+    tail = values.shape[2:]
+    if not grid.periodic:
+        nodal = np.zeros((grid.n_nodes,) + tail)
+        scatter_rows(nodal, grid, slice(0, grid.n), values)
+        return nodal
+    shape = (1, grid.n_nodes, prod(tail))
+    sums = slot_sums(values.reshape(1, -1, shape[2]), node_slots(grid.conn),
+                     np.empty(shape), np.empty(shape))
+    return sums.reshape((grid.n_nodes,) + tail)
+
+
 def divergence_residual(grid, flux):
     """Assemble r_a = sum_e,q w flux . grad(N_a) onto the grid's nodes.
 
     A flux (nel, 4, 2) gives (nn,); a stress (nel, 4, c, 2) gives
     r_(a,c) = sum w stress_{cd} d_d N_a, (nn, c).
     """
-    return scatter(grid.node_scatter, element_map(DIV_OP, flux, 2) * grid.h)
+    return node_sum(grid, element_map(DIV_OP, flux, 2) * grid.h)
 
 
 def load_vector(grid, f_qp):
     """Assemble ∫ f N_a from sources at quadrature points (nel, 4, ...)."""
-    return scatter(grid.node_scatter,
-                   element_map(LOAD_OP, f_qp) * (grid.h * grid.h))
+    return node_sum(grid, element_map(LOAD_OP, f_qp) * (grid.h * grid.h))
 
 
 def integrate_qp(h, values_qp):
@@ -349,7 +398,8 @@ def scatter_rows(nodal, grid, rows, values):
     local node is one slice-add over the node lattice, in the order in
     which a node meets its elements.  Called on zeros, block after block
     from the first row, every node sums its entries in element order, as
-    ``scatter`` with ``node_scatter`` does: the sums are bitwise the same.
+    ``np.add.at`` over the grid's connectivity does: the sums are bitwise
+    the same.
     """
     n = grid.n
     lattice = nodal.reshape((n + 1, n + 1) + nodal.shape[1:])
@@ -393,6 +443,12 @@ def _bilinear(vals, local):
     return coef, xy[..., 0], xy[..., 1]
 
 
+def value_at_local(vals, local):
+    """Value (p, ...) of Q1 element data (p, 4, ...) at local coordinates."""
+    c, x, y = _bilinear(vals, local)
+    return c[0] + x * c[1] + y * (c[2] + x * c[3])
+
+
 def gradient_at_local(vals, local, h):
     """Gradient (p, ..., 2) of Q1 element data at local coordinates (p, 2).
 
@@ -407,8 +463,7 @@ def point_eval(nodal, conn, h, n_cells, origin, points):
     """Q1 field (nn, ...) at arbitrary points (..., 2); (...,) + tail."""
     points = np.asarray(points, dtype=float)
     elem, local = locate_points(points.reshape(-1, 2), n_cells, h, origin)
-    c, x, y = _bilinear(element_values(nodal, conn, elem), local)
-    out = c[0] + x * c[1] + y * (c[2] + x * c[3])
+    out = value_at_local(element_values(nodal, conn, elem), local)
     return out.reshape(points.shape[:-1] + out.shape[1:])
 
 
@@ -434,8 +489,8 @@ def recovered_gradient(grid, nodal):
     """
     ge = element_map(CORNER_GRAD_OP, np.take(nodal, grid.conn, axis=0),
                      1, 2) / grid.h
-    counts = scatter(grid.node_scatter, np.ones(grid.conn.shape))
-    return scatter(grid.node_scatter, ge) / counts[:, None]
+    counts = node_sum(grid, np.ones(grid.conn.shape))
+    return node_sum(grid, ge) / counts[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -789,13 +844,15 @@ PCG_RTOL = 1e-10        # relative residual at which PCG stops
 PCG_MAX_ITER = 100      # after which the direct factorization solves it
 
 
-@lru_cache(maxsize=None)
 def _prolongation(n_cells, dofs_per_node):
     """Bilinear interpolation from the N/2 grid's free dofs to the N grid's.
 
     Both grids number their interior nodes row-major, dofs node-major;
     coarse boundary nodes carry the homogeneous Dirichlet value.  Returns
-    the prolongation and its transpose, the restriction, both CSR.
+    the prolongation and its transpose, the restriction, both CSR.  Built
+    on every call (31 ms at N = 512, one dof per node; 61 ms at two), so
+    a caller that solves on one grid several times shares them through
+    ``solve_dirichlet``'s ``transfers``.
     """
     # fine node i takes weight 1 from coarse node i/2, or 1/2 from each of
     # (i -/+ 1)/2; the coarse boundary nodes 0 and N/2 drop out
@@ -812,21 +869,26 @@ def _prolongation(n_cells, dofs_per_node):
     return prolong, prolong.T.tocsr()
 
 
-def _v_cycle(matrix, n_cells, dofs_per_node):
+def _v_cycle(matrix, n_cells, dofs_per_node, transfers):
     """One geometric V-cycle for ``matrix`` on an N-cell grid's free dofs.
 
     Levels halve N while it is even and above ``MG_COARSEST_N``; coarse
     operators are Galerkin products R A P of the bilinear prolongation,
     each level smooths with damped Jacobi (``JACOBI_SWEEPS`` sweeps before
     and after its coarse correction, so the cycle is symmetric), and the
-    coarsest grid's operator is factored by the band (``factor``).
+    coarsest grid's operator is factored by the band (``factor``).  Each
+    level's prolongation and restriction come from ``transfers``, a dict
+    by (N, dofs per node), which this adds the missing ones to.
     Returns the cycle as a function of the residual, for ``_pcg``: a
     ``partial`` of ``_cycle`` over the levels, which holds no reference
     to itself, so the hierarchy goes when the solve drops the cycle.
     """
     levels = []
     while n_cells > MG_COARSEST_N and n_cells % 2 == 0:
-        prolong, restrict = _prolongation(n_cells, dofs_per_node)
+        key = (n_cells, dofs_per_node)
+        if key not in transfers:
+            transfers[key] = _prolongation(n_cells, dofs_per_node)
+        prolong, restrict = transfers[key]
         levels.append((matrix, JACOBI_OMEGA / matrix.diagonal(), prolong,
                        restrict))
         matrix = restrict @ matrix @ prolong
@@ -874,7 +936,7 @@ def _pcg(matrix, rhs, precondition):
     return None
 
 
-def solve_dirichlet(block, rhs, grid, dofs_per_node=1):
+def solve_dirichlet(block, rhs, grid, dofs_per_node=1, transfers=None):
     """Solve with the boundary dofs of a Dirichlet grid held at zero.
 
     ``block`` is the grid's free-dof block (``assemble_*``); ``rhs``
@@ -883,12 +945,15 @@ def solve_dirichlet(block, rhs, grid, dofs_per_node=1):
     banded Cholesky factorization (``factor``) solves the block; larger
     systems solve by CG preconditioned with one V-cycle (``_v_cycle``),
     and by a SuperLU factorization if CG stops at its iteration cap.
+    The V-cycle's transfers are kept in ``transfers``, a dict that the
+    calls sharing it fill once; without it they go when the call returns.
     """
     free = free_dofs(grid, dofs_per_node)
     x = np.zeros(grid.n_nodes * dofs_per_node)
     if free.size > DIRECT_MAX_DOFS:
         sol = _pcg(block, rhs[free],
-                   _v_cycle(block, grid.n, dofs_per_node))
+                   _v_cycle(block, grid.n, dofs_per_node,
+                            {} if transfers is None else transfers))
         if sol is not None:
             x[free] = sol
             return x

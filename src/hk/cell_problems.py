@@ -299,10 +299,7 @@ class BatchScalarCellSolver:
         self._pair_ops = {op.shape[0]: op[:, 4 * a + b]
                           for op in (_fem.SCALAR_BLOCK_OP, _fem.BLOCK_OP)}
         nn, nel = grid.n_nodes, grid.n_elems
-        # the element-node slots (e, a) of each node in increasing order,
-        # the order in which the one-hot scatter adds them
-        self._node_slots = np.argsort(grid.conn.ravel(), kind="stable") \
-            .reshape(nn, -1)
+        self._node_slots = _fem.node_slots(grid.conn)
         order = _folded_order(grid.n)
         # node ids in band order; node 0, the pinned node, comes first
         self._band_nodes = (order[:, None] * grid.n + order[None, :]).ravel()
@@ -403,21 +400,18 @@ class BatchScalarCellSolver:
     def _scatter(self, per_elem, out=None):
         """Per-element nodal data (k, nel, 4, ...) summed onto nodes, (k, nn, ...).
 
-        The sums start from zero and add each node's element slots in
-        increasing order, as the one-hot scatter does, so they are bitwise
-        the same.  They run on contiguous scratch and are copied to
-        ``out`` at the end, which may be a strided view.
+        ``_fem.slot_sums`` adds each node's element slots in increasing
+        order, bitwise as ``np.add.at`` does.  The sums run on contiguous
+        scratch and are copied to ``out`` at the end, which may be a
+        strided view.
         """
         k, nn = per_elem.shape[0], self.grid.n_nodes
         tail = per_elem.shape[3:]
         ws = self._workspace(k)
-        flat = per_elem.reshape(k, -1, prod(tail))
-        part = ws.get("band", k, nn, prod(tail), at=self._at_terms)
-        sums = ws.get("band", k, nn, prod(tail), at=self._at_sums)
-        sums[...] = 0.0
-        for slots in self._node_slots.T:
-            np.take(flat, slots, axis=1, mode="clip", out=part)
-            sums += part
+        sums = _fem.slot_sums(
+            per_elem.reshape(k, -1, prod(tail)), self._node_slots,
+            ws.get("band", k, nn, prod(tail), at=self._at_sums),
+            ws.get("band", k, nn, prod(tail), at=self._at_terms))
         if out is None:
             out = np.empty((k, nn) + tail)
         out[...] = sums.reshape(out.shape)

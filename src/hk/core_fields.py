@@ -29,7 +29,11 @@ class QuadratureRule:
 
 
 class _Grid:
-    """What both structured grids share: quadrature points and node scatter."""
+    """What both structured grids share: quadrature points and block patterns.
+
+    Both are built on first use and live as long as the grid; sums onto
+    the nodes (``_fem.node_sum``) keep nothing on it.
+    """
 
     def qp_coords(self):
         """Quadrature-point coordinates (nel, 4, 2), read-only, built once."""
@@ -40,15 +44,6 @@ class _Grid:
         points = _fem.qp_coords(self.n, self.h, self.origin)
         points.setflags(write=False)
         return points
-
-    @cached_property
-    def node_scatter(self):
-        """One-hot CSR map from element-node slots (nel, 4) to nodes.
-
-        Every sum of element contributions onto this grid's nodes is one
-        product with it (``_fem.scatter``); built on first use.
-        """
-        return _fem.scatter_matrix(self.conn, self.n_nodes)
 
     @cached_property
     def block_patterns(self):

@@ -167,10 +167,14 @@ def _fine_qp_setup(phi_eps, phi0, corr, eps, grad0_field=None,
     grad phi_eps, the macroscopic gradient, the sample quadrature point
     whose element quadrant holds each point, and y = {x/eps}_Y.  Without
     ``phi0`` (the Dal Maso error reads neither) the macroscopic gradient
-    and the sample points are None.  As with ``_fem.qp_coords``, the
-    arrays of consecutive row blocks concatenate to the whole grid's.
+    and the sample points are None.  The points are located once, on the
+    grid the macroscopic gradient is read on; a sample grid that refines
+    it, as every study's does, takes its quadrants from that location.
+    As with ``_fem.qp_coords``, the arrays of consecutive row blocks
+    concatenate to the whole grid's.
     """
-    from .homogenized import _gradient_at, _nearest_qp
+    from .homogenized import (_gradient_located, _nearest_qp,
+                              _nearest_qp_located)
     domain = phi_eps.grid
     pts = _fem.qp_coords(domain.n, domain.h, domain.origin,
                          rows).reshape(-1, 2)
@@ -179,8 +183,12 @@ def _fine_qp_setup(phi_eps, phi0, corr, eps, grad0_field=None,
         domain.h).reshape(-1, 2)
     grad0 = sample_idx = None
     if phi0 is not None:
-        grad0 = _gradient_at(phi0, grad0_field, pts)
-        sample_idx = _nearest_qp(corr.sample_grid, pts)
+        g = (phi0 if grad0_field is None else grad0_field).grid
+        elem, local = _fem.locate_points(pts, g.n, g.h, g.origin)
+        grad0 = _gradient_located(phi0, grad0_field, elem, local)
+        ratio, rest = divmod(corr.sample_grid.n, g.n)
+        sample_idx = _nearest_qp(corr.sample_grid, pts) if rest else \
+            _nearest_qp_located(elem, local, g.n, ratio)
     y = _fem.cell_points(domain, eps, rows).reshape(-1, 2)
     return pts, grad_eps, grad0, sample_idx, y
 

@@ -79,7 +79,8 @@ def solve_fine_electrostatic(spec, eps, f, domain, opts=None):
 
     Linear families reduce to one sparse solve; otherwise
     ``_fem.damped_newton`` with ``_fem.solve_dirichlet`` inner solves
-    (direct or multigrid-preconditioned CG by size), started from
+    (direct or multigrid-preconditioned CG by size, the CG solves sharing
+    one set of V-cycle transfers for the call), started from
     the frozen-coefficient surrogate with coefficient sigma, and relaxed
     frozen-coefficient steps (``OperatorSpec.frozen_relaxation``) after
     ``max_newton``.
@@ -93,6 +94,8 @@ def solve_fine_electrostatic(spec, eps, f, domain, opts=None):
     f_qp = _source_at_qp(f, domain)
     rhs = _fem.load_vector(domain, f_qp)
     free = _fem.free_dofs(domain)
+    # the V-cycle transfers of this call's solves, dropped when it returns
+    transfers = {}
 
     def residual(rows, phis):
         res = _scalar_fine_residual(spec, loc, domain, phis[0], rhs)
@@ -100,7 +103,7 @@ def solve_fine_electrostatic(spec, eps, f, domain, opts=None):
 
     def solve_with(coef, load=rhs):
         return _fem.solve_dirichlet(_fem.assemble_diffusion(domain, coef),
-                                    load, domain)
+                                    load, domain, transfers=transfers)
 
     if spec.is_linear:
         phi = solve_with(loc["bmat"])

@@ -213,11 +213,43 @@ def reconstruct_phi1(law, phi0, sample_grid=None, gradient_field=None,
                          *law.batch.attached_residuals(loadings, potentials))
 
 
+def _gradient_located(phi0, gradient_field, elem, local):
+    """``_gradient_at`` at points located on the grid it reads.
+
+    That grid is ``gradient_field``'s where given, else phi0's; ``elem``
+    and ``local`` are ``_fem.locate_points``' on it.
+    """
+    if gradient_field is not None:
+        g = gradient_field.grid
+        return _fem.value_at_local(
+            _fem.element_values(gradient_field.values, g.conn, elem), local)
+    g = phi0.grid
+    return _fem.gradient_at_local(
+        _fem.element_values(phi0.values, g.conn, elem), local, g.h)
+
+
 def _nearest_qp(grid, pts):
     """Flat index (4 * element + qp) of the quadrature point nearest each point."""
-    elem, local = _fem.locate_points(pts, grid.n, grid.h, grid.origin)
-    upper = (local >= 0.5).astype(int)
-    return 4 * elem + 2 * upper[:, 1] + upper[:, 0]
+    return _nearest_qp_located(
+        *_fem.locate_points(pts, grid.n, grid.h, grid.origin), grid.n)
+
+
+def _nearest_qp_located(elem, local, n_cells, ratio=1):
+    """``_nearest_qp`` on the grid that refines an n-cell grid ``ratio`` times.
+
+    ``elem`` and ``local`` locate the points on the n-cell grid
+    (``_fem.locate_points``): a point's half-element along each axis of
+    the refined grid is 2 ratio local, clipped to the element as
+    ``locate_points`` clips and truncated, so no point is located a
+    second time.  The quadrant is the upper one where local >= 1/2 on the
+    refined grid.
+    """
+    half = np.clip(2 * ratio * local, 0, 2 * ratio - 1).astype(np.intp)
+    sub, upper = half >> 1, half & 1
+    iy, ix = np.divmod(elem, n_cells)
+    refined = (iy * ratio + sub[:, 1]) * (n_cells * ratio) \
+        + ix * ratio + sub[:, 0]
+    return 4 * refined + 2 * upper[:, 1] + upper[:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -335,9 +335,7 @@ def test_averaged_error_triangle_inequality():
               Geometry(kind="laminate", fraction=0.5)))),
 ], ids=["linear", "p3", "linear-elastic-pcg"])
 def test_study_rerun_bitwise_deterministic(spec, ladder, kw):
-    # the second run builds fresh grids and meets the multigrid transfers
-    # that the first one left in the _prolongation cache
-    _fem._prolongation.cache_clear()
+    # the second run builds fresh grids and fresh multigrid transfers
     r1 = run_corrector_study(spec, ladder, **kw)
     r2 = run_corrector_study(spec, ladder, **kw)
     for key in r1.errors:
@@ -439,6 +437,39 @@ def _synthetic_rung(n, sample_n=8, cell_n=8, seed=0):
     phi_eps = ScalarField(dom, rng.standard_normal(dom.n_nodes))
     phi0 = ScalarField(sample, rng.standard_normal(sample.n_nodes))
     return phi_eps, phi0, corr
+
+
+# (solve_n, sample_n, fine N) of the studies: the presets and the acceptance
+# fixtures (32, 64, fine_m 16 at eps 1/4 to 1/32), the study workloads
+# (8, 16, fine_m 8; 32, 32, fine_m 8) and a sample grid on the solve grid
+@pytest.mark.parametrize("solve_n,sample_n,fine_n", [
+    (32, 64, 64), (32, 64, 128), (32, 64, 256), (32, 64, 512),
+    (8, 16, 16), (8, 16, 64), (32, 32, 32), (32, 32, 128), (16, 16, 64)])
+def test_fine_points_located_once_on_nested_grids(solve_n, sample_n,
+                                                  fine_n):
+    # the sample quadrants derived from the solve-grid location are
+    # _nearest_qp's, and those of a location on the sample grid itself;
+    # the macroscopic gradient is _gradient_at's
+    from types import SimpleNamespace
+
+    from hk.corrector import _fine_qp_setup
+    from hk.homogenized import (_gradient_at, _nearest_qp,
+                                macroscopic_gradient_field)
+    rng = np.random.default_rng(fine_n)
+    solve, sample, dom = (DomainGrid(n) for n in (solve_n, sample_n, fine_n))
+    phi_eps = ScalarField(dom, np.zeros(dom.n_nodes))
+    phi0 = ScalarField(solve, rng.standard_normal(solve.n_nodes))
+    corr = SimpleNamespace(sample_grid=sample)
+    for field in (None, macroscopic_gradient_field(phi0)):
+        pts, _, grad0, sample_idx, _ = _fine_qp_setup(
+            phi_eps, phi0, corr, 16.0 / fine_n, field)
+        assert np.array_equal(sample_idx, _nearest_qp(sample, pts))
+        elem, local = _fem.locate_points(pts, sample.n, sample.h,
+                                         sample.origin)
+        upper = (local >= 0.5).astype(int)
+        assert np.array_equal(sample_idx,
+                              4 * elem + 2 * upper[:, 1] + upper[:, 0])
+        assert np.array_equal(grad0, _gradient_at(phi0, field, pts))
 
 
 class _TableLaw:

@@ -28,6 +28,13 @@ def _close(got, ref):
     assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
+def _add_at(grid, per_elem):
+    """Element-node data (nel, 4, ...) summed onto nodes by ``np.add.at``."""
+    out = np.zeros((grid.n_nodes,) + per_elem.shape[2:])
+    np.add.at(out, grid.conn, per_elem)
+    return out
+
+
 @pytest.fixture(params=sorted(GRIDS))
 def grid(request):
     return GRIDS[request.param]()
@@ -49,7 +56,7 @@ def test_divergence_residual_matches_einsum(grid, tail):
     w = grid.h * grid.h * _fem.REF_WEIGHTS
     per_elem = np.einsum("q,eq...d,qad->ea...", w, flux,
                          _fem.SHAPE_GRAD) / grid.h
-    ref = _fem.scatter(grid.node_scatter, per_elem)
+    ref = _add_at(grid, per_elem)
     _close(_fem.divergence_residual(grid, flux), ref)
 
 
@@ -57,8 +64,7 @@ def test_divergence_residual_matches_einsum(grid, tail):
 def test_load_vector_matches_einsum(grid, tail):
     f_qp = np.random.default_rng(3).standard_normal((grid.n_elems, 4) + tail)
     w = grid.h * grid.h * _fem.REF_WEIGHTS
-    ref = _fem.scatter(grid.node_scatter,
-                       np.einsum("q,eq...,qa->ea...", w, f_qp, _fem.SHAPE))
+    ref = _add_at(grid, np.einsum("q,eq...,qa->ea...", w, f_qp, _fem.SHAPE))
     _close(_fem.load_vector(grid, f_qp), ref)
 
 
@@ -168,8 +174,8 @@ def test_recovered_gradient_matches_einsum(grid):
     nodal = np.random.default_rng(12).standard_normal(grid.n_nodes)
     corner_grad = _fem.shape_grad_at(_fem._CORNERS) / grid.h
     ge = np.einsum("cad,ea->ecd", corner_grad, nodal[grid.conn])
-    counts = _fem.scatter(grid.node_scatter, np.ones(grid.conn.shape))
-    ref = _fem.scatter(grid.node_scatter, ge) / counts[:, None]
+    counts = _add_at(grid, np.ones(grid.conn.shape))
+    ref = _add_at(grid, ge) / counts[:, None]
     _close(_fem.recovered_gradient(grid, nodal), ref)
 
 
@@ -371,10 +377,9 @@ def test_take_gathers_equal_fancy_indexing(grid, tail):
     if tail == ():
         ge = _fem.element_map(_fem.CORNER_GRAD_OP, nodal[grid.conn], 1, 2) \
             / grid.h
-        counts = _fem.scatter(grid.node_scatter, np.ones(grid.conn.shape))
-        assert np.array_equal(
-            _fem.recovered_gradient(grid, nodal),
-            _fem.scatter(grid.node_scatter, ge) / counts[:, None])
+        counts = _add_at(grid, np.ones(grid.conn.shape))
+        assert np.array_equal(_fem.recovered_gradient(grid, nodal),
+                              _add_at(grid, ge) / counts[:, None])
     # a table read at a different row per point
     tables = rng.standard_normal((7, grid.n_nodes))
     rows = rng.integers(0, 7, elem.size)
@@ -572,7 +577,7 @@ def test_row_blocks_sum_bitwise_as_whole_tables(rows, tail, monkeypatch):
                           _fem.rows_of(values, grid.n, block))
     sums = _fem.row_sums(
         grid.n, lambda block: _fem.rows_of(values, grid.n, block))
-    assert np.array_equal(nodal, _fem.scatter(grid.node_scatter, values))
+    assert np.array_equal(nodal, _add_at(grid, values))
     assert np.array_equal(_fem.integrate_qp(grid.h, sums),
                           _fem.integrate_qp(grid.h, values))
 

@@ -458,29 +458,81 @@ def test_elasticity_from_potential_matches_whole_grid_load(monkeypatch):
     assert np.abs(u.values.ravel() - ref).max() <= 1e-12 * scale
 
 
-def test_v_cycle_is_freed_when_the_solve_returns(monkeypatch):
-    # the cycle holds its levels and coarsest factor but not itself, so
-    # reference counting frees the hierarchy with no cyclic collection
-    import gc
-    import weakref
-    refs = []
-    v_cycle = _fem._v_cycle
+def _track_multigrid(monkeypatch):
+    """Weak references to every V-cycle and every transfer built from now on.
 
-    def tracked(*args):
+    Returns (cycles, transfers): lists that fill as ``_fem._v_cycle`` and
+    ``_fem._prolongation`` are called; each transfer entry holds the
+    prolongation's and the restriction's references.
+    """
+    import weakref
+    cycles, transfers = [], []
+    v_cycle, prolongation = _fem._v_cycle, _fem._prolongation
+
+    def tracked_cycle(*args):
         cycle = v_cycle(*args)
-        refs.append(weakref.ref(cycle))
+        cycles.append(weakref.ref(cycle))
         return cycle
 
-    monkeypatch.setattr(_fem, "_v_cycle", tracked)
-    dom = DomainGrid(128)
-    block = _fem.assemble_diffusion(dom, np.ones((dom.n_elems, 4)))
-    rhs = _fem.load_vector(dom, np.ones((dom.n_elems, 4)))
+    def tracked_prolongation(*args):
+        pair = prolongation(*args)
+        transfers.append(tuple(weakref.ref(m) for m in pair))
+        return pair
+
+    monkeypatch.setattr(_fem, "_v_cycle", tracked_cycle)
+    monkeypatch.setattr(_fem, "_prolongation", tracked_prolongation)
+    return cycles, transfers
+
+
+def _without_gc(fn):
+    """``fn()`` with the cyclic collector off: only reference counts free."""
+    import gc
     enabled = gc.isenabled()
     gc.disable()
     try:
-        x = _fem.solve_dirichlet(block, rhs, dom)
-        assert len(refs) == 1 and refs[0]() is None
+        return fn()
     finally:
         if enabled:
             gc.enable()
+
+
+def test_v_cycle_is_freed_when_the_solve_returns(monkeypatch):
+    # the cycle holds its levels and coarsest factor but not itself, and
+    # no cache holds the transfers, so reference counting frees the
+    # hierarchy, the prolongations and the restrictions with no cyclic
+    # collection
+    cycles, transfers = _track_multigrid(monkeypatch)
+    dom = DomainGrid(128)
+    block = _fem.assemble_diffusion(dom, np.ones((dom.n_elems, 4)))
+    rhs = _fem.load_vector(dom, np.ones((dom.n_elems, 4)))
+
+    def solve():
+        x = _fem.solve_dirichlet(block, rhs, dom)
+        assert len(cycles) == 1 and cycles[0]() is None
+        # 128 -> 64 -> 32 -> 16
+        assert len(transfers) == 3
+        assert all(ref() is None for pair in transfers for ref in pair)
+        return x
+
+    x = _without_gc(solve)
     assert np.isfinite(x).all() and np.abs(x).max() > 0.0
+
+
+def test_fine_newton_transfers_are_freed_when_the_solve_returns(monkeypatch):
+    # a p = 3 fine solve at N = 128 takes several PCG solves; they share
+    # one set of transfers, built once, which goes when the call returns
+    cycles, transfers = _track_multigrid(monkeypatch)
+    spec = OperatorSpec(family="power-law", p=3.0, alpha=1.0,
+                        geometry=LAMINATE, sigma=(1.0, 4.0))
+
+    def solve():
+        sol = solve_fine_electrostatic(spec, 1.0 / 16, 1.0, DomainGrid(128))
+        assert len(cycles) >= 3
+        assert all(ref() is None for ref in cycles)
+        assert len(transfers) == 3
+        assert all(ref() is None for pair in transfers for ref in pair)
+        return sol
+
+    sol = _without_gc(solve)
+    assert sol.iterations["electrostatic"] >= 2
+    assert sol.residuals["electrostatic"] <= 1e-8

@@ -1,4 +1,4 @@
-"""The one-hot CSR scatter against np.add.at, the reference it replaces.
+"""Sums onto nodes and eps-cells against np.add.at, the reference they replace.
 
 Values span four orders of magnitude, so a sum taken in another order than
 array order differs in the last bits (reversing it changes about a third
@@ -26,15 +26,9 @@ def test_node_scatter_equals_add_at(grid, tail):
     values = spread_values(grid.conn.shape + tail)
     expected = np.zeros((grid.n_nodes,) + tail)
     np.add.at(expected, grid.conn, values)
-    got = _fem.scatter(grid.node_scatter, values)
+    got = _fem.node_sum(grid, values)
     assert got.shape == expected.shape
     assert np.array_equal(got, expected)
-
-
-def test_node_scatter_is_built_once_per_grid():
-    grid = DomainGrid(16)
-    assert grid.node_scatter is grid.node_scatter
-    assert grid.node_scatter.shape == (grid.n_nodes, grid.conn.size)
 
 
 @pytest.mark.parametrize("k", [1, 3])
