@@ -13,6 +13,12 @@ Three kinds of solves:
 * electrostriction problem: displacement driven by the outer product of
   two corrector flux fields.
 
+Warm starts of the scalar cell solves, from solved rows and their
+derivatives W = d eta / d xi, follow one rule per law (``cell_predictor``):
+a homogeneous law's cell solutions are interpolated on the unit circle of
+loading directions (``CirclePredictor``), any other law's are predicted
+to first order from one solved row (``NearestPredictor``).
+
 The two elastic problems are linear and share B's stiffness: one sparse
 direct solve with the displacement of node 0 pinned
 (``_fem.solve_periodic_pinned``), one factorization for all unit strains
@@ -115,9 +121,142 @@ def solve_scalar_cell(spec, loading, grid, opts=None):
     return solve_scalar_cells(spec, loading, grid, opts)[0]
 
 
-def _predict(loadings, etas, w, new_loadings):
-    """First-order cell solutions eta + W (xi' - xi) at new loadings, (K, n^2)."""
-    return etas + (w @ (new_loadings - loadings)[:, :, None])[..., 0]
+def cell_predictor(spec):
+    """The rule that warm-starts ``spec``'s cell solves from solved rows.
+
+    ``CirclePredictor`` for a homogeneous law (``homogeneity_degree`` not
+    None), ``NearestPredictor`` otherwise.  Either class is built from
+    solved rows (loadings (m, 2), etas (m, n^2), W = d eta / d xi
+    (m, n^2, 2)) and called with new loadings (K, 2) and an optional
+    ``pair``, to give the predicted cell solutions (K, n^2);
+    ``anchors(loadings, m)`` picks the (at most m) rows that a cold
+    batch solves first.  The law alone selects the rule.
+    """
+    return CirclePredictor if spec.homogeneity_degree is not None \
+        else NearestPredictor
+
+
+class NearestPredictor:
+    """First-order predictor eta_a + W_a (xi - xi_a) from one solved row a.
+
+    ``pair`` names each new loading's row a, as indices or a slice of the
+    solved rows; None takes the nearest one in loading space.  Cold
+    batches anchor at evenly spaced row indices.
+    """
+
+    def __init__(self, loadings, etas, w):
+        self.loadings, self.etas, self.w = loadings, etas, w
+
+    @staticmethod
+    def anchors(loadings, m):
+        return np.arange(m) * (loadings.shape[0] - 1) // (m - 1)
+
+    def __call__(self, loadings, pair=None):
+        if pair is None:
+            dist = loadings[:, None, :] - self.loadings[None, :, :]
+            pair = (dist * dist).sum(axis=-1).argmin(axis=1)
+        step = (loadings - self.loadings[pair])[:, :, None]
+        return self.etas[pair] + (self.w[pair] @ step)[..., 0]
+
+
+def _fold(loadings):
+    """Folded angles t in [0, pi), signs s and norms r of loadings (K, 2).
+
+    xi = s r (cos t, sin t).
+    """
+    x, y = loadings[:, 0], loadings[:, 1]
+    s = np.where((y < 0.0) | ((y == 0.0) & (x < 0.0)), -1.0, 1.0)
+    t = np.arctan2(s * y, s * x)
+    # arctan2 rounds to pi just above the negative x axis: that is t = 0
+    # with the other sign
+    top = t >= np.pi
+    t[top] = 0.0
+    s[top] = -s[top]
+    return t, s, np.hypot(x, y)
+
+
+class CirclePredictor:
+    """A homogeneous law's cell solutions, interpolated in loading angle.
+
+    A law with a ``homogeneity_degree`` (the linear family, the
+    unregularized power law) is homogeneous and odd, and so is its
+    node-0-pinned discrete cell problem: eta(s xi) = s eta(xi) for every
+    real s.  So eta(xi) = s r h(t) at xi = s r (cos t, sin t), with t the
+    folded angle in [0, pi), and h(t + pi) = -h(t).  A solved row a with
+    xi_a != 0 gives the node h(t_a) = s_a eta_a / r_a and, as
+    W = d eta / d xi is even and 0-homogeneous, h'(t_a) = W_a e(t_a) with
+    e(t) = (-sin t, cos t).  A loading is predicted as s r H(t), H the
+    cubic Hermite interpolant of the nodes on either side of t, the ends
+    wrapping to the first and last node with h and h' negated: the
+    predictor of a predictor-corrector continuation on the unit circle
+    (Allgower & Georg, Numerical Continuation Methods, Springer 1990).
+
+    ``pair`` is ignored.  Zero loadings predict zero and rows with xi = 0
+    are not nodes; with no node every prediction is zero.  Predictions
+    are sums of elementwise products, formed a chunk of rows at a time
+    (``_fem.blocks``) into the one output table.  Cold batches anchor at
+    evenly spaced folded-angle ranks among the nonzero loadings.
+    """
+
+    def __init__(self, loadings, etas, w):
+        t, s, r = _fold(loadings)
+        nodes = np.flatnonzero(r > 0.0)
+        nodes = nodes[np.argsort(t[nodes], kind="stable")]
+        self.rows, self.t = nodes, t[nodes]
+        self.cos, self.sin = np.cos(self.t), np.sin(self.t)
+        self.scale = s[nodes] / r[nodes]
+        self.etas, self.w = etas, w
+
+    @staticmethod
+    def anchors(loadings, m):
+        # the middle ranks of m equal runs, so that the gap across the
+        # wrap at t = 0 is as wide as the others
+        t, _, r = _fold(loadings)
+        ranked = np.flatnonzero(r > 0.0)
+        ranked = ranked[np.argsort(t[ranked], kind="stable")]
+        m = min(m, ranked.size)
+        return np.sort(ranked[(2 * np.arange(m) + 1) * ranked.size
+                              // (2 * m)])
+
+    def __call__(self, loadings, pair=None):
+        out = np.zeros((loadings.shape[0], self.etas.shape[1]))
+        if self.rows.size:
+            # a chunk's output rows and one row of gathered terms per row
+            blocks = _fem.blocks(out.shape[0], 16 * out.shape[1])
+            terms = np.empty((blocks[0].stop, out.shape[1]))
+            for sl in blocks:
+                self._chunk(loadings[sl], out[sl], terms[:sl.stop - sl.start])
+        return out
+
+    def _chunk(self, loadings, out, terms):
+        """Add the predictions at loadings (k, 2) to ``out`` (k, n^2).
+
+        ``terms`` (k, n^2) is scratch for one gathered and scaled term.
+        """
+        t, s, r = _fold(loadings)
+        m = self.t.size
+        # the nodes at or below t and above it; -1 and m wrap by pi
+        above = np.searchsorted(self.t, t, side="right")
+        lo, up = above - 1, above % m
+        sign_lo = np.where(above == 0, -1.0, 1.0)
+        sign_up = np.where(above == m, -1.0, 1.0)
+        t_lo = self.t[lo] - np.pi * (above == 0)
+        span = self.t[up] + np.pi * (above == m) - t_lo
+        u = (t - t_lo) / span
+        v = 1.0 - u
+        size = s * r
+        for node, sign, value, slope in (
+                (lo, sign_lo, (1.0 + 2.0 * u) * v * v, u * v * v),
+                (up, sign_up, u * u * (3.0 - 2.0 * u), -u * u * v)):
+            rows = self.rows[node]
+            c_w = size * sign * slope * span
+            for table, coef in (
+                    (self.etas, size * sign * value * self.scale[node]),
+                    (self.w[..., 0], -c_w * self.sin[node]),
+                    (self.w[..., 1], c_w * self.cos[node])):
+                np.take(table, rows, axis=0, out=terms)
+                terms *= coef[:, None]
+                out += terms
 
 
 def corrector_flux(loading, solution):
@@ -602,14 +741,18 @@ class BatchScalarCellSolver:
         ``warm`` None, a batch of fewer than ``CONTINUATION_ROWS`` rows or
         ``CONTINUATION_NODES`` nodes in all (64 rows at n = 8) starts
         every row from eta = 0.  A larger one solves by continuation:
-        ceil(sqrt(K)) evenly spaced anchor rows from eta = 0 first, then
-        every other row from the first-order predictor
-        eta_a + W_a (xi - xi_a) of its nearest anchor a in loading space,
-        with W_a = d eta / d xi from the anchors' tangent solve (the other
-        rows start from eta = 0 if an anchor did not converge).  Every
-        row is solved once, and the predictions are formed chunk by
-        chunk, so no second (K, n^2) table is held.  Rows that do not
-        converge are flagged in ``converged``.
+        ceil(sqrt(K)) anchor rows from eta = 0 first, then every other
+        row from the law's ``cell_predictor`` built on the anchors, with
+        W_a = d eta / d xi from the anchors' tangent solve (the other
+        rows start from eta = 0 if an anchor did not converge).  A
+        homogeneous law anchors at evenly spaced folded-angle ranks and
+        interpolates on the circle (``CirclePredictor``); any other law
+        anchors at evenly spaced indices and takes the first-order
+        predictor eta_a + W_a (xi - xi_a) of the nearest anchor a in
+        loading space (``NearestPredictor``).  Every row is solved once,
+        and the predictions are formed chunk by chunk, so no second
+        (K, n^2) table is held.  Rows that do not converge are flagged in
+        ``converged``.
         """
         self._require_nonlinear()
         loadings = np.asarray(loadings, dtype=float)
@@ -622,23 +765,16 @@ class BatchScalarCellSolver:
             self._solve_rows(out, np.arange(k),
                              None if warm is None else lambda r: warm[r])
             return out
-        m = ceil(sqrt(k))
-        anchors = np.arange(m) * (k - 1) // (m - 1)
+        rule = cell_predictor(self.spec)
+        anchors = rule.anchors(loadings, ceil(sqrt(k)))
         self._solve_rows(out, anchors)
         rest = np.setdiff1d(np.arange(k), anchors)
         if not out.converged[anchors].all():
             self._solve_rows(out, rest)
             return out
         xi_a, eta_a = loadings[anchors], out.values[anchors]
-        w_a = self.tangents(xi_a, eta_a)[1]
-
-        def predicted(rows):
-            xi = loadings[rows]
-            dist = xi[:, None, :] - xi_a[None, :, :]
-            near = (dist * dist).sum(axis=-1).argmin(axis=1)
-            return _predict(xi_a[near], eta_a[near], w_a[near], xi)
-
-        self._solve_rows(out, rest, predicted)
+        predict = rule(xi_a, eta_a, self.tangents(xi_a, eta_a)[1])
+        self._solve_rows(out, rest, lambda rows: predict(loadings[rows]))
         return out
 
     def _solve_rows(self, out, rows, start=None):

@@ -6,11 +6,14 @@ iteration.  Every residual evaluation asks the law for effective fluxes
 at all quadrature points, which for general laws means one cell solve
 per quadrature-point loading.  The cell solutions travel with the
 iterate that produced them, and so do their derivatives W = d eta / d xi,
-which the tangent solve yields: every warm cell solve starts from the
-first-order predictor eta + W (xi' - xi) at its new loading xi'.  The
-line-search trials start from the stepped-from iterate's predictor, and
-the corrector reconstruction from the final iterate's at the nearest
-quadrature point.
+which the tangent solve yields.  Every warm cell solve starts from the
+law's ``cell_predictor`` built on those rows: the line-search trials from
+the stepped-from iterate's, the corrector reconstruction from the final
+iterate's.  A homogeneous law interpolates all of the rows on the unit
+circle of loading directions (``CirclePredictor``, cubic Hermite in the
+angle, rescaled by |xi'|).  Any other law takes the first-order
+predictor eta + W (xi' - xi) of one row: the same quadrature point's for
+a trial, the nearest quadrature point's for the reconstruction.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _fem
-from .cell_problems import _predict
+from .cell_problems import cell_predictor
 from .core_fields import CellGrid, DomainGrid, ScalarField, VectorField
 from .errors import NonConvergence
 from .fine_scale import _source_at_qp
@@ -56,9 +59,10 @@ def solve_homogenized_electrostatic(law, f, domain, opts=None):
     frozen-coefficient fallback.  Every cell loading is solved once:
     each residual keeps the cell solutions of the iterate it evaluated,
     the tangent is taken at those solutions, and each line-search trial
-    phi + t d starts its cell solves from the predictor
-    eta + W (xi(phi + t d) - xi(phi)), with W = d eta / d xi from the
-    same tangent solve.
+    phi + t d starts its cell solves from the law's ``cell_predictor``
+    on the rows (xi(phi), eta, W), with W = d eta / d xi from the same
+    tangent solve: the circle interpolant of all rows for a homogeneous
+    law, else eta + W (xi(phi + t d) - xi(phi)) point by point.
     """
     opts = opts or MacroOptions()
     f_qp = _source_at_qp(f, domain)
@@ -67,7 +71,7 @@ def solve_homogenized_electrostatic(law, f, domain, opts=None):
     nel = domain.n_elems
 
     warm = None     # cell iterates the next residual evaluation starts from
-    predictor = None  # (loadings, etas, W) of the iterate stepped from
+    predictor = None  # cell_predictor of the iterate stepped from
     etas = None     # cell solutions of the iterate last evaluated
     history = []    # residual norm before each Newton step, then the last
 
@@ -80,7 +84,7 @@ def solve_homogenized_electrostatic(law, f, domain, opts=None):
         grads = _grad_flat(phis[0], domain)
         start = warm
         if predictor is not None:
-            start = _predict(*predictor, grads)
+            start = predictor(grads, slice(None))
         flux, etas = law.solve(grads, warm=start)
         return flux_residual(flux)
 
@@ -93,7 +97,7 @@ def solve_homogenized_electrostatic(law, f, domain, opts=None):
         grads = _grad_flat(phis[0], domain)
         jac, w = law.jacobian_batch(grads, etas)
         if etas is not None:
-            predictor = (grads, etas, w)
+            predictor = cell_predictor(law.spec)(grads, etas, w)
         block = _fem.assemble_diffusion(domain, jac.reshape(nel, 4, 2, 2))
         return _fem.solve_dirichlet(block, -res[0], domain)[None]
 
@@ -171,13 +175,16 @@ def macroscopic_gradient_field(phi0):
 
 
 def _gradient_at(phi0, gradient_field, pts):
-    if gradient_field is not None:
-        g = gradient_field.grid
-        return _fem.point_eval(gradient_field.values, g.conn, g.h, g.n,
-                               g.origin, pts)
-    g = phi0.grid
-    return _fem.point_eval_gradient(phi0.values, g.conn, g.h, g.n,
-                                    g.origin, pts)
+    """The macroscopic gradient at points (..., 2), (..., 2).
+
+    ``gradient_field``'s values where given, else phi0's Q1 gradient:
+    ``_gradient_located`` at the points located on the grid it reads.
+    """
+    g = (phi0 if gradient_field is None else gradient_field).grid
+    pts = np.asarray(pts, dtype=float)
+    grads = _gradient_located(phi0, gradient_field, *_fem.locate_points(
+        pts.reshape(-1, 2), g.n, g.h, g.origin))
+    return grads.reshape(pts.shape)
 
 
 def reconstruct_phi1(law, phi0, sample_grid=None, gradient_field=None,
@@ -192,10 +199,12 @@ def reconstruct_phi1(law, phi0, sample_grid=None, gradient_field=None,
     gradient).  Means over the unit cell vanish because the attached
     potentials are periodic.  ``cell_potentials`` are the cell solutions
     at the quadrature points of phi0's grid, as the macro solve returns
-    them; when given, each sample loading xi starts from the first-order
-    predictor eta + W (xi - xi0) of the nearest such point, whose loading
-    xi0 is phi0's Q1 gradient there and W = d eta / d xi comes from one
-    tangent solve per nearest point.
+    them.  When given, the points nearest a sample point become rows
+    (xi0, eta, W) of the law's ``cell_predictor``: xi0 is phi0's Q1
+    gradient there and W = d eta / d xi comes from one tangent solve per
+    such point.  A homogeneous law starts every sample loading from the
+    circle interpolant of all of these rows; any other law from the
+    first-order predictor eta + W (xi - xi0) of the nearest point.
     """
     sample_grid = sample_grid or phi0.grid
     pts = sample_grid.qp_coords().reshape(-1, 2)
@@ -207,7 +216,7 @@ def reconstruct_phi1(law, phi0, sample_grid=None, gradient_field=None,
         xi0 = _grad_flat(phi0.values, phi0.grid)[keys]
         etas = cell_potentials[keys]
         _, w = law.jacobian_batch(xi0, etas)
-        warm = _predict(xi0[near], etas[near], w[near], loadings)
+        warm = cell_predictor(law.spec)(xi0, etas, w)(loadings, near)
     potentials = law.solutions_for(loadings, warm=warm)
     return CorrectorData(sample_grid, law.grid, loadings, potentials,
                          *law.batch.attached_residuals(loadings, potentials))

@@ -2,11 +2,15 @@
 
 Everything here is derived from one-dimensional flux/traction balance or
 closed-form calculus, with no code shared with the package's assembly
-and solver paths.
+and solver paths.  ``point_eval`` is the exception: it locates points and
+evaluates a Q1 field there through the package's own kernels, the
+reference that the located paths must match bitwise.
 """
 
 import numpy as np
 import scipy.sparse as sp
+
+from hk import _fem
 
 
 def laminate_flux_balance(sigmas, fractions, p, loading=1.0):
@@ -210,3 +214,12 @@ def grad_y_fields(corr, sample_idx):
                      for y in gauss for x in gauss])          # (q, a, d)
     vals = corr.potentials[np.asarray(sample_idx)[:, None, None], cell.conn]
     return np.einsum("kea,qad->keqd", vals, grad) / cell.h
+
+
+def point_eval(nodal, conn, h, n_cells, origin, points):
+    """Q1 field (nn, ...) at arbitrary points (..., 2); (...,) + tail."""
+    points = np.asarray(points, dtype=float)
+    elem, local = _fem.locate_points(points.reshape(-1, 2), n_cells, h,
+                                     origin)
+    out = _fem.value_at_local(_fem.element_values(nodal, conn, elem), local)
+    return out.reshape(points.shape[:-1] + out.shape[1:])

