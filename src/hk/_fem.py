@@ -1002,6 +1002,15 @@ def pinned_residual(block, x, rhs, dofs_per_node=1):
 # ---------------------------------------------------------------------------
 
 ARMIJO = 1e-4
+# The cell and fine solves' default tolerance, their ``damped_newton``
+# caps (Newton steps, Armijo trials per step, frozen-coefficient steps
+# after them) and the delta floor of their Newton and frozen coefficients
+# (``OperatorSpec.jacobian_local``), read at call time.
+CELL_TOL = 1e-10
+MAX_NEWTON = 50
+MAX_LINESEARCH = 25
+MAX_PICARD = 200
+DELTA_JAC = 1e-12
 
 
 @dataclass

@@ -7,7 +7,10 @@ Three kinds of solves:
   families by ``BatchScalarCellSolver`` (damped Newton on banded
   Cholesky, relaxed frozen-coefficient fallback), a few loadings as
   one batch; linear families by one pinned sparse direct solve, one
-  factorization for all loadings;
+  factorization for all loadings.  The one setting is the tolerance, a
+  float (default ``_fem.CELL_TOL``); the Newton, line-search and
+  frozen-coefficient caps and the Jacobian's delta floor are ``_fem``
+  constants, shared with the fine solves;
 * elastic problem: zero-mean periodic displacement balancing a unit
   macroscopic strain;
 * electrostriction problem: displacement driven by the outer product of
@@ -39,15 +42,6 @@ from .errors import NonConvergence, SingularSystem
 
 
 @dataclass
-class SolverOptions:
-    tol: float = 1e-10
-    max_newton: int = 50
-    max_picard: int = 200
-    max_linesearch: int = 25
-    delta_jac: float = 1e-12
-
-
-@dataclass
 class ScalarCellSolution:
     """Zero-mean periodic potential responding to a constant loading."""
 
@@ -74,19 +68,18 @@ def _tol_scale(spec, loadings):
         ** (spec.max_exponent - 1.0)
 
 
-def solve_scalar_cells(spec, loadings, grid, opts=None, solver=None):
+def solve_scalar_cells(spec, loadings, grid, tol=_fem.CELL_TOL, solver=None):
     """Solve the scalar monotone cell problem for loadings (K, 2).
 
     Linear families: one pinned sparse direct solve, one factorization for
     all K loadings (``iterations`` is 1, ``residual`` the assembled
     residual).  Nonlinear families: one batch on ``solver``, a
     ``BatchScalarCellSolver`` for the same spec and grid (a new one when
-    None).  The stopping tolerance is opts.tol scaled by
+    None).  The stopping tolerance is ``tol`` scaled by
     max(1, |loading|)^(p-1) so it stays meaningful across loading
     magnitudes; a residual above it raises NonConvergence.  Returns one
     ScalarCellSolution per loading.
     """
-    opts = opts or SolverOptions()
     loadings = np.asarray(loadings, dtype=float).reshape(-1, 2)
     if not np.all(np.isfinite(loadings)):
         raise ValueError("loading must be finite")
@@ -100,25 +93,25 @@ def solve_scalar_cells(spec, loadings, grid, opts=None, solver=None):
                      for eta, b in zip(etas, np.ascontiguousarray(rhs.T))]
         iterations = np.ones(len(loadings), dtype=int)
     else:
-        solver = solver or BatchScalarCellSolver(spec, grid, opts)
+        solver = solver or BatchScalarCellSolver(spec, grid, tol)
         out = solver.solve(loadings)
         etas, residuals, iterations = out.values, out.residuals, out.iterations
     sols = []
     for loading, eta, rnorm, its in zip(loadings, etas, residuals, iterations):
         rnorm, its = float(rnorm), int(its)
-        tol = opts.tol * _tol_scale(spec, loading)
-        if rnorm > tol:
+        scaled = tol * _tol_scale(spec, loading)
+        if rnorm > scaled:
             raise NonConvergence(
-                f"scalar cell problem: residual {rnorm:.3e} > {tol:.3e} "
+                f"scalar cell problem: residual {rnorm:.3e} > {scaled:.3e} "
                 f"after {its} iterations (grid n={grid.n})",
                 residual=rnorm, iterations=its)
         sols.append(ScalarCellSolution(eta, rnorm, its, grid))
     return sols
 
 
-def solve_scalar_cell(spec, loading, grid, opts=None):
+def solve_scalar_cell(spec, loading, grid, tol=_fem.CELL_TOL):
     """The cell problem of one loading vector: ``solve_scalar_cells``'s."""
-    return solve_scalar_cells(spec, loading, grid, opts)[0]
+    return solve_scalar_cells(spec, loading, grid, tol)[0]
 
 
 def cell_predictor(spec):
@@ -419,10 +412,10 @@ class BatchScalarCellSolver:
     Results are bitwise deterministic.
     """
 
-    def __init__(self, spec, grid, opts=None):
+    def __init__(self, spec, grid, tol=_fem.CELL_TOL):
         self.spec = spec
         self.grid = grid
-        self.opts = opts or SolverOptions()
+        self.tol = tol
         # local coefficients with a leading batch axis
         self.loc = {k: v[None, ...] for k, v in
                     spec.local_coefficients(grid.qp_coords()).items()}
@@ -533,7 +526,7 @@ class BatchScalarCellSolver:
         work = [ws.get(name, k, nel, 4, at=4 * nel * i)
                 for name in ("flux", "band") for i in range(2)]
         return self.spec.jacobian_local(
-            self.loc, grad, delta_floor=self.opts.delta_jac,
+            self.loc, grad, delta_floor=_fem.DELTA_JAC,
             out=ws.get("jac", *grad.shape, 2), work=work)
 
     def _scatter(self, per_elem, out=None):
@@ -689,7 +682,6 @@ class BatchScalarCellSolver:
         return tangent, w
 
     def _solve_chunk(self, loadings, warm):
-        opts = self.opts
         k, nel, nn = loadings.shape[0], self.grid.n_elems, self.grid.n_nodes
         ws = self._workspace(k)
         etas = np.zeros((k, nn)) if warm is None else warm.copy()
@@ -720,7 +712,7 @@ class BatchScalarCellSolver:
 
         def picard_step(rows, x):
             coef = self.spec.frozen_coefficient(self.loc, gradients(rows),
-                                                opts.delta_jac)
+                                                _fem.DELTA_JAC)
             rhs = np.negative(self._divergence(
                 coef[..., None] * loadings[rows][:, None, None, :]))
             frozen = self._band_solve(coef, rhs[:, :, None])[..., 0]
@@ -728,9 +720,9 @@ class BatchScalarCellSolver:
 
         out = _fem.damped_newton(
             etas, residual, newton_step,
-            opts.tol * _tol_scale(self.spec, loadings),
-            opts.max_newton, opts.max_linesearch, picard_step,
-            opts.max_picard)
+            self.tol * _tol_scale(self.spec, loadings),
+            _fem.MAX_NEWTON, _fem.MAX_LINESEARCH, picard_step,
+            _fem.MAX_PICARD)
         etas = out.x - out.x.mean(axis=1, keepdims=True)
         return etas, out.norm, out.iterations, out.converged
 

@@ -21,8 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _fem
 # solve_scalar_cell is re-exported for perfbench/spans.py (see hk.effective)
-from .cell_problems import (BatchScalarCellSolver, SolverOptions,  # noqa: F401
+from .cell_problems import (BatchScalarCellSolver,  # noqa: F401
                             solve_scalar_cell, solve_scalar_cells)
 from .constitutive import (ElasticTensorField, Geometry, OperatorSpec,
                            check_growth_conditions)
@@ -31,8 +32,9 @@ from .corrector import run_corrector_study, study_source
 from .effective import (EffectiveLaw, assemble_elastic_tensors,
                         check_a_hom_properties)
 from .errors import ConfigError, NonConvergence, SingularSystem
-from .fine_scale import solve_fine_elasticity, solve_fine_electrostatic
-from .homogenized import (MacroOptions, solve_homogenized_elasticity,
+from .fine_scale import (check_resolved, solve_fine_elasticity,
+                         solve_fine_electrostatic)
+from .homogenized import (MACRO_TOL, solve_homogenized_elasticity,
                           solve_homogenized_electrostatic)
 
 SCHEMA_VERSION = 1
@@ -66,7 +68,7 @@ _BASE_PRESET = {
                    "C": {"matrix": [0.5, 0.5], "inclusion": [1.5, 1.0]}},
     "grids": {"cell_n": 8, "fine_m": 16, "solve_n": 32, "sample_n": 64},
     "ladder": [0.25, 0.125, 0.0625, 0.03125],
-    "tolerances": {"cell": 1e-10, "macro": 1e-9},
+    "tolerances": {"cell": _fem.CELL_TOL, "macro": MACRO_TOL},
     "sources": {"f": "bump", "g": [0.0, -1.0]},
 }
 
@@ -161,7 +163,8 @@ def validate_config(cfg, subcommand=None):
     fraction in (0, 1), ...) are their constructors', which run on the
     result; a ValueError from one becomes a ConfigError at its block.
     ``subcommand`` adds that pipeline's own rules (``corrector-study``
-    needs at least two rungs to compare).
+    needs at least two rungs to compare; ``fine`` and ``corrector-study``
+    need fine grids that resolve the geometry).
     """
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object", "")
@@ -192,11 +195,6 @@ def validate_config(cfg, subcommand=None):
     if family == "linear" and "matrix" in op:
         _check_matrix(op["matrix"], "/operator/matrix")
         operator["matrix"] = op["matrix"]
-    structure = _object(op.get("structure", {}), "/operator/structure")
-    operator["structure"] = {
-        name: _positive(structure.get(name, 1.0),
-                        f"/operator/structure/{name}")
-        for name in ("lambda_o", "Lambda_o", "Lambda_star")}
     out["operator"] = operator
 
     geom = _object(cfg.get("geometry", {"kind": "uniform"}), "/geometry")
@@ -276,8 +274,8 @@ def validate_config(cfg, subcommand=None):
 
     tols = _object(cfg.get("tolerances", {}), "/tolerances")
     out["tolerances"] = {
-        "cell": _positive(tols.get("cell", 1e-10), "/tolerances/cell"),
-        "macro": _positive(tols.get("macro", 1e-9), "/tolerances/macro"),
+        "cell": _positive(tols.get("cell", _fem.CELL_TOL), "/tolerances/cell"),
+        "macro": _positive(tols.get("macro", MACRO_TOL), "/tolerances/macro"),
     }
     # an old config that asks for the other average must not run this one
     if cfg.get("chom_variant", "C-applied") != "C-applied":
@@ -306,6 +304,12 @@ def validate_config(cfg, subcommand=None):
             build(out)
         except ValueError as exc:
             raise ConfigError(str(exc), pointer) from None
+    if subcommand in ("fine", "corrector-study"):
+        # every rung's fine grid has fine_m elements per period
+        try:
+            check_resolved(build_geometry(out), out["grids"]["fine_m"])
+        except ValueError as exc:
+            raise ConfigError(str(exc), "/geometry") from None
     return out
 
 
@@ -323,10 +327,7 @@ def build_spec(cfg):
     geometry = build_geometry(cfg)
     kwargs = dict(family=op["family"], p=op["p"], alpha=op["alpha"],
                   delta=op["delta"], geometry=geometry,
-                  sigma=tuple(op["sigma"]),
-                  lambda_o=op["structure"]["lambda_o"],
-                  Lambda_o=op["structure"]["Lambda_o"],
-                  Lambda_star=op["structure"]["Lambda_star"])
+                  sigma=tuple(op["sigma"]))
     if op["family"] == "variable-exponent":
         kwargs["exponent"] = tuple(op["exponent"])
     if op["family"] == "linear" and "matrix" in op:
@@ -400,13 +401,13 @@ def _tensor_nested(arr):
 def cmd_cell(cfg, out_dir, _unused=1):
     spec = build_spec(cfg)
     grid = CellGrid(cfg["grids"]["cell_n"])
-    opts = SolverOptions(tol=cfg["tolerances"]["cell"])
+    tol = cfg["tolerances"]["cell"]
     summary = {"provenance": provenance_block(cfg), "scalar": {},
                "elastic": {}, "electrostriction": {}}
     # one solver: e_1, e_2 as one batch (nonlinear laws) and their flux
     # identities
-    solver = BatchScalarCellSolver(spec, grid, opts)
-    sols = solve_scalar_cells(spec, np.eye(2), grid, opts, solver)
+    solver = BatchScalarCellSolver(spec, grid, tol)
+    sols = solve_scalar_cells(spec, np.eye(2), grid, tol, solver)
     unit_etas = np.stack([sol.values for sol in sols])
     _, idents = solver.attached_residuals(np.eye(2), unit_etas)
     for k, sol in enumerate(sols):
@@ -438,8 +439,7 @@ def cmd_cell(cfg, out_dir, _unused=1):
 def cmd_effective(cfg, out_dir, _unused=1):
     spec = build_spec(cfg)
     grid = CellGrid(cfg["grids"]["cell_n"])
-    opts = SolverOptions(tol=cfg["tolerances"]["cell"])
-    law = EffectiveLaw(spec, grid, opts)
+    law = EffectiveLaw(spec, grid, cfg["tolerances"]["cell"])
     report = {"provenance": provenance_block(cfg)}
     # one solve of the unit loadings serves a_hom and C_hom
     a_unit, unit_etas = law.solve(np.eye(2))
@@ -468,13 +468,13 @@ def cmd_effective(cfg, out_dir, _unused=1):
 def cmd_fine(cfg, out_dir, _unused=1):
     spec = build_spec(cfg)
     tensor_b, tensor_c = build_tensors(cfg)
-    opts = SolverOptions(tol=cfg["tolerances"]["cell"])
     f = build_source_f(cfg)
     g = np.array(cfg["sources"]["g"])
     summary = {"provenance": provenance_block(cfg), "rungs": []}
     for eps in cfg["ladder"]:
         domain = DomainGrid(int(round(cfg["grids"]["fine_m"] / eps)))
-        fine = solve_fine_electrostatic(spec, eps, f, domain, opts)
+        fine = solve_fine_electrostatic(spec, eps, f, domain,
+                                        cfg["tolerances"]["cell"])
         entry = {"eps": eps, "grid_n": domain.n,
                  "residuals": fine.residuals,
                  "iterations": fine.iterations, "energy": fine.energy}
@@ -495,12 +495,11 @@ def cmd_fine(cfg, out_dir, _unused=1):
 def cmd_homogenized(cfg, out_dir, _unused=1):
     spec = build_spec(cfg)
     grid = CellGrid(cfg["grids"]["cell_n"])
-    opts = SolverOptions(tol=cfg["tolerances"]["cell"])
-    law = EffectiveLaw(spec, grid, opts)
+    law = EffectiveLaw(spec, grid, cfg["tolerances"]["cell"])
     domain = DomainGrid(cfg["grids"]["solve_n"])
-    macro_opts = MacroOptions(tol=cfg["tolerances"]["macro"])
     f = build_source_f(cfg)
-    macro = solve_homogenized_electrostatic(law, f, domain, macro_opts)
+    macro = solve_homogenized_electrostatic(law, f, domain,
+                                            cfg["tolerances"]["macro"])
     report = {"provenance": provenance_block(cfg),
               "iterations": macro.iterations,
               "residual": macro.residual,
@@ -531,8 +530,8 @@ def cmd_corrector_study(cfg, out_dir, _unused=1):
         solve_n=cfg["grids"]["solve_n"], sample_n=cfg["grids"]["sample_n"],
         f=build_source_f(cfg), tensor_b=tensor_b, tensor_c=tensor_c,
         g_src=np.array(cfg["sources"]["g"]),
-        cell_opts=SolverOptions(tol=cfg["tolerances"]["cell"]),
-        macro_opts=MacroOptions(tol=cfg["tolerances"]["macro"]))
+        cell_tol=cfg["tolerances"]["cell"],
+        macro_tol=cfg["tolerances"]["macro"])
     write_corrector_csv(report, out_dir / "corrector_study.csv")
     payload = report.to_dict()
     payload["provenance"].update(provenance_block(cfg))
@@ -543,7 +542,6 @@ def cmd_corrector_study(cfg, out_dir, _unused=1):
 def cmd_verify(cfg, out_dir, _unused=1):
     spec = build_spec(cfg)
     grid = CellGrid(cfg["grids"]["cell_n"])
-    opts = SolverOptions(tol=cfg["tolerances"]["cell"])
     checks = {}
     ok = True
 
@@ -556,7 +554,7 @@ def cmd_verify(cfg, out_dir, _unused=1):
          "violation": r.violation} for r in reports]
     ok &= not any(r.violation for r in reports)
 
-    law = EffectiveLaw(spec, grid, opts)
+    law = EffectiveLaw(spec, grid, cfg["tolerances"]["cell"])
     props = check_a_hom_properties(law, m=100, seed=cfg["seed"])
     checks["a_hom_properties"] = {
         "theta": props.theta, "min_monotonicity": props.min_monotonicity,
@@ -571,7 +569,7 @@ def cmd_verify(cfg, out_dir, _unused=1):
 
     tensor_b, tensor_c = build_tensors(cfg)
     if tensor_b is not None:
-        max_norm, min_ratio = tensor_b.audit_bounds(100, cfg["seed"])
+        max_norm, min_ratio = tensor_b.audit_bounds(cfg["seed"])
         checks["elastic_tensor"] = {
             "symmetries": tensor_b.has_elastic_symmetries(),
             "max_norm": max_norm, "min_ellipticity_ratio": min_ratio}

@@ -7,8 +7,10 @@ Three built-in families:
 * ``variable-exponent`` power law with a phase-dependent exponent p(y)
 
 Phase layout on the unit cell comes from a Geometry (laminate, centered
-square, checkerboard, disc, or uniform).  Structure constants are declared
-by the user and audited by sampling, never derived symbolically.
+square, checkerboard, disc, or uniform).  The structure constants of a
+law, the monotonicity and continuity constants of its structural
+conditions, are neither declared nor derived: the audit measures them
+on random samples (``check_growth_conditions``).
 """
 
 from dataclasses import dataclass, field
@@ -87,7 +89,7 @@ def _squared_norm(xi):
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """A constitutive family with declared structure constants.
+    """A constitutive family on a two-phase unit cell.
 
     ``sigma`` and ``exponent`` are (matrix-phase, inclusion-phase) pairs;
     ``matrices`` replaces ``sigma`` for the linear family.  ``p`` is the
@@ -104,9 +106,6 @@ class OperatorSpec:
     sigma: tuple = (1.0, 1.0)
     exponent: tuple = None
     matrices: tuple = None
-    lambda_o: float = 1.0
-    Lambda_o: float = 1.0
-    Lambda_star: float = 1.0
 
     def __post_init__(self):
         if self.family not in ("linear", "power-law", "variable-exponent"):
@@ -115,8 +114,6 @@ class OperatorSpec:
             raise ValueError("growth exponent must satisfy p > 1")
         if not 0.0 <= self.alpha <= min(1.0, self.p - 1.0):
             raise ValueError("alpha must lie in [0, min(1, p-1)]")
-        if min(self.lambda_o, self.Lambda_o, self.Lambda_star) <= 0.0:
-            raise ValueError("structure constants must be positive")
         if self.family == "linear":
             mats = self.matrices
             if mats is None:
@@ -341,8 +338,8 @@ class GrowthReport:
 
     seed: int
     max_flux_at_zero: float
-    empirical_continuity: float   # max continuity ratio (empirical Lambda_o)
-    empirical_monotonicity: float  # min monotonicity ratio (empirical lambda_o)
+    empirical_continuity: float   # max continuity ratio
+    empirical_monotonicity: float  # min monotonicity ratio
     violation: bool
 
 
@@ -352,23 +349,27 @@ def _ball_samples(rng, m, radius):
     return np.stack([r * np.cos(angle), r * np.sin(angle)], axis=-1)
 
 
-def check_growth_conditions(spec, m=1000, seed=0, radius=3.0, flux_fn=None):
+GROWTH_AUDIT_RADIUS = 3.0
+
+
+def check_growth_conditions(spec, m=1000, seed=0, flux_fn=None):
     """Audit boundedness, continuity, and monotonicity on random samples.
 
     Ratios are measured against the structural weights
     (1 + |xi_1|^2 + |xi_2|^2)^((p-1-alpha)/2) |xi_1 - xi_2|^alpha and
     (1 + |xi_1|^2 + |xi_2|^2)^((p-2)/2) |xi_1 - xi_2|^2.  The loading
-    points are drawn from a ball in R^2 (the continuity condition is read
-    over R^d).  A nonpositive monotonicity ratio raises the violation
-    flag; it never raises an exception.  ``flux_fn(y, xi)`` may override
+    points are drawn from the ball of radius ``GROWTH_AUDIT_RADIUS`` in
+    R^2 (the continuity condition is read over R^d).  A nonpositive
+    monotonicity ratio raises the violation flag; it never raises an
+    exception.  ``flux_fn(y, xi)`` may override
     the spec's own flux (used to audit deliberately broken laws).
     """
     if m < 100:
         raise ValueError("growth audit needs at least 100 samples")
     rng = np.random.default_rng(seed)
     y = rng.uniform(-0.5, 0.5, size=(m, 2))
-    xi1 = _ball_samples(rng, m, radius)
-    xi2 = _ball_samples(rng, m, radius)
+    xi1 = _ball_samples(rng, m, GROWTH_AUDIT_RADIUS)
+    xi2 = _ball_samples(rng, m, GROWTH_AUDIT_RADIUS)
     flux = flux_fn if flux_fn is not None else spec.flux
     a0 = flux(y, np.zeros((m, 2)))
     a1 = flux(y, xi1)
@@ -397,6 +398,10 @@ def check_growth_conditions(spec, m=1000, seed=0, radius=3.0, flux_fn=None):
 # ---------------------------------------------------------------------------
 # Fourth-order tensor fields
 # ---------------------------------------------------------------------------
+
+SYMMETRY_TOL = 1e-15        # entrywise, of ``has_elastic_symmetries``
+BOUNDS_AUDIT_SAMPLES = 100  # random (y, c) pairs of ``audit_bounds``
+
 
 @dataclass(frozen=True)
 class ElasticTensorField:
@@ -449,15 +454,13 @@ class ElasticTensorField:
         mu = np.where(chi, self.lame[1][1], self.lame[0][1])
         return lam, mu
 
-    def has_elastic_symmetries(self, tol=1e-15):
+    def has_elastic_symmetries(self):
         """Entrywise B_{ijkh} = B_{jikh} = B_{ijhk} for both phases."""
-        for t in self.tensors:
-            if (np.abs(t - np.transpose(t, (1, 0, 2, 3))).max() > tol
-                    or np.abs(t - np.transpose(t, (0, 1, 3, 2))).max() > tol):
-                return False
-        return True
+        return not any(np.abs(t - np.transpose(t, axes)).max() > SYMMETRY_TOL
+                       for t in self.tensors
+                       for axes in ((1, 0, 2, 3), (0, 1, 3, 2)))
 
-    def audit_bounds(self, n_samples=100, seed=0):
+    def audit_bounds(self, seed=0):
         """Sampled sup-norm and ellipticity floor over symmetric matrices.
 
         Returns (max_norm, min_ratio) with min_ratio the smallest
@@ -466,8 +469,8 @@ class ElasticTensorField:
         annihilate the antisymmetric part.)
         """
         rng = np.random.default_rng(seed)
-        y = rng.uniform(-0.5, 0.5, size=(n_samples, 2))
-        c = rng.standard_normal((n_samples, 2, 2))
+        y = rng.uniform(-0.5, 0.5, size=(BOUNDS_AUDIT_SAMPLES, 2))
+        c = rng.standard_normal((BOUNDS_AUDIT_SAMPLES, 2, 2))
         c = 0.5 * (c + np.swapaxes(c, -1, -2))
         bc = self.apply(y, c)
         ratio = (bc * c).sum(axis=(1, 2)) / (c * c).sum(axis=(1, 2))

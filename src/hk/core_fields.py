@@ -94,9 +94,9 @@ class CellGrid(_Grid):
 class DomainGrid(_Grid):
     """Structured grid on the unit square (0,1)^2 with N cells per side.
 
-    (N+1)^2 nodes; the boundary mask marks the full topological boundary
-    (Dirichlet nodes), leaving (N-1)^2 interior nodes.  Their dofs, in
-    row-major node order, are the solved block's (``_fem.free_dofs``).
+    (N+1)^2 nodes; the full topological boundary carries the Dirichlet
+    condition, leaving (N-1)^2 interior nodes.  Their dofs, in row-major
+    node order, are the solved block's (``_fem.free_dofs``).
     """
 
     periodic = False
@@ -113,15 +113,6 @@ class DomainGrid(_Grid):
         self.conn = _fem.structured_connectivity(self.n, periodic=False)
         self.conn.setflags(write=False)
         self.rule = QuadratureRule(self.h)
-        ix, iy = np.meshgrid(np.arange(nn), np.arange(nn), indexing="xy")
-        boundary = (ix == 0) | (ix == self.n) | (iy == 0) | (iy == self.n)
-        self.boundary_mask = boundary.ravel()
-        self.boundary_mask.setflags(write=False)
-
-    def node_coords(self):
-        nn = self.n + 1
-        ix, iy = np.meshgrid(np.arange(nn), np.arange(nn), indexing="xy")
-        return np.stack([ix.ravel(), iy.ravel()], axis=-1) * self.h
 
     def __eq__(self, other):
         return isinstance(other, DomainGrid) and other.n == self.n
@@ -167,16 +158,29 @@ class VectorField(_Field):
 # Oscillatory sampling  y = x / eps  (fractional part in Y)
 # ---------------------------------------------------------------------------
 
+def elements_per_period(n, eps):
+    """Elements per eps-period of a grid with n elements per unit length.
+
+    n * eps as an int; ValueError unless it is one to within 1e-9, which
+    the rounding of the product allows (196 * (1/49) is 3.9999999999999996).
+    """
+    m = n * eps
+    if abs(m - round(m)) > 1e-9:
+        raise ValueError(
+            f"incommensurate pairing: N={n}, eps={eps}; the domain grid "
+            "must resolve each eps-period by an integer number of elements")
+    return int(round(m))
+
+
 def _check_commensurate(cell, eps, target):
     inv = 1.0 / eps
     if abs(inv - round(inv)) > 1e-12:
         raise ValueError(f"1/eps must be an integer, got eps={eps}")
-    if target.n * eps != cell.n:
+    if elements_per_period(target.n, eps) != cell.n:
         raise ValueError(
             f"incommensurate pairing: domain resolution {target.n} with "
             f"eps={eps} must satisfy N*eps == n (cell n={cell.n}); "
             "each eps-cell must be resolved exactly by the cell grid")
-    return int(round(inv))
 
 
 def oscillatory_node_map(cell, eps, target):

@@ -6,7 +6,9 @@ straddling the domain boundary form the boundary layer and are treated
 specially (zero loading / zero averages, as the averaging operators
 require).  All error norms are L^p quadrature sums over the full domain;
 interior-only variants are reported as diagnostics to expose the
-boundary-layer contribution.
+boundary-layer contribution.  A study's settings are its grids and its
+two tolerances, the cell and fine solves' and the effective solve's;
+it always reads the recovered macroscopic gradient.
 """
 
 from dataclasses import dataclass, field
@@ -15,6 +17,11 @@ import numpy as np
 
 from . import _fem
 from .core_fields import CellGrid, DomainGrid, ScalarField, sample_oscillatory
+from .effective import EffectiveLaw, assemble_elastic_tensors
+from .fine_scale import solve_fine_electrostatic, solve_fine_elasticity
+from .homogenized import (MACRO_TOL, macroscopic_gradient_field,
+                          reconstruct_phi1, solve_homogenized_elasticity,
+                          solve_homogenized_electrostatic)
 
 
 # ---------------------------------------------------------------------------
@@ -36,8 +43,8 @@ class EpsPartition:
         self.per_axis = int(round(inv)) + 1
         self.n_cells = self.per_axis ** 2
         axis = np.arange(self.per_axis)
-        self.axis_interior = (axis >= 1) & (axis <= self.per_axis - 2)
-        interior = self.axis_interior[:, None] & self.axis_interior[None, :]
+        axis_interior = (axis >= 1) & (axis <= self.per_axis - 2)
+        interior = axis_interior[:, None] & axis_interior[None, :]
         self.interior = interior.ravel()  # id = cy * per_axis + cx
 
     def cell_of(self, points):
@@ -510,42 +517,16 @@ class CorrectorReport:
         }
 
 
-def run_corrector_study(spec, ladder, cell_n=8, fine_m=16, solve_n=32,
-                        sample_n=64, f=None, tensor_b=None, tensor_c=None,
-                        g_src=(0.0, -1.0), cell_opts=None, macro_opts=None,
-                        recover_gradient=True):
-    """Run the eps-sweep corrector verification for one operator family.
+def check_study_grids(ladder, fine_m, solve_n, sample_n):
+    """Raise ValueError unless a study's grids fit its decreasing ladder.
 
-    Grids: unit-cell solves on cell_n, fine meshes with fine_m elements
-    per eps-period, the effective solve on solve_n, corrector sampling on
-    sample_n (one cell solve per sample quadrature point).  When elastic
-    tensors are supplied, the coupled system is solved on each rung and
-    the weak-convergence functional gap reported alongside the electric
-    stress pairing gap.
-
-    The default source is a smooth interior bump (mean 1, vanishing on
-    the boundary), which keeps the boundary layer from dominating the
-    error ladders; ``recover_gradient`` evaluates the macroscopic
-    gradient by nodal averaging so the effective solve's raw gradient
-    error stays below the corrector errors being measured.
+    Each rung's fine grid N = fine_m / eps is an integer, and the
+    eps-cells are unions of sample-grid elements.
     """
-    # local imports keep module import cheap and avoid cycles
-    from .cell_problems import SolverOptions
-    from .effective import EffectiveLaw, assemble_elastic_tensors
-    from .fine_scale import solve_fine_electrostatic, solve_fine_elasticity
-    from .homogenized import (macroscopic_gradient_field, reconstruct_phi1,
-                              solve_homogenized_elasticity,
-                              solve_homogenized_electrostatic)
-
-    if f is None:
-        f = study_source
-
-    ladder = sorted(ladder, reverse=True)
     if len(ladder) < 2 or any(e2 >= e1 for e1, e2 in zip(ladder, ladder[1:])):
         raise ValueError("ladder must be strictly decreasing with >= 2 rungs")
     if fine_m < 4 or fine_m & (fine_m - 1):
         raise ValueError("fine_m must be a power of two >= 4")
-    cell_opts = cell_opts or SolverOptions()
     for eps in ladder:
         if abs(fine_m / eps - round(fine_m / eps)) > 1e-9:
             raise ValueError(f"fine_m={fine_m} incommensurate with eps={eps}")
@@ -555,12 +536,38 @@ def run_corrector_study(spec, ladder, cell_n=8, fine_m=16, solve_n=32,
     if sample_n % solve_n != 0:
         raise ValueError("sample grid must refine the solve grid")
 
+
+def run_corrector_study(spec, ladder, cell_n=8, fine_m=16, solve_n=32,
+                        sample_n=64, f=None, tensor_b=None, tensor_c=None,
+                        g_src=(0.0, -1.0), cell_tol=_fem.CELL_TOL,
+                        macro_tol=MACRO_TOL):
+    """Run the eps-sweep corrector verification for one operator family.
+
+    Grids: unit-cell solves on cell_n, fine meshes with fine_m elements
+    per eps-period, the effective solve on solve_n, corrector sampling on
+    sample_n (one cell solve per sample quadrature point).  When elastic
+    tensors are supplied, the coupled system is solved on each rung and
+    the weak-convergence functional gap reported alongside the electric
+    stress pairing gap.  The cell and fine solves stop at ``cell_tol``,
+    the effective solve at ``macro_tol``.
+
+    The default source is a smooth interior bump (mean 1, vanishing on
+    the boundary), which keeps the boundary layer from dominating the
+    error ladders; the macroscopic gradient is always the recovered one
+    (nodal averaging), so the effective solve's raw gradient error stays
+    below the corrector errors being measured.
+    """
+    if f is None:
+        f = study_source
+
+    ladder = sorted(ladder, reverse=True)
+    check_study_grids(ladder, fine_m, solve_n, sample_n)
     cell_grid = CellGrid(cell_n)
-    law = EffectiveLaw(spec, cell_grid, cell_opts)
+    law = EffectiveLaw(spec, cell_grid, cell_tol)
     solve_grid = DomainGrid(solve_n)
-    macro = solve_homogenized_electrostatic(law, f, solve_grid, macro_opts)
+    macro = solve_homogenized_electrostatic(law, f, solve_grid, macro_tol)
     phi0 = macro.potential
-    grad_field = macroscopic_gradient_field(phi0) if recover_gradient else None
+    grad_field = macroscopic_gradient_field(phi0)
     sample_grid = DomainGrid(sample_n)
     corr = reconstruct_phi1(law, phi0, sample_grid=sample_grid,
                             gradient_field=grad_field,
@@ -586,7 +593,7 @@ def run_corrector_study(spec, ladder, cell_n=8, fine_m=16, solve_n=32,
         # the solves first, then the post-processing; of each stage only
         # the potential and the reported numbers outlive it
         domain = DomainGrid(int(round(fine_m / eps)))
-        fine = solve_fine_electrostatic(spec, eps, f, domain, cell_opts)
+        fine = solve_fine_electrostatic(spec, eps, f, domain, cell_tol)
         el_gap = None
         if with_elasticity:
             u_eps, _ = solve_fine_elasticity(tensor_b, tensor_c, eps, g_src,

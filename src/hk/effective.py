@@ -15,7 +15,7 @@ from . import _fem
 # solve_scalar_cell is re-exported, here and in hk.cli, for
 # perfbench/spans.py, whose tracer rebinds it in every hk namespace; a
 # perfbench test reads it from both
-from .cell_problems import (BatchScalarCellSolver, SolverOptions,  # noqa: F401
+from .cell_problems import (BatchScalarCellSolver,  # noqa: F401
                             corrector_flux, electric_stress,
                             solve_elastic_cells, solve_scalar_cell,
                             solve_scalar_cells, unit_strain)
@@ -38,16 +38,16 @@ class EffectiveLaw:
     build no potentials there.  Nothing is stored between calls.
     """
 
-    def __init__(self, spec, grid, opts=None):
+    def __init__(self, spec, grid, tol=_fem.CELL_TOL):
         self.spec = spec
         self.grid = grid
-        self.opts = opts or SolverOptions()
-        self.batch = BatchScalarCellSolver(spec, grid, self.opts)
+        self.tol = tol
+        self.batch = BatchScalarCellSolver(spec, grid, tol)
         if spec.is_constant:
             self.mode = "constant"
         elif spec.is_linear:
             self.mode = "linear"
-            sols = solve_scalar_cells(spec, np.eye(2), grid, self.opts)
+            sols = solve_scalar_cells(spec, np.eye(2), grid, tol)
             self._basis = np.stack([s.values for s in sols])
             self.matrix = _b_hom(spec, grid, sols)
         else:
@@ -138,7 +138,7 @@ class EffectiveLaw:
         if self.mode == "constant":
             jac = self.spec.jacobian_local(
                 self._constant_loc(loadings), loadings,
-                delta_floor=self.opts.delta_jac)
+                delta_floor=_fem.DELTA_JAC)
         elif self.mode == "linear":
             jac = np.broadcast_to(self.matrix,
                                   (loadings.shape[0], 2, 2)).copy()
@@ -151,7 +151,7 @@ class EffectiveLaw:
     def provenance(self):
         return {
             "grid_n": self.grid.n,
-            "cell_tol": self.opts.tol,
+            "cell_tol": self.tol,
             "jacobian": "consistent tangent",
             "mode": self.mode,
             "operator": self.spec.fingerprint(),
@@ -276,11 +276,16 @@ class AHomPropertyReport:
     violation: bool
 
 
-def check_a_hom_properties(law, m=100, seed=0, radius=2.0):
+A_HOM_AUDIT_RADIUS = 2.0
+
+
+def check_a_hom_properties(law, m=100, seed=0):
     """Sampled monotonicity and continuity ratios of the effective law.
 
-    Monotonicity ratio: [a(x1)-a(x2)].(x1-x2) / ((1+|x1|^2+|x2|^2)^((p-2)/2)
-    |x1-x2|^2); continuity ratio uses the exponent theta = alpha/(2-alpha).
+    The m pairs of loadings are drawn uniformly from the disc of radius
+    ``A_HOM_AUDIT_RADIUS``.  Monotonicity ratio: [a(x1)-a(x2)].(x1-x2) /
+    ((1+|x1|^2+|x2|^2)^((p-2)/2) |x1-x2|^2); continuity ratio uses the
+    exponent theta = alpha/(2-alpha).
     Report only; the violation flag trips when any monotonicity ratio is
     nonpositive.
     """
@@ -288,7 +293,7 @@ def check_a_hom_properties(law, m=100, seed=0, radius=2.0):
         raise ValueError("property audit needs at least 20 pairs")
     rng = np.random.default_rng(seed)
     angle = rng.uniform(0.0, 2.0 * np.pi, size=(2, m))
-    r = radius * np.sqrt(rng.uniform(0.0, 1.0, size=(2, m)))
+    r = A_HOM_AUDIT_RADIUS * np.sqrt(rng.uniform(0.0, 1.0, size=(2, m)))
     xi1 = np.stack([r[0] * np.cos(angle[0]), r[0] * np.sin(angle[0])], axis=-1)
     xi2 = np.stack([r[1] * np.cos(angle[1]), r[1] * np.sin(angle[1])], axis=-1)
     a1 = law.eval_batch(xi1)

@@ -12,32 +12,37 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _fem
-from .cell_problems import SolverOptions
-from .core_fields import ScalarField, VectorField
+from .core_fields import ScalarField, VectorField, elements_per_period
 from .errors import NonConvergence
 
 
 def periods_per_side(domain, eps, geometry=None):
     """Fine elements per microstructure period, m = N * eps (integer).
 
-    With ``geometry`` given, its phase interfaces must lie on the element
-    pitch 1/m of the period (a disc is exempt): each quadrature point
-    then lies strictly inside one phase, so coefficients read at its
-    cell point (``_fem.cell_points``) are exact.
+    With ``geometry`` given, m must resolve it (``check_resolved``).
     """
-    m = domain.n * eps
-    if abs(m - round(m)) > 1e-9 or round(m) < 2:
+    m = elements_per_period(domain.n, eps)
+    if m < 2:
         raise ValueError(
-            f"incommensurate pairing: N={domain.n}, eps={eps}; the domain "
-            "grid must resolve each eps-period by an integer number of "
-            "elements")
-    m = int(round(m))
-    if geometry is not None and not geometry.aligned_with(1.0 / m) \
-            and geometry.kind != "disc":
+            f"incommensurate pairing: N={domain.n}, eps={eps} gives {m} "
+            "elements per period, fewer than 2")
+    if geometry is not None:
+        check_resolved(geometry, m)
+    return m
+
+
+def check_resolved(geometry, m):
+    """Raise ValueError unless m elements per period resolve ``geometry``.
+
+    Its phase interfaces must lie on the element pitch 1/m of the period
+    (a disc is exempt): each quadrature point then lies strictly inside
+    one phase, so coefficients read at its cell point
+    (``_fem.cell_points``) are exact.
+    """
+    if not geometry.aligned_with(1.0 / m) and geometry.kind != "disc":
         raise ValueError(
             f"geometry interfaces are not resolved by {m} elements "
             f"per period (aliasing)")
-    return m
 
 
 @dataclass
@@ -74,21 +79,20 @@ def _scalar_fine_residual(spec, loc, domain, phi, rhs):
     return _fem.divergence_residual(domain, flux) - rhs
 
 
-def solve_fine_electrostatic(spec, eps, f, domain, opts=None):
+def solve_fine_electrostatic(spec, eps, f, domain, tol=_fem.CELL_TOL):
     """Solve ∫ a(x/eps, grad phi) . grad v = ∫ f v, phi = 0 on the boundary.
 
     Linear families reduce to one sparse solve; otherwise
     ``_fem.damped_newton`` with ``_fem.solve_dirichlet`` inner solves
     (direct or multigrid-preconditioned CG by size, the CG solves sharing
     one set of V-cycle transfers for the call), started from
-    the frozen-coefficient surrogate with coefficient sigma, and relaxed
-    frozen-coefficient steps (``OperatorSpec.frozen_relaxation``) after
-    ``max_newton``.
+    the frozen-coefficient surrogate with coefficient sigma, stopped at
+    the residual norm ``tol``, and relaxed frozen-coefficient steps
+    (``OperatorSpec.frozen_relaxation``) after ``_fem.MAX_NEWTON``.
     Returns a FineSolution with potential, residual and energy
     bookkeeping; the Maxwell stress is formed from the potential where it
     is needed (``maxwell_stress``).
     """
-    opts = opts or SolverOptions()
     periods_per_side(domain, eps, spec.geometry)
     loc = spec.local_coefficients(_fem.cell_points(domain, eps))
     f_qp = _source_at_qp(f, domain)
@@ -112,19 +116,19 @@ def solve_fine_electrostatic(spec, eps, f, domain, opts=None):
     else:
         def newton_step(rows, phis, res):
             grad = _fem.qp_gradient(phis[0], domain.conn, domain.h)
-            jac = spec.jacobian_local(loc, grad, delta_floor=opts.delta_jac)
+            jac = spec.jacobian_local(loc, grad, delta_floor=_fem.DELTA_JAC)
             return solve_with(jac, -res[0])[None]
 
         def picard_step(rows, phis):
             grad = _fem.qp_gradient(phis[0], domain.conn, domain.h)
-            coef = spec.frozen_coefficient(loc, grad, opts.delta_jac)
+            coef = spec.frozen_coefficient(loc, grad, _fem.DELTA_JAC)
             return phis + spec.frozen_relaxation * (solve_with(coef) - phis)
 
         # initial iterate from the frozen-coefficient (quadratic) surrogate
         out = _fem.damped_newton(
-            solve_with(loc["sigma"])[None], residual, newton_step, opts.tol,
-            opts.max_newton, opts.max_linesearch, picard_step,
-            opts.max_picard)
+            solve_with(loc["sigma"])[None], residual, newton_step, tol,
+            _fem.MAX_NEWTON, _fem.MAX_LINESEARCH, picard_step,
+            _fem.MAX_PICARD)
         phi, res = out.x[0], out.res[0]
         rnorm, iterations = float(out.norm[0]), int(out.iterations[0])
         if not out.converged[0]:

@@ -2,9 +2,11 @@
 
 The macroscopic electrostatic problem is solved by Newton iteration on
 the effective flux law with its consistent tangent, refreshed at every
-iteration.  Every residual evaluation asks the law for effective fluxes
-at all quadrature points, which for general laws means one cell solve
-per quadrature-point loading.  The cell solutions travel with the
+iteration, to a tolerance the caller passes as a float (default
+``MACRO_TOL``) within the module's constant caps.  Every residual
+evaluation asks the law for effective fluxes at all quadrature points,
+which for general laws means one cell solve per quadrature-point
+loading.  The cell solutions travel with the
 iterate that produced them, and so do their derivatives W = d eta / d xi,
 which the tangent solve yields.  Every warm cell solve starts from the
 law's ``cell_predictor`` built on those rows: the line-search trials from
@@ -27,11 +29,11 @@ from .errors import NonConvergence
 from .fine_scale import _source_at_qp
 
 
-@dataclass
-class MacroOptions:
-    tol: float = 1e-9
-    max_iter: int = 60
-    max_linesearch: int = 20
+# The macro Newton's default tolerance and its caps (Newton steps, Armijo
+# trials per step), read at call time.
+MACRO_TOL = 1e-9
+MACRO_MAX_ITER = 60
+MACRO_MAX_LINESEARCH = 20
 
 
 @dataclass
@@ -49,22 +51,23 @@ def _grad_flat(phi, domain):
     return _fem.qp_gradient(phi, domain.conn, domain.h).reshape(-1, 2)
 
 
-def solve_homogenized_electrostatic(law, f, domain, opts=None):
+def solve_homogenized_electrostatic(law, f, domain, tol=MACRO_TOL):
     """Solve ∫ a_hom(grad phi) . grad v = ∫ f v on the unit square.
 
     Linear laws reduce to a single sparse solve with the constant
     effective matrix.  Otherwise: ``_fem.damped_newton`` on the
     consistent tangent of the law (monotonicity makes the Newton
     direction a descent direction for the residual), with no
-    frozen-coefficient fallback.  Every cell loading is solved once:
-    each residual keeps the cell solutions of the iterate it evaluated,
-    the tangent is taken at those solutions, and each line-search trial
-    phi + t d starts its cell solves from the law's ``cell_predictor``
-    on the rows (xi(phi), eta, W), with W = d eta / d xi from the same
-    tangent solve: the circle interpolant of all rows for a homogeneous
-    law, else eta + W (xi(phi + t d) - xi(phi)) point by point.
+    frozen-coefficient fallback, until the residual norm is at most
+    ``tol``; a solve still above it after ``MACRO_MAX_ITER`` steps raises
+    NonConvergence.  Every cell loading is solved once: each residual
+    keeps the cell solutions of the iterate it evaluated, the tangent is
+    taken at those solutions, and each line-search trial phi + t d
+    starts its cell solves from the law's ``cell_predictor`` on the rows
+    (xi(phi), eta, W), with W = d eta / d xi from the same tangent solve:
+    the circle interpolant of all rows for a homogeneous law, else
+    eta + W (xi(phi + t d) - xi(phi)) point by point.
     """
-    opts = opts or MacroOptions()
     f_qp = _source_at_qp(f, domain)
     rhs = _fem.load_vector(domain, f_qp)
     free = _fem.free_dofs(domain)
@@ -126,8 +129,8 @@ def solve_homogenized_electrostatic(law, f, domain, opts=None):
             # eta(s xi) = s eta(xi) for a homogeneous law: an exact start
             warm = None if etas0 is None else scale * etas0
 
-    out = _fem.damped_newton(phi[None], residual, newton_step, opts.tol,
-                             opts.max_iter, opts.max_linesearch)
+    out = _fem.damped_newton(phi[None], residual, newton_step, tol,
+                             MACRO_MAX_ITER, MACRO_MAX_LINESEARCH)
     phi = out.x[0]
     rnorm = float(out.norm[0])
     iterations = int(out.iterations[0])

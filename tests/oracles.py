@@ -153,9 +153,23 @@ def solved_block(grid, ke, dofs_per_node=1):
     if grid.periodic:
         free = np.arange(d, d * grid.n_nodes)
     else:
-        nodes = np.flatnonzero(~grid.boundary_mask)
+        nodes = np.flatnonzero(~boundary_mask(grid))
         free = (nodes[:, None] * d + np.arange(d)).ravel()
     return full[np.ix_(free, free)]
+
+
+def node_coords(grid):
+    """Coordinates of a Dirichlet grid's (N+1)^2 nodes, row-major, (nn, 2)."""
+    ix, iy = np.meshgrid(np.arange(grid.n + 1), np.arange(grid.n + 1),
+                         indexing="xy")
+    return np.stack([ix.ravel(), iy.ravel()], axis=-1) * grid.h
+
+
+def boundary_mask(grid):
+    """True at the nodes on the boundary of a Dirichlet grid, (nn,)."""
+    ix, iy = np.meshgrid(np.arange(grid.n + 1), np.arange(grid.n + 1),
+                         indexing="xy")
+    return ((ix == 0) | (ix == grid.n) | (iy == 0) | (iy == grid.n)).ravel()
 
 
 def wrap_node(grid, ix, iy):

@@ -12,20 +12,21 @@ import numpy as np
 import pytest
 
 from hk import _fem
-from hk.cell_problems import (BatchScalarCellSolver, SolverOptions,
-                              solve_elastic_cell_U, solve_scalar_cell)
+from hk.cell_problems import (BatchScalarCellSolver, solve_elastic_cell_U,
+                              solve_scalar_cell)
 from hk.constitutive import (ElasticTensorField, Geometry, OperatorSpec,
                              isotropic_tensor)
 from hk.core_fields import CellGrid, DomainGrid, ScalarField
 from hk.effective import (EffectiveLaw, assemble_elastic_tensors,
                           check_a_hom_properties)
 from hk.fine_scale import (solve_fine_elasticity, solve_fine_electrostatic)
-from hk.homogenized import (MacroOptions, solve_homogenized_elasticity,
+from hk.homogenized import (solve_homogenized_elasticity,
                             solve_homogenized_electrostatic)
 from hk.corrector import run_corrector_study
 
 from oracles import (effective_eval, laminate_flux_balance,
-                     manufactured_elasticity, manufactured_laplace)
+                     manufactured_elasticity, manufactured_laplace,
+                     node_coords)
 
 LAMINATE = Geometry(kind="laminate", fraction=0.5)
 UNIFORM = Geometry("uniform")
@@ -120,17 +121,17 @@ def test_criterion_3_constant_coefficient_degeneracies():
     spec = OperatorSpec(family="power-law", p=3.0, alpha=1.0,
                         geometry=UNIFORM, sigma=(2.0, 2.0))
     cell = CellGrid(8)
-    opts = SolverOptions(tol=1e-13)
+    tol = 1e-13
     worst = 0.0
     # cell solutions vanish
-    eta = solve_scalar_cell(spec, [0.7, -0.4], cell, opts)
+    eta = solve_scalar_cell(spec, [0.7, -0.4], cell, tol)
     worst = max(worst, np.abs(eta.values).max())
     b = ElasticTensorField.from_lame((1.0, 1.0), geometry=UNIFORM)
     c = ElasticTensorField.from_lame((0.5, 0.25), geometry=UNIFORM)
     for (i, j) in ((0, 0), (1, 1), (0, 1)):
         ups = solve_elastic_cell_U(b, cell, i, j)
         worst = max(worst, np.abs(ups.values).max())
-    law = EffectiveLaw(spec, cell, opts)
+    law = EffectiveLaw(spec, cell, tol)
     b_eff, c_eff = assemble_elastic_tensors(b, c, law.solutions_for(np.eye(2)),
                                             cell)
     for sol in c_eff.solutions.values():
@@ -143,12 +144,11 @@ def test_criterion_3_constant_coefficient_degeneracies():
         worst = max(worst, np.abs(c_eff.apply(m) - exact).max())
     # fine and homogenized systems coincide on every rung
     dom = DomainGrid(64)
-    macro = solve_homogenized_electrostatic(law, 1.0, dom,
-                                            MacroOptions(tol=1e-13))
+    macro = solve_homogenized_electrostatic(law, 1.0, dom, 1e-13)
     g = np.array([0.0, -1.0])
     u0, _ = solve_homogenized_elasticity(b_eff, c_eff, g, macro.potential, dom)
     for eps in LADDER:
-        fine = solve_fine_electrostatic(spec, eps, 1.0, dom, opts)
+        fine = solve_fine_electrostatic(spec, eps, 1.0, dom, tol)
         worst = max(worst, np.abs(fine.potential.values
                                   - macro.potential.values).max())
         u_eps, _ = solve_fine_elasticity(b, c, eps, g, fine.potential, dom)
@@ -272,7 +272,7 @@ def test_criterion_10_manufactured_discretization_orders():
     for n in (16, 32, 64):
         dom = DomainGrid(n)
         sol = solve_fine_electrostatic(iden, 0.25, f, dom)
-        pts = dom.node_coords()
+        pts = node_coords(dom)
         err = sol.potential.values - phi_exact(pts[:, 0], pts[:, 1])
         errs_phi.append(_fem.lp_norm_qp(dom.h, _fem.qp_values(err, dom.conn),
                                         2.0))
@@ -286,7 +286,7 @@ def test_criterion_10_manufactured_discretization_orders():
         phi = ScalarField(dom, np.zeros(dom.n_nodes))
         u, _ = solve_fine_elasticity(b, zero_c, 0.25,
                                      lambda x, y: g(x, y), phi, dom)
-        pts = dom.node_coords()
+        pts = node_coords(dom)
         err = u.values - u_exact(pts[:, 0], pts[:, 1])
         errs_u.append(_fem.lp_norm_qp(dom.h, _fem.qp_values(err, dom.conn),
                                       2.0))

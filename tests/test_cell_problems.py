@@ -5,7 +5,7 @@ import pytest
 
 from hk import _fem
 from hk.cell_problems import (BatchScalarCellSolver, CirclePredictor,
-                              NearestPredictor, SolverOptions, cell_predictor,
+                              NearestPredictor, cell_predictor,
                               corrector_flux, solve_elastic_cell_U,
                               solve_electrostriction_cell, solve_scalar_cell,
                               unit_strain)
@@ -123,12 +123,13 @@ def test_flux_identity_laminate():
         assert flux_identity(spec, [1.0, 0.0], sol) <= 1e-10
 
 
-def test_flux_identity_reports_unconverged_without_raising():
+def test_flux_identity_reports_unconverged_without_raising(monkeypatch):
     grid = CellGrid(32)
     spec = laminate_spec(3.0)
-    loose = solve_scalar_cell(spec, [1.0, 0.0], grid,
-                              SolverOptions(tol=0.5, max_newton=1,
-                                            max_picard=0))
+    monkeypatch.setattr(_fem, "MAX_NEWTON", 1)
+    monkeypatch.setattr(_fem, "MAX_PICARD", 0)
+    loose = solve_scalar_cell(spec, [1.0, 0.0], grid, 0.5)
+    monkeypatch.undo()
     tight = solve_scalar_cell(spec, [1.0, 0.0], grid)
     r_loose = flux_identity(spec, [1.0, 0.0], loose)
     r_tight = flux_identity(spec, [1.0, 0.0], tight)
@@ -174,14 +175,15 @@ def test_solver_determinism_bitwise():
     assert np.array_equal(s1.values, s2.values)
 
 
-def test_nonconvergence_raises():
+def test_nonconvergence_raises(monkeypatch):
     from hk.errors import NonConvergence
     grid = CellGrid(16)
     spec = laminate_spec(3.0)
+    monkeypatch.setattr(_fem, "MAX_NEWTON", 1)
+    monkeypatch.setattr(_fem, "MAX_PICARD", 0)
+    monkeypatch.setattr(_fem, "MAX_LINESEARCH", 1)
     with pytest.raises(NonConvergence):
-        solve_scalar_cell(spec, [1.0, 0.0], grid,
-                          SolverOptions(tol=1e-14, max_newton=1,
-                                        max_picard=0, max_linesearch=1))
+        solve_scalar_cell(spec, [1.0, 0.0], grid, 1e-14)
 
 
 # -- elastic cell problems ---------------------------------------------------
@@ -352,7 +354,6 @@ def test_batch_solver_rejects_linear_laws():
 
 def reference_newton(spec, loading, grid):
     """Sparse pinned damped Newton for one loading, independent of the batch."""
-    opts = SolverOptions()
     loc = spec.local_coefficients(grid.qp_coords())
 
     def total_gradient(eta):
@@ -365,13 +366,13 @@ def reference_newton(spec, loading, grid):
 
     def newton_step(rows, etas, res):
         jac = spec.jacobian_local(loc, total_gradient(etas[0]),
-                                  delta_floor=opts.delta_jac)
+                                  delta_floor=_fem.DELTA_JAC)
         block = _fem.assemble_diffusion(grid, jac)
         return _fem.solve_periodic_pinned(block, -res[0])[None]
 
     out = _fem.damped_newton(np.zeros((1, grid.n_nodes)), residual,
-                             newton_step, opts.tol, opts.max_newton,
-                             opts.max_linesearch)
+                             newton_step, _fem.CELL_TOL, _fem.MAX_NEWTON,
+                             _fem.MAX_LINESEARCH)
     assert out.converged[0]
     return out.x[0] - out.x[0].mean()
 
@@ -403,7 +404,8 @@ def test_batch_picard_after_newton_budget_matches_single_solves(p, monkeypatch):
                         geometry=Geometry("square", size=0.5),
                         sigma=(1.0, 4.0))
     loadings = np.random.default_rng(6).uniform(-1.0, 1.0, size=(6, 2))
-    batch = BatchScalarCellSolver(spec, grid, SolverOptions(max_newton=1))
+    batch = BatchScalarCellSolver(spec, grid)
+    monkeypatch.setattr(_fem, "MAX_NEWTON", 1)
     monkeypatch.setattr(cp, "solve_scalar_cell", no_single_solves)
     res = batch.solve(loadings)
     monkeypatch.undo()
@@ -414,11 +416,11 @@ def test_batch_picard_after_newton_budget_matches_single_solves(p, monkeypatch):
         assert np.abs(res.values[k] - single).max() < 1e-8
 
 
-def test_batch_flags_unconverged_rows():
+def test_batch_flags_unconverged_rows(monkeypatch):
     grid = CellGrid(8)
-    batch = BatchScalarCellSolver(
-        laminate_spec(3.0), grid,
-        SolverOptions(tol=1e-14, max_newton=1, max_picard=0))
+    monkeypatch.setattr(_fem, "MAX_NEWTON", 1)
+    monkeypatch.setattr(_fem, "MAX_PICARD", 0)
+    batch = BatchScalarCellSolver(laminate_spec(3.0), grid, 1e-14)
     res = batch.solve(np.array([[1.0, 0.3], [0.0, 0.0]]))
     assert res.converged.tolist() == [False, True]
     assert res.iterations.tolist() == [1, 0]
@@ -687,7 +689,7 @@ def test_cold_batch_continuation_matches_one_row_solves(spec):
     grid = CellGrid(8)
     loadings = disc_loadings(100, 2.0, seed=16)
     loadings[37] = 0.0
-    batch = BatchScalarCellSolver(spec, grid, SolverOptions(tol=1e-12))
+    batch = BatchScalarCellSolver(spec, grid, 1e-12)
     res = batch.solve(loadings)
     assert res.converged.all()
     assert np.all(res.values[37] == 0.0)
@@ -702,14 +704,14 @@ def test_cold_batch_continuation_matches_one_row_solves(spec):
         assert np.array_equal(getattr(again, name), getattr(res, name))
 
 
-def test_cold_batch_with_unconverged_anchors_starts_cold():
+def test_cold_batch_with_unconverged_anchors_starts_cold(monkeypatch):
     # anchors that stop above tolerance give no tangent predictor: every
     # other row starts from eta = 0, as it does when solved alone, and the
     # rows are flagged rather than raised
     grid = CellGrid(8)
-    batch = BatchScalarCellSolver(
-        laminate_spec(3.0), grid,
-        SolverOptions(tol=1e-14, max_newton=1, max_picard=0))
+    monkeypatch.setattr(_fem, "MAX_NEWTON", 1)
+    monkeypatch.setattr(_fem, "MAX_PICARD", 0)
+    batch = BatchScalarCellSolver(laminate_spec(3.0), grid, 1e-14)
     loadings = disc_loadings(100, 2.0, seed=18)
     res = batch.solve(loadings)
     assert not res.converged.any()
@@ -745,8 +747,7 @@ def _circle(loadings, tol=1e-13, n=8):
 
     Returns the predictor, the solved rows and their solver.
     """
-    batch = BatchScalarCellSolver(laminate_spec(3.0), CellGrid(n),
-                                  SolverOptions(tol=tol))
+    batch = BatchScalarCellSolver(laminate_spec(3.0), CellGrid(n), tol)
     res = batch.solve(loadings)
     assert res.converged.all()
     w = batch.tangents(loadings, res.values)[1]

@@ -5,11 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hk.cell_problems import SolverOptions, solve_scalar_cell
-from hk.cli import (PRESETS, build_source_f, build_spec, build_tensors,
+from types import SimpleNamespace
+
+from hk.cell_problems import solve_scalar_cell
+from hk.cli import (PRESETS, build_geometry, build_source_f, build_spec,
+                    build_tensors,
                     config_hash, load_config, main, run, validate_config)
-from hk.core_fields import CellGrid
+from hk.core_fields import CellGrid, _check_commensurate
+from hk.corrector import EpsPartition, check_study_grids
 from hk.errors import ConfigError
+from hk.fine_scale import periods_per_side
 
 
 def small_config(tmp_path, **overrides):
@@ -317,8 +322,8 @@ def test_effective_solves_unit_loadings_once(tmp_path, monkeypatch):
     spec = build_spec(cfg)
     tensor_b, tensor_c = build_tensors(cfg)
     grid = CellGrid(8)
-    opts = SolverOptions(tol=cfg["tolerances"]["cell"])
-    unit_etas = [solve_scalar_cell(spec, e, grid, opts).values
+    unit_etas = [solve_scalar_cell(spec, e, grid,
+                                   cfg["tolerances"]["cell"]).values
                  for e in np.eye(2)]
     ref = assemble_elastic_tensors(tensor_b, tensor_c, unit_etas, grid)[1]
     assert np.abs(np.array(payload["C_hom"])
@@ -601,12 +606,99 @@ def test_study_sample_grid_misaligned_exits_3(tmp_path, capsys):
     assert info.value.pointer == "/grids/sample_n"
 
 
+@pytest.mark.parametrize("geometry", [{"kind": "laminate", "fraction": 0.3},
+                                      {"kind": "square", "size": 0.3}])
+def test_unresolved_geometry_is_rejected_where_fine_grids_are_built(geometry):
+    # at fine_m 8; the exit-3 table has the presets' fine_m 16
+    cfg = json.loads(json.dumps(PRESETS["laminate-p2"]))
+    cfg["geometry"] = geometry
+    cfg["grids"]["fine_m"] = 8
+    for subcommand in ("fine", "corrector-study"):
+        with pytest.raises(ConfigError) as info:
+            validate_config(cfg, subcommand)
+        assert info.value.pointer == "/geometry"
+    # the subcommands that build no fine grid take it, and a disc is exempt
+    for subcommand in (None, "cell", "effective", "homogenized", "verify"):
+        validate_config(cfg, subcommand)
+    cfg["geometry"] = {"kind": "disc", "size": 0.3}
+    validate_config(cfg, "fine")
+
+
+# the presets' geometries, two whose interfaces fall between the nodes of
+# the fine grids, and the disc, which no grid resolves and none need to
+_GEOMETRIES = [json.loads(g) for g in sorted(
+    {json.dumps(cfg["geometry"], sort_keys=True) for cfg in PRESETS.values()}
+    | {json.dumps(g, sort_keys=True) for g in (
+        {"kind": "laminate", "fraction": 0.3},
+        {"kind": "square", "size": 0.3},
+        {"kind": "disc", "size": 0.3})})]
+
+
+def test_validated_fine_grids_pass_the_solves_checks():
+    # every config that validates for the subcommands that build fine grids
+    # passes each check the solves make before they solve: the fine grid
+    # against the period and the geometry, the sampling of g_pair, the
+    # eps-cells and the study's grids.  1/eps runs over 1..128 and fine_m
+    # over 4..64, up to N = 512; nothing is built but the cell grids
+    cells = {}
+    accepted = rejected = 0
+    for geometry in _GEOMETRIES:
+        for fine_m in (4, 8, 16, 32, 64):
+            for k in range(1, 512 // fine_m + 1):
+                for subcommand, ladder in (("fine", [1.0 / k]),
+                                           ("corrector-study",
+                                            [1.0, 1.0 / k])):
+                    if len(ladder) == 2 and k == 1:
+                        continue
+                    cfg = json.loads(json.dumps(PRESETS["laminate-p2"]))
+                    cfg.update(geometry=geometry, ladder=ladder, grids={
+                        "cell_n": 4, "fine_m": fine_m, "solve_n": 2,
+                        "sample_n": 2 * k})
+                    try:
+                        out = validate_config(cfg, subcommand)
+                    except ConfigError:
+                        rejected += 1
+                        continue
+                    accepted += 1
+                    grids = out["grids"]
+                    if subcommand == "corrector-study":
+                        check_study_grids(out["ladder"], fine_m,
+                                          grids["solve_n"], grids["sample_n"])
+                    cell = cells.setdefault(fine_m, CellGrid(fine_m))
+                    for eps in out["ladder"]:
+                        # the fine grid as the solves build it
+                        fine = SimpleNamespace(n=int(round(fine_m / eps)))
+                        periods_per_side(fine, eps, build_geometry(out))
+                        _check_commensurate(cell, eps, fine)
+                        EpsPartition(eps)
+    # the two unresolved geometries fail at every fine_m, the others pass
+    assert (accepted, rejected) == (4 * 491, 2 * 491)
+
+
+def test_study_where_n_times_eps_rounds_off_exits_0(tmp_path):
+    # 196 * (1/49) is 3.9999999999999996 in floating point: the sampling
+    # of g_pair on the fine grids takes the integer test of the fine solves
+    path, _ = small_config(
+        tmp_path, elasticity=None, ladder=[1 / 49, 1 / 98],
+        grids={"cell_n": 4, "fine_m": 4, "solve_n": 4, "sample_n": 196})
+    assert run("corrector-study", str(path), str(tmp_path / "out")) == 0
+
+
 def test_study_one_rung_ladder_exits_3(tmp_path, capsys):
     path, _ = small_config(tmp_path, ladder=[0.25])
     assert run("corrector-study", str(path), str(tmp_path / "out")) == 3
     assert "/ladder" in capsys.readouterr().err
     # one rung is enough for the per-rung fine solves
     assert run("fine", str(path), str(tmp_path / "fine")) == 0
+
+
+def test_operator_structure_is_ignored():
+    # the declared structure constants are gone; an old config that still
+    # carries them validates to the same config, as any unknown key does
+    cfg = load_config("laminate-p3")
+    old = json.loads(json.dumps(cfg))
+    old["operator"]["structure"] = {"monotonicity": [1], "continuity": -2.0}
+    assert validate_config(old) == validate_config(cfg)
 
 
 def _set_leaf(cfg, pointer, value):
@@ -624,7 +716,7 @@ def _set_leaf(cfg, pointer, value):
     ("laminate-p3", "/operator/sigma", [-1, 1], "verify"),
     ("laminate-p3", "/operator/alpha", "z", "verify"),
     ("laminate-p3", "/operator/delta", "z", "verify"),
-    ("laminate-p2", "/operator/structure", [1], "verify"),
+    ("laminate-p2", "/geometry/fraction", 0.3, "fine"),
     ("laminate-p2", "/geometry", [1], "verify"),
     ("laminate-p2", "/geometry/fraction", 1.5, "verify"),
     ("laminate-p2", "/geometry/fraction", "a", "verify"),
@@ -635,6 +727,10 @@ def _set_leaf(cfg, pointer, value):
     ("laminate-p2", "/sources/f", [1], "fine"),
     ("laminate-p2", "/sources/f", "constant:nan", "fine"),
     ("laminate-p2", "/sources/f", "constant:x", "fine"),
+    # interfaces off the pitch 1/fine_m of the fine grids
+    ("laminate-p3", "/geometry/fraction", 0.3, "corrector-study"),
+    ("variable-exponent", "/geometry/size", 0.3, "fine"),
+    ("variable-exponent", "/geometry/size", 0.3, "corrector-study"),
 ])
 def test_malformed_field_exits_3(tmp_path, capsys, preset, pointer, value,
                                  subcommand):

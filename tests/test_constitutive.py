@@ -157,12 +157,12 @@ def test_phase_correct_tensor_lookup():
 
 def test_elastic_symmetries_entrywise():
     field = ElasticTensorField.from_lame((1.0, 1.0), (3.0, 2.0), LAMINATE)
-    assert field.has_elastic_symmetries(tol=1e-15)
+    assert field.has_elastic_symmetries()
 
 
 def test_sampled_ellipticity_positive():
     field = ElasticTensorField.from_lame((1.0, 1.0), (3.0, 2.0), LAMINATE)
-    max_norm, min_ratio = field.audit_bounds(100, seed=0)
+    max_norm, min_ratio = field.audit_bounds(seed=0)
     assert min_ratio > 0.0
     # configured floor: 2 mu_min = 2; allow the sampling slack
     assert min_ratio >= 2.0 * 0.99

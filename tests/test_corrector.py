@@ -246,22 +246,19 @@ def test_study_constant_coefficients_small():
     # effective solve grid
     spec = OperatorSpec(family="linear", geometry=UNIFORM, sigma=(2.0, 2.0))
     rep = run_corrector_study(spec, [0.25, 0.125], cell_n=8, fine_m=8,
-                              solve_n=16, sample_n=32,
-                              recover_gradient=False)
+                              solve_n=16, sample_n=32)
     assert max(rep.errors["E_exp"]) <= 0.02
     assert max(rep.errors["E_dm"]) > 0.0  # averaging error remains
     assert rep.errors["E_dm"][0] > rep.errors["E_dm"][1]
     # with the corrector attached on the fine grid itself the explicit
     # error hits the exact-degeneracy floor (same discrete solutions)
     from hk.fine_scale import solve_fine_electrostatic
-    from hk.cell_problems import SolverOptions
     cell = CellGrid(8)
     law = EffectiveLaw(spec, cell)
     dom = DomainGrid(32)
     macro = solve_homogenized_electrostatic(law, 1.0, dom)
     corr = reconstruct_phi1(law, macro.potential, sample_grid=dom)
-    fine = solve_fine_electrostatic(spec, 0.25, 1.0, dom,
-                                    SolverOptions(tol=1e-12))
+    fine = solve_fine_electrostatic(spec, 0.25, 1.0, dom, 1e-12)
     errs = corrector_error_explicit(fine.potential, macro.potential, corr,
                                     0.25, 2.0)
     assert errs["E_exp"] <= 1e-10

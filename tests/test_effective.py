@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hk import _fem
 from hk.cell_problems import solve_scalar_cell
 from hk.constitutive import (ElasticTensorField, Geometry, OperatorSpec,
                              isotropic_tensor)
@@ -111,7 +112,6 @@ def test_linear_case_b_hom_nonsymmetric_laminate():
 
 def test_linear_law_solves_unit_loadings_once(monkeypatch):
     # both unit loadings share one factorization of the cell stiffness
-    from hk import _fem
     calls = []
     splu = _fem._splu
 
@@ -443,10 +443,10 @@ def test_solutions_for_takes_no_flux_means(monkeypatch):
     assert len(calls) == 1
 
 
-def test_solutions_for_raises_nonconvergence():
-    from hk.cell_problems import SolverOptions
+def test_solutions_for_raises_nonconvergence(monkeypatch):
     from hk.errors import NonConvergence
-    law = EffectiveLaw(p3_laminate(), CellGrid(8),
-                       SolverOptions(max_newton=1, max_picard=0))
+    monkeypatch.setattr(_fem, "MAX_NEWTON", 1)
+    monkeypatch.setattr(_fem, "MAX_PICARD", 0)
+    law = EffectiveLaw(p3_laminate(), CellGrid(8))
     with pytest.raises(NonConvergence, match="batched cell solves"):
         law.solutions_for(np.array([[2.0, 1.0]]))

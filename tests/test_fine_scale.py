@@ -7,7 +7,8 @@ from hk.core_fields import DomainGrid, ScalarField
 from hk.fine_scale import (maxwell_stress, periods_per_side,
                            solve_fine_elasticity, solve_fine_electrostatic)
 
-from oracles import manufactured_elasticity, manufactured_laplace
+from oracles import (boundary_mask, manufactured_elasticity,
+                     manufactured_laplace, node_coords)
 
 LAMINATE = Geometry(kind="laminate", fraction=0.5)
 UNIFORM = Geometry("uniform")
@@ -18,7 +19,7 @@ def identity_spec():
 
 
 def l2_error_nodal(dom, values, exact_fn):
-    pts = dom.node_coords()
+    pts = node_coords(dom)
     err = values - exact_fn(pts[:, 0], pts[:, 1])
     return _fem.lp_norm_qp(dom.h, _fem.qp_values(err, dom.conn), 2.0)
 
@@ -64,16 +65,15 @@ def test_nonlinear_laminate_converges():
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
-def test_picard_steps_match_newton_solve(p):
-    # max_newton=0: frozen-coefficient steps only; the plain step
+def test_picard_steps_match_newton_solve(p, monkeypatch):
+    # MAX_NEWTON=0: frozen-coefficient steps only; the plain step
     # contracts for p <= 2, the relaxed step with weight 1/(p-1) above
-    from hk.cell_problems import SolverOptions
     spec = OperatorSpec(family="power-law", p=p, alpha=min(1.0, p - 1.0),
                         geometry=LAMINATE, sigma=(1.0, 4.0))
     dom = DomainGrid(32)
     newton = solve_fine_electrostatic(spec, 0.25, 1.0, dom)
-    picard = solve_fine_electrostatic(spec, 0.25, 1.0, dom,
-                                      SolverOptions(max_newton=0))
+    monkeypatch.setattr(_fem, "MAX_NEWTON", 0)
+    picard = solve_fine_electrostatic(spec, 0.25, 1.0, dom)
     assert picard.iterations["electrostatic"] \
         > newton.iterations["electrostatic"]
     assert picard.residuals["electrostatic"] <= 1e-10
@@ -114,7 +114,7 @@ def test_periods_per_side_rejects_aliasing():
 
 def test_maxwell_stress_affine():
     dom = DomainGrid(8)
-    pts = dom.node_coords()
+    pts = node_coords(dom)
     phi = ScalarField(dom, pts[:, 0] + 2.0 * pts[:, 1])
     sigma = maxwell_stress(phi)
     assert np.abs(sigma - np.array([[1.0, 2.0], [2.0, 4.0]])).max() < 1e-12
@@ -159,7 +159,7 @@ def test_elasticity_manufactured_second_order():
         phi = ScalarField(dom, np.zeros(dom.n_nodes))
         u, _ = solve_fine_elasticity(uniform_b(lam, mu), zero_c, 0.25,
                                      lambda x, y: g(x, y), phi, dom)
-        pts = dom.node_coords()
+        pts = node_coords(dom)
         err = u.values - u_exact(pts[:, 0], pts[:, 1])
         e_qp = _fem.qp_values(err, dom.conn)
         errs.append(_fem.lp_norm_qp(dom.h, e_qp, 2.0))
@@ -188,7 +188,7 @@ def _laminate_dirichlet_system(n, eps, elastic):
     """Fine-scale laminate block, a smooth load and the dofs per node."""
     dom = DomainGrid(n)
     points = _fem.cell_points(dom, eps)
-    pts = dom.node_coords()
+    pts = node_coords(dom)
     load = np.sin(np.pi * pts[:, 0]) * np.cos(2.0 * pts[:, 1])
     if elastic:
         b = ElasticTensorField.from_lame((1.0, 1.0), (3.0, 2.0), LAMINATE)
@@ -275,7 +275,7 @@ def test_nonsymmetric_block_takes_superlu(monkeypatch):
                                   ((4.0, 1.0), (-1.0, 4.0))))
     loc = spec.local_coefficients(_fem.cell_points(dom, 0.125))
     block = _fem.assemble_diffusion(dom, loc["bmat"])
-    pts = dom.node_coords()
+    pts = node_coords(dom)
     load = np.sin(np.pi * pts[:, 0]) * np.cos(2.0 * pts[:, 1])
     assert np.abs(block - block.T).max() > 0.1
     band, superlu = _factorizations(monkeypatch)
@@ -284,7 +284,7 @@ def test_nonsymmetric_block_takes_superlu(monkeypatch):
     free = _fem.free_dofs(dom)
     ref = np.linalg.solve(block.toarray(), load[free])
     assert np.abs(x[free] - ref).max() <= 1e-12 * np.abs(ref).max()
-    assert np.all(x[dom.boundary_mask] == 0.0)
+    assert np.all(x[boundary_mask(dom)] == 0.0)
 
 
 def test_indefinite_block_raises_singular_system():
@@ -361,9 +361,8 @@ def _p3_jacobian_system(n, eps):
 
     The Jacobian is taken at the Newton start for f = 1, the
     frozen-coefficient solve, whose gradient vanishes near the centre;
-    ``delta_jac`` keeps it definite there.
+    ``_fem.DELTA_JAC`` keeps it definite there.
     """
-    from hk.cell_problems import SolverOptions
     dom = DomainGrid(n)
     spec = OperatorSpec(family="power-law", p=3.0, alpha=1.0,
                         geometry=LAMINATE, sigma=(1.0, 4.0))
@@ -372,7 +371,7 @@ def _p3_jacobian_system(n, eps):
     start = _fem.assemble_diffusion(dom, loc["sigma"])
     phi = _factor_solve(start, load, n, 1)
     jac = spec.jacobian_local(loc, _fem.qp_gradient(phi, dom.conn, dom.h),
-                              delta_floor=SolverOptions().delta_jac)
+                              delta_floor=_fem.DELTA_JAC)
     return _fem.assemble_diffusion(dom, jac), load, 1
 
 
@@ -412,7 +411,7 @@ def test_fine_elasticity_factors_nothing_above_the_cut(monkeypatch):
     dom = DomainGrid(128)
     b = ElasticTensorField.from_lame((1.0, 1.0), (3.0, 2.0), LAMINATE)
     c = ElasticTensorField.from_lame((0.5, 0.5), (1.5, 1.0), LAMINATE)
-    pts = dom.node_coords()
+    pts = node_coords(dom)
     # gradient (cos(pi x1), sin(x2))
     phi = ScalarField(dom, np.sin(np.pi * pts[:, 0]) / np.pi
                       - np.cos(pts[:, 1]))
@@ -440,7 +439,7 @@ def test_elasticity_from_potential_matches_whole_grid_load(monkeypatch):
     b = ElasticTensorField.from_lame((1.0, 1.0), (3.0, 2.0), LAMINATE)
     c = ElasticTensorField.from_lame((0.5, 0.5), (1.5, 1.0), LAMINATE)
     g = np.array([0.0, -1.0])
-    pts = dom.node_coords()
+    pts = node_coords(dom)
     x1, x2 = pts[:, 0], pts[:, 1]
     phi = ScalarField(dom, np.sin(np.pi * x1) * np.sin(np.pi * x2)
                       * (1.0 + 0.1 * np.cos(2.0 * np.pi * x1 / eps)))

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from hk import _fem
-from hk.cell_problems import SolverOptions
+from hk import _fem, homogenized
 from hk.constitutive import ElasticTensorField, Geometry, OperatorSpec
 from hk.core_fields import CellGrid, DomainGrid, ScalarField
 from hk.effective import EffectiveLaw, assemble_elastic_tensors
 from hk.fine_scale import solve_fine_elasticity, solve_fine_electrostatic
-from hk.homogenized import (MacroOptions, macroscopic_gradient_field,
+from hk.homogenized import (macroscopic_gradient_field,
                             reconstruct_phi1, reconstruct_u1,
                             solve_homogenized_elasticity,
                             solve_homogenized_electrostatic)
@@ -15,7 +14,8 @@ from hk.homogenized import (MacroOptions, macroscopic_gradient_field,
 LAMINATE = Geometry(kind="laminate", fraction=0.5)
 UNIFORM = Geometry("uniform")
 
-from oracles import grad_y_fields, laminate_flux_balance, point_eval
+from oracles import (grad_y_fields, laminate_flux_balance, node_coords,
+                     point_eval)
 
 
 def test_zero_source_zero_potential():
@@ -45,11 +45,9 @@ def test_constant_law_equals_fine_solve():
                         geometry=UNIFORM, sigma=(2.0, 2.0))
     law = EffectiveLaw(spec, CellGrid(8))
     dom = DomainGrid(32)
-    opts = MacroOptions(tol=1e-12)
-    macro = solve_homogenized_electrostatic(law, 1.0, dom, opts)
+    macro = solve_homogenized_electrostatic(law, 1.0, dom, 1e-12)
     for eps in (0.5, 0.25):
-        fine = solve_fine_electrostatic(spec, eps, 1.0, dom,
-                                        SolverOptions(tol=1e-12))
+        fine = solve_fine_electrostatic(spec, eps, 1.0, dom, 1e-12)
         assert np.abs(macro.potential.values
                       - fine.potential.values).max() < 1e-12
 
@@ -64,16 +62,16 @@ def test_newton_quadratic_phase():
     assert hist[-2] / hist[-3] < 0.2
 
 
-def test_macro_newton_budget_raises_with_residual_and_count():
+def test_macro_newton_budget_raises_with_residual_and_count(monkeypatch):
     from hk.errors import NonConvergence
     spec = OperatorSpec(family="power-law", p=3.0, alpha=1.0,
                         geometry=LAMINATE, sigma=(1.0, 4.0))
     law = EffectiveLaw(spec, CellGrid(8))
+    monkeypatch.setattr(homogenized, "MACRO_MAX_ITER", 1)
     with pytest.raises(NonConvergence, match="after 1 iterations") as info:
-        solve_homogenized_electrostatic(law, 1.0, DomainGrid(16),
-                                        MacroOptions(max_iter=1))
+        solve_homogenized_electrostatic(law, 1.0, DomainGrid(16))
     assert info.value.iterations == 1
-    assert info.value.residual > MacroOptions().tol
+    assert info.value.residual > homogenized.MACRO_TOL
 
 
 def test_reconstruct_phi1_constant_coefficients():
@@ -130,10 +128,10 @@ def test_reconstruct_phi1_residuals_on_fine_cell_grid():
                         geometry=LAMINATE, sigma=(1.0, 4.0))
     law = EffectiveLaw(spec, CellGrid(64))
     dom = DomainGrid(4)
-    xy = dom.node_coords()
+    xy = node_coords(dom)
     phi0 = ScalarField(dom, xy[:, 0] + 0.5 * xy[:, 1])  # one loading
     corr = reconstruct_phi1(law, phi0)
-    scale = SolverOptions().tol * max(1.0, np.linalg.norm([1.0, 0.5])) ** 2
+    scale = _fem.CELL_TOL * max(1.0, np.linalg.norm([1.0, 0.5])) ** 2
     for res in (corr.cell_residuals, corr.identity_residuals):
         assert np.isfinite(res).all()
     assert 0.0 < corr.cell_residuals.max() <= scale
@@ -146,7 +144,7 @@ def test_recovered_gradient_superconvergence():
     raw, rec = [], []
     for n in (8, 16, 32):
         dom = DomainGrid(n)
-        pts = dom.node_coords()
+        pts = node_coords(dom)
         vals = np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1])
         from hk.core_fields import ScalarField
         phi = ScalarField(dom, vals)
@@ -191,15 +189,13 @@ def test_constant_coefficients_fine_equals_homogenized():
     b = ElasticTensorField.from_lame((1.0, 1.0), geometry=UNIFORM)
     c = ElasticTensorField.from_lame((0.5, 0.25), geometry=UNIFORM)
     dom = DomainGrid(32)
-    macro = solve_homogenized_electrostatic(law, 1.0, dom,
-                                            MacroOptions(tol=1e-12))
+    macro = solve_homogenized_electrostatic(law, 1.0, dom, 1e-12)
     b_eff, c_eff = assemble_elastic_tensors(b, c, law.solutions_for(np.eye(2)),
                                             cell)
     g = np.array([0.0, -1.0])
     u0, _ = solve_homogenized_elasticity(b_eff, c_eff, g, macro.potential, dom)
     for eps in (0.5, 0.25):
-        fine = solve_fine_electrostatic(spec, eps, 1.0, dom,
-                                        SolverOptions(tol=1e-12))
+        fine = solve_fine_electrostatic(spec, eps, 1.0, dom, 1e-12)
         u_eps, _ = solve_fine_elasticity(b, c, eps, g, fine.potential, dom)
         assert np.abs(u_eps.values - u0.values).max() < 1e-12
 
@@ -311,7 +307,7 @@ def test_macro_returns_cell_potentials_of_final_iterate():
     grads = _fem.qp_gradient(macro.potential.values, dom.conn,
                              dom.h).reshape(-1, 2)
     cell, _ = law.batch.attached_residuals(grads, macro.cell_potentials)
-    assert (cell <= law.opts.tol * _tol_scale(spec, grads)).all()
+    assert (cell <= law.tol * _tol_scale(spec, grads)).all()
 
 
 def test_constant_law_macro_keeps_no_cell_potentials():
@@ -359,5 +355,5 @@ def test_reconstruct_phi1_predictor_takes_fewer_newton_steps(monkeypatch):
     assert predicted < nearest
     # a residual within tol moves the potentials by a few tol: the pinned
     # Newton matrix is weak at the small loadings of this source
-    scale = law.opts.tol * _tol_scale(spec, corr.loadings)
+    scale = law.tol * _tol_scale(spec, corr.loadings)
     assert (np.abs(corr.potentials - cold).max(axis=1) <= 10 * scale).all()

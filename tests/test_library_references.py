@@ -4,8 +4,10 @@ A public module-level definition in ``src/hk``, or a public method of one
 of its classes, that nothing in ``src/hk`` names outside its own body is
 code kept alive by tests alone.  So is a public attribute, a dataclass
 field or an attribute a method sets on ``self``, that nothing in ``src/hk``
-reads.  The allowlist names the exceptions, one reason each; a method goes
-by ``Class.method`` and an attribute by ``Class.attribute``.
+reads outside the methods that set it (``self.x.setflags(...)`` in the
+method that stores ``self.x`` does not count).  The allowlist names the
+exceptions, one reason each; a method goes by ``Class.method`` and an
+attribute by ``Class.attribute``.
 """
 
 import ast
@@ -63,6 +65,14 @@ def _visit(body, owner, own, public, referenced):
             referenced.update(set(_names(stmt)) - own)
 
 
+def _self_stores(function):
+    """Names of the attributes that ``function`` stores on ``self``."""
+    return {node.attr for node in ast.walk(function)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"}
+
+
 def _attributes(cls):
     """Attributes of class ``cls``: dataclass fields and ``self.`` stores."""
     if any("dataclass" in set(_names(node)) for node in cls.decorator_list):
@@ -72,12 +82,22 @@ def _attributes(cls):
                 yield stmt.target.id
     for stmt in cls.body:
         if isinstance(stmt, ast.FunctionDef):
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Attribute) \
-                        and isinstance(node.ctx, ast.Store) \
-                        and isinstance(node.value, ast.Name) \
-                        and node.value.id == "self":
-                    yield node.attr
+            yield from _self_stores(stmt)
+
+
+def _reads(node, stored=frozenset()):
+    """Attribute names that ``node`` loads, less ``stored`` ones.
+
+    A function adds the attributes it stores on ``self`` to ``stored``
+    for its own body, so a method's loads of what it stores do not count.
+    """
+    if isinstance(node, ast.FunctionDef):
+        stored = stored | _self_stores(node)
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) \
+            and node.attr not in stored:
+        yield node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _reads(child, stored)
 
 
 def _unreferenced():
@@ -85,14 +105,12 @@ def _unreferenced():
     for path in sorted(_LIBRARY.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         _visit(tree.body, "", set(), public, referenced)
+        read.update(_reads(tree))
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
                 attributes.update(f"{node.name}.{name}"
                                   for name in _attributes(node)
                                   if not name.startswith("_"))
-            elif isinstance(node, ast.Attribute) \
-                    and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
     return sorted({name for name in public
                    if name.rpartition(".")[2] not in referenced}
                   | {name for name in attributes
