@@ -419,7 +419,7 @@ class BatchScalarCellSolver:
         # local coefficients with a leading batch axis
         self.loc = {k: v[None, ...] for k, v in
                     spec.local_coefficients(grid.qp_coords()).items()}
-        self._w = grid.h * grid.h * _fem.REF_WEIGHTS
+        self._w = grid.weights
         # constant element operators, applied as 2-D matmuls over the
         # (k * nel) elements of a batch: nodal values (a) -> gradients
         # (q, d); fluxes (q, d) -> ∫ flux . grad v per node (a); scalar

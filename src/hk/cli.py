@@ -27,7 +27,8 @@ from .cell_problems import (BatchScalarCellSolver,  # noqa: F401
                             solve_scalar_cell, solve_scalar_cells)
 from .constitutive import (ElasticTensorField, Geometry, OperatorSpec,
                            check_growth_conditions)
-from .core_fields import CellGrid, DomainGrid, ScalarField, dump_field
+from .core_fields import (CellGrid, DomainGrid, ScalarField, VectorField,
+                          dump_field)
 from .corrector import run_corrector_study, study_source
 from .effective import (EffectiveLaw, assemble_elastic_tensors,
                         check_a_hom_properties)
@@ -420,7 +421,6 @@ def cmd_cell(cfg, out_dir, _unused=1):
         }
     tensor_b, tensor_c = build_tensors(cfg)
     if tensor_b is not None:
-        from .core_fields import VectorField
         b_eff, c_eff = assemble_elastic_tensors(tensor_b, tensor_c,
                                                 unit_etas, grid)
         for (i, j), sol in b_eff.solutions.items():
@@ -448,7 +448,7 @@ def cmd_effective(cfg, out_dir, _unused=1):
     report["a_hom_unit_loadings"] = _tensor_nested(a_unit)
     if spec.is_linear:
         report["b_hom"] = _tensor_nested(a_unit.T)
-    props = check_a_hom_properties(law, m=100, seed=cfg["seed"])
+    props = check_a_hom_properties(law, seed=cfg["seed"])
     report["a_hom_properties"] = {
         "theta": props.theta, "pairs": props.pairs,
         "min_monotonicity": props.min_monotonicity,
@@ -545,7 +545,7 @@ def cmd_verify(cfg, out_dir, _unused=1):
     checks = {}
     ok = True
 
-    reports = [check_growth_conditions(spec, m=1000, seed=cfg["seed"] + k)
+    reports = [check_growth_conditions(spec, seed=cfg["seed"] + k)
                for k in range(3)]
     checks["growth_conditions"] = [
         {"seed": r.seed, "max_flux_at_zero": r.max_flux_at_zero,
@@ -555,7 +555,7 @@ def cmd_verify(cfg, out_dir, _unused=1):
     ok &= not any(r.violation for r in reports)
 
     law = EffectiveLaw(spec, grid, cfg["tolerances"]["cell"])
-    props = check_a_hom_properties(law, m=100, seed=cfg["seed"])
+    props = check_a_hom_properties(law, seed=cfg["seed"])
     checks["a_hom_properties"] = {
         "theta": props.theta, "min_monotonicity": props.min_monotonicity,
         "max_continuity": props.max_continuity, "violation": props.violation}

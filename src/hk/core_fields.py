@@ -17,23 +17,22 @@ def _is_power_of_two(n):
     return n >= 1 and (n & (n - 1)) == 0
 
 
-class QuadratureRule:
-    """2x2 Gauss rule on the reference square, scaled per element.
-
-    Weights sum to the element area; exact for products of bilinears.
-    """
-
-    def __init__(self, h):
-        self.weights = h * h * _fem.REF_WEIGHTS
-        self.weights.setflags(write=False)
-
-
 class _Grid:
-    """What both structured grids share: quadrature points and block patterns.
+    """What both structured grids share: quadrature and block patterns.
 
-    Both are built on first use and live as long as the grid; sums onto
+    All are built on first use and live as long as the grid; sums onto
     the nodes (``_fem.node_sum``) keep nothing on it.
     """
+
+    @cached_property
+    def weights(self):
+        """2x2 Gauss weights of one element, h^2 ``_fem.REF_WEIGHTS``, (4,).
+
+        They sum to the element area, read-only.
+        """
+        weights = self.h * self.h * _fem.REF_WEIGHTS
+        weights.setflags(write=False)
+        return weights
 
     def qp_coords(self):
         """Quadrature-point coordinates (nel, 4, 2), read-only, built once."""
@@ -75,7 +74,6 @@ class CellGrid(_Grid):
         self.n_elems = self.n * self.n
         self.conn = _fem.structured_connectivity(self.n, periodic=True)
         self.conn.setflags(write=False)
-        self.rule = QuadratureRule(self.h)
 
     def node_coords(self):
         ix, iy = np.meshgrid(np.arange(self.n), np.arange(self.n), indexing="xy")
@@ -112,7 +110,6 @@ class DomainGrid(_Grid):
         self.n_elems = self.n * self.n
         self.conn = _fem.structured_connectivity(self.n, periodic=False)
         self.conn.setflags(write=False)
-        self.rule = QuadratureRule(self.h)
 
     def __eq__(self, other):
         return isinstance(other, DomainGrid) and other.n == self.n

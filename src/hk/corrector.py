@@ -1,4 +1,4 @@
-"""Coarse-scale averaging, two-scale composition, and corrector studies.
+"""Coarse-scale averaging, two-scale pairings, and corrector studies.
 
 The microstructure cells are the eps-dilates of the unit cell centered
 on the lattice eps*Z^2, so their boundaries sit at eps*(i +- 1/2); cells
@@ -18,9 +18,11 @@ import numpy as np
 from . import _fem
 from .core_fields import CellGrid, DomainGrid, ScalarField, sample_oscillatory
 from .effective import EffectiveLaw, assemble_elastic_tensors
-from .fine_scale import solve_fine_electrostatic, solve_fine_elasticity
-from .homogenized import (MACRO_TOL, macroscopic_gradient_field,
-                          reconstruct_phi1, solve_homogenized_elasticity,
+from .fine_scale import (maxwell_stress, solve_fine_electrostatic,
+                         solve_fine_elasticity)
+from .homogenized import (MACRO_TOL, _nearest_qp, _nearest_qp_located,
+                          macroscopic_gradient_field, reconstruct_phi1,
+                          solve_homogenized_elasticity,
                           solve_homogenized_electrostatic)
 
 
@@ -90,7 +92,7 @@ def coarse_average_M(v, domain, eps, zero_boundary=True):
     # plain one adds them, with no weighted copy of the data
     cells = _fem.scatter_matrix(part.cell_of(domain.qp_coords()),
                                 part.n_cells)
-    cells.data = np.tile(domain.rule.weights, domain.n_elems)[cells.indices]
+    cells.data = np.tile(domain.weights, domain.n_elems)[cells.indices]
     comp_shape = data.shape[2:]
     sums = _fem.scatter(cells, data)
     meas = _fem.scatter(cells, np.ones(cells.shape[1]))
@@ -102,86 +104,22 @@ def coarse_average_M(v, domain, eps, zero_boundary=True):
 
 
 # ---------------------------------------------------------------------------
-# Two-scale composition (unfolding)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class UnfoldedField:
-    """v(eps*[x/eps] + eps*y) sampled on the fine quadrature layout.
-
-    ``values[c]`` is the unit-cell trace of v over the c-th interior cell
-    in flat cell id order, arranged as (elements-per-cell, 4, ...) in
-    unit-cell element order.
-    """
-
-    eps: float
-    values: np.ndarray          # (n_interior_cells, m*m, 4, ...)
-    weight: float               # quadrature weight per point in y-units
-
-    def norm_lp(self, p):
-        mag = np.abs(self.values) if self.values.ndim == 3 else np.sqrt(
-            (self.values * self.values).sum(axis=-1))
-        return float((self.eps ** 2 * self.weight * (mag ** p).sum())
-                     ** (1.0 / p))
-
-
-def two_scale_compose_S(v, eps):
-    """Unfold a fine-scale field onto (interior eps-cells) x (unit cell).
-
-    The composition is a rearrangement of quadrature values, so L^p norms
-    over whole cells are preserved exactly.  Requires the fine grid to
-    resolve each eps-period (N * eps integer).
-    """
-    domain = v.grid if not isinstance(v, np.ndarray) else None
-    if domain is None:
-        raise ValueError("two_scale_compose_S expects a field")
-    data = v.at_quadrature()
-    part = EpsPartition(eps)
-    n = domain.n
-    m = n * eps
-    if abs(m - round(m)) > 1e-9:
-        raise ValueError("fine grid does not resolve the eps-cells")
-    m = int(round(m))
-    # element (ex, ey) belongs to cell (cx, cy) with offset (ox, oy)
-    ex = np.arange(n)
-    cxa = (ex + m // 2) // m
-    oxa = (ex + m // 2) % m
-    ex_grid, ey_grid = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
-    cid = (cxa[ey_grid] * part.per_axis + cxa[ex_grid]).ravel()
-    # unit-cell element index: offsets count from the cell's lower-left
-    off = (oxa[ey_grid] * m + oxa[ex_grid]).ravel()
-    keep = part.interior[cid]
-    cells = np.unique(cid[keep])
-    cell_pos = np.full(part.n_cells, -1)
-    cell_pos[cells] = np.arange(cells.size)
-    comp_shape = data.shape[2:]
-    values = np.zeros((cells.size, m * m, 4) + comp_shape)
-    values[cell_pos[cid[keep]], off[keep]] = data.reshape(
-        (n * n, 4) + comp_shape)[keep]
-    weight = (1.0 / m) ** 2 / 4.0
-    return UnfoldedField(eps, values, weight)
-
-
-# ---------------------------------------------------------------------------
 # Corrector error norms
 # ---------------------------------------------------------------------------
 
-def _fine_qp_setup(phi_eps, phi0, corr, eps, grad0_field=None,
-                   rows=slice(None)):
+def _fine_qp_setup(phi_eps, grad_field, corr, eps, rows):
     """Fine quadrature-point data of element rows ``rows`` for the errors.
 
     Flat over the rows' quadrature points, in element order: the points,
-    grad phi_eps, the macroscopic gradient, the sample quadrature point
-    whose element quadrant holds each point, and y = {x/eps}_Y.  Without
-    ``phi0`` (the Dal Maso error reads neither) the macroscopic gradient
-    and the sample points are None.  The points are located once, on the
-    grid the macroscopic gradient is read on; a sample grid that refines
-    it, as every study's does, takes its quadrants from that location.
-    As with ``_fem.qp_coords``, the arrays of consecutive row blocks
-    concatenate to the whole grid's.
+    grad phi_eps, the macroscopic gradient ``grad_field`` read there, the
+    sample quadrature point whose element quadrant holds each point, and
+    y = {x/eps}_Y.  Without ``grad_field`` (the Dal Maso error reads
+    neither) the macroscopic gradient and the sample points are None.
+    The points are located once, on the grid of ``grad_field``; a sample
+    grid that refines it, as every study's does, takes its quadrants
+    from that location.  As with ``_fem.qp_coords``, the arrays of
+    consecutive row blocks concatenate to the whole grid's.
     """
-    from .homogenized import (_gradient_located, _nearest_qp,
-                              _nearest_qp_located)
     domain = phi_eps.grid
     pts = _fem.qp_coords(domain.n, domain.h, domain.origin,
                          rows).reshape(-1, 2)
@@ -189,10 +127,11 @@ def _fine_qp_setup(phi_eps, phi0, corr, eps, grad0_field=None,
         phi_eps.values, _fem.rows_of(domain.conn, domain.n, rows),
         domain.h).reshape(-1, 2)
     grad0 = sample_idx = None
-    if phi0 is not None:
-        g = (phi0 if grad0_field is None else grad0_field).grid
+    if grad_field is not None:
+        g = grad_field.grid
         elem, local = _fem.locate_points(pts, g.n, g.h, g.origin)
-        grad0 = _gradient_located(phi0, grad0_field, elem, local)
+        grad0 = _fem.value_at_local(
+            _fem.element_values(grad_field.values, g.conn, elem), local)
         ratio, rest = divmod(corr.sample_grid.n, g.n)
         sample_idx = _nearest_qp(corr.sample_grid, pts) if rest else \
             _nearest_qp_located(elem, local, g.n, ratio)
@@ -221,13 +160,15 @@ def _lp_roots(domain, per_qp, p):
             for k in range(per_qp.shape[-1])]
 
 
-def corrector_error_explicit(phi_eps, phi0, corr, eps, p, grad0_field=None):
+def corrector_error_explicit(phi_eps, grad_field, corr, eps, p):
     """Explicit and averaged corrector errors plus the no-corrector error.
 
     E_exp = || grad phi_eps - grad phi0 - grad_y phi1(x, x/eps) ||_Lp with
-    the corrector read from the cell solution attached to the sample
-    point of x; E_avg first averages the corrector over each eps-cell in
-    the macroscopic variable; E_nocorr drops the corrector entirely.
+    grad phi0 read from ``grad_field`` (the recovered macroscopic
+    gradient) and the corrector from the cell solution attached to the
+    sample point of x; E_avg first averages the corrector over each
+    eps-cell in the macroscopic variable; E_nocorr drops the corrector
+    entirely.
     Interior-only variants (over cells fully inside the domain) expose
     the boundary-layer contribution.  The eps-cell averages are built
     once; the fine grid is walked in blocks of element rows within
@@ -242,7 +183,7 @@ def corrector_error_explicit(phi_eps, phi0, corr, eps, p, grad0_field=None):
 
     def powers(rows):
         pts, grad_eps, grad0, sample_idx, y = _fine_qp_setup(
-            phi_eps, phi0, corr, eps, grad0_field, rows)
+            phi_eps, grad_field, corr, eps, rows)
         located = _fem.locate_points(y, cell_grid.n, cell_grid.h,
                                      cell_grid.origin)
         cell_ids = part.cell_of(pts)
@@ -264,8 +205,7 @@ def corrector_error_explicit(phi_eps, phi0, corr, eps, p, grad0_field=None):
                                      p)))
 
 
-def corrector_error_dalmaso(phi_eps, phi0, law, corr, eps, p,
-                            grad0_field=None):
+def corrector_error_dalmaso(phi_eps, law, corr, eps, p):
     """Cell-averaged-loading corrector error.
 
     The macroscopic gradient is averaged over each eps-cell (zero on
@@ -283,8 +223,7 @@ def corrector_error_dalmaso(phi_eps, phi0, law, corr, eps, p,
     solutions = law.solutions_for(avg.values)
 
     def powers(rows):
-        pts, grad_eps, _, _, y = _fine_qp_setup(phi_eps, None, corr, eps,
-                                                rows=rows)
+        pts, grad_eps, _, _, y = _fine_qp_setup(phi_eps, None, corr, eps, rows)
         cell_ids = avg.partition.cell_of(pts)
         flux_map = avg.values[cell_ids] + _table_grad_at(
             solutions, cell_ids, cell_grid,
@@ -367,10 +306,10 @@ def two_scale_stress_pairing(corr, psi_x, psi_y):
     sample = corr.sample_grid
     spts = sample.qp_coords().reshape(-1, 2)
     fx = psi_x(spts[:, 0], spts[:, 1]) \
-        * np.tile(sample.rule.weights, sample.n_elems)
+        * np.tile(sample.weights, sample.n_elems)
     cg = corr.cell_grid
     ypts = cg.qp_coords()
-    fy = psi_y(ypts[..., 0], ypts[..., 1]) * cg.rule.weights
+    fy = psi_y(ypts[..., 0], ypts[..., 1]) * cg.weights
     gradient = _fem.gradient_matrix(cg)
     pairs = ((0, 0), (1, 1), (0, 1))
     forms = [_fem.gradient_form(gradient, fy[..., None, None]
@@ -404,7 +343,6 @@ def maxwell_two_scale_check(phi_eps, eps, two_scale, psi_x, psi_y):
     block of element rows (``maxwell_stress``), never for the whole grid.
     Returns the max absolute entry of the difference.
     """
-    from .fine_scale import maxwell_stress
     domain = phi_eps.grid
 
     def integrand(rows):
@@ -569,9 +507,8 @@ def run_corrector_study(spec, ladder, cell_n=8, fine_m=16, solve_n=32,
     phi0 = macro.potential
     grad_field = macroscopic_gradient_field(phi0)
     sample_grid = DomainGrid(sample_n)
-    corr = reconstruct_phi1(law, phi0, sample_grid=sample_grid,
-                            gradient_field=grad_field,
-                            cell_potentials=macro.cell_potentials)
+    corr = reconstruct_phi1(law, phi0, sample_grid, grad_field,
+                            macro.cell_potentials)
 
     with_elasticity = tensor_b is not None and tensor_c is not None
     u0 = None
@@ -600,10 +537,10 @@ def run_corrector_study(spec, ladder, cell_n=8, fine_m=16, solve_n=32,
                                              fine.potential, domain)
             el_gap = abs(functional_pairing(u_eps, _psi_vec) - u0_pairing)
             del u_eps
-        errs = corrector_error_explicit(fine.potential, phi0, corr, eps,
-                                        spec.p, grad_field)
-        errs["E_dm"] = corrector_error_dalmaso(fine.potential, phi0, law,
-                                               corr, eps, spec.p, grad_field)
+        errs = corrector_error_explicit(fine.potential, grad_field, corr,
+                                        eps, spec.p)
+        errs["E_dm"] = corrector_error_dalmaso(fine.potential, law, corr,
+                                               eps, spec.p)
         pairing = two_scale_pairing(sample_oscillatory(g_pair, eps, domain),
                                     _psi_x, _psi_y_pairing, eps)
         mw_gap = maxwell_two_scale_check(fine.potential, eps,

@@ -120,13 +120,13 @@ class EffectiveLaw:
 
     # -- derivatives -------------------------------------------------------
 
-    def jacobian_batch(self, loadings, etas=None):
+    def jacobian_batch(self, loadings, etas):
         """Consistent tangents d a_hom / d xi, (K, 2, 2), and W = d eta / d xi.
 
         d a_hom / d xi = ∫ A(y, p) (I + grad w) with p = xi + grad eta_xi,
         A = d a / d xi and w_j the linearized cell solution for the unit
         loading e_j.  ``etas`` are the cell solutions at the loadings, as
-        ``solve`` returned them; when None they are solved first.  Each
+        ``solve`` returned them (None for a constant law).  Each
         tangent costs two linear solves with the Newton matrix at the
         converged solution.  The zero-mean W = [w_1 w_2], (K, n^2, 2),
         predicts the cell solution at a nearby loading xi' as
@@ -143,8 +143,6 @@ class EffectiveLaw:
             jac = np.broadcast_to(self.matrix,
                                   (loadings.shape[0], 2, 2)).copy()
         else:
-            if etas is None:
-                etas = self.solutions_for(loadings)
             jac, w = self.batch.tangents(loadings, etas)
         return jac, w
 
@@ -276,21 +274,21 @@ class AHomPropertyReport:
     violation: bool
 
 
+A_HOM_AUDIT_PAIRS = 100    # loading pairs of ``check_a_hom_properties``
 A_HOM_AUDIT_RADIUS = 2.0
 
 
-def check_a_hom_properties(law, m=100, seed=0):
+def check_a_hom_properties(law, seed=0):
     """Sampled monotonicity and continuity ratios of the effective law.
 
-    The m pairs of loadings are drawn uniformly from the disc of radius
-    ``A_HOM_AUDIT_RADIUS``.  Monotonicity ratio: [a(x1)-a(x2)].(x1-x2) /
-    ((1+|x1|^2+|x2|^2)^((p-2)/2) |x1-x2|^2); continuity ratio uses the
-    exponent theta = alpha/(2-alpha).
+    ``A_HOM_AUDIT_PAIRS`` pairs of loadings are drawn uniformly from the
+    disc of radius ``A_HOM_AUDIT_RADIUS``.  Monotonicity ratio:
+    [a(x1)-a(x2)].(x1-x2) / ((1+|x1|^2+|x2|^2)^((p-2)/2) |x1-x2|^2);
+    continuity ratio uses the exponent theta = alpha/(2-alpha).
     Report only; the violation flag trips when any monotonicity ratio is
     nonpositive.
     """
-    if m < 20:
-        raise ValueError("property audit needs at least 20 pairs")
+    m = A_HOM_AUDIT_PAIRS
     rng = np.random.default_rng(seed)
     angle = rng.uniform(0.0, 2.0 * np.pi, size=(2, m))
     r = A_HOM_AUDIT_RADIUS * np.sqrt(rng.uniform(0.0, 1.0, size=(2, m)))

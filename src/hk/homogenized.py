@@ -180,36 +180,39 @@ def macroscopic_gradient_field(phi0):
 def _gradient_at(phi0, gradient_field, pts):
     """The macroscopic gradient at points (..., 2), (..., 2).
 
-    ``gradient_field``'s values where given, else phi0's Q1 gradient:
-    ``_gradient_located`` at the points located on the grid it reads.
+    ``gradient_field``'s values where given, else phi0's Q1 gradient, at
+    the points located on the grid it reads (the field's, else phi0's).
     """
     g = (phi0 if gradient_field is None else gradient_field).grid
     pts = np.asarray(pts, dtype=float)
-    grads = _gradient_located(phi0, gradient_field, *_fem.locate_points(
-        pts.reshape(-1, 2), g.n, g.h, g.origin))
+    elem, local = _fem.locate_points(pts.reshape(-1, 2), g.n, g.h, g.origin)
+    if gradient_field is None:
+        grads = _fem.gradient_at_local(
+            _fem.element_values(phi0.values, g.conn, elem), local, g.h)
+    else:
+        grads = _fem.value_at_local(
+            _fem.element_values(gradient_field.values, g.conn, elem), local)
     return grads.reshape(pts.shape)
 
 
-def reconstruct_phi1(law, phi0, sample_grid=None, gradient_field=None,
-                     cell_potentials=None):
+def reconstruct_phi1(law, phi0, sample_grid, gradient_field, cell_potentials):
     """Per-quadrature-point corrector gradients from attached cell solves.
 
     The corrector gradient at (x, y) is p(y, grad phi0(x)) - grad phi0(x);
-    here the macroscopic gradient is sampled at the quadrature points of
-    ``sample_grid`` (default: the grid phi0 was solved on) and one cell
-    solve on ``law.grid`` is attached to each.  ``gradient_field``
-    optionally replaces the raw Q1 gradient of phi0 (e.g. the recovered
-    gradient).  Means over the unit cell vanish because the attached
+    here the macroscopic gradient ``gradient_field`` (the recovered
+    gradient of phi0) is sampled at the quadrature points of
+    ``sample_grid`` and one cell solve on ``law.grid`` is attached to
+    each.  Means over the unit cell vanish because the attached
     potentials are periodic.  ``cell_potentials`` are the cell solutions
     at the quadrature points of phi0's grid, as the macro solve returns
-    them.  When given, the points nearest a sample point become rows
-    (xi0, eta, W) of the law's ``cell_predictor``: xi0 is phi0's Q1
-    gradient there and W = d eta / d xi comes from one tangent solve per
-    such point.  A homogeneous law starts every sample loading from the
-    circle interpolant of all of these rows; any other law from the
-    first-order predictor eta + W (xi - xi0) of the nearest point.
+    them, or None (a linear or constant law has none).  When given, the
+    points nearest a sample point become rows (xi0, eta, W) of the law's
+    ``cell_predictor``: xi0 is phi0's Q1 gradient there and
+    W = d eta / d xi comes from one tangent solve per such point.  A
+    homogeneous law starts every sample loading from the circle
+    interpolant of all of these rows; any other law from the first-order
+    predictor eta + W (xi - xi0) of the nearest point.
     """
-    sample_grid = sample_grid or phi0.grid
     pts = sample_grid.qp_coords().reshape(-1, 2)
     loadings = _gradient_at(phi0, gradient_field, pts)
     warm = None
@@ -223,21 +226,6 @@ def reconstruct_phi1(law, phi0, sample_grid=None, gradient_field=None,
     potentials = law.solutions_for(loadings, warm=warm)
     return CorrectorData(sample_grid, law.grid, loadings, potentials,
                          *law.batch.attached_residuals(loadings, potentials))
-
-
-def _gradient_located(phi0, gradient_field, elem, local):
-    """``_gradient_at`` at points located on the grid it reads.
-
-    That grid is ``gradient_field``'s where given, else phi0's; ``elem``
-    and ``local`` are ``_fem.locate_points``' on it.
-    """
-    if gradient_field is not None:
-        g = gradient_field.grid
-        return _fem.value_at_local(
-            _fem.element_values(gradient_field.values, g.conn, elem), local)
-    g = phi0.grid
-    return _fem.gradient_at_local(
-        _fem.element_values(phi0.values, g.conn, elem), local, g.h)
 
 
 def _nearest_qp(grid, pts):
@@ -275,7 +263,8 @@ def solve_homogenized_elasticity(b_eff, c_eff, g, phi0, domain,
     Constant-coefficient Dirichlet solve (``_fem.solve_dirichlet``); the
     electric load contracts the effective electrostriction pair matrices
     against the rank-one macroscopic Maxwell stress at each quadrature
-    point.
+    point.  Its gradient is ``gradient_field``'s where given (a study
+    passes the recovered one), else phi0's Q1 gradient.
     """
     g_qp = _source_at_qp(g, domain)
     rhs = _fem.load_vector(domain, g_qp)

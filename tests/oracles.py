@@ -4,13 +4,18 @@ Everything here is derived from one-dimensional flux/traction balance or
 closed-form calculus, with no code shared with the package's assembly
 and solver paths.  ``point_eval`` is the exception: it locates points and
 evaluates a Q1 field there through the package's own kernels, the
-reference that the located paths must match bitwise.
+reference that the located paths must match bitwise.  The unfolding
+operator S_eps (``two_scale_compose_S``) rearranges a field's quadrature
+values by the package's eps-cell partition.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from hk import _fem
+from hk.corrector import EpsPartition
 
 
 def laminate_flux_balance(sigmas, fractions, p, loading=1.0):
@@ -237,3 +242,60 @@ def point_eval(nodal, conn, h, n_cells, origin, points):
                                      origin)
     out = _fem.value_at_local(_fem.element_values(nodal, conn, elem), local)
     return out.reshape(points.shape[:-1] + out.shape[1:])
+
+
+@dataclass
+class UnfoldedField:
+    """v(eps*[x/eps] + eps*y) sampled on the fine quadrature layout.
+
+    ``values[c]`` is the unit-cell trace of v over the c-th interior cell
+    in flat cell id order, arranged as (elements-per-cell, 4, ...) in
+    unit-cell element order.
+    """
+
+    eps: float
+    values: np.ndarray          # (n_interior_cells, m*m, 4, ...)
+    weight: float               # quadrature weight per point in y-units
+
+    def norm_lp(self, p):
+        mag = np.abs(self.values) if self.values.ndim == 3 else np.sqrt(
+            (self.values * self.values).sum(axis=-1))
+        return float((self.eps ** 2 * self.weight * (mag ** p).sum())
+                     ** (1.0 / p))
+
+
+def two_scale_compose_S(v, eps):
+    """Unfold a fine-scale field onto (interior eps-cells) x (unit cell).
+
+    The composition is a rearrangement of quadrature values, so L^p norms
+    over whole cells are preserved exactly.  Requires the fine grid to
+    resolve each eps-period (N * eps integer).
+    """
+    domain = v.grid if not isinstance(v, np.ndarray) else None
+    if domain is None:
+        raise ValueError("two_scale_compose_S expects a field")
+    data = v.at_quadrature()
+    part = EpsPartition(eps)
+    n = domain.n
+    m = n * eps
+    if abs(m - round(m)) > 1e-9:
+        raise ValueError("fine grid does not resolve the eps-cells")
+    m = int(round(m))
+    # element (ex, ey) belongs to cell (cx, cy) with offset (ox, oy)
+    ex = np.arange(n)
+    cxa = (ex + m // 2) // m
+    oxa = (ex + m // 2) % m
+    ex_grid, ey_grid = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
+    cid = (cxa[ey_grid] * part.per_axis + cxa[ex_grid]).ravel()
+    # unit-cell element index: offsets count from the cell's lower-left
+    off = (oxa[ey_grid] * m + oxa[ex_grid]).ravel()
+    keep = part.interior[cid]
+    cells = np.unique(cid[keep])
+    cell_pos = np.full(part.n_cells, -1)
+    cell_pos[cells] = np.arange(cells.size)
+    comp_shape = data.shape[2:]
+    values = np.zeros((cells.size, m * m, 4) + comp_shape)
+    values[cell_pos[cid[keep]], off[keep]] = data.reshape(
+        (n * n, 4) + comp_shape)[keep]
+    weight = (1.0 / m) ** 2 / 4.0
+    return UnfoldedField(eps, values, weight)

@@ -176,7 +176,7 @@ def test_criterion_4_structural_property_suite():
     for name, spec in built_in_specs().items():
         law = EffectiveLaw(spec, CellGrid(16))
         for seed in range(3):
-            rep = check_a_hom_properties(law, m=100, seed=seed)
+            rep = check_a_hom_properties(law, seed=seed)
             ok &= rep.min_monotonicity > 0.0 and not rep.violation
         thetas[name] = rep.theta
         expect_theta = spec.alpha / (2.0 - spec.alpha)
@@ -257,7 +257,7 @@ def test_criterion_9_variable_exponent_family(variable_exponent_study):
     law_spec = built_in_specs()["variable-exponent"]
     law = EffectiveLaw(law_spec, CellGrid(16))
     for seed in range(3):
-        audit = check_a_hom_properties(law, m=100, seed=seed)
+        audit = check_a_hom_properties(law, seed=seed)
         ok &= not audit.violation
     report(9, ok,
            f"cell residual max {rep.cell_residual_max:.1e}; ladders "

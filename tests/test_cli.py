@@ -156,6 +156,36 @@ def test_cell_and_homogenized_commands(tmp_path):
     assert (out / "effective_potential.field").exists()
 
 
+def test_homogenized_elastic_load_reads_the_raw_gradient(tmp_path):
+    # hk homogenized is the library's one reader of phi0's Q1 gradient: the
+    # displacement it dumps is the elastic solve given no gradient field
+    from hk.core_fields import DomainGrid, load_field
+    from hk.effective import EffectiveLaw, assemble_elastic_tensors
+    from hk.homogenized import (macroscopic_gradient_field,
+                                solve_homogenized_elasticity,
+                                solve_homogenized_electrostatic)
+    out = tmp_path / "out"
+    assert run("homogenized", "laminate-p2", str(out)) == 0
+    cfg = validate_config(load_config("laminate-p2"), "homogenized")
+    grid = CellGrid(cfg["grids"]["cell_n"])
+    domain = DomainGrid(cfg["grids"]["solve_n"])
+    law = EffectiveLaw(build_spec(cfg), grid, cfg["tolerances"]["cell"])
+    macro = solve_homogenized_electrostatic(law, build_source_f(cfg), domain,
+                                            cfg["tolerances"]["macro"])
+    tensor_b, tensor_c = build_tensors(cfg)
+    b_eff, c_eff = assemble_elastic_tensors(
+        tensor_b, tensor_c, law.solutions_for(np.eye(2)), grid)
+    g = np.array(cfg["sources"]["g"])
+    u0, _ = solve_homogenized_elasticity(b_eff, c_eff, g, macro.potential,
+                                         domain)
+    dumped = load_field(str(out / "effective_displacement.field"), domain)
+    assert np.array_equal(dumped.values, u0.values)
+    recovered, _ = solve_homogenized_elasticity(
+        b_eff, c_eff, g, macro.potential, domain,
+        gradient_field=macroscopic_gradient_field(macro.potential))
+    assert not np.array_equal(dumped.values, recovered.values)
+
+
 def test_fine_command_dumps_fields(tmp_path):
     path, cfg = small_config(tmp_path)
     out = tmp_path / "out"

@@ -95,7 +95,7 @@ def test_wrap_to_cell():
 
 
 def test_growth_conditions_identity():
-    rep = check_growth_conditions(identity_spec(), m=500, seed=0)
+    rep = check_growth_conditions(identity_spec(), seed=0)
     assert abs(rep.empirical_monotonicity - 1.0) < 1e-12
     assert abs(rep.empirical_continuity - 1.0) < 1e-12
     assert rep.max_flux_at_zero == 0.0
@@ -105,15 +105,18 @@ def test_growth_conditions_identity():
 def test_growth_conditions_power_law_positive():
     spec = OperatorSpec(family="power-law", p=3.0, alpha=1.0,
                         geometry=LAMINATE, sigma=(1.0, 1.0))
-    rep = check_growth_conditions(spec, m=1000, seed=0)
+    rep = check_growth_conditions(spec, seed=0)
     assert rep.empirical_monotonicity > 0.0
     assert not rep.violation
 
 
 def test_growth_conditions_broken_law_flags():
+    # a stand-in law with the identity's exponents and a decreasing flux
+    from types import SimpleNamespace
     spec = identity_spec()
-    rep = check_growth_conditions(spec, m=200, seed=0,
-                                  flux_fn=lambda y, xi: -np.asarray(xi))
+    broken = SimpleNamespace(p=spec.p, alpha=spec.alpha,
+                             flux=lambda y, xi: -np.asarray(xi))
+    rep = check_growth_conditions(broken, seed=0)
     assert rep.violation
 
 
@@ -130,13 +133,8 @@ def test_growth_conditions_sampled_monotonicity_all_families():
     ]
     for spec in specs:
         for seed in range(3):
-            rep = check_growth_conditions(spec, m=1000, seed=seed)
+            rep = check_growth_conditions(spec, seed=seed)
             assert rep.empirical_monotonicity > 0.0, (spec.family, seed)
-
-
-def test_growth_conditions_rejects_tiny_sample():
-    with pytest.raises(ValueError):
-        check_growth_conditions(identity_spec(), m=10)
 
 
 # -- tensor fields ----------------------------------------------------------

@@ -54,7 +54,7 @@ def test_domain_interior_is_a_permutation_of_the_interior_nodes():
 
 def test_quadrature_weights_sum_to_area():
     grid = CellGrid(8)
-    assert np.isclose(grid.rule.weights.sum(), grid.h ** 2)
+    assert np.isclose(grid.weights.sum(), grid.h ** 2)
 
 
 def test_quadrature_exact_for_bilinear_products():

@@ -11,11 +11,12 @@ from hk.corrector import (CellwiseConstant, EpsPartition, coarse_average_M,
                           corrector_error_dalmaso, corrector_error_explicit,
                           fit_rate, functional_pairing,
                           pairing_limit, run_corrector_study,
-                          two_scale_compose_S, two_scale_pairing)
+                          two_scale_pairing)
 from hk.effective import EffectiveLaw
-from hk.homogenized import reconstruct_phi1, solve_homogenized_electrostatic
+from hk.homogenized import (macroscopic_gradient_field, reconstruct_phi1,
+                            solve_homogenized_electrostatic)
 
-from oracles import partition_centers
+from oracles import partition_centers, point_eval, two_scale_compose_S
 
 UNIFORM = Geometry("uniform")
 
@@ -72,7 +73,7 @@ def test_coarse_average_refinement_decreases_distance():
         # distance over interior cells (boundary cells carry zero)
         mask = cc.partition.interior[cc.partition.cell_of(
             dom.qp_coords())].astype(float)
-        w = np.broadcast_to(dom.rule.weights, diff.shape)
+        w = np.broadcast_to(dom.weights, diff.shape)
         dists.append(float((w * mask * diff ** 2).sum() ** 0.5))
     assert dists[0] > dists[1] > dists[2]
 
@@ -128,7 +129,7 @@ def test_unfolding_norm_preservation():
     part = EpsPartition(0.25)
     ids = part.cell_of(dom.qp_coords())
     mask = part.interior[ids].astype(float)
-    w = np.broadcast_to(dom.rule.weights, ids.shape)
+    w = np.broadcast_to(dom.weights, ids.shape)
     direct = float((w * mask * v.at_quadrature() ** 2).sum() ** 0.5)
     assert abs(unf.norm_lp(2.0) - direct) < 1e-12
 
@@ -205,19 +206,41 @@ def test_fit_rate_needs_three_points():
         fit_rate([0.25, 0.125], [1.0, 0.5])
 
 
+def _no_corrector_error(phi_eps, field):
+    """||grad phi_eps - field||_L2 by 2x2 Gauss on phi_eps's grid.
+
+    The field is read by the point evaluation oracle, grad phi_eps is the
+    Q1 gradient at the quadrature points.
+    """
+    dom, g = phi_eps.grid, field.grid
+    diff = _fem.qp_gradient(phi_eps.values, dom.conn, dom.h) - point_eval(
+        field.values, g.conn, g.h, g.n, g.origin, dom.qp_coords())
+    w = np.broadcast_to(dom.weights[:, None], diff.shape)
+    return float(np.sqrt((w * diff * diff).sum()))
+
+
+def _check_constant_coefficient_errors(spec, fine):
+    # the corrector of constant coefficients vanishes, so the explicit
+    # error is the no-corrector error: the fine gradient against the
+    # recovered gradient of the effective solve on the same grid
+    law = EffectiveLaw(spec, CellGrid(8))
+    dom = fine.potential.grid
+    macro = solve_homogenized_electrostatic(law, 1.0, dom)
+    field = macroscopic_gradient_field(macro.potential)
+    corr = reconstruct_phi1(law, macro.potential, dom, field,
+                            macro.cell_potentials)
+    assert not corr.potentials.any()
+    errs = corrector_error_explicit(fine.potential, field, corr, 0.25, 2.0)
+    assert errs["E_exp"] == errs["E_nocorr"]
+    ref = _no_corrector_error(fine.potential, field)
+    assert abs(errs["E_nocorr"] - ref) <= 1e-12 * ref
+
+
 def test_explicit_error_constant_coefficients_floor():
     spec = OperatorSpec(family="linear", geometry=UNIFORM, sigma=(2.0, 2.0))
-    cell = CellGrid(8)
-    law = EffectiveLaw(spec, cell)
-    dom = DomainGrid(32)
-    macro = solve_homogenized_electrostatic(law, 1.0, dom)
-    corr = reconstruct_phi1(law, macro.potential, sample_grid=dom)
     from hk.fine_scale import solve_fine_electrostatic
-    fine = solve_fine_electrostatic(spec, 0.25, 1.0, dom)
-    errs = corrector_error_explicit(fine.potential, macro.potential, corr,
-                                    0.25, 2.0)
-    assert errs["E_exp"] <= 1e-10
-    assert errs["E_nocorr"] <= 1e-10
+    fine = solve_fine_electrostatic(spec, 0.25, 1.0, DomainGrid(32))
+    _check_constant_coefficient_errors(spec, fine)
 
 
 def test_functional_pairing_hand_value():
@@ -251,17 +274,10 @@ def test_study_constant_coefficients_small():
     assert max(rep.errors["E_dm"]) > 0.0  # averaging error remains
     assert rep.errors["E_dm"][0] > rep.errors["E_dm"][1]
     # with the corrector attached on the fine grid itself the explicit
-    # error hits the exact-degeneracy floor (same discrete solutions)
+    # error is the no-corrector error of the recovered gradient
     from hk.fine_scale import solve_fine_electrostatic
-    cell = CellGrid(8)
-    law = EffectiveLaw(spec, cell)
-    dom = DomainGrid(32)
-    macro = solve_homogenized_electrostatic(law, 1.0, dom)
-    corr = reconstruct_phi1(law, macro.potential, sample_grid=dom)
-    fine = solve_fine_electrostatic(spec, 0.25, 1.0, dom, 1e-12)
-    errs = corrector_error_explicit(fine.potential, macro.potential, corr,
-                                    0.25, 2.0)
-    assert errs["E_exp"] <= 1e-10
+    fine = solve_fine_electrostatic(spec, 0.25, 1.0, DomainGrid(32), 1e-12)
+    _check_constant_coefficient_errors(spec, fine)
 
 
 def test_study_checkerboard_ladders_decrease():
@@ -283,24 +299,25 @@ def test_averaged_error_triangle_inequality():
     law = EffectiveLaw(spec, cell)
     macro = solve_homogenized_electrostatic(law, 1.0, DomainGrid(16))
     sample = DomainGrid(32)
-    corr = reconstruct_phi1(law, macro.potential, sample_grid=sample)
+    field = macroscopic_gradient_field(macro.potential)
+    corr = reconstruct_phi1(law, macro.potential, sample, field,
+                            macro.cell_potentials)
     from hk.fine_scale import solve_fine_electrostatic
     eps = 0.125
     dom = DomainGrid(int(16 / eps))
     fine = solve_fine_electrostatic(spec, eps, 1.0, dom)
-    errs = corrector_error_explicit(fine.potential, macro.potential, corr,
-                                    eps, 2.0)
+    errs = corrector_error_explicit(fine.potential, field, corr, eps, 2.0)
     # averaging distance via the same lookup machinery
     from hk.corrector import _fine_qp_setup, _table_grad_at
     pts, grad_eps, grad0, sample_idx, y = _fine_qp_setup(
-        fine.potential, macro.potential, corr, eps)
+        fine.potential, field, corr, eps, slice(None))
     avg = coarse_average_M(corr.potentials.reshape(sample.n_elems, 4, -1),
                            sample, eps, zero_boundary=False)
     located = _fem.locate_points(y, cell.n, cell.h, cell.origin)
     g_exp = _table_grad_at(corr.potentials, sample_idx, cell, *located)
     g_avg = _table_grad_at(avg.values, avg.partition.cell_of(pts), cell,
                            *located)
-    w = np.broadcast_to(dom.rule.weights, (dom.n_elems, 4)).reshape(-1)
+    w = np.broadcast_to(dom.weights, (dom.n_elems, 4)).reshape(-1)
     dist = float((w @ np.sum((g_exp - g_avg) ** 2, axis=-1)) ** 0.5)
     assert errs["E_avg"] <= errs["E_exp"] + dist + 1e-12
 
@@ -423,7 +440,7 @@ def test_study_memory_stays_bounded(tmp_path):
 
 
 def _synthetic_rung(n, sample_n=8, cell_n=8, seed=0):
-    """A random fine potential, macro potential and corrector table."""
+    """A random fine potential, recovered macro gradient and corrector."""
     from hk.homogenized import CorrectorData
     rng = np.random.default_rng(seed)
     sample, cell, dom = DomainGrid(sample_n), CellGrid(cell_n), DomainGrid(n)
@@ -433,7 +450,7 @@ def _synthetic_rung(n, sample_n=8, cell_n=8, seed=0):
                          np.zeros(k), np.zeros(k))
     phi_eps = ScalarField(dom, rng.standard_normal(dom.n_nodes))
     phi0 = ScalarField(sample, rng.standard_normal(sample.n_nodes))
-    return phi_eps, phi0, corr
+    return phi_eps, macroscopic_gradient_field(phi0), corr
 
 
 # (solve_n, sample_n, fine N) of the studies: the presets and the acceptance
@@ -447,35 +464,30 @@ def test_fine_points_located_once_on_nested_grids(solve_n, sample_n,
     # the sample quadrants derived from the solve-grid location are
     # _nearest_qp's, and those of a location on the sample grid itself;
     # the macroscopic gradient is the point evaluation's, and so is
-    # _gradient_at's
+    # _gradient_at's, which reads phi0's Q1 gradient without a field
     from types import SimpleNamespace
 
     from hk.corrector import _fine_qp_setup
-    from hk.homogenized import (_gradient_at, _nearest_qp,
-                                macroscopic_gradient_field)
-    from oracles import point_eval
+    from hk.homogenized import _gradient_at, _nearest_qp
     rng = np.random.default_rng(fine_n)
     solve, sample, dom = (DomainGrid(n) for n in (solve_n, sample_n, fine_n))
     phi_eps = ScalarField(dom, np.zeros(dom.n_nodes))
     phi0 = ScalarField(solve, rng.standard_normal(solve.n_nodes))
+    field = macroscopic_gradient_field(phi0)
     corr = SimpleNamespace(sample_grid=sample)
-    for field in (None, macroscopic_gradient_field(phi0)):
-        pts, _, grad0, sample_idx, _ = _fine_qp_setup(
-            phi_eps, phi0, corr, 16.0 / fine_n, field)
-        assert np.array_equal(sample_idx, _nearest_qp(sample, pts))
-        elem, local = _fem.locate_points(pts, sample.n, sample.h,
-                                         sample.origin)
-        upper = (local >= 0.5).astype(int)
-        assert np.array_equal(sample_idx,
-                              4 * elem + 2 * upper[:, 1] + upper[:, 0])
-        if field is None:
-            expected = _fem.point_eval_gradient(
-                phi0.values, solve.conn, solve.h, solve.n, solve.origin, pts)
-        else:
-            expected = point_eval(field.values, solve.conn, solve.h,
-                                  solve.n, solve.origin, pts)
-        assert np.array_equal(grad0, expected)
-        assert np.array_equal(_gradient_at(phi0, field, pts), expected)
+    pts, _, grad0, sample_idx, _ = _fine_qp_setup(
+        phi_eps, field, corr, 16.0 / fine_n, slice(None))
+    assert np.array_equal(sample_idx, _nearest_qp(sample, pts))
+    elem, local = _fem.locate_points(pts, sample.n, sample.h, sample.origin)
+    upper = (local >= 0.5).astype(int)
+    assert np.array_equal(sample_idx, 4 * elem + 2 * upper[:, 1] + upper[:, 0])
+    expected = point_eval(field.values, solve.conn, solve.h, solve.n,
+                          solve.origin, pts)
+    assert np.array_equal(grad0, expected)
+    assert np.array_equal(_gradient_at(phi0, field, pts), expected)
+    raw = _fem.point_eval_gradient(phi0.values, solve.conn, solve.h, solve.n,
+                                   solve.origin, pts)
+    assert np.array_equal(_gradient_at(phi0, None, pts), raw)
 
 
 class _TableLaw:
@@ -491,32 +503,30 @@ class _TableLaw:
 @pytest.mark.parametrize("rows", [1, 3, 5, 32])
 def test_fine_qp_setup_row_blocks_concatenate_bitwise(rows):
     from hk.corrector import _fine_qp_setup
-    from hk.homogenized import macroscopic_gradient_field
-    phi_eps, phi0, corr = _synthetic_rung(32)
-    for field in (None, macroscopic_gradient_field(phi0)):
-        whole = _fine_qp_setup(phi_eps, phi0, corr, 0.25, field)
-        blocks = [_fine_qp_setup(phi_eps, phi0, corr, 0.25, field,
-                                 slice(start, start + rows))
-                  for start in range(0, 32, rows)]
-        for k, array in enumerate(whole):
-            assert np.array_equal(
-                np.concatenate([block[k] for block in blocks]), array)
+    phi_eps, field, corr = _synthetic_rung(32)
+    whole = _fine_qp_setup(phi_eps, field, corr, 0.25, slice(None))
+    blocks = [_fine_qp_setup(phi_eps, field, corr, 0.25,
+                             slice(start, start + rows))
+              for start in range(0, 32, rows)]
+    for k, array in enumerate(whole):
+        assert np.array_equal(
+            np.concatenate([block[k] for block in blocks]), array)
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_streamed_errors_match_whole_grid(p, monkeypatch):
     from hk.corrector import _fine_qp_setup, _table_grad_at
-    phi_eps, phi0, corr = _synthetic_rung(32)
+    phi_eps, field, corr = _synthetic_rung(32)
     dom, sample, cell = phi_eps.grid, corr.sample_grid, corr.cell_grid
     law, eps = _TableLaw(cell), 0.25
     # blocks of 3 element rows, the last of 2
     monkeypatch.setattr(_fem, "WORK_BUDGET_BYTES",
                         3 * 32 * _fem.ROW_BYTES_PER_ELEMENT)
-    errs = corrector_error_explicit(phi_eps, phi0, corr, eps, p)
-    errs["E_dm"] = corrector_error_dalmaso(phi_eps, phi0, law, corr, eps, p)
+    errs = corrector_error_explicit(phi_eps, field, corr, eps, p)
+    errs["E_dm"] = corrector_error_dalmaso(phi_eps, law, corr, eps, p)
     # the whole grid at once
     pts, grad_eps, grad0, sample_idx, y = _fine_qp_setup(
-        phi_eps, phi0, corr, eps)
+        phi_eps, field, corr, eps, slice(None))
     avg = coarse_average_M(corr.potentials.reshape(sample.n_elems, 4, -1),
                            sample, eps, zero_boundary=False)
     ids = avg.partition.cell_of(pts)
@@ -551,7 +561,7 @@ def test_rung_post_processing_memory_within_budget():
 
     from hk.corrector import (_psi_x, _psi_y_maxwell, _psi_y_pairing,
                               maxwell_two_scale_check)
-    phi_eps, phi0, corr = _synthetic_rung(256)
+    phi_eps, field, corr = _synthetic_rung(256)
     law, eps = _TableLaw(corr.cell_grid), 0.25
     dom = phi_eps.grid
     g = ScalarField(CellGrid(64), np.sin(
@@ -559,7 +569,7 @@ def test_rung_post_processing_memory_within_budget():
     v_eps = sample_oscillatory(g, eps, dom)
     # the grids cache their coordinates on first use, outside the count
     corr.sample_grid.qp_coords(), corr.cell_grid.qp_coords()
-    inputs = sum(a.nbytes for a in (phi_eps.values, phi0.values,
+    inputs = sum(a.nbytes for a in (phi_eps.values, field.values,
                                     v_eps.values, corr.loadings,
                                     corr.potentials))
     # the eps-cell averages of the corrector table and of the loadings,
@@ -568,9 +578,8 @@ def test_rung_post_processing_memory_within_budget():
         + 2 * EpsPartition(eps).n_cells * corr.cell_grid.n_nodes * 8
     tracemalloc.start()
     try:
-        errs = corrector_error_explicit(phi_eps, phi0, corr, eps, 3.0)
-        errs["E_dm"] = corrector_error_dalmaso(phi_eps, phi0, law, corr,
-                                               eps, 3.0)
+        errs = corrector_error_explicit(phi_eps, field, corr, eps, 3.0)
+        errs["E_dm"] = corrector_error_dalmaso(phi_eps, law, corr, eps, 3.0)
         gap = maxwell_two_scale_check(phi_eps, eps, np.zeros((2, 2)),
                                       _psi_x, _psi_y_maxwell)
         pairing = two_scale_pairing(v_eps, _psi_x, _psi_y_pairing, eps)

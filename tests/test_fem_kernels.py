@@ -113,7 +113,7 @@ def test_lp_norm_of_masked_differences_matches_weighted_sum(grid):
     rng = np.random.default_rng(8)
     diff = rng.standard_normal((4 * grid.n_elems, 2))
     mask = (rng.uniform(size=4 * grid.n_elems) < 0.5).astype(float)
-    w = np.broadcast_to(grid.rule.weights, (grid.n_elems, 4)).reshape(-1)
+    w = np.broadcast_to(grid.weights, (grid.n_elems, 4)).reshape(-1)
     mag = np.sqrt(np.sum(diff * diff, axis=-1))
     ref = ((w * mask) @ mag ** 3.0) ** (1.0 / 3.0)
     got = _fem.lp_norm_qp(grid.h,
@@ -338,9 +338,9 @@ def test_two_scale_stress_pairing_matches_einsum():
 
     spts = sample.qp_coords().reshape(-1, 2)
     fx = psi_x(spts[:, 0], spts[:, 1]) \
-        * np.broadcast_to(sample.rule.weights, (sample.n_elems, 4)).ravel()
+        * np.broadcast_to(sample.weights, (sample.n_elems, 4)).ravel()
     ypts = cell.qp_coords()
-    fy = psi_y(ypts[..., 0], ypts[..., 1]) * cell.rule.weights
+    fy = psi_y(ypts[..., 0], ypts[..., 1]) * cell.weights
     vals = corr.potentials[:, cell.conn]
     total = np.einsum("qad,kea->keqd", _fem.SHAPE_GRAD, vals) / cell.h \
         + corr.loadings[:, None, None, :]

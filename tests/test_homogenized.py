@@ -74,11 +74,23 @@ def test_macro_newton_budget_raises_with_residual_and_count(monkeypatch):
     assert info.value.residual > homogenized.MACRO_TOL
 
 
+def _reconstruct(law, macro, sample=None):
+    """``reconstruct_phi1`` as the study calls it.
+
+    It reads the recovered gradient of the macro potential and starts
+    from the macro solve's cell potentials.
+    """
+    phi0 = macro.potential
+    return reconstruct_phi1(law, phi0, sample or phi0.grid,
+                            macroscopic_gradient_field(phi0),
+                            macro.cell_potentials)
+
+
 def test_reconstruct_phi1_constant_coefficients():
     spec = OperatorSpec(family="linear", geometry=UNIFORM, sigma=(2.0, 2.0))
     law = EffectiveLaw(spec, CellGrid(8))
     macro = solve_homogenized_electrostatic(law, 1.0, DomainGrid(16))
-    corr = reconstruct_phi1(law, macro.potential)
+    corr = _reconstruct(law, macro)
     assert np.abs(corr.potentials).max() == 0.0
 
 
@@ -87,7 +99,7 @@ def test_reconstruct_phi1_mean_zero():
                         geometry=LAMINATE, sigma=(1.0, 4.0))
     law = EffectiveLaw(spec, CellGrid(8))
     macro = solve_homogenized_electrostatic(law, 1.0, DomainGrid(8))
-    corr = reconstruct_phi1(law, macro.potential)
+    corr = _reconstruct(law, macro)
     assert np.abs(corr.potentials.mean(axis=1)).max() < 1e-10
 
 
@@ -97,7 +109,7 @@ def test_reconstruct_phi1_linear_laminate_formula():
     cell = CellGrid(32)
     law = EffectiveLaw(spec, cell)
     macro = solve_homogenized_electrostatic(law, 1.0, DomainGrid(16))
-    corr = reconstruct_phi1(law, macro.potential)
+    corr = _reconstruct(law, macro)
     q, _ = laminate_flux_balance([1.0, 4.0], [0.5, 0.5], 2.0)
     k = 7  # arbitrary sample quadrature point
     grads = grad_y_fields(corr, [k])[0]
@@ -115,8 +127,7 @@ def test_identity_residuals_at_every_sample_point():
                         geometry=LAMINATE, sigma=(1.0, 4.0))
     law = EffectiveLaw(spec, CellGrid(8))
     macro = solve_homogenized_electrostatic(law, 1.0, DomainGrid(16))
-    corr = reconstruct_phi1(law, macro.potential,
-                            cell_potentials=macro.cell_potentials)
+    corr = _reconstruct(law, macro)
     assert corr.identity_residuals.max() <= 1e-9
     assert corr.cell_residuals.max() <= 1e-9
 
@@ -130,7 +141,8 @@ def test_reconstruct_phi1_residuals_on_fine_cell_grid():
     dom = DomainGrid(4)
     xy = node_coords(dom)
     phi0 = ScalarField(dom, xy[:, 0] + 0.5 * xy[:, 1])  # one loading
-    corr = reconstruct_phi1(law, phi0)
+    corr = reconstruct_phi1(law, phi0, dom, macroscopic_gradient_field(phi0),
+                            None)
     scale = _fem.CELL_TOL * max(1.0, np.linalg.norm([1.0, 0.5])) ** 2
     for res in (corr.cell_residuals, corr.identity_residuals):
         assert np.isfinite(res).all()
@@ -317,8 +329,7 @@ def test_constant_law_macro_keeps_no_cell_potentials():
     macro = solve_homogenized_electrostatic(law, 1.0, DomainGrid(8))
     assert macro.iterations >= 2
     assert macro.cell_potentials is None
-    corr = reconstruct_phi1(law, macro.potential, DomainGrid(16),
-                            cell_potentials=macro.cell_potentials)
+    corr = _reconstruct(law, macro, DomainGrid(16))
     assert corr.potentials.shape == (4 * 16 * 16, law.grid.n_nodes)
     assert not corr.potentials.any()
 

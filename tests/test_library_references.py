@@ -8,6 +8,13 @@ reads outside the methods that set it (``self.x.setflags(...)`` in the
 method that stores ``self.x`` does not count).  The allowlist names the
 exceptions, one reason each; a method goes by ``Class.method`` and an
 attribute by ``Class.attribute``.
+
+A defaulted parameter of a function that ``src/hk`` calls by name, which
+no such call passes by keyword or by position, is an option that only
+tests set.  A call of a class is a call of its ``__init__``, the one a
+dataclass derives from its fields included.  Calls match by bare name,
+as references do.  ``ALLOWED_DEFAULTS`` names the exceptions, one reason
+each, as ``module.function(parameter)``.
 """
 
 import ast
@@ -16,7 +23,6 @@ from pathlib import Path
 _LIBRARY = Path(__file__).resolve().parents[1] / "src" / "hk"
 
 ALLOWED = {
-    "two_scale_compose_S": "the paper's unfolding operator S_eps",
     "reconstruct_u1": "the displacement corrector u1, kept for an elastic "
                       "two-scale check of the displacement",
     "load_field": "reader of the field dump format that dump_field writes",
@@ -28,8 +34,11 @@ ALLOWED = {
     "solve_electrostriction_cell": "the one-source electrostriction form of "
                                    "solve_elastic_cells; "
                                    "perfbench/spans.py traces it by name",
-    "UnfoldedField.norm_lp": "the L^p norm of an unfolded field, the norm of "
-                             "the paper's unfolding operator S_eps",
+}
+
+ALLOWED_DEFAULTS = {
+    "cli.main(argv)": "the console entry point parses sys.argv; tests pass "
+                      "the arguments",
 }
 
 
@@ -73,9 +82,13 @@ def _self_stores(function):
             and isinstance(node.value, ast.Name) and node.value.id == "self"}
 
 
+def _is_dataclass(cls):
+    return any("dataclass" in set(_names(node)) for node in cls.decorator_list)
+
+
 def _attributes(cls):
     """Attributes of class ``cls``: dataclass fields and ``self.`` stores."""
-    if any("dataclass" in set(_names(node)) for node in cls.decorator_list):
+    if _is_dataclass(cls):
         for stmt in cls.body:
             if isinstance(stmt, ast.AnnAssign) \
                     and isinstance(stmt.target, ast.Name):
@@ -120,3 +133,116 @@ def _unreferenced():
 def test_every_public_definition_has_a_library_reference():
     # an allowlisted symbol that gains a library caller leaves the list
     assert _unreferenced() == sorted(ALLOWED)
+
+
+def _defaulted(function, skip):
+    """(name, position) of the defaulted parameters of ``function``.
+
+    The position counts a call's positional arguments, which fill the
+    parameters after the first ``skip`` (a method's ``self``); a
+    keyword-only parameter has none.
+    """
+    args = function.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for index in range(first, len(positional)):
+        yield positional[index].arg, index - skip
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _field_defaults(cls):
+    """(name, position) of the defaulted fields of dataclass ``cls``."""
+    fields = [stmt for stmt in cls.body if isinstance(stmt, ast.AnnAssign)
+              and isinstance(stmt.target, ast.Name)]
+    for index, stmt in enumerate(fields):
+        value = stmt.value
+        if value is None or (isinstance(value, ast.Call)
+                             and "field" in set(_names(value.func))
+                             and not {"default", "default_factory"}
+                             & {k.arg for k in value.keywords}):
+            continue
+        yield stmt.target.id, index
+
+
+def _callables(node, key, cls=None):
+    """(name a call uses, key, defaulted parameters) of each definition.
+
+    A class is called by its name: its ``__init__`` and a dataclass's
+    fields answer to it.
+    """
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            if _is_dataclass(child):
+                yield (child.name, f"{key}{child.name}",
+                       list(_field_defaults(child)))
+            yield from _callables(child, f"{key}{child.name}.", child)
+        elif isinstance(child, ast.FunctionDef):
+            method = cls is not None and "staticmethod" not in {
+                name for d in child.decorator_list for name in _names(d)}
+            name = cls.name if method and child.name == "__init__" \
+                else child.name
+            yield (name, f"{key}{child.name}",
+                   list(_defaulted(child, int(method))))
+            yield from _callables(child, f"{key}{child.name}.")
+        else:
+            yield from _callables(child, key, cls)
+
+
+def _calls(tree):
+    """(called name, positional count, keywords) of each call in ``tree``.
+
+    A call that unpacks ``*args`` or ``**kwargs`` passes every parameter:
+    its keywords are None.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = node.func.id if isinstance(node.func, ast.Name) else \
+                getattr(node.func, "attr", None)
+            keywords = {k.arg for k in node.keywords}
+            if None in keywords or any(isinstance(a, ast.Starred)
+                                       for a in node.args):
+                keywords = None
+            yield name, len(node.args), keywords
+
+
+def _unpassed_defaults(library=_LIBRARY):
+    callables, calls = [], {}
+    for path in sorted(library.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        callables.extend(_callables(tree, f"{path.stem}."))
+        for name, count, keywords in _calls(tree):
+            calls.setdefault(name, []).append((count, keywords))
+    return sorted(
+        f"{key}({param})" for name, key, params in callables
+        if name in calls for param, position in params
+        if not any(keywords is None or param in keywords
+                   or (position is not None and count > position)
+                   for count, keywords in calls[name]))
+
+
+def test_every_defaulted_parameter_is_passed_by_a_library_call():
+    # an allowlisted parameter that a library call comes to pass leaves
+    # the list
+    assert _unpassed_defaults() == sorted(ALLOWED_DEFAULTS)
+
+
+def test_unpassed_default_rule_reads_positions_keywords_and_classes(
+        tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from dataclasses import dataclass, field\n"
+        "def f(a, b=1, c=2, *, d=3):\n    pass\n"
+        "class K:\n"
+        "    def __init__(self, a, b=1):\n        pass\n"
+        "    def m(self, a=1, b=2):\n        pass\n"
+        "@dataclass\n"
+        "class D:\n"
+        "    a: int\n    e: int = field(repr=False)\n    b: int = 1\n"
+        "    c: list = field(default_factory=list)\n"
+        "def g(x=1):\n    pass\n"
+        "def use(o, kw):\n"
+        "    f(0, 1, d=4)\n    K(0)\n    o.m(0)\n    D(0, c=[])\n"
+        "    g(**kw)\n")
+    assert _unpassed_defaults(tmp_path) == [
+        "mod.D(b)", "mod.K.__init__(b)", "mod.K.m(b)", "mod.f(c)"]
