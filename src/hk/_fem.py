@@ -30,10 +30,11 @@ the nodes: ``gradient_form`` turns per-point coefficients into a
 evaluation at every quadrature point.  Every batch of work arrays is
 sliced by one rule (``blocks``); every integral over a fine grid walks
 its blocks of element rows in one loop (``row_sums``), and every fine
-point maps to the unit cell by one function (``cell_points``).  Every
-direct solve goes through one factorization seam (``factor``): banded
-Cholesky for the symmetric Dirichlet blocks in their own row order,
-SuperLU for the rest.  Nothing is kept for the process: a grid's block
+point maps to the unit cell by one function (``cell_points``).  A
+Dirichlet grid that the V-cycle cannot halve is factored (``factor``:
+banded Cholesky in the block's row order, else SuperLU), any other runs
+multigrid PCG down to such a grid (``solve_dirichlet``); periodic cells
+take SuperLU.  Nothing is kept for the process: a grid's block
 patterns go with the grid, and a V-cycle's transfers with its solve or
 with the ``transfers`` dict that a caller shares across its solves.
 """
@@ -49,7 +50,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpbtrf as _dpbtrf, dpbtrs as _dpbtrs
 
-from .errors import SingularSystem
+from .errors import NonConvergence, SingularSystem
 
 _G0 = 0.5 - 0.5 / np.sqrt(3.0)
 _G1 = 0.5 + 0.5 / np.sqrt(3.0)
@@ -726,10 +727,9 @@ def vector_norm(vector):
 SYMMETRY_RTOL = 1e-13
 # Wider bands take SuperLU: ``dpbtrf``'s factors were bitwise the same on
 # one and two OpenBLAS threads up to half-bandwidth 133, and differed at
-# 193 and 257 (Dirichlet elastic blocks at N = 96 and 128).  Every direct
-# Dirichlet solve is within it (131 at most, elastic N = 65), but not every
-# V-cycle's coarsest grid: an odd N stops the halving, and an elastic
-# solve_n of 127 factors its whole grid, kd 255.
+# 193 and 257 (Dirichlet elastic blocks at N = 96 and 128).  Every grid of
+# N <= MG_COARSEST_N is within it (kd 129 at most, elastic N = 64); an odd
+# elastic grid of N >= 67 is not.
 BAND_MAX_KD = 133
 
 
@@ -781,66 +781,54 @@ def _band_cholesky(band):
     return solve
 
 
-def _splu(matrix):
-    """SuperLU factors of an SPD matrix, given as CSC, in symmetric mode.
+def _splu(block):
+    """The solve function of a SuperLU factorization of a CSR block.
 
     The elimination order is SuperLU's minimum degree on A + A^T, which
     needs no grid.  SymmetricMode applies it to rows and columns alike and
     prefers diagonal pivots; the default pivot threshold stays, so a
     diagonal pivot smaller than the largest entry of its column is still
-    exchanged.
+    exchanged.  SuperLU takes the block's CSR arrays as the CSC arrays of
+    its transpose, with no copy, and the returned function solves with
+    the factors transposed.  It takes (n,) or (n, r) right-hand sides.
     """
     try:
-        return spla.splu(matrix, permc_spec="MMD_AT_PLUS_A",
-                         options={"SymmetricMode": True})
+        lu = spla.splu(sp.csc_matrix((block.data, block.indices,
+                                      block.indptr), shape=block.shape),
+                       permc_spec="MMD_AT_PLUS_A",
+                       options={"SymmetricMode": True})
     except RuntimeError as exc:  # SuperLU signals singularity this way
         raise SingularSystem(str(exc)) from exc
-
-
-def factor(block, banded=False):
-    """The solve function of one factorization of a solved block (CSR).
-
-    Every direct solve factors here.  A ``banded`` block is a Dirichlet
-    block that fits in band storage: a direct solve's, within
-    ``DIRECT_MAX_DOFS``, or a V-cycle's coarsest grid.  Its rows are the
-    row-major interior dofs, so its half-bandwidth is d (N + 1) - 1, and
-    it is factored by banded Cholesky (``_band_cholesky``) in that order
-    when ``_lower_band`` finds it symmetric to round-off and within
-    ``BAND_MAX_KD``.  SuperLU factors the rest: non-symmetric blocks;
-    periodic pinned blocks, whose wrapped stencil spans the block in its
-    row order (and whose folded order still reaches kd 261 at cell_n 64,
-    elastic); and the blocks above the cut that PCG gave up on, whose band
-    would not fit in memory (535 MB at N = 256, elastic).  SuperLU takes
-    the block's CSR arrays as the CSC arrays of its transpose, with no
-    copy, and the returned function solves with the factors transposed.
-    It takes (n,) or (n, r) right-hand sides.
-    """
-    band = _lower_band(block) if banded else None
-    if band is not None:
-        return _band_cholesky(band)
-    lu = _splu(sp.csc_matrix((block.data, block.indices, block.indptr),
-                             shape=block.shape))
     return lambda rhs: lu.solve(rhs, trans="T")
 
 
-# Dirichlet systems with more free dofs than this solve by CG preconditioned
-# with one geometric V-cycle, smaller ones (every grid of N <= 64) by one
-# banded Cholesky factorization.  solve_dirichlet on the laminate systems,
-# 2-core Xeon, one BLAS thread, best of 15, band against PCG (SuperLU):
-# N = 32 scalar 0.4 / 0.8 (1.8) ms, elastic 1.3-2.0 / 3.1-4.9 (5.0-7.6)
-# ms; N = 64 scalar 3.1 / 2.8 (7.8-12.6) ms, p = 3 Jacobian 3.1-3.2 /
-# 2.9-4.9 (6.6-9.8) ms, elastic 9.7-14.9 / 14.8-21.8 (32-34) ms.  With
-# the band, N = 64 is as fast direct as by PCG, and PCG's hierarchy raised
-# the peak RSS of a p = 3 study with N = 64 rungs from 77 to 82-83 MiB.
-DIRECT_MAX_DOFS = 8192
-# V-cycles halve the grid down to at most this many cells per side (or to
-# an odd N) and solve there directly
-MG_COARSEST_N = 16
+def factor(block):
+    """The solve function of one factorization of a Dirichlet block (CSR).
+
+    Every Dirichlet factorization is made here, of a grid that the
+    V-cycle cannot halve.  The block's rows are the row-major interior
+    dofs, so its half-bandwidth is d (N + 1) - 1.  Banded Cholesky
+    (``_band_cholesky``) factors it in that order when ``_lower_band``
+    finds it symmetric to round-off and within ``BAND_MAX_KD``; SuperLU
+    (``_splu``) factors the rest: non-symmetric blocks and odd elastic
+    grids of N >= 67.  It takes (n,) or (n, r) right-hand sides.
+    """
+    band = _lower_band(block)
+    return _splu(block) if band is None else _band_cholesky(band)
+
+
+# The one size rule of the Dirichlet solves: V-cycles halve the grid while
+# N is even and above this, and factor the coarsest grid; a grid with
+# nothing to halve (an odd N is only ever a solve_n) is factored whole.  A
+# coarse grid carries a high contrast with 2 elements per period (Engquist
+# & Luo, SIAM J. Numer. Anal. 34 (1997)), so eps >= 1/32 here; its band is
+# kd 129 elastic (8.3 MB).  At N = 128, eps 1/16, two-phase systems take
+# 6-22 PCG iterations at contrast 4 to 1e6; at 16 some reached the cap.
+MG_COARSEST_N = 64
 JACOBI_OMEGA = 0.8
 JACOBI_SWEEPS = 2       # damped Jacobi sweeps before and after each correction
 PCG_RTOL = 1e-10        # relative residual at which PCG stops
-PCG_MAX_ITER = 100      # after which the direct factorization solves it
-
+PCG_MAX_ITER = 100      # at which PCG raises NonConvergence
 
 def _prolongation(n_cells, dofs_per_node):
     """Bilinear interpolation from the N/2 grid's free dofs to the N grid's.
@@ -874,7 +862,8 @@ def _v_cycle(matrix, n_cells, dofs_per_node, transfers):
     operators are Galerkin products R A P of the bilinear prolongation,
     each level smooths with damped Jacobi (``JACOBI_SWEEPS`` sweeps before
     and after its coarse correction, so the cycle is symmetric), and the
-    coarsest grid's operator is factored by the band (``factor``).  Each
+    coarsest grid's operator is factored (``factor``: the band, kd 64
+    scalar and 129 elastic at N = 64).  Each
     level's prolongation and restriction come from ``transfers``, a dict
     by (N, dofs per node), which this adds the missing ones to.
     Returns the cycle as a function of the residual, for ``_pcg``: a
@@ -891,7 +880,7 @@ def _v_cycle(matrix, n_cells, dofs_per_node, transfers):
                        restrict))
         matrix = restrict @ matrix @ prolong
         n_cells //= 2
-    return partial(_cycle, tuple(levels), factor(matrix, banded=True))
+    return partial(_cycle, tuple(levels), factor(matrix))
 
 
 def _cycle(levels, coarsest, res):
@@ -908,14 +897,16 @@ def _cycle(levels, coarsest, res):
     return out
 
 
-def _pcg(matrix, rhs, precondition):
+def _pcg(matrix, rhs, precondition, n_cells, dofs_per_node):
     """Preconditioned CG to a relative residual of ``PCG_RTOL``.
 
-    Returns None after ``PCG_MAX_ITER`` iterations.  Inner products are
+    At ``PCG_MAX_ITER`` iterations it raises ``NonConvergence`` with the
+    grid, the count and the relative residual.  Inner products are
     ``vector_dot``'s numpy sums.
     """
     x = np.zeros_like(rhs)
-    stop = PCG_RTOL ** 2 * vector_dot(rhs, rhs)
+    rhs_sq = vector_dot(rhs, rhs)
+    stop = PCG_RTOL ** 2 * rhs_sq
     if stop == 0.0:
         return x
     res = rhs.copy()
@@ -931,7 +922,11 @@ def _pcg(matrix, rhs, precondition):
         z = precondition(res)
         rz, rz_old = vector_dot(res, z), rz
         direction = z + (rz / rz_old) * direction
-    return None
+    residual = np.sqrt(vector_dot(res, res) / rhs_sq)
+    raise NonConvergence(
+        f"multigrid PCG on the N={n_cells} grid, dofs per node {dofs_per_node}"
+        f": relative residual {residual:.3e} after {PCG_MAX_ITER} iterations",
+        residual=residual, iterations=PCG_MAX_ITER)
 
 
 def solve_dirichlet(block, rhs, grid, dofs_per_node=1, transfers=None):
@@ -939,23 +934,21 @@ def solve_dirichlet(block, rhs, grid, dofs_per_node=1, transfers=None):
 
     ``block`` is the grid's free-dof block (``assemble_*``); ``rhs``
     covers all dofs of ``grid``, ``dofs_per_node`` per node, node-major,
-    and so does the solution.  Up to ``DIRECT_MAX_DOFS`` free dofs, one
-    banded Cholesky factorization (``factor``) solves the block; larger
-    systems solve by CG preconditioned with one V-cycle (``_v_cycle``),
-    and by a SuperLU factorization if CG stops at its iteration cap.
+    and so does the solution.  A grid that the V-cycle cannot halve
+    (N <= ``MG_COARSEST_N``, or odd) is factored (``factor``); any other
+    solves by CG preconditioned with one V-cycle (``_v_cycle``), which
+    raises ``NonConvergence`` at its cap: nothing larger is factored.
     The V-cycle's transfers are kept in ``transfers``, a dict that the
     calls sharing it fill once; without it they go when the call returns.
     """
     free = free_dofs(grid, dofs_per_node)
     x = np.zeros(grid.n_nodes * dofs_per_node)
-    if free.size > DIRECT_MAX_DOFS:
-        sol = _pcg(block, rhs[free],
-                   _v_cycle(block, grid.n, dofs_per_node,
-                            {} if transfers is None else transfers))
-        if sol is not None:
-            x[free] = sol
-            return x
-    x[free] = factor(block, banded=free.size <= DIRECT_MAX_DOFS)(rhs[free])
+    if grid.n <= MG_COARSEST_N or grid.n % 2:
+        x[free] = factor(block)(rhs[free])
+        return x
+    cycle = _v_cycle(block, grid.n, dofs_per_node,
+                     {} if transfers is None else transfers)
+    x[free] = _pcg(block, rhs[free], cycle, grid.n, dofs_per_node)
     return x
 
 
@@ -966,14 +959,15 @@ def solve_periodic_pinned(block, rhs, dofs_per_node=1):
     on a periodic grid); ``rhs`` covers every dof.  Solves the pinned
     system, then removes the per-component mean so solutions are
     zero-mean.  Assumes the rhs is compatible (orthogonal to constants),
-    which holds for divergence-form loads.  The block is factored once,
-    by SuperLU (``factor``).  ``rhs`` (n,) gives (n,) or, with several dofs per node,
+    which holds for divergence-form loads.  The block, whose wrapped
+    stencil spans it, is factored once by SuperLU (``_splu``).  ``rhs``
+    (n,) gives (n,) or, with several dofs per node,
     (n / d, d); ``rhs`` (n, r) solves r right-hand sides with that one
     factorization and stacks their solutions on a last axis.
     """
     n = rhs.shape[0]
     x = np.zeros(rhs.shape)
-    x[dofs_per_node:] = factor(block)(rhs[dofs_per_node:])
+    x[dofs_per_node:] = _splu(block)(rhs[dofs_per_node:])
     # each column as its own contiguous array, so its means are summed as
     # a single right-hand side's are
     cols = [np.ascontiguousarray(c).reshape(-1, dofs_per_node)

@@ -46,9 +46,9 @@ SCHEMA_VERSION = 1
 # N = fine_m / eps per rung; above N = 64 they solve by multigrid PCG, and
 # a rung's peak is its solves': one N = 512 laminate elastic solve peaks
 # near 0.36 GiB of RSS, the laminate-p2 study with elasticity (eps down
-# to 1/32) at 406 MiB, and the p = 3 one, whose N = 512 fine Newton
-# solve is its peak, at 288 MiB (one BLAS thread, six one-process runs
-# each, all within 0.4 MiB).  The post-processing streams over
+# to 1/32) at 411 MiB, and the p = 3 one, whose N = 512 fine Newton
+# solve is its peak, at 286-288 MiB (one BLAS thread, one-process runs,
+# each repeated).  The post-processing streams over
 # blocks of element rows within _fem.WORK_BUDGET_BYTES.  The cell layer
 # keeps a few cell potentials, cell_n^2 doubles each, per quadrature point
 # of the sample grid, which refines the solve grid; CELL_TABLE_COPIES

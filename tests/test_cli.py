@@ -224,6 +224,18 @@ def test_nonconvergence_exit_code(tmp_path, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+def test_pcg_cap_exits_2_naming_the_grid(tmp_path, capsys, monkeypatch):
+    # an N = 128 fine solve runs multigrid PCG; at its cap it fails with a
+    # message, and nothing factors the fine system instead
+    from hk import _fem
+    path, _ = small_config(tmp_path, ladder=[0.0625])
+    monkeypatch.setattr(_fem, "PCG_MAX_ITER", 1)
+    assert run("fine", str(path), str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: ") and "N=128" in err
+    assert "Traceback" not in err
+
+
 def test_all_reports_carry_provenance(tmp_path):
     path, _ = small_config(tmp_path)
     out = tmp_path / "out"

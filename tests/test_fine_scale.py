@@ -184,39 +184,56 @@ def test_elasticity_linear_in_load():
     assert np.abs(u2.values - 2.0 * u1.values).max() < 1e-12
 
 
-def _laminate_dirichlet_system(n, eps, elastic):
-    """Fine-scale laminate block, a smooth load and the dofs per node."""
+def _two_phase_system(n, eps, elastic, geometry, contrast):
+    """Fine-scale block, a smooth load and the dofs per node.
+
+    The inclusion's sigma is ``contrast`` times the matrix's 1; its Lame
+    pair is (0.75, 0.5) times ``contrast`` against the matrix's (1, 1).
+    """
     dom = DomainGrid(n)
     points = _fem.cell_points(dom, eps)
     pts = node_coords(dom)
     load = np.sin(np.pi * pts[:, 0]) * np.cos(2.0 * pts[:, 1])
     if elastic:
-        b = ElasticTensorField.from_lame((1.0, 1.0), (3.0, 2.0), LAMINATE)
+        b = ElasticTensorField.from_lame(
+            (1.0, 1.0), (0.75 * contrast, 0.5 * contrast), geometry)
         lam, mu = b.lame_at(points)
         block = _fem.assemble_elasticity(dom, lam, mu)
         rhs = np.stack([load, 1.0 - load], axis=-1).ravel()
         return block, rhs, 2
-    spec = OperatorSpec(family="linear", geometry=LAMINATE, sigma=(1.0, 4.0))
+    spec = OperatorSpec(family="linear", geometry=geometry,
+                        sigma=(1.0, contrast))
     block = _fem.assemble_diffusion(dom,
                                     spec.local_coefficients(points)["bmat"])
     return block, load, 1
 
 
+def _laminate_dirichlet_system(n, eps, elastic):
+    """The laminate's block at contrast 4, a smooth load, the dofs per node."""
+    return _two_phase_system(n, eps, elastic, LAMINATE, 4.0)
+
+
+def _coarsest_dofs(d):
+    """The free dofs of the V-cycle's coarsest grid, N = MG_COARSEST_N."""
+    return d * (_fem.MG_COARSEST_N - 1) ** 2
+
+
 def _factor_solve(block, rhs, n, d):
-    """Solution over all dofs by one factorization of the block."""
+    """Solution over all dofs by one SuperLU factorization of the block."""
     free = _fem.free_dofs(DomainGrid(n), d)
     x = np.zeros(rhs.size)
-    x[free] = _fem.factor(block)(rhs[free])
+    x[free] = _fem._splu(block)(rhs[free])
     return x
 
 
 def test_band_of_largest_direct_elastic_system(monkeypatch):
-    # the N = 64 elastic laminate block (7,938 dofs) is the largest system
-    # the benchmark's studies factor: its half-bandwidth is 2 (N + 1) - 1,
-    # so its band holds 130 x 7,938 doubles, 8.3 MB (SuperLU's L + U in
-    # minimum degree order on A + A^T held about 0.88M entries)
+    # the N = 64 elastic laminate block (7,938 dofs) is the V-cycle's
+    # coarsest grid, the largest system an even grid factors: its
+    # half-bandwidth is 2 (N + 1) - 1, so its band holds 130 x 7,938
+    # doubles, 8.3 MB (SuperLU's L + U in minimum degree order on A + A^T
+    # held about 0.88M entries)
     block, _, _ = _laminate_dirichlet_system(64, 0.125, True)
-    assert block.shape[0] <= _fem.DIRECT_MAX_DOFS
+    assert block.shape[0] == _coarsest_dofs(2)
     bands = []
     cholesky = _fem._band_cholesky
 
@@ -390,20 +407,19 @@ def _factor_sizes(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["scalar", "elastic", "p3-jacobian"])
 def test_multigrid_pcg_matches_direct_solve(kind, monkeypatch):
-    # N = 128 is above the direct-solve cut; with the iteration cap at 30,
-    # a PCG that needed more would fall back to a factorization of every
-    # free dof
+    # N = 128 is above the coarsest grid; with the iteration cap at 30,
+    # a PCG that needed more would raise NonConvergence
     if kind == "p3-jacobian":
         block, rhs, d = _p3_jacobian_system(128, 0.0625)
     else:
         block, rhs, d = _laminate_dirichlet_system(128, 0.0625,
                                                    kind == "elastic")
     direct = _factor_solve(block, rhs, 128, d)
-    assert block.shape[0] > _fem.DIRECT_MAX_DOFS
+    assert block.shape[0] > _coarsest_dofs(d)
     monkeypatch.setattr(_fem, "PCG_MAX_ITER", 30)
     sizes = _factor_sizes(monkeypatch)
     x = _fem.solve_dirichlet(block, rhs, DomainGrid(128), dofs_per_node=d)
-    assert sizes and max(sizes) <= _fem.DIRECT_MAX_DOFS
+    assert sizes and max(sizes) <= _coarsest_dofs(d)
     assert np.abs(x - direct).max() <= 1e-9 * np.abs(direct).max()
 
 
@@ -417,19 +433,78 @@ def test_fine_elasticity_factors_nothing_above_the_cut(monkeypatch):
                       - np.cos(pts[:, 1]))
     sizes = _factor_sizes(monkeypatch)
     solve_fine_elasticity(b, c, 0.0625, np.array([0.0, -1.0]), phi, dom)
-    assert sizes and max(sizes) <= _fem.DIRECT_MAX_DOFS
+    assert sizes and max(sizes) <= _coarsest_dofs(2)
 
 
 @pytest.mark.parametrize("kind", ["scalar", "elastic"])
-def test_pcg_iteration_cap_falls_back_to_direct_solve(kind, monkeypatch):
+def test_pcg_iteration_cap_raises_nonconvergence(kind, monkeypatch):
+    # at the cap the solve fails with the grid, the count and the relative
+    # residual; no factorization of the fine block is made
+    from hk.errors import NonConvergence
     block, rhs, d = _laminate_dirichlet_system(128, 0.0625,
                                                kind == "elastic")
-    direct = _factor_solve(block, rhs, 128, d)
     monkeypatch.setattr(_fem, "PCG_MAX_ITER", 1)
     sizes = _factor_sizes(monkeypatch)
+    with pytest.raises(NonConvergence, match=f"N=128 .*dofs per node {d}"
+                       r".* after 1 iterations") as info:
+        _fem.solve_dirichlet(block, rhs, DomainGrid(128), dofs_per_node=d)
+    assert info.value.iterations == 1
+    assert 1e-10 < info.value.residual < 1.0
+    assert sizes == [_coarsest_dofs(d)]
+
+
+def _pcg_iterations(monkeypatch):
+    """The PCG iterations of each multigrid solve from now on.
+
+    PCG applies the V-cycle once before its first iteration and once after
+    each iteration that does not stop it, so a solve's cycles count its
+    iterations.
+    """
+    counts = []
+    v_cycle = _fem._v_cycle
+
+    def counted_cycle(*args):
+        cycle = v_cycle(*args)
+        counts.append(0)
+
+        def counting(res):
+            counts[-1] += 1
+            return cycle(res)
+
+        return counting
+
+    monkeypatch.setattr(_fem, "_v_cycle", counted_cycle)
+    return counts
+
+
+@pytest.mark.parametrize("contrast", [4.0, 1e2, 1e4, 1e6])
+@pytest.mark.parametrize("kind", ["laminate", "square", "checkerboard"])
+@pytest.mark.parametrize("elastic", [False, True], ids=["scalar", "elastic"])
+def test_multigrid_converges_at_every_contrast(elastic, kind, contrast,
+                                               monkeypatch):
+    # the coarsest grid, N = 64, has 4 elements per period at eps 1/16, so
+    # it carries the contrast; with it at 16, the elastic laminate at 1e4
+    # reached the 100-iteration cap
+    block, rhs, d = _two_phase_system(128, 0.0625, elastic, Geometry(kind),
+                                      contrast)
+    counts = _pcg_iterations(monkeypatch)
+    sizes = _factor_sizes(monkeypatch)
     x = _fem.solve_dirichlet(block, rhs, DomainGrid(128), dofs_per_node=d)
-    assert block.shape[0] in sizes
-    assert np.abs(x - direct).max() <= 1e-12 * np.abs(direct).max()
+    assert len(counts) == 1 and counts[0] <= 25
+    assert sizes == [_coarsest_dofs(d)]
+    assert np.isfinite(x).all()
+
+
+def test_multigrid_converges_on_the_n512_elastic_laminate(monkeypatch):
+    # eps 1/32, contrast 1e4: 2 elements per period on the coarsest grid;
+    # with it at 16, PCG reached the cap and SuperLU factored the whole
+    # system (55.6 s and 2.49 GiB)
+    block, rhs, d = _two_phase_system(512, 1.0 / 32, True, LAMINATE, 1e4)
+    counts = _pcg_iterations(monkeypatch)
+    sizes = _factor_sizes(monkeypatch)
+    _fem.solve_dirichlet(block, rhs, DomainGrid(512), dofs_per_node=d)
+    assert len(counts) == 1 and counts[0] <= 25
+    assert sizes == [_coarsest_dofs(d)]
 
 
 def test_elasticity_from_potential_matches_whole_grid_load(monkeypatch):
@@ -508,8 +583,8 @@ def test_v_cycle_is_freed_when_the_solve_returns(monkeypatch):
     def solve():
         x = _fem.solve_dirichlet(block, rhs, dom)
         assert len(cycles) == 1 and cycles[0]() is None
-        # 128 -> 64 -> 32 -> 16
-        assert len(transfers) == 3
+        # 128 -> 64
+        assert len(transfers) == 1
         assert all(ref() is None for pair in transfers for ref in pair)
         return x
 
@@ -528,7 +603,7 @@ def test_fine_newton_transfers_are_freed_when_the_solve_returns(monkeypatch):
         sol = solve_fine_electrostatic(spec, 1.0 / 16, 1.0, DomainGrid(128))
         assert len(cycles) >= 3
         assert all(ref() is None for ref in cycles)
-        assert len(transfers) == 3
+        assert len(transfers) == 1
         assert all(ref() is None for pair in transfers for ref in pair)
         return sol
 

@@ -15,6 +15,11 @@ tests set.  A call of a class is a call of its ``__init__``, the one a
 dataclass derives from its fields included.  Calls match by bare name,
 as references do.  ``ALLOWED_DEFAULTS`` names the exceptions, one reason
 each, as ``module.function(parameter)``.
+
+A module-level constant, a name in upper case that a module's top level
+assigns, which nothing in ``src/hk`` reads, is a setting that no code
+takes.  Reads match by bare name, a load of the name or of an attribute
+of that name.
 """
 
 import ast
@@ -246,3 +251,48 @@ def test_unpassed_default_rule_reads_positions_keywords_and_classes(
         "    g(**kw)\n")
     assert _unpassed_defaults(tmp_path) == [
         "mod.D(b)", "mod.K.__init__(b)", "mod.K.m(b)", "mod.f(c)"]
+
+
+def _constants(tree):
+    """Upper-case names that the top level of a module assigns."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign):
+            targets = [stmt.target]
+        else:
+            continue
+        for target in targets:
+            for node in ast.walk(target):
+                if isinstance(node, ast.Name) \
+                        and node.id.lstrip("_").isupper():
+                    yield node.id
+
+
+def _unread_constants(library=_LIBRARY):
+    constants, read = [], set()
+    for path in sorted(library.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        constants.extend(f"{path.stem}.{name}" for name in _constants(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(name for name in constants
+                  if name.partition(".")[2] not in read)
+
+
+def test_every_module_constant_is_read_by_the_library():
+    assert _unread_constants() == []
+
+
+def test_unread_constant_rule_reads_names_and_attributes(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "A = 1\n_B = 2\nC, D = 3, 4\nE: int = 5\nlower = 6\nF = 7\n"
+        "__all__ = []\n"
+        "def use(o):\n    return A + o.C + lower\n"
+        "def g(o, F=None):\n    F = 8\n    return o(F=1)\n")
+    (tmp_path / "other.py").write_text("from mod import _B\n_B.x = 1\n")
+    assert _unread_constants(tmp_path) == ["mod.D", "mod.E", "mod.F"]
