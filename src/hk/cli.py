@@ -443,8 +443,6 @@ def cmd_effective(cfg, out_dir, _unused=1):
     report = {"provenance": provenance_block(cfg)}
     # one solve of the unit loadings serves a_hom and C_hom
     a_unit, unit_etas = law.solve(np.eye(2))
-    if unit_etas is None:                 # a constant law has eta = 0
-        unit_etas = np.zeros((2, grid.n_nodes))
     report["a_hom_unit_loadings"] = _tensor_nested(a_unit)
     if spec.is_linear:
         report["b_hom"] = _tensor_nested(a_unit.T)

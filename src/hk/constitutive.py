@@ -285,18 +285,6 @@ class OperatorSpec:
         return self.flux_local(self.local_coefficients(y), xi)
 
     @property
-    def is_constant(self):
-        """True when the law does not depend on y."""
-        if self.geometry.kind == "uniform":
-            return True
-        if self.family == "linear":
-            return bool(np.array_equal(self.matrices[0], self.matrices[1]))
-        same_sigma = self.sigma[0] == self.sigma[1]
-        if self.family == "variable-exponent":
-            return same_sigma and self.exponent[0] == self.exponent[1]
-        return same_sigma
-
-    @property
     def is_linear(self):
         return self.family == "linear"
 

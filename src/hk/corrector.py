@@ -20,7 +20,7 @@ from .core_fields import CellGrid, DomainGrid, ScalarField, sample_oscillatory
 from .effective import EffectiveLaw, assemble_elastic_tensors
 from .fine_scale import (maxwell_stress, solve_fine_electrostatic,
                          solve_fine_elasticity)
-from .homogenized import (MACRO_TOL, _nearest_qp, _nearest_qp_located,
+from .homogenized import (MACRO_TOL, _nearest_qp_located,
                           macroscopic_gradient_field, reconstruct_phi1,
                           solve_homogenized_elasticity,
                           solve_homogenized_electrostatic)
@@ -115,9 +115,9 @@ def _fine_qp_setup(phi_eps, grad_field, corr, eps, rows):
     sample quadrature point whose element quadrant holds each point, and
     y = {x/eps}_Y.  Without ``grad_field`` (the Dal Maso error reads
     neither) the macroscopic gradient and the sample points are None.
-    The points are located once, on the grid of ``grad_field``; a sample
-    grid that refines it, as every study's does, takes its quadrants
-    from that location.  As with ``_fem.qp_coords``, the arrays of
+    The points are located once, on the grid of ``grad_field``, and the
+    sample grid, which refines it (``check_study_grids``), takes its
+    quadrants from that location.  As with ``_fem.qp_coords``, the arrays of
     consecutive row blocks concatenate to the whole grid's.
     """
     domain = phi_eps.grid
@@ -132,9 +132,8 @@ def _fine_qp_setup(phi_eps, grad_field, corr, eps, rows):
         elem, local = _fem.locate_points(pts, g.n, g.h, g.origin)
         grad0 = _fem.value_at_local(
             _fem.element_values(grad_field.values, g.conn, elem), local)
-        ratio, rest = divmod(corr.sample_grid.n, g.n)
-        sample_idx = _nearest_qp(corr.sample_grid, pts) if rest else \
-            _nearest_qp_located(elem, local, g.n, ratio)
+        sample_idx = _nearest_qp_located(elem, local, g.n,
+                                         corr.sample_grid.n // g.n)
     y = _fem.cell_points(domain, eps, rows).reshape(-1, 2)
     return pts, grad_eps, grad0, sample_idx, y
 

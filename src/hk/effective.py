@@ -1,7 +1,9 @@
 """Effective tensors assembled from cell solutions.
 
-The effective flux law is an evaluable map backed by batched cell solves;
-it keeps no solutions between calls, so a caller that reads them back
+The effective flux law is an evaluable map backed by batched cell solves,
+or for a linear law by one pair of unit-loading solves; a law that does
+not depend on y takes the same path, its cell solutions being eta = 0.
+It keeps no solutions between calls, so a caller that reads them back
 (the macro Newton's tangent, the corrector's warm start) keeps them
 itself.  The effective elasticity and electrostriction tensors are
 constant fourth-order tensors.
@@ -21,21 +23,19 @@ from .cell_problems import (BatchScalarCellSolver,  # noqa: F401
                             solve_scalar_cells, unit_strain)
 from .errors import NonConvergence
 
-_SAFE_POINT = np.array([-0.25, -0.25])  # off-interface for all geometries
-
 
 class EffectiveLaw:
     """Evaluable effective flux map xi -> mean of a(y, xi + grad eta_xi).
 
     ``solve`` returns the fluxes and the cell potentials eta_xi of a batch
-    of loadings.  Constant laws shortcut to the pointwise flux and have no
-    cell potentials (eta = 0); linear laws to a constant matrix and a
+    of loadings.  Linear laws shortcut to a constant matrix and a
     potential basis from the unit-loading cell solves, which share one
-    factorization.  Everything else runs batched cell solves on
-    ``batch``, the one scalar cell solver of the law, which every mode
-    has for the attached residuals.
-    ``eval_batch`` computes fluxes only, so the constant and linear modes
-    build no potentials there.  Nothing is stored between calls.
+    factorization.  Everything else, a law that does not depend on y
+    included (its cell solves meet the tolerance at eta = 0), runs
+    batched cell solves on ``batch``, the one scalar cell solver of the
+    law, which both modes have for the attached residuals.
+    ``eval_batch`` computes fluxes only, so the linear mode builds no
+    potentials there.  Nothing is stored between calls.
     """
 
     def __init__(self, spec, grid, tol=_fem.CELL_TOL):
@@ -43,9 +43,7 @@ class EffectiveLaw:
         self.grid = grid
         self.tol = tol
         self.batch = BatchScalarCellSolver(spec, grid, tol)
-        if spec.is_constant:
-            self.mode = "constant"
-        elif spec.is_linear:
+        if spec.is_linear:
             self.mode = "linear"
             sols = solve_scalar_cells(spec, np.eye(2), grid, tol)
             self._basis = np.stack([s.values for s in sols])
@@ -58,15 +56,13 @@ class EffectiveLaw:
     def solve(self, loadings, warm=None):
         """Effective fluxes (K, 2) and zero-mean cell potentials (K, n^2).
 
-        The potentials of a constant law are None.  ``warm`` optionally
-        provides initial cell iterates (K, n^2); only general laws run
-        cell solves, so the other modes ignore it.  With ``warm`` None a
-        general law's batch starts from eta = 0, and a large one solves
-        by continuation from anchor rows (``BatchScalarCellSolver.solve``).
+        ``warm`` optionally provides initial cell iterates (K, n^2); only
+        general laws run cell solves, so a linear law ignores it.  With
+        ``warm`` None a general law's batch starts from eta = 0, and a
+        large one solves by continuation from anchor rows
+        (``BatchScalarCellSolver.solve``).
         """
         loadings = np.asarray(loadings, dtype=float)
-        if self.mode == "constant":
-            return self._closed_form_flux(loadings), None
         if self.mode == "linear":
             return (self._closed_form_flux(loadings),
                     loadings @ self._basis)
@@ -87,20 +83,11 @@ class EffectiveLaw:
         if self.mode == "general":
             return self._batch_solve(np.asarray(loadings, dtype=float),
                                      warm).values
-        etas = self.solve(loadings, warm=warm)[1]
-        return np.zeros((len(loadings), self.grid.n_nodes)) \
-            if etas is None else etas
+        return self.solve(loadings, warm=warm)[1]
 
     def _closed_form_flux(self, loadings):
-        """Fluxes of a constant or linear law, (K, 2)."""
-        if self.mode == "constant":
-            return self.spec.flux_local(self._constant_loc(loadings),
-                                        loadings)
+        """Fluxes of a linear law, (K, 2)."""
         return loadings @ self.matrix.T
-
-    def _constant_loc(self, loadings):
-        return self.spec.local_coefficients(
-            np.broadcast_to(_SAFE_POINT, loadings.shape))
 
     def _batch_solve(self, loadings, warm=None):
         """The batch's converged result; NonConvergence if a row is not."""
@@ -126,25 +113,17 @@ class EffectiveLaw:
         d a_hom / d xi = ∫ A(y, p) (I + grad w) with p = xi + grad eta_xi,
         A = d a / d xi and w_j the linearized cell solution for the unit
         loading e_j.  ``etas`` are the cell solutions at the loadings, as
-        ``solve`` returned them (None for a constant law).  Each
-        tangent costs two linear solves with the Newton matrix at the
-        converged solution.  The zero-mean W = [w_1 w_2], (K, n^2, 2),
-        predicts the cell solution at a nearby loading xi' as
-        eta + W (xi' - xi).  Constant and linear laws run no cell
-        iterations, so their W is None.
+        ``solve`` returned them.  Each tangent costs two linear solves
+        with the Newton matrix at the converged solution.  The zero-mean
+        W = [w_1 w_2], (K, n^2, 2), predicts the cell solution at a
+        nearby loading xi' as eta + W (xi' - xi).  A linear law runs no
+        cell iterations, so its W is None.
         """
         loadings = np.asarray(loadings, dtype=float)
-        w = None
-        if self.mode == "constant":
-            jac = self.spec.jacobian_local(
-                self._constant_loc(loadings), loadings,
-                delta_floor=_fem.DELTA_JAC)
-        elif self.mode == "linear":
-            jac = np.broadcast_to(self.matrix,
-                                  (loadings.shape[0], 2, 2)).copy()
-        else:
-            jac, w = self.batch.tangents(loadings, etas)
-        return jac, w
+        if self.mode == "linear":
+            return np.broadcast_to(self.matrix,
+                                   (loadings.shape[0], 2, 2)).copy(), None
+        return self.batch.tangents(loadings, etas)
 
     def provenance(self):
         return {

@@ -42,8 +42,8 @@ class HomogenizedSolution:
     residual: float
     iterations: int
     residual_history: list = field(default_factory=list)
-    # cell solutions at the final iterate, (4 nel, n^2); None for linear
-    # and constant laws
+    # cell solutions at the final iterate, (4 nel, n^2); None for a
+    # linear law
     cell_potentials: np.ndarray = None
 
 
@@ -99,8 +99,7 @@ def solve_homogenized_electrostatic(law, f, domain, tol=MACRO_TOL):
         history.append(_fem.vector_norm(res[0, free]))
         grads = _grad_flat(phis[0], domain)
         jac, w = law.jacobian_batch(grads, etas)
-        if etas is not None:
-            predictor = cell_predictor(law.spec)(grads, etas, w)
+        predictor = cell_predictor(law.spec)(grads, etas, w)
         block = _fem.assemble_diffusion(domain, jac.reshape(nel, 4, 2, 2))
         return _fem.solve_dirichlet(block, -res[0], domain)[None]
 
@@ -127,7 +126,7 @@ def solve_homogenized_electrostatic(law, f, domain, tol=MACRO_TOL):
             scale = (num / den) ** (1.0 / gamma)
             phi = phi * scale
             # eta(s xi) = s eta(xi) for a homogeneous law: an exact start
-            warm = None if etas0 is None else scale * etas0
+            warm = scale * etas0
 
     out = _fem.damped_newton(phi[None], residual, newton_step, tol,
                              MACRO_MAX_ITER, MACRO_MAX_LINESEARCH)
@@ -205,7 +204,7 @@ def reconstruct_phi1(law, phi0, sample_grid, gradient_field, cell_potentials):
     each.  Means over the unit cell vanish because the attached
     potentials are periodic.  ``cell_potentials`` are the cell solutions
     at the quadrature points of phi0's grid, as the macro solve returns
-    them, or None (a linear or constant law has none).  When given, the
+    them, or None (a linear law has none).  When given, the
     points nearest a sample point become rows (xi0, eta, W) of the law's
     ``cell_predictor``: xi0 is phi0's Q1 gradient there and
     W = d eta / d xi comes from one tangent solve per such point.  A
@@ -268,11 +267,9 @@ def solve_homogenized_elasticity(b_eff, c_eff, g, phi0, domain,
     """
     g_qp = _source_at_qp(g, domain)
     rhs = _fem.load_vector(domain, g_qp)
-    if c_eff is not None and phi0 is not None:
-        pts = domain.qp_coords()
-        grads = _gradient_at(phi0, gradient_field, pts)
-        stress = c_eff.apply(grads[..., :, None] * grads[..., None, :])
-        rhs = rhs - _fem.divergence_residual(domain, stress)
+    grads = _gradient_at(phi0, gradient_field, domain.qp_coords())
+    stress = c_eff.apply(grads[..., :, None] * grads[..., None, :])
+    rhs = rhs - _fem.divergence_residual(domain, stress)
     block = _fem.assemble_elasticity_constant(domain, b_eff.tensor)
     rhs = rhs.ravel()
     u = _fem.solve_dirichlet(block, rhs, domain, dofs_per_node=2)

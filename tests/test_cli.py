@@ -106,6 +106,21 @@ def test_effective_report_of_a_constant_linear_law(tmp_path):
     payload = json.loads((out / "effective.json").read_text())
     assert payload["b_hom"] == [[1.0, 0.0], [0.0, 1.0]]
     assert payload["a_hom_unit_loadings"] == payload["b_hom"]
+    # a uniform p = 3 law takes the general path, whose cell solves end
+    # at eta = 0: a_hom(e_k) = sigma e_k
+    path, cfg = small_config(
+        tmp_path, operator={"family": "power-law", "p": 3.0, "alpha": 1.0,
+                            "sigma": [2.0, 2.0]},
+        geometry={"kind": "uniform"})
+    assert run("effective", str(path), str(tmp_path / "p3")) == 0
+    payload = json.loads((tmp_path / "p3" / "effective.json").read_text())
+    sigma = cfg["operator"]["sigma"][0]
+    a_unit = np.array(payload["a_hom_unit_loadings"])
+    assert np.abs(a_unit - sigma * np.eye(2)).max() <= 1e-14 * sigma
+    assert run("homogenized", str(path), str(tmp_path / "p3-macro")) == 0
+    report = json.loads(
+        (tmp_path / "p3-macro" / "homogenized_report.json").read_text())
+    assert report["law"]["mode"] == "general"
 
 
 def test_corrector_study_csv_rows(tmp_path):
@@ -541,8 +556,8 @@ def test_study_report_does_not_depend_on_blas_threads(tmp_path):
 
 
 def test_macro_start_does_not_depend_on_blas_threads(tmp_path):
-    # a homogeneous p = 3 law, uniform so its cell solves are closed
-    # form, at solve_n 128: the start's rescale takes inner products over
+    # a homogeneous p = 3 law, uniform so its cell solves end at eta = 0
+    # with no Newton step, at solve_n 128: the start's rescale takes inner products over
     # 16,129 interior nodes, long enough for BLAS to split a dot product
     # over threads, which moved the start and every Newton residual after
     path, _ = small_config(

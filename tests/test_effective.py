@@ -74,8 +74,7 @@ def test_a_hom_cache_hits():
 def test_linear_case_b_hom_identity():
     spec = OperatorSpec(family="linear", geometry=Geometry("uniform"),
                         sigma=(1.0, 1.0))
-    # a constant law has no cell matrix: b_hom's columns are a_hom(e_k),
-    # as ``hk effective`` reports them
+    # b_hom's columns are a_hom(e_k), as ``hk effective`` reports them
     bhom = EffectiveLaw(spec, CellGrid(8)).eval_batch(np.eye(2)).T
     assert np.abs(bhom - np.eye(2)).max() < 1e-12
 
@@ -408,14 +407,9 @@ def test_cell_solution_derivative_matches_central_difference(make_spec):
     assert np.abs(w - fd).max() <= 1e-6 * np.abs(fd).max()
 
 
-@pytest.mark.parametrize("spec", [
-    OperatorSpec(family="power-law", p=3.0, alpha=1.0,
-                 geometry=Geometry("uniform"), sigma=(2.0, 2.0)),
-    OperatorSpec(family="linear", geometry=LAMINATE, sigma=(1.0, 4.0)),
-])
-def test_eval_batch_builds_no_potential_table(spec):
+def test_eval_batch_builds_no_potential_table():
     import tracemalloc
-    law = EffectiveLaw(spec, CellGrid(16))
+    law = EffectiveLaw(linear_laminate(), CellGrid(16))
     loadings = np.random.default_rng(13).standard_normal((4096, 2))
     expected = law.solve(loadings)[0]
     table_bytes = 8 * loadings.shape[0] * law.grid.n_nodes
@@ -427,6 +421,35 @@ def test_eval_batch_builds_no_potential_table(spec):
         tracemalloc.stop()
     assert np.array_equal(flux, expected)
     assert peak < table_bytes / 8
+
+
+@pytest.mark.parametrize("spec", [
+    OperatorSpec(family="power-law", p=3.0, alpha=1.0,
+                 geometry=Geometry("uniform"), sigma=(2.0, 2.0)),
+    OperatorSpec(family="power-law", p=3.0, alpha=1.0, geometry=LAMINATE,
+                 sigma=(2.0, 2.0)),
+    OperatorSpec(family="power-law", p=2.5, alpha=1.0, delta=0.1,
+                 geometry=Geometry("square", size=0.5), sigma=(2.0, 2.0)),
+    OperatorSpec(family="linear", geometry=Geometry("uniform"),
+                 sigma=(2.0, 2.0)),
+], ids=["uniform-p3", "laminate-p3", "square-p2.5", "uniform-linear"])
+def test_constant_law_runs_the_general_path_at_eta_zero(spec):
+    # a law that does not depend on y has eta = 0, so the nonlinear ones
+    # meet the cell tolerance at the zero start with no Newton step, and
+    # every law's flux and tangent are its pointwise ones
+    law = EffectiveLaw(spec, CellGrid(8))
+    assert law.mode == ("linear" if spec.is_linear else "general")
+    loadings = np.random.default_rng(17).standard_normal((16, 2))
+    flux, etas = law.solve(loadings)
+    jac = law.jacobian_batch(loadings, etas)[0]
+    loc = spec.local_coefficients(np.zeros_like(loadings))
+    ref_flux = spec.flux_local(loc, loadings)
+    ref_jac = spec.jacobian_local(loc, loadings, delta_floor=_fem.DELTA_JAC)
+    assert np.abs(etas).max() <= 1e-14
+    assert np.abs(flux - ref_flux).max() <= 1e-14 * np.abs(ref_flux).max()
+    assert np.abs(jac - ref_jac).max() <= 1e-13
+    if law.mode == "general":
+        assert law.batch.solve(loadings).iterations.sum() == 0
 
 
 def test_solutions_for_takes_no_flux_means(monkeypatch):

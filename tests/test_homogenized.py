@@ -187,10 +187,12 @@ def test_recovered_gradient_superconvergence():
 def test_elasticity_zero_loads_zero_displacement():
     b = ElasticTensorField.from_lame((1.0, 1.0), geometry=UNIFORM)
     cell = CellGrid(8)
-    b_eff = assemble_elastic_tensors(b, b, np.zeros((2, cell.n_nodes)),
-                                     cell)[0]
+    b_eff, c_eff = assemble_elastic_tensors(
+        b, b, np.zeros((2, cell.n_nodes)), cell)
     dom = DomainGrid(16)
-    u, _ = solve_homogenized_elasticity(b_eff, None, np.zeros(2), None, dom)
+    u, _ = solve_homogenized_elasticity(
+        b_eff, c_eff, np.zeros(2), ScalarField(dom, np.zeros(dom.n_nodes)),
+        dom)
     assert np.abs(u.values).max() < 1e-14
 
 
@@ -322,16 +324,19 @@ def test_macro_returns_cell_potentials_of_final_iterate():
     assert (cell <= law.tol * _tol_scale(spec, grads)).all()
 
 
-def test_constant_law_macro_keeps_no_cell_potentials():
+def test_constant_law_macro_cell_potentials_vanish():
+    # a law that does not depend on y runs the general path: its macro
+    # solve keeps cell potentials, and they are eta = 0 to rounding
     spec = OperatorSpec(family="power-law", p=3.0, alpha=1.0,
                         geometry=UNIFORM, sigma=(2.0, 2.0))
     law = EffectiveLaw(spec, CellGrid(8))
     macro = solve_homogenized_electrostatic(law, 1.0, DomainGrid(8))
     assert macro.iterations >= 2
-    assert macro.cell_potentials is None
+    assert macro.cell_potentials.shape == (4 * 8 * 8, law.grid.n_nodes)
+    assert np.abs(macro.cell_potentials).max() <= 1e-14
     corr = _reconstruct(law, macro, DomainGrid(16))
     assert corr.potentials.shape == (4 * 16 * 16, law.grid.n_nodes)
-    assert not corr.potentials.any()
+    assert np.abs(corr.potentials).max() <= 1e-14
 
 
 def test_reconstruct_phi1_predictor_takes_fewer_newton_steps(monkeypatch):
