@@ -466,18 +466,6 @@ def gradient_at_local(vals, local, h):
     return np.stack([c[1] + y * c[3], c[2] + x * c[3]], axis=-1) / h
 
 
-def point_eval_gradient(nodal, conn, h, n_cells, origin, points):
-    """Gradient of a Q1 field at arbitrary points (..., 2).
-
-    Scalar data gives (..., 2); vector data (..., c, 2) with
-    [..., c, d] = d u_c / d x_d.
-    """
-    points = np.asarray(points, dtype=float)
-    elem, local = locate_points(points.reshape(-1, 2), n_cells, h, origin)
-    out = gradient_at_local(element_values(nodal, conn, elem), local, h)
-    return out.reshape(points.shape[:-1] + out.shape[1:])
-
-
 def recovered_gradient(grid, nodal):
     """Nodal-averaged gradient of a Q1 scalar field, (n_nodes, 2).
 
@@ -956,14 +944,13 @@ def solve_periodic_pinned(block, rhs, dofs_per_node=1):
     """Direct solve of a periodic (constant-nullspace) system.
 
     ``block`` is the system with the dofs of node 0 pinned (``assemble_*``
-    on a periodic grid); ``rhs`` covers every dof.  Solves the pinned
-    system, then removes the per-component mean so solutions are
-    zero-mean.  Assumes the rhs is compatible (orthogonal to constants),
-    which holds for divergence-form loads.  The block, whose wrapped
-    stencil spans it, is factored once by SuperLU (``_splu``).  ``rhs``
-    (n,) gives (n,) or, with several dofs per node,
-    (n / d, d); ``rhs`` (n, r) solves r right-hand sides with that one
-    factorization and stacks their solutions on a last axis.
+    on a periodic grid); ``rhs`` (n, r) holds r right-hand sides, each
+    covering every dof.  Solves the pinned system, then removes the
+    per-component mean so solutions are zero-mean.  Assumes each
+    right-hand side is compatible (orthogonal to constants), which holds
+    for divergence-form loads.  The block, whose wrapped stencil spans
+    it, is factored once by SuperLU (``_splu``) for all r.  Returns
+    (n, r), or (n / d, d, r) with d > 1 dofs per node.
     """
     n = rhs.shape[0]
     x = np.zeros(rhs.shape)
@@ -972,12 +959,10 @@ def solve_periodic_pinned(block, rhs, dofs_per_node=1):
     # a single right-hand side's are
     cols = [np.ascontiguousarray(c).reshape(-1, dofs_per_node)
             for c in x.reshape(n, -1).T]
-    cols = [c - c.mean(axis=0) for c in cols]
     shape = (n // dofs_per_node,) + ((dofs_per_node,) if dofs_per_node > 1
                                      else ())
-    if rhs.ndim == 1:
-        return cols[0].reshape(shape)
-    return np.stack([c.reshape(shape) for c in cols], axis=-1)
+    return np.stack([(c - c.mean(axis=0)).reshape(shape) for c in cols],
+                    axis=-1)
 
 
 def pinned_residual(block, x, rhs, dofs_per_node=1):

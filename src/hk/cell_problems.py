@@ -53,13 +53,11 @@ class ScalarCellSolution:
 
 @dataclass
 class ElasticCellSolution:
-    """Zero-mean periodic displacement for one load index pair."""
+    """Zero-mean periodic displacement for one load."""
 
-    indices: tuple
     values: np.ndarray          # nodal, (n^2, 2)
     residual: float
     iterations: int
-    grid: CellGrid = field(repr=False)
 
 
 def _tol_scale(spec, loadings):
@@ -299,7 +297,7 @@ def solve_elastic_cells(tensor_b, grid, stresses):
         bnorm = _fem.vector_norm(bc[2:])
         rnorm = _fem.vector_norm(_fem.pinned_residual(block, xc, bc, 2))
         relres = float(rnorm / bnorm) if bnorm > 0.0 else 0.0
-        sols[key] = ElasticCellSolution(key, xc, relres, 1, grid)
+        sols[key] = ElasticCellSolution(xc, relres, 1)
     return sols
 
 
@@ -529,13 +527,13 @@ class BatchScalarCellSolver:
             self.loc, grad, delta_floor=_fem.DELTA_JAC,
             out=ws.get("jac", *grad.shape, 2), work=work)
 
-    def _scatter(self, per_elem, out=None):
-        """Per-element nodal data (k, nel, 4, ...) summed onto nodes, (k, nn, ...).
+    def _scatter(self, per_elem, out):
+        """Per-element nodal data (k, nel, 4, ...) summed onto nodes.
 
         ``_fem.slot_sums`` adds each node's element slots in increasing
         order, bitwise as ``np.add.at`` does.  The sums run on contiguous
-        scratch and are copied to ``out`` at the end, which may be a
-        strided view.
+        scratch and are copied to ``out`` (k, nn, ...) at the end, which
+        may be a strided view; returns ``out``.
         """
         k, nn = per_elem.shape[0], self.grid.n_nodes
         tail = per_elem.shape[3:]
@@ -544,8 +542,6 @@ class BatchScalarCellSolver:
             per_elem.reshape(k, -1, prod(tail)), self._node_slots,
             ws.get("band", k, nn, prod(tail), at=self._at_sums),
             ws.get("band", k, nn, prod(tail), at=self._at_terms))
-        if out is None:
-            out = np.empty((k, nn) + tail)
         out[...] = sums.reshape(out.shape)
         return out
 

@@ -175,6 +175,8 @@ def validate_config(cfg, subcommand=None):
                           "/schema")
     out = {"schema": SCHEMA_VERSION,
            "seed": _integer(cfg.get("seed", 0), "/seed")}
+    if out["seed"] < 0:     # numpy's generators take no negative seed
+        raise ConfigError("must be a nonnegative integer", "/seed")
 
     op = _require(cfg, "operator", "", dict)
     family = _require(op, "family", "/operator", str)

@@ -10,7 +10,8 @@ Phase layout on the unit cell comes from a Geometry (laminate, centered
 square, checkerboard, disc, or uniform).  The structure constants of a
 law, the monotonicity and continuity constants of its structural
 conditions, are neither declared nor derived: the audit measures them
-on random samples (``check_growth_conditions``).
+on random samples (``check_growth_conditions``).  Its ratios come from
+``structure_ratios``, which the effective law's audit shares.
 """
 
 from dataclasses import dataclass, field
@@ -95,7 +96,9 @@ class OperatorSpec:
     ``matrices`` replaces ``sigma`` for the linear family.  ``p`` is the
     governing growth exponent used for norms and validation (the smaller
     exponent for the variable-exponent family).  ``delta`` regularizes the
-    power law inside |xi|; it must be positive when p < 2.
+    power law inside |xi|; it is nonnegative, and raised to 1e-8 when
+    p < 2.  ``sigma`` is positive in both phases wherever it builds the
+    law.
     """
 
     family: str
@@ -114,6 +117,12 @@ class OperatorSpec:
             raise ValueError("growth exponent must satisfy p > 1")
         if not 0.0 <= self.alpha <= min(1.0, self.p - 1.0):
             raise ValueError("alpha must lie in [0, min(1, p-1)]")
+        if self.delta < 0.0:
+            raise ValueError("delta must be nonnegative")
+        # sigma builds every law but a linear one given its matrices
+        if (self.family != "linear" or self.matrices is None) \
+                and any(s <= 0.0 for s in self.sigma):
+            raise ValueError("sigma must be positive in both phases")
         if self.family == "linear":
             mats = self.matrices
             if mats is None:
@@ -122,11 +131,8 @@ class OperatorSpec:
             for m in mats:
                 m.setflags(write=False)
             object.__setattr__(self, "matrices", mats)
-        else:
-            if any(s <= 0.0 for s in self.sigma):
-                raise ValueError("sigma must be positive in both phases")
-            if self.p < 2.0 and self.delta <= 0.0:
-                object.__setattr__(self, "delta", 1e-8)
+        elif self.p < 2.0 and self.delta == 0.0:
+            object.__setattr__(self, "delta", 1e-8)
         if self.family == "variable-exponent":
             if self.exponent is None:
                 raise ValueError("variable-exponent family needs exponent pair")
@@ -337,6 +343,26 @@ def _ball_samples(rng, m, radius):
     return np.stack([r * np.cos(angle), r * np.sin(angle)], axis=-1)
 
 
+def structure_ratios(xi1, xi2, a1, a2, p, growth, holder):
+    """Monotonicity and continuity ratios of fluxes a1, a2 at xi1, xi2, (m, 2).
+
+    With w = 1 + |xi1|^2 + |xi2|^2 and d = |xi1 - xi2|, the monotonicity
+    ratio is (a1 - a2).(xi1 - xi2) / (w^((p-2)/2) d^2) and the continuity
+    ratio |a1 - a2| / (w^(growth/2) d^holder), over the pairs with
+    d > 1e-12.  Returns the two ratio arrays.
+    """
+    diff = a1 - a2
+    dxi = xi1 - xi2
+    norm_dxi = np.linalg.norm(dxi, axis=-1)
+    keep = norm_dxi > 1e-12
+    weight = 1.0 + np.sum(xi1 * xi1, axis=-1) + np.sum(xi2 * xi2, axis=-1)
+    mono = (np.sum(diff * dxi, axis=-1)[keep]
+            / (weight[keep] ** (0.5 * (p - 2.0)) * norm_dxi[keep] ** 2))
+    cont = (np.linalg.norm(diff, axis=-1)[keep]
+            / (weight[keep] ** (0.5 * growth) * norm_dxi[keep] ** holder))
+    return mono, cont
+
+
 GROWTH_AUDIT_SAMPLES = 1000  # (y, xi_1, xi_2) samples of the growth audit
 GROWTH_AUDIT_RADIUS = 3.0
 
@@ -344,9 +370,9 @@ GROWTH_AUDIT_RADIUS = 3.0
 def check_growth_conditions(spec, seed=0):
     """Audit boundedness, continuity, and monotonicity on random samples.
 
-    Ratios are measured against the structural weights
-    (1 + |xi_1|^2 + |xi_2|^2)^((p-1-alpha)/2) |xi_1 - xi_2|^alpha and
-    (1 + |xi_1|^2 + |xi_2|^2)^((p-2)/2) |xi_1 - xi_2|^2 over
+    Ratios (``structure_ratios``) are measured against the structural
+    weights (1 + |xi_1|^2 + |xi_2|^2)^((p-1-alpha)/2) |xi_1 - xi_2|^alpha
+    and (1 + |xi_1|^2 + |xi_2|^2)^((p-2)/2) |xi_1 - xi_2|^2 over
     ``GROWTH_AUDIT_SAMPLES`` samples.  The loading points are drawn from
     the ball of radius ``GROWTH_AUDIT_RADIUS`` in R^2 (the continuity
     condition is read over R^d).  A nonpositive monotonicity ratio raises
@@ -358,19 +384,10 @@ def check_growth_conditions(spec, seed=0):
     xi1 = _ball_samples(rng, m, GROWTH_AUDIT_RADIUS)
     xi2 = _ball_samples(rng, m, GROWTH_AUDIT_RADIUS)
     a0 = spec.flux(y, np.zeros((m, 2)))
-    a1 = spec.flux(y, xi1)
-    a2 = spec.flux(y, xi2)
-    diff = a1 - a2
-    dxi = xi1 - xi2
-    norm_dxi = np.linalg.norm(dxi, axis=-1)
-    keep = norm_dxi > 1e-12
-    weight = 1.0 + np.sum(xi1 * xi1, axis=-1) + np.sum(xi2 * xi2, axis=-1)
-    p, alpha = spec.p, spec.alpha
-    cont = (np.linalg.norm(diff, axis=-1)[keep]
-            / (weight[keep] ** (0.5 * (p - 1.0 - alpha))
-               * norm_dxi[keep] ** alpha))
-    mono = (np.sum(diff * dxi, axis=-1)[keep]
-            / (weight[keep] ** (0.5 * (p - 2.0)) * norm_dxi[keep] ** 2))
+    alpha = spec.alpha
+    mono, cont = structure_ratios(xi1, xi2, spec.flux(y, xi1),
+                                  spec.flux(y, xi2), spec.p,
+                                  spec.p - 1.0 - alpha, alpha)
     lam_emp = float(mono.min())
     return GrowthReport(
         seed=seed,

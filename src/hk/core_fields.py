@@ -212,53 +212,19 @@ def sample_oscillatory(g, eps, target):
 # Plain-text field dump
 # ---------------------------------------------------------------------------
 
-def dump_field(f, name, stream):
+def dump_field(f, name, path):
     """Write ``FIELD <name> grid=<n> components=<c>`` plus one node per line.
 
-    Rows are ``i j v_1 ... v_c`` with 17 significant digits.  ``stream`` is
-    a path or a writable text stream.
+    Rows are ``i j v_1 ... v_c`` with 17 significant digits, written to
+    the file at ``path``.
     """
-    close = False
-    if isinstance(stream, (str, bytes)):
-        stream = open(stream, "w")
-        close = True
-    try:
-        grid = f.grid
-        ncols = grid.n if grid.periodic else grid.n + 1
-        vals = f.values.reshape(grid.n_nodes, -1)
+    grid = f.grid
+    ncols = grid.n if grid.periodic else grid.n + 1
+    vals = f.values.reshape(grid.n_nodes, -1)
+    with open(path, "w") as stream:
         stream.write(f"FIELD {name} grid={grid.n} components={vals.shape[1]}\n")
         for node in range(grid.n_nodes):
             i = node % ncols
             j = node // ncols
             row = " ".join(f"{v:.17g}" for v in vals[node])
             stream.write(f"{i} {j} {row}\n")
-    finally:
-        if close:
-            stream.close()
-
-
-def load_field(stream, grid):
-    """Read a field previously written by dump_field onto ``grid``."""
-    close = False
-    if isinstance(stream, (str, bytes)):
-        stream = open(stream, "r")
-        close = True
-    try:
-        header = stream.readline().split()
-        if not header or header[0] != "FIELD":
-            raise ValueError("not a field dump")
-        comps = int(header[3].split("=")[1])
-        ncols = grid.n if grid.periodic else grid.n + 1
-        vals = np.zeros((grid.n_nodes, comps))
-        for line in stream:
-            parts = line.split()
-            if not parts:
-                continue
-            i, j = int(parts[0]), int(parts[1])
-            vals[j * ncols + i] = [float(v) for v in parts[2:]]
-    finally:
-        if close:
-            stream.close()
-    if comps == 1:
-        return ScalarField(grid, vals[:, 0])
-    return VectorField(grid, vals)

@@ -66,26 +66,17 @@ class CellwiseConstant:
     partition: EpsPartition
     values: np.ndarray          # (n_cells, ...) per flat cell id
 
-    def at_quadrature(self, domain):
-        return self.values[self.partition.cell_of(domain.qp_coords())]
 
+def coarse_average_M(data, domain, eps, zero_boundary=True):
+    """Average quadrature data over each eps-cell; boundary-layer cells carry 0.
 
-def coarse_average_M(v, domain, eps, zero_boundary=True):
-    """Average a field over each eps-cell; boundary-layer cells carry 0.
-
-    ``v`` is a field on ``domain`` or quadrature data (nel, 4, ...), such
-    as a table of the corrector reconstruction with one row per sample
+    ``data`` is a quadrature table (nel, 4, ...) on ``domain``, such as
+    a table of the corrector reconstruction with one row per sample
     point.  Averages use the quadrature measure of the part of each cell
     inside the domain; boundary-layer cells keep theirs when not
-    ``zero_boundary``.  Applying the operator to its own output is the
-    identity (cellwise-constant inputs are fixed points, exactly).
+    ``zero_boundary``.  Returns the averages as a CellwiseConstant.
     """
-    if isinstance(v, CellwiseConstant):
-        if v.partition.eps == eps:
-            return v
-        v = v.at_quadrature(domain)
     part = EpsPartition(eps)
-    data = v if isinstance(v, np.ndarray) else v.at_quadrature()
     # the one-hot matrix with each point's quadrature weight in place of
     # its 1 (its entries are grouped by cell, so the weights go through
     # its column indices): it sums the products w * v in the order the

@@ -9,7 +9,7 @@ itself.  The effective elasticity and electrostriction tensors are
 constant fourth-order tensors.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .cell_problems import (BatchScalarCellSolver,  # noqa: F401
                             corrector_flux, electric_stress,
                             solve_elastic_cells, solve_scalar_cell,
                             solve_scalar_cells, unit_strain)
+from .constitutive import structure_ratios
 from .errors import NonConvergence
 
 
@@ -231,8 +232,7 @@ def assemble_elastic_tensors(tensor_b, tensor_c, unit_etas, grid):
             grid.h, chi_stress + electric[(i, j)])
 
     def solutions(kind, pairs):
-        return {(i, j): replace(sols[(kind, min(i, j), max(i, j))],
-                                indices=(i, j)) for (i, j) in pairs}
+        return {(i, j): sols[(kind, min(i, j), max(i, j))] for (i, j) in pairs}
 
     all_pairs = [(i, j) for i in range(2) for j in range(2)]
     return (EffectiveElasticity(bhom, solutions("U", _SYM_PAIRS)),
@@ -246,7 +246,6 @@ def assemble_elastic_tensors(tensor_b, tensor_c, unit_etas, grid):
 @dataclass
 class AHomPropertyReport:
     pairs: int
-    seed: int
     theta: float
     min_monotonicity: float
     max_continuity: float
@@ -263,7 +262,8 @@ def check_a_hom_properties(law, seed=0):
     ``A_HOM_AUDIT_PAIRS`` pairs of loadings are drawn uniformly from the
     disc of radius ``A_HOM_AUDIT_RADIUS``.  Monotonicity ratio:
     [a(x1)-a(x2)].(x1-x2) / ((1+|x1|^2+|x2|^2)^((p-2)/2) |x1-x2|^2);
-    continuity ratio uses the exponent theta = alpha/(2-alpha).
+    continuity ratio |a(x1)-a(x2)| / ((1+|x1|^2+|x2|^2)^((p-2-theta)/2)
+    |x1-x2|^theta), with theta = alpha/(2-alpha) (``structure_ratios``).
     Report only; the violation flag trips when any monotonicity ratio is
     nonpositive.
     """
@@ -273,23 +273,13 @@ def check_a_hom_properties(law, seed=0):
     r = A_HOM_AUDIT_RADIUS * np.sqrt(rng.uniform(0.0, 1.0, size=(2, m)))
     xi1 = np.stack([r[0] * np.cos(angle[0]), r[0] * np.sin(angle[0])], axis=-1)
     xi2 = np.stack([r[1] * np.cos(angle[1]), r[1] * np.sin(angle[1])], axis=-1)
-    a1 = law.eval_batch(xi1)
-    a2 = law.eval_batch(xi2)
-    diff = a1 - a2
-    dxi = xi1 - xi2
-    norm_dxi = np.linalg.norm(dxi, axis=-1)
-    keep = norm_dxi > 1e-12
-    weight = 1.0 + np.sum(xi1 * xi1, axis=-1) + np.sum(xi2 * xi2, axis=-1)
+    theta = law.spec.alpha / (2.0 - law.spec.alpha)
     p = law.spec.p
-    alpha = law.spec.alpha
-    theta = alpha / (2.0 - alpha)
-    mono = (np.sum(diff * dxi, axis=-1)[keep]
-            / (weight[keep] ** (0.5 * (p - 2.0)) * norm_dxi[keep] ** 2))
-    cont = (np.linalg.norm(diff, axis=-1)[keep]
-            / (weight[keep] ** (0.5 * (p - 2.0 - theta))
-               * norm_dxi[keep] ** theta))
+    mono, cont = structure_ratios(xi1, xi2, law.eval_batch(xi1),
+                                  law.eval_batch(xi2), p, p - 2.0 - theta,
+                                  theta)
     return AHomPropertyReport(
-        pairs=int(keep.sum()), seed=seed, theta=float(theta),
+        pairs=mono.size, theta=float(theta),
         min_monotonicity=float(mono.min()),
         max_continuity=float(cont.max()),
         violation=bool(mono.min() <= 0.0))

@@ -49,7 +49,6 @@ def check_resolved(geometry, m):
 class FineSolution:
     """Solution bundle for one microstructure size."""
 
-    eps: float
     potential: ScalarField
     residuals: dict = field(default_factory=dict)
     iterations: dict = field(default_factory=dict)
@@ -57,10 +56,10 @@ class FineSolution:
 
 
 def _source_at_qp(f, domain):
-    if isinstance(f, (ScalarField, VectorField)):
-        if f.grid != domain:
-            raise ValueError("source field lives on a different grid")
-        return f.at_quadrature()
+    """A source at ``domain``'s quadrature points, (nel, 4) or (nel, 4, 2).
+
+    ``f`` is a callable of the coordinates (x, y), a scalar or a 2-vector.
+    """
     if callable(f):
         # not the grid's cached table: a fine grid keeps no coordinates
         pts = _fem.qp_coords(domain.n, domain.h, domain.origin)
@@ -147,7 +146,7 @@ def solve_fine_electrostatic(spec, eps, f, domain, tol=_fem.CELL_TOL):
     }
     energy["ratio"] = energy["grad_phi_Lp^p"] / max(energy["f_Lq^q"], 1e-300)
     return FineSolution(
-        eps=eps, potential=potential,
+        potential=potential,
         residuals={"electrostatic": float(rnorm),
                    "electrostatic_max_nodal": float(np.abs(res[free]).max())},
         iterations={"electrostatic": iterations},

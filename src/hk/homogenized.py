@@ -252,7 +252,7 @@ def _nearest_qp_located(elem, local, n_cells, ratio=1):
 
 
 # ---------------------------------------------------------------------------
-# Homogenized elasticity and its corrector
+# Homogenized elasticity
 # ---------------------------------------------------------------------------
 
 def solve_homogenized_elasticity(b_eff, c_eff, g, phi0, domain,
@@ -277,35 +277,3 @@ def solve_homogenized_elasticity(b_eff, c_eff, g, phi0, domain,
     return (VectorField(domain, u.reshape(-1, 2)),
             _fem.vector_norm(block @ u[free] - rhs[free]))
 
-
-def reconstruct_u1(elastic_solutions, electrostriction_solutions, u0, phi0,
-                   sample_grid=None):
-    """First-order displacement corrector table at sample quadrature points.
-
-    u1(x, .) = -D(u0)_{ij}(x) * (unit-strain response)^{ij}
-               + d_i phi0(x) d_j phi0(x) * (electric response)^{ij},
-    assembled as nodal unit-cell fields per macroscopic sample point,
-    (K, n_cell_nodes, 2).  Zero-mean cell solutions keep every row
-    mean-free over the unit cell.
-    """
-    sample_grid = sample_grid or (u0.grid if u0 is not None else phi0.grid)
-    pts = sample_grid.qp_coords().reshape(-1, 2)
-    some = next(iter(elastic_solutions.values()))
-    n_nodes = some.values.shape[0]
-    table = np.zeros((pts.shape[0], n_nodes, 2))
-    if u0 is not None:
-        ug = u0.grid
-        grad = _fem.point_eval_gradient(u0.values, ug.conn, ug.h, ug.n,
-                                        ug.origin, pts)
-        strain = 0.5 * (grad + np.swapaxes(grad, -1, -2))
-        for (i, j), sol in elastic_solutions.items():
-            weight = strain[:, i, j] * (1.0 if i == j else 2.0)
-            table -= weight[:, None, None] * sol.values[None, :, :]
-    if phi0 is not None and electrostriction_solutions:
-        pg = phi0.grid
-        grads = _fem.point_eval_gradient(phi0.values, pg.conn, pg.h, pg.n,
-                                         pg.origin, pts)
-        for (i, j), sol in electrostriction_solutions.items():
-            weight = grads[:, i] * grads[:, j]
-            table += weight[:, None, None] * sol.values[None, :, :]
-    return table

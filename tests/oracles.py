@@ -2,11 +2,13 @@
 
 Everything here is derived from one-dimensional flux/traction balance or
 closed-form calculus, with no code shared with the package's assembly
-and solver paths.  ``point_eval`` is the exception: it locates points and
-evaluates a Q1 field there through the package's own kernels, the
-reference that the located paths must match bitwise.  The unfolding
-operator S_eps (``two_scale_compose_S``) rearranges a field's quadrature
-values by the package's eps-cell partition.
+and solver paths.  ``point_eval`` and ``point_eval_gradient`` are the
+exception: they locate points and evaluate a Q1 field or its gradient
+there through the package's own kernels, the reference that the located
+paths must match bitwise.  The unfolding operator S_eps
+(``two_scale_compose_S``) rearranges a field's quadrature values by the
+package's eps-cell partition.  ``load_field`` reads back the plain-text
+dumps that ``hk.core_fields.dump_field`` writes.
 """
 
 from dataclasses import dataclass
@@ -15,6 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from hk import _fem
+from hk.core_fields import ScalarField, VectorField
 from hk.corrector import EpsPartition
 
 
@@ -242,6 +245,40 @@ def point_eval(nodal, conn, h, n_cells, origin, points):
                                      origin)
     out = _fem.value_at_local(_fem.element_values(nodal, conn, elem), local)
     return out.reshape(points.shape[:-1] + out.shape[1:])
+
+
+def point_eval_gradient(nodal, conn, h, n_cells, origin, points):
+    """Gradient of a Q1 field at arbitrary points (..., 2).
+
+    Scalar data gives (..., 2); vector data (..., c, 2) with
+    [..., c, d] = d u_c / d x_d.
+    """
+    points = np.asarray(points, dtype=float)
+    elem, local = _fem.locate_points(points.reshape(-1, 2), n_cells, h,
+                                     origin)
+    out = _fem.gradient_at_local(_fem.element_values(nodal, conn, elem),
+                                 local, h)
+    return out.reshape(points.shape[:-1] + out.shape[1:])
+
+
+def load_field(path, grid):
+    """Read a field that ``dump_field`` wrote to ``path`` onto ``grid``."""
+    with open(path) as stream:
+        header = stream.readline().split()
+        if not header or header[0] != "FIELD":
+            raise ValueError("not a field dump")
+        comps = int(header[3].split("=")[1])
+        ncols = grid.n if grid.periodic else grid.n + 1
+        vals = np.zeros((grid.n_nodes, comps))
+        for line in stream:
+            parts = line.split()
+            if not parts:
+                continue
+            i, j = int(parts[0]), int(parts[1])
+            vals[j * ncols + i] = [float(v) for v in parts[2:]]
+    if comps == 1:
+        return ScalarField(grid, vals[:, 0])
+    return VectorField(grid, vals)
 
 
 @dataclass

@@ -368,7 +368,7 @@ def reference_newton(spec, loading, grid):
         jac = spec.jacobian_local(loc, total_gradient(etas[0]),
                                   delta_floor=_fem.DELTA_JAC)
         block = _fem.assemble_diffusion(grid, jac)
-        return _fem.solve_periodic_pinned(block, -res[0])[None]
+        return _fem.solve_periodic_pinned(block, -res[0][:, None])[:, 0][None]
 
     out = _fem.damped_newton(np.zeros((1, grid.n_nodes)), residual,
                              newton_step, _fem.CELL_TOL, _fem.MAX_NEWTON,

@@ -16,6 +16,8 @@ from hk.corrector import EpsPartition, check_study_grids
 from hk.errors import ConfigError
 from hk.fine_scale import periods_per_side
 
+from oracles import load_field
+
 
 def small_config(tmp_path, **overrides):
     cfg = json.loads(json.dumps(PRESETS["laminate-p2"]))
@@ -174,7 +176,7 @@ def test_cell_and_homogenized_commands(tmp_path):
 def test_homogenized_elastic_load_reads_the_raw_gradient(tmp_path):
     # hk homogenized is the library's one reader of phi0's Q1 gradient: the
     # displacement it dumps is the elastic solve given no gradient field
-    from hk.core_fields import DomainGrid, load_field
+    from hk.core_fields import DomainGrid
     from hk.effective import EffectiveLaw, assemble_elastic_tensors
     from hk.homogenized import (macroscopic_gradient_field,
                                 solve_homogenized_elasticity,
@@ -193,7 +195,7 @@ def test_homogenized_elastic_load_reads_the_raw_gradient(tmp_path):
     g = np.array(cfg["sources"]["g"])
     u0, _ = solve_homogenized_elasticity(b_eff, c_eff, g, macro.potential,
                                          domain)
-    dumped = load_field(str(out / "effective_displacement.field"), domain)
+    dumped = load_field(out / "effective_displacement.field", domain)
     assert np.array_equal(dumped.values, u0.values)
     recovered, _ = solve_homogenized_elasticity(
         b_eff, c_eff, g, macro.potential, domain,
@@ -788,6 +790,14 @@ def _set_leaf(cfg, pointer, value):
     ("laminate-p3", "/geometry/fraction", 0.3, "corrector-study"),
     ("variable-exponent", "/geometry/size", 0.3, "fine"),
     ("variable-exponent", "/geometry/size", 0.3, "corrector-study"),
+    # numpy's generators take no negative seed
+    ("laminate-p2", "/seed", -1, "effective"),
+    ("laminate-p2", "/seed", -1, "verify"),
+    # laws outside the monotone class: a negative delta, a linear law
+    # built from a nonpositive sigma
+    ("laminate-p3", "/operator/delta", -1, "effective"),
+    ("laminate-p2", "/operator/sigma", [0, 4], "effective"),
+    ("laminate-p2", "/operator/sigma", [-1, 4], "effective"),
 ])
 def test_malformed_field_exits_3(tmp_path, capsys, preset, pointer, value,
                                  subcommand):

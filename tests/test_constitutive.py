@@ -87,6 +87,27 @@ def test_delta_default_for_singular_exponents():
     assert np.all(np.isfinite(out))
 
 
+
+@pytest.mark.parametrize("family, exponent", [
+    ("linear", None), ("power-law", None), ("variable-exponent", (3.0, 2.0))])
+def test_negative_delta_is_rejected(family, exponent):
+    # the flux reads delta^2 but the Newton Jacobian max(delta, floor)^2:
+    # a negative delta would make them disagree
+    with pytest.raises(ValueError, match="delta"):
+        OperatorSpec(family=family, p=2.0 if exponent else 3.0, alpha=1.0,
+                     delta=-1.0, geometry=LAMINATE, sigma=(1.0, 4.0),
+                     exponent=exponent)
+
+
+@pytest.mark.parametrize("sigma", [(0.0, 4.0), (-1.0, 4.0), (1.0, 0.0)])
+def test_linear_law_from_sigma_needs_positive_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        OperatorSpec(family="linear", geometry=LAMINATE, sigma=sigma)
+    # given matrices, a linear law does not read sigma
+    spec = OperatorSpec(family="linear", geometry=LAMINATE, sigma=sigma,
+                        matrices=(np.eye(2), 4.0 * np.eye(2)))
+    assert spec.matrices[1][0, 0] == 4.0
+
 def test_wrap_to_cell():
     pts = np.array([[0.75, -0.75], [1.5, 0.49], [-0.5, 0.5]])
     wrapped = wrap_to_cell(pts)

@@ -1,13 +1,12 @@
-import io
-
 import numpy as np
 import pytest
 
 from hk import _fem
 from hk.core_fields import (CellGrid, DomainGrid, ScalarField, dump_field,
-                            load_field, sample_oscillatory)
+                            sample_oscillatory)
 
-from oracles import boundary_mask, cell_average, node_coords, wrap_node
+from oracles import (boundary_mask, cell_average, load_field, node_coords,
+                     wrap_node)
 
 
 def test_make_cell_grid_counts():
@@ -197,17 +196,16 @@ def test_sample_oscillatory_mean_on_full_cells():
     assert abs(cell_mean - cell_average(g)) < 1e-12
 
 
-def test_dump_and_load_roundtrip():
+def test_dump_and_load_roundtrip(tmp_path):
     grid = CellGrid(4)
     rng = np.random.default_rng(3)
     f = ScalarField(grid, rng.standard_normal(grid.n_nodes))
-    buf = io.StringIO()
-    dump_field(f, "demo", buf)
-    buf.seek(0)
-    header = buf.readline()
+    path = tmp_path / "demo.field"
+    dump_field(f, "demo", path)
+    with open(path) as stream:
+        header = stream.readline()
     assert header == "FIELD demo grid=4 components=1\n"
-    buf.seek(0)
-    back = load_field(buf, grid)
+    back = load_field(path, grid)
     assert np.array_equal(back.values, f.values)
 
 

@@ -289,7 +289,6 @@ def test_c_hom_is_one_factorization_matching_per_pair_solves(monkeypatch):
                 assert np.array_equal(eff.pair_matrices[i, j], value)
                 assert np.array_equal(eff.solutions[(i, j)].values,
                                       chi.values)
-                assert eff.solutions[(i, j)].indices == (i, j)
         for (i, j), sol in b_eff.solutions.items():
             assert np.array_equal(
                 sol.values, solve_elastic_cell_U(bfield, grid, i, j).values)

@@ -18,7 +18,7 @@ from hk.core_fields import CellGrid, DomainGrid
 from hk.corrector import two_scale_stress_pairing
 from hk.effective import EffectiveElectrostriction
 from hk.homogenized import CorrectorData
-from oracles import point_eval, solved_block
+from oracles import point_eval, point_eval_gradient, solved_block
 
 GRIDS = {"cell-8": lambda: CellGrid(8), "domain-6": lambda: DomainGrid(6)}
 
@@ -152,8 +152,8 @@ def test_point_eval_gradient_matches_einsum(grid, tail):
     elem, local = _fem.locate_points(pts, grid.n, grid.h, grid.origin)
     ref = np.einsum("pad,pa...->p...d", _fem.shape_grad_at(local) / grid.h,
                     nodal[grid.conn[elem]])
-    got = _fem.point_eval_gradient(nodal, grid.conn, grid.h, grid.n,
-                                   grid.origin, pts)
+    got = point_eval_gradient(nodal, grid.conn, grid.h, grid.n,
+                              grid.origin, pts)
     _close(got, ref)
 
 
@@ -269,7 +269,7 @@ def test_direct_solves_match_dense_reference(name, kind):
         expected[d:] = np.linalg.solve(ref, rhs[d:])
         expected = expected.reshape(-1, d)
         expected -= expected.mean(axis=0)
-        got = _fem.solve_periodic_pinned(block, rhs, d)
+        got = _fem.solve_periodic_pinned(block, rhs[:, None], d)
     else:
         free = _fem.free_dofs(grid, d)
         expected[free] = np.linalg.solve(ref, rhs[free])
@@ -365,8 +365,8 @@ def test_take_gathers_equal_fancy_indexing(grid, tail):
     assert np.array_equal(point_eval(nodal, grid.conn, grid.h, grid.n,
                                      grid.origin, pts), value)
     assert np.array_equal(
-        _fem.point_eval_gradient(nodal, grid.conn, grid.h, grid.n,
-                                 grid.origin, pts),
+        point_eval_gradient(nodal, grid.conn, grid.h, grid.n, grid.origin,
+                            pts),
         _fem.gradient_at_local(nodal[grid.conn[elem]], local, grid.h))
     assert np.array_equal(_fem.qp_values(nodal, grid.conn),
                           _fem.element_map(_fem.SHAPE.T, nodal[grid.conn]))

@@ -7,7 +7,7 @@ from hk.core_fields import CellGrid, DomainGrid, ScalarField
 from hk.effective import EffectiveLaw, assemble_elastic_tensors
 from hk.fine_scale import solve_fine_elasticity, solve_fine_electrostatic
 from hk.homogenized import (macroscopic_gradient_field,
-                            reconstruct_phi1, reconstruct_u1,
+                            reconstruct_phi1,
                             solve_homogenized_elasticity,
                             solve_homogenized_electrostatic)
 
@@ -244,46 +244,6 @@ def test_displacement_converges_when_c_is_not_a_multiple_of_b():
             fine_dom.h, (diff * diff).sum(axis=-1))))
     assert errors[0] > errors[1] > errors[2]
     assert fit_rate(ladder, errors) >= 0.8
-
-
-def test_reconstruct_u1_zero_cases():
-    b = ElasticTensorField.from_lame((1.0, 1.0), geometry=UNIFORM)
-    c = ElasticTensorField.from_lame((0.5, 0.25), geometry=UNIFORM)
-    cell = CellGrid(8)
-    spec = OperatorSpec(family="linear", geometry=UNIFORM, sigma=(1.0, 1.0))
-    law = EffectiveLaw(spec, cell)
-    b_eff, c_eff = assemble_elastic_tensors(b, c, law.solutions_for(np.eye(2)),
-                                            cell)
-    dom = DomainGrid(16)
-    macro = solve_homogenized_electrostatic(law, 1.0, dom)
-    u0, _ = solve_homogenized_elasticity(b_eff, c_eff, np.array([0.0, -1.0]),
-                                         macro.potential, dom)
-    table = reconstruct_u1(b_eff.solutions, c_eff.solutions, u0,
-                           macro.potential)
-    assert np.abs(table).max() < 1e-11  # constant coefficients: no corrector
-
-
-def test_reconstruct_u1_mean_zero_and_reduction():
-    b = ElasticTensorField.from_lame((1.0, 1.0), (3.0, 2.0), LAMINATE)
-    c = ElasticTensorField.from_lame((0.5, 0.5), (1.5, 1.0), LAMINATE)
-    spec = OperatorSpec(family="linear", geometry=LAMINATE, sigma=(1.0, 4.0))
-    cell = CellGrid(16)
-    law = EffectiveLaw(spec, cell)
-    b_eff, c_eff = assemble_elastic_tensors(b, c, law.solutions_for(np.eye(2)),
-                                            cell)
-    dom = DomainGrid(8)
-    macro = solve_homogenized_electrostatic(law, 1.0, dom)
-    u0, _ = solve_homogenized_elasticity(b_eff, c_eff, np.array([0.0, -1.0]),
-                                         macro.potential, dom)
-    table = reconstruct_u1(b_eff.solutions, c_eff.solutions, u0,
-                           macro.potential)
-    assert np.abs(table.mean(axis=1)).max() < 1e-10
-    # with a vanishing potential only the elastic part remains
-    from hk.core_fields import ScalarField
-    zero_phi = ScalarField(dom, np.zeros(dom.n_nodes))
-    table_el = reconstruct_u1(b_eff.solutions, c_eff.solutions, u0, zero_phi)
-    table_both = reconstruct_u1(b_eff.solutions, {}, u0, zero_phi)
-    assert np.array_equal(table_el, table_both)
 
 
 def test_macro_newton_solves_each_loading_once(monkeypatch):

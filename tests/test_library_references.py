@@ -28,9 +28,6 @@ from pathlib import Path
 _LIBRARY = Path(__file__).resolve().parents[1] / "src" / "hk"
 
 ALLOWED = {
-    "reconstruct_u1": "the displacement corrector u1, kept for an elastic "
-                      "two-scale check of the displacement",
-    "load_field": "reader of the field dump format that dump_field writes",
     "solve_scalar_cell": "the one-loading form of solve_scalar_cells; "
                          "perfbench/spans.py traces it by name",
     "solve_elastic_cell_U": "the one-pair unit-strain form of "
