@@ -43,12 +43,12 @@ SCHEMA_VERSION = 1
 # Largest grids a config may ask for, so that memory stays bounded for
 # every config that validates.  The rungs run one after another, so a
 # run's peak is its largest rung's.  The fine solves run on an N x N grid,
-# N = fine_m / eps per rung; above N = 64 they solve by multigrid PCG, and
-# a rung's peak is its solves': one N = 512 laminate elastic solve peaks
-# near 0.36 GiB of RSS, the laminate-p2 study with elasticity (eps down
-# to 1/32) at 411 MiB, and the p = 3 one, whose N = 512 fine Newton
-# solve is its peak, at 286-288 MiB (one BLAS thread, one-process runs,
-# each repeated).  The post-processing streams over
+# N = cell_n / eps per rung; above N = 64 they solve by multigrid PCG,
+# and a rung's peak is its solves': one N = 512 laminate elastic solve
+# peaks near 0.36 GiB of RSS, and the preset studies at 430 MiB
+# (checkerboard-p2, to N = 512), 157-164 MiB (laminate-p2 and -p3, to
+# N = 256) and 111 MiB (variable-exponent, to N = 128), one BLAS thread,
+# one process per run, two runs each.  The post-processing streams over
 # blocks of element rows within _fem.WORK_BUDGET_BYTES.  The cell layer
 # keeps a few cell potentials, cell_n^2 doubles each, per quadrature point
 # of the sample grid, which refines the solve grid; CELL_TABLE_COPIES
@@ -67,7 +67,7 @@ _BASE_PRESET = {
     "geometry": {"kind": "laminate", "fraction": 0.5},
     "elasticity": {"B": {"matrix": [1.0, 1.0], "inclusion": [3.0, 2.0]},
                    "C": {"matrix": [0.5, 0.5], "inclusion": [1.5, 1.0]}},
-    "grids": {"cell_n": 8, "fine_m": 16, "solve_n": 32, "sample_n": 64},
+    "grids": {"cell_n": 8, "solve_n": 32, "sample_n": 64},
     "ladder": [0.25, 0.125, 0.0625, 0.03125],
     "tolerances": {"cell": _fem.CELL_TOL, "macro": MACRO_TOL},
     "sources": {"f": "bump", "g": [0.0, -1.0]},
@@ -86,7 +86,7 @@ PRESETS = {
                   "delta": 0.0, "sigma": [1.0, 4.0]}),
     "checkerboard-p2": _preset(
         geometry={"kind": "checkerboard"},
-        grids={"cell_n": 16, "fine_m": 16, "solve_n": 32, "sample_n": 64}),
+        grids={"cell_n": 16, "solve_n": 32, "sample_n": 64}),
     "variable-exponent": _preset(
         operator={"family": "variable-exponent", "p": 2.0, "alpha": 1.0,
                   "sigma": [1.0, 1.0], "exponent": [3.0, 2.0]},
@@ -215,30 +215,36 @@ def validate_config(cfg, subcommand=None):
         for name in ("B", "C"):
             block = _require(elast, name, "/elasticity", dict)
             for phase in ("matrix", "inclusion"):
-                _pair(_require(block, phase, f"/elasticity/{name}"),
-                      f"/elasticity/{name}/{phase}",
-                      "expected a [lam, mu] pair")
+                lam, mu = _pair(_require(block, phase, f"/elasticity/{name}"),
+                                f"/elasticity/{name}/{phase}",
+                                "expected a [lam, mu] pair")
+                # B c : c = 2 mu |c|^2 + lam (tr c)^2 on symmetric c
+                if name == "B" and not (mu > 0 and lam + mu > 0):
+                    raise ConfigError("B must have mu > 0 and lam + mu > 0",
+                                      f"/elasticity/B/{phase}")
     out["elasticity"] = elast
 
     grids = _object(cfg.get("grids", {}), "/grids")
     out["grids"] = {
         key: _integer(grids.get(key, default), f"/grids/{key}")
-        for key, default in (("cell_n", 8), ("fine_m", 16), ("solve_n", 32),
-                             ("sample_n", 64))}
+        for key, default in (("cell_n", 8), ("solve_n", 32), ("sample_n", 64))}
     for key, val in out["grids"].items():
         if val < 2:
             raise ConfigError("grid sizes must be >= 2", f"/grids/{key}")
         if key in MAX_GRID and val > MAX_GRID[key]:
             raise ConfigError(f"must be at most {MAX_GRID[key]}",
                               f"/grids/{key}")
-    for key in ("cell_n", "fine_m"):
-        val = out["grids"][key]
-        if val < 4 or val & (val - 1):
-            raise ConfigError("must be a power of two >= 4", f"/grids/{key}")
+    cell_n = out["grids"]["cell_n"]
+    if cell_n < 4 or cell_n & (cell_n - 1):
+        raise ConfigError("must be a power of two >= 4", "/grids/cell_n")
+    # an old config may still name the fine grids' resolution, as cell_n
+    if "fine_m" in grids and grids["fine_m"] != cell_n:
+        raise ConfigError("fine_m was retired; the fine grids run at cell_n "
+                          "elements per period", "/grids/fine_m")
     if out["grids"]["sample_n"] % out["grids"]["solve_n"] != 0:
         raise ConfigError("sample_n must be a multiple of solve_n",
                           "/grids/sample_n")
-    table_bytes = (CELL_TABLE_COPIES * 8 * out["grids"]["cell_n"] ** 2
+    table_bytes = (CELL_TABLE_COPIES * 8 * cell_n ** 2
                    * 4 * out["grids"]["sample_n"] ** 2)
     if table_bytes > MAX_CELL_TABLE_BYTES:
         raise ConfigError(
@@ -257,12 +263,8 @@ def validate_config(cfg, subcommand=None):
         if eps <= 0 or abs(1.0 / eps - round(1.0 / eps)) > 1e-12:
             raise ConfigError("1/eps must be a positive integer",
                               f"/ladder/{idx}")
-        if abs(out["grids"]["fine_m"] / eps
-               - round(out["grids"]["fine_m"] / eps)) > 1e-9:
-            raise ConfigError("ladder incommensurate with fine_m",
-                              f"/ladder/{idx}")
-        if out["grids"]["fine_m"] / eps > MAX_FINE_N:
-            raise ConfigError(f"fine grid fine_m / eps must be at most "
+        if cell_n / eps > MAX_FINE_N:
+            raise ConfigError(f"fine grid cell_n / eps must be at most "
                               f"{MAX_FINE_N} per side", f"/ladder/{idx}")
     for eps in ladder:
         # eps-cells must be unions of sample-grid elements
@@ -308,9 +310,9 @@ def validate_config(cfg, subcommand=None):
         except ValueError as exc:
             raise ConfigError(str(exc), pointer) from None
     if subcommand in ("fine", "corrector-study"):
-        # every rung's fine grid has fine_m elements per period
+        # every rung's fine grid has cell_n elements per period
         try:
-            check_resolved(build_geometry(out), out["grids"]["fine_m"])
+            check_resolved(build_geometry(out), cell_n)
         except ValueError as exc:
             raise ConfigError(str(exc), "/geometry") from None
     return out
@@ -472,7 +474,7 @@ def cmd_fine(cfg, out_dir, _unused=1):
     g = np.array(cfg["sources"]["g"])
     summary = {"provenance": provenance_block(cfg), "rungs": []}
     for eps in cfg["ladder"]:
-        domain = DomainGrid(int(round(cfg["grids"]["fine_m"] / eps)))
+        domain = DomainGrid(int(round(cfg["grids"]["cell_n"] / eps)))
         fine = solve_fine_electrostatic(spec, eps, f, domain,
                                         cfg["tolerances"]["cell"])
         entry = {"eps": eps, "grid_n": domain.n,
@@ -525,10 +527,8 @@ def cmd_corrector_study(cfg, out_dir, _unused=1):
     spec = build_spec(cfg)
     tensor_b, tensor_c = build_tensors(cfg)
     report = run_corrector_study(
-        spec, cfg["ladder"],
-        cell_n=cfg["grids"]["cell_n"], fine_m=cfg["grids"]["fine_m"],
-        solve_n=cfg["grids"]["solve_n"], sample_n=cfg["grids"]["sample_n"],
-        f=build_source_f(cfg), tensor_b=tensor_b, tensor_c=tensor_c,
+        spec, cfg["ladder"], **cfg["grids"], f=build_source_f(cfg),
+        tensor_b=tensor_b, tensor_c=tensor_c,
         g_src=np.array(cfg["sources"]["g"]),
         cell_tol=cfg["tolerances"]["cell"],
         macro_tol=cfg["tolerances"]["macro"])

@@ -98,7 +98,8 @@ class OperatorSpec:
     exponent for the variable-exponent family).  ``delta`` regularizes the
     power law inside |xi|; it is nonnegative, and raised to 1e-8 when
     p < 2.  ``sigma`` is positive in both phases wherever it builds the
-    law.
+    law, and a linear law's matrices have positive definite symmetric
+    parts, so that every law is coercive.
     """
 
     family: str
@@ -128,6 +129,10 @@ class OperatorSpec:
             if mats is None:
                 mats = (np.diag([self.sigma[0]] * 2), np.diag([self.sigma[1]] * 2))
             mats = tuple(np.array(m, dtype=float).reshape(2, 2) for m in mats)
+            if any(np.linalg.eigvalsh(0.5 * (m + m.T))[0] <= 0.0
+                   for m in mats):
+                raise ValueError("the symmetric part of each phase's matrix "
+                                 "must be positive definite")
             for m in mats:
                 m.setflags(write=False)
             object.__setattr__(self, "matrices", mats)

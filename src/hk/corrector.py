@@ -445,19 +445,19 @@ class CorrectorReport:
         }
 
 
-def check_study_grids(ladder, fine_m, solve_n, sample_n):
+def check_study_grids(ladder, cell_n, solve_n, sample_n):
     """Raise ValueError unless a study's grids fit its decreasing ladder.
 
-    Each rung's fine grid N = fine_m / eps is an integer, and the
+    Each rung's fine grid N = cell_n / eps is an integer, and the
     eps-cells are unions of sample-grid elements.
     """
     if len(ladder) < 2 or any(e2 >= e1 for e1, e2 in zip(ladder, ladder[1:])):
         raise ValueError("ladder must be strictly decreasing with >= 2 rungs")
-    if fine_m < 4 or fine_m & (fine_m - 1):
-        raise ValueError("fine_m must be a power of two >= 4")
+    if cell_n < 4 or cell_n & (cell_n - 1):
+        raise ValueError("cell_n must be a power of two >= 4")
     for eps in ladder:
-        if abs(fine_m / eps - round(fine_m / eps)) > 1e-9:
-            raise ValueError(f"fine_m={fine_m} incommensurate with eps={eps}")
+        if abs(cell_n / eps - round(cell_n / eps)) > 1e-9:
+            raise ValueError(f"cell_n={cell_n} incommensurate with eps={eps}")
         if abs(sample_n * eps / 2 - round(sample_n * eps / 2)) > 1e-9:
             raise ValueError(
                 f"sample grid {sample_n} does not align with eps={eps} cells")
@@ -465,18 +465,19 @@ def check_study_grids(ladder, fine_m, solve_n, sample_n):
         raise ValueError("sample grid must refine the solve grid")
 
 
-def run_corrector_study(spec, ladder, cell_n=8, fine_m=16, solve_n=32,
-                        sample_n=64, f=None, tensor_b=None, tensor_c=None,
+def run_corrector_study(spec, ladder, cell_n=8, solve_n=32, sample_n=64,
+                        f=None, tensor_b=None, tensor_c=None,
                         g_src=(0.0, -1.0), cell_tol=_fem.CELL_TOL,
                         macro_tol=MACRO_TOL):
     """Run the eps-sweep corrector verification for one operator family.
 
-    Grids: unit-cell solves on cell_n, fine meshes with fine_m elements
-    per eps-period, the effective solve on solve_n, corrector sampling on
-    sample_n (one cell solve per sample quadrature point).  When elastic
-    tensors are supplied, the coupled system is solved on each rung and
-    the weak-convergence functional gap reported alongside the electric
-    stress pairing gap.  The cell and fine solves stop at ``cell_tol``,
+    Grids: cell_n elements per period for the unit cells and the fine
+    meshes alike, so that the corrector and the fine solutions discretize
+    one cell problem; the effective solve on solve_n, corrector sampling
+    on sample_n (one cell solve per sample quadrature point).  When
+    elastic tensors are supplied, the coupled system is solved on each
+    rung and the weak-convergence functional gap reported alongside the
+    electric stress pairing gap.  The cell and fine solves stop at ``cell_tol``,
     the effective solve at ``macro_tol``.
 
     The default source is a smooth interior bump (mean 1, vanishing on
@@ -489,7 +490,7 @@ def run_corrector_study(spec, ladder, cell_n=8, fine_m=16, solve_n=32,
         f = study_source
 
     ladder = sorted(ladder, reverse=True)
-    check_study_grids(ladder, fine_m, solve_n, sample_n)
+    check_study_grids(ladder, cell_n, solve_n, sample_n)
     cell_grid = CellGrid(cell_n)
     law = EffectiveLaw(spec, cell_grid, cell_tol)
     solve_grid = DomainGrid(solve_n)
@@ -511,15 +512,15 @@ def run_corrector_study(spec, ladder, cell_n=8, fine_m=16, solve_n=32,
                                              gradient_field=grad_field)
         u0_pairing = functional_pairing(u0, _psi_vec)
 
-    g_pair = ScalarField(CellGrid(fine_m), np.sin(
-        2.0 * np.pi * CellGrid(fine_m).node_coords()[:, 0]))
+    g_pair = ScalarField(cell_grid, np.sin(
+        2.0 * np.pi * cell_grid.node_coords()[:, 0]))
     limit = pairing_limit(g_pair, _psi_x, _psi_y_pairing)
     two_scale_stress = two_scale_stress_pairing(corr, _psi_x, _psi_y_maxwell)
 
     def one_rung(eps):
         # the solves first, then the post-processing; of each stage only
         # the potential and the reported numbers outlive it
-        domain = DomainGrid(int(round(fine_m / eps)))
+        domain = DomainGrid(int(round(cell_n / eps)))
         fine = solve_fine_electrostatic(spec, eps, f, domain, cell_tol)
         el_gap = None
         if with_elasticity:
@@ -570,8 +571,8 @@ def run_corrector_study(spec, ladder, cell_n=8, fine_m=16, solve_n=32,
         macro_iterations=macro.iterations,
         macro_history=list(macro.residual_history),
         provenance={
-            "cell_n": cell_n, "fine_m": fine_m, "solve_n": solve_n,
-            "sample_n": sample_n, "p_norm": spec.p,
+            "cell_n": cell_n, "solve_n": solve_n, "sample_n": sample_n,
+            "p_norm": spec.p,
             "operator": spec.fingerprint(),
             "law": law.provenance(),
         })

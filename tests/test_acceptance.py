@@ -70,10 +70,10 @@ def laminate_studies():
     b, c = elastic_pair(LAMINATE)
     t0 = time.perf_counter()
     rep2 = run_corrector_study(specs["laminate-p2"], LADDER, cell_n=8,
-                               fine_m=16, solve_n=32, sample_n=64,
+                               solve_n=32, sample_n=64,
                                tensor_b=b, tensor_c=c)
     rep3 = run_corrector_study(specs["laminate-p3"], LADDER, cell_n=8,
-                               fine_m=16, solve_n=32, sample_n=64)
+                               solve_n=32, sample_n=64)
     elapsed = time.perf_counter() - t0
     return {"p2": rep2, "p3": rep3, "elapsed": elapsed}
 
@@ -82,7 +82,7 @@ def laminate_studies():
 def variable_exponent_study():
     spec = built_in_specs()["variable-exponent"]
     return run_corrector_study(spec, [1 / 4, 1 / 8, 1 / 16], cell_n=8,
-                               fine_m=16, solve_n=32, sample_n=64)
+                               solve_n=32, sample_n=64)
 
 
 def strictly_decreasing(seq):

@@ -873,8 +873,7 @@ def test_variable_exponent_study_never_calls_the_circle_predictor(
     calls = _forbid_circle(monkeypatch)
     cfg = json.loads(json.dumps(PRESETS["variable-exponent"]))
     cfg.update(elasticity=None, ladder=[0.5, 0.25],
-               grids={"cell_n": 8, "fine_m": 8, "solve_n": 8,
-                      "sample_n": 16})
+               grids={"cell_n": 8, "solve_n": 8, "sample_n": 16})
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     assert run("corrector-study", str(path), str(tmp_path / "out")) == 0

@@ -21,7 +21,7 @@ from oracles import load_field
 
 def small_config(tmp_path, **overrides):
     cfg = json.loads(json.dumps(PRESETS["laminate-p2"]))
-    cfg["grids"] = {"cell_n": 8, "fine_m": 8, "solve_n": 16, "sample_n": 32}
+    cfg["grids"] = {"cell_n": 8, "solve_n": 16, "sample_n": 32}
     cfg["ladder"] = [0.25, 0.125]
     cfg.update(overrides)
     path = tmp_path / "config.json"
@@ -54,7 +54,6 @@ def test_validate_empty_ladder_pointer():
 def test_validate_incommensurate_ladder_entry():
     cfg = json.loads(json.dumps(PRESETS["laminate-p2"]))
     cfg["ladder"] = [0.25, 0.2, 0.15]
-    cfg["grids"]["fine_m"] = 16
     with pytest.raises(ConfigError) as info:
         validate_config(cfg)
     assert info.value.pointer == "/ladder/2"
@@ -152,8 +151,7 @@ def test_linear_study_reports_attached_cell_residuals(tmp_path):
     # the linear law's corrector solutions get the same weak-form
     # residual check as the batched ones, not a row of zeros
     path, _ = small_config(tmp_path, elasticity=None,
-                           grids={"cell_n": 8, "fine_m": 8, "solve_n": 8,
-                                  "sample_n": 16},
+                           grids={"cell_n": 8, "solve_n": 8, "sample_n": 16},
                            ladder=[0.5, 0.25, 0.125])
     out = tmp_path / "out"
     assert run("corrector-study", str(path), str(out)) == 0
@@ -218,7 +216,7 @@ def test_failed_verify_check_exits_4(tmp_path):
     # the 1e-9 check; a failed check is not a solver failure (exit 2)
     cfg = json.loads(json.dumps(PRESETS["laminate-p3"]))
     cfg["elasticity"] = None
-    cfg["grids"] = {"cell_n": 8, "fine_m": 8, "solve_n": 8, "sample_n": 16}
+    cfg["grids"] = {"cell_n": 8, "solve_n": 8, "sample_n": 16}
     cfg["ladder"] = [0.5, 0.25, 0.125]
     cfg["tolerances"]["cell"] = 1e-4
     path = tmp_path / "config.json"
@@ -276,13 +274,12 @@ def test_validate_grid_power_of_two(tmp_path):
 
 
 @pytest.mark.parametrize("overrides, pointer", [
-    ({"grids": {"cell_n": 2 ** 20, "fine_m": 8, "solve_n": 16,
-                "sample_n": 32}}, "/grids/cell_n"),
-    # fine_m / eps = 1024 at the last rung
-    ({"grids": {"cell_n": 8, "fine_m": 16, "solve_n": 16, "sample_n": 128},
+    ({"grids": {"cell_n": 2 ** 20, "solve_n": 16, "sample_n": 32}},
+     "/grids/cell_n"),
+    # cell_n / eps = 1024 at the last rung; the cell tables (805 MB) pass
+    ({"grids": {"cell_n": 16, "solve_n": 16, "sample_n": 128},
       "ladder": [0.25, 0.125, 0.0625, 0.03125, 0.015625]}, "/ladder/4"),
-    ({"grids": {"cell_n": 64, "fine_m": 8, "solve_n": 16,
-                "sample_n": 64}}, "/grids"),
+    ({"grids": {"cell_n": 64, "solve_n": 16, "sample_n": 64}}, "/grids"),
 ])
 def test_oversized_grid_exits_3_before_building_grids(tmp_path, capsys,
                                                       monkeypatch, overrides,
@@ -307,10 +304,10 @@ def test_preset_loading_by_name():
 
 
 @pytest.mark.parametrize("name, digest", [
-    ("laminate-p2", "d71e8598b648b72a"),
-    ("laminate-p3", "a037a6d456e49fc9"),
-    ("checkerboard-p2", "d74c7eea92f58c63"),
-    ("variable-exponent", "6b8b1585a5a92b32"),
+    ("laminate-p2", "ec6946ac77dfef31"),
+    ("laminate-p3", "4aa37adc44873e07"),
+    ("checkerboard-p2", "dfb2bdea3ba29ffc"),
+    ("variable-exponent", "f91747e53efab5ca"),
 ])
 def test_preset_config_hash_pinned(name, digest):
     # reports carry config hashes; building the presets from a shared base
@@ -543,8 +540,8 @@ def test_study_report_does_not_depend_on_blas_threads(tmp_path):
     # a linear laminate with elasticity whose finest rung is N = 128: its
     # residual vectors are long enough for BLAS to split a dot product
     # over threads, which moved their norms' last bits
-    path, _ = small_config(tmp_path, grids={"cell_n": 8, "fine_m": 16,
-                                            "solve_n": 16, "sample_n": 32})
+    path, _ = small_config(tmp_path, grids={"cell_n": 16, "solve_n": 16,
+                                            "sample_n": 32})
     one, two = _reports_on_blas_threads(tmp_path, "corrector-study", path,
                                         "corrector_report.json")
     assert len(one["fine_residuals"]) == 2 and one["elasticity_gaps"]
@@ -565,7 +562,7 @@ def test_macro_start_does_not_depend_on_blas_threads(tmp_path):
     path, _ = small_config(
         tmp_path, operator=PRESETS["laminate-p3"]["operator"],
         geometry={"kind": "uniform"}, elasticity=None,
-        grids={"cell_n": 4, "fine_m": 16, "solve_n": 128, "sample_n": 128})
+        grids={"cell_n": 4, "solve_n": 128, "sample_n": 128})
     one, two = _reports_on_blas_threads(tmp_path, "homogenized", path,
                                         "homogenized_report.json")
     assert len(one["residual_history"]) > 2
@@ -576,8 +573,7 @@ def test_effective_report_does_not_depend_on_blas_threads(tmp_path):
     # a laminate p = 3 audit at cell_n 16: its batches solve by
     # continuation from the circle predictor, whose sums are elementwise
     path, _ = small_config(tmp_path, operator=PRESETS["laminate-p3"][
-        "operator"], grids={"cell_n": 16, "fine_m": 8, "solve_n": 16,
-                            "sample_n": 32})
+        "operator"], grids={"cell_n": 16, "solve_n": 16, "sample_n": 32})
     _reports_on_blas_threads(tmp_path, "effective", path, "effective.json")
     one, two = (tmp_path / f"blas-{blas}" / "effective.json"
                 for blas in ("1", "2"))
@@ -589,8 +585,8 @@ def test_homogeneous_study_does_not_depend_on_blas_threads(tmp_path):
     # trials and the corrector reconstruction start from the circle
     # predictor
     path, _ = small_config(tmp_path, operator=PRESETS["laminate-p3"][
-        "operator"], elasticity=None, grids={"cell_n": 8, "fine_m": 8,
-                                             "solve_n": 8, "sample_n": 16})
+        "operator"], elasticity=None, grids={"cell_n": 8, "solve_n": 8,
+                                             "sample_n": 16})
     one, two = _reports_on_blas_threads(tmp_path, "corrector-study", path,
                                         "corrector_report.json")
     assert len(one["macro_history"]) > 2
@@ -612,6 +608,58 @@ def test_retired_chom_variant_exits_3(tmp_path, capsys, value):
     assert info.value.pointer == "/chom_variant"
     path, _ = small_config(tmp_path, chom_variant="C-applied")
     assert "chom_variant" not in validate_config(json.loads(path.read_text()))
+
+
+def test_retired_fine_m_equal_to_cell_n_runs_the_same_study(tmp_path):
+    # an old config that names the fine grids' resolution, at cell_n,
+    # validates to the same grids and writes the same report
+    path, cfg = small_config(tmp_path, elasticity=None)
+    old_cfg = json.loads(json.dumps(cfg))
+    old_cfg["grids"]["fine_m"] = cfg["grids"]["cell_n"]
+    old_path = tmp_path / "old.json"
+    old_path.write_text(json.dumps(old_cfg))
+    assert validate_config(old_cfg) == validate_config(cfg)
+    for config, name in ((path, "new"), (old_path, "old")):
+        assert run("corrector-study", str(config), str(tmp_path / name)) == 0
+    new, old = (json.loads((tmp_path / name / "corrector_report.json")
+                           .read_text()) for name in ("new", "old"))
+    assert old["errors"] == new["errors"]
+    assert old["provenance"] == new["provenance"]
+    assert new["provenance"]["cell_n"] == 8
+    assert "fine_m" not in new["provenance"]
+    assert set(new["provenance"]["grids"]) == {"cell_n", "solve_n",
+                                               "sample_n"}
+
+
+@pytest.mark.parametrize("value", [16, 4, "x", None])
+def test_retired_fine_m_other_than_cell_n_exits_3(tmp_path, capsys, value):
+    path, cfg = small_config(tmp_path)
+    cfg["grids"]["fine_m"] = value
+    path.write_text(json.dumps(cfg))
+    assert run("corrector-study", str(path), str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error at /grids/fine_m:")
+    assert "cell_n" in err and "Traceback" not in err
+
+
+def test_fine_grids_run_at_cell_n_per_period(tmp_path):
+    path, _ = small_config(tmp_path, elasticity=None,
+                           grids={"cell_n": 4, "solve_n": 16, "sample_n": 32})
+    out = tmp_path / "out"
+    assert run("fine", str(path), str(out)) == 0
+    rungs = json.loads((out / "fine_report.json").read_text())["rungs"]
+    assert [rung["grid_n"] for rung in rungs] == [16, 32]
+
+
+def test_elasticity_b_must_be_elliptic_and_c_need_not_be():
+    cfg = load_config("laminate-p2")
+    cfg["elasticity"]["B"]["inclusion"] = [-3.0, 1.0]
+    with pytest.raises(ConfigError) as info:
+        validate_config(cfg)
+    assert info.value.pointer == "/elasticity/B/inclusion"
+    cfg = load_config("laminate-p2")
+    cfg["elasticity"]["C"] = {"matrix": [-3.0, 1.0], "inclusion": [0.0, 0.0]}
+    validate_config(cfg)
 
 
 @pytest.mark.parametrize("subcommand", ["cell", "verify", "homogenized",
@@ -643,8 +691,8 @@ def test_one_cell_solver_per_run(tmp_path, monkeypatch, subcommand):
     overrides = {"operator": PRESETS["laminate-p3"]["operator"]}
     if subcommand == "corrector-study":
         # the benchmark's study-p3 grids and ladder, elasticity kept
-        overrides.update(grids={"cell_n": 8, "fine_m": 8, "solve_n": 8,
-                                "sample_n": 16}, ladder=[0.5, 0.25, 0.125])
+        overrides.update(grids={"cell_n": 8, "solve_n": 8, "sample_n": 16},
+                         ladder=[0.5, 0.25, 0.125])
     path, cfg = small_config(tmp_path, **overrides)
     assert cfg["grids"]["cell_n"] == 8 and cfg["elasticity"] is not None
     assert run(subcommand, str(path), str(tmp_path / "out")) == 0
@@ -654,7 +702,7 @@ def test_one_cell_solver_per_run(tmp_path, monkeypatch, subcommand):
 
 def test_study_sample_grid_misaligned_exits_3(tmp_path, capsys):
     cfg = json.loads(json.dumps(PRESETS["laminate-p3"]))
-    cfg["grids"] = {"cell_n": 8, "fine_m": 8, "solve_n": 8, "sample_n": 16}
+    cfg["grids"] = {"cell_n": 8, "solve_n": 8, "sample_n": 16}
     cfg["ladder"] = [0.25, 0.125, 0.0625]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
@@ -668,10 +716,9 @@ def test_study_sample_grid_misaligned_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize("geometry", [{"kind": "laminate", "fraction": 0.3},
                                       {"kind": "square", "size": 0.3}])
 def test_unresolved_geometry_is_rejected_where_fine_grids_are_built(geometry):
-    # at fine_m 8; the exit-3 table has the presets' fine_m 16
+    # at the preset's cell_n 8
     cfg = json.loads(json.dumps(PRESETS["laminate-p2"]))
     cfg["geometry"] = geometry
-    cfg["grids"]["fine_m"] = 8
     for subcommand in ("fine", "corrector-study"):
         with pytest.raises(ConfigError) as info:
             validate_config(cfg, subcommand)
@@ -697,13 +744,14 @@ def test_validated_fine_grids_pass_the_solves_checks():
     # every config that validates for the subcommands that build fine grids
     # passes each check the solves make before they solve: the fine grid
     # against the period and the geometry, the sampling of g_pair, the
-    # eps-cells and the study's grids.  1/eps runs over 1..128 and fine_m
-    # over 4..64, up to N = 512; nothing is built but the cell grids
+    # eps-cells and the study's grids.  1/eps runs over 1..128 and cell_n
+    # over 4..64, up to N = 512 (cell tables of at most 201 MB); nothing is
+    # built but the cell grids
     cells = {}
     accepted = rejected = 0
     for geometry in _GEOMETRIES:
-        for fine_m in (4, 8, 16, 32, 64):
-            for k in range(1, 512 // fine_m + 1):
+        for cell_n in (4, 8, 16, 32, 64):
+            for k in range(1, 512 // cell_n + 1):
                 for subcommand, ladder in (("fine", [1.0 / k]),
                                            ("corrector-study",
                                             [1.0, 1.0 / k])):
@@ -711,8 +759,7 @@ def test_validated_fine_grids_pass_the_solves_checks():
                         continue
                     cfg = json.loads(json.dumps(PRESETS["laminate-p2"]))
                     cfg.update(geometry=geometry, ladder=ladder, grids={
-                        "cell_n": 4, "fine_m": fine_m, "solve_n": 2,
-                        "sample_n": 2 * k})
+                        "cell_n": cell_n, "solve_n": 2, "sample_n": 2 * k})
                     try:
                         out = validate_config(cfg, subcommand)
                     except ConfigError:
@@ -721,16 +768,16 @@ def test_validated_fine_grids_pass_the_solves_checks():
                     accepted += 1
                     grids = out["grids"]
                     if subcommand == "corrector-study":
-                        check_study_grids(out["ladder"], fine_m,
+                        check_study_grids(out["ladder"], cell_n,
                                           grids["solve_n"], grids["sample_n"])
-                    cell = cells.setdefault(fine_m, CellGrid(fine_m))
+                    cell = cells.setdefault(cell_n, CellGrid(cell_n))
                     for eps in out["ladder"]:
                         # the fine grid as the solves build it
-                        fine = SimpleNamespace(n=int(round(fine_m / eps)))
+                        fine = SimpleNamespace(n=int(round(cell_n / eps)))
                         periods_per_side(fine, eps, build_geometry(out))
                         _check_commensurate(cell, eps, fine)
                         EpsPartition(eps)
-    # the two unresolved geometries fail at every fine_m, the others pass
+    # the two unresolved geometries fail at every cell_n, the others pass
     assert (accepted, rejected) == (4 * 491, 2 * 491)
 
 
@@ -739,7 +786,7 @@ def test_study_where_n_times_eps_rounds_off_exits_0(tmp_path):
     # of g_pair on the fine grids takes the integer test of the fine solves
     path, _ = small_config(
         tmp_path, elasticity=None, ladder=[1 / 49, 1 / 98],
-        grids={"cell_n": 4, "fine_m": 4, "solve_n": 4, "sample_n": 196})
+        grids={"cell_n": 4, "solve_n": 4, "sample_n": 196})
     assert run("corrector-study", str(path), str(tmp_path / "out")) == 0
 
 
@@ -786,7 +833,7 @@ def _set_leaf(cfg, pointer, value):
     ("laminate-p2", "/sources/f", [1], "fine"),
     ("laminate-p2", "/sources/f", "constant:nan", "fine"),
     ("laminate-p2", "/sources/f", "constant:x", "fine"),
-    # interfaces off the pitch 1/fine_m of the fine grids
+    # interfaces off the pitch 1/cell_n of the fine grids
     ("laminate-p3", "/geometry/fraction", 0.3, "corrector-study"),
     ("variable-exponent", "/geometry/size", 0.3, "fine"),
     ("variable-exponent", "/geometry/size", 0.3, "corrector-study"),
@@ -798,6 +845,13 @@ def _set_leaf(cfg, pointer, value):
     ("laminate-p3", "/operator/delta", -1, "effective"),
     ("laminate-p2", "/operator/sigma", [0, 4], "effective"),
     ("laminate-p2", "/operator/sigma", [-1, 4], "effective"),
+    # a linear law whose matrix is not coercive
+    ("laminate-p2", "/operator/matrix", [[-1, 0], [0, -1]], "effective"),
+    ("laminate-p2", "/operator/matrix", [[1, 0], [0, 0]], "effective"),
+    # a B that is not elliptic on symmetric strains
+    ("laminate-p2", "/elasticity/B/matrix", [1, -1], "effective"),
+    ("laminate-p2", "/elasticity/B/matrix", [-3, 1], "effective"),
+    ("laminate-p2", "/elasticity/B/matrix", [1, 0], "homogenized"),
 ])
 def test_malformed_field_exits_3(tmp_path, capsys, preset, pointer, value,
                                  subcommand):

@@ -108,6 +108,20 @@ def test_linear_law_from_sigma_needs_positive_sigma(sigma):
                         matrices=(np.eye(2), 4.0 * np.eye(2)))
     assert spec.matrices[1][0, 0] == 4.0
 
+
+@pytest.mark.parametrize("matrix", [[[-1.0, 0.0], [0.0, -1.0]],
+                                    [[1.0, 0.0], [0.0, 0.0]],
+                                    [[1.0, 3.0], [0.0, 1.0]]])
+def test_linear_law_needs_a_coercive_matrix(matrix):
+    # the symmetric part decides: [[1, 3], [0, 1]] has eigenvalues 1, 1,
+    # but A xi . xi < 0 at xi = (1, -1)
+    with pytest.raises(ValueError, match="positive definite"):
+        OperatorSpec(family="linear", geometry=LAMINATE,
+                     matrices=(np.eye(2), matrix))
+    # a skew part alone does not break coercivity
+    OperatorSpec(family="linear", geometry=LAMINATE,
+                 matrices=(((1.0, 0.5), (-0.5, 1.0)), np.eye(2)))
+
 def test_wrap_to_cell():
     pts = np.array([[0.75, -0.75], [1.5, 0.49], [-0.5, 0.5]])
     wrapped = wrap_to_cell(pts)

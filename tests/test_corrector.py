@@ -262,11 +262,11 @@ def test_study_rejects_bad_ladder():
     with pytest.raises(ValueError, match="ladder"):
         run_corrector_study(spec, [0.25], cell_n=8)
     with pytest.raises(ValueError, match="incommensurate"):
-        run_corrector_study(spec, [0.5, 0.3], cell_n=8, fine_m=16)
+        run_corrector_study(spec, [0.5, 0.3], cell_n=8)
     with pytest.raises(ValueError, match="align"):
-        run_corrector_study(spec, [0.25, 1.0 / 6.0], cell_n=8, fine_m=16)
+        run_corrector_study(spec, [0.25, 1.0 / 6.0], cell_n=8)
     with pytest.raises(ValueError, match="power of two"):
-        run_corrector_study(spec, [0.25, 0.125], cell_n=8, fine_m=12)
+        run_corrector_study(spec, [0.25, 0.125], cell_n=12)
 
 
 def test_study_constant_coefficients_small():
@@ -274,8 +274,8 @@ def test_study_constant_coefficients_small():
     # reduces to the discretization gap between the fine grids and the
     # effective solve grid
     spec = OperatorSpec(family="linear", geometry=UNIFORM, sigma=(2.0, 2.0))
-    rep = run_corrector_study(spec, [0.25, 0.125], cell_n=8, fine_m=8,
-                              solve_n=16, sample_n=32)
+    rep = run_corrector_study(spec, [0.25, 0.125], cell_n=8, solve_n=16,
+                              sample_n=32)
     assert max(rep.errors["E_exp"]) <= 0.02
     assert max(rep.errors["E_dm"]) > 0.0  # averaging error remains
     assert rep.errors["E_dm"][0] > rep.errors["E_dm"][1]
@@ -290,10 +290,24 @@ def test_study_checkerboard_ladders_decrease():
     spec = OperatorSpec(family="linear", geometry=Geometry("checkerboard"),
                         sigma=(1.0, 4.0))
     rep = run_corrector_study(spec, [0.25, 0.125, 0.0625], cell_n=16,
-                              fine_m=16, solve_n=32, sample_n=64)
+                              solve_n=32, sample_n=64)
     for name in ("E_exp", "E_avg", "E_dm"):
         seq = rep.errors[name]
         assert all(b < a for a, b in zip(seq, seq[1:])), (name, seq)
+
+
+def test_square_p3_study_converges_at_one_resolution_per_period():
+    # the corrector's cells and the fine grids both have cell_n elements
+    # per period, so E_exp and E_avg fall with eps (rates 0.84 and 0.82);
+    # with fine grids at 16 elements per period they stalled at the gap
+    # between the two discrete cell solutions (rates 0.27 and 0.42)
+    spec = OperatorSpec(family="power-law", p=3.0, alpha=1.0,
+                        geometry=Geometry(kind="square", size=0.5),
+                        sigma=(1.0, 4.0))
+    rep = run_corrector_study(spec, [0.25, 0.125, 0.0625], cell_n=8,
+                              solve_n=32, sample_n=64)
+    assert rep.rates["E_exp"] >= 0.7
+    assert rep.rates["E_avg"] >= 0.7
 
 
 def test_averaged_error_triangle_inequality():
@@ -332,13 +346,13 @@ def test_averaged_error_triangle_inequality():
     (OperatorSpec(family="linear",
                   geometry=Geometry(kind="laminate", fraction=0.5),
                   sigma=(1.0, 4.0)),
-     [0.25, 0.125], dict(cell_n=8, fine_m=8, solve_n=16, sample_n=32)),
+     [0.25, 0.125], dict(cell_n=8, solve_n=16, sample_n=32)),
     # a nonlinear law: the rungs run batched Dal Maso cell solves on one
     # law
     (OperatorSpec(family="power-law", p=3.0, alpha=1.0,
                   geometry=Geometry(kind="laminate", fraction=0.5),
                   sigma=(1.0, 4.0)),
-     [0.25, 0.125], dict(cell_n=8, fine_m=8, solve_n=8, sample_n=16)),
+     [0.25, 0.125], dict(cell_n=8, solve_n=8, sample_n=16)),
     # fine grids N = 64 and 128: the N = 128 rung's electrostatic and
     # elastic systems are above the direct-solve cut and solve by
     # multigrid PCG
@@ -346,7 +360,7 @@ def test_averaged_error_triangle_inequality():
                   geometry=Geometry(kind="laminate", fraction=0.5),
                   sigma=(1.0, 4.0)),
      [0.125, 0.0625],
-     dict(cell_n=8, fine_m=8, solve_n=16, sample_n=32,
+     dict(cell_n=8, solve_n=16, sample_n=32,
           tensor_b=ElasticTensorField.from_lame(
               (1.0, 1.0), (3.0, 2.0),
               Geometry(kind="laminate", fraction=0.5)),
@@ -433,8 +447,7 @@ def test_study_memory_stays_bounded(tmp_path):
     from hk.cli import PRESETS, cmd_corrector_study, validate_config
     cfg = json.loads(json.dumps(PRESETS["laminate-p3"]))
     cfg.update(elasticity=None, ladder=[0.5, 0.25, 0.125],
-               grids={"cell_n": 8, "fine_m": 8, "solve_n": 8,
-                      "sample_n": 16})
+               grids={"cell_n": 8, "solve_n": 8, "sample_n": 16})
     cfg = validate_config(cfg)
     tracemalloc.start()
     try:
@@ -460,8 +473,8 @@ def _synthetic_rung(n, sample_n=8, cell_n=8, seed=0):
 
 
 # (solve_n, sample_n, fine N) of the studies: the presets and the acceptance
-# fixtures (32, 64, fine_m 16 at eps 1/4 to 1/32), the study workloads
-# (8, 16, fine_m 8; 32, 32, fine_m 8) and a sample grid on the solve grid
+# fixtures (32, 64, cell_n 8 or 16 at eps 1/4 to 1/32), the study workloads
+# (8, 16, cell_n 8; 32, 32, cell_n 8) and a sample grid on the solve grid
 @pytest.mark.parametrize("solve_n,sample_n,fine_n", [
     (32, 64, 64), (32, 64, 128), (32, 64, 256), (32, 64, 512),
     (8, 16, 16), (8, 16, 64), (32, 32, 32), (32, 32, 128), (16, 16, 64)])
