@@ -303,15 +303,14 @@ def solve_elastic_cells(tensor_b, grid, stresses):
 
 def electric_stress(tensor_c, grid, zeta):
     """C sym(zeta) at quadrature points for a source zeta (nel, 4, 2, 2)."""
-    lam, mu = tensor_c.lame_at(grid.qp_coords())
-    return _fem.isotropic_stress(lam, mu,
-                                 0.5 * (zeta + np.swapaxes(zeta, -1, -2)))
+    return tensor_c.stress(grid.qp_coords(),
+                           0.5 * (zeta + np.swapaxes(zeta, -1, -2)))
 
 
 def solve_elastic_cell_U(tensor_field, grid, i, j):
     """The unit-strain cell problem of one pair: ``solve_elastic_cells``'."""
-    return solve_elastic_cells(tensor_field, grid, {(i, j): tensor_field.apply(
-        grid.qp_coords(), unit_strain(i, j))})[(i, j)]
+    stress = tensor_field.stress(grid.qp_coords(), unit_strain(i, j))
+    return solve_elastic_cells(tensor_field, grid, {(i, j): stress})[(i, j)]
 
 
 def solve_electrostriction_cell(tensor_b, tensor_c, zeta_qp, grid,

@@ -571,9 +571,8 @@ def cmd_verify(cfg, out_dir, _unused=1):
     if tensor_b is not None:
         max_norm, min_ratio = tensor_b.audit_bounds(cfg["seed"])
         checks["elastic_tensor"] = {
-            "symmetries": tensor_b.has_elastic_symmetries(),
             "max_norm": max_norm, "min_ellipticity_ratio": min_ratio}
-        ok &= tensor_b.has_elastic_symmetries() and min_ratio > 0
+        ok &= min_ratio > 0
         t = assemble_elastic_tensors(tensor_b, tensor_c, unit_etas,
                                      grid)[0].tensor
         major = float(np.abs(t - np.transpose(t, (2, 3, 0, 1))).max())

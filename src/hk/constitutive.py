@@ -1,4 +1,4 @@
-"""Constitutive flux families a(y, xi) and fourth-order tensor fields.
+"""Constitutive flux families a(y, xi) and elastic tensor fields.
 
 Three built-in families:
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fem import isotropic_tensor, wrap_to_cell
+from ._fem import isotropic_stress, isotropic_tensor, wrap_to_cell
 
 
 # ---------------------------------------------------------------------------
@@ -50,8 +50,8 @@ class Geometry:
             raise ValueError("inclusion size must lie in (0, 1)")
 
     def indicator(self, points):
-        """True where a point belongs to the inclusion phase."""
-        pts = np.asarray(points, dtype=float)
+        """True where a point, wrapped to Y by periodicity, is inclusion."""
+        pts = wrap_to_cell(points)
         y1 = pts[..., 0]
         y2 = pts[..., 1]
         if self.kind == "uniform":
@@ -151,12 +151,9 @@ class OperatorSpec:
 
     # -- phase-resolved coefficients -------------------------------------
 
-    def phase(self, points):
-        return self.geometry.indicator(wrap_to_cell(points))
-
     def local_coefficients(self, points):
         """Per-point coefficient data reusable across flux evaluations."""
-        chi = self.phase(points)
+        chi = self.geometry.indicator(points)
         if self.family == "linear":
             b = np.where(chi[..., None, None], self.matrices[1], self.matrices[0])
             return {"bmat": b}
@@ -404,83 +401,57 @@ def check_growth_conditions(spec, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# Fourth-order tensor fields
+# Elastic tensor fields
 # ---------------------------------------------------------------------------
 
-SYMMETRY_TOL = 1e-15        # entrywise, of ``has_elastic_symmetries``
 BOUNDS_AUDIT_SAMPLES = 100  # random (y, c) pairs of ``audit_bounds``
 
 
 @dataclass(frozen=True)
 class ElasticTensorField:
-    """Phase-wise constant fourth-order tensor on the unit cell.
+    """Phase-wise isotropic fourth-order tensor on the unit cell.
 
-    ``tensors`` = (matrix-phase tensor, inclusion-phase tensor), each
-    (2,2,2,2).  ``lame`` keeps the (lam, mu) pairs when both phases are
-    isotropic, enabling fast assembly paths.
+    ``lame`` = (matrix-phase (lam, mu), inclusion-phase (lam, mu)); each
+    phase's tensor is ``isotropic_tensor(lam, mu)``.  ``stress`` is the
+    one way a phase turns strain into stress.
     """
 
-    tensors: tuple
-    geometry: Geometry = field(default_factory=Geometry)
-    lame: tuple = None
-
-    def __post_init__(self):
-        tensors = tuple(np.array(t, dtype=float).reshape(2, 2, 2, 2)
-                        for t in self.tensors)
-        for t in tensors:
-            t.setflags(write=False)
-        object.__setattr__(self, "tensors", tensors)
+    lame: tuple
+    geometry: Geometry
 
     @classmethod
     def from_lame(cls, matrix, inclusion=None, geometry=None):
-        """Build an isotropic two-phase field from (lam, mu) pairs."""
+        """Build a two-phase field from (lam, mu) pairs."""
         inclusion = matrix if inclusion is None else inclusion
         geometry = geometry if geometry is not None else Geometry()
-        return cls(tensors=(isotropic_tensor(*matrix), isotropic_tensor(*inclusion)),
-                   geometry=geometry,
-                   lame=(tuple(matrix), tuple(inclusion)))
-
-    def phase(self, points):
-        return self.geometry.indicator(wrap_to_cell(points))
-
-    def tensor_at(self, points):
-        chi = self.phase(points)
-        return np.where(chi[..., None, None, None, None],
-                        self.tensors[1], self.tensors[0])
-
-    def apply(self, points, mat):
-        """(B(y) M)_{ij} = B_{ijkh} M_{kh}, phase-resolved at each point."""
-        mat = np.asarray(mat, dtype=float)[..., None, None, :, :]
-        return (self.tensor_at(points) * mat).sum(axis=(-2, -1))
+        return cls(lame=(tuple(matrix), tuple(inclusion)), geometry=geometry)
 
     def lame_at(self, points):
-        """Per-point (lam, mu) arrays; only for isotropic two-phase fields."""
-        if self.lame is None:
-            raise ValueError("tensor field is not phase-wise isotropic")
-        chi = self.phase(points)
+        """Per-point (lam, mu) arrays."""
+        chi = self.geometry.indicator(points)
         lam = np.where(chi, self.lame[1][0], self.lame[0][0])
         mu = np.where(chi, self.lame[1][1], self.lame[0][1])
         return lam, mu
 
-    def has_elastic_symmetries(self):
-        """Entrywise B_{ijkh} = B_{jikh} = B_{ijhk} for both phases."""
-        return not any(np.abs(t - np.transpose(t, axes)).max() > SYMMETRY_TOL
-                       for t in self.tensors
-                       for axes in ((1, 0, 2, 3), (0, 1, 3, 2)))
+    def stress(self, points, strain):
+        """B(y) E = lam tr(E) I + 2 mu E per point; E symmetric, (..., 2, 2)."""
+        return isotropic_stress(*self.lame_at(points), strain)
 
     def audit_bounds(self, seed=0):
-        """Sampled sup-norm and ellipticity floor over symmetric matrices.
+        """Sup-norm of the phase tensors and sampled ellipticity floor.
 
-        Returns (max_norm, min_ratio) with min_ratio the smallest
-        B c : c / |c|^2 over random nonzero symmetric c and random y.
-        (Ellipticity is audited on symmetric matrices; isotropic tensors
-        annihilate the antisymmetric part.)
+        Returns (max_norm, min_ratio): max_norm the largest entry of either
+        phase's ``isotropic_tensor``, min_ratio the smallest B c : c / |c|^2
+        over ``BOUNDS_AUDIT_SAMPLES`` random nonzero symmetric c and random
+        y.  (Ellipticity is audited on symmetric matrices; isotropic
+        tensors annihilate the antisymmetric part.)
         """
         rng = np.random.default_rng(seed)
         y = rng.uniform(-0.5, 0.5, size=(BOUNDS_AUDIT_SAMPLES, 2))
         c = rng.standard_normal((BOUNDS_AUDIT_SAMPLES, 2, 2))
         c = 0.5 * (c + np.swapaxes(c, -1, -2))
-        bc = self.apply(y, c)
-        ratio = (bc * c).sum(axis=(1, 2)) / (c * c).sum(axis=(1, 2))
-        max_norm = max(float(np.abs(t).max()) for t in self.tensors)
+        ratio = ((self.stress(y, c) * c).sum(axis=(1, 2))
+                 / (c * c).sum(axis=(1, 2)))
+        max_norm = max(float(np.abs(isotropic_tensor(*pair)).max())
+                       for pair in self.lame)
         return max_norm, float(ratio.min())

@@ -205,7 +205,7 @@ def assemble_elastic_tensors(tensor_b, tensor_c, unit_etas, grid):
     electric = {(i, j): electric_stress(
         tensor_c, grid, fluxes[i][..., :, None] * fluxes[j][..., None, :])
         for (i, j) in _SYM_PAIRS}
-    stresses = {("U", i, j): tensor_b.apply(points, unit_strain(i, j))
+    stresses = {("U", i, j): tensor_b.stress(points, unit_strain(i, j))
                 for (i, j) in _SYM_PAIRS}
     stresses.update({("chi", i, j): -tau for (i, j), tau in electric.items()})
     sols = solve_elastic_cells(tensor_b, grid, stresses)
@@ -216,18 +216,17 @@ def assemble_elastic_tensors(tensor_b, tensor_c, unit_etas, grid):
 
     strains = {(i, j): unit_strain(i, j) - strain("U", i, j)
                for (i, j) in _SYM_PAIRS}
-    lam, mu = tensor_b.lame_at(points)
     bhom = np.zeros((2, 2, 2, 2))
     pair = np.zeros((2, 2, 2, 2))
     for (i, j) in _SYM_PAIRS:
-        stress = _fem.isotropic_stress(lam, mu, strains[(i, j)])
+        stress = tensor_b.stress(points, strains[(i, j)])
         for (m, n) in _SYM_PAIRS:
             val = _fem.integrate_qp(
                 grid.h, (stress * strains[(m, n)]).sum(axis=(-2, -1)))
             for (a, b) in {(i, j), (j, i)}:
                 for (c, d) in {(m, n), (n, m)}:
                     bhom[a, b, c, d] = val
-        chi_stress = _fem.isotropic_stress(lam, mu, strain("chi", i, j))
+        chi_stress = tensor_b.stress(points, strain("chi", i, j))
         pair[i, j] = pair[j, i] = _fem.integrate_qp(
             grid.h, chi_stress + electric[(i, j)])
 

@@ -1,10 +1,11 @@
 """Fine-scale coupled solves on the unit square with oscillatory coefficients.
 
-Coefficients at x are the unit-cell coefficients at y = {x/eps}_Y.  With
-the commensurate grids enforced here (domain resolution N = n/eps), both
-nodes and quadrature points of the domain grid land exactly on their
-unit-cell counterparts, so coefficient lookup is an index map and the
-fine problems see literally the same phase data as the cell problems.
+Coefficients at x are the unit-cell coefficients at y = {x/eps}_Y, read
+with the geometry's indicator at ``_fem.cell_points``, a float wrap of
+x/eps.  With the commensurate grids enforced here (domain resolution
+N = n/eps) and the phase interfaces on the element pitch
+(``check_resolved``), each quadrature point lies strictly inside one
+phase, so the fine problems see the same phase data as the cell problems.
 """
 
 from dataclasses import dataclass, field
@@ -175,8 +176,8 @@ def _electric_load(tensor_c, eps, potential):
     domain = potential.grid
     load = np.zeros((domain.n_nodes, 2))
     for rows in _fem.row_blocks(domain.n):
-        lame = tensor_c.lame_at(_fem.cell_points(domain, eps, rows))
-        stress = _fem.isotropic_stress(*lame, maxwell_stress(potential, rows))
+        stress = tensor_c.stress(_fem.cell_points(domain, eps, rows),
+                                 maxwell_stress(potential, rows))
         _fem.scatter_rows(load, domain, rows,
                           _fem.element_map(_fem.DIV_OP, stress, 2) * domain.h)
     return load

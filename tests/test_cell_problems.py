@@ -63,7 +63,7 @@ def test_laminate_p2_slopes():
     grid = CellGrid(64)
     sol = solve_scalar_cell(laminate_spec(2.0), [1.0, 0.0], grid)
     grad = _fem.qp_gradient(sol.values, grid.conn, grid.h)
-    phase = laminate_spec(2.0).phase(grid.qp_coords())
+    phase = laminate_spec(2.0).geometry.indicator(grid.qp_coords())
     assert np.abs(grad[~phase][:, 0] - 0.6).max() < 1e-9
     assert np.abs(grad[phase][:, 0] + 0.6).max() < 1e-9
     assert np.abs(grad[..., 1]).max() < 1e-9
@@ -84,7 +84,7 @@ def test_corrector_flux_laminate_values():
     spec = laminate_spec(2.0)
     sol = solve_scalar_cell(spec, [1.0, 0.0], grid)
     p_qp = corrector_flux([1.0, 0.0], sol)
-    phase = spec.phase(grid.qp_coords())
+    phase = spec.geometry.indicator(grid.qp_coords())
     assert np.abs(p_qp[~phase][:, 0] - 1.6).max() < 1e-9
     assert np.abs(p_qp[phase][:, 0] - 0.4).max() < 1e-9
 
@@ -158,7 +158,7 @@ def test_refinement_decreases_flux_error():
         grid = CellGrid(n)
         sol = solve_scalar_cell(spec, [1.0, 0.0], grid)
         p_qp = corrector_flux([1.0, 0.0], sol)
-        phase = spec.phase(grid.qp_coords())
+        phase = spec.geometry.indicator(grid.qp_coords())
         exact = np.where(phase[..., None],
                          np.array([2.0 / 3.0, 0.0]),
                          np.array([4.0 / 3.0, 0.0]))
@@ -248,7 +248,7 @@ def test_zeta_laminate_values():
     spec = laminate_spec(2.0)
     sols = [solve_scalar_cell(spec, np.eye(2)[k], grid) for k in range(2)]
     zeta = corrector_outer(0, 0, sols[0], sols[0])
-    phase = spec.phase(grid.qp_coords())
+    phase = spec.geometry.indicator(grid.qp_coords())
     assert np.abs(zeta[~phase] - np.diag([2.56, 0.0])).max() < 1e-8
     assert np.abs(zeta[phase] - np.diag([0.16, 0.0])).max() < 1e-8
 

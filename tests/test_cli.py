@@ -85,6 +85,13 @@ def test_verify_identity_config_passes(tmp_path):
     assert payload["checks"]["pass"] is True
 
 
+def test_verify_reports_the_elastic_audit_of_two_lame_pairs(tmp_path):
+    assert run("verify", "laminate-p2", str(tmp_path)) == 0
+    checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
+    assert set(checks["elastic_tensor"]) == {"max_norm",
+                                              "min_ellipticity_ratio"}
+
+
 def test_effective_report_contents(tmp_path):
     path, _ = small_config(tmp_path)
     out = tmp_path / "out"

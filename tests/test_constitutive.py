@@ -176,21 +176,20 @@ def test_growth_conditions_sampled_monotonicity_all_families():
 
 def test_isotropic_apply_hand_value():
     field = ElasticTensorField.from_lame((1.0, 1.0), geometry=Geometry("uniform"))
-    out = field.apply(np.zeros(2), np.eye(2))
+    out = field.stress(np.zeros(2), np.eye(2))
     assert np.allclose(out, np.diag([4.0, 4.0]))
 
 
 def test_phase_correct_tensor_lookup():
     field = ElasticTensorField.from_lame((1.0, 1.0), (3.0, 2.0), LAMINATE)
-    t_matrix = field.tensor_at(np.array([-0.25, 0.0]))
-    t_incl = field.tensor_at(np.array([0.25, 0.0]))
-    assert np.array_equal(t_matrix, isotropic_tensor(1.0, 1.0))
-    assert np.array_equal(t_incl, isotropic_tensor(3.0, 2.0))
-
-
-def test_elastic_symmetries_entrywise():
-    field = ElasticTensorField.from_lame((1.0, 1.0), (3.0, 2.0), LAMINATE)
-    assert field.has_elastic_symmetries()
+    points = np.array([[-0.25, 0.0], [0.25, 0.0]])
+    lam, mu = field.lame_at(points)
+    assert np.array_equal(lam, [1.0, 3.0])
+    assert np.array_equal(mu, [1.0, 2.0])
+    strain = np.array([[1.0, 0.5], [0.5, -2.0]])
+    for k, (lam_k, mu_k) in enumerate(((1.0, 1.0), (3.0, 2.0))):
+        ref = np.einsum("ijkh,kh->ij", isotropic_tensor(lam_k, mu_k), strain)
+        assert np.array_equal(field.stress(points[k], strain), ref)
 
 
 def test_sampled_ellipticity_positive():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hk import _fem
+from hk.cli import build_spec, load_config, validate_config
 from hk.constitutive import ElasticTensorField, Geometry, OperatorSpec
 from hk.core_fields import (CellGrid, DomainGrid, ScalarField,
                             sample_oscillatory)
@@ -306,6 +307,17 @@ def test_square_p3_study_converges_at_one_resolution_per_period():
                         sigma=(1.0, 4.0))
     rep = run_corrector_study(spec, [0.25, 0.125, 0.0625], cell_n=8,
                               solve_n=32, sample_n=64)
+    assert rep.rates["E_exp"] >= 0.7
+    assert rep.rates["E_avg"] >= 0.7
+
+
+def test_variable_exponent_study_converges_at_one_resolution_per_period():
+    # the variable-exponent preset's law, no elasticity; measured rates
+    # 0.864 (E_exp) and 0.915 (E_avg), against 0.377 and 0.606 when the
+    # fine grids had 16 elements per period and the cells 8
+    cfg = validate_config(load_config("variable-exponent"))
+    rep = run_corrector_study(build_spec(cfg), [0.25, 0.125, 0.0625],
+                              cell_n=8, solve_n=32, sample_n=64)
     assert rep.rates["E_exp"] >= 0.7
     assert rep.rates["E_avg"] >= 0.7
 

@@ -300,16 +300,31 @@ def test_linear_flux_local_matches_einsum(xi_shape):
     _close(spec.flux_local(loc, xi), ref)
 
 
-@pytest.mark.parametrize("mat_shape", [(2, 2), (64, 4, 2, 2)])
-def test_tensor_field_apply_matches_einsum(mat_shape):
-    field = ElasticTensorField(
-        tensors=tuple(np.random.default_rng(s).standard_normal((2, 2, 2, 2))
-                      for s in (16, 17)),
-        geometry=Geometry(kind="laminate", fraction=0.5))
+@pytest.mark.parametrize("pairs", [((1.0, 1.0), (3.0, 2.0)),
+                                   ((0.5, 0.5), (1.5, 1.0)),
+                                   ((0.7, 1.3), (2.1, 0.37))])
+def test_tensor_field_stress_matches_einsum(pairs):
+    field = ElasticTensorField.from_lame(
+        *pairs, Geometry(kind="laminate", fraction=0.5))
     points = CellGrid(8).qp_coords()
-    mat = np.random.default_rng(18).standard_normal(mat_shape)
-    ref = np.einsum("...ijkh,...kh->...ij", field.tensor_at(points), mat)
-    _close(field.apply(points, mat), ref)
+    chi = field.geometry.indicator(points)[..., None, None, None, None]
+    tensors = np.where(chi, isotropic_tensor(*pairs[1]),
+                       isotropic_tensor(*pairs[0]))
+    # bitwise on the unit strains, which the effective tensors load
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        strain = np.zeros((2, 2))
+        strain[i, j] += 0.5
+        strain[j, i] += 0.5
+        ref = np.einsum("...ijkh,...kh->...ij", tensors, strain)
+        assert np.array_equal(field.stress(points, strain), ref)
+    rng = np.random.default_rng(18)
+    for shape in ((2, 2), (64, 4, 2, 2)):
+        mat = rng.standard_normal(shape)
+        mat = 0.5 * (mat + np.swapaxes(mat, -1, -2))
+        ref = np.einsum("...ijkh,...kh->...ij", tensors, mat)
+        got = field.stress(points, mat)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("mat_shape", [(2, 2), (36, 4, 2, 2)])

@@ -113,7 +113,7 @@ def test_reconstruct_phi1_linear_laminate_formula():
     q, _ = laminate_flux_balance([1.0, 4.0], [0.5, 0.5], 2.0)
     k = 7  # arbitrary sample quadrature point
     grads = grad_y_fields(corr, [k])[0]
-    phase = spec.phase(cell.qp_coords())
+    phase = spec.geometry.indicator(cell.qp_coords())
     d1 = corr.loadings[k][0]
     expect_matrix = (q / 1.0 - 1.0) * d1
     expect_incl = (q / 4.0 - 1.0) * d1
