@@ -1,4 +1,4 @@
-"""Constitutive flux families a(y, xi) and elastic tensor fields.
+"""Constitutive flux families a(y, xi), two-phase geometries and Lamé fields.
 
 Three built-in families:
 
@@ -7,18 +7,17 @@ Three built-in families:
 * ``variable-exponent`` power law with a phase-dependent exponent p(y)
 
 Phase layout on the unit cell comes from a Geometry (laminate, centered
-square, checkerboard, disc, or uniform).  The structure constants of a
-law, the monotonicity and continuity constants of its structural
-conditions, are neither declared nor derived: the audit measures them
-on random samples (``check_growth_conditions``).  Its ratios come from
-``structure_ratios``, which the effective law's audit shares.
+square, checkerboard, disc, or uniform).  Every law that ``OperatorSpec``
+builds is strictly monotone and continuous: sigma > 0, delta >= 0, and a
+linear law's matrices have positive definite symmetric parts.  The
+elastic fields hold one Lamé pair per phase.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fem import isotropic_stress, isotropic_tensor, wrap_to_cell
+from ._fem import isotropic_stress, wrap_to_cell
 
 
 # ---------------------------------------------------------------------------
@@ -96,10 +95,11 @@ class OperatorSpec:
     ``matrices`` replaces ``sigma`` for the linear family.  ``p`` is the
     governing growth exponent used for norms and validation (the smaller
     exponent for the variable-exponent family).  ``delta`` regularizes the
-    power law inside |xi|; it is nonnegative, and raised to 1e-8 when
-    p < 2.  ``sigma`` is positive in both phases wherever it builds the
-    law, and a linear law's matrices have positive definite symmetric
-    parts, so that every law is coercive.
+    power law inside |xi|; it is nonnegative and runs as given, so at
+    delta = 0 and p < 2 the flux is 0 where xi is.  ``sigma`` is positive
+    in both phases wherever it builds the law, and a linear law's
+    matrices have positive definite symmetric parts, so that every law
+    is coercive.
     """
 
     family: str
@@ -136,8 +136,6 @@ class OperatorSpec:
             for m in mats:
                 m.setflags(write=False)
             object.__setattr__(self, "matrices", mats)
-        elif self.p < 2.0 and self.delta == 0.0:
-            object.__setattr__(self, "delta", 1e-8)
         if self.family == "variable-exponent":
             if self.exponent is None:
                 raise ValueError("variable-exponent family needs exponent pair")
@@ -205,7 +203,12 @@ class OperatorSpec:
         np.multiply(x1, x1, out=f1)
         f0 += f1
         f0 += self.delta**2
-        f0 **= 0.5 * (self._exponent(loc) - 2.0)
+        if self.p < 2.0 and self.delta == 0.0:
+            # the weight is infinite where xi = 0, and the flux 0: a
+            # masked power leaves the 0 there
+            np.power(f0, 0.5 * (self.p - 2.0), out=f0, where=f0 > 0.0)
+        else:
+            f0 **= 0.5 * (self._exponent(loc) - 2.0)
         f0 *= loc["sigma"]
         np.multiply(f0, x1, out=f1)
         f0 *= x0
@@ -300,8 +303,9 @@ class OperatorSpec:
     def homogeneity_degree(self):
         """Degree t of flux homogeneity a(y, s*xi) = s^t a(y, xi), or None.
 
-        Exact for the linear family and for unregularized constant-exponent
-        power laws; the cell problems inherit the same scaling.
+        Exact for the linear family and for unregularized (delta = 0)
+        constant-exponent power laws at every p > 1; the cell problems
+        inherit the same scaling.
         """
         if self.family == "linear":
             return 1.0
@@ -325,94 +329,15 @@ class OperatorSpec:
 
 
 # ---------------------------------------------------------------------------
-# Structural-condition audit by sampling
-# ---------------------------------------------------------------------------
-
-@dataclass
-class GrowthReport:
-    """Empirical structure constants from random (y, xi_1, xi_2) triples."""
-
-    seed: int
-    max_flux_at_zero: float
-    empirical_continuity: float   # max continuity ratio
-    empirical_monotonicity: float  # min monotonicity ratio
-    violation: bool
-
-
-def _ball_samples(rng, m, radius):
-    angle = rng.uniform(0.0, 2.0 * np.pi, size=m)
-    r = radius * np.sqrt(rng.uniform(0.0, 1.0, size=m))
-    return np.stack([r * np.cos(angle), r * np.sin(angle)], axis=-1)
-
-
-def structure_ratios(xi1, xi2, a1, a2, p, growth, holder):
-    """Monotonicity and continuity ratios of fluxes a1, a2 at xi1, xi2, (m, 2).
-
-    With w = 1 + |xi1|^2 + |xi2|^2 and d = |xi1 - xi2|, the monotonicity
-    ratio is (a1 - a2).(xi1 - xi2) / (w^((p-2)/2) d^2) and the continuity
-    ratio |a1 - a2| / (w^(growth/2) d^holder), over the pairs with
-    d > 1e-12.  Returns the two ratio arrays.
-    """
-    diff = a1 - a2
-    dxi = xi1 - xi2
-    norm_dxi = np.linalg.norm(dxi, axis=-1)
-    keep = norm_dxi > 1e-12
-    weight = 1.0 + np.sum(xi1 * xi1, axis=-1) + np.sum(xi2 * xi2, axis=-1)
-    mono = (np.sum(diff * dxi, axis=-1)[keep]
-            / (weight[keep] ** (0.5 * (p - 2.0)) * norm_dxi[keep] ** 2))
-    cont = (np.linalg.norm(diff, axis=-1)[keep]
-            / (weight[keep] ** (0.5 * growth) * norm_dxi[keep] ** holder))
-    return mono, cont
-
-
-GROWTH_AUDIT_SAMPLES = 1000  # (y, xi_1, xi_2) samples of the growth audit
-GROWTH_AUDIT_RADIUS = 3.0
-
-
-def check_growth_conditions(spec, seed=0):
-    """Audit boundedness, continuity, and monotonicity on random samples.
-
-    Ratios (``structure_ratios``) are measured against the structural
-    weights (1 + |xi_1|^2 + |xi_2|^2)^((p-1-alpha)/2) |xi_1 - xi_2|^alpha
-    and (1 + |xi_1|^2 + |xi_2|^2)^((p-2)/2) |xi_1 - xi_2|^2 over
-    ``GROWTH_AUDIT_SAMPLES`` samples.  The loading points are drawn from
-    the ball of radius ``GROWTH_AUDIT_RADIUS`` in R^2 (the continuity
-    condition is read over R^d).  A nonpositive monotonicity ratio raises
-    the violation flag; it never raises an exception.
-    """
-    m = GROWTH_AUDIT_SAMPLES
-    rng = np.random.default_rng(seed)
-    y = rng.uniform(-0.5, 0.5, size=(m, 2))
-    xi1 = _ball_samples(rng, m, GROWTH_AUDIT_RADIUS)
-    xi2 = _ball_samples(rng, m, GROWTH_AUDIT_RADIUS)
-    a0 = spec.flux(y, np.zeros((m, 2)))
-    alpha = spec.alpha
-    mono, cont = structure_ratios(xi1, xi2, spec.flux(y, xi1),
-                                  spec.flux(y, xi2), spec.p,
-                                  spec.p - 1.0 - alpha, alpha)
-    lam_emp = float(mono.min())
-    return GrowthReport(
-        seed=seed,
-        max_flux_at_zero=float(np.linalg.norm(a0, axis=-1).max()),
-        empirical_continuity=float(cont.max()),
-        empirical_monotonicity=lam_emp,
-        violation=bool(lam_emp <= 0.0),
-    )
-
-
-# ---------------------------------------------------------------------------
 # Elastic tensor fields
 # ---------------------------------------------------------------------------
-
-BOUNDS_AUDIT_SAMPLES = 100  # random (y, c) pairs of ``audit_bounds``
-
 
 @dataclass(frozen=True)
 class ElasticTensorField:
     """Phase-wise isotropic fourth-order tensor on the unit cell.
 
     ``lame`` = (matrix-phase (lam, mu), inclusion-phase (lam, mu)); each
-    phase's tensor is ``isotropic_tensor(lam, mu)``.  ``stress`` is the
+    phase's tensor is ``_fem.isotropic_tensor(lam, mu)``.  ``stress`` is the
     one way a phase turns strain into stress.
     """
 
@@ -436,22 +361,3 @@ class ElasticTensorField:
     def stress(self, points, strain):
         """B(y) E = lam tr(E) I + 2 mu E per point; E symmetric, (..., 2, 2)."""
         return isotropic_stress(*self.lame_at(points), strain)
-
-    def audit_bounds(self, seed=0):
-        """Sup-norm of the phase tensors and sampled ellipticity floor.
-
-        Returns (max_norm, min_ratio): max_norm the largest entry of either
-        phase's ``isotropic_tensor``, min_ratio the smallest B c : c / |c|^2
-        over ``BOUNDS_AUDIT_SAMPLES`` random nonzero symmetric c and random
-        y.  (Ellipticity is audited on symmetric matrices; isotropic
-        tensors annihilate the antisymmetric part.)
-        """
-        rng = np.random.default_rng(seed)
-        y = rng.uniform(-0.5, 0.5, size=(BOUNDS_AUDIT_SAMPLES, 2))
-        c = rng.standard_normal((BOUNDS_AUDIT_SAMPLES, 2, 2))
-        c = 0.5 * (c + np.swapaxes(c, -1, -2))
-        ratio = ((self.stress(y, c) * c).sum(axis=(1, 2))
-                 / (c * c).sum(axis=(1, 2)))
-        max_norm = max(float(np.abs(isotropic_tensor(*pair)).max())
-                       for pair in self.lame)
-        return max_norm, float(ratio.min())

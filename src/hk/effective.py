@@ -21,7 +21,6 @@ from .cell_problems import (BatchScalarCellSolver,  # noqa: F401
                             corrector_flux, electric_stress,
                             solve_elastic_cells, solve_scalar_cell,
                             solve_scalar_cells, unit_strain)
-from .constitutive import structure_ratios
 from .errors import NonConvergence
 
 
@@ -253,6 +252,26 @@ class AHomPropertyReport:
 
 A_HOM_AUDIT_PAIRS = 100    # loading pairs of ``check_a_hom_properties``
 A_HOM_AUDIT_RADIUS = 2.0
+
+
+def structure_ratios(xi1, xi2, a1, a2, p, growth, holder):
+    """Monotonicity and continuity ratios of fluxes a1, a2 at xi1, xi2, (m, 2).
+
+    With w = 1 + |xi1|^2 + |xi2|^2 and d = |xi1 - xi2|, the monotonicity
+    ratio is (a1 - a2).(xi1 - xi2) / (w^((p-2)/2) d^2) and the continuity
+    ratio |a1 - a2| / (w^(growth/2) d^holder), over the pairs with
+    d > 1e-12.  Returns the two ratio arrays.
+    """
+    diff = a1 - a2
+    dxi = xi1 - xi2
+    norm_dxi = np.linalg.norm(dxi, axis=-1)
+    keep = norm_dxi > 1e-12
+    weight = 1.0 + np.sum(xi1 * xi1, axis=-1) + np.sum(xi2 * xi2, axis=-1)
+    mono = (np.sum(diff * dxi, axis=-1)[keep]
+            / (weight[keep] ** (0.5 * (p - 2.0)) * norm_dxi[keep] ** 2))
+    cont = (np.linalg.norm(diff, axis=-1)[keep]
+            / (weight[keep] ** (0.5 * growth) * norm_dxi[keep] ** holder))
+    return mono, cont
 
 
 def check_a_hom_properties(law, seed=0):

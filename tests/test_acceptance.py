@@ -14,8 +14,8 @@ import pytest
 from hk import _fem
 from hk.cell_problems import (BatchScalarCellSolver, solve_elastic_cell_U,
                               solve_scalar_cell)
-from hk.constitutive import (ElasticTensorField, Geometry, OperatorSpec,
-                             isotropic_tensor)
+from hk._fem import isotropic_tensor
+from hk.constitutive import ElasticTensorField, Geometry, OperatorSpec
 from hk.core_fields import CellGrid, DomainGrid, ScalarField
 from hk.effective import (EffectiveLaw, assemble_elastic_tensors,
                           check_a_hom_properties)

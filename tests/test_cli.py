@@ -85,11 +85,36 @@ def test_verify_identity_config_passes(tmp_path):
     assert payload["checks"]["pass"] is True
 
 
-def test_verify_reports_the_elastic_audit_of_two_lame_pairs(tmp_path):
-    assert run("verify", "laminate-p2", str(tmp_path)) == 0
-    checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
-    assert set(checks["elastic_tensor"]) == {"max_norm",
-                                              "min_ellipticity_ratio"}
+def test_verify_checks_only_what_can_fail_on_every_preset(tmp_path):
+    # the laws and B that validate are monotone and elliptic by
+    # construction, so verify audits neither; it checks a_hom's sampled
+    # monotonicity, the flux identities and B_hom's symmetry and spectrum
+    for name in PRESETS:
+        assert run("verify", name, str(tmp_path / name)) == 0, name
+        checks = json.loads(
+            (tmp_path / name / "verify.json").read_text())["checks"]
+        assert set(checks) == {"a_hom_properties", "flux_identities",
+                               "B_hom", "pass"}, name
+        assert set(checks["a_hom_properties"]) == {
+            "theta", "min_monotonicity", "max_continuity", "violation"}
+        assert set(checks["flux_identities"]) == {"e1", "e2"}
+        assert set(checks["B_hom"]) == {"major_symmetry_defect",
+                                        "min_eigenvalue_on_symmetric"}
+        assert checks["pass"] is True
+
+
+def test_verify_passes_on_stiff_elastic_moduli(tmp_path):
+    # B_hom's major-symmetry defect is relative to its largest entry: at
+    # moduli near 1e6 its round-off, 2e-10 in absolute terms, is no defect
+    path, _ = small_config(
+        tmp_path, geometry={"kind": "checkerboard"},
+        elasticity={"B": {"matrix": [1.3e6, 0.7e6],
+                          "inclusion": [3.1e6, 2.3e6]},
+                    "C": {"matrix": [0.5, 0.5], "inclusion": [1.5, 1.0]}})
+    out = tmp_path / "out"
+    assert run("verify", str(path), str(out)) == 0
+    checks = json.loads((out / "verify.json").read_text())["checks"]
+    assert checks["B_hom"]["major_symmetry_defect"] <= 1e-12
 
 
 def test_effective_report_contents(tmp_path):
@@ -233,6 +258,39 @@ def test_failed_verify_check_exits_4(tmp_path):
     checks = json.loads((out / "verify.json").read_text())["checks"]
     assert checks["pass"] is False
     assert checks["flux_identities"]["e1"] > 1e-9
+
+
+def test_verify_fails_on_a_decreasing_effective_law(tmp_path, monkeypatch):
+    from hk.effective import EffectiveLaw
+    eval_batch = EffectiveLaw.eval_batch
+    monkeypatch.setattr(EffectiveLaw, "eval_batch",
+                        lambda self, loadings: -eval_batch(self, loadings))
+    path, _ = small_config(tmp_path)
+    out = tmp_path / "out"
+    assert run("verify", str(path), str(out)) == 4
+    checks = json.loads((out / "verify.json").read_text())["checks"]
+    assert checks["pass"] is False
+    assert checks["a_hom_properties"]["violation"] is True
+    assert checks["a_hom_properties"]["min_monotonicity"] < 0.0
+
+
+def test_verify_fails_on_an_asymmetric_b_hom(tmp_path, monkeypatch):
+    import hk.cli
+    assemble = hk.cli.assemble_elastic_tensors
+
+    def skewed(*args):
+        b_hom, c_hom = assemble(*args)
+        b_hom.tensor[0, 0, 1, 1] *= 1.0 + 1e-8
+        return b_hom, c_hom
+
+    monkeypatch.setattr(hk.cli, "assemble_elastic_tensors", skewed)
+    path, _ = small_config(tmp_path)
+    out = tmp_path / "out"
+    assert run("verify", str(path), str(out)) == 4
+    checks = json.loads((out / "verify.json").read_text())["checks"]
+    assert checks["pass"] is False
+    assert checks["B_hom"]["major_symmetry_defect"] > 1e-10
+    assert checks["B_hom"]["min_eigenvalue_on_symmetric"] > 0.0
 
 
 def test_nonconvergence_exit_code(tmp_path, capsys):

@@ -3,8 +3,8 @@ import pytest
 
 from hk import _fem
 from hk.cell_problems import solve_scalar_cell
-from hk.constitutive import (ElasticTensorField, Geometry, OperatorSpec,
-                             isotropic_tensor)
+from hk._fem import isotropic_tensor
+from hk.constitutive import ElasticTensorField, Geometry, OperatorSpec
 from hk.core_fields import CellGrid
 from hk.effective import (EffectiveLaw, assemble_elastic_tensors,
                           check_a_hom_properties)

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from hk import _fem
-from hk.constitutive import (ElasticTensorField, Geometry, OperatorSpec,
-                             isotropic_tensor)
+from hk._fem import isotropic_tensor
+from hk.constitutive import ElasticTensorField, Geometry, OperatorSpec
 from hk.core_fields import CellGrid, DomainGrid
 from hk.corrector import two_scale_stress_pairing
 from hk.effective import EffectiveElectrostriction
