@@ -34,7 +34,8 @@ from .effective import (EffectiveLaw, assemble_elastic_tensors,
 from .errors import ConfigError, NonConvergence, SingularSystem
 from .fine_scale import (check_resolved, solve_fine_elasticity,
                          solve_fine_electrostatic)
-from .homogenized import (MACRO_TOL, solve_homogenized_elasticity,
+from .homogenized import (MACRO_TOL, macroscopic_gradient_field,
+                          solve_homogenized_elasticity,
                           solve_homogenized_electrostatic)
 
 SCHEMA_VERSION = 1
@@ -514,7 +515,8 @@ def cmd_homogenized(cfg, out_dir, _unused=1):
             tensor_b, tensor_c, law.solutions_for(np.eye(2)), grid)
         u0, resid = solve_homogenized_elasticity(
             b_eff, c_eff, np.array(cfg["sources"]["g"]), macro.potential,
-            domain)
+            domain, gradient_field=macroscopic_gradient_field(
+                macro.potential))
         report["elastic_residual"] = resid
         dump_field(u0, "effective_displacement",
                    str(out_dir / "effective_displacement.field"))
@@ -596,7 +598,7 @@ def load_config(path_or_preset):
     if path_or_preset in PRESETS and not os.path.exists(path_or_preset):
         return json.loads(json.dumps(PRESETS[path_or_preset]))
     try:
-        with open(path_or_preset) as fh:
+        with open(path_or_preset, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(
@@ -604,6 +606,8 @@ def load_config(path_or_preset):
             f"({', '.join(sorted(PRESETS))})", "")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}", "")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path_or_preset!r}: {exc}", "")
 
 
 def run(subcommand, config_path, out_dir="out"):
@@ -614,7 +618,12 @@ def run(subcommand, config_path, out_dir="out"):
         print(f"config error at {exc.pointer or '/'}: {exc}", file=sys.stderr)
         return 3
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"usage error: cannot write to --out {out_dir!r}: {exc}",
+              file=sys.stderr)
+        return 3
     try:
         return COMMANDS[subcommand](cfg, out)
     except (NonConvergence, SingularSystem) as exc:

@@ -94,7 +94,8 @@ class OperatorSpec:
     ``sigma`` and ``exponent`` are (matrix-phase, inclusion-phase) pairs;
     ``matrices`` replaces ``sigma`` for the linear family.  ``p`` is the
     governing growth exponent used for norms and validation (the smaller
-    exponent for the variable-exponent family).  ``delta`` regularizes the
+    exponent for the variable-exponent family).  ``alpha`` defaults to
+    min(1, p - 1), the largest the family allows.  ``delta`` regularizes the
     power law inside |xi|; it is nonnegative and runs as given, so at
     delta = 0 and p < 2 the flux is 0 where xi is.  ``sigma`` is positive
     in both phases wherever it builds the law, and a linear law's
@@ -104,7 +105,7 @@ class OperatorSpec:
 
     family: str
     p: float = 2.0
-    alpha: float = 1.0
+    alpha: float = None
     delta: float = 0.0
     geometry: Geometry = field(default_factory=Geometry)
     sigma: tuple = (1.0, 1.0)
@@ -116,6 +117,8 @@ class OperatorSpec:
             raise ValueError(f"unknown operator family {self.family!r}")
         if self.p <= 1.0:
             raise ValueError("growth exponent must satisfy p > 1")
+        if self.alpha is None:
+            object.__setattr__(self, "alpha", min(1.0, self.p - 1.0))
         if not 0.0 <= self.alpha <= min(1.0, self.p - 1.0):
             raise ValueError("alpha must lie in [0, min(1, p-1)]")
         if self.delta < 0.0:

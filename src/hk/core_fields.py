@@ -3,7 +3,9 @@
 The unit cell Y = [-1/2, 1/2]^2 carries periodic structured grids; the
 macroscopic domain is the unit square (0,1)^2 with homogeneous Dirichlet
 boundary.  Bilinear (Q1) elements with 2x2 Gauss quadrature throughout.
-Fields are immutable after construction; all operations are pure.
+Fields are immutable after construction; all operations are pure.  No
+field is copied from one grid to the other: a fine-scale reader takes a
+cell field at each fine point's ``_fem.cell_points``.
 """
 
 from functools import cached_property
@@ -149,63 +151,6 @@ class ScalarField(_Field):
 class VectorField(_Field):
     components = 2
     component_shape = (2,)
-
-
-# ---------------------------------------------------------------------------
-# Oscillatory sampling  y = x / eps  (fractional part in Y)
-# ---------------------------------------------------------------------------
-
-def elements_per_period(n, eps):
-    """Elements per eps-period of a grid with n elements per unit length.
-
-    n * eps as an int; ValueError unless it is one to within 1e-9, which
-    the rounding of the product allows (196 * (1/49) is 3.9999999999999996).
-    """
-    m = n * eps
-    if abs(m - round(m)) > 1e-9:
-        raise ValueError(
-            f"incommensurate pairing: N={n}, eps={eps}; the domain grid "
-            "must resolve each eps-period by an integer number of elements")
-    return int(round(m))
-
-
-def _check_commensurate(cell, eps, target):
-    inv = 1.0 / eps
-    if abs(inv - round(inv)) > 1e-12:
-        raise ValueError(f"1/eps must be an integer, got eps={eps}")
-    if elements_per_period(target.n, eps) != cell.n:
-        raise ValueError(
-            f"incommensurate pairing: domain resolution {target.n} with "
-            f"eps={eps} must satisfy N*eps == n (cell n={cell.n}); "
-            "each eps-cell must be resolved exactly by the cell grid")
-
-
-def oscillatory_node_map(cell, eps, target):
-    """Domain node -> cell node index map realizing y = {x/eps}_Y.
-
-    With N = n/eps the map is exact: domain node k/N has x/eps = k/n whose
-    fractional part (in [-1/2, 1/2)) lands on cell node (k + n/2) mod n.
-    """
-    _check_commensurate(cell, eps, target)
-    n = cell.n
-    nn = target.n + 1
-    ix, iy = np.meshgrid(np.arange(nn), np.arange(nn), indexing="xy")
-    jx = (ix + n // 2) % n
-    jy = (iy + n // 2) % n
-    return (jy * n + jx).ravel()
-
-
-def sample_oscillatory(g, eps, target):
-    """Sample a periodic unit-cell field at y = x/eps on a domain grid.
-
-    Requires 1/eps integer and target.n * eps == cell.n so every
-    eps-period is resolved by the full cell grid (no aliasing).
-    """
-    if not isinstance(g.grid, CellGrid):
-        raise ValueError("sample_oscillatory expects a field on a CellGrid")
-    node_map = oscillatory_node_map(g.grid, eps, target)
-    cls = type(g)
-    return cls(target, g.values[node_map])
 
 
 # ---------------------------------------------------------------------------

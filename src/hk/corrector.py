@@ -6,9 +6,11 @@ straddling the domain boundary form the boundary layer and are treated
 specially (zero loading / zero averages, as the averaging operators
 require).  All error norms are L^p quadrature sums over the full domain;
 interior-only variants are reported as diagnostics to expose the
-boundary-layer contribution.  A study's settings are its grids and its
-two tolerances, the cell and fine solves' and the effective solve's;
-it always reads the recovered macroscopic gradient.
+boundary-layer contribution.  Every fine point maps to the unit cell by
+``_fem.cell_points``: the error norms, the two-scale pairing and the
+Maxwell check read their cell fields there.  A study's settings are its
+grids and its two tolerances, the cell and fine solves' and the
+effective solve's; it always reads the recovered macroscopic gradient.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _fem
-from .core_fields import CellGrid, DomainGrid, ScalarField, sample_oscillatory
+from .core_fields import CellGrid, DomainGrid, ScalarField
 from .effective import EffectiveLaw, assemble_elastic_tensors
 from .fine_scale import (maxwell_stress, solve_fine_electrostatic,
                          solve_fine_elasticity)
@@ -229,26 +231,35 @@ def corrector_error_dalmaso(phi_eps, law, corr, eps, p):
 # Two-scale pairings
 # ---------------------------------------------------------------------------
 
-def _oscillating_weights(domain, rows, eps, psi_x, psi_y):
-    """psi_x(x) psi_y(x/eps) at the quadrature points of element rows."""
+def _oscillating_weights(domain, rows, y, psi_x, psi_y):
+    """psi_x(x) psi_y(y) at the quadrature points of element rows.
+
+    ``y`` holds their cell points (``_fem.cell_points``).
+    """
     pts = _fem.qp_coords(domain.n, domain.h, domain.origin, rows)
-    y = _fem.cell_points(domain, eps, rows)
     return psi_x(pts[..., 0], pts[..., 1]) * psi_y(y[..., 0], y[..., 1])
 
 
-def two_scale_pairing(v, psi_x, psi_y, eps):
-    """∫ v(x) psi_x(x) psi_y(x/eps) dx by fine-grid quadrature.
+def two_scale_pairing(g, domain, psi_x, psi_y, eps):
+    """∫ g(x/eps) psi_x(x) psi_y(x/eps) dx by quadrature on ``domain``.
 
-    ``v`` is a field; the test factors are smooth closed-form callables
-    of (x1, x2) and (y1, y2).  The integral is summed over blocks of
+    ``g`` is a field on the unit cell, read at each fine point's
+    ``_fem.cell_points`` as its Q1 interpolant; the test factors are
+    smooth closed-form callables of (x1, x2) and (y1, y2).  The fine grid
+    resolves each eps-period by the cell grid (N eps = n), so a fine
+    element lies in one cell element: it is located once, at its first
+    cell point, and that element's nodal values are interpolated as
+    ``_fem.qp_values`` does.  The integral is summed over blocks of
     element rows (``_fem.row_sums``).
     """
-    domain = v.grid
+    cell = g.grid
 
     def integrand(rows):
-        values = _fem.qp_values(v.values,
-                                _fem.rows_of(domain.conn, domain.n, rows))
-        return values * _oscillating_weights(domain, rows, eps, psi_x, psi_y)
+        y = _fem.cell_points(domain, eps, rows)
+        elem = _fem.locate_points(y[:, 0], cell.n, cell.h, cell.origin)[0]
+        values = _fem.element_map(
+            _fem.SHAPE.T, _fem.element_values(g.values, cell.conn, elem))
+        return values * _oscillating_weights(domain, rows, y, psi_x, psi_y)
 
     return float(_fem.integrate_qp(domain.h,
                                    _fem.row_sums(domain.n, integrand)))
@@ -336,7 +347,8 @@ def maxwell_two_scale_check(phi_eps, eps, two_scale, psi_x, psi_y):
     domain = phi_eps.grid
 
     def integrand(rows):
-        weights = _oscillating_weights(domain, rows, eps, psi_x, psi_y)
+        weights = _oscillating_weights(
+            domain, rows, _fem.cell_points(domain, eps, rows), psi_x, psi_y)
         return weights[..., None, None] * maxwell_stress(phi_eps, rows)
 
     lhs = _fem.integrate_qp(domain.h, _fem.row_sums(domain.n, integrand))
@@ -532,8 +544,8 @@ def run_corrector_study(spec, ladder, cell_n=8, solve_n=32, sample_n=64,
                                         eps, spec.p)
         errs["E_dm"] = corrector_error_dalmaso(fine.potential, law, corr,
                                                eps, spec.p)
-        pairing = two_scale_pairing(sample_oscillatory(g_pair, eps, domain),
-                                    _psi_x, _psi_y_pairing, eps)
+        pairing = two_scale_pairing(g_pair, domain, _psi_x, _psi_y_pairing,
+                                    eps)
         mw_gap = maxwell_two_scale_check(fine.potential, eps,
                                          two_scale_stress, _psi_x,
                                          _psi_y_maxwell)

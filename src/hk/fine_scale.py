@@ -13,8 +13,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _fem
-from .core_fields import ScalarField, VectorField, elements_per_period
+from .core_fields import ScalarField, VectorField
 from .errors import NonConvergence
+
+
+def elements_per_period(n, eps):
+    """Elements per eps-period of a grid with n elements per unit length.
+
+    n * eps as an int; ValueError unless it is one to within 1e-9, which
+    the rounding of the product allows (196 * (1/49) is 3.9999999999999996).
+    """
+    m = n * eps
+    if abs(m - round(m)) > 1e-9:
+        raise ValueError(
+            f"incommensurate fine grid: N={n}, eps={eps}; the domain grid "
+            "must resolve each eps-period by an integer number of elements")
+    return int(round(m))
 
 
 def periods_per_side(domain, eps, geometry=None):
@@ -25,7 +39,7 @@ def periods_per_side(domain, eps, geometry=None):
     m = elements_per_period(domain.n, eps)
     if m < 2:
         raise ValueError(
-            f"incommensurate pairing: N={domain.n}, eps={eps} gives {m} "
+            f"incommensurate fine grid: N={domain.n}, eps={eps} gives {m} "
             "elements per period, fewer than 2")
     if geometry is not None:
         check_resolved(geometry, m)

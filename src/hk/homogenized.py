@@ -170,7 +170,8 @@ def macroscopic_gradient_field(phi0):
 
     Second-order accurate at interior nodes; used by the sweep studies so
     the corrector error floor is not dominated by the raw Q1 gradient
-    error of the effective solve.
+    error of the effective solve, and by ``hk homogenized`` and the
+    studies alike for the elastic load.
     """
     grid = phi0.grid
     return VectorField(grid, _fem.recovered_gradient(grid, phi0.values))
@@ -262,8 +263,9 @@ def solve_homogenized_elasticity(b_eff, c_eff, g, phi0, domain,
     Constant-coefficient Dirichlet solve (``_fem.solve_dirichlet``); the
     electric load contracts the effective electrostriction pair matrices
     against the rank-one macroscopic Maxwell stress at each quadrature
-    point.  Its gradient is ``gradient_field``'s where given (a study
-    passes the recovered one), else phi0's Q1 gradient.
+    point.  Its gradient is ``gradient_field``'s where given (``hk
+    homogenized`` and a study pass the recovered one), else phi0's Q1
+    gradient.
     """
     g_qp = _source_at_qp(g, domain)
     rhs = _fem.load_vector(domain, g_qp)

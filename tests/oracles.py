@@ -7,8 +7,11 @@ exception: they locate points and evaluate a Q1 field or its gradient
 there through the package's own kernels, the reference that the located
 paths must match bitwise.  The unfolding operator S_eps
 (``two_scale_compose_S``) rearranges a field's quadrature values by the
-package's eps-cell partition.  ``load_field`` reads back the plain-text
-dumps that ``hk.core_fields.dump_field`` writes.
+package's eps-cell partition.  ``sample_oscillatory`` copies a cell
+field onto a fine grid by an integer node map, the reference for the
+pairing that reads the cell field at its cell points.  ``load_field``
+reads back the plain-text dumps that ``hk.core_fields.dump_field``
+writes.
 """
 
 from dataclasses import dataclass
@@ -259,6 +262,22 @@ def point_eval_gradient(nodal, conn, h, n_cells, origin, points):
     out = _fem.gradient_at_local(_fem.element_values(nodal, conn, elem),
                                  local, h)
     return out.reshape(points.shape[:-1] + out.shape[1:])
+
+
+def sample_oscillatory(g, eps, domain):
+    """A cell field g sampled at y = {x/eps}_Y on the nodes of ``domain``.
+
+    With N = n/eps the map is exact: domain node k/N has x/eps = k/n,
+    whose fractional part (in [-1/2, 1/2)) lands on cell node
+    (k + n/2) mod n.
+    """
+    n = g.grid.n
+    if abs(domain.n * eps - n) > 1e-9:
+        raise ValueError(f"N={domain.n} does not resolve eps={eps} by n={n}")
+    ix, iy = np.meshgrid(np.arange(domain.n + 1), np.arange(domain.n + 1),
+                         indexing="xy")
+    node_map = (((iy + n // 2) % n) * n + (ix + n // 2) % n).ravel()
+    return type(g)(domain, g.values[node_map])
 
 
 def load_field(path, grid):

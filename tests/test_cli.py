@@ -11,7 +11,7 @@ from hk.cell_problems import solve_scalar_cell
 from hk.cli import (PRESETS, build_geometry, build_source_f, build_spec,
                     build_tensors,
                     config_hash, load_config, main, run, validate_config)
-from hk.core_fields import CellGrid, _check_commensurate
+from hk.core_fields import CellGrid
 from hk.corrector import EpsPartition, check_study_grids
 from hk.errors import ConfigError
 from hk.fine_scale import periods_per_side
@@ -62,6 +62,29 @@ def test_validate_incommensurate_ladder_entry():
 def test_missing_config_exits_3(tmp_path, capsys):
     assert run("verify", str(tmp_path / "nope.json"), str(tmp_path)) == 3
     assert "config" in capsys.readouterr().err
+
+
+def test_config_directory_exits_3(tmp_path, capsys):
+    assert run("verify", str(tmp_path), str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert "cannot read config" in err and "Traceback" not in err
+
+
+def test_config_not_utf8_exits_3(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"schema": 1, "note": "\u00e9"}'.encode("latin-1"))
+    assert run("verify", str(path), str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert "cannot read config" in err and "Traceback" not in err
+
+
+def test_out_is_an_existing_file_exits_3(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert run("verify", "laminate-p2", str(out)) == 3
+    err = capsys.readouterr().err
+    assert "--out" in err and "Traceback" not in err
+    assert out.read_text() == ""
 
 
 def test_schema_error_exit_code(tmp_path, capsys):
@@ -203,9 +226,10 @@ def test_cell_and_homogenized_commands(tmp_path):
     assert (out / "effective_potential.field").exists()
 
 
-def test_homogenized_elastic_load_reads_the_raw_gradient(tmp_path):
-    # hk homogenized is the library's one reader of phi0's Q1 gradient: the
-    # displacement it dumps is the elastic solve given no gradient field
+def test_homogenized_elastic_load_reads_the_recovered_gradient(tmp_path):
+    # hk homogenized dumps the study's u0: the elastic load reads the
+    # recovered gradient of phi0, as run_corrector_study's does, and not
+    # phi0's raw Q1 gradient
     from hk.core_fields import DomainGrid
     from hk.effective import EffectiveLaw, assemble_elastic_tensors
     from hk.homogenized import (macroscopic_gradient_field,
@@ -223,14 +247,14 @@ def test_homogenized_elastic_load_reads_the_raw_gradient(tmp_path):
     b_eff, c_eff = assemble_elastic_tensors(
         tensor_b, tensor_c, law.solutions_for(np.eye(2)), grid)
     g = np.array(cfg["sources"]["g"])
-    u0, _ = solve_homogenized_elasticity(b_eff, c_eff, g, macro.potential,
-                                         domain)
-    dumped = load_field(out / "effective_displacement.field", domain)
-    assert np.array_equal(dumped.values, u0.values)
     recovered, _ = solve_homogenized_elasticity(
         b_eff, c_eff, g, macro.potential, domain,
         gradient_field=macroscopic_gradient_field(macro.potential))
-    assert not np.array_equal(dumped.values, recovered.values)
+    dumped = load_field(out / "effective_displacement.field", domain)
+    assert np.array_equal(dumped.values, recovered.values)
+    raw, _ = solve_homogenized_elasticity(b_eff, c_eff, g, macro.potential,
+                                          domain)
+    assert not np.array_equal(dumped.values, raw.values)
 
 
 def test_fine_command_dumps_fields(tmp_path):
@@ -808,11 +832,9 @@ _GEOMETRIES = [json.loads(g) for g in sorted(
 def test_validated_fine_grids_pass_the_solves_checks():
     # every config that validates for the subcommands that build fine grids
     # passes each check the solves make before they solve: the fine grid
-    # against the period and the geometry, the sampling of g_pair, the
-    # eps-cells and the study's grids.  1/eps runs over 1..128 and cell_n
-    # over 4..64, up to N = 512 (cell tables of at most 201 MB); nothing is
-    # built but the cell grids
-    cells = {}
+    # against the period, the cell grid and the geometry, the eps-cells and
+    # the study's grids.  1/eps runs over 1..128 and cell_n over 4..64, up to
+    # N = 512 (cell tables of at most 201 MB); no grid is built
     accepted = rejected = 0
     for geometry in _GEOMETRIES:
         for cell_n in (4, 8, 16, 32, 64):
@@ -835,20 +857,22 @@ def test_validated_fine_grids_pass_the_solves_checks():
                     if subcommand == "corrector-study":
                         check_study_grids(out["ladder"], cell_n,
                                           grids["solve_n"], grids["sample_n"])
-                    cell = cells.setdefault(cell_n, CellGrid(cell_n))
                     for eps in out["ladder"]:
                         # the fine grid as the solves build it
                         fine = SimpleNamespace(n=int(round(cell_n / eps)))
-                        periods_per_side(fine, eps, build_geometry(out))
-                        _check_commensurate(cell, eps, fine)
+                        # each period is resolved by the cell grid, as
+                        # the pairing of g_pair reads it
+                        assert periods_per_side(
+                            fine, eps, build_geometry(out)) == cell_n
                         EpsPartition(eps)
     # the two unresolved geometries fail at every cell_n, the others pass
     assert (accepted, rejected) == (4 * 491, 2 * 491)
 
 
 def test_study_where_n_times_eps_rounds_off_exits_0(tmp_path):
-    # 196 * (1/49) is 3.9999999999999996 in floating point: the sampling
-    # of g_pair on the fine grids takes the integer test of the fine solves
+    # 196 * (1/49) is 3.9999999999999996 in floating point: the fine grids
+    # take the integer test of N * eps, and the pairing reads g_pair at
+    # their cell points with no test of its own
     path, _ = small_config(
         tmp_path, elasticity=None, ladder=[1 / 49, 1 / 98],
         grids={"cell_n": 4, "solve_n": 4, "sample_n": 196})

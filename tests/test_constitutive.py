@@ -102,6 +102,17 @@ def test_delta_default_for_singular_exponents():
     assert np.all(np.isfinite(jac)) and np.all(np.isfinite(coef))
 
 
+@pytest.mark.parametrize("p", [1.25, 1.5, 2.0, 3.0])
+def test_alpha_defaults_to_min_one_p_minus_one(p):
+    # the default of validate_config: a p < 2 law builds without an alpha,
+    # and at p >= 2 the law is the one with alpha = 1
+    spec = OperatorSpec(family="power-law", p=p, geometry=LAMINATE,
+                        sigma=(1.0, 4.0))
+    assert spec.alpha == min(1.0, p - 1.0)
+    assert spec == OperatorSpec(family="power-law", p=p,
+                                alpha=min(1.0, p - 1.0), geometry=LAMINATE,
+                                sigma=(1.0, 4.0))
+
 
 @pytest.mark.parametrize("family, exponent", [
     ("linear", None), ("power-law", None), ("variable-exponent", (3.0, 2.0))])

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from hk import _fem
-from hk.core_fields import (CellGrid, DomainGrid, ScalarField, dump_field,
-                            sample_oscillatory)
+from hk.core_fields import CellGrid, DomainGrid, ScalarField, dump_field
 
 from oracles import (boundary_mask, cell_average, load_field, node_coords,
                      wrap_node)
@@ -143,57 +142,6 @@ def test_cell_average_two_phase():
     pts = grid.qp_coords()
     data = np.where(pts[..., 0] < 0, 1.0, 3.0)
     assert np.isclose(cell_average(data), 2.0)
-
-
-def test_sample_oscillatory_constant():
-    grid = CellGrid(8)
-    dom = DomainGrid(16)
-    g = ScalarField(grid, np.full(grid.n_nodes, 2.5))
-    out = sample_oscillatory(g, 0.5, dom)
-    assert np.all(out.values == 2.5)
-
-
-def test_sample_oscillatory_stripes():
-    grid = CellGrid(8)
-    dom = DomainGrid(16)
-    vals = (grid.node_coords()[:, 0] < 0).astype(float)
-    out = sample_oscillatory(vals_field := ScalarField(grid, vals), 0.5, dom)
-    # period 1/2 in x: node at x and x + 1/2 carry the same value
-    nn = dom.n + 1
-    grid_vals = out.values.reshape(nn, nn)
-    assert np.array_equal(grid_vals[:, :8], grid_vals[:, 8:16])
-    # exactly two stripes per unit length
-    row = grid_vals[0]
-    assert len(np.flatnonzero(np.diff(row[:-1]) != 0)) == 3
-
-
-def test_sample_oscillatory_commensurability():
-    grid = CellGrid(16)
-    ok = sample_oscillatory(ScalarField(grid, np.zeros(grid.n_nodes)),
-                            0.25, DomainGrid(64))
-    assert ok.grid.n == 64
-    with pytest.raises(ValueError, match="incommensurate"):
-        sample_oscillatory(ScalarField(grid, np.zeros(grid.n_nodes)),
-                           1.0 / 3.0, DomainGrid(64))
-    with pytest.raises(ValueError, match="1/eps"):
-        sample_oscillatory(ScalarField(grid, np.zeros(grid.n_nodes)),
-                           0.3, DomainGrid(48))
-    with pytest.raises(ValueError, match="incommensurate"):
-        sample_oscillatory(ScalarField(grid, np.zeros(grid.n_nodes)),
-                           0.25, DomainGrid(48))
-
-
-def test_sample_oscillatory_mean_on_full_cells():
-    grid = CellGrid(16)
-    rng = np.random.default_rng(2)
-    g = ScalarField(grid, rng.standard_normal(grid.n_nodes))
-    dom = DomainGrid(32)
-    out = sample_oscillatory(g, 0.5, dom)
-    # restrict to one full eps-cell: elements [8, 24) x [8, 24)
-    data = out.at_quadrature().reshape(32, 32, 4)
-    block = data[8:24, 8:24]
-    cell_mean = block.mean()
-    assert abs(cell_mean - cell_average(g)) < 1e-12
 
 
 def test_dump_and_load_roundtrip(tmp_path):

@@ -6,8 +6,7 @@ import pytest
 from hk import _fem
 from hk.cli import build_spec, load_config, validate_config
 from hk.constitutive import ElasticTensorField, Geometry, OperatorSpec
-from hk.core_fields import (CellGrid, DomainGrid, ScalarField,
-                            sample_oscillatory)
+from hk.core_fields import CellGrid, DomainGrid, ScalarField
 from hk.corrector import (EpsPartition, coarse_average_M,
                           corrector_error_dalmaso, corrector_error_explicit,
                           fit_rate, functional_pairing,
@@ -18,7 +17,7 @@ from hk.homogenized import (macroscopic_gradient_field, reconstruct_phi1,
                             solve_homogenized_electrostatic)
 
 from oracles import (partition_centers, point_eval, point_eval_gradient,
-                     two_scale_compose_S)
+                     sample_oscillatory, two_scale_compose_S)
 
 UNIFORM = Geometry("uniform")
 
@@ -159,15 +158,13 @@ def test_unfolding_constant():
 
 
 def test_pairing_y_independent_reduces_to_plain_integral():
-    dom = DomainGrid(32)
-    rng = np.random.default_rng(4)
-    v = ScalarField(dom, rng.standard_normal(dom.n_nodes))
+    grid, dom = CellGrid(8), DomainGrid(32)
+    g = ScalarField(grid, np.full(grid.n_nodes, 2.5))
     psi_x = lambda x1, x2: x1 + x2
     one = lambda y1, y2: np.ones_like(y1)
-    val = two_scale_pairing(v, psi_x, one, 0.25)
+    val = two_scale_pairing(g, dom, psi_x, one, 0.25)
     pts = dom.qp_coords()
-    direct = _fem.integrate_qp(dom.h, v.at_quadrature()
-                               * psi_x(pts[..., 0], pts[..., 1]))
+    direct = _fem.integrate_qp(dom.h, 2.5 * psi_x(pts[..., 0], pts[..., 1]))
     assert abs(val - direct) < 1e-14
 
 
@@ -177,11 +174,11 @@ def test_pairing_constant_sequence():
     # same number for every eps (the mean of the oscillation, here ~0)
     one_x = lambda x1, x2: np.ones_like(x1)
     psi_y = lambda y1, y2: np.cos(2 * np.pi * y1)
+    grid = CellGrid(8)
+    ones = ScalarField(grid, np.ones(grid.n_nodes))
     vals = []
     for eps, n in ((0.25, 32), (0.125, 64)):
-        dom = DomainGrid(n)
-        ones = ScalarField(dom, np.ones(dom.n_nodes))
-        vals.append(two_scale_pairing(ones, one_x, psi_y, eps))
+        vals.append(two_scale_pairing(ones, DomainGrid(n), one_x, psi_y, eps))
     assert abs(vals[0]) < 1e-2
     assert abs(vals[0] - vals[1]) < 1e-13
 
@@ -195,9 +192,38 @@ def test_pairing_oscillatory_limit():
     gaps = []
     for eps in (0.25, 0.125, 0.0625):
         dom = DomainGrid(int(16 / eps))
-        v = sample_oscillatory(g, eps, dom)
-        gaps.append(abs(two_scale_pairing(v, psi_x, psi_y, eps) - limit))
+        gaps.append(abs(two_scale_pairing(g, dom, psi_x, psi_y, eps) - limit))
     assert gaps[0] > gaps[1] > gaps[2]
+
+
+@pytest.mark.parametrize("cell_n", [4, 8, 16])
+def test_pairing_reads_the_cell_field_as_the_sampled_fine_field(cell_n):
+    # the pairing of a cell field at its cell points is bitwise the pairing
+    # of the fine field that the node map copies it to (the oracle), summed
+    # over the same blocks of element rows
+    grid = CellGrid(cell_n)
+    rng = np.random.default_rng(cell_n)
+    psi_x = lambda x1, x2: 16 * x1 * (1 - x1) * x2 * (1 - x2)
+    psi_y = lambda y1, y2: np.sin(2 * np.pi * y1)
+    fields = (np.sin(2 * np.pi * grid.node_coords()[:, 0]),
+              rng.standard_normal(grid.n_nodes))
+    for values in fields:
+        g = ScalarField(grid, values)
+        for k in (1, 2, 3, 4, 8, 16):
+            eps, dom = 1.0 / k, DomainGrid(cell_n * k)
+            v = sample_oscillatory(g, eps, dom)
+            pts, y = dom.qp_coords(), _fem.cell_points(dom, eps)
+            weights = psi_x(pts[..., 0], pts[..., 1]) \
+                * psi_y(y[..., 0], y[..., 1])
+
+            def integrand(rows):
+                return _fem.qp_values(
+                    v.values, _fem.rows_of(dom.conn, dom.n, rows)) \
+                    * _fem.rows_of(weights, dom.n, rows)
+
+            sampled = float(_fem.integrate_qp(
+                dom.h, _fem.row_sums(dom.n, integrand)))
+            assert two_scale_pairing(g, dom, psi_x, psi_y, eps) == sampled
 
 
 def test_fit_rate_exact_cases():
@@ -615,12 +641,10 @@ def test_rung_post_processing_memory_within_budget():
     dom = phi_eps.grid
     g = ScalarField(CellGrid(64), np.sin(
         2.0 * np.pi * CellGrid(64).node_coords()[:, 0]))
-    v_eps = sample_oscillatory(g, eps, dom)
     # the grids cache their coordinates on first use, outside the count
     corr.sample_grid.qp_coords(), corr.cell_grid.qp_coords()
     inputs = sum(a.nbytes for a in (phi_eps.values, field.values,
-                                    v_eps.values, corr.loadings,
-                                    corr.potentials))
+                                    corr.loadings, corr.potentials))
     # the eps-cell averages of the corrector table and of the loadings,
     # their weighted copies on the sample grid and the Dal Maso table
     tables = 2 * corr.potentials.nbytes + 2 * corr.loadings.nbytes \
@@ -631,7 +655,7 @@ def test_rung_post_processing_memory_within_budget():
         errs["E_dm"] = corrector_error_dalmaso(phi_eps, law, corr, eps, 3.0)
         gap = maxwell_two_scale_check(phi_eps, eps, np.zeros((2, 2)),
                                       _psi_x, _psi_y_maxwell)
-        pairing = two_scale_pairing(v_eps, _psi_x, _psi_y_pairing, eps)
+        pairing = two_scale_pairing(g, dom, _psi_x, _psi_y_pairing, eps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
