@@ -118,10 +118,11 @@ def cell_predictor(spec):
     ``CirclePredictor`` for a homogeneous law (``homogeneity_degree`` not
     None), ``NearestPredictor`` otherwise.  Either class is built from
     solved rows (loadings (m, 2), etas (m, n^2), W = d eta / d xi
-    (m, n^2, 2)) and called with new loadings (K, 2) and an optional
-    ``pair``, to give the predicted cell solutions (K, n^2);
-    ``anchors(loadings, m)`` picks the (at most m) rows that a cold
-    batch solves first.  The law alone selects the rule.
+    (m, n^2, 2)) and called, as a batch calls its ``start``, with one
+    chunk's loadings (k, 2) and optional row indices ``pair``, to give
+    their predicted cell solutions (k, n^2); ``anchors(loadings, m)``
+    picks the (at most m) rows that a cold batch solves first.  The law
+    alone selects the rule.
     """
     return CirclePredictor if spec.homogeneity_degree is not None \
         else NearestPredictor
@@ -130,9 +131,9 @@ def cell_predictor(spec):
 class NearestPredictor:
     """First-order predictor eta_a + W_a (xi - xi_a) from one solved row a.
 
-    ``pair`` names each new loading's row a, as indices or a slice of the
-    solved rows; None takes the nearest one in loading space.  Cold
-    batches anchor at evenly spaced row indices.
+    ``pair`` names each new loading's row a, as indices of the solved
+    rows; None takes the nearest one in loading space.  Cold batches
+    anchor at evenly spaced row indices.
     """
 
     def __init__(self, loadings, etas, w):
@@ -184,9 +185,9 @@ class CirclePredictor:
 
     ``pair`` is ignored.  Zero loadings predict zero and rows with xi = 0
     are not nodes; with no node every prediction is zero.  Predictions
-    are sums of elementwise products, formed a chunk of rows at a time
-    (``_fem.blocks``) into the one output table.  Cold batches anchor at
-    evenly spaced folded-angle ranks among the nonzero loadings.
+    are sums of elementwise products; a caller passes one chunk of
+    loadings at a time, as the batch solver does.  Cold batches anchor
+    at evenly spaced folded-angle ranks among the nonzero loadings.
     """
 
     def __init__(self, loadings, etas, w):
@@ -211,19 +212,8 @@ class CirclePredictor:
 
     def __call__(self, loadings, pair=None):
         out = np.zeros((loadings.shape[0], self.etas.shape[1]))
-        if self.rows.size:
-            # a chunk's output rows and one row of gathered terms per row
-            blocks = _fem.blocks(out.shape[0], 16 * out.shape[1])
-            terms = np.empty((blocks[0].stop, out.shape[1]))
-            for sl in blocks:
-                self._chunk(loadings[sl], out[sl], terms[:sl.stop - sl.start])
-        return out
-
-    def _chunk(self, loadings, out, terms):
-        """Add the predictions at loadings (k, 2) to ``out`` (k, n^2).
-
-        ``terms`` (k, n^2) is scratch for one gathered and scaled term.
-        """
+        if not self.rows.size:
+            return out
         t, s, r = _fold(loadings)
         m = self.t.size
         # the nodes at or below t and above it; -1 and m wrap by pi
@@ -241,13 +231,14 @@ class CirclePredictor:
                 (up, sign_up, u * u * (3.0 - 2.0 * u), -u * u * v)):
             rows = self.rows[node]
             c_w = size * sign * slope * span
-            for table, coef in (
-                    (self.etas, size * sign * value * self.scale[node]),
-                    (self.w[..., 0], -c_w * self.sin[node]),
-                    (self.w[..., 1], c_w * self.cos[node])):
-                np.take(table, rows, axis=0, out=terms)
+            # gathered by row: np.take would copy a whole strided column
+            for terms, coef in (
+                    (self.etas[rows], size * sign * value * self.scale[node]),
+                    (self.w[rows, :, 0], -c_w * self.sin[node]),
+                    (self.w[rows, :, 1], c_w * self.cos[node])):
                 terms *= coef[:, None]
                 out += terms
+        return out
 
 
 def corrector_flux(loading, solution):
@@ -676,10 +667,10 @@ class BatchScalarCellSolver:
             tangent[sl] = self._tangent_chunk(loadings[sl], etas[sl], w[sl])
         return tangent, w
 
-    def _solve_chunk(self, loadings, warm):
+    def _solve_chunk(self, loadings, x0):
         k, nel, nn = loadings.shape[0], self.grid.n_elems, self.grid.n_nodes
         ws = self._workspace(k)
-        etas = np.zeros((k, nn)) if warm is None else warm.copy()
+        etas = np.zeros((k, nn)) if x0 is None else np.array(x0, dtype=float)
         # every family maps xi = 0 to flux 0, so a zero loading has eta = 0
         etas[np.linalg.norm(loadings, axis=1) == 0.0] = 0.0
         # total gradients at each row's last evaluated iterate: damped
@@ -721,12 +712,14 @@ class BatchScalarCellSolver:
         etas = out.x - out.x.mean(axis=1, keepdims=True)
         return etas, out.norm, out.iterations, out.converged
 
-    def solve(self, loadings, warm=None):
+    def solve(self, loadings, start=None):
         """Solve for loadings (K, 2); returns a BatchCellResult.
 
-        ``warm`` optionally gives the initial iterates (K, n^2).  With
-        ``warm`` None, a batch of fewer than ``CONTINUATION_ROWS`` rows or
-        ``CONTINUATION_NODES`` nodes in all (64 rows at n = 8) starts
+        ``start(chunk_loadings, rows)``, called once per chunk of rows
+        (``_fem.blocks``), optionally gives its initial iterates (k, n^2),
+        which are copied.  With ``start`` None, a batch of fewer than
+        ``CONTINUATION_ROWS`` rows or ``CONTINUATION_NODES`` nodes in all
+        (64 rows at n = 8) starts
         every row from eta = 0.  A larger one solves by continuation:
         ceil(sqrt(K)) anchor rows from eta = 0 first, then every other
         row from the law's ``cell_predictor`` built on the anchors, with
@@ -737,7 +730,7 @@ class BatchScalarCellSolver:
         anchors at evenly spaced indices and takes the first-order
         predictor eta_a + W_a (xi - xi_a) of the nearest anchor a in
         loading space (``NearestPredictor``).  Every row is solved once,
-        and the predictions are formed chunk by chunk, so no second
+        and every start is formed one chunk at a time, so no second
         (K, n^2) table is held.  Rows that do not converge are flagged in
         ``converged``.
         """
@@ -747,10 +740,9 @@ class BatchScalarCellSolver:
         out = BatchCellResult(loadings, np.zeros((k, self.grid.n_nodes)),
                               np.zeros(k), np.zeros(k, dtype=int),
                               np.zeros(k, dtype=bool))
-        if warm is not None or k < max(
+        if start is not None or k < max(
                 CONTINUATION_ROWS, CONTINUATION_NODES / self.grid.n_nodes):
-            self._solve_rows(out, np.arange(k),
-                             None if warm is None else lambda r: warm[r])
+            self._solve_rows(out, np.arange(k), start)
             return out
         rule = cell_predictor(self.spec)
         anchors = rule.anchors(loadings, ceil(sqrt(k)))
@@ -761,20 +753,21 @@ class BatchScalarCellSolver:
             return out
         xi_a, eta_a = loadings[anchors], out.values[anchors]
         predict = rule(xi_a, eta_a, self.tangents(xi_a, eta_a)[1])
-        self._solve_rows(out, rest, lambda rows: predict(loadings[rows]))
+        self._solve_rows(out, rest, lambda xi, rows: predict(xi))
         return out
 
     def _solve_rows(self, out, rows, start=None):
         """Solve ``rows`` of ``out`` in place, a chunk of ``rows`` at a time.
 
-        ``start(chunk_rows)`` gives a chunk's initial iterates; None
-        starts from eta = 0.
+        ``start(chunk_loadings, chunk_rows)`` gives a chunk's initial
+        iterates; None starts from eta = 0.
         """
         for sl in _fem.blocks(rows.size, self.loading_bytes):
             r = rows[sl]
+            xi = out.loadings[r]
             (out.values[r], out.residuals[r], out.iterations[r],
              out.converged[r]) = self._solve_chunk(
-                out.loadings[r], None if start is None else start(r))
+                xi, None if start is None else start(xi, r))
 
     def flux_means(self, result):
         """Cell means of a(y, loading + grad eta) per sample, (K, 2)."""

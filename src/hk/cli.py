@@ -50,10 +50,13 @@ SCHEMA_VERSION = 1
 # N = 256) and 111 MiB (variable-exponent, to N = 128), one BLAS thread,
 # one process per run, two runs each.  The post-processing streams over
 # blocks of element rows within _fem.WORK_BUDGET_BYTES.  The cell layer
-# keeps a few cell potentials, cell_n^2 doubles each, per quadrature point
-# of the sample grid, which refines the solve grid; CELL_TABLE_COPIES
-# bounds how many are alive at once (solutions, warm starts and their
-# two-column derivatives).
+# keeps tables of cell potentials, cell_n^2 doubles per quadrature point,
+# on the solve grid and the sample grid that refines it; CELL_TABLE_COPIES
+# bounds how many sample-grid tables are alive at once.  A macro trial
+# holds five solve-grid tables (the stepped-from solutions and their
+# two-column W = d eta / d xi, the trial's solutions, a homogeneous law's
+# rescaled first start), the reconstruction four (the macro solutions and
+# W, the sample solutions); warm starts are formed a chunk at a time.
 MAX_GRID = {"cell_n": 64, "solve_n": 128, "sample_n": 256}
 MAX_FINE_N = 512
 MAX_CELL_TABLE_BYTES = 2 ** 30

@@ -53,20 +53,20 @@ class EffectiveLaw:
 
     # -- evaluation --------------------------------------------------------
 
-    def solve(self, loadings, warm=None):
+    def solve(self, loadings, start=None):
         """Effective fluxes (K, 2) and zero-mean cell potentials (K, n^2).
 
-        ``warm`` optionally provides initial cell iterates (K, n^2); only
+        ``start(chunk_loadings, rows)`` optionally gives each chunk's
+        initial cell iterates (``BatchScalarCellSolver.solve``); only
         general laws run cell solves, so a linear law ignores it.  With
-        ``warm`` None a general law's batch starts from eta = 0, and a
-        large one solves by continuation from anchor rows
-        (``BatchScalarCellSolver.solve``).
+        ``start`` None a general law's batch starts from eta = 0, and a
+        large one solves by continuation from anchor rows.
         """
         loadings = np.asarray(loadings, dtype=float)
         if self.mode == "linear":
             return (self._closed_form_flux(loadings),
                     loadings @ self._basis)
-        return self._solve_loadings(loadings, warm=warm)
+        return self._solve_loadings(loadings, start)
 
     def eval_batch(self, loadings):
         """Effective flux for loadings (K, 2)."""
@@ -75,23 +75,24 @@ class EffectiveLaw:
             return self._solve_loadings(loadings)[0]
         return self._closed_form_flux(loadings)
 
-    def solutions_for(self, loadings, warm=None):
+    def solutions_for(self, loadings, start=None):
         """Zero-mean cell potentials per loading, (K, n^2).
 
-        A general law runs the batch solve alone: no flux means.
+        A general law runs the batch solve alone (``start`` as ``solve``
+        takes it): no flux means.
         """
         if self.mode == "general":
             return self._batch_solve(np.asarray(loadings, dtype=float),
-                                     warm).values
-        return self.solve(loadings, warm=warm)[1]
+                                     start).values
+        return self.solve(loadings, start)[1]
 
     def _closed_form_flux(self, loadings):
         """Fluxes of a linear law, (K, 2)."""
         return loadings @ self.matrix.T
 
-    def _batch_solve(self, loadings, warm=None):
+    def _batch_solve(self, loadings, start=None):
         """The batch's converged result; NonConvergence if a row is not."""
-        result = self.batch.solve(loadings, warm=warm)
+        result = self.batch.solve(loadings, start)
         if not result.converged.all():
             worst = float(result.residuals.max())
             iterations = int(result.iterations.max())
@@ -101,8 +102,8 @@ class EffectiveLaw:
                 residual=worst, iterations=iterations)
         return result
 
-    def _solve_loadings(self, loadings, warm=None):
-        result = self._batch_solve(loadings, warm)
+    def _solve_loadings(self, loadings, start=None):
+        result = self._batch_solve(loadings, start)
         return self.batch.flux_means(result), result.values
 
     # -- derivatives -------------------------------------------------------

@@ -9,11 +9,12 @@ which for general laws means one cell solve per quadrature-point
 loading.  The cell solutions travel with the
 iterate that produced them, and so do their derivatives W = d eta / d xi,
 which the tangent solve yields.  Every warm cell solve starts from the
-law's ``cell_predictor`` built on those rows: the line-search trials from
-the stepped-from iterate's, the corrector reconstruction from the final
-iterate's.  A homogeneous law interpolates all of the rows on the unit
-circle of loading directions (``CirclePredictor``, cubic Hermite in the
-angle, rescaled by |xi'|).  Any other law takes the first-order
+law's ``cell_predictor`` on those rows, the ``start`` the batch calls
+chunk by chunk: the line-search trials from the stepped-from iterate's,
+the corrector reconstruction from the final iterate's.  A homogeneous
+law interpolates all of the rows on the unit circle of loading
+directions (``CirclePredictor``, cubic Hermite in the angle, rescaled by
+|xi'|).  Any other law takes the first-order
 predictor eta + W (xi' - xi) of one row: the same quadrature point's for
 a trial, the nearest quadrature point's for the reconstruction.
 """
@@ -66,15 +67,15 @@ def solve_homogenized_electrostatic(law, f, domain, tol=MACRO_TOL):
     starts its cell solves from the law's ``cell_predictor`` on the rows
     (xi(phi), eta, W), with W = d eta / d xi from the same tangent solve:
     the circle interpolant of all rows for a homogeneous law, else
-    eta + W (xi(phi + t d) - xi(phi)) point by point.
+    eta + W (xi(phi + t d) - xi(phi)) of the point's own row: the
+    ``start`` that the law's batch calls chunk by chunk.
     """
     f_qp = _source_at_qp(f, domain)
     rhs = _fem.load_vector(domain, f_qp)
     free = _fem.free_dofs(domain)
     nel = domain.n_elems
 
-    warm = None     # cell iterates the next residual evaluation starts from
-    predictor = None  # cell_predictor of the iterate stepped from
+    start = None    # the cell starts of the next residual evaluation
     etas = None     # cell solutions of the iterate last evaluated
     history = []    # residual norm before each Newton step, then the last
 
@@ -84,22 +85,20 @@ def solve_homogenized_electrostatic(law, f, domain, tol=MACRO_TOL):
 
     def residual(rows, phis):
         nonlocal etas
-        grads = _grad_flat(phis[0], domain)
-        start = warm
-        if predictor is not None:
-            start = predictor(grads, slice(None))
-        flux, etas = law.solve(grads, warm=start)
+        flux, etas = law.solve(_grad_flat(phis[0], domain), start)
         return flux_residual(flux)
 
     def newton_step(rows, phis, res):
         # with one row, damped_newton always evaluates the iterate it steps
         # from last (the start, or the line-search trial it accepted), so
-        # ``etas`` are the cell solutions at phis[0]
-        nonlocal predictor
+        # ``etas`` are the cell solutions at phis[0]; the last predictor
+        # goes before the tangent solve makes the next one's W
+        nonlocal start
+        start = None
         history.append(_fem.vector_norm(res[0, free]))
         grads = _grad_flat(phis[0], domain)
         jac, w = law.jacobian_batch(grads, etas)
-        predictor = cell_predictor(law.spec)(grads, etas, w)
+        start = cell_predictor(law.spec)(grads, etas, w)
         block = _fem.assemble_diffusion(domain, jac.reshape(nel, 4, 2, 2))
         return _fem.solve_dirichlet(block, -res[0], domain)[None]
 
@@ -126,7 +125,8 @@ def solve_homogenized_electrostatic(law, f, domain, tol=MACRO_TOL):
             scale = (num / den) ** (1.0 / gamma)
             phi = phi * scale
             # eta(s xi) = s eta(xi) for a homogeneous law: an exact start
-            warm = scale * etas0
+            def start(xi, rows):
+                return scale * etas0[rows]
 
     out = _fem.damped_newton(phi[None], residual, newton_step, tol,
                              MACRO_MAX_ITER, MACRO_MAX_LINESEARCH)
@@ -205,25 +205,26 @@ def reconstruct_phi1(law, phi0, sample_grid, gradient_field, cell_potentials):
     each.  Means over the unit cell vanish because the attached
     potentials are periodic.  ``cell_potentials`` are the cell solutions
     at the quadrature points of phi0's grid, as the macro solve returns
-    them, or None (a linear law has none).  When given, the
-    points nearest a sample point become rows (xi0, eta, W) of the law's
-    ``cell_predictor``: xi0 is phi0's Q1 gradient there and
-    W = d eta / d xi comes from one tangent solve per such point.  A
-    homogeneous law starts every sample loading from the circle
-    interpolant of all of these rows; any other law from the first-order
-    predictor eta + W (xi - xi0) of the nearest point.
+    them, or None (a linear law has none).  When given, each such point
+    is a row (xi0, eta, W) of the law's ``cell_predictor``, the batch's
+    chunk-by-chunk ``start``: xi0 is phi0's Q1 gradient there, and one
+    tangent solve per point gives W = d eta / d xi.  A homogeneous law
+    starts every sample loading from the circle interpolant of all rows;
+    any other law from eta + W (xi - xi0) of the nearest point, which on
+    a sample grid refining phi0's leaves no point unread.
     """
     pts = sample_grid.qp_coords().reshape(-1, 2)
     loadings = _gradient_at(phi0, gradient_field, pts)
-    warm = None
+    start = None
     if cell_potentials is not None:
-        keys, near = np.unique(_nearest_qp(phi0.grid, pts),
-                               return_inverse=True)
-        xi0 = _grad_flat(phi0.values, phi0.grid)[keys]
-        etas = cell_potentials[keys]
-        _, w = law.jacobian_batch(xi0, etas)
-        warm = cell_predictor(law.spec)(xi0, etas, w)(loadings, near)
-    potentials = law.solutions_for(loadings, warm=warm)
+        xi0 = _grad_flat(phi0.values, phi0.grid)
+        predict = cell_predictor(law.spec)(
+            xi0, cell_potentials, law.jacobian_batch(xi0, cell_potentials)[1])
+        near = _nearest_qp(phi0.grid, pts)
+
+        def start(xi, rows):
+            return predict(xi, near[rows])
+    potentials = law.solutions_for(loadings, start)
     return CorrectorData(sample_grid, law.grid, loadings, potentials,
                          *law.batch.attached_residuals(loadings, potentials))
 

@@ -11,7 +11,7 @@ package's eps-cell partition.  ``sample_oscillatory`` copies a cell
 field onto a fine grid by an integer node map, the reference for the
 pairing that reads the cell field at its cell points.  ``load_field``
 reads back the plain-text dumps that ``hk.core_fields.dump_field``
-writes.
+writes.  ``spy_batch_solves`` records the batched cell solves of a run.
 """
 
 from dataclasses import dataclass
@@ -278,6 +278,38 @@ def sample_oscillatory(g, eps, domain):
                          indexing="xy")
     node_map = (((iy + n // 2) % n) * n + (ix + n // 2) % n).ravel()
     return type(g)(domain, g.values[node_map])
+
+
+@dataclass
+class BatchSolveCall:
+    """One ``BatchScalarCellSolver.solve`` call: its loadings and result."""
+
+    loadings: np.ndarray        # (K, 2)
+    result: object              # the BatchCellResult
+
+    @property
+    def row_steps(self):
+        """Batched Newton row-steps of the call."""
+        return int(self.result.iterations.sum())
+
+
+def spy_batch_solves(monkeypatch):
+    """Record every ``BatchScalarCellSolver.solve`` call while it runs.
+
+    The solver runs as it is, with whatever arguments its caller passes.
+    Returns the list that gets one ``BatchSolveCall`` per finished call.
+    """
+    from hk.cell_problems import BatchScalarCellSolver
+    calls = []
+    solve = BatchScalarCellSolver.solve
+
+    def recorded(self, loadings, *args, **kwargs):
+        result = solve(self, loadings, *args, **kwargs)
+        calls.append(BatchSolveCall(np.asarray(loadings), result))
+        return result
+
+    monkeypatch.setattr(BatchScalarCellSolver, "solve", recorded)
+    return calls
 
 
 def load_field(path, grid):

@@ -740,6 +740,36 @@ def test_cold_batch_holds_one_table_of_potentials():
     assert peak < 2 * res.values.nbytes
 
 
+def test_start_is_called_once_per_chunk_with_its_rows(monkeypatch):
+    # a warm batch of 300 rows in chunks of 50: ``start`` gets each chunk's
+    # loadings and row indices, once and in order.  The solve copies what
+    # it returns, so a start that hands out views of the caller's table
+    # leaves the table as it was, though the solve zeroes the start of the
+    # zero loading
+    grid = CellGrid(8)
+    batch = BatchScalarCellSolver(laminate_spec(3.0), grid)
+    loadings = disc_loadings(300, 2.0, seed=23)
+    loadings[7] = 0.0
+    table = 0.9 * batch.solve(loadings).values
+    table[7] = 1.0
+    kept = table.copy()
+    monkeypatch.setattr(_fem, "WORK_BUDGET_BYTES", 50 * batch.loading_bytes)
+    calls = []
+
+    def start(xi, rows):
+        calls.append((xi.copy(), rows.copy()))
+        return table[rows[0]:rows[-1] + 1]
+
+    res = batch.solve(loadings, start)
+    assert res.converged.all()
+    assert np.all(res.values[7] == 0.0)
+    assert [rows.tolist() for _, rows in calls] == [
+        list(range(i, i + 50)) for i in range(0, 300, 50)]
+    for xi, rows in calls:
+        assert np.array_equal(xi, loadings[rows])
+    assert np.array_equal(table, kept)
+
+
 # -- warm starts on the unit circle ------------------------------------------
 
 def _circle(loadings, tol=1e-13, n=8):
@@ -832,7 +862,9 @@ def test_circle_predictor_duplicate_angles_give_no_nan():
 def _forbid_circle(monkeypatch):
     """Fail on any use of the circle predictor.
 
-    Returns the (rows, pair type) of every first-order prediction.
+    Returns the (rows, pair type, own) of every first-order prediction,
+    own telling whether ``pair`` is a run of consecutive indices, as a
+    batch chunk's own row indices are.
     """
     def forbidden(*args, **kwargs):
         raise AssertionError("circle predictor called")
@@ -843,7 +875,9 @@ def _forbid_circle(monkeypatch):
     nearest = NearestPredictor.__call__
 
     def counted(self, loadings, pair=None):
-        calls.append((len(loadings), type(pair).__name__))
+        own = pair is not None and np.array_equal(
+            pair, pair[0] + np.arange(len(pair)))
+        calls.append((len(loadings), type(pair).__name__, own))
         return nearest(self, loadings, pair)
 
     monkeypatch.setattr(NearestPredictor, "__call__", counted)
@@ -858,15 +892,16 @@ def test_variable_exponent_batches_never_call_the_circle_predictor(
     batch = BatchScalarCellSolver(variable_exponent_square_spec(),
                                   CellGrid(8))
     assert batch.solve(disc_loadings(100, 2.0, seed=22)).converged.all()
-    assert sum(rows for rows, _ in calls) == 90
+    assert sum(rows for rows, _, _ in calls) == 90
 
 
 def test_variable_exponent_study_never_calls_the_circle_predictor(
         tmp_path, monkeypatch):
     # every warm start of a small variable-exponent study: the macro
-    # Newton's trials (paired by quadrature point, a slice), the corrector
-    # reconstruction (paired by nearest point, indices) and the cold
-    # continuations (nearest anchor, None)
+    # Newton's trials (each quadrature point paired with its own row),
+    # the corrector reconstruction (each of the 4 * 16^2 sample points
+    # paired with its nearest macro point) and the cold continuations
+    # (nearest anchor, None)
     import json
 
     from hk.cli import PRESETS, run
@@ -877,7 +912,10 @@ def test_variable_exponent_study_never_calls_the_circle_predictor(
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     assert run("corrector-study", str(path), str(tmp_path / "out")) == 0
-    assert {pair for _, pair in calls} == {"slice", "ndarray", "NoneType"}
+    assert {(pair, own) for _, pair, own in calls} == {
+        ("ndarray", True), ("ndarray", False), ("NoneType", False)}
+    assert sum(rows for rows, pair, own in calls
+               if pair == "ndarray" and not own) == 4 * 16 ** 2
 
 
 @pytest.mark.parametrize("n", [8, 16])

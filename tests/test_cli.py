@@ -16,7 +16,7 @@ from hk.corrector import EpsPartition, check_study_grids
 from hk.errors import ConfigError
 from hk.fine_scale import periods_per_side
 
-from oracles import load_field
+from oracles import load_field, spy_batch_solves
 
 
 def small_config(tmp_path, **overrides):
@@ -441,26 +441,22 @@ def test_effective_solves_unit_loadings_once(tmp_path, monkeypatch):
     # a_hom at e_1, e_2 and C_hom share one two-row solve
     from hk.cell_problems import BatchScalarCellSolver
     from hk.effective import assemble_elastic_tensors
-    built, rows = [], []
-    init, solve = BatchScalarCellSolver.__init__, BatchScalarCellSolver.solve
+    built = []
+    init = BatchScalarCellSolver.__init__
 
     def counting_init(self, *args, **kwargs):
         built.append(1)
         init(self, *args, **kwargs)
 
-    def counting_solve(self, loadings, warm=None):
-        rows.append(len(loadings))
-        return solve(self, loadings, warm)
-
     monkeypatch.setattr(BatchScalarCellSolver, "__init__", counting_init)
-    monkeypatch.setattr(BatchScalarCellSolver, "solve", counting_solve)
+    calls = spy_batch_solves(monkeypatch)
     path, cfg = small_config(tmp_path, operator=PRESETS["laminate-p3"][
         "operator"])
     out = tmp_path / "out"
     assert run("effective", str(path), str(out)) == 0
     # the law's solver: the unit loadings, then the audit's two batches
     assert built == [1]
-    assert rows == [2, 100, 100]
+    assert [len(c.loadings) for c in calls] == [2, 100, 100]
     payload = json.loads((out / "effective.json").read_text())
     monkeypatch.undo()
     cfg = validate_config(cfg)
@@ -494,21 +490,6 @@ def test_effective_factors_each_cell_stiffness_once(tmp_path, monkeypatch):
     path.write_text(json.dumps(cfg))
     assert run("effective", str(path), str(tmp_path / "out")) == 0
     assert calls == [(510, 510)]
-
-
-def _batched_row_steps(monkeypatch):
-    """Batched Newton row-steps per ``BatchScalarCellSolver.solve`` call."""
-    from hk.cell_problems import BatchScalarCellSolver
-    steps = []
-    solve = BatchScalarCellSolver.solve
-
-    def counting_solve(self, loadings, warm=None):
-        out = solve(self, loadings, warm)
-        steps.append(int(out.iterations.sum()))
-        return out
-
-    monkeypatch.setattr(BatchScalarCellSolver, "solve", counting_solve)
-    return steps
 
 
 def _workload_config(name):
@@ -550,14 +531,14 @@ def test_effective_cold_batches_solve_by_continuation(tmp_path,
     # the benchmark's effective-p3-n16 run: the audit's two cold batches of
     # 100 start most rows from an anchor row's tangent predictor (743
     # batched Newton row-steps when every row starts from eta = 0)
-    steps = _batched_row_steps(monkeypatch)
+    calls = spy_batch_solves(monkeypatch)
     cfg = load_config("laminate-p3")
     cfg["grids"]["cell_n"] = 16
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     assert run("effective", str(path), str(tmp_path / "out")) == 0
-    assert len(steps) == 3
-    assert sum(steps) <= 560
+    assert len(calls) == 3
+    assert sum(c.row_steps for c in calls) <= 560
 
 
 def test_effective_cold_batches_interpolate_on_the_circle(tmp_path,
@@ -566,13 +547,13 @@ def test_effective_cold_batches_interpolate_on_the_circle(tmp_path,
     # evenly spaced angles and start the other rows from the Hermite
     # interpolant on the circle (350 row-steps; 521 from the nearest
     # anchor's first-order predictor)
-    steps = _batched_row_steps(monkeypatch)
+    calls = spy_batch_solves(monkeypatch)
     command, cfg = _workload_config("effective-p3-n16")
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     assert run(command, str(path), str(tmp_path / "out")) == 0
-    assert len(steps) == 3
-    assert sum(steps) <= 400
+    assert len(calls) == 3
+    assert sum(c.row_steps for c in calls) <= 400
 
 
 def test_study_p3_warm_starts_interpolate_on_the_circle(tmp_path,
@@ -580,12 +561,12 @@ def test_study_p3_warm_starts_interpolate_on_the_circle(tmp_path,
     # the benchmark's study-p3 run: the cold batches, the macro Newton's
     # trials and the corrector reconstruction all start from the circle
     # interpolant (1,420 row-steps; 3,158 from first-order predictors)
-    steps = _batched_row_steps(monkeypatch)
+    calls = spy_batch_solves(monkeypatch)
     command, cfg = _workload_config("study-p3")
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     assert run(command, str(path), str(tmp_path / "out")) == 0
-    assert sum(steps) <= 1600
+    assert sum(c.row_steps for c in calls) <= 1600
 
 
 def test_python_m_hk_runs_the_cli():
@@ -676,6 +657,23 @@ def test_homogeneous_study_does_not_depend_on_blas_threads(tmp_path):
     path, _ = small_config(tmp_path, operator=PRESETS["laminate-p3"][
         "operator"], elasticity=None, grids={"cell_n": 8, "solve_n": 8,
                                              "sample_n": 16})
+    one, two = _reports_on_blas_threads(tmp_path, "corrector-study", path,
+                                        "corrector_report.json")
+    assert len(one["macro_history"]) > 2
+    assert one["macro_history"] == two["macro_history"]
+    assert one["errors"] == two["errors"]
+
+
+def test_variable_exponent_study_does_not_depend_on_blas_threads(tmp_path):
+    # a small variable-exponent study: the cold batches (the 81-row E_dm
+    # batch included), the macro Newton's trials and the corrector
+    # reconstruction start from the first-order predictor, whose batched
+    # products W[pair] @ step run in every one of them
+    variable = PRESETS["variable-exponent"]
+    path, _ = small_config(
+        tmp_path, operator=variable["operator"],
+        geometry=variable["geometry"], elasticity=None,
+        grids={"cell_n": 8, "solve_n": 8, "sample_n": 16})
     one, two = _reports_on_blas_threads(tmp_path, "corrector-study", path,
                                         "corrector_report.json")
     assert len(one["macro_history"]) > 2

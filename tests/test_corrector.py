@@ -17,7 +17,8 @@ from hk.homogenized import (macroscopic_gradient_field, reconstruct_phi1,
                             solve_homogenized_electrostatic)
 
 from oracles import (partition_centers, point_eval, point_eval_gradient,
-                     sample_oscillatory, two_scale_compose_S)
+                     sample_oscillatory, spy_batch_solves,
+                     two_scale_compose_S)
 
 UNIFORM = Geometry("uniform")
 
@@ -353,8 +354,7 @@ def test_square_p15_study_runs_the_law_as_stated(monkeypatch):
     # from the circle interpolant: 5,629 batched Newton row-steps, against
     # 76,100 when delta was raised to 1e-8; the error ladders agree to 7
     # digits.  Measured rates 0.981 (E_exp) and 0.888 (E_avg)
-    from test_cli import _batched_row_steps
-    steps = _batched_row_steps(monkeypatch)
+    calls = spy_batch_solves(monkeypatch)
     spec = OperatorSpec(family="power-law", p=1.5, alpha=0.5,
                         geometry=Geometry(kind="square", size=0.5),
                         sigma=(1.0, 4.0))
@@ -363,7 +363,7 @@ def test_square_p15_study_runs_the_law_as_stated(monkeypatch):
                                   solve_n=32, sample_n=64)
     assert rep.rates["E_exp"] >= 0.8
     assert rep.rates["E_avg"] >= 0.8
-    assert sum(steps) <= 6500
+    assert sum(c.row_steps for c in calls) <= 6500
 
 
 def test_averaged_error_triangle_inequality():

@@ -381,7 +381,7 @@ def test_jacobian_reuses_cached_solutions(monkeypatch):
     solved, _ = law.jacobian_batch(loadings, law.solutions_for(loadings))
     _, etas = law.solve(loadings)
 
-    def no_solve(self, loadings, warm=None):
+    def no_solve(*args, **kwargs):
         raise AssertionError("cell solve with the solutions given")
 
     monkeypatch.setattr(BatchScalarCellSolver, "solve", no_solve)

@@ -15,7 +15,7 @@ LAMINATE = Geometry(kind="laminate", fraction=0.5)
 UNIFORM = Geometry("uniform")
 
 from oracles import (grad_y_fields, laminate_flux_balance, node_coords,
-                     point_eval)
+                     point_eval, spy_batch_solves)
 
 
 def test_zero_source_zero_potential():
@@ -247,21 +247,14 @@ def test_displacement_converges_when_c_is_not_a_multiple_of_b():
 
 
 def test_macro_newton_solves_each_loading_once(monkeypatch):
-    from hk.cell_problems import BatchScalarCellSolver
-    solved = []
-    original = BatchScalarCellSolver.solve
-
-    def recording(self, loadings, warm=None):
-        solved.extend((round(float(xi[0]), 12), round(float(xi[1]), 12))
-                      for xi in loadings)
-        return original(self, loadings, warm=warm)
-
-    monkeypatch.setattr(BatchScalarCellSolver, "solve", recording)
+    calls = spy_batch_solves(monkeypatch)
     spec = OperatorSpec(family="power-law", p=3.0, alpha=1.0,
                         geometry=LAMINATE, sigma=(1.0, 4.0))
     law = EffectiveLaw(spec, CellGrid(8))
     macro = solve_homogenized_electrostatic(law, 1.0, DomainGrid(8))
     assert macro.iterations >= 2
+    solved = [(round(float(xi[0]), 12), round(float(xi[1]), 12))
+              for c in calls for xi in c.loadings]
     assert solved
     assert len(solved) == len(set(solved))
     assert law.provenance()["jacobian"] == "consistent tangent"
@@ -299,11 +292,71 @@ def test_constant_law_macro_cell_potentials_vanish():
     assert np.abs(corr.potentials).max() <= 1e-14
 
 
+def test_every_macro_point_is_some_sample_points_nearest():
+    # reconstruct_phi1 builds its predictor on every macro quadrature
+    # point and pairs each sample point with its nearest: on a sample grid
+    # that refines the solve grid, no macro point goes unread
+    from hk.homogenized import _nearest_qp
+    for solve_n in range(2, 33):
+        solve = DomainGrid(solve_n)
+        for ratio in range(1, 9):
+            pts = DomainGrid(ratio * solve_n).qp_coords().reshape(-1, 2)
+            assert np.array_equal(np.unique(_nearest_qp(solve, pts)),
+                                  np.arange(4 * solve.n_elems))
+
+
+def test_reconstruct_phi1_holds_no_table_of_starts():
+    # the p3 laminate at cell_n 8, solve_n 32, sample_n 64: the sample
+    # solves read their starts chunk by chunk, so the reconstruction peaks
+    # at 1.95 tables of potentials (16,384 x 64 doubles), the potentials
+    # and the macro rows' W; 2.99 when the starts are gathered into a
+    # table of their own first
+    import tracemalloc
+    spec = OperatorSpec(family="power-law", p=3.0, alpha=1.0,
+                        geometry=LAMINATE, sigma=(1.0, 4.0))
+    law = EffectiveLaw(spec, CellGrid(8))
+    macro = solve_homogenized_electrostatic(law, 1.0, DomainGrid(32))
+    field = macroscopic_gradient_field(macro.potential)
+    tracemalloc.start()
+    try:
+        corr = reconstruct_phi1(law, macro.potential, DomainGrid(64), field,
+                                macro.cell_potentials)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert corr.potentials.shape == (16384, 64)
+    assert peak < 2.5 * corr.potentials.nbytes
+
+
+def test_macro_newton_holds_at_most_five_tables_of_cell_solutions():
+    # the p3 laminate at cell_n 8, solve_n 32, the batch's workspace grown
+    # first: a line-search trial holds the stepped-from solutions and
+    # their two-column W, which its start reads, the trial's solutions and
+    # the rescaled first start's; the last predictor goes before the next
+    # tangent solve.  Measured 5.5 tables of 4,096 x 64 doubles; 7.5 when
+    # the last predictor lives through the tangent solve, and 9.6 with a
+    # table of starts besides
+    import tracemalloc
+    spec = OperatorSpec(family="power-law", p=3.0, alpha=1.0,
+                        geometry=LAMINATE, sigma=(1.0, 4.0))
+    law = EffectiveLaw(spec, CellGrid(8))
+    law.solve(np.random.default_rng(0).uniform(-1.0, 1.0, (500, 2)))
+    tracemalloc.start()
+    try:
+        macro = solve_homogenized_electrostatic(law, 1.0, DomainGrid(32))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert macro.iterations >= 2
+    assert macro.cell_potentials.shape == (4096, 64)
+    assert peak < 6 * macro.cell_potentials.nbytes
+
+
 def test_reconstruct_phi1_predictor_takes_fewer_newton_steps(monkeypatch):
     # each sample solve starts from eta + W (xi - xi0) at the nearest
     # solve-grid point; it must land on the cold solution in fewer batched
     # Newton row-steps than a start from eta alone
-    from hk.cell_problems import BatchScalarCellSolver, _tol_scale
+    from hk.cell_problems import _tol_scale
     from hk.homogenized import _nearest_qp
     spec = OperatorSpec(family="power-law", p=3.0, alpha=1.0,
                         geometry=LAMINATE, sigma=(1.0, 4.0))
@@ -311,22 +364,15 @@ def test_reconstruct_phi1_predictor_takes_fewer_newton_steps(monkeypatch):
     dom = DomainGrid(8)
     macro = solve_homogenized_electrostatic(law, 1.0, dom)
     sample = DomainGrid(16)
-    steps = []
-    original = BatchScalarCellSolver.solve
-
-    def counting(self, loadings, warm=None):
-        out = original(self, loadings, warm=warm)
-        steps.append(int(out.iterations.sum()))
-        return out
-
-    monkeypatch.setattr(BatchScalarCellSolver, "solve", counting)
+    calls = spy_batch_solves(monkeypatch)
     corr = reconstruct_phi1(law, macro.potential, sample,
                             macroscopic_gradient_field(macro.potential),
                             macro.cell_potentials)
-    predicted = steps[-1]
+    predicted = calls[-1].row_steps
     near = _nearest_qp(dom, sample.qp_coords().reshape(-1, 2))
-    law.solutions_for(corr.loadings, warm=macro.cell_potentials[near])
-    nearest = steps[-1]
+    law.solutions_for(corr.loadings,
+                      lambda xi, rows: macro.cell_potentials[near[rows]])
+    nearest = calls[-1].row_steps
     cold = law.solutions_for(corr.loadings)
     assert predicted < nearest
     # a residual within tol moves the potentials by a few tol: the pinned
